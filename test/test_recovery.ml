@@ -465,6 +465,130 @@ let test_executor_replay_detects_divergence () =
     | _ -> false);
   Store.close store
 
+(* ---- on-disk format golden ------------------------------------------------ *)
+
+(* The persisted format is pinned: the MD5 of every snapshot body and of
+   every journal segment's records (in order), read back through the
+   store.  The Marshal-based config fingerprint in [meta] is left out — it
+   is not part of the codec format.  A crashed-and-resumed run must leave
+   the very same store behind, so a decoder that reads a field out of
+   order (and so restores different state) misses the digests too. *)
+
+let store_digests store =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let snaps =
+    List.map
+      (fun i ->
+        match Store.load_snapshot store ~index:i with
+        | Ok body -> Printf.sprintf "snap-%d %s" i (md5 body)
+        | Error e -> Printf.sprintf "snap-%d %s" i (Store.error_to_string e))
+      (Store.snapshot_indices store)
+  in
+  let segs =
+    List.map
+      (fun i ->
+        let seg = Journal.read_segment (Store.seg_path store i) in
+        let records = seg.Journal.sg_records in
+        Printf.sprintf "journal-%d %d %s" i (List.length records)
+          (md5 (String.concat "\n" records)))
+      (Store.segment_indices store)
+  in
+  snaps @ segs
+
+let golden_horizon = 0.3
+
+let golden_fabric_store ?crash_after ~dir () =
+  let config = fabric_config ~seed:7 in
+  let fp = Fabric.fingerprint config ~tenants ~horizon:golden_horizon in
+  let open_rv ~fresh =
+    let store = Store.open_store ~fresh ~dir ~fingerprint:fp () in
+    (store, { Fabric.rv_store = store; rv_snapshot_every_s = 0.05 })
+  in
+  let run ?recovery () =
+    Fabric.run ~registry:(Metrics.create_registry ()) ?recovery config
+      ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon:golden_horizon
+  in
+  let store, recovery = open_rv ~fresh:true in
+  (match crash_after with
+  | None -> ignore (run ~recovery ())
+  | Some after -> (
+      Store.arm_crash store ~after_records:after;
+      match run ~recovery () with
+      | _ -> Alcotest.fail "armed crash did not fire"
+      | exception Journal.Crashed ->
+          Store.close store;
+          let store, recovery = open_rv ~fresh:false in
+          ignore
+            (Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery
+               config ~deploy:(Fabric.demo_deploy ()) ~tenants
+               ~horizon:golden_horizon);
+          Store.close store));
+  Store.close store;
+  let store = Store.open_store ~dir ~fingerprint:fp () in
+  let digests = store_digests store in
+  Store.close store;
+  digests
+
+let golden_fabric =
+  [ "snap-0 643b2d4dd58ba86b3e7a9798d817b60d";
+    "snap-1 99c59713a8fe864f60cfbd58777f74f6";
+    "snap-2 466bc80e9c1672be6603a78e978ad75a";
+    "snap-3 95ca1704d169c4f8cef4ffd8aaa31e1e";
+    "snap-4 bed5e027f6073315eb48bade4bb6c240";
+    "snap-5 580eb00a18e4ce869dcb06b71246bc97";
+    "journal-0 40 a90d02103d1d7ee033dae9dc18d2eff0";
+    "journal-1 35 07d909e6082c3686781ce52c1115b878";
+    "journal-2 16 61fcc3e3098ac5465a36d141bceda790";
+    "journal-3 36 9fdb20879cfdefebfbf324d371ec36cf";
+    "journal-4 47 b7aa12c0ac37d4f1be0cc684ec182eb6";
+    "journal-5 25 3ecce55dd85682cc6c8ab62819fc4ead" ]
+
+let golden_executor_store ?crash_after ~dir () =
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:"exec" () in
+  (match crash_after with
+  | None -> ignore (exec_run ~seed:5 ~checkpoint:(Checkpoint.create ~store ~every:7) ())
+  | Some after ->
+      Store.arm_crash store ~after_records:after;
+      (try
+         ignore (exec_run ~seed:5 ~checkpoint:(Checkpoint.create ~store ~every:7) ());
+         Alcotest.fail "armed crash did not fire"
+       with Journal.Crashed -> ());
+      Store.close store;
+      let store = Store.open_store ~dir ~fingerprint:"exec" () in
+      ignore (exec_run ~seed:5 ~checkpoint:(Checkpoint.resume ~store ~every:7) ());
+      Store.close store);
+  Store.close store;
+  let store = Store.open_store ~dir ~fingerprint:"exec" () in
+  let digests = store_digests store in
+  Store.close store;
+  digests
+
+let golden_executor =
+  [ "snap-0 b08b3184b1ab049e946dc143caef4bbd";
+    "snap-1 297df41637f7a0931adc4507f50828a2";
+    "snap-2 7c71a7f19d63b3b909dbf63fc94f34d2";
+    "snap-3 18941ade386f0022a1eecfb4883e5cbf";
+    "snap-4 636d4b57be0d9ba1a9d91e4f36c1357b";
+    "journal-0 7 2378a8edcdede1a9eb06c063f0d0cd0e";
+    "journal-1 7 15817a871166d8a8ab51ea9f20679aa9";
+    "journal-2 7 6f6d596acfc1bdeb55e4ba879be20641";
+    "journal-3 7 2d2feca0eb94ab2a2e3334b16e9b993e";
+    "journal-4 2 5a4da15a517dc3dfbfddcde0b1d5f246" ]
+
+let check_digests = Alcotest.(check (list string))
+
+let test_golden_fabric_format () =
+  check_digests "uninterrupted" golden_fabric
+    (golden_fabric_store ~dir:(tmp_dir "golden-fab") ());
+  check_digests "crashed and resumed" golden_fabric
+    (golden_fabric_store ~crash_after:100 ~dir:(tmp_dir "golden-fab-crash") ())
+
+let test_golden_executor_format () =
+  check_digests "uninterrupted" golden_executor
+    (golden_executor_store ~dir:(tmp_dir "golden-exec") ());
+  check_digests "crashed and resumed" golden_executor
+    (golden_executor_store ~crash_after:17 ~dir:(tmp_dir "golden-exec-crash") ())
+
 let () =
   Alcotest.run "everest_recovery"
     [ ( "codec",
@@ -504,5 +628,10 @@ let () =
             test_executor_crash_resume_byte_identical;
           Alcotest.test_case "replay detects divergence" `Quick
             test_executor_replay_detects_divergence;
-          QCheck_alcotest.to_alcotest prop_executor_crash_point_irrelevant ] )
+          QCheck_alcotest.to_alcotest prop_executor_crash_point_irrelevant ] );
+      ( "format",
+        [ Alcotest.test_case "fabric store golden" `Quick
+            test_golden_fabric_format;
+          Alcotest.test_case "executor store golden" `Quick
+            test_golden_executor_format ] )
     ]
