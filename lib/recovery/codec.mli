@@ -1,0 +1,124 @@
+(** Byte-deterministic token codec for snapshots and journal records.
+
+    A record is one line of space-separated tokens.  Each persisted type
+    is declared once, as a codec value ['a t] that pairs its encoder with
+    its decoder; the decoder is the exact inverse of the encoder and
+    fails with {!Decode} on anything else — a record that does not parse
+    is corrupt, never half-loaded. *)
+
+exception Decode of string
+
+(** {2 Writing and reading} *)
+
+type writer
+
+val writer : unit -> writer
+
+(** Everything written so far. *)
+val contents : writer -> string
+
+(** Empty the writer for reuse (hot paths encode one record per event
+    into one writer). *)
+val reset : writer -> unit
+
+(** Append everything written so far to a buffer, without the string
+    {!contents} would build. *)
+val blit_into : writer -> Buffer.t -> unit
+
+(** Splice tokens pre-encoded by this codec into the stream, byte for
+    byte — the encode-once fast path.  The buffer holds zero or more
+    space-separated tokens with no leading or trailing separator; an
+    empty one splices nothing. *)
+val splice : writer -> Buffer.t -> unit
+
+(** {!splice} for a string. *)
+val splice_str : writer -> string -> unit
+
+type reader
+
+(** {2 Codecs} *)
+
+type 'a t = { enc : writer -> 'a -> unit; dec : reader -> 'a }
+
+(** The value as one record. *)
+val encode : 'a t -> 'a -> string
+
+(** Parse one whole record.
+    @raise Decode on a malformed record or trailing tokens. *)
+val decode : 'a t -> string -> 'a
+
+(** A decimal integer token. *)
+val int : int t
+
+(** The 16 lowercase hex digits of the IEEE-754 bit pattern: bit-exact
+    for every double, including infinities, NaNs and signed zeros. *)
+val float : float t
+
+(** [t] or [f]. *)
+val bool : bool t
+
+(** The string itself when it is non-empty printable ASCII without
+    ['%']; otherwise ['%'] followed by the string with every such byte
+    as [%xx]. *)
+val string : string t
+
+(** No tokens. *)
+val unit : unit t
+
+(** A count prefix, then the items. *)
+val list : 'a t -> 'a list t
+
+(** A bool tag, then the value when the tag is [t]. *)
+val option : 'a t -> 'a option t
+
+(** The components in order. *)
+val pair : 'a t -> 'b t -> ('a * 'b) t
+
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
+
+(** [conv f g c] persists ['a] as [f x] through [c]; [g] maps back. *)
+val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
+
+(** A literal tag token, then the value.  The decoder checks the tag —
+    a schema self-check at the head of a record. *)
+val tagged : string -> 'a t -> 'a t
+
+(** One name token per value, e.g. [enum [ ("closed", Closed); … ]].
+    @raise Invalid_argument when encoding an unlisted value. *)
+val enum : (string * 'a) list -> 'a t
+
+(** {3 Variants} *)
+
+type 'a case
+
+(** [case tag arg inj proj]: the constructor [inj] with argument codec
+    [arg], written as the leading token [tag] followed by the argument.
+    [proj] recognises the constructor. *)
+val case : string -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
+
+(** A leading tag token selects the case; encoding uses the first case
+    whose [proj] matches. *)
+val variant : 'a case list -> 'a t
+
+(** {3 Records}
+
+    {[
+      let point =
+        Codec.(
+          record (fun x y -> { x; y })
+          |> field float (fun p -> p.x)
+          |> field float (fun p -> p.y)
+          |> seal)
+    ]}
+    Fields are written in the order they are listed, with no framing. *)
+
+type ('r, 'k) fields
+
+(** Start from the record's curried constructor. *)
+val record : 'k -> ('r, 'k) fields
+
+(** The next field: its codec and its getter. *)
+val field : 'a t -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
+
+(** Close the record once every constructor argument has a field. *)
+val seal : ('r, 'r) fields -> 'r t

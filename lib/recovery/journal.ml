@@ -35,35 +35,11 @@ let checksum payload =
   let h = checksum_raw payload in
   String.init 8 (fun i -> hex_digits.[(h lsr ((7 - i) * 4)) land 0xf])
 
-(* " #xxxxxxxx\n" for the given payload. *)
-let trailer payload =
-  let b = Bytes.create 11 in
-  Bytes.unsafe_set b 0 ' ';
-  Bytes.unsafe_set b 1 '#';
-  let h = checksum_raw payload in
-  for i = 0 to 7 do
-    Bytes.unsafe_set b (2 + i)
-      (String.unsafe_get hex_digits ((h lsr ((7 - i) * 4)) land 0xf))
-  done;
-  Bytes.unsafe_set b 10 '\n';
-  b
-
-(* One append per simulated event makes this framing hot; building the
-   line with Bytes instead of Printf keeps it under the journaling
-   overhead budget. *)
-let encode_record payload =
-  if String.contains payload '\n' then
-    invalid_arg "Journal.encode_record: payload contains newline";
-  let n = String.length payload in
-  let b = Bytes.create (n + 11) in
-  Bytes.blit_string payload 0 b 0 n;
-  Bytes.blit (trailer payload) 0 b n 11;
-  Bytes.unsafe_to_string b
-
-(* Write a record straight to [oc] — payload then trailer — skipping the
-   concatenated line [encode_record] would allocate.  The trailer goes
-   out char by char into the channel buffer, so the hot append path
-   allocates nothing.  Returns the bytes written. *)
+(* Write a record straight to [oc] — payload then " #xxxxxxxx\n" trailer
+   — without building the line: one append per simulated event makes
+   this framing hot, and the trailer goes out char by char into the
+   channel buffer, so the append path allocates nothing.  Returns the
+   bytes written. *)
 let output_record oc payload =
   if String.contains payload '\n' then
     invalid_arg "Journal.output_record: payload contains newline";

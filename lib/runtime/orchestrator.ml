@@ -147,7 +147,10 @@ let restore_state orch ps =
     ps.ps_fpgas;
   List.iter
     (fun (kname, tuner_p, breakers_p) ->
-      let dk = find_kernel orch kname in
+      let dk =
+        try find_kernel orch kname
+        with Not_found -> invalid_arg "Orchestrator.restore_state: unknown kernel"
+      in
       Tuner.import dk.tuner tuner_p;
       List.iter
         (fun (variant, bp) ->

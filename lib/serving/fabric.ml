@@ -38,6 +38,9 @@ module Slo = Everest_observe.Slo
 module Orch = Everest_runtime.Orchestrator
 module Desim = Everest_platform.Desim
 module Faults = Everest_resilience.Faults
+module Breaker = Everest_resilience.Breaker
+module Tuner = Everest_autotune.Tuner
+module Knowledge = Everest_autotune.Knowledge
 module Metrics = Everest_telemetry.Metrics
 module Codec = Everest_recovery.Codec
 module Store = Everest_recovery.Store
@@ -159,14 +162,16 @@ let fingerprint (config : config) ~tenants ~horizon =
 (* Typed fabric events.  Everything Desim will ever run on the fabric
    clock is one of these — plain data, so the pending set can be
    snapshotted and a restored run can re-create the closures. *)
+type completion = {
+  c_sid : int;
+  c_start : float;
+  c_batch : Batcher.batch;
+  c_entry : Orch.request_log;
+}
+
 type ev =
   | Ev_arrival of Workload.request  (* fresh arrival passing admission *)
-  | Ev_complete of {
-      c_sid : int;
-      c_start : float;
-      c_batch : Batcher.batch;
-      c_entry : Orch.request_log;
-    }
+  | Ev_complete of completion
   | Ev_flush of int  (* batcher deadline flush on one shard *)
   | Ev_spawn of int  (* delayed autoscale worker-up on one shard *)
   | Ev_tick  (* fabric control tick *)
@@ -182,7 +187,7 @@ type state = {
   st_horizon : float;
   st_registry : Metrics.registry;
   mutable st_log : served_request list;  (* newest first *)
-  st_log_enc : Buffer.t;
+  mutable st_log_enc : Buffer.t;
       (* the same log, codec-encoded incrementally (oldest first): each
          entry is encoded exactly once when resolved, so a snapshot
          splices these bytes instead of re-encoding the whole log —
@@ -228,453 +233,341 @@ let tenant_monitors st tenant =
 
 let counter st ?labels name = Metrics.counter ~registry:st.st_registry ?labels name
 
-(* ---- event and state codec ------------------------------------------------------ *)
+(* ---- persisted formats ---------------------------------------------------------- *)
 
-let encode_request w (rq : Workload.request) =
-  Codec.int w rq.Workload.rq_id;
-  Codec.str w rq.Workload.rq_tenant;
-  Codec.str w rq.Workload.rq_kernel;
-  Codec.int w rq.Workload.rq_user;
-  Codec.int w rq.Workload.rq_seq;
-  Codec.float w rq.Workload.rq_arrival_s;
-  Codec.assoc_floats w rq.Workload.rq_features
+(* The complete resumable fabric state as plain data: one snapshot body
+   (the Snapshot envelope adds version + checksum).  [export] reads it
+   off a live state, [import] writes it into a freshly built one. *)
+type image = {
+  im_now : float;
+  im_ev_seq : int;
+  im_outstanding : int;
+  im_arrivals_pending : int;
+  im_next_id : int;
+  im_reroutes : int;
+  im_failures : (int * int) list;  (* by request id *)
+  im_cursor : int;  (* balancer *)
+  im_log : served_request list * Buffer.t;
+      (* newest first, and the same entries' oldest-first encoding *)
+  im_admission : Admission.tenant_persisted list;
+  im_monitors : (string * Slo.monitor_state list) list;
+  im_users : int list;  (* closed-loop RNG positions *)
+  im_shards : Shard.persisted list;
+  im_pending : ((int * float * ev) * string) list;
+      (* by id, each with its journal payload *)
+}
 
-let decode_request r =
-  let rq_id = Codec.r_int r in
-  let rq_tenant = Codec.r_str r in
-  let rq_kernel = Codec.r_str r in
-  let rq_user = Codec.r_int r in
-  let rq_seq = Codec.r_int r in
-  let rq_arrival_s = Codec.r_float r in
-  let rq_features = Codec.r_assoc_floats r in
-  { Workload.rq_id; rq_tenant; rq_kernel; rq_user; rq_seq; rq_arrival_s;
-    rq_features }
+(* Each persisted type, declared once. *)
+module Codecs = struct
+  open Codec
 
-let encode_entry w (e : Orch.request_log) =
-  Codec.int w e.Orch.req;
-  Codec.str w e.Orch.requested;
-  Codec.str w e.Orch.variant;
-  Codec.float w e.Orch.latency_s;
-  Codec.int w e.Orch.attempts;
-  Codec.bool w e.Orch.degraded;
-  Codec.bool w e.Orch.ok;
-  Codec.float w e.Orch.t_done
+  let named_floats = list (pair string float)
 
-let decode_entry r =
-  let req = Codec.r_int r in
-  let requested = Codec.r_str r in
-  let variant = Codec.r_str r in
-  let latency_s = Codec.r_float r in
-  let attempts = Codec.r_int r in
-  let degraded = Codec.r_bool r in
-  let ok = Codec.r_bool r in
-  let t_done = Codec.r_float r in
-  { Orch.req; requested; variant; latency_s; attempts; degraded; ok; t_done }
+  let request =
+    record (fun rq_id rq_tenant rq_kernel rq_user rq_seq rq_arrival_s rq_features ->
+        { Workload.rq_id; rq_tenant; rq_kernel; rq_user; rq_seq; rq_arrival_s;
+          rq_features })
+    |> field int (fun rq -> rq.Workload.rq_id)
+    |> field string (fun rq -> rq.Workload.rq_tenant)
+    |> field string (fun rq -> rq.Workload.rq_kernel)
+    |> field int (fun rq -> rq.Workload.rq_user)
+    |> field int (fun rq -> rq.Workload.rq_seq)
+    |> field float (fun rq -> rq.Workload.rq_arrival_s)
+    |> field named_floats (fun rq -> rq.Workload.rq_features)
+    |> seal
 
-let encode_batch w (b : Batcher.batch) =
-  Codec.str w b.Batcher.b_key;
-  Codec.float w b.Batcher.b_formed_s;
-  Codec.list w b.Batcher.b_requests ~item:encode_request
+  let entry =
+    record (fun req requested variant latency_s attempts degraded ok t_done ->
+        { Orch.req; requested; variant; latency_s; attempts; degraded; ok; t_done })
+    |> field int (fun e -> e.Orch.req)
+    |> field string (fun e -> e.Orch.requested)
+    |> field string (fun e -> e.Orch.variant)
+    |> field float (fun e -> e.Orch.latency_s)
+    |> field int (fun e -> e.Orch.attempts)
+    |> field bool (fun e -> e.Orch.degraded)
+    |> field bool (fun e -> e.Orch.ok)
+    |> field float (fun e -> e.Orch.t_done)
+    |> seal
 
-let decode_batch r =
-  let b_key = Codec.r_str r in
-  let b_formed_s = Codec.r_float r in
-  let b_requests = Codec.r_list r ~item:decode_request in
-  { Batcher.b_key; b_requests; b_formed_s }
+  let batch =
+    record (fun b_key b_formed_s b_requests ->
+        { Batcher.b_key; b_requests; b_formed_s })
+    |> field string (fun b -> b.Batcher.b_key)
+    |> field float (fun b -> b.Batcher.b_formed_s)
+    |> field (list request) (fun b -> b.Batcher.b_requests)
+    |> seal
 
-let encode_ev w = function
-  | Ev_arrival rq ->
-      Codec.str w "A";
-      encode_request w rq
-  | Ev_complete { c_sid; c_start; c_batch; c_entry } ->
-      Codec.str w "C";
-      Codec.int w c_sid;
-      Codec.float w c_start;
-      encode_batch w c_batch;
-      encode_entry w c_entry
-  | Ev_flush sid ->
-      Codec.str w "F";
-      Codec.int w sid
-  | Ev_spawn sid ->
-      Codec.str w "S";
-      Codec.int w sid
-  | Ev_tick -> Codec.str w "T"
+  let completion =
+    record (fun c_sid c_start c_batch c_entry -> { c_sid; c_start; c_batch; c_entry })
+    |> field int (fun c -> c.c_sid)
+    |> field float (fun c -> c.c_start)
+    |> field batch (fun c -> c.c_batch)
+    |> field entry (fun c -> c.c_entry)
+    |> seal
 
-let decode_ev r =
-  match Codec.r_str r with
-  | "A" -> Ev_arrival (decode_request r)
-  | "C" ->
-      let c_sid = Codec.r_int r in
-      let c_start = Codec.r_float r in
-      let c_batch = decode_batch r in
-      let c_entry = decode_entry r in
-      Ev_complete { c_sid; c_start; c_batch; c_entry }
-  | "F" -> Ev_flush (Codec.r_int r)
-  | "S" -> Ev_spawn (Codec.r_int r)
-  | "T" -> Ev_tick
-  | t -> raise (Codec.Decode ("unknown event tag " ^ t))
+  let ev =
+    variant
+      [ case "A" request (fun rq -> Ev_arrival rq)
+          (function Ev_arrival rq -> Some rq | _ -> None);
+        case "C" completion (fun c -> Ev_complete c)
+          (function Ev_complete c -> Some c | _ -> None);
+        case "F" int (fun sid -> Ev_flush sid)
+          (function Ev_flush sid -> Some sid | _ -> None);
+        case "S" int (fun sid -> Ev_spawn sid)
+          (function Ev_spawn sid -> Some sid | _ -> None);
+        case "T" unit (fun () -> Ev_tick) (function Ev_tick -> Some () | _ -> None) ]
 
-(* One journal record: event id, fire time, event body.  Replay
-   re-derives this payload and byte-compares it against the journal. *)
+  (* One journal record: event id, fire time, event body.  Replay
+     re-derives this payload and byte-compares it against the journal. *)
+  let journal_record = triple int float ev
+
+  let reason =
+    enum (List.map (fun r -> (Admission.reason_name r, r)) Admission.all_reasons)
+
+  let outcome =
+    variant
+      [ case "ok" unit (fun () -> Served) (function Served -> Some () | _ -> None);
+        case "rej" reason (fun r -> Rejected r)
+          (function Rejected r -> Some r | _ -> None);
+        case "fail" string (fun why -> Failed why)
+          (function Failed why -> Some why | _ -> None) ]
+
+  let served =
+    record (fun sr_id sr_tenant sr_kernel sr_shard sr_arrival_s sr_done_s
+                sr_latency_s sr_outcome sr_batch sr_attempts sr_variant sr_degraded ->
+        { sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
+          sr_latency_s; sr_outcome; sr_batch; sr_attempts; sr_variant; sr_degraded })
+    |> field int (fun x -> x.sr_id)
+    |> field string (fun x -> x.sr_tenant)
+    |> field string (fun x -> x.sr_kernel)
+    |> field int (fun x -> x.sr_shard)
+    |> field float (fun x -> x.sr_arrival_s)
+    |> field float (fun x -> x.sr_done_s)
+    |> field float (fun x -> x.sr_latency_s)
+    |> field outcome (fun x -> x.sr_outcome)
+    |> field int (fun x -> x.sr_batch)
+    |> field int (fun x -> x.sr_attempts)
+    |> field string (fun x -> x.sr_variant)
+    |> field bool (fun x -> x.sr_degraded)
+    |> seal
+
+  (* Append one entry's tokens to an encoded log through the scratch
+     writer [w]. *)
+  let append_served w log_enc x =
+    reset w;
+    served.enc w x;
+    if Buffer.length log_enc > 0 then Buffer.add_char log_enc ' ';
+    blit_into w log_enc
+
+  (* The served log.  On disk it is [list served], oldest first; the
+     encoder splices the bytes [append_served] wrote as each request
+     resolved, so a snapshot costs O(live state), not O(run length). *)
+  let log =
+    { enc =
+        (fun w (entries, log_enc) ->
+          int.enc w (List.length entries);
+          splice w log_enc);
+      dec =
+        (fun r ->
+          let oldest_first = (list served).dec r in
+          let log_enc = Buffer.create 4096 and w = writer () in
+          List.iter (append_served w log_enc) oldest_first;
+          (List.rev oldest_first, log_enc)) }
+
+  (* A pending event with its journal record, encoded once when it was
+     scheduled: the encoder splices the record. *)
+  let scheduled =
+    { enc = (fun w (_, payload) -> splice_str w payload);
+      dec =
+        (fun r ->
+          let p = journal_record.dec r in
+          (p, encode journal_record p)) }
+
+  let breaker_state =
+    enum
+      (List.map
+         (fun s -> (Breaker.state_name s, s))
+         Breaker.[ Closed; Open; Half_open ])
+
+  let breaker =
+    record (fun p_state p_failures p_opened_at p_probes p_opens p_transitions ->
+        { Breaker.p_state; p_failures; p_opened_at; p_probes; p_opens; p_transitions })
+    |> field breaker_state (fun p -> p.Breaker.p_state)
+    |> field int (fun p -> p.Breaker.p_failures)
+    |> field float (fun p -> p.Breaker.p_opened_at)
+    |> field int (fun p -> p.Breaker.p_probes)
+    |> field int (fun p -> p.Breaker.p_opens)
+    |> field (list (pair float breaker_state)) (fun p -> p.Breaker.p_transitions)
+    |> seal
+
+  let point =
+    record (fun variant features metrics -> { Knowledge.variant; features; metrics })
+    |> field string (fun pt -> pt.Knowledge.variant)
+    |> field named_floats (fun pt -> pt.Knowledge.features)
+    |> field named_floats (fun pt -> pt.Knowledge.metrics)
+    |> seal
+
+  let tuner =
+    record (fun p_points p_last_variant p_selections p_switches ->
+        { Tuner.p_points; p_last_variant; p_selections; p_switches })
+    |> field (list point) (fun p -> p.Tuner.p_points)
+    |> field (option string) (fun p -> p.Tuner.p_last_variant)
+    |> field int (fun p -> p.Tuner.p_selections)
+    |> field int (fun p -> p.Tuner.p_switches)
+    |> seal
+
+  let orch =
+    record (fun ps_clock ps_fpgas ps_kernels -> { Orch.ps_clock; ps_fpgas; ps_kernels })
+    |> field float (fun p -> p.Orch.ps_clock)
+    |> field (list (triple int int (list (pair int string)))) (fun p -> p.Orch.ps_fpgas)
+    |> field
+         (list (triple string tuner (list (pair string breaker))))
+         (fun p -> p.Orch.ps_kernels)
+    |> seal
+
+  let scaler =
+    record (fun p_workers p_requested p_idle_ticks p_spawned p_retired ->
+        { Autoscale.p_workers; p_requested; p_idle_ticks; p_spawned; p_retired })
+    |> field int (fun p -> p.Autoscale.p_workers)
+    |> field int (fun p -> p.Autoscale.p_requested)
+    |> field int (fun p -> p.Autoscale.p_idle_ticks)
+    |> field int (fun p -> p.Autoscale.p_spawned)
+    |> field int (fun p -> p.Autoscale.p_retired)
+    |> seal
+
+  let shard =
+    record (fun sp_busy sp_inflight sp_served sp_failed sp_batches
+                sp_batched_requests sp_peak_workers sp_scaler sp_batcher sp_queue
+                sp_orch ->
+        { Shard.sp_busy; sp_inflight; sp_served; sp_failed; sp_batches;
+          sp_batched_requests; sp_peak_workers; sp_scaler; sp_batcher; sp_queue;
+          sp_orch })
+    |> field int (fun s -> s.Shard.sp_busy)
+    |> field int (fun s -> s.Shard.sp_inflight)
+    |> field int (fun s -> s.Shard.sp_served)
+    |> field int (fun s -> s.Shard.sp_failed)
+    |> field int (fun s -> s.Shard.sp_batches)
+    |> field int (fun s -> s.Shard.sp_batched_requests)
+    |> field int (fun s -> s.Shard.sp_peak_workers)
+    |> field scaler (fun s -> s.Shard.sp_scaler)
+    |> field
+         (list (triple string float (list request)))
+         (fun s -> s.Shard.sp_batcher)
+    |> field (list batch) (fun s -> s.Shard.sp_queue)
+    |> field orch (fun s -> s.Shard.sp_orch)
+    |> seal
+
+  let monitor =
+    record (fun ms_events ms_total ms_bad ms_last_t ms_firing ms_alerts ->
+        { Slo.ms_events; ms_total; ms_bad; ms_last_t; ms_firing; ms_alerts })
+    |> field (list (pair float bool)) (fun m -> m.Slo.ms_events)
+    |> field int (fun m -> m.Slo.ms_total)
+    |> field int (fun m -> m.Slo.ms_bad)
+    |> field float (fun m -> m.Slo.ms_last_t)
+    |> field bool (fun m -> m.Slo.ms_firing)
+    |> field int (fun m -> m.Slo.ms_alerts)
+    |> seal
+
+  let tenant =
+    record (fun tp_tenant tp_tokens tp_last tp_admitted tp_rejected ->
+        { Admission.tp_tenant; tp_tokens; tp_last; tp_admitted; tp_rejected })
+    |> field string (fun t -> t.Admission.tp_tenant)
+    |> field float (fun t -> t.Admission.tp_tokens)
+    |> field float (fun t -> t.Admission.tp_last)
+    |> field int (fun t -> t.Admission.tp_admitted)
+    |> field (list (pair reason int)) (fun t -> t.Admission.tp_rejected)
+    |> seal
+
+  let snapshot =
+    tagged "fabric"
+      (record (fun im_now im_ev_seq im_outstanding im_arrivals_pending im_next_id
+                   im_reroutes im_failures im_cursor im_log im_admission im_monitors
+                   im_users im_shards im_pending ->
+           { im_now; im_ev_seq; im_outstanding; im_arrivals_pending; im_next_id;
+             im_reroutes; im_failures; im_cursor; im_log; im_admission; im_monitors;
+             im_users; im_shards; im_pending })
+      |> field float (fun im -> im.im_now)
+      |> field int (fun im -> im.im_ev_seq)
+      |> field int (fun im -> im.im_outstanding)
+      |> field int (fun im -> im.im_arrivals_pending)
+      |> field int (fun im -> im.im_next_id)
+      |> field int (fun im -> im.im_reroutes)
+      |> field (list (pair int int)) (fun im -> im.im_failures)
+      |> field int (fun im -> im.im_cursor)
+      |> field log (fun im -> im.im_log)
+      |> field (list tenant) (fun im -> im.im_admission)
+      |> field (list (pair string (list monitor))) (fun im -> im.im_monitors)
+      |> field (list int) (fun im -> im.im_users)
+      |> field (list shard) (fun im -> im.im_shards)
+      |> field (list scheduled) (fun im -> im.im_pending)
+      |> seal)
+end
+
 let pending_payload w id ~at ev =
   Codec.reset w;
-  Codec.int w id;
-  Codec.float w at;
-  encode_ev w ev;
+  Codecs.journal_record.enc w (id, at, ev);
   Codec.contents w
 
-let encode_outcome w = function
-  | Served -> Codec.str w "ok"
-  | Rejected reason ->
-      Codec.str w "rej";
-      Codec.str w (Admission.reason_name reason)
-  | Failed why ->
-      Codec.str w "fail";
-      Codec.str w why
+let export st =
+  { im_now = Desim.now st.st_sim;
+    im_ev_seq = st.st_ev_seq;
+    im_outstanding = st.st_outstanding;
+    im_arrivals_pending = st.st_arrivals_pending;
+    im_next_id = st.st_next_id;
+    im_reroutes = st.st_reroutes;
+    im_failures =
+      List.sort compare
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.st_failures []);
+    im_cursor = Balancer.cursor st.st_balancer;
+    im_log = (st.st_log, st.st_log_enc);
+    im_admission = Admission.export st.st_admission;
+    im_monitors =
+      List.map
+        (fun (name, ms) -> (name, List.map Slo.monitor_export ms))
+        st.st_monitors;
+    im_users = List.map Workload.user_rng_state st.st_users;
+    im_shards = Array.to_list (Array.map Shard.export st.st_shards);
+    im_pending =
+      Hashtbl.fold
+        (fun id (at, ev, payload) acc -> ((id, at, ev), payload) :: acc)
+        st.st_pending []
+      |> List.sort (fun ((a, _, _), _) ((b, _, _), _) -> Int.compare a b) }
 
-let decode_reason name =
-  match
-    List.find_opt
-      (fun x -> String.equal (Admission.reason_name x) name)
-      Admission.all_reasons
-  with
-  | Some x -> x
-  | None -> raise (Codec.Decode ("unknown rejection reason " ^ name))
-
-let decode_outcome r =
-  match Codec.r_str r with
-  | "ok" -> Served
-  | "rej" -> Rejected (decode_reason (Codec.r_str r))
-  | "fail" -> Failed (Codec.r_str r)
-  | t -> raise (Codec.Decode ("unknown outcome tag " ^ t))
-
-let encode_served w x =
-  Codec.int w x.sr_id;
-  Codec.str w x.sr_tenant;
-  Codec.str w x.sr_kernel;
-  Codec.int w x.sr_shard;
-  Codec.float w x.sr_arrival_s;
-  Codec.float w x.sr_done_s;
-  Codec.float w x.sr_latency_s;
-  encode_outcome w x.sr_outcome;
-  Codec.int w x.sr_batch;
-  Codec.int w x.sr_attempts;
-  Codec.str w x.sr_variant;
-  Codec.bool w x.sr_degraded
-
-let decode_served r =
-  let sr_id = Codec.r_int r in
-  let sr_tenant = Codec.r_str r in
-  let sr_kernel = Codec.r_str r in
-  let sr_shard = Codec.r_int r in
-  let sr_arrival_s = Codec.r_float r in
-  let sr_done_s = Codec.r_float r in
-  let sr_latency_s = Codec.r_float r in
-  let sr_outcome = decode_outcome r in
-  let sr_batch = Codec.r_int r in
-  let sr_attempts = Codec.r_int r in
-  let sr_variant = Codec.r_str r in
-  let sr_degraded = Codec.r_bool r in
-  { sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
-    sr_latency_s; sr_outcome; sr_batch; sr_attempts; sr_variant; sr_degraded }
-
-(* Append one entry to the incrementally-encoded served log. *)
-let log_enc_add st entry =
-  let w = st.st_scratch in
-  Codec.reset w;
-  encode_served w entry;
-  if Buffer.length st.st_log_enc > 0 then Buffer.add_char st.st_log_enc ' ';
-  Codec.blit_into w st.st_log_enc
-
-let breaker_state_of_name = function
-  | "closed" -> Everest_resilience.Breaker.Closed
-  | "open" -> Everest_resilience.Breaker.Open
-  | "half-open" -> Everest_resilience.Breaker.Half_open
-  | s -> raise (Codec.Decode ("unknown breaker state " ^ s))
-
-let encode_breaker w (p : Everest_resilience.Breaker.persisted) =
-  Codec.str w (Everest_resilience.Breaker.state_name p.p_state);
-  Codec.int w p.p_failures;
-  Codec.float w p.p_opened_at;
-  Codec.int w p.p_probes;
-  Codec.int w p.p_opens;
-  Codec.list w p.p_transitions ~item:(fun w (t, s) ->
-      Codec.float w t;
-      Codec.str w (Everest_resilience.Breaker.state_name s))
-
-let decode_breaker r =
-  let p_state = breaker_state_of_name (Codec.r_str r) in
-  let p_failures = Codec.r_int r in
-  let p_opened_at = Codec.r_float r in
-  let p_probes = Codec.r_int r in
-  let p_opens = Codec.r_int r in
-  let p_transitions =
-    Codec.r_list r ~item:(fun r ->
-        let t = Codec.r_float r in
-        let s = breaker_state_of_name (Codec.r_str r) in
-        (t, s))
-  in
-  { Everest_resilience.Breaker.p_state; p_failures; p_opened_at; p_probes;
-    p_opens; p_transitions }
-
-let encode_tuner w (p : Everest_autotune.Tuner.persisted) =
-  Codec.list w p.Everest_autotune.Tuner.p_points ~item:(fun w pt ->
-      Codec.str w pt.Everest_autotune.Knowledge.variant;
-      Codec.assoc_floats w pt.Everest_autotune.Knowledge.features;
-      Codec.assoc_floats w pt.Everest_autotune.Knowledge.metrics);
-  (match p.Everest_autotune.Tuner.p_last_variant with
-  | Some v ->
-      Codec.bool w true;
-      Codec.str w v
-  | None -> Codec.bool w false);
-  Codec.int w p.Everest_autotune.Tuner.p_selections;
-  Codec.int w p.Everest_autotune.Tuner.p_switches
-
-let decode_tuner r =
-  let p_points =
-    Codec.r_list r ~item:(fun r ->
-        let variant = Codec.r_str r in
-        let features = Codec.r_assoc_floats r in
-        let metrics = Codec.r_assoc_floats r in
-        { Everest_autotune.Knowledge.variant; features; metrics })
-  in
-  let p_last_variant =
-    if Codec.r_bool r then Some (Codec.r_str r) else None
-  in
-  let p_selections = Codec.r_int r in
-  let p_switches = Codec.r_int r in
-  { Everest_autotune.Tuner.p_points; p_last_variant; p_selections; p_switches }
-
-let encode_orch w (p : Orch.persisted_state) =
-  Codec.float w p.Orch.ps_clock;
-  Codec.list w p.Orch.ps_fpgas ~item:(fun w (dev_id, next_slot, loaded) ->
-      Codec.int w dev_id;
-      Codec.int w next_slot;
-      Codec.list w loaded ~item:(fun w (slot, bs) ->
-          Codec.int w slot;
-          Codec.str w bs));
-  Codec.list w p.Orch.ps_kernels ~item:(fun w (kname, tuner, breakers) ->
-      Codec.str w kname;
-      encode_tuner w tuner;
-      Codec.list w breakers ~item:(fun w (variant, bp) ->
-          Codec.str w variant;
-          encode_breaker w bp))
-
-let decode_orch r =
-  let ps_clock = Codec.r_float r in
-  let ps_fpgas =
-    Codec.r_list r ~item:(fun r ->
-        let dev_id = Codec.r_int r in
-        let next_slot = Codec.r_int r in
-        let loaded =
-          Codec.r_list r ~item:(fun r ->
-              let slot = Codec.r_int r in
-              let bs = Codec.r_str r in
-              (slot, bs))
-        in
-        (dev_id, next_slot, loaded))
-  in
-  let ps_kernels =
-    Codec.r_list r ~item:(fun r ->
-        let kname = Codec.r_str r in
-        let tuner = decode_tuner r in
-        let breakers =
-          Codec.r_list r ~item:(fun r ->
-              let variant = Codec.r_str r in
-              let bp = decode_breaker r in
-              (variant, bp))
-        in
-        (kname, tuner, breakers))
-  in
-  { Orch.ps_clock; ps_fpgas; ps_kernels }
-
-let encode_shard w (s : Shard.t) =
-  Codec.int w s.Shard.s_busy;
-  Codec.int w s.Shard.s_inflight;
-  Codec.int w s.Shard.s_served;
-  Codec.int w s.Shard.s_failed;
-  Codec.int w s.Shard.s_batches;
-  Codec.int w s.Shard.s_batched_requests;
-  Codec.int w s.Shard.s_peak_workers;
-  let a = Autoscale.export s.Shard.s_scaler in
-  Codec.int w a.Autoscale.p_workers;
-  Codec.int w a.Autoscale.p_requested;
-  Codec.int w a.Autoscale.p_idle_ticks;
-  Codec.int w a.Autoscale.p_spawned;
-  Codec.int w a.Autoscale.p_retired;
-  Codec.list w (Batcher.export s.Shard.s_batcher)
-    ~item:(fun w (key, oldest, requests) ->
-      Codec.str w key;
-      Codec.float w oldest;
-      Codec.list w requests ~item:encode_request);
-  Codec.list w
-    (Queue.fold (fun acc b -> b :: acc) [] s.Shard.s_queue |> List.rev)
-    ~item:encode_batch;
-  encode_orch w (Orch.export_state s.Shard.s_orch)
-
-let decode_shard r (s : Shard.t) =
-  s.Shard.s_busy <- Codec.r_int r;
-  s.Shard.s_inflight <- Codec.r_int r;
-  s.Shard.s_served <- Codec.r_int r;
-  s.Shard.s_failed <- Codec.r_int r;
-  s.Shard.s_batches <- Codec.r_int r;
-  s.Shard.s_batched_requests <- Codec.r_int r;
-  s.Shard.s_peak_workers <- Codec.r_int r;
-  let p_workers = Codec.r_int r in
-  let p_requested = Codec.r_int r in
-  let p_idle_ticks = Codec.r_int r in
-  let p_spawned = Codec.r_int r in
-  let p_retired = Codec.r_int r in
-  Autoscale.import s.Shard.s_scaler
-    { Autoscale.p_workers; p_requested; p_idle_ticks; p_spawned; p_retired };
-  Batcher.import s.Shard.s_batcher
-    (Codec.r_list r ~item:(fun r ->
-         let key = Codec.r_str r in
-         let oldest = Codec.r_float r in
-         let requests = Codec.r_list r ~item:decode_request in
-         (key, oldest, requests)));
-  Queue.clear s.Shard.s_queue;
-  List.iter
-    (fun b -> Queue.push b s.Shard.s_queue)
-    (Codec.r_list r ~item:decode_batch);
-  Orch.restore_state s.Shard.s_orch (decode_orch r)
-
-let encode_monitor w m =
-  let s = Slo.monitor_export m in
-  Codec.list w s.Slo.ms_events ~item:(fun w (t, bad) ->
-      Codec.float w t;
-      Codec.bool w bad);
-  Codec.int w s.Slo.ms_total;
-  Codec.int w s.Slo.ms_bad;
-  Codec.float w s.Slo.ms_last_t;
-  Codec.bool w s.Slo.ms_firing;
-  Codec.int w s.Slo.ms_alerts
-
-let decode_monitor r m =
-  let ms_events =
-    Codec.r_list r ~item:(fun r ->
-        let t = Codec.r_float r in
-        let bad = Codec.r_bool r in
-        (t, bad))
-  in
-  let ms_total = Codec.r_int r in
-  let ms_bad = Codec.r_int r in
-  let ms_last_t = Codec.r_float r in
-  let ms_firing = Codec.r_bool r in
-  let ms_alerts = Codec.r_int r in
-  Slo.monitor_import m
-    { Slo.ms_events; ms_total; ms_bad; ms_last_t; ms_firing; ms_alerts }
-
-(* The complete resumable fabric state, as one byte-deterministic
-   record body (the Snapshot envelope adds version + checksum). *)
-let encode_state st =
-  let w = Codec.writer () in
-  Codec.str w "fabric";
-  Codec.float w (Desim.now st.st_sim);
-  Codec.int w st.st_ev_seq;
-  Codec.int w st.st_outstanding;
-  Codec.int w st.st_arrivals_pending;
-  Codec.int w st.st_next_id;
-  Codec.int w st.st_reroutes;
-  Codec.list w
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.st_failures []
-    |> List.sort compare)
-    ~item:(fun w (k, v) ->
-      Codec.int w k;
-      Codec.int w v);
-  Codec.int w (Balancer.cursor st.st_balancer);
-  (* served log: count, then the pre-encoded entries (oldest first) *)
-  Codec.int w (List.length st.st_log);
-  Codec.splice w st.st_log_enc;
-  Codec.list w (Admission.export st.st_admission) ~item:(fun w tp ->
-      Codec.str w tp.Admission.tp_tenant;
-      Codec.float w tp.Admission.tp_tokens;
-      Codec.float w tp.Admission.tp_last;
-      Codec.int w tp.Admission.tp_admitted;
-      Codec.list w tp.Admission.tp_rejected ~item:(fun w (reason, n) ->
-          Codec.str w (Admission.reason_name reason);
-          Codec.int w n));
-  Codec.list w st.st_monitors ~item:(fun w (name, ms) ->
-      Codec.str w name;
-      Codec.list w ms ~item:encode_monitor);
-  Codec.list w st.st_users ~item:(fun w u ->
-      Codec.int w (Workload.user_rng_state u));
-  Codec.list w (Array.to_list st.st_shards) ~item:encode_shard;
-  (* pending events: count, then each one's pre-encoded journal payload
-     (already "id at ev…"), spliced byte-for-byte in id order *)
-  let pend =
-    Hashtbl.fold (fun id (_, _, enc) acc -> (id, enc) :: acc) st.st_pending []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Codec.int w (List.length pend);
-  List.iter (fun (_, enc) -> Codec.splice_str w enc) pend;
-  Codec.contents w
-
-(* Decode a snapshot body into a freshly built state (same config /
-   tenants / deploy).  Returns the pending events, which the caller
-   re-inserts once the handlers exist. *)
-let decode_state st r =
-  Codec.expect r "fabric";
-  let now = Codec.r_float r in
-  Desim.warp st.st_sim now;
-  st.st_ev_seq <- Codec.r_int r;
-  st.st_outstanding <- Codec.r_int r;
-  st.st_arrivals_pending <- Codec.r_int r;
-  st.st_next_id <- Codec.r_int r;
-  st.st_reroutes <- Codec.r_int r;
+(* Write a snapshot into a freshly built state (same config / tenants /
+   deploy).  Returns the pending events, which the caller re-inserts
+   once the handlers exist.  Raises [Codec.Decode] when the snapshot's
+   populations do not match this fabric, [Invalid_argument] when its
+   orchestrator state does not match the deployment. *)
+let import st im =
+  let mismatch what = raise (Codec.Decode (what ^ " mismatch")) in
+  Desim.warp st.st_sim im.im_now;
+  st.st_ev_seq <- im.im_ev_seq;
+  st.st_outstanding <- im.im_outstanding;
+  st.st_arrivals_pending <- im.im_arrivals_pending;
+  st.st_next_id <- im.im_next_id;
+  st.st_reroutes <- im.im_reroutes;
   Hashtbl.reset st.st_failures;
-  List.iter
-    (fun (k, v) -> Hashtbl.replace st.st_failures k v)
-    (Codec.r_list r ~item:(fun r ->
-         let k = Codec.r_int r in
-         let v = Codec.r_int r in
-         (k, v)));
-  Balancer.set_cursor st.st_balancer (Codec.r_int r);
-  let served = Codec.r_list r ~item:decode_served in  (* oldest first *)
-  st.st_log <- List.rev served;
-  Buffer.clear st.st_log_enc;
-  List.iter (fun e -> log_enc_add st e) served;
-  Admission.import st.st_admission
-    (Codec.r_list r ~item:(fun r ->
-         let tp_tenant = Codec.r_str r in
-         let tp_tokens = Codec.r_float r in
-         let tp_last = Codec.r_float r in
-         let tp_admitted = Codec.r_int r in
-         let tp_rejected =
-           Codec.r_list r ~item:(fun r ->
-               let reason = decode_reason (Codec.r_str r) in
-               let n = Codec.r_int r in
-               (reason, n))
-         in
-         { Admission.tp_tenant; tp_tokens; tp_last; tp_admitted; tp_rejected }));
-  let n_tenants = Codec.r_int r in
-  if n_tenants <> List.length st.st_monitors then
-    raise (Codec.Decode "tenant/monitor population mismatch");
-  List.iter
-    (fun (name, ms) ->
-      let got = Codec.r_str r in
-      if not (String.equal got name) then
-        raise (Codec.Decode ("monitor tenant mismatch: " ^ got));
-      let n = Codec.r_int r in
-      if n <> List.length ms then
-        raise (Codec.Decode "monitor count mismatch");
-      List.iter (fun m -> decode_monitor r m) ms)
-    st.st_monitors;
-  let user_states = Codec.r_list r ~item:Codec.r_int in
-  (try List.iter2 Workload.set_user_rng_state st.st_users user_states
-   with Invalid_argument _ ->
-     raise (Codec.Decode "closed-user population mismatch"));
-  let n_shards = Codec.r_int r in
-  if n_shards <> Array.length st.st_shards then
-    raise (Codec.Decode "shard count mismatch");
-  Array.iter (fun s -> decode_shard r s) st.st_shards;
-  Codec.r_list r ~item:(fun r ->
-      let id = Codec.r_int r in
-      let at = Codec.r_float r in
-      let ev = decode_ev r in
-      (* re-derive the payload so the restored pending set journals and
-         snapshots the exact bytes the uninterrupted run would *)
-      (id, at, ev, pending_payload st.st_scratch id ~at ev))
+  List.iter (fun (k, v) -> Hashtbl.replace st.st_failures k v) im.im_failures;
+  Balancer.set_cursor st.st_balancer im.im_cursor;
+  let log, log_enc = im.im_log in
+  st.st_log <- log;
+  st.st_log_enc <- log_enc;
+  Admission.import st.st_admission im.im_admission;
+  if List.compare_lengths im.im_monitors st.st_monitors <> 0 then
+    mismatch "tenant/monitor population";
+  List.iter2
+    (fun (name, ms) (got, states) ->
+      if not (String.equal got name) then mismatch ("monitor tenant " ^ got);
+      if List.compare_lengths ms states <> 0 then mismatch "monitor count";
+      List.iter2 Slo.monitor_import ms states)
+    st.st_monitors im.im_monitors;
+  if List.compare_lengths im.im_users st.st_users <> 0 then
+    mismatch "closed-user population";
+  List.iter2 Workload.set_user_rng_state st.st_users im.im_users;
+  if List.length im.im_shards <> Array.length st.st_shards then
+    mismatch "shard count";
+  List.iteri (fun sid p -> Shard.import st.st_shards.(sid) p) im.im_shards;
+  im.im_pending
 
 (* ---- the event loop ------------------------------------------------------------- *)
 
@@ -702,7 +595,7 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
   | None -> ()
   | Some rv ->
       let t0 = Unix.gettimeofday () in
-      log_enc_add st entry;
+      Codecs.append_served st.st_scratch st.st_log_enc entry;
       let s = rv.rv_store in
       s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0));
   (match outcome with
@@ -1081,7 +974,7 @@ and maybe_snapshot st =
             st.st_snap_index <- st.st_snap_index + 1;
             let t0 = Unix.gettimeofday () in
             Store.write_snapshot rv.rv_store ~index:st.st_snap_index
-              (encode_state st);
+              (Codec.encode Codecs.snapshot (export st));
             let s = rv.rv_store in
             s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
         | R_off | R_replay _ -> ()
@@ -1276,7 +1169,8 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
   (match recovery with
   | Some rv ->
       let t0 = Unix.gettimeofday () in
-      Store.write_snapshot rv.rv_store ~index:0 (encode_state st);
+      Store.write_snapshot rv.rv_store ~index:0
+        (Codec.encode Codecs.snapshot (export st));
       let s = rv.rv_store in
       s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
   | None -> ());
@@ -1302,24 +1196,26 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
   in
   (match watch with Some w -> attach_watch st w | None -> ());
   let plan = Store.plan_resume recovery.rv_store in
-  let pending =
-    try decode_state st (Codec.reader plan.Store.r_state)
-    with Codec.Decode why ->
-      raise (Store.Recovery_error (Store.Corrupt ("snapshot schema: " ^ why)))
-  in
+  let corrupt why = raise (Store.Recovery_error (Store.Corrupt why)) in
+  (try
+     let image = Codec.decode Codecs.snapshot plan.Store.r_state in
+     (* re-insert pending events ascending by id: id order is original
+        insertion order, so Desim's (time, seq) tie-breaking is preserved;
+        an event before the restored clock is refused *)
+     List.iter
+       (fun ((id, at, ev), payload) ->
+         Hashtbl.replace st.st_pending id (at, ev, payload);
+         Desim.at st.st_sim at (fun () -> fire st id ev))
+       (import st image)
+   with
+  | Codec.Decode why -> corrupt ("snapshot schema: " ^ why)
+  | Invalid_argument why -> corrupt ("snapshot does not fit this fabric: " ^ why));
   st.st_snap_index <- plan.Store.r_next_snapshot_index - 1;
   st.st_last_snap <- Desim.now st.st_sim;
   st.st_rmode <-
     (match plan.Store.r_tail with
     | [] -> R_live
     | tail -> R_replay (ref tail));
-  (* re-insert pending events ascending by id: id order is original
-     insertion order, so Desim's (time, seq) tie-breaking is preserved *)
-  List.iter
-    (fun (id, at, ev, enc) ->
-      Hashtbl.replace st.st_pending id (at, ev, enc);
-      Desim.at st.st_sim at (fun () -> fire st id ev))
-    pending;
   Desim.run st.st_sim;
   let result = finish st in
   (match watch with

@@ -164,6 +164,45 @@ val resume :
   horizon:float ->
   result * restore_report
 
+(** {2 Persisted formats}
+
+    What the journal and snapshots hold.  Each type is declared once as
+    a {!Everest_recovery.Codec.t}; [decode] inverts [encode] exactly. *)
+
+(** A batch completion landing back on the fabric clock. *)
+type completion = {
+  c_sid : int;
+  c_start : float;
+  c_batch : Batcher.batch;
+  c_entry : Orch.request_log;
+}
+
+(** A typed fabric event: everything scheduled on the fabric clock. *)
+type ev =
+  | Ev_arrival of Workload.request  (** Fresh arrival passing admission. *)
+  | Ev_complete of completion
+  | Ev_flush of int  (** Batcher deadline flush on one shard. *)
+  | Ev_spawn of int  (** Delayed autoscale worker-up on one shard. *)
+  | Ev_tick  (** Fabric control tick. *)
+
+(** The complete resumable fabric state. *)
+type image
+
+module Codecs : sig
+  val request : Workload.request Everest_recovery.Codec.t
+  val served : served_request Everest_recovery.Codec.t
+
+  (** A leading tag token: [A] arrival, [C] completion, [F] flush, [S]
+      spawn, [T] tick. *)
+  val ev : ev Everest_recovery.Codec.t
+
+  (** One journal record: event id, fire time, event. *)
+  val journal_record : (int * float * ev) Everest_recovery.Codec.t
+
+  (** One snapshot body. *)
+  val snapshot : image Everest_recovery.Codec.t
+end
+
 (** {2 Summary accessors} *)
 
 val served_ok : result -> int

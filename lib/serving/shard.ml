@@ -34,6 +34,44 @@ let create ~id ~batcher ~autoscale ~deploy () =
     s_failed = 0; s_batches = 0; s_batched_requests = 0;
     s_peak_workers = Autoscale.workers scaler }
 
+type persisted = {
+  sp_busy : int;
+  sp_inflight : int;
+  sp_served : int;
+  sp_failed : int;
+  sp_batches : int;
+  sp_batched_requests : int;
+  sp_peak_workers : int;
+  sp_scaler : Autoscale.persisted;
+  sp_batcher : (string * float * Workload.request list) list;
+  sp_queue : Batcher.batch list;
+  sp_orch : Orch.persisted_state;
+}
+
+let export t =
+  { sp_busy = t.s_busy; sp_inflight = t.s_inflight; sp_served = t.s_served;
+    sp_failed = t.s_failed; sp_batches = t.s_batches;
+    sp_batched_requests = t.s_batched_requests;
+    sp_peak_workers = t.s_peak_workers;
+    sp_scaler = Autoscale.export t.s_scaler;
+    sp_batcher = Batcher.export t.s_batcher;
+    sp_queue = List.of_seq (Queue.to_seq t.s_queue);
+    sp_orch = Orch.export_state t.s_orch }
+
+let import t p =
+  t.s_busy <- p.sp_busy;
+  t.s_inflight <- p.sp_inflight;
+  t.s_served <- p.sp_served;
+  t.s_failed <- p.sp_failed;
+  t.s_batches <- p.sp_batches;
+  t.s_batched_requests <- p.sp_batched_requests;
+  t.s_peak_workers <- p.sp_peak_workers;
+  Autoscale.import t.s_scaler p.sp_scaler;
+  Batcher.import t.s_batcher p.sp_batcher;
+  Queue.clear t.s_queue;
+  List.iter (fun b -> Queue.push b t.s_queue) p.sp_queue;
+  Orch.restore_state t.s_orch p.sp_orch
+
 let queued_requests t =
   Queue.fold (fun acc b -> acc + Batcher.size b) 0 t.s_queue
 

@@ -36,6 +36,31 @@ val create :
   unit ->
   t
 
+(** {2 Checkpoint / restore} *)
+
+(** The shard's counters, controller, batcher accumulators, run queue
+    (oldest first) and orchestrator state. *)
+type persisted = {
+  sp_busy : int;
+  sp_inflight : int;
+  sp_served : int;
+  sp_failed : int;
+  sp_batches : int;
+  sp_batched_requests : int;
+  sp_peak_workers : int;
+  sp_scaler : Autoscale.persisted;
+  sp_batcher : (string * float * Workload.request list) list;
+  sp_queue : Batcher.batch list;
+  sp_orch : Everest_runtime.Orchestrator.persisted_state;
+}
+
+val export : t -> persisted
+
+(** Restore into a freshly created shard with the same deployment.
+    @raise Invalid_argument when the orchestrator state names a device,
+    kernel or variant the deployment lacks. *)
+val import : t -> persisted -> unit
+
 (** Requests queued (batcher + run queue), excluding in-flight. *)
 val depth : t -> int
 

@@ -32,17 +32,12 @@ type t = {
   mutable ck_anchor : (int * string) option;
 }
 
-let snapshot_body ~completions state =
-  let w = Codec.writer () in
-  Codec.int w completions;
-  Codec.str w state;
-  Codec.contents w
+(* A snapshot body: the completion count and the executor's state
+   digest at that count. *)
+let snapshot = Codec.(pair int string)
 
-let decode_snapshot raw =
-  let r = Codec.reader raw in
-  let completions = Codec.r_int r in
-  let state = Codec.r_str r in
-  (completions, state)
+(* One journal record: task, completion time, node. *)
+let journal_record = Codec.(triple int float string)
 
 let create ~store ~every =
   if every <= 0 then invalid_arg "Checkpoint.create: every <= 0";
@@ -53,7 +48,7 @@ let resume ~store ~every =
   if every <= 0 then invalid_arg "Checkpoint.resume: every <= 0";
   let plan = Store.plan_resume ~genesis:true store in
   let anchor =
-    try decode_snapshot plan.Store.r_state
+    try Codec.decode snapshot plan.Store.r_state
     with Codec.Decode why ->
       raise (Store.Recovery_error (Store.Corrupt ("snapshot schema: " ^ why)))
   in
@@ -74,7 +69,7 @@ let completions t = t.ck_completions
 let start t ~state =
   match t.ck_anchor with
   | None ->
-      Store.write_snapshot t.ck_store ~index:0 (snapshot_body ~completions:0 (state ()));
+      Store.write_snapshot t.ck_store ~index:0 (Codec.encode snapshot (0, state ()));
       t.ck_next_snap <- 1
   | Some (0, anchor) ->
       let got = state () in
@@ -100,13 +95,7 @@ let verify_anchor t =
    [prune] runs at boundaries in *both* modes so pruning never makes the
    replayed run diverge. *)
 let on_complete t ~task ~now ~node ~state ~prune =
-  let payload =
-    let w = Codec.writer () in
-    Codec.int w task;
-    Codec.float w now;
-    Codec.str w node;
-    Codec.contents w
-  in
+  let payload = Codec.encode journal_record (task, now, node) in
   (match t.ck_mode with
   | Live -> Store.append t.ck_store payload
   | Replay q -> (
@@ -128,7 +117,7 @@ let on_complete t ~task ~now ~node ~state ~prune =
     match t.ck_mode with
     | Live ->
         Store.write_snapshot t.ck_store ~index:t.ck_next_snap
-          (snapshot_body ~completions:t.ck_completions (state ()));
+          (Codec.encode snapshot (t.ck_completions, state ()));
         t.ck_next_snap <- t.ck_next_snap + 1
     | Replay _ -> verify_anchor t (state ())
   end

@@ -12,6 +12,15 @@
 
 type t
 
+(** {2 Persisted formats} *)
+
+(** A snapshot body: completion count, then the executor's state digest
+    at that count. *)
+val snapshot : (int * string) Everest_recovery.Codec.t
+
+(** A journal record: task, completion time, node. *)
+val journal_record : (int * float * string) Everest_recovery.Codec.t
+
 (** A fresh checkpointed run over [store] (snapshot every [every] first
     completions).  @raise Invalid_argument when [every <= 0]. *)
 val create : store:Everest_recovery.Store.t -> every:int -> t

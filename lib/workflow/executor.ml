@@ -385,6 +385,19 @@ let recomputed_attrs = [ ("status", Trace.S "recomputed") ]
 let timeout_attrs = [ ("status", Trace.S "timeout") ]
 let speculative_attrs = [ ("status", Trace.S "speculative") ]
 
+(* The resumable state a checkpoint digests (its snapshot integrity
+   anchor): (completions, retries, timeouts), (speculative, recomputed,
+   speculation budget), (backoff RNG position, first finish times by
+   task, lineage). *)
+type checkpoint_state =
+  (int * int * int) * (int * int * int)
+  * (int * (int * float) list * (int * (string * float) list) list)
+
+let checkpoint_state : checkpoint_state Everest_recovery.Codec.t =
+  Everest_recovery.Codec.(
+    triple (triple int int int) (triple int int int)
+      (triple int (list (pair int float)) (list (pair int (list (pair string float))))))
+
 (* Raised inside the event loop when recovery can no longer make progress;
    caught by [execute] and rethrown as [Execution_failed] with the partial
    stats of the run so far. *)
@@ -525,28 +538,14 @@ let execute ?(failures = []) ?faults ?(policy = Policy.default)
      snapshot boundaries.  Both are deterministic in the run, so replay
      reproduces them bit-exactly. *)
   let ck_state () =
-    let module Codec = Everest_recovery.Codec in
-    let w = Codec.writer () in
-    Codec.int w !n_done;
-    Codec.int w !retries;
-    Codec.int w !timeouts;
-    Codec.int w !speculative;
-    Codec.int w !recomputed;
-    Codec.int w !spec_budget;
-    Codec.int w (Rng.state backoff_rng);
     let finished = ref [] in
     for i = n - 1 downto 0 do
       if finish.(i) >= 0.0 then finished := (i, finish.(i)) :: !finished
     done;
-    Codec.list w !finished ~item:(fun w (i, f) ->
-        Codec.int w i;
-        Codec.float w f);
-    Codec.list w (Lineage.export lineage) ~item:(fun w (task, copies) ->
-        Codec.int w task;
-        Codec.list w copies ~item:(fun w (node, since) ->
-            Codec.str w node;
-            Codec.float w since));
-    Codec.contents w
+    Everest_recovery.Codec.encode checkpoint_state
+      ( (!n_done, !retries, !timeouts),
+        (!speculative, !recomputed, !spec_budget),
+        (Rng.state backoff_rng, !finished, Lineage.export lineage) )
   in
   let lineage_gauge = Metrics.gauge ~registry ~labels "workflow_lineage_copies" in
   let ck_prune () =

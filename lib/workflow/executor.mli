@@ -90,6 +90,13 @@ val execute :
   Scheduler.plan ->
   stats
 
+(** The resumable state a {!Checkpoint} digests at its boundaries. *)
+type checkpoint_state
+
+(** The digest's format: the state [execute] hands {!Checkpoint} as its
+    snapshot anchor. *)
+val checkpoint_state : checkpoint_state Everest_recovery.Codec.t
+
 (** Build a fresh demonstrator, schedule with the named policy, execute.
     [exec_policy] is the recovery policy (the [~policy] argument names the
     scheduler).  When [tracer] is [`Sim] a tracer on the fresh cluster's

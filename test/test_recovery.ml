@@ -42,61 +42,46 @@ let write_file path contents =
 
 (* ---- codec ---------------------------------------------------------------- *)
 
+let strings = [ ""; "%"; "plain"; "a b"; "line\nbreak"; "\x00\xff\x7f~"; "100%" ]
+
 let test_codec_roundtrip () =
-  let w = Codec.writer () in
-  Codec.int w 0;
-  Codec.int w (-42);
-  Codec.int w max_int;
-  Codec.float w 0.0;
-  Codec.float w (1.0 /. 3.0);
-  Codec.float w (-1.7976931348623157e308);
-  Codec.float w 5e-324;
-  Codec.bool w true;
-  Codec.bool w false;
-  List.iter (Codec.str w)
-    [ ""; "%"; "plain"; "a b"; "line\nbreak"; "\x00\xff\x7f~"; "100%" ];
-  Codec.list w [ 1; 2; 3 ] ~item:Codec.int;
-  Codec.assoc_floats w [ ("size", 1024.0); ("alpha", 0.5) ];
-  let r = Codec.reader (Codec.contents w) in
-  checki "int 0" 0 (Codec.r_int r);
-  checki "int neg" (-42) (Codec.r_int r);
-  checki "int max" max_int (Codec.r_int r);
-  checkb "float 0" true (Codec.r_float r = 0.0);
-  checkb "float third" true (Codec.r_float r = 1.0 /. 3.0);
-  checkb "float -max" true (Codec.r_float r = -1.7976931348623157e308);
-  checkb "float denormal" true (Codec.r_float r = 5e-324);
-  checkb "bool t" true (Codec.r_bool r);
-  checkb "bool f" false (Codec.r_bool r);
-  List.iter
-    (fun s -> checks "str" s (Codec.r_str r))
-    [ ""; "%"; "plain"; "a b"; "line\nbreak"; "\x00\xff\x7f~"; "100%" ];
-  checkb "list" true (Codec.r_list r ~item:Codec.r_int = [ 1; 2; 3 ]);
-  checkb "assoc" true
-    (Codec.r_assoc_floats r = [ ("size", 1024.0); ("alpha", 0.5) ]);
-  checkb "at end" true (Codec.at_end r)
+  let c =
+    Codec.(
+      triple (list int) (list float)
+        (triple (pair bool bool) (list string)
+           (pair (option string) (list (pair string float)))))
+  in
+  let v =
+    ( [ 0; -42; max_int ],
+      [ 0.0; 1.0 /. 3.0; -1.7976931348623157e308; 5e-324 ],
+      ( (true, false),
+        strings,
+        (Some "x", [ ("size", 1024.0); ("alpha", 0.5) ]) ) )
+  in
+  let s = Codec.encode c v in
+  checkb "round-trip" true (Codec.decode c s = v);
+  checkb "no option" true
+    (Codec.decode Codec.(option int) (Codec.encode Codec.(option int) None)
+    = None);
+  (* the byte format: count-prefixed lists, bool-tagged options, floats
+     as 16 hex digits of their bit pattern *)
+  checks "format" "1 1 t 3ff0000000000000 f"
+    (Codec.encode Codec.(pair (list int) (pair (option float) (option int)))
+       ([ 1 ], (Some 1.0, None)))
 
 let test_codec_is_deterministic () =
-  let enc () =
-    let w = Codec.writer () in
-    Codec.float w (Float.atan 1.0);
-    Codec.str w "x%y z";
-    Codec.contents w
-  in
+  let enc () = Codec.encode Codec.(pair float string) (Float.atan 1.0, "x%y z") in
   checks "same bytes" (enc ()) (enc ())
 
 let test_codec_rejects_garbage () =
-  checkb "bad int" true
-    (match Codec.r_int (Codec.reader "nope") with
-    | exception Codec.Decode _ -> true
-    | _ -> false);
-  checkb "truncated" true
-    (match
-       let r = Codec.reader "5" in
-       let _ = Codec.r_int r in
-       Codec.r_int r
-     with
-    | exception Codec.Decode _ -> true
-    | _ -> false)
+  let rejects c s =
+    match Codec.decode c s with exception Codec.Decode _ -> true | _ -> false
+  in
+  checkb "bad int" true (rejects Codec.int "nope");
+  checkb "truncated" true (rejects Codec.(pair int int) "5");
+  checkb "trailing" true (rejects Codec.int "5 6");
+  checkb "negative count" true (rejects Codec.(list int) "-1");
+  checkb "unknown tag" true (rejects Codec.(enum [ ("a", 1) ]) "b")
 
 (* ---- snapshot envelope ---------------------------------------------------- *)
 
@@ -138,9 +123,14 @@ let test_snapshot_detects_version_skew () =
 
 let test_journal_record_roundtrip () =
   let payload = "17 0x1.91eb851eb851fp+1 A 42" in
-  match Journal.decode_record (String.trim (Journal.encode_record payload)) with
-  | Some got -> checks "payload back" payload got
-  | None -> Alcotest.fail "record did not decode"
+  let path = tmp_dir "record.ejrnl" in
+  let oc = open_out_bin path in
+  output_string oc (Journal.magic_line ^ "\n");
+  let written = Journal.output_record oc payload in
+  close_out oc;
+  checki "bytes written" (String.length payload + 11) written;
+  checkb "payload back" true
+    ((Journal.read_segment path).Journal.sg_records = [ payload ])
 
 let test_journal_heals_torn_tail () =
   let dir = tmp_dir "torn" in
@@ -589,6 +579,150 @@ let test_golden_executor_format () =
   check_digests "crashed and resumed" golden_executor
     (golden_executor_store ~crash_after:17 ~dir:(tmp_dir "golden-exec-crash") ())
 
+(* ---- codec round-trips ---------------------------------------------------- *)
+
+(* [encode (decode b) = b] for every snapshot body and journal record the
+   golden runs leave in their stores. *)
+let test_store_roundtrip () =
+  let reencodes what c b = checks what b (Codec.encode c (Codec.decode c b)) in
+  let each_record ~dir ~fingerprint ~snapshot ~record =
+    let store = Store.open_store ~dir ~fingerprint () in
+    List.iter
+      (fun i ->
+        match Store.load_snapshot store ~index:i with
+        | Ok body -> snapshot body
+        | Error e -> Alcotest.fail (Store.error_to_string e))
+      (Store.snapshot_indices store);
+    List.iter
+      (fun i ->
+        List.iter record
+          (Journal.read_segment (Store.seg_path store i)).Journal.sg_records)
+      (Store.segment_indices store);
+    Store.close store
+  in
+  let dir = tmp_dir "roundtrip-fab" in
+  ignore (golden_fabric_store ~dir ());
+  each_record ~dir
+    ~fingerprint:
+      (Fabric.fingerprint (fabric_config ~seed:7) ~tenants
+         ~horizon:golden_horizon)
+    ~snapshot:(reencodes "fabric snapshot" Fabric.Codecs.snapshot)
+    ~record:(reencodes "fabric record" Fabric.Codecs.journal_record);
+  let dir = tmp_dir "roundtrip-exec" in
+  ignore (golden_executor_store ~dir ());
+  each_record ~dir ~fingerprint:"exec"
+    ~snapshot:(fun body ->
+      reencodes "executor snapshot" Checkpoint.snapshot body;
+      let _, state = Codec.decode Checkpoint.snapshot body in
+      reencodes "executor state" Executor.checkpoint_state state)
+    ~record:(reencodes "executor record" Checkpoint.journal_record)
+
+module Gen = QCheck.Gen
+
+let gen_name = Gen.(string_size ~gen:char (int_range 0 6))
+let gen_named_floats = Gen.(list_size (int_range 0 3) (pair gen_name float))
+
+let gen_request =
+  Gen.(
+    let+ rq_id = int
+    and+ rq_tenant = gen_name
+    and+ rq_kernel = gen_name
+    and+ rq_user = int
+    and+ rq_seq = int
+    and+ rq_arrival_s = float
+    and+ rq_features = gen_named_floats in
+    { Workload.rq_id; rq_tenant; rq_kernel; rq_user; rq_seq; rq_arrival_s;
+      rq_features })
+
+let all_outcomes =
+  (Fabric.Served :: Fabric.Failed "execution-failed"
+  :: List.map (fun r -> Fabric.Rejected r) Everest_serving.Admission.all_reasons)
+
+let gen_served =
+  Gen.(
+    let+ sr_id = int
+    and+ sr_tenant = gen_name
+    and+ sr_kernel = gen_name
+    and+ sr_shard = int
+    and+ sr_arrival_s = float
+    and+ sr_done_s = float
+    and+ sr_latency_s = float
+    and+ sr_outcome = oneof [ oneofl all_outcomes; map (fun why -> Fabric.Failed why) gen_name ]
+    and+ sr_batch = int
+    and+ sr_attempts = int
+    and+ sr_variant = gen_name
+    and+ sr_degraded = bool in
+    { Fabric.sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
+      sr_latency_s; sr_outcome; sr_batch; sr_attempts; sr_variant;
+      sr_degraded })
+
+let gen_entry =
+  Gen.(
+    let+ req = int
+    and+ requested = gen_name
+    and+ variant = gen_name
+    and+ latency_s = float
+    and+ attempts = int
+    and+ degraded = bool
+    and+ ok = bool
+    and+ t_done = float in
+    { Everest_runtime.Orchestrator.req; requested; variant; latency_s;
+      attempts; degraded; ok; t_done })
+
+let gen_ev =
+  Gen.(
+    oneof
+      [ map (fun rq -> Fabric.Ev_arrival rq) gen_request;
+        (let+ c_sid = int
+         and+ c_start = float
+         and+ b_key = gen_name
+         and+ b_formed_s = float
+         and+ b_requests = list_size (int_range 1 3) gen_request
+         and+ c_entry = gen_entry in
+         Fabric.Ev_complete
+           { Fabric.c_sid; c_start;
+             c_batch = { Everest_serving.Batcher.b_key; b_requests; b_formed_s };
+             c_entry });
+        map (fun sid -> Fabric.Ev_flush sid) int;
+        map (fun sid -> Fabric.Ev_spawn sid) int;
+        return Fabric.Ev_tick ])
+
+(* [compare], not [=]: a NaN float must round-trip too *)
+let roundtrips c v = compare (Codec.decode c (Codec.encode c v)) v = 0
+
+let prop_codec_roundtrip =
+  QCheck.Test.make ~count:300
+    ~name:"codec: decode (encode v) = v for requests, served entries, events"
+    (QCheck.make Gen.(triple gen_request gen_served gen_ev))
+    (fun (rq, sr, ev) ->
+      roundtrips Fabric.Codecs.request rq
+      && List.for_all
+           (fun o -> roundtrips Fabric.Codecs.served { sr with Fabric.sr_outcome = o })
+           (sr.Fabric.sr_outcome :: all_outcomes)
+      && roundtrips Fabric.Codecs.ev ev
+      && roundtrips Fabric.Codecs.journal_record (7, 0.5, ev))
+
+(* A snapshot that does not fit the fabric it is resumed into is a typed
+   error, never an escaping [Not_found] or [Invalid_argument]. *)
+let test_fabric_resume_mismatched_deploy () =
+  let config = fabric_config ~seed:7 in
+  let dir = tmp_dir "fab-deploy" in
+  ignore (fabric_baseline ~dir config);
+  let store =
+    Store.open_store ~dir
+      ~fingerprint:(Fabric.fingerprint config ~tenants ~horizon)
+      ()
+  in
+  let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
+  checkb "typed refusal" true
+    (match
+       Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery config
+         ~deploy:(fun _ -> ()) ~tenants ~horizon
+     with
+    | exception Store.Recovery_error (Store.Corrupt _) -> true
+    | _ -> false);
+  Store.close store
+
 let () =
   Alcotest.run "everest_recovery"
     [ ( "codec",
@@ -622,6 +756,8 @@ let () =
             test_fabric_falls_back_over_corrupt_snapshot;
           Alcotest.test_case "all snapshots corrupt" `Quick
             test_fabric_all_snapshots_corrupt;
+          Alcotest.test_case "resume under another deployment" `Quick
+            test_fabric_resume_mismatched_deploy;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick
@@ -633,5 +769,8 @@ let () =
         [ Alcotest.test_case "fabric store golden" `Quick
             test_golden_fabric_format;
           Alcotest.test_case "executor store golden" `Quick
-            test_golden_executor_format ] )
+            test_golden_executor_format;
+          Alcotest.test_case "store records re-encode" `Quick
+            test_store_roundtrip;
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip ] )
     ]
