@@ -162,16 +162,14 @@ let fingerprint (config : config) ~tenants ~horizon =
 (* Typed fabric events.  Everything Desim will ever run on the fabric
    clock is one of these — plain data, so the pending set can be
    snapshotted and a restored run can re-create the closures. *)
-type completion = {
-  c_sid : int;
-  c_start : float;
-  c_batch : Batcher.batch;
-  c_entry : Orch.request_log;
-}
-
 type ev =
   | Ev_arrival of Workload.request  (* fresh arrival passing admission *)
-  | Ev_complete of completion
+  | Ev_complete of {
+      c_sid : int;
+      c_start : float;
+      c_batch : Batcher.batch;
+      c_entry : Orch.request_log;
+    }
   | Ev_flush of int  (* batcher deadline flush on one shard *)
   | Ev_spawn of int  (* delayed autoscale worker-up on one shard *)
   | Ev_tick  (* fabric control tick *)
@@ -297,20 +295,18 @@ module Codecs = struct
     |> field (list request) (fun b -> b.Batcher.b_requests)
     |> seal
 
-  let completion =
-    record (fun c_sid c_start c_batch c_entry -> { c_sid; c_start; c_batch; c_entry })
-    |> field int (fun c -> c.c_sid)
-    |> field float (fun c -> c.c_start)
-    |> field batch (fun c -> c.c_batch)
-    |> field entry (fun c -> c.c_entry)
-    |> seal
-
   let ev =
     variant
       [ case "A" request (fun rq -> Ev_arrival rq)
           (function Ev_arrival rq -> Some rq | _ -> None);
-        case "C" completion (fun c -> Ev_complete c)
-          (function Ev_complete c -> Some c | _ -> None);
+        case "C"
+          (pair int (triple float batch entry))
+          (fun (c_sid, (c_start, c_batch, c_entry)) ->
+            Ev_complete { c_sid; c_start; c_batch; c_entry })
+          (function
+            | Ev_complete { c_sid; c_start; c_batch; c_entry } ->
+                Some (c_sid, (c_start, c_batch, c_entry))
+            | _ -> None);
         case "F" int (fun sid -> Ev_flush sid)
           (function Ev_flush sid -> Some sid | _ -> None);
         case "S" int (fun sid -> Ev_spawn sid)

@@ -169,18 +169,15 @@ val resume :
     What the journal and snapshots hold.  Each type is declared once as
     a {!Everest_recovery.Codec.t}; [decode] inverts [encode] exactly. *)
 
-(** A batch completion landing back on the fabric clock. *)
-type completion = {
-  c_sid : int;
-  c_start : float;
-  c_batch : Batcher.batch;
-  c_entry : Orch.request_log;
-}
-
 (** A typed fabric event: everything scheduled on the fabric clock. *)
 type ev =
   | Ev_arrival of Workload.request  (** Fresh arrival passing admission. *)
-  | Ev_complete of completion
+  | Ev_complete of {
+      c_sid : int;
+      c_start : float;
+      c_batch : Batcher.batch;
+      c_entry : Orch.request_log;
+    }  (** A batch completion landing back on the fabric clock. *)
   | Ev_flush of int  (** Batcher deadline flush on one shard. *)
   | Ev_spawn of int  (** Delayed autoscale worker-up on one shard. *)
   | Ev_tick  (** Fabric control tick. *)

@@ -680,7 +680,7 @@ let gen_ev =
          and+ b_requests = list_size (int_range 1 3) gen_request
          and+ c_entry = gen_entry in
          Fabric.Ev_complete
-           { Fabric.c_sid; c_start;
+           { c_sid; c_start;
              c_batch = { Everest_serving.Batcher.b_key; b_requests; b_formed_s };
              c_entry });
         map (fun sid -> Fabric.Ev_flush sid) int;
