@@ -703,25 +703,61 @@ let prop_codec_roundtrip =
       && roundtrips Fabric.Codecs.journal_record (7, 0.5, ev))
 
 (* A snapshot that does not fit the fabric it is resumed into is a typed
-   error, never an escaping [Not_found] or [Invalid_argument]. *)
-let test_fabric_resume_mismatched_deploy () =
+   error, never an escaping [Not_found] or [Invalid_argument].  [tamper]
+   may rewrite the store before the resume. *)
+let resume_is_refused ?(tamper = fun _ -> ()) ~deploy name =
   let config = fabric_config ~seed:7 in
-  let dir = tmp_dir "fab-deploy" in
+  let dir = tmp_dir name in
   ignore (fabric_baseline ~dir config);
   let store =
     Store.open_store ~dir
       ~fingerprint:(Fabric.fingerprint config ~tenants ~horizon)
       ()
   in
+  tamper store;
   let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
-  checkb "typed refusal" true
-    (match
-       Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery config
-         ~deploy:(fun _ -> ()) ~tenants ~horizon
-     with
+  let refused =
+    match
+      Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery config
+        ~deploy ~tenants ~horizon
+    with
     | exception Store.Recovery_error (Store.Corrupt _) -> true
-    | _ -> false);
-  Store.close store
+    | _ -> false
+  in
+  Store.close store;
+  refused
+
+let test_fabric_resume_mismatched_deploy () =
+  checkb "typed refusal" true
+    (resume_is_refused ~deploy:(fun _ -> ()) "fab-deploy")
+
+(* The first event fired after the newest snapshot was pending in it;
+   moving it to t=0 (a well-formed, re-sealed snapshot) puts it before
+   the restored clock. *)
+let move_first_pending_to_genesis store =
+  let i = List.fold_left max 0 (Store.snapshot_indices store) in
+  let body =
+    match Store.load_snapshot store ~index:i with
+    | Ok body -> body
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+  in
+  let first =
+    match (Journal.read_segment (Store.seg_path store i)).Journal.sg_records with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no event after the newest snapshot"
+  in
+  let id, _, ev = Codec.decode Fabric.Codecs.journal_record first in
+  let moved = Codec.encode Fabric.Codecs.journal_record (id, 0.0, ev) in
+  match Astring.String.cut ~sep:first body with
+  | Some (before, after) ->
+      write_file (Store.snap_path store i)
+        (Snapshot.encode (before ^ moved ^ after))
+  | None -> Alcotest.fail "pending event not in the snapshot"
+
+let test_fabric_resume_pending_in_the_past () =
+  checkb "typed refusal" true
+    (resume_is_refused ~tamper:move_first_pending_to_genesis
+       ~deploy:(Fabric.demo_deploy ()) "fab-past")
 
 let () =
   Alcotest.run "everest_recovery"
@@ -758,6 +794,8 @@ let () =
             test_fabric_all_snapshots_corrupt;
           Alcotest.test_case "resume under another deployment" `Quick
             test_fabric_resume_mismatched_deploy;
+          Alcotest.test_case "resume with a pending event in the past" `Quick
+            test_fabric_resume_pending_in_the_past;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick
