@@ -647,7 +647,8 @@ let gen_served =
     and+ sr_arrival_s = float
     and+ sr_done_s = float
     and+ sr_latency_s = float
-    and+ sr_outcome = oneof [ oneofl all_outcomes; map (fun why -> Fabric.Failed why) gen_name ]
+    and+ sr_outcome =
+      oneof [ oneofl all_outcomes; map (fun why -> Fabric.Failed why) gen_name ]
     and+ sr_batch = int
     and+ sr_attempts = int
     and+ sr_variant = gen_name
@@ -697,7 +698,8 @@ let prop_codec_roundtrip =
     (fun (rq, sr, ev) ->
       roundtrips Fabric.Codecs.request rq
       && List.for_all
-           (fun o -> roundtrips Fabric.Codecs.served { sr with Fabric.sr_outcome = o })
+           (fun o ->
+             roundtrips Fabric.Codecs.served { sr with Fabric.sr_outcome = o })
            (sr.Fabric.sr_outcome :: all_outcomes)
       && roundtrips Fabric.Codecs.ev ev
       && roundtrips Fabric.Codecs.journal_record (7, 0.5, ev))
