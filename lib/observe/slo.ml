@@ -134,10 +134,34 @@ type alert_config = {
 let default_alert =
   { fast_window_s = 0.05; slow_window_s = 0.5; burn_threshold = 2.0 }
 
+(* The kept events are the slice [m_lo, m_hi) of a time-sorted buffer:
+   times unboxed in [m_times], one byte per bad flag.  [observe] appends
+   at [m_hi] and advances [m_lo] past events older than the slow window,
+   so the slice is exactly the event list a newest-first list with the
+   same prune rule would hold, oldest first.
+
+   A trailing window [ts >= now - window_s] over a sorted slice is a
+   suffix [c, m_hi).  Each window keeps a cursor at [c] with running
+   tallies over that suffix; a query slides the cursor to the suffix for
+   its [now] (forward past older events, or back down to [m_lo] for an
+   earlier [now]), so every answer is exact and a run of queries at
+   non-decreasing times costs amortised O(1). *)
+type cursor = {
+  mutable c_at : int;
+  mutable c_total : int;  (* events in [c_at, m_hi) *)
+  mutable c_bad : int;
+}
+
 type monitor = {
   m_spec : spec;
   m_alert : alert_config;
-  mutable m_events : (float * bool) list;  (* (t, bad), newest first *)
+  m_budget : float;
+  mutable m_times : float array;  (* ascending over [m_lo, m_hi) *)
+  mutable m_flags : Bytes.t;  (* '\001' where the event was bad *)
+  mutable m_lo : int;
+  mutable m_hi : int;
+  m_fast : cursor;
+  m_slow : cursor;
   mutable m_total : int;
   mutable m_bad : int;
   mutable m_last_t : float;
@@ -145,47 +169,111 @@ type monitor = {
   mutable m_alerts : int;  (* rising edges *)
 }
 
+let initial_capacity = 64
+
 let monitor ?(alert = default_alert) spec =
-  { m_spec = spec; m_alert = alert; m_events = []; m_total = 0; m_bad = 0;
-    m_last_t = 0.0; m_firing = false; m_alerts = 0 }
+  { m_spec = spec; m_alert = alert; m_budget = error_budget spec.objective;
+    m_times = Array.make initial_capacity 0.0;
+    m_flags = Bytes.make initial_capacity '\000'; m_lo = 0; m_hi = 0;
+    m_fast = { c_at = 0; c_total = 0; c_bad = 0 };
+    m_slow = { c_at = 0; c_total = 0; c_bad = 0 };
+    m_total = 0; m_bad = 0; m_last_t = 0.0; m_firing = false; m_alerts = 0 }
 
 let monitor_name m = m.m_spec.slo_name
 let firing m = m.m_firing
 let alerts m = m.m_alerts
 let observed m = m.m_total
 
-(* Bad fraction over the trailing [window_s]; 0 when no events fall in. *)
-let window_bad_frac m ~now ~window_s =
-  let lo = now -. window_s in
-  let total, bad =
-    List.fold_left
-      (fun (t, b) (ts, is_bad) ->
-        if ts >= lo then (t + 1, if is_bad then b + 1 else b) else (t, b))
-      (0, 0) m.m_events
+let bad_at m i = Bytes.get m.m_flags i <> '\000'
+
+(* Move the kept slice to the front of a buffer of [cap] slots (the same
+   buffer when [cap] is its size: an in-place compaction). *)
+let relocate m cap =
+  let live = m.m_hi - m.m_lo in
+  let times, flags =
+    if cap = Array.length m.m_times then (m.m_times, m.m_flags)
+    else (Array.make cap 0.0, Bytes.make cap '\000')
   in
-  if total = 0 then 0.0 else float_of_int bad /. float_of_int total
+  Array.blit m.m_times m.m_lo times 0 live;
+  Bytes.blit m.m_flags m.m_lo flags 0 live;
+  m.m_fast.c_at <- m.m_fast.c_at - m.m_lo;
+  m.m_slow.c_at <- m.m_slow.c_at - m.m_lo;
+  m.m_times <- times;
+  m.m_flags <- flags;
+  m.m_lo <- 0;
+  m.m_hi <- live
+
+let count c bad =
+  c.c_total <- c.c_total + 1;
+  if bad then c.c_bad <- c.c_bad + 1
+
+let push m t bad =
+  let cap = Array.length m.m_times in
+  if m.m_hi = cap then relocate m (if 2 * (m.m_hi - m.m_lo) <= cap then cap else 2 * cap);
+  m.m_times.(m.m_hi) <- t;
+  Bytes.set m.m_flags m.m_hi (if bad then '\001' else '\000');
+  m.m_hi <- m.m_hi + 1;
+  (* the new event is the newest, so it lies in every cursor's suffix *)
+  count m.m_fast bad;
+  count m.m_slow bad
+
+let step_forward m c =
+  c.c_total <- c.c_total - 1;
+  if bad_at m c.c_at then c.c_bad <- c.c_bad - 1;
+  c.c_at <- c.c_at + 1
+
+let catch_up m c =
+  while c.c_at < m.m_lo do
+    step_forward m c
+  done
+
+(* Slide [c] to the first kept event with [ts >= lo], the comparison a
+   fold over the kept events would make. *)
+let seek m c lo =
+  while c.c_at > m.m_lo && m.m_times.(c.c_at - 1) >= lo do
+    c.c_at <- c.c_at - 1;
+    count c (bad_at m c.c_at)
+  done;
+  while c.c_at < m.m_hi && m.m_times.(c.c_at) < lo do
+    step_forward m c
+  done
+
+(* Bad fraction over the trailing [window_s], over the error budget; the
+   fraction is 0 when no events fall in. *)
+let burn_rate m c ~now ~window_s =
+  seek m c (now -. window_s);
+  let frac =
+    if c.c_total = 0 then 0.0 else float_of_int c.c_bad /. float_of_int c.c_total
+  in
+  frac /. m.m_budget
 
 let burn_rates m ~now =
-  let budget = error_budget m.m_spec.objective in
-  ( window_bad_frac m ~now ~window_s:m.m_alert.fast_window_s /. budget,
-    window_bad_frac m ~now ~window_s:m.m_alert.slow_window_s /. budget )
+  ( burn_rate m m.m_fast ~now ~window_s:m.m_alert.fast_window_s,
+    burn_rate m m.m_slow ~now ~window_s:m.m_alert.slow_window_s )
 
 let observe m ~now ?(latency_s = 0.0) ~ok () =
+  if m.m_hi > m.m_lo && now < m.m_times.(m.m_hi - 1) then
+    invalid_arg
+      (Printf.sprintf "Slo.observe %s: now %.17g precedes the newest event %.17g"
+         m.m_spec.slo_name now m.m_times.(m.m_hi - 1));
   let bad = is_bad m.m_spec { o_t_s = now; o_ok = ok; o_latency_s = latency_s } in
-  m.m_events <- (now, bad) :: m.m_events;
+  push m now bad;
   m.m_total <- m.m_total + 1;
   if bad then m.m_bad <- m.m_bad + 1;
   m.m_last_t <- Float.max m.m_last_t now;
-  (* prune events that fell out of the slow window *)
+  (* prune events that fell out of the slow window, and drop them from
+     any cursor still behind the new head *)
   let lo = now -. m.m_alert.slow_window_s in
-  (match List.rev m.m_events with
-  | (oldest_t, _) :: _ when oldest_t < lo ->
-      m.m_events <- List.filter (fun (t, _) -> t >= lo) m.m_events
-  | _ -> ());
-  let fast, slow = burn_rates m ~now in
+  while m.m_lo < m.m_hi && m.m_times.(m.m_lo) < lo do
+    m.m_lo <- m.m_lo + 1
+  done;
+  catch_up m m.m_fast;
+  catch_up m m.m_slow;
+  let threshold = m.m_alert.burn_threshold in
   let was = m.m_firing in
   m.m_firing <-
-    fast >= m.m_alert.burn_threshold && slow >= m.m_alert.burn_threshold;
+    burn_rate m m.m_fast ~now ~window_s:m.m_alert.fast_window_s >= threshold
+    && burn_rate m m.m_slow ~now ~window_s:m.m_alert.slow_window_s >= threshold;
   if m.m_firing && not was then m.m_alerts <- m.m_alerts + 1
 
 (* Batch result over everything the monitor has seen (all-time, not
@@ -210,9 +298,11 @@ let snapshot m : result =
   { res_name = m.m_spec.slo_name; res_kind = kind; attained; target; met;
     budget; budget_used = bad_frac /. budget; total; bad }
 
-(* Checkpoint/restore: the monitor's full mutable core.  Events stay
-   newest first, exactly as stored, so a restored monitor burns and
-   prunes byte-identically to one that never stopped. *)
+(* Checkpoint/restore: the monitor's full mutable core.  The kept events
+   travel as a newest-first list, the order snapshots have always stored,
+   so a restored monitor burns and prunes byte-identically to one that
+   never stopped.  The cursors are not part of it: import rebuilds
+   them. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (* newest first *)
   ms_total : int;
@@ -223,11 +313,33 @@ type monitor_state = {
 }
 
 let monitor_export m =
-  { ms_events = m.m_events; ms_total = m.m_total; ms_bad = m.m_bad;
+  let rec newest_first i acc =
+    if i = m.m_hi then acc
+    else newest_first (i + 1) ((m.m_times.(i), bad_at m i) :: acc)
+  in
+  { ms_events = newest_first m.m_lo []; ms_total = m.m_total; ms_bad = m.m_bad;
     ms_last_t = m.m_last_t; ms_firing = m.m_firing; ms_alerts = m.m_alerts }
 
 let monitor_import m s =
-  m.m_events <- s.ms_events;
+  let rec check_order = function
+    | (newer, _) :: ((older, _) :: _ as rest) ->
+        if newer < older then
+          invalid_arg
+            (Printf.sprintf "Slo.monitor_import %s: events are not newest first"
+               m.m_spec.slo_name);
+        check_order rest
+    | [ _ ] | [] -> ()
+  in
+  check_order s.ms_events;
+  m.m_lo <- 0;
+  m.m_hi <- 0;
+  List.iter
+    (fun c ->
+      c.c_at <- 0;
+      c.c_total <- 0;
+      c.c_bad <- 0)
+    [ m.m_fast; m.m_slow ];
+  List.iter (fun (t, bad) -> push m t bad) (List.rev s.ms_events);
   m.m_total <- s.ms_total;
   m.m_bad <- s.ms_bad;
   m.m_last_t <- s.ms_last_t;

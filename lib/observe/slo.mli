@@ -68,6 +68,13 @@ type alert_config = {
     pairing). *)
 val default_alert : alert_config
 
+(** An online monitor.  It keeps the events of the trailing slow window
+    in a time-sorted buffer, with one cursor and running tallies per
+    window.  So {!observe} and {!burn_rates} cost amortised O(1) while
+    [now] does not decrease, and allocate a constant amount whatever the
+    window holds.  A query at an earlier [now] is still exact; it costs
+    the events between the two times.  {!observe} requires [now] to be
+    non-decreasing: the monitors run on a simulated clock. *)
 type monitor
 
 val monitor : ?alert:alert_config -> spec -> monitor
@@ -83,11 +90,15 @@ val alerts : monitor -> int
 val observed : monitor -> int
 
 (** (fast, slow) burn rates — windowed bad fraction over the error
-    budget — at time [now]. *)
+    budget — at time [now].  A window counts the kept events with
+    [t >= now -. window_s], whether [now] is before or after the last
+    observe. *)
 val burn_rates : monitor -> now:float -> float * float
 
 (** Feed one outcome; [latency_s] defaults to 0 (irrelevant for
-    availability objectives).  Updates the firing state. *)
+    availability objectives).  Drops the events older than the slow
+    window and updates the firing state.
+    @raise Invalid_argument when [now] precedes the newest kept event. *)
 val observe : monitor -> now:float -> ?latency_s:float -> ok:bool -> unit -> unit
 
 (** Batch result over everything the monitor has seen (all-time, not
@@ -99,7 +110,10 @@ val snapshot : monitor -> result
 (** {2 Checkpoint / restore} *)
 
 (** The monitor's full mutable core; a restored monitor burns and prunes
-    byte-identically to one that never stopped. *)
+    byte-identically to one that never stopped.  The kept events stay a
+    newest-first list, as snapshots and journals have always stored
+    them, so persisted bytes do not depend on the buffer layout; export
+    costs O(window), once per snapshot. *)
 type monitor_state = {
   ms_events : (float * bool) list;  (** (t, bad), newest first *)
   ms_total : int;
@@ -110,6 +124,10 @@ type monitor_state = {
 }
 
 val monitor_export : monitor -> monitor_state
+
+(** Overwrite the monitor with a state from {!monitor_export}.
+    @raise Invalid_argument when [ms_events] is not non-increasing in
+    time; the monitor is left unchanged. *)
 val monitor_import : monitor -> monitor_state -> unit
 
 (** {2 Serialization} *)

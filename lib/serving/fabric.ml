@@ -181,7 +181,9 @@ type state = {
   st_balancer : Balancer.t;
   st_admission : Admission.t;
   st_monitors : (string * Slo.monitor list) list;  (* per tenant *)
-  st_users : Workload.closed_user list;
+  st_users : Workload.closed_user list;  (* export/import order *)
+  st_user_of : (string * int, Workload.closed_user) Hashtbl.t;
+      (* the same users by (tenant, user index) *)
   st_horizon : float;
   st_registry : Metrics.registry;
   mutable st_log : served_request list;  (* newest first *)
@@ -632,11 +634,7 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
   (* closed-loop continuation: the user thinks, then asks again *)
   if rq.Workload.rq_user >= 0 then
     match
-      List.find_opt
-        (fun u ->
-          String.equal (Workload.user_tenant u) rq.Workload.rq_tenant
-          && Workload.user_index u = rq.Workload.rq_user)
-        st.st_users
+      Hashtbl.find_opt st.st_user_of (rq.Workload.rq_tenant, rq.Workload.rq_user)
     with
     | None -> ()
     | Some u ->
@@ -1009,9 +1007,17 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
         Option.value ~default:[] (List.assoc_opt name monitors))
   in
   let users = Workload.closed_users ~seed:config.seed tenants in
+  let user_of = Hashtbl.create (List.length users) in
+  (* with a repeated tenant name, the first user with a key serves it *)
+  List.iter
+    (fun u ->
+      let key = (Workload.user_tenant u, Workload.user_index u) in
+      if not (Hashtbl.mem user_of key) then Hashtbl.add user_of key u)
+    users;
   { st_config = config; st_sim = sim; st_shards = shards;
     st_balancer = Balancer.create config.balancer ~n_shards:config.n_shards;
     st_admission = admission; st_monitors = monitors; st_users = users;
+    st_user_of = user_of;
     st_horizon = horizon; st_registry = registry; st_log = [];
     st_log_enc = Buffer.create 4096;
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;

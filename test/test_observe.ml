@@ -2,8 +2,9 @@
    over the raw log, critical-path extraction is exact on a hand-built
    chain and tiles [0, makespan] on real executor runs, utilization
    reconciles with the span log, SLOs evaluate and burn-rate alerts flip
-   over simulated time, reports round-trip through JSON, and the
-   regression differ flags only genuine regressions. *)
+   over simulated time, the online monitor matches its list oracle bit
+   for bit at constant allocation per call, reports round-trip through
+   JSON, and the regression differ flags only genuine regressions. *)
 
 open Everest_observe
 module Trace = Everest_telemetry.Trace
@@ -347,6 +348,149 @@ let test_orchestrator_slo_wiring () =
   in
   checkf "batch = online" snap.Slo.attained batch.Slo.attained
 
+(* ---- slo monitor against the list oracle ---------------------------------------- *)
+
+module Ref = Slo_reference
+module Gen = QCheck.Gen
+
+type step =
+  | Observe of { dt : float; ok : bool; latency_s : float }
+  | Query of float  (* burn rates at this offset from the last observe *)
+  | Restore  (* export both monitors, import into fresh ones *)
+
+(* Dyadic steps and windows put events exactly on window edges; 0.05 and
+   0.3 add times that round. *)
+let gen_alert =
+  let window = Gen.oneofl [ 0.0; 0.05; 0.0625; 0.125; 0.25; 0.5; 1.0 ] in
+  Gen.map3
+    (fun fast_window_s slow_window_s burn_threshold ->
+      { Slo.fast_window_s; slow_window_s; burn_threshold })
+    window window
+    (Gen.oneofl [ 0.0; 0.5; 1.0; 2.0; 10.0 ])
+
+let gen_spec =
+  Gen.oneofl
+    [ Slo.availability "avail" 0.9; Slo.availability "coin" 0.5;
+      Slo.latency "p90" ~q:0.9 ~limit_s:0.05 ]
+
+let gen_step =
+  Gen.frequency
+    [ ( 6,
+        Gen.map3
+          (fun dt ok latency_s -> Observe { dt; ok; latency_s })
+          (Gen.oneofl [ 0.0; 0.0; 0.015625; 0.03125; 0.0625; 0.125; 0.05; 0.3; 1.5 ])
+          (Gen.frequency [ (3, Gen.return true); (1, Gen.return false) ])
+          (* below, exactly at and above the latency limit *)
+          (Gen.oneofl [ 0.01; 0.05; 0.2 ]) );
+      ( 2,
+        Gen.map
+          (fun d -> Query d)
+          (Gen.oneofl [ 0.0; 0.015625; 0.05; 0.5; -0.015625; -0.05; -0.25; -2.0 ]) );
+      (1, Gen.return Restore) ]
+
+let print_script (alert, spec, steps) =
+  Printf.sprintf "alert fast=%g slow=%g threshold=%g, %s, steps: %s"
+    alert.Slo.fast_window_s alert.Slo.slow_window_s alert.Slo.burn_threshold
+    spec.Slo.slo_name
+    (String.concat "; "
+       (List.map
+          (function
+            | Observe { dt; ok; latency_s } ->
+                Printf.sprintf "observe +%g %s %g" dt (if ok then "ok" else "bad")
+                  latency_s
+            | Query d -> Printf.sprintf "query %+g" d
+            | Restore -> "restore")
+          steps))
+
+let bits = Int64.bits_of_float
+
+let result_bits (r : Slo.result) =
+  ( (r.Slo.res_name, r.Slo.res_kind, bits r.Slo.attained, bits r.Slo.target),
+    (r.Slo.met, bits r.Slo.budget, bits r.Slo.budget_used, r.Slo.total, r.Slo.bad) )
+
+let state_bits (s : Slo.monitor_state) =
+  ( List.map (fun (t, bad) -> (bits t, bad)) s.Slo.ms_events,
+    (s.Slo.ms_total, s.Slo.ms_bad, bits s.Slo.ms_last_t, s.Slo.ms_firing, s.Slo.ms_alerts) )
+
+let agree m r ~now =
+  let fast, slow = Slo.burn_rates m ~now and rfast, rslow = Ref.burn_rates r ~now in
+  bits fast = bits rfast
+  && bits slow = bits rslow
+  && Slo.firing m = Ref.firing r
+  && Slo.alerts m = Ref.alerts r
+  && Slo.observed m = Ref.observed r
+  && result_bits (Slo.snapshot m) = result_bits (Ref.snapshot r)
+  && state_bits (Slo.monitor_export m) = state_bits (Ref.monitor_export r)
+
+let prop_monitor_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"slo monitor = list oracle, bit for bit"
+    (QCheck.make ~print:print_script
+       Gen.(triple gen_alert gen_spec (list_size (int_range 0 150) gen_step)))
+    (fun (alert, spec, steps) ->
+      let rec run m r now = function
+        | [] -> true
+        | Observe { dt; ok; latency_s } :: rest ->
+            let now = now +. dt in
+            Slo.observe m ~now ~latency_s ~ok ();
+            Ref.observe r ~now ~latency_s ~ok ();
+            agree m r ~now && run m r now rest
+        | Query d :: rest -> agree m r ~now:(now +. d) && run m r now rest
+        | Restore :: rest ->
+            let m' = Slo.monitor ~alert spec and r' = Ref.monitor ~alert spec in
+            Slo.monitor_import m' (Slo.monitor_export m);
+            Ref.monitor_import r' (Ref.monitor_export r);
+            agree m' r' ~now && run m' r' now rest
+      in
+      run (Slo.monitor ~alert spec) (Ref.monitor ~alert spec) 0.0 steps)
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | () -> false
+
+let test_slo_time_runs_backwards () =
+  let alert =
+    { Slo.fast_window_s = 0.0; slow_window_s = 0.0; burn_threshold = 2.0 }
+  in
+  let m = Slo.monitor ~alert (Slo.availability "avail" 0.9) in
+  Slo.observe m ~now:1.0 ~ok:true ();
+  Slo.observe m ~now:1.0 ~ok:false ();
+  checkb "observe before the newest event" true
+    (raises_invalid (fun () -> Slo.observe m ~now:0.5 ~ok:true ()));
+  checki "the refused outcome is not counted" 2 (Slo.observed m);
+  let state = Slo.monitor_export m in
+  let oldest_first =
+    { state with Slo.ms_events = [ (0.5, false); (1.0, true) ] }
+  in
+  checkb "import of oldest-first events" true
+    (raises_invalid (fun () -> Slo.monitor_import m oldest_first));
+  checkb "refused import leaves the monitor" true
+    (state_bits (Slo.monitor_export m) = state_bits state)
+
+(* Allocation per call stays constant as the window grows 10×: an
+   O(window) fold per call would allocate in proportion to the 100 or
+   1000 events each window holds. *)
+let test_slo_alloc_is_constant () =
+  let words_per_call ~window_s =
+    let alert =
+      { Slo.fast_window_s = window_s /. 10.0; slow_window_s = window_s;
+        burn_threshold = 2.0 }
+    in
+    let m = Slo.monitor ~alert (Slo.availability "avail" 0.99) in
+    let n = 100_000 in
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      let now = float_of_int i *. 1e-3 in
+      Slo.observe m ~now ~ok:(i mod 7 <> 0) ();
+      ignore (Slo.burn_rates m ~now)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (2 * n)
+  in
+  let small = words_per_call ~window_s:0.1 in
+  let large = words_per_call ~window_s:1.0 in
+  checkb (Printf.sprintf "%.1f words per call (100-event window)" small) true
+    (small < 24.0);
+  checkb (Printf.sprintf "%.1f words per call (1000-event window)" large) true
+    (large <= small +. 0.5)
+
 (* ---- report + regress ----------------------------------------------------------- *)
 
 let test_report_roundtrip () =
@@ -491,7 +635,12 @@ let () =
           Alcotest.test_case "burn-rate alert flips" `Quick
             test_slo_burn_rate_flips;
           Alcotest.test_case "orchestrator wiring" `Quick
-            test_orchestrator_slo_wiring ] );
+            test_orchestrator_slo_wiring;
+          Alcotest.test_case "time running backwards" `Quick
+            test_slo_time_runs_backwards;
+          Alcotest.test_case "allocation per call is constant" `Quick
+            test_slo_alloc_is_constant;
+          QCheck_alcotest.to_alcotest prop_monitor_matches_oracle ] );
       ( "report",
         [ Alcotest.test_case "json round-trip" `Quick test_report_roundtrip;
           Alcotest.test_case "untraced is partial" `Quick

@@ -761,6 +761,60 @@ let test_fabric_resume_pending_in_the_past () =
     (resume_is_refused ~tamper:move_first_pending_to_genesis
        ~deploy:(Fabric.demo_deploy ()) "fab-past")
 
+(* Reverse the first tenant's first SLO monitor's kept events in the
+   newest snapshot (a well-formed, re-sealed body), so they run oldest
+   first.  The monitor sits in the body as: tenant, monitor count, event
+   count n, n (time, bad) pairs, total, bad, last time, firing, alerts. *)
+let reverse_slo_events store =
+  let i = List.fold_left max 0 (Store.snapshot_indices store) in
+  let body =
+    match Store.load_snapshot store ~index:i with
+    | Ok body -> body
+    | Error e -> Alcotest.fail (Store.error_to_string e)
+  in
+  let toks = Array.of_list (String.split_on_char ' ' body) in
+  let is_float t =
+    String.length t = 16
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) t
+  in
+  let is_bool t = t = "t" || t = "f" in
+  let is_int t = int_of_string_opt t <> None in
+  let monitor_at k =
+    match int_of_string_opt toks.(k) with
+    | Some n when n >= 2 && k >= 2 && k + (2 * n) + 5 < Array.length toks ->
+        let e = k + (2 * n) in
+        String.equal toks.(k - 2) "acme"
+        && is_int toks.(k - 1)
+        && List.for_all
+             (fun j -> is_float toks.(k + 1 + (2 * j)) && is_bool toks.(k + 2 + (2 * j)))
+             (List.init n Fun.id)
+        && is_int toks.(e + 1) && is_int toks.(e + 2) && is_float toks.(e + 3)
+        && is_bool toks.(e + 4) && is_int toks.(e + 5)
+        (* the newest and oldest times differ, so the reversal reorders *)
+        && not (String.equal toks.(k + 1) toks.(e - 1))
+    | _ -> false
+  in
+  let rec find k =
+    if k >= Array.length toks then Alcotest.fail "no SLO event list in the snapshot"
+    else if monitor_at k then k
+    else find (k + 1)
+  in
+  let k = find 0 in
+  let n = int_of_string toks.(k) in
+  let pairs = Array.init n (fun j -> (toks.(k + 1 + (2 * j)), toks.(k + 2 + (2 * j)))) in
+  Array.iteri
+    (fun j (t, bad) ->
+      toks.(k + 1 + (2 * (n - 1 - j))) <- t;
+      toks.(k + 2 + (2 * (n - 1 - j))) <- bad)
+    pairs;
+  write_file (Store.snap_path store i)
+    (Snapshot.encode (String.concat " " (Array.to_list toks)))
+
+let test_fabric_resume_slo_events_out_of_order () =
+  checkb "typed refusal" true
+    (resume_is_refused ~tamper:reverse_slo_events
+       ~deploy:(Fabric.demo_deploy ()) "fab-slo-order")
+
 let () =
   Alcotest.run "everest_recovery"
     [ ( "codec",
@@ -798,6 +852,8 @@ let () =
             test_fabric_resume_mismatched_deploy;
           Alcotest.test_case "resume with a pending event in the past" `Quick
             test_fabric_resume_pending_in_the_past;
+          Alcotest.test_case "resume with SLO events out of order" `Quick
+            test_fabric_resume_slo_events_out_of_order;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick
