@@ -1955,6 +1955,7 @@ let observe_cmd =
                    ("critical_path_matches_makespan", Obs.Json.Bool cp_matches);
                    ("utilization_consistent", Obs.Json.Bool util_ok);
                    ("slos_met", Obs.Json.Bool slos_met);
+                   ("no_burn_alerts", Obs.Json.Bool (alerts = 0));
                    ("passed", Obs.Json.Bool all_ok) ]) ]
         in
         (match out with
