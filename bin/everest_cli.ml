@@ -5,8 +5,15 @@
      everest_cli run [--policy P] [--fpgas K] [--kill NODE:T]..
          compile and execute the demo workflow on the simulated
          demonstrator; exhausted recovery exits 1 with a structured error
-     everest_cli serve [--requests N] [--goal time|energy]
-         adaptively serve the hot kernel through the virtualized runtime
+     everest_cli serve [--shards N] [--seed S] [--balancer P] [--rate RPS]
+                       [--horizon T] [--fault-rate R] [--format text|json]
+                       [--out F]
+         serving-fleet drill: a seeded multi-tenant workload through N
+         orchestrator shards behind admission, routing, batching and
+         autoscale; exit 1 unless requests are served, availability and
+         the SLOs hold, nothing is shed and a rerun is byte-identical
+     everest_cli serve --demo
+         overload a starved single-worker fleet so the checks fail (exits 1)
      everest_cli recover [--seed S] [--crash-after N] [--snapshot-every T]
          crash-recovery drill: run the journaled serving fabric and the
          checkpointed workflow executor, kill each at a seeded mid-run
@@ -46,7 +53,15 @@
                            [--demo] [--strict] [--format text|json]
          statically sanitize execution plans (EV1xx): structure,
          happens-before, placement capability and SLO feasibility; exit 1
-         on errors, --demo seeds one defective plan per class            *)
+         on errors, --demo seeds one defective plan per class
+     everest_cli top [--shards N] [--seed S] [--interval T] [--follow]
+                     [--format text|json] [--out F]
+         live observability drill: watch a seeded serving run and render
+         the dashboard (every scrape tick with --follow); exit 1 on a
+         false alarm
+     everest_cli top --demo
+         kill all but one shard mid-run so the latency step trips the
+         CUSUM alert (exits 1)                                           *)
 
 open Cmdliner
 module Sdk = Everest.Sdk
@@ -158,16 +173,12 @@ let run_cmd =
     match Sdk.run ~policy ~cloud_fpgas:fpgas ~faults ~exec_policy app with
     | stats -> Format.printf "%a@." Sdk.pp_run stats
     | exception Wf.Executor.Execution_failed { reason; partial } ->
-        let total = Array.length partial.Wf.Executor.task_finish in
-        let completed =
-          Array.fold_left
-            (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-            0 partial.Wf.Executor.task_finish
-        in
         Format.eprintf
           "error: execution failed: %s@.  completed %d/%d tasks, retries=%d \
            timeouts=%d recomputed=%d@."
-          reason completed total partial.Wf.Executor.retries
+          reason (Drill.completed_tasks partial)
+          (Array.length partial.Wf.Executor.task_finish)
+          partial.Wf.Executor.retries
           partial.Wf.Executor.timeouts partial.Wf.Executor.recomputed;
         exit 1
   in
@@ -187,27 +198,11 @@ let serve_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
   let module Obs = Everest_observe in
-  let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
   let balancer =
     Arg.(
       value & opt string "least-outstanding"
       & info [ "balancer" ] ~docv:"POLICY"
           ~doc:"Routing policy: rr, least-outstanding, affinity.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 150.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.3
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
   in
   let fault_rate =
     Arg.(
@@ -215,24 +210,11 @@ let serve_cmd =
       & info [ "fault-rate" ] ~docv:"R"
           ~doc:"Per-shard crash probability over the horizon.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Overload a starved single-worker fleet so requests are shed \
-             and the latency SLO burns (exits 1).")
+    Drill.demo
+      ~doc:
+        "Overload a starved single-worker fleet so requests are shed and \
+         the latency SLO burns (exits 1)."
   in
   let run shards seed balancer rate horizon fault_rate format out demo =
     let balancer =
@@ -243,17 +225,14 @@ let serve_cmd =
           exit 2
     in
     let tenants =
-      [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm"
+      [ Drill.acme
           ~rate_rps:(if demo then 4000.0 else rate)
           ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
           ~burst:
             { Srv.Workload.burst_factor = 3.0; mean_calm_s = 0.1;
               mean_burst_s = 0.05 }
-          ~features:(fun seq ->
-            [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
           ();
-        Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
-          ~think_s:0.05 () ]
+        Drill.globex ]
     in
     let base = Srv.Fabric.default_config ~n_shards:shards in
     let faults =
@@ -279,10 +258,7 @@ let serve_cmd =
               Obs.Slo.latency "p99-latency" ~q:0.99 ~limit_s:0.002 ] }
       else { base with Srv.Fabric.seed; balancer; faults }
     in
-    let once () =
-      Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) config
-        ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
-    in
+    let once () = Drill.fabric_run config ~tenants ~horizon in
     let r = once () in
     let again = once () in
     let identical =
@@ -308,9 +284,9 @@ let serve_cmd =
         ("nothing_shed", shed = 0);
         ("deterministic", identical) ]
     in
-    let all_ok = List.for_all snd checks in
-    let json =
-      Obs.Json.Obj
+    Drill.report ~drill:"serve" ~format ~out
+      ~text:(fun () -> print_string (Srv.Fabric.render_summary r))
+      ~fields:
         [ ("shards", Obs.Json.Num (float_of_int shards));
           ("seed", Obs.Json.Num (float_of_int seed));
           ("balancer",
@@ -350,37 +326,20 @@ let serve_cmd =
                        Obs.Json.Arr
                          (List.map Obs.Slo.result_to_json
                             tr.Srv.Fabric.tr_slos)) ])
-                r.Srv.Fabric.f_tenants));
-          ("checks",
-           Obs.Json.Obj
-             (List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
-             @ [ ("passed", Obs.Json.Bool all_ok) ])) ]
-    in
-    (match out with
-    | None -> ()
-    | Some f ->
-        let oc = open_out f in
-        output_string oc (Obs.Json.to_string ~pretty:true json);
-        output_string oc "\n";
-        close_out oc);
-    (match format with
-    | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-    | `Text ->
-        print_string (Srv.Fabric.render_summary r);
-        List.iter
-          (fun (n, ok) ->
-            Printf.printf "check %-14s %s\n" n (if ok then "ok" else "FAILED"))
-          checks;
-        print_string
-          (if all_ok then "serve drill passed\n" else "serve drill FAILED\n"));
-    if not all_ok then exit 1
+                r.Srv.Fabric.f_tenants)) ]
+      checks
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serving-fleet drill: sharded multi-tenant serving with checks.")
     Term.(
-      const run $ shards $ seed $ balancer $ rate $ horizon $ fault_rate
-      $ format $ out $ demo)
+      const run $ Drill.shards ~default:2
+      $ Drill.seed ~default:7 ~doc:"Workload seed."
+      $ balancer $ Drill.rate ~default:150.0 $ Drill.horizon ~default:0.3
+      $ fault_rate
+      $ Drill.format ~doc:"Report format: text, json."
+      $ Drill.out ~doc:"Write the JSON report to FILE."
+      $ demo)
 
 (* ---- recover ---------------------------------------------------------------- *)
 
@@ -399,22 +358,6 @@ let recover_cmd =
   let module Obs = Everest_observe in
   let module Rec = Everest_recovery in
   let module Wf = Everest_workflow in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
-  let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 150.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.5
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
-  in
   let snapshot_every =
     Arg.(
       value & opt float 0.1
@@ -433,17 +376,6 @@ let recover_cmd =
       & opt string (Filename.concat (Filename.get_temp_dir_name ()) "everest-recover")
       & info [ "dir" ] ~docv:"DIR" ~doc:"Recovery store directory.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
   let dump_baseline =
     Arg.(
       value & opt (some string) None
@@ -457,24 +389,18 @@ let recover_cmd =
           ~doc:"Write the crash-restart-resumed report to FILE (for cmp).")
   in
   let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Corrupt snapshots (bit-flip, truncation, version skew); the \
-             store must detect each, fall back, and refuse an all-corrupt \
-             store with a typed error (exits 1).")
+    Drill.demo
+      ~doc:
+        "Corrupt snapshots (bit-flip, truncation, version skew); the store \
+         must detect each, fall back, and refuse an all-corrupt store with \
+         a typed error (exits 1)."
   in
   let run seed shards rate horizon snapshot_every crash_after dir format out
       dump_baseline dump_resumed demo =
     let tenants =
-      [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:rate
-          ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
-          ~features:(fun seq ->
-            [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
+      [ Drill.acme ~rate_rps:rate ~diurnal_amplitude:0.3 ~diurnal_period_s:1.0
           ();
-        Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
-          ~think_s:0.05 () ]
+        Drill.globex ]
     in
     let config =
       { (Srv.Fabric.default_config ~n_shards:shards) with
@@ -488,35 +414,24 @@ let recover_cmd =
       Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
       ^ Srv.Fabric.render_summary r
     in
-    let fab_run ?recovery () =
-      Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?recovery
-        config ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
+    let open_store ?fresh sub =
+      Rec.Store.open_store ?fresh ~dir:(Filename.concat dir sub) ~fingerprint:fp
+        ()
     in
-    let read_file path =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    let recovery store =
+      { Srv.Fabric.rv_store = store; rv_snapshot_every_s = snapshot_every }
     in
-    let write_file path contents =
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents)
+    let fab_run store =
+      Drill.fabric_run ~recovery:(recovery store) config ~tenants ~horizon
+    in
+    let resume store =
+      Srv.Fabric.resume ~registry:(Tel.Metrics.create_registry ())
+        ~recovery:(recovery store) config ~deploy:(Srv.Fabric.demo_deploy ())
+        ~tenants ~horizon
     in
     (* uninterrupted journaled run: the reference report *)
-    let base_store =
-      Rec.Store.open_store ~fresh:true ~dir:(Filename.concat dir "baseline")
-        ~fingerprint:fp ()
-    in
-    let baseline =
-      render
-        (fab_run
-           ~recovery:
-             { Srv.Fabric.rv_store = base_store;
-               rv_snapshot_every_s = snapshot_every }
-           ())
-    in
+    let base_store = open_store ~fresh:true "baseline" in
+    let baseline = render (fab_run base_store) in
     let records = base_store.Rec.Store.records_written in
     let snapshots = base_store.Rec.Store.snapshots_written in
     Rec.Store.close base_store;
@@ -525,66 +440,51 @@ let recover_cmd =
       else max 1 (records / 2)
     in
     (* crashed run: the armed record is flushed, then the process "dies" *)
-    let crash_dir = Filename.concat dir "crash" in
-    let store =
-      Rec.Store.open_store ~fresh:true ~dir:crash_dir ~fingerprint:fp ()
-    in
+    let store = open_store ~fresh:true "crash" in
     Rec.Store.arm_crash store ~after_records:after;
-    let recovery =
-      { Srv.Fabric.rv_store = store; rv_snapshot_every_s = snapshot_every }
-    in
     let crashed =
       try
-        ignore (fab_run ~recovery ());
+        ignore (fab_run store);
         false
       with Rec.Journal.Crashed -> true
     in
     Rec.Store.close store;
     if demo then begin
       (* corruption drills against the crashed store *)
-      let newest_snap () =
+      let crash_dir = Filename.concat dir "crash" in
+      let snapshot_files () =
         Sys.readdir crash_dir |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".esnap")
-        |> List.sort compare |> List.rev |> List.hd
-        |> Filename.concat crash_dir
+        |> List.sort compare
+        |> List.map (Filename.concat crash_dir)
       in
       let corruptions =
         [ ( "bit-flip",
             fun path ->
-              let b = Bytes.of_string (read_file path) in
+              let b = Bytes.of_string (Drill.read_file path) in
               let off = Bytes.length b - 7 in
               Bytes.set b off
                 (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
-              write_file path (Bytes.to_string b) );
+              Drill.write_file path (Bytes.to_string b) );
           ( "truncation",
             fun path ->
-              let s = read_file path in
-              write_file path (String.sub s 0 (String.length s / 2)) );
+              let s = Drill.read_file path in
+              Drill.write_file path (String.sub s 0 (String.length s / 2)) );
           ( "version-skew",
             fun path ->
-              let s = read_file path in
-              write_file path
+              let s = Drill.read_file path in
+              Drill.write_file path
                 ("EVEREST-SNAP v9" ^ String.sub s 15 (String.length s - 15)) )
         ]
       in
       let all_detected =
         List.for_all
           (fun (kind, corrupt) ->
-            let snap = newest_snap () in
-            let pristine = read_file snap in
+            let snap = List.hd (List.rev (snapshot_files ())) in
+            let pristine = Drill.read_file snap in
             corrupt snap;
-            let store =
-              Rec.Store.open_store ~dir:crash_dir ~fingerprint:fp ()
-            in
-            let recovery =
-              { Srv.Fabric.rv_store = store;
-                rv_snapshot_every_s = snapshot_every }
-            in
-            let resumed, report =
-              Srv.Fabric.resume ~registry:(Tel.Metrics.create_registry ())
-                ~recovery config ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants
-                ~horizon
-            in
+            let store = open_store "crash" in
+            let resumed, report = resume store in
             Rec.Store.close store;
             let detected = report.Srv.Fabric.rr_fallbacks >= 1 in
             let identical = String.equal baseline (render resumed) in
@@ -592,25 +492,17 @@ let recover_cmd =
               "recover demo: %-12s detected=%b fell back to snapshot %d, \
                report identical=%b\n"
               kind detected report.Srv.Fabric.rr_snapshot_index identical;
-            write_file snap pristine;
+            Drill.write_file snap pristine;
             detected && identical)
           corruptions
       in
       (* every snapshot damaged: restore must refuse with a typed error *)
-      Sys.readdir crash_dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".esnap")
-      |> List.iter (fun f ->
-             let path = Filename.concat crash_dir f in
-             write_file path ("XX" ^ read_file path));
+      List.iter
+        (fun path -> Drill.write_file path ("XX" ^ Drill.read_file path))
+        (snapshot_files ());
       let refused =
-        let store = Rec.Store.open_store ~dir:crash_dir ~fingerprint:fp () in
-        let recovery =
-          { Srv.Fabric.rv_store = store; rv_snapshot_every_s = snapshot_every }
-        in
-        match
-          Srv.Fabric.resume ~recovery config
-            ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
-        with
+        let store = open_store "crash" in
+        match resume store with
         | _ ->
             Rec.Store.close store;
             false
@@ -627,25 +519,15 @@ let recover_cmd =
       exit 1
     end;
     (* restore from the crashed store and finish the run *)
-    let store = Rec.Store.open_store ~dir:crash_dir ~fingerprint:fp () in
-    let recovery =
-      { Srv.Fabric.rv_store = store; rv_snapshot_every_s = snapshot_every }
-    in
+    let store = open_store "crash" in
     let t0 = Sys.time () in
-    let resumed_r, report =
-      Srv.Fabric.resume ~registry:(Tel.Metrics.create_registry ()) ~recovery
-        config ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
-    in
+    let resumed_r, report = resume store in
     let recovery_s = Sys.time () -. t0 in
     Rec.Store.close store;
     let resumed = render resumed_r in
     let fab_identical = String.equal baseline resumed in
-    (match dump_baseline with
-    | Some f -> write_file f baseline
-    | None -> ());
-    (match dump_resumed with
-    | Some f -> write_file f resumed
-    | None -> ());
+    Option.iter (fun f -> Drill.write_file f baseline) dump_baseline;
+    Option.iter (fun f -> Drill.write_file f resumed) dump_resumed;
     (* executor drill: journaled deterministic replay from genesis *)
     let exec_digest (s : Wf.Executor.stats) =
       let buf = Buffer.create 1024 in
@@ -661,7 +543,7 @@ let recover_cmd =
         s.Wf.Executor.per_node_tasks;
       Buffer.contents buf
     in
-    let exec_run ?checkpoint () =
+    let exec_run checkpoint =
       let d =
         Wf.Dag.layered ~seed ~layers:5 ~width:6 ~flops:1e9 ~bytes:1e6 ()
       in
@@ -669,48 +551,45 @@ let recover_cmd =
       let plan = Wf.Scheduler.heft c d in
       Wf.Executor.execute
         ~faults:(Res.Faults.plan ~seed ~transient_prob:0.02 ())
-        ~registry:(Tel.Metrics.create_registry ()) ?checkpoint c plan
+        ~registry:(Tel.Metrics.create_registry ()) ~checkpoint c plan
     in
-    let exec_dir = Filename.concat dir "executor" in
-    let store =
-      Rec.Store.open_store ~fresh:true ~dir:exec_dir ~fingerprint:"executor" ()
+    let exec_store ?fresh () =
+      Rec.Store.open_store ?fresh ~dir:(Filename.concat dir "executor")
+        ~fingerprint:"executor" ()
     in
+    let store = exec_store ~fresh:true () in
     let exec_base =
-      exec_digest
-        (exec_run ~checkpoint:(Wf.Checkpoint.create ~store ~every:7) ())
+      exec_digest (exec_run (Wf.Checkpoint.create ~store ~every:7))
     in
     let exec_records = store.Rec.Store.records_written in
     Rec.Store.close store;
     let exec_after = max 1 (exec_records / 2) in
-    let store =
-      Rec.Store.open_store ~fresh:true ~dir:exec_dir ~fingerprint:"executor" ()
-    in
+    let store = exec_store ~fresh:true () in
     Rec.Store.arm_crash store ~after_records:exec_after;
     let exec_crashed =
       try
-        ignore
-          (exec_run ~checkpoint:(Wf.Checkpoint.create ~store ~every:7) ());
+        ignore (exec_run (Wf.Checkpoint.create ~store ~every:7));
         false
       with Rec.Journal.Crashed -> true
     in
     Rec.Store.close store;
-    let store =
-      Rec.Store.open_store ~dir:exec_dir ~fingerprint:"executor" ()
+    let store = exec_store () in
+    let exec_resumed =
+      exec_digest (exec_run (Wf.Checkpoint.resume ~store ~every:7))
     in
-    let ck = Wf.Checkpoint.resume ~store ~every:7 in
-    let exec_resumed = exec_digest (exec_run ~checkpoint:ck ()) in
     Rec.Store.close store;
-    let exec_identical = String.equal exec_base exec_resumed in
-    let checks =
-      [ ("fabric_crashed", crashed);
-        ("fabric_byte_identical", fab_identical);
-        ("fabric_no_fallbacks", report.Srv.Fabric.rr_fallbacks = 0);
-        ("executor_crashed", exec_crashed);
-        ("executor_byte_identical", exec_identical) ]
-    in
-    let all_ok = List.for_all snd checks in
-    let json =
-      Obs.Json.Obj
+    Drill.report ~drill:"recover" ~format ~out
+      ~text:(fun () ->
+        Printf.printf
+          "fabric: %d journal records, %d snapshots; killed after record \
+           %d, resumed from snapshot %d (+%d replayed) in %.3fs cpu\n"
+          records snapshots after report.Srv.Fabric.rr_snapshot_index
+          report.Srv.Fabric.rr_replayed recovery_s;
+        Printf.printf
+          "executor: %d journal records; killed after record %d, replayed \
+           to completion\n"
+          exec_records exec_after)
+      ~fields:
         [ ("seed", Obs.Json.Num (float_of_int seed));
           ("horizon_s", Obs.Json.Num horizon);
           ("snapshot_every_s", Obs.Json.Num snapshot_every);
@@ -723,44 +602,24 @@ let recover_cmd =
            Obs.Json.Num (float_of_int report.Srv.Fabric.rr_replayed));
           ("recovery_time_s", Obs.Json.Num recovery_s);
           ("executor_records", Obs.Json.Num (float_of_int exec_records));
-          ("executor_crash_after", Obs.Json.Num (float_of_int exec_after));
-          ("checks",
-           Obs.Json.Obj
-             (List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
-             @ [ ("passed", Obs.Json.Bool all_ok) ])) ]
-    in
-    (match out with
-    | None -> ()
-    | Some f -> write_file f (Obs.Json.to_string ~pretty:true json ^ "\n"));
-    (match format with
-    | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-    | `Text ->
-        Printf.printf
-          "fabric: %d journal records, %d snapshots; killed after record \
-           %d, resumed from snapshot %d (+%d replayed) in %.3fs cpu\n"
-          records snapshots after report.Srv.Fabric.rr_snapshot_index
-          report.Srv.Fabric.rr_replayed recovery_s;
-        Printf.printf
-          "executor: %d journal records; killed after record %d, replayed \
-           to completion\n"
-          exec_records exec_after;
-        List.iter
-          (fun (n, ok) ->
-            Printf.printf "check %-24s %s\n" n (if ok then "ok" else "FAILED"))
-          checks;
-        print_string
-          (if all_ok then "recover drill passed\n"
-           else "recover drill FAILED\n"));
-    if not all_ok then exit 1
+          ("executor_crash_after", Obs.Json.Num (float_of_int exec_after)) ]
+      [ ("fabric_crashed", crashed);
+        ("fabric_byte_identical", fab_identical);
+        ("fabric_no_fallbacks", report.Srv.Fabric.rr_fallbacks = 0);
+        ("executor_crashed", exec_crashed);
+        ("executor_byte_identical", String.equal exec_base exec_resumed) ]
   in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
          "Crash-recovery drill: kill mid-run, restore, byte-compare reports.")
     Term.(
-      const run $ seed $ shards $ rate $ horizon $ snapshot_every
-      $ crash_after $ dir $ format $ out $ dump_baseline $ dump_resumed
-      $ demo)
+      const run $ Drill.seed ~default:7 ~doc:"Workload seed."
+      $ Drill.shards ~default:2 $ Drill.rate ~default:150.0
+      $ Drill.horizon ~default:0.5 $ snapshot_every $ crash_after $ dir
+      $ Drill.format ~doc:"Report format: text, json."
+      $ Drill.out ~doc:"Write the JSON report to FILE."
+      $ dump_baseline $ dump_resumed $ demo)
 
 (* ---- hls ------------------------------------------------------------------- *)
 
@@ -868,10 +727,7 @@ let telemetry_cmd =
     in
     (match metrics_out with
     | None -> print_string dump
-    | Some f ->
-        let oc = open_out f in
-        output_string oc dump;
-        close_out oc);
+    | Some f -> Drill.write_file f dump);
     (* 6. stats vs. telemetry agreement *)
     let counter name =
       match
@@ -975,9 +831,6 @@ let example_graphs () =
 let chaos_cmd =
   let module Res = Everest_resilience in
   let module Wf = Sdk.Workflow in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Fault-plan seed.")
-  in
   let fault_rate =
     Arg.(
       value & opt float 0.2
@@ -1014,33 +867,13 @@ let chaos_cmd =
       value & opt int 8
       & info [ "retries" ] ~docv:"N" ~doc:"Per-task retry budget.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the report to FILE.")
-  in
   let run seed fault_rate mean_downtime transient fpga_transient sched retries
       format out =
     let exec_policy = { Res.Policy.chaos with Res.Policy.max_retries = retries } in
-    let nodes =
-      List.map
-        (fun (n : Sdk.Platform.Node.t) -> n.Sdk.Platform.Node.name)
-        (Sdk.Platform.Cluster.everest_demonstrator ()).Sdk.Platform.Cluster.nodes
-    in
     let drill (name, dag) =
-      let _, clean = Wf.Executor.run_on_demonstrator ~policy:sched dag in
-      let clean_makespan = clean.Wf.Executor.makespan in
-      let faults =
-        Res.Faults.random_plan ~seed ~fault_rate
-          ~mean_downtime:(mean_downtime *. clean_makespan)
-          ~transient_prob:transient ~fpga_transient_prob:fpga_transient
-          ~nodes ~horizon:clean_makespan ()
+      let clean_makespan, faults =
+        Drill.scaled_faults ~seed ~policy:sched ~fault_rate ~mean_downtime
+          ~transient ~fpga_transient dag
       in
       let once () =
         match
@@ -1051,20 +884,11 @@ let chaos_cmd =
         | exception Wf.Executor.Execution_failed { reason; partial } ->
             Error (reason, partial)
       in
-      let completed (s : Wf.Executor.stats) =
-        Array.fold_left
-          (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-          0 s.Wf.Executor.task_finish
-      in
-      let summary = function
-        | Ok (s : Wf.Executor.stats) ->
-            ( s.Wf.Executor.makespan, completed s, s.Wf.Executor.retries,
-              s.Wf.Executor.timeouts, s.Wf.Executor.speculative,
-              s.Wf.Executor.recomputed )
-        | Error (_, (p : Wf.Executor.stats)) ->
-            ( p.Wf.Executor.makespan, completed p, p.Wf.Executor.retries,
-              p.Wf.Executor.timeouts, p.Wf.Executor.speculative,
-              p.Wf.Executor.recomputed )
+      let summary r =
+        let s = match r with Ok s | Error (_, s) -> s in
+        ( s.Wf.Executor.makespan, Drill.completed_tasks s,
+          s.Wf.Executor.retries, s.Wf.Executor.timeouts,
+          s.Wf.Executor.speculative, s.Wf.Executor.recomputed )
       in
       let a = once () in
       let b = once () in
@@ -1083,32 +907,7 @@ let chaos_cmd =
     let reports = List.map drill dags in
     (* breaker demo: the hw variant fails for a while, the breaker opens,
        requests degrade to sw, a half-open probe brings hw back *)
-    let cluster = Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ] in
-    let orch = Sdk.Runtime.Orchestrator.create cluster ~host_name:"p9" in
-    let estimate =
-      { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
-        cycles = 100_000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 8.0 }
-    in
-    let dk =
-      Sdk.Runtime.Orchestrator.deploy orch
-        ~breaker:
-          { Res.Breaker.failure_threshold = 2; cooldown_s = 0.01;
-            half_open_probes = 1 }
-        ~kname:"k"
-        ~impls:
-          [ ("sw", Sdk.Runtime.Orchestrator.Sw { flops = 5e8; bytes = 1e5; threads = 2 });
-            ("hw",
-             Sdk.Runtime.Orchestrator.Hw
-               { bitstream = "k"; estimate; in_bytes = 4096; out_bytes = 4096 }) ]
-        ~knowledge:
-          (Everest_autotune.Knowledge.create "k"
-             [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
-                 metrics = [ ("time_s", 0.01) ] };
-               { Everest_autotune.Knowledge.variant = "hw"; features = [];
-                 metrics = [ ("time_s", 0.001) ] } ])
-        ~goal:
-          (Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
-    in
+    let orch, dk = Drill.breaker_kernel () in
     let hw_outage = 6 in
     let log =
       Sdk.Runtime.Orchestrator.serve orch ~kernel:"k" ~n:30
@@ -1164,11 +963,7 @@ let chaos_cmd =
                 Buffer.add_string buf
                   (Printf.sprintf
                      "  %-10s FAILED: %s (%d tasks done, retries=%d)\n" name
-                     reason
-                     (Array.fold_left
-                        (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-                        0 p.Wf.Executor.task_finish)
-                     p.Wf.Executor.retries))
+                     reason (Drill.completed_tasks p) p.Wf.Executor.retries))
           reports;
         Buffer.add_string buf
           (Printf.sprintf
@@ -1196,11 +991,8 @@ let chaos_cmd =
               Printf.sprintf
                 "{\"graph\": \"%s\", \"tasks\": %d, \"completed\": %d, \
                  \"error\": \"%s\", \"retries\": %d, \"reproducible\": %b}"
-                name size
-                (Array.fold_left
-                   (fun acc f -> if f >= 0.0 then acc + 1 else acc)
-                   0 p.Wf.Executor.task_finish)
-                (String.escaped reason) p.Wf.Executor.retries reproducible
+                name size (Drill.completed_tasks p) (String.escaped reason)
+                p.Wf.Executor.retries reproducible
         in
         Buffer.add_string buf
           (Printf.sprintf
@@ -1216,18 +1008,17 @@ let chaos_cmd =
              breaker_recovered all_ok));
     (match out with
     | None -> print_string (Buffer.contents buf)
-    | Some f ->
-        let oc = open_out f in
-        Buffer.output_buffer oc buf;
-        close_out oc);
+    | Some f -> Drill.write_file f (Buffer.contents buf));
     if not all_ok then exit 1
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Deterministic fault-injection drill over the example workflows.")
     Term.(
-      const run $ seed $ fault_rate $ mean_downtime $ transient
-      $ fpga_transient $ sched $ retries $ format $ out)
+      const run $ Drill.seed ~default:7 ~doc:"Fault-plan seed." $ fault_rate
+      $ mean_downtime $ transient $ fpga_transient $ sched $ retries
+      $ Drill.format ~doc:"Report format: text, json."
+      $ Drill.out ~doc:"Write the report to FILE.")
 
 (* ---- lint ------------------------------------------------------------------ *)
 
@@ -1301,23 +1092,11 @@ let lint_cmd =
       value & pos_all file []
       & info [] ~docv:"FILE" ~doc:"Textual IR module to lint.")
   in
-  let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:"Lint a module seeded with one defect per rule family.")
-  in
   let examples =
     Arg.(
       value & flag
       & info [ "examples" ]
           ~doc:"Lint the lowered example workflow modules (must be clean).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Output format: text, json.")
   in
   let strict =
     Arg.(
@@ -1327,18 +1106,14 @@ let lint_cmd =
   in
   let run files demo examples format strict =
     EIr.Registry.register_all ();
-    let read_file f =
-      let ic = open_in_bin f in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
     let mods =
       List.map
         (fun f ->
           let ctx = EIr.Ir.ctx () in
-          (f, EIr.Parser.parse_module ctx (read_file f)))
+          match EIr.Parser.parse_module ctx (Drill.read_file f) with
+          | m -> (f, m)
+          | exception EIr.Parser.Parse_error msg ->
+              Drill.input_error ~cmd:"lint" f msg)
         files
       @ (if demo then [ ("seeded", seeded_module ()) ] else [])
       @
@@ -1381,7 +1156,12 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Run the static-analysis rules (EV0xx) over IR modules.")
-    Term.(const run $ files $ demo $ examples $ format $ strict)
+    Term.(
+      const run $ files
+      $ Drill.demo ~doc:"Lint a module seeded with one defect per rule family."
+      $ examples
+      $ Drill.format ~doc:"Output format: text, json."
+      $ strict)
 
 (* ---- estee ----------------------------------------------------------------- *)
 
@@ -1410,9 +1190,6 @@ let estee_cmd =
           ~doc:
             "Scheduling policy (heft, heft-locality, min-load, round-robin, \
              heft-reference).")
-  in
-  let seed =
-    Arg.(value & opt int 17 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
   in
   let budget =
     Arg.(
@@ -1463,7 +1240,10 @@ let estee_cmd =
   Cmd.v
     (Cmd.info "estee"
        ~doc:"Scheduler scale smoke: plan a DAG family against a wall budget.")
-    Term.(const run $ tasks $ family $ policy $ seed $ budget $ execute)
+    Term.(
+      const run $ tasks $ family $ policy
+      $ Drill.seed ~default:17 ~doc:"Generator seed."
+      $ budget $ execute)
 
 (* ---- plan-lint ------------------------------------------------------------- *)
 
@@ -1487,15 +1267,6 @@ let plan_lint_cmd =
             "Lint the compiled example workflows under every shipped \
              scheduling policy (must be clean).")
   in
-  let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Lint plans seeded with one defect per class (precedence break, \
-             off-pin, capability mismatch, slot oversubscription, \
-             infeasible SLO); exits 1.")
-  in
   let family =
     Arg.(
       value
@@ -1516,9 +1287,6 @@ let plan_lint_cmd =
           ~doc:"Scheduling policy for --family (heft, heft-locality, \
                 min-load, round-robin).")
   in
-  let seed =
-    Arg.(value & opt int 17 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
-  in
   let budget =
     Arg.(
       value & opt float 0.0
@@ -1532,12 +1300,6 @@ let plan_lint_cmd =
       value & flag
       & info [ "strict" ]
           ~doc:"Promote warnings to errors (exit 1 on any warning).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Output format: text, json.")
   in
   let deadline =
     Arg.(
@@ -1760,8 +1522,17 @@ let plan_lint_cmd =
          "Statically sanitize execution plans (EV1xx): structure, \
           happens-before, placement capability, SLO feasibility.")
     Term.(
-      const run $ examples $ demo $ family $ tasks $ policy $ seed $ budget
-      $ strict $ format $ deadline)
+      const run $ examples
+      $ Drill.demo
+          ~doc:
+            "Lint plans seeded with one defect per class (precedence break, \
+             off-pin, capability mismatch, slot oversubscription, \
+             infeasible SLO); exits 1."
+      $ family $ tasks $ policy
+      $ Drill.seed ~default:17 ~doc:"Generator seed."
+      $ budget $ strict
+      $ Drill.format ~doc:"Output format: text, json."
+      $ deadline)
 
 (* ---- observe --------------------------------------------------------------- *)
 
@@ -1776,32 +1547,10 @@ let observe_cmd =
   let module Res = Everest_resilience in
   let module Wf = Sdk.Workflow in
   let module Obs = Everest_observe in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Fault-plan seed.")
-  in
   let sched =
     Arg.(
       value & opt string "heft-locality"
       & info [ "policy" ] ~doc:"Scheduling policy for the stress workflow.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Report format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to FILE.")
-  in
-  let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Deliberately violate the availability SLO so the burn-rate \
-             alert fires (exits 1).")
   in
   let diff =
     Arg.(
@@ -1818,7 +1567,12 @@ let observe_cmd =
   let run seed sched format out demo diff tolerance =
     match diff with
     | [ a; b ] ->
-        let before = Obs.Json.parse_file a and after = Obs.Json.parse_file b in
+        let parse f =
+          try Obs.Json.parse_file f
+          with Obs.Json.Parse_error msg -> Drill.input_error ~cmd:"observe" f msg
+        in
+        let before = parse a in
+        let after = parse b in
         let changes = Obs.Regress.diff ~tolerance ~before ~after () in
         print_string (Obs.Regress.render_text changes);
         if Obs.Regress.regressions changes <> [] then exit 1
@@ -1831,18 +1585,9 @@ let observe_cmd =
         let dag =
           Wf.Dag.layered ~seed ~layers:5 ~width:4 ~flops:2e9 ~bytes:1e6 ()
         in
-        let nodes =
-          List.map
-            (fun (n : Sdk.Platform.Node.t) -> n.Sdk.Platform.Node.name)
-            (Sdk.Platform.Cluster.everest_demonstrator ())
-              .Sdk.Platform.Cluster.nodes
-        in
-        let _, clean = Wf.Executor.run_on_demonstrator ~policy:sched dag in
-        let faults =
-          Res.Faults.random_plan ~seed ~fault_rate:0.2
-            ~mean_downtime:(0.25 *. clean.Wf.Executor.makespan)
-            ~transient_prob:0.05 ~fpga_transient_prob:0.02 ~nodes
-            ~horizon:clean.Wf.Executor.makespan ()
+        let _, faults =
+          Drill.scaled_faults ~seed ~policy:sched ~fault_rate:0.2
+            ~mean_downtime:0.25 ~transient:0.05 ~fpga_transient:0.02 dag
         in
         let registry = Tel.Metrics.create_registry () in
         let _, stats =
@@ -1867,40 +1612,7 @@ let observe_cmd =
         in
         (* serving phase: hw outage early in the run; monitors watch
            availability and tail latency over simulated time *)
-        let cluster =
-          Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ]
-        in
-        let orch =
-          Sdk.Runtime.Orchestrator.create ~registry cluster ~host_name:"p9"
-        in
-        let estimate =
-          { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
-            cycles = 100_000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 8.0 }
-        in
-        let _ =
-          Sdk.Runtime.Orchestrator.deploy orch
-            ~breaker:
-              { Res.Breaker.failure_threshold = 2; cooldown_s = 0.01;
-                half_open_probes = 1 }
-            ~kname:"k"
-            ~impls:
-              [ ("sw",
-                 Sdk.Runtime.Orchestrator.Sw
-                   { flops = 5e8; bytes = 1e5; threads = 2 });
-                ("hw",
-                 Sdk.Runtime.Orchestrator.Hw
-                   { bitstream = "k"; estimate; in_bytes = 4096;
-                     out_bytes = 4096 }) ]
-            ~knowledge:
-              (Everest_autotune.Knowledge.create "k"
-                 [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
-                     metrics = [ ("time_s", 0.01) ] };
-                   { Everest_autotune.Knowledge.variant = "hw"; features = [];
-                     metrics = [ ("time_s", 0.001) ] } ])
-            ~goal:
-              (Everest_autotune.Goal.make
-                 (Everest_autotune.Goal.Minimize "time_s"))
-        in
+        let orch, _ = Drill.breaker_kernel ~registry () in
         let n_req = 30 in
         let specs =
           [ Obs.Slo.availability "requests-available" 0.9;
@@ -1936,38 +1648,8 @@ let observe_cmd =
           List.for_all (fun (r : Obs.Slo.result) -> r.Obs.Slo.met)
             (report.Obs.Report.r_slos @ serve_results)
         in
-        let all_ok = cp_ok && cp_matches && util_ok && slos_met && alerts = 0 in
-        let json =
-          Obs.Json.Obj
-            [ ("workflow", Obs.Report.to_json report);
-              ("serving",
-               Obs.Json.Obj
-                 [ ("requests", Obs.Json.Num (float_of_int (List.length log)));
-                   ("availability",
-                    Obs.Json.Num (Sdk.Runtime.Orchestrator.availability log));
-                   ("slos",
-                    Obs.Json.Arr
-                      (List.map Obs.Slo.result_to_json serve_results));
-                   ("burn_alerts", Obs.Json.Num (float_of_int alerts)) ]);
-              ("checks",
-               Obs.Json.Obj
-                 [ ("critical_path_consistent", Obs.Json.Bool cp_ok);
-                   ("critical_path_matches_makespan", Obs.Json.Bool cp_matches);
-                   ("utilization_consistent", Obs.Json.Bool util_ok);
-                   ("slos_met", Obs.Json.Bool slos_met);
-                   ("no_burn_alerts", Obs.Json.Bool (alerts = 0));
-                   ("passed", Obs.Json.Bool all_ok) ]) ]
-        in
-        (match out with
-        | None -> ()
-        | Some f ->
-            let oc = open_out f in
-            output_string oc (Obs.Json.to_string ~pretty:true json);
-            output_string oc "\n";
-            close_out oc);
-        (match format with
-        | `Json -> print_string (Obs.Json.to_string ~pretty:true json ^ "\n")
-        | `Text ->
+        Drill.report ~drill:"observe" ~format ~out ~list_checks:false
+          ~text:(fun () ->
             print_string (Obs.Report.render report);
             Printf.printf
               "serving: %d requests, availability %.0f%%, %d burn alert(s)\n"
@@ -1981,17 +1663,36 @@ let observe_cmd =
               "checks: critical-path %s (makespan match %s), utilization %s\n"
               (if cp_ok then "ok" else "FAILED")
               (if cp_matches then "ok" else "FAILED")
-              (if util_ok then "ok" else "FAILED");
-            print_string
-              (if all_ok then "observe drill passed\n"
-               else "observe drill FAILED\n"));
-        if not all_ok then exit 1
+              (if util_ok then "ok" else "FAILED"))
+          ~fields:
+            [ ("workflow", Obs.Report.to_json report);
+              ("serving",
+               Obs.Json.Obj
+                 [ ("requests", Obs.Json.Num (float_of_int (List.length log)));
+                   ("availability",
+                    Obs.Json.Num (Sdk.Runtime.Orchestrator.availability log));
+                   ("slos",
+                    Obs.Json.Arr
+                      (List.map Obs.Slo.result_to_json serve_results));
+                   ("burn_alerts", Obs.Json.Num (float_of_int alerts)) ]) ]
+          [ ("critical_path_consistent", cp_ok);
+            ("critical_path_matches_makespan", cp_matches);
+            ("utilization_consistent", util_ok);
+            ("slos_met", slos_met);
+            ("no_burn_alerts", alerts = 0) ]
   in
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Trace analytics: critical path, utilization and SLO verdicts.")
     Term.(
-      const run $ seed $ sched $ format $ out $ demo $ diff $ tolerance)
+      const run $ Drill.seed ~default:7 ~doc:"Fault-plan seed." $ sched
+      $ Drill.format ~doc:"Report format: text, json."
+      $ Drill.out ~doc:"Write the JSON report to FILE."
+      $ Drill.demo
+          ~doc:
+            "Deliberately violate the availability SLO so the burn-rate \
+             alert fires (exits 1)."
+      $ diff $ tolerance)
 
 (* ---- top -------------------------------------------------------------------- *)
 
@@ -2004,24 +1705,7 @@ let observe_cmd =
 let top_cmd =
   let module Srv = Everest_serving in
   let module Res = Everest_resilience in
-  let module Obs = Everest_observe in
   let module W = Everest_watch in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Workload seed.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 400.0
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
-  in
-  let horizon =
-    Arg.(
-      value & opt float 0.4
-      & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
-  in
   let interval =
     Arg.(
       value & opt float 0.02
@@ -2032,37 +1716,8 @@ let top_cmd =
       value & flag
       & info [ "follow" ] ~doc:"Render the dashboard on every scrape tick.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc:"Dashboard format: text, json.")
-  in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the final dashboard (in the chosen format) to FILE.")
-  in
-  let demo =
-    Arg.(
-      value & flag
-      & info [ "demo" ]
-          ~doc:
-            "Kill all but one shard mid-run: the latency step must trip \
-             the CUSUM alert (exits 1).")
-  in
   let run shards seed rate horizon interval follow format out demo =
-    if shards < 1 then begin
-      Format.eprintf "error: need at least one shard@.";
-      exit 2
-    end;
-    let tenants =
-      [ Srv.Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:rate
-          ~features:(fun seq ->
-            [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
-          () ]
-    in
+    let tenants = [ Drill.acme ~rate_rps:rate () ] in
     let faults =
       if demo then
         (* capacity cliff at mid-horizon: survivors absorb the load and
@@ -2098,22 +1753,14 @@ let top_cmd =
       W.Watch.on_tick watch (fun w ~now ->
           print_string (W.Live.render w ~now);
           print_string "\n");
-    let r =
-      Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ~watch config
-        ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
-    in
+    let r = Drill.fabric_run ~watch config ~tenants ~horizon in
     let now = horizon in
     let dashboard =
       match format with
       | `Text -> W.Live.render watch ~now
       | `Json -> W.Live.render_json watch ~now ^ "\n"
     in
-    (match out with
-    | None -> ()
-    | Some f ->
-        let oc = open_out f in
-        output_string oc dashboard;
-        close_out oc);
+    Option.iter (fun f -> Drill.write_file f dashboard) out;
     if not follow then print_string dashboard;
     let cusum_fired =
       List.exists
@@ -2130,21 +1777,12 @@ let top_cmd =
       (* like the other --demo drills: exit 1 iff the failure path ran *)
       if cusum_fired then exit 1
     end
-    else begin
-      let checks =
+    else
+      Drill.conclude ~drill:"top"
         [ ("served", served > 0);
           ("scraped", W.Watch.ticks watch > 0);
           ("sketch_fed", W.Watch.samples watch > 0);
           ("no_false_alarms", W.Watch.alerts_total watch = 0) ]
-      in
-      let all_ok = List.for_all snd checks in
-      List.iter
-        (fun (n, ok) ->
-          Printf.printf "check %-16s %s\n" n (if ok then "ok" else "FAILED"))
-        checks;
-      print_string (if all_ok then "top drill passed\n" else "top drill FAILED\n");
-      if not all_ok then exit 1
-    end
   in
   Cmd.v
     (Cmd.info "top"
@@ -2152,8 +1790,17 @@ let top_cmd =
          "Live observability drill: watch a seeded serving run and render \
           the dashboard.")
     Term.(
-      const run $ shards $ seed $ rate $ horizon $ interval $ follow $ format
-      $ out $ demo)
+      const run $ Drill.shards ~default:4
+      $ Drill.seed ~default:7 ~doc:"Workload seed."
+      $ Drill.rate ~default:400.0 $ Drill.horizon ~default:0.4 $ interval
+      $ follow
+      $ Drill.format ~doc:"Dashboard format: text, json."
+      $ Drill.out
+          ~doc:"Write the final dashboard (in the chosen format) to FILE."
+      $ Drill.demo
+          ~doc:
+            "Kill all but one shard mid-run: the latency step must trip the \
+             CUSUM alert (exits 1).")
 
 let () =
   let doc = "EVEREST SDK: compile, run and adapt HPDA applications." in
