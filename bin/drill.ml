@@ -39,7 +39,8 @@ let shard_count =
   let parse s =
     match Arg.conv_parser Arg.int s with
     | Ok n when n < 1 ->
-        Error (`Msg (Printf.sprintf "%d is not a shard count (need at least 1)" n))
+        Error
+          (`Msg (Printf.sprintf "%d is not a shard count (need at least 1)" n))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
@@ -81,7 +82,8 @@ let acme =
       [ ("size", float_of_int (1024 + (64 * (seq mod 4)))) ])
 
 let globex =
-  Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4 ~think_s:0.05 ()
+  Srv.Workload.closed_tenant ~name:"globex" ~kernel:"mm" ~users:4
+    ~think_s:0.05 ()
 
 let fabric_run ?recovery ?watch config ~tenants ~horizon =
   Srv.Fabric.run ~registry:(Everest_telemetry.Metrics.create_registry ())
@@ -91,7 +93,9 @@ let fabric_run ?recovery ?watch config ~tenants ~horizon =
 (* Kernel "k" on one POWER9 host: a sw variant, and an hw variant behind a
    breaker that opens after two failures and probes again after 10 ms. *)
 let breaker_kernel ?registry () =
-  let cluster = Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ] in
+  let cluster =
+    Sdk.Platform.Cluster.create [ Sdk.Platform.Cluster.power9_node "p9" ]
+  in
   let orch = Orch.create ?registry cluster ~host_name:"p9" in
   let estimate =
     { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
@@ -106,7 +110,8 @@ let breaker_kernel ?registry () =
       ~impls:
         [ ("sw", Orch.Sw { flops = 5e8; bytes = 1e5; threads = 2 });
           ("hw",
-           Orch.Hw { bitstream = "k"; estimate; in_bytes = 4096; out_bytes = 4096 })
+           Orch.Hw
+             { bitstream = "k"; estimate; in_bytes = 4096; out_bytes = 4096 })
         ]
       ~knowledge:
         (Everest_autotune.Knowledge.create "k"
@@ -114,7 +119,8 @@ let breaker_kernel ?registry () =
                metrics = [ ("time_s", 0.01) ] };
              { Everest_autotune.Knowledge.variant = "hw"; features = [];
                metrics = [ ("time_s", 0.001) ] } ])
-      ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
+      ~goal:
+        (Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
   in
   (orch, dk)
 

@@ -71,9 +71,11 @@ type result = {
   bad : int;
 }
 
-let evaluate spec (outcomes : outcome list) : result =
-  let total = List.length outcomes in
-  let bad = List.length (List.filter (is_bad spec) outcomes) in
+(* The result for [total] outcomes of which [bad] were bad.  Counting
+   objectives are decided from the tallies alone; [latency ~q ~limit_s
+   ~bad_frac ~budget] gives a latency objective's attained value, target
+   and verdict, which each caller measures its own way. *)
+let result_of spec ~total ~bad ~latency =
   let bad_frac =
     if total = 0 then 0.0 else float_of_int bad /. float_of_int total
   in
@@ -85,17 +87,25 @@ let evaluate spec (outcomes : outcome list) : result =
     | Completion_ratio { target } ->
         ("completion", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
     | Latency_quantile { q; limit_s } ->
-        let lat =
-          exact_quantile
-            (List.filter_map
-               (fun o -> if o.o_ok then Some o.o_latency_s else None)
-               outcomes)
-            q
-        in
-        ("latency", lat, limit_s, lat <= limit_s && bad_frac <= budget)
+        let attained, target, met = latency ~q ~limit_s ~bad_frac ~budget in
+        ("latency", attained, target, met)
   in
   { res_name = spec.slo_name; res_kind = kind; attained; target; met;
     budget; budget_used = bad_frac /. budget; total; bad }
+
+let evaluate spec (outcomes : outcome list) : result =
+  let total = List.length outcomes in
+  let bad = List.length (List.filter (is_bad spec) outcomes) in
+  result_of spec ~total ~bad
+    ~latency:(fun ~q ~limit_s ~bad_frac ~budget ->
+      let lat =
+        exact_quantile
+          (List.filter_map
+             (fun o -> if o.o_ok then Some o.o_latency_s else None)
+             outcomes)
+          q
+      in
+      (lat, limit_s, lat <= limit_s && bad_frac <= budget))
 
 let evaluate_all specs outcomes = List.map (fun s -> evaluate s outcomes) specs
 
@@ -104,21 +114,9 @@ let evaluate_all specs outcomes = List.map (fun s -> evaluate s outcomes) specs
    without materializing a 10⁶-element list.  Latency objectives need the
    individual samples; feed those through [evaluate]. *)
 let evaluate_counts spec ~total ~bad : result =
-  let bad_frac =
-    if total = 0 then 0.0 else float_of_int bad /. float_of_int total
-  in
-  let budget = error_budget spec.objective in
-  let kind, attained, target, met =
-    match spec.objective with
-    | Availability { target } ->
-        ("availability", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
-    | Completion_ratio { target } ->
-        ("completion", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
-    | Latency_quantile _ ->
-        invalid_arg "Slo.evaluate_counts: latency objectives need samples"
-  in
-  { res_name = spec.slo_name; res_kind = kind; attained; target; met;
-    budget; budget_used = bad_frac /. budget; total; bad }
+  result_of spec ~total ~bad
+    ~latency:(fun ~q:_ ~limit_s:_ ~bad_frac:_ ~budget:_ ->
+      invalid_arg "Slo.evaluate_counts: latency objectives need samples")
 
 (* ---- online burn-rate monitor --------------------------------------------------- *)
 
@@ -279,24 +277,11 @@ let observe m ~now ?(latency_s = 0.0) ~ok () =
 (* Batch result over everything the monitor has seen (all-time, not
    windowed) — the end-of-run SLO verdict. *)
 let snapshot m : result =
-  let total = m.m_total and bad = m.m_bad in
-  let bad_frac =
-    if total = 0 then 0.0 else float_of_int bad /. float_of_int total
-  in
-  let budget = error_budget m.m_spec.objective in
-  let kind, attained, target, met =
-    match m.m_spec.objective with
-    | Availability { target } ->
-        ("availability", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
-    | Completion_ratio { target } ->
-        ("completion", 1.0 -. bad_frac, target, 1.0 -. bad_frac >= target)
-    | Latency_quantile { q; limit_s } ->
-        (* windowed monitors do not keep every latency; report the bad
-           fraction against the budget instead of the exact quantile *)
-        ("latency", 1.0 -. bad_frac, q, bad_frac <= budget && limit_s >= 0.0)
-  in
-  { res_name = m.m_spec.slo_name; res_kind = kind; attained; target; met;
-    budget; budget_used = bad_frac /. budget; total; bad }
+  result_of m.m_spec ~total:m.m_total ~bad:m.m_bad
+    ~latency:(fun ~q ~limit_s ~bad_frac ~budget ->
+      (* windowed monitors do not keep every latency; report the bad
+         fraction against the budget instead of the exact quantile *)
+      (1.0 -. bad_frac, q, bad_frac <= budget && limit_s >= 0.0))
 
 (* Checkpoint/restore: the monitor's full mutable core.  The kept events
    travel as a newest-first list, the order snapshots have always stored,
