@@ -150,11 +150,6 @@ let completed_tasks (s : Wf.Executor.stats) =
 
 let passed checks = List.for_all snd checks
 
-let checks_json checks =
-  Obs.Json.Obj
-    (List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
-    @ [ ("passed", Obs.Json.Bool (passed checks)) ])
-
 (* The check lines (unless [list_checks] is false: the drill's text body
    already reports them), the drill line, and exit 1 on failure. *)
 let conclude ?(list_checks = true) ~drill checks =
@@ -175,9 +170,13 @@ let conclude ?(list_checks = true) ~drill checks =
    object.  --out always gets the JSON; stdout gets it too, or [text]
    followed by [conclude]. *)
 let report ?list_checks ~drill ~format ~out ~fields ~text checks =
+  let checks_json =
+    List.map (fun (n, ok) -> (n, Obs.Json.Bool ok)) checks
+    @ [ ("passed", Obs.Json.Bool (passed checks)) ]
+  in
   let json =
     Obs.Json.to_string ~pretty:true
-      (Obs.Json.Obj (fields @ [ ("checks", checks_json checks) ]))
+      (Obs.Json.Obj (fields @ [ ("checks", Obs.Json.Obj checks_json) ]))
     ^ "\n"
   in
   Option.iter (fun f -> write_file f json) out;
