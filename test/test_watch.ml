@@ -421,6 +421,312 @@ let test_dashboard_deterministic () =
   checkb "json roundtrips" true
     (Everest_observe.Json.member "series" parsed <> None)
 
+(* ---- equivalence with the reference watch ---------------------------------------- *)
+
+(* Random scripts of scrapes, sketch feeds and rule ticks at non-decreasing
+   dyadic times (so window edges and hold-downs land exactly), run through
+   the watch and through [Watch_reference]; after every tick the fired
+   list, every alert's state, every series' samples and every sketch's
+   windowed count and quantiles must agree bit for bit. *)
+
+module Ref = Watch_reference
+
+type g_expr =
+  | G_const of float
+  | G_last of string * Rules.labels
+  | G_win of [ `Mean | `Max | `Min | `Rate ] * string * Rules.labels * float
+  | G_quant of string * Rules.labels * float * float
+  | G_bin of [ `Add | `Sub | `Mul | `Div ] * g_expr * g_expr
+
+type g_cond =
+  | G_above of float
+  | G_below of float
+  | G_outside of float * float
+  | G_det of [ `Ewma | `Cusum | `Ph ] * float * int  (* sensitivity, warmup *)
+
+type g_rule =
+  | G_record of string * g_expr
+  | G_alert of string * float * g_expr * g_cond
+
+type g_event = Scrape of string * Rules.labels * float | Feed of string * Rules.labels * float | Tick
+
+type script = {
+  sc_capacity : int;
+  sc_bucket_s : float;
+  sc_slots : int;
+  sc_rules : g_rule list;
+  sc_start : float list;  (* one sample per scraped series at t = 0 *)
+  sc_events : (float * g_event) list;  (* (dt, event), from t = 0.5 *)
+}
+
+let scraped = [ ("a", []); ("b", [ ("zone", "x") ]) ]
+let derived = List.init 4 (fun i -> (Printf.sprintf "r%d" i, []))
+let sketched = [ ("lat", [ ("tenant", "acme") ]); ("q", []) ]
+let windows = [ 1.0 /. 16.0; 0.125; 0.25; 0.5 ]
+
+let rec lib_expr = function
+  | G_const v -> Rules.Const v
+  | G_last (n, l) -> Rules.Last (n, l)
+  | G_win (`Mean, n, l, w) -> Rules.Mean_over (n, l, w)
+  | G_win (`Max, n, l, w) -> Rules.Max_over (n, l, w)
+  | G_win (`Min, n, l, w) -> Rules.Min_over (n, l, w)
+  | G_win (`Rate, n, l, w) -> Rules.Rate_over (n, l, w)
+  | G_quant (n, l, q, w) -> Rules.Quantile_over (n, l, q, w)
+  | G_bin (`Add, a, b) -> Rules.Add (lib_expr a, lib_expr b)
+  | G_bin (`Sub, a, b) -> Rules.Sub (lib_expr a, lib_expr b)
+  | G_bin (`Mul, a, b) -> Rules.Mul (lib_expr a, lib_expr b)
+  | G_bin (`Div, a, b) -> Rules.Div (lib_expr a, lib_expr b)
+
+let rec ref_expr = function
+  | G_const v -> Ref.Rules.Const v
+  | G_last (n, l) -> Ref.Rules.Last (n, l)
+  | G_win (`Mean, n, l, w) -> Ref.Rules.Mean_over (n, l, w)
+  | G_win (`Max, n, l, w) -> Ref.Rules.Max_over (n, l, w)
+  | G_win (`Min, n, l, w) -> Ref.Rules.Min_over (n, l, w)
+  | G_win (`Rate, n, l, w) -> Ref.Rules.Rate_over (n, l, w)
+  | G_quant (n, l, q, w) -> Ref.Rules.Quantile_over (n, l, q, w)
+  | G_bin (`Add, a, b) -> Ref.Rules.Add (ref_expr a, ref_expr b)
+  | G_bin (`Sub, a, b) -> Ref.Rules.Sub (ref_expr a, ref_expr b)
+  | G_bin (`Mul, a, b) -> Ref.Rules.Mul (ref_expr a, ref_expr b)
+  | G_bin (`Div, a, b) -> Ref.Rules.Div (ref_expr a, ref_expr b)
+
+(* (warmup, sensitivity) -> the same detector on both sides *)
+let lib_det kind s warmup =
+  match kind with
+  | `Ewma -> Detect.ewma ~alpha:0.3 ~k:s ~warmup ()
+  | `Cusum -> Detect.cusum ~drift:0.5 ~threshold:s ~warmup ()
+  | `Ph -> Detect.page_hinkley ~delta:0.25 ~lambda:s ~warmup ()
+
+let ref_det kind s warmup =
+  match kind with
+  | `Ewma -> Ref.Detect.ewma ~alpha:0.3 ~k:s ~warmup
+  | `Cusum -> Ref.Detect.cusum ~drift:0.5 ~threshold:s ~warmup
+  | `Ph -> Ref.Detect.page_hinkley ~delta:0.25 ~lambda:s ~warmup
+
+let lib_rule = function
+  | G_record (n, e) -> Rules.record n (lib_expr e)
+  | G_alert (n, for_s, e, c) ->
+      Rules.alert ~for_s n (lib_expr e)
+        (match c with
+        | G_above x -> Rules.Above x
+        | G_below x -> Rules.Below x
+        | G_outside (lo, hi) -> Rules.Outside (lo, hi)
+        | G_det (k, s, w) -> Rules.Detector (lib_det k s w))
+
+let ref_rule = function
+  | G_record (n, e) ->
+      Ref.Rules.Record { rc_name = n; rc_labels = []; rc_expr = ref_expr e }
+  | G_alert (n, for_s, e, c) ->
+      Ref.Rules.Alert
+        { al_name = n; al_for_s = for_s; al_expr = ref_expr e;
+          al_cond =
+            (match c with
+            | G_above x -> Ref.Rules.Above x
+            | G_below x -> Ref.Rules.Below x
+            | G_outside (lo, hi) -> Ref.Rules.Outside (lo, hi)
+            | G_det (k, s, w) -> Ref.Rules.Detector (ref_det k s w)) }
+
+let gen_script =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ oneofl [ -3.0; -1.0; 0.0; 1.0; 2.0; 5.0; 10.0; 40.0 ];
+        float_range (-50.0) 50.0 ]
+  in
+  let latency =
+    oneof [ oneofl [ -1.0; 0.0; 0.001; 0.004; 0.02; 0.3 ]; float_range 0.0 1.0 ]
+  in
+  let window = oneofl windows in
+  let expr =
+    fix (fun self depth ->
+        let leaf =
+          frequency
+            [ (1, map (fun v -> G_const v) value);
+              (3, map (fun (n, l) -> G_last (n, l)) (oneofl (scraped @ derived)));
+              ( 4,
+                map3
+                  (fun k (n, l) w -> G_win (k, n, l, w))
+                  (oneofl [ `Mean; `Max; `Min; `Rate ])
+                  (oneofl scraped) window );
+              ( 3,
+                map3
+                  (fun (n, l) q w -> G_quant (n, l, q, w))
+                  (oneofl sketched)
+                  (oneofl [ 0.5; 0.9; 0.99 ])
+                  (oneofl (0.05 :: windows)) ) ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              ( 1,
+                map3
+                  (fun op a b -> G_bin (op, a, b))
+                  (oneofl [ `Add; `Sub; `Mul; `Div ])
+                  (self (depth - 1)) (self (depth - 1)) ) ])
+  in
+  let cond =
+    frequency
+      [ (2, map (fun x -> G_above x) value);
+        (2, map (fun x -> G_below x) value);
+        (1, map2 (fun a b -> G_outside (Float.min a b, Float.max a b)) value value);
+        ( 3,
+          map3
+            (fun k s w -> G_det (k, s, w))
+            (oneofl [ `Ewma; `Cusum; `Ph ])
+            (oneofl [ 1.0; 4.0 ]) (int_range 2 4) ) ]
+  in
+  let rule i =
+    frequency
+      [ (2, map (fun e -> G_record (Printf.sprintf "r%d" (i mod 4), e)) (expr 2));
+        ( 3,
+          map3
+            (fun for_s e c -> G_alert (Printf.sprintf "alert%d" i, for_s, e, c))
+            (oneofl [ 0.0; 0.0; 1.0 /. 64.0; 1.0 /. 16.0; 0.125 ])
+            (expr 2) cond ) ]
+  in
+  let event =
+    frequency
+      [ (4, map2 (fun (n, l) v -> Scrape (n, l, v)) (oneofl scraped) value);
+        (3, map2 (fun (n, l) v -> Feed (n, l, v)) (oneofl sketched) latency);
+        (3, return Tick) ]
+  in
+  let dt = oneofl [ 0.0; 0.0; 1.0 /. 64.0; 1.0 /. 32.0; 3.0 /. 64.0; 0.125 ] in
+  let* sc_capacity = oneofl [ 3; 8; 256 ] in
+  let* sc_bucket_s = oneofl [ 1.0 /. 32.0; 0.05 ] in
+  let* sc_slots = oneofl [ 4; 20 ] in
+  let* n_rules = int_range 1 6 in
+  let* sc_rules = flatten_l (List.init n_rules rule) in
+  let* sc_start = list_repeat (List.length scraped) value in
+  let* sc_events = list_size (int_range 5 60) (pair dt event) in
+  return { sc_capacity; sc_bucket_s; sc_slots; sc_rules; sc_start; sc_events }
+
+let print_script sc =
+  let ev = function
+    | Scrape (n, _, v) -> Printf.sprintf "%s=%g" n v
+    | Feed (n, _, v) -> Printf.sprintf "%s<-%g" n v
+    | Tick -> "tick"
+  in
+  Printf.sprintf "capacity=%d bucket=%g slots=%d rules=%d start=[%s] events=[%s]"
+    sc.sc_capacity sc.sc_bucket_s sc.sc_slots (List.length sc.sc_rules)
+    (String.concat ";" (List.map string_of_float sc.sc_start))
+    (String.concat ";"
+       (List.map (fun (dt, e) -> Printf.sprintf "+%g %s" dt (ev e)) sc.sc_events))
+
+let bits = Int64.bits_of_float
+
+(* Run one script through both; [Error] names the first divergence. *)
+let run_against_reference sc =
+  let store = Series.Store.create ~capacity:sc.sc_capacity () in
+  let rstore = Ref.Series.Store.create ~capacity:sc.sc_capacity in
+  let sketches =
+    List.map
+      (fun id ->
+        ( id,
+          Sketch.Windowed.create ~bucket_s:sc.sc_bucket_s ~slots:sc.sc_slots ()
+        ))
+      sketched
+  in
+  let rsketches =
+    List.map
+      (fun id ->
+        (id, Ref.Sketch.Windowed.create ~bucket_s:sc.sc_bucket_s ~slots:sc.sc_slots))
+      sketched
+  in
+  let eng = Rules.engine (List.map lib_rule sc.sc_rules) in
+  let reng = Ref.Rules.engine (List.map ref_rule sc.sc_rules) in
+  let ctx =
+    { Rules.ctx_store = store;
+      ctx_sketch = (fun n l -> List.assoc_opt (n, l) sketches) }
+  in
+  let rctx =
+    { Ref.Rules.ctx_store = rstore;
+      ctx_sketch = (fun n l -> List.assoc_opt (n, l) rsketches) }
+  in
+  let scrape ~now (name, labels) v =
+    Series.Store.observe store ~now ~name ~labels v;
+    Ref.Series.Store.observe rstore ~now ~name ~labels v
+  in
+  let check ~now fired rfired =
+    let names = List.map (fun (a : Rules.alert_state) -> a.Rules.as_name) in
+    let rnames = List.map (fun (a : Ref.Rules.alert_state) -> a.as_name) in
+    let alert (a : Rules.alert_state) (r : Ref.Rules.alert_state) =
+      String.equal a.Rules.as_name r.as_name
+      && a.Rules.as_firing = r.as_firing
+      && a.Rules.as_edges = r.as_edges
+      && bits a.Rules.as_since = bits r.as_since
+      && bits a.Rules.as_value = bits r.as_value
+    in
+    let series s (r : Ref.Series.t) =
+      String.equal (Series.name s) r.s_name
+      && Series.labels s = r.s_labels
+      && Series.samples s = r.s_samples
+      && List.map
+           (fun p -> (bits p.Series.pt_t, bits p.Series.pt_last))
+           (Series.points s ~tier:0)
+         = List.map
+             (fun p -> (bits p.Ref.Series.pt_t, bits p.Ref.Series.pt_last))
+             (Ref.Series.points r)
+    in
+    let sketch (id, wd) =
+      let rwd = List.assoc id rsketches in
+      Sketch.Windowed.samples wd = Ref.Sketch.Windowed.samples rwd
+      && List.for_all
+           (fun window_s ->
+             let sk = Sketch.Windowed.query wd ~now ~window_s in
+             let rsk = Ref.Sketch.Windowed.query rwd ~now ~window_s in
+             Sketch.count sk = Ref.Sketch.count rsk
+             && List.for_all
+                  (fun q ->
+                    bits (Sketch.quantile sk q) = bits (Ref.Sketch.quantile rsk q))
+                  [ 0.0; 0.5; 0.9; 0.99; 1.0 ])
+           [ Sketch.Windowed.span_s wd; 0.125; 1.0 /. 32.0 ]
+    in
+    if names fired <> rnames rfired then Error "fired list"
+    else if
+      not (List.for_all2 alert (Rules.alert_states eng) (Ref.Rules.alert_states reng))
+    then Error "alert state"
+    else
+      let ss = Series.Store.to_list store and rs = Ref.Series.Store.to_list rstore in
+      if List.length ss <> List.length rs || not (List.for_all2 series ss rs) then
+        Error "series samples"
+      else if not (List.for_all sketch sketches) then Error "sketch window"
+      else Ok ()
+  in
+  List.iter2 (fun id v -> scrape ~now:0.0 id v) scraped sc.sc_start;
+  let rec go now ticks = function
+    | [] -> Ok ticks
+    | (dt, ev) :: rest -> (
+        let now = now +. dt in
+        match ev with
+        | Scrape (n, l, v) ->
+            scrape ~now (n, l) v;
+            go now ticks rest
+        | Feed (n, l, v) ->
+            Sketch.Windowed.observe (List.assoc (n, l) sketches) ~now v;
+            Ref.Sketch.Windowed.observe (List.assoc (n, l) rsketches) ~now v;
+            go now ticks rest
+        | Tick -> (
+            let rfired = Ref.Rules.eval reng rctx ~now in
+            (* the old staircase served this window from a coarser tier *)
+            if reng.Ref.Rules.beyond_ring > 0 then Ok ticks
+            else
+              let fired = Rules.eval eng ctx ~now in
+              match check ~now fired rfired with
+              | Ok () -> go now (ticks + 1) rest
+              | Error what ->
+                  Error (Printf.sprintf "%s differs at tick %d (t=%g)" what ticks now)))
+  in
+  go 0.5 0 sc.sc_events
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:400 ~name:"scripts match the reference watch"
+    (QCheck.make ~print:print_script gen_script)
+    (fun sc ->
+      match run_against_reference sc with
+      | Ok _ -> true
+      | Error msg -> QCheck.Test.fail_reportf "%s" msg)
+
 let () =
   Alcotest.run "everest_watch"
     [
@@ -468,4 +774,5 @@ let () =
           Alcotest.test_case "source replace" `Quick test_watch_source_replace;
           Alcotest.test_case "dashboard deterministic" `Quick
             test_dashboard_deterministic ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
     ]
