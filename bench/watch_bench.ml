@@ -204,7 +204,8 @@ let () =
   let edges w name =
     List.fold_left
       (fun acc (a : W.Rules.alert_state) ->
-        if String.equal a.W.Rules.as_name name then acc + a.W.Rules.as_edges
+        if String.equal a.W.Rules.as_name name then
+          acc + Everest_observe.Alarm.edges a.W.Rules.as_alarm
         else acc)
       0
       (W.Watch.alert_states w)

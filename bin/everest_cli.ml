@@ -1766,7 +1766,7 @@ let top_cmd =
       List.exists
         (fun (a : W.Rules.alert_state) ->
           String.equal a.W.Rules.as_name "latency-step"
-          && a.W.Rules.as_edges > 0)
+          && Everest_observe.Alarm.edges a.W.Rules.as_alarm > 0)
         (W.Watch.alert_states watch)
     in
     let served = Srv.Fabric.served_ok r in

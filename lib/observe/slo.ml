@@ -14,9 +14,10 @@
    event window and evaluates the standard fast/slow two-window burn-rate
    rule — alert when *both* a short and a long window burn the error budget
    faster than [burn_threshold] — so a short blip does not page but a
-   sustained burn does, and recovery resets the alert quickly.  Time comes
-   from the caller ([~now]), so everything runs on the Desim simulated
-   clock and is deterministic. *)
+   sustained burn does, and recovery resets the alert quickly.  Firing and
+   rising edges are an [Alarm], the lifecycle watch rules share.  Time
+   comes from the caller ([~now]), so everything runs on the Desim
+   simulated clock and is deterministic. *)
 
 type objective =
   | Availability of { target : float }  (* fraction of requests ok *)
@@ -163,8 +164,7 @@ type monitor = {
   mutable m_total : int;
   mutable m_bad : int;
   mutable m_last_t : float;
-  mutable m_firing : bool;
-  mutable m_alerts : int;  (* rising edges *)
+  m_alarm : Alarm.t;
 }
 
 let initial_capacity = 64
@@ -175,11 +175,11 @@ let monitor ?(alert = default_alert) spec =
     m_flags = Bytes.make initial_capacity '\000'; m_lo = 0; m_hi = 0;
     m_fast = { c_at = 0; c_total = 0; c_bad = 0 };
     m_slow = { c_at = 0; c_total = 0; c_bad = 0 };
-    m_total = 0; m_bad = 0; m_last_t = 0.0; m_firing = false; m_alerts = 0 }
+    m_total = 0; m_bad = 0; m_last_t = 0.0; m_alarm = Alarm.create () }
 
 let monitor_name m = m.m_spec.slo_name
-let firing m = m.m_firing
-let alerts m = m.m_alerts
+let firing m = Alarm.firing m.m_alarm
+let alerts m = Alarm.edges m.m_alarm
 let observed m = m.m_total
 
 let bad_at m i = Bytes.get m.m_flags i <> '\000'
@@ -268,11 +268,11 @@ let observe m ~now ?(latency_s = 0.0) ~ok () =
   catch_up m m.m_fast;
   catch_up m m.m_slow;
   let threshold = m.m_alert.burn_threshold in
-  let was = m.m_firing in
-  m.m_firing <-
-    burn_rate m m.m_fast ~now ~window_s:m.m_alert.fast_window_s >= threshold
-    && burn_rate m m.m_slow ~now ~window_s:m.m_alert.slow_window_s >= threshold;
-  if m.m_firing && not was then m.m_alerts <- m.m_alerts + 1
+  ignore
+    (Alarm.update m.m_alarm ~now
+       (burn_rate m m.m_fast ~now ~window_s:m.m_alert.fast_window_s >= threshold
+       && burn_rate m m.m_slow ~now ~window_s:m.m_alert.slow_window_s
+          >= threshold))
 
 (* Batch result over everything the monitor has seen (all-time, not
    windowed) — the end-of-run SLO verdict. *)
@@ -303,7 +303,7 @@ let monitor_export m =
     else newest_first (i + 1) ((m.m_times.(i), bad_at m i) :: acc)
   in
   { ms_events = newest_first m.m_lo []; ms_total = m.m_total; ms_bad = m.m_bad;
-    ms_last_t = m.m_last_t; ms_firing = m.m_firing; ms_alerts = m.m_alerts }
+    ms_last_t = m.m_last_t; ms_firing = firing m; ms_alerts = alerts m }
 
 let monitor_import m s =
   let rec check_order = function
@@ -328,8 +328,7 @@ let monitor_import m s =
   m.m_total <- s.ms_total;
   m.m_bad <- s.ms_bad;
   m.m_last_t <- s.ms_last_t;
-  m.m_firing <- s.ms_firing;
-  m.m_alerts <- s.ms_alerts
+  Alarm.restore m.m_alarm ~firing:s.ms_firing ~edges:s.ms_alerts
 
 (* ---- serialization -------------------------------------------------------------- *)
 

@@ -114,47 +114,6 @@ let of_span_dag ?horizon ?(track_names = []) ?(waits = []) ?(max_gaps = 3)
   in
   { u_horizon_s = horizon; u_nodes = nodes }
 
-(* Per-window busy fraction of one node's track: the timeline shape that
-   phase detection (Everest_watch.Detect) segments into stable phases.
-   The [windows] equal windows tile [0, horizon]; each window's value is
-   the fraction of it covered by the merged task-span intervals, so the
-   array sums (times the window width) to the node's busy time. *)
-let busy_timeline ?(windows = 32) ?horizon (dag : Span_dag.t) ~track =
-  let horizon =
-    match horizon with Some h -> h | None -> Span_dag.horizon dag
-  in
-  if windows <= 0 then invalid_arg "Utilization.busy_timeline: windows <= 0";
-  let w = if horizon > 0.0 then horizon /. float_of_int windows else 1.0 in
-  let busy = Array.make windows 0.0 in
-  let ivals =
-    List.filter_map
-      (fun (s : Trace.span) ->
-        if has_prefix "task:" s && Trace.finished s then
-          Some (s.Trace.start_s, s.Trace.end_s)
-        else None)
-      (Span_dag.track_spans dag track)
-  in
-  (* fold the start-sorted intervals with a cursor so overlapping attempts
-     (speculation) are not double counted, spreading each merged stretch
-     over the windows it crosses *)
-  let cursor = ref 0.0 in
-  List.iter
-    (fun (s, e) ->
-      let s = Float.max !cursor (Float.max 0.0 (Float.min s horizon)) in
-      let e = Float.max 0.0 (Float.min e horizon) in
-      if e > s then begin
-        cursor := e;
-        let wi_lo = max 0 (int_of_float (s /. w)) in
-        let wi_hi = min (windows - 1) (int_of_float (e /. w)) in
-        for wi = wi_lo to wi_hi do
-          let lo = Float.max s (float_of_int wi *. w) in
-          let hi = Float.min e (float_of_int (wi + 1) *. w) in
-          if hi > lo then busy.(wi) <- busy.(wi) +. (hi -. lo)
-        done
-      end)
-    ivals;
-  Array.mapi (fun wi b -> (float_of_int wi *. w, Float.min 1.0 (b /. w))) busy
-
 (* Reconciliation against the span log it was built from: merged busy time
    can never exceed the raw span sum or the horizon, busy + idle must tile
    the horizon, and utilization is a fraction. *)

@@ -34,13 +34,6 @@ val of_span_dag :
   Span_dag.t ->
   t
 
-(** Per-window busy fraction of one track over [windows] equal windows of
-    the horizon: [(window_start_s, busy_fraction)] per window, oldest
-    first.  This is the utilization timeline the watch layer's phase
-    detector ({!Everest_watch.Detect.phases_of_track}) segments. *)
-val busy_timeline :
-  ?windows:int -> ?horizon:float -> Span_dag.t -> track:int -> (float * float) array
-
 (** Invariants every extraction satisfies: busy within [0, span_s] and
     [0, horizon], busy + idle tiles the horizon, utilization in [0, 1]. *)
 val check : ?eps:float -> t -> bool

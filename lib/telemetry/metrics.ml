@@ -51,7 +51,8 @@ let make_histogram () =
 
 let observe h x =
   let x = Float.max 0.0 x in
-  h.counts.(bucket_index x) <- h.counts.(bucket_index x) + 1;
+  let i = bucket_index x in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. x;
   h.h_min <- Float.min h.h_min x;
@@ -60,6 +61,24 @@ let observe h x =
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
+let hist_min h = if h.h_count = 0 then 0.0 else h.h_min
+let hist_max h = if h.h_count = 0 then 0.0 else h.h_max
+
+let hist_reset h =
+  Array.fill h.counts 0 n_buckets 0;
+  h.h_count <- 0;
+  h.h_sum <- 0.0;
+  h.h_min <- infinity;
+  h.h_max <- neg_infinity
+
+(* Bucket-wise sum, so merging is associative and commutative and the
+   merge of two histograms answers like one that saw both sample sets. *)
+let hist_merge_into ~into h =
+  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) h.counts;
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum +. h.h_sum;
+  into.h_min <- Float.min into.h_min h.h_min;
+  into.h_max <- Float.max into.h_max h.h_max
 
 (* Estimated value at quantile [q] in [0,1]. *)
 let quantile h q =

@@ -1,6 +1,6 @@
 (* Online change detection over scalar sample streams.
 
-   All three detectors share one lifecycle: a warmup phase of [warmup]
+   All three detectors share one baseline: a warmup phase of [warmup]
    samples estimates the baseline mean and standard deviation (Welford),
    the baseline is frozen at warmup end, and detection then scores each
    sample against it.  Working in baseline-sigma units makes the knobs
@@ -9,17 +9,17 @@
    tiny sigma floor, so an exactly constant stream can never alarm while
    any real step still registers as a huge z-score.
 
-   Alarm state is level-triggered ([firing] while the condition holds) and
-   [alarms] counts rising edges — the same semantics as the Slo burn-rate
-   monitors, so the rules layer can treat both uniformly.
+   A detector only scores: [step] says whether this sample is out of
+   bounds.  Firing, hold-down and rising edges belong to the alert that
+   reads it ([Rules], through [Everest_observe.Alarm]).
 
      - EWMA band: an exponentially weighted mean tracks the signal; alarm
        while |x - ewma| > k·sigma.  Reacts in one sample to big steps,
-       un-fires once the mean catches up — good for spikes.
+       stops alarming once the mean catches up — good for spikes.
      - CUSUM: two one-sided cumulative sums with allowance [drift]·sigma
        alarm when either exceeds [threshold]·sigma.  Integrates small
-       sustained shifts a band test misses; stays firing while the shift
-       persists.
+       sustained shifts a band test misses; keeps alarming while the
+       shift persists.
      - Page–Hinkley: the classic sequential test — cumulative deviation
        from the running mean minus [delta]·sigma, alarmed when it leaves
        its historical extremum by more than [lambda]·sigma. *)
@@ -35,8 +35,6 @@ type core = {
   (* frozen baseline *)
   mutable d_mean0 : float;
   mutable d_sigma0 : float;
-  mutable d_firing : bool;
-  mutable d_alarms : int;
 }
 
 type algo =
@@ -58,12 +56,12 @@ type algo =
       mutable u_down_max : float;
     }
 
-type t = { core : core; mutable algo : algo }
+type t = { core : core; algo : algo }
 
 let mk_core warmup =
   if warmup < 2 then invalid_arg "Detect: warmup < 2";
   { d_warmup = warmup; d_n = 0; d_wmean = 0.0; d_wm2 = 0.0; d_mean0 = 0.0;
-    d_sigma0 = 0.0; d_firing = false; d_alarms = 0 }
+    d_sigma0 = 0.0 }
 
 let ewma ?(alpha = 0.2) ?(k = 4.0) ?(warmup = 8) () =
   { core = mk_core warmup; algo = Ewma { alpha; k; ewma = 0.0 } }
@@ -79,16 +77,7 @@ let page_hinkley ?(delta = 0.25) ?(lambda = 8.0) ?(warmup = 8) () =
         { delta; lambda; ph_mean = 0.0; ph_n = 0; u_up = 0.0; u_up_min = 0.0;
           u_down = 0.0; u_down_max = 0.0 } }
 
-let kind d =
-  match d.algo with
-  | Ewma _ -> "ewma"
-  | Cusum _ -> "cusum"
-  | Page_hinkley _ -> "page-hinkley"
-
-let firing d = d.core.d_firing
-let alarms d = d.core.d_alarms
 let samples d = d.core.d_n
-let warmed d = d.core.d_n >= d.core.d_warmup
 
 (* Floor keeps a zero-variance baseline from dividing by zero while
    staying far below any real signal's dispersion: an exactly constant
@@ -142,9 +131,6 @@ let step d x =
           p.u_up -. p.u_up_min > p.lambda *. sigma
           || p.u_down_max -. p.u_down > p.lambda *. sigma
     in
-    let was = c.d_firing in
-    c.d_firing <- alarmed;
-    if alarmed && not was then c.d_alarms <- c.d_alarms + 1;
     if alarmed then Alarm else Ok
   end
 
@@ -155,8 +141,6 @@ let reset d =
   c.d_wm2 <- 0.0;
   c.d_mean0 <- 0.0;
   c.d_sigma0 <- 0.0;
-  c.d_firing <- false;
-  c.d_alarms <- 0;
   match d.algo with
   | Ewma e -> e.ewma <- 0.0
   | Cusum cu ->
@@ -169,95 +153,3 @@ let reset d =
       p.u_up_min <- 0.0;
       p.u_down <- 0.0;
       p.u_down_max <- 0.0
-
-(* ---- phase detection ------------------------------------------------------------- *)
-
-(* Segmenting a (t, value) timeline into stable phases: greedy growth — a
-   sample within [abs_tol + rel_tol·|mean|] of the current phase's running
-   mean extends it, anything else opens a new phase — followed by a merge
-   pass that folds adjacent phases whose means ended up within tolerance
-   (the greedy split is order-sensitive at boundaries; the merge makes the
-   result depend only on the data) and absorbs fragments shorter than
-   [min_samples] into their nearer-mean neighbour. *)
-
-type phase = {
-  ph_start_s : float;
-  ph_end_s : float;
-  ph_mean : float;
-  ph_samples : int;
-}
-
-let close ~start ~last ~sum ~n =
-  { ph_start_s = start; ph_end_s = last;
-    ph_mean = (if n = 0 then 0.0 else sum /. float_of_int n);
-    ph_samples = n }
-
-let within ~abs_tol ~rel_tol mean v =
-  Float.abs (v -. mean) <= abs_tol +. (rel_tol *. Float.abs mean)
-
-let phases ?(abs_tol = 0.05) ?(rel_tol = 0.1) ?(min_samples = 2) samples =
-  let merge2 a b =
-    let n = a.ph_samples + b.ph_samples in
-    { ph_start_s = a.ph_start_s; ph_end_s = b.ph_end_s;
-      ph_mean =
-        ((a.ph_mean *. float_of_int a.ph_samples)
-        +. (b.ph_mean *. float_of_int b.ph_samples))
-        /. float_of_int (max 1 n);
-      ph_samples = n }
-  in
-  (* The greedy split is order-sensitive at boundaries; this pass makes
-     the result depend only on the data: adjacent phases within tolerance
-     fold together, and a fragment shorter than [min_samples] is a
-     transient — when its neighbours agree it bridges them (so a
-     one-sample blip never splits a stable phase), otherwise it folds
-     into the nearer-mean side. *)
-  let merge_pass ps =
-    let rec pass = function
-      | [] -> []
-      | [ p ] -> [ p ]
-      | a :: b :: rest when a.ph_samples < min_samples ->
-          pass (merge2 a b :: rest)
-      | a :: b :: rest when b.ph_samples < min_samples -> (
-          match rest with
-          | c :: rest' when within ~abs_tol ~rel_tol a.ph_mean c.ph_mean ->
-              pass (merge2 (merge2 a b) c :: rest')
-          | c :: rest'
-            when Float.abs (b.ph_mean -. c.ph_mean)
-                 < Float.abs (b.ph_mean -. a.ph_mean) ->
-              a :: pass (merge2 b c :: rest')
-          | _ -> pass (merge2 a b :: rest))
-      | a :: b :: rest when within ~abs_tol ~rel_tol a.ph_mean b.ph_mean ->
-          pass (merge2 a b :: rest)
-      | a :: rest -> a :: pass rest
-    in
-    pass ps
-  in
-  match samples with
-  | [] -> []
-  | (t0, v0) :: rest ->
-      let raw =
-        let rec go acc ~start ~last ~sum ~n ~mean = function
-          | [] -> List.rev (close ~start ~last ~sum ~n :: acc)
-          | (t, v) :: tl ->
-              if within ~abs_tol ~rel_tol mean v then
-                let n' = n + 1 in
-                go acc ~start ~last:t ~sum:(sum +. v) ~n:n'
-                  ~mean:((sum +. v) /. float_of_int n')
-                  tl
-              else
-                go
-                  (close ~start ~last ~sum ~n :: acc)
-                  ~start:t ~last:t ~sum:v ~n:1 ~mean:v tl
-        in
-        go [] ~start:t0 ~last:t0 ~sum:v0 ~n:1 ~mean:v0 rest
-      in
-      merge_pass raw
-
-(* The ROADMAP-item-3 hook: per-window busy fractions of one node's track
-   in a span log, segmented into utilization phases. *)
-let phases_of_track ?(windows = 32) ?abs_tol ?rel_tol ?min_samples dag ~track
-    =
-  let timeline =
-    Everest_observe.Utilization.busy_timeline ~windows dag ~track
-  in
-  phases ?abs_tol ?rel_tol ?min_samples (Array.to_list timeline)

@@ -1,15 +1,15 @@
 (** Online change detection over scalar sample streams.
 
-    All detectors share one lifecycle: [warmup] samples estimate the
+    All detectors share one baseline: [warmup] samples estimate the
     baseline mean and standard deviation, the baseline freezes, and
     detection then scores each sample in baseline-sigma units — the same
     (k, threshold) knobs work on a 4 ms latency series and a 40%%
     utilization series.  An exactly constant stream can never alarm;
     any real step scores a huge z.
 
-    Alarm state is level-triggered and {!alarms} counts rising edges,
-    matching the [Slo] burn-rate monitors so the rules layer treats both
-    uniformly. *)
+    A detector only scores.  The alert that reads it owns firing,
+    hold-down and rising edges ({!Rules}, through
+    {!Everest_observe.Alarm}). *)
 
 type verdict = Ok | Alarm
 type t
@@ -28,47 +28,8 @@ val cusum : ?drift:float -> ?threshold:float -> ?warmup:int -> unit -> t
     by more than [lambda]·sigma. *)
 val page_hinkley : ?delta:float -> ?lambda:float -> ?warmup:int -> unit -> t
 
-val kind : t -> string
-
-(** Feed one sample.  Always [Ok] during warmup. *)
+(** Score one sample.  Always [Ok] during warmup. *)
 val step : t -> float -> verdict
 
-val firing : t -> bool
-
-(** Rising edges so far. *)
-val alarms : t -> int
-
 val samples : t -> int
-val warmed : t -> bool
 val reset : t -> unit
-
-(** {1 Phase segmentation} *)
-
-type phase = {
-  ph_start_s : float;
-  ph_end_s : float;
-  ph_mean : float;
-  ph_samples : int;
-}
-
-(** Segment a (t, value) timeline into stable phases: greedy growth
-    within [abs_tol + rel_tol·|mean|] of the running mean, then a merge
-    pass folding adjacent phases within tolerance and absorbing fragments
-    shorter than [min_samples]. *)
-val phases :
-  ?abs_tol:float ->
-  ?rel_tol:float ->
-  ?min_samples:int ->
-  (float * float) list ->
-  phase list
-
-(** Utilization phases of one node's track in a span log, via
-    [Everest_observe.Utilization.busy_timeline]. *)
-val phases_of_track :
-  ?windows:int ->
-  ?abs_tol:float ->
-  ?rel_tol:float ->
-  ?min_samples:int ->
-  Everest_observe.Span_dag.t ->
-  track:int ->
-  phase list

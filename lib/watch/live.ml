@@ -9,19 +9,22 @@
    [everest_cli top]; [to_json] is the machine form behind [--json]. *)
 
 module Json = Everest_observe.Json
+module Alarm = Everest_observe.Alarm
+module Metrics = Everest_telemetry.Metrics
 
 let ramp = " .:-=+*#%@"
 
-(* Sparkline over the newest [width] tier-0 points, normalized to their
-   own min..max (a flat series renders as all-middle). *)
+let values s = List.map snd (Series.to_list s)
+
+(* Sparkline over the newest [width] samples, normalized to their own
+   min..max (a flat series renders as all-middle). *)
 let sparkline ?(width = 16) (s : Series.t) =
-  let pts = Series.points s ~tier:0 in
-  let n = List.length pts in
-  let pts = if n > width then List.filteri (fun i _ -> i >= n - width) pts else pts in
-  match pts with
+  let vs = values s in
+  let n = List.length vs in
+  let vs = if n > width then List.filteri (fun i _ -> i >= n - width) vs else vs in
+  match vs with
   | [] -> ""
-  | pts ->
-      let vs = List.map Series.pt_mean pts in
+  | vs ->
       let lo = List.fold_left Float.min Float.infinity vs in
       let hi = List.fold_left Float.max Float.neg_infinity vs in
       let span = hi -. lo in
@@ -47,6 +50,11 @@ let fmt_labels = function
 
 let fmt_f v = if Float.is_nan v then "-" else Printf.sprintf "%.6f" v
 
+(* Summing from 0.0 and maxing from neg_infinity, oldest first: the
+   dashboard's numbers are fixed to the bit by this order. *)
+let mean vs = List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
+let max_of vs = List.fold_left Float.max Float.neg_infinity vs
+
 (* ---- text ------------------------------------------------------------------------ *)
 
 let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
@@ -67,19 +75,10 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
         let id = Series.name s ^ fmt_labels (Series.labels s) in
         match Series.latest s with
         | None -> line "%-44s %12s %12s %12s" id "-" "-" "-"
-        | Some _ ->
-            let pts = Series.points s ~tier:0 in
-            let last = List.nth pts (List.length pts - 1) in
-            let sum, mx =
-              List.fold_left
-                (fun (sum, mx) p ->
-                  (sum +. Series.pt_mean p, Float.max mx p.Series.pt_max))
-                (0.0, Float.neg_infinity) pts
-            in
-            line "%-44s %12s %12s %12s  %s" id
-              (fmt_f last.Series.pt_last)
-              (fmt_f (sum /. float_of_int (List.length pts)))
-              (fmt_f mx)
+        | Some (_, last) ->
+            let vs = values s in
+            line "%-44s %12s %12s %12s  %s" id (fmt_f last)
+              (fmt_f (mean vs)) (fmt_f (max_of vs))
               (sparkline ~width:spark_width s))
       series
   end;
@@ -92,17 +91,15 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
     in
     line "%-44s %12s%s" "SKETCH (window)" "COUNT" qhdr;
     List.iter
-      (fun (name, labels, wd) ->
-        let sk =
-          Sketch.Windowed.query wd ~now ~window_s:(Sketch.Windowed.span_s wd)
-        in
+      (fun (name, labels, sk) ->
+        let h = Sketch.query sk ~now ~window_s:(Sketch.span_s sk) in
         let qs =
           String.concat ""
             (List.map
-               (fun q -> Printf.sprintf " %12s" (fmt_f (Sketch.quantile sk q)))
+               (fun q -> Printf.sprintf " %12s" (fmt_f (Metrics.quantile h q)))
                quantiles)
         in
-        line "%-44s %12d%s" (name ^ fmt_labels labels) (Sketch.count sk) qs)
+        line "%-44s %12d%s" (name ^ fmt_labels labels) (Metrics.hist_count h) qs)
       sketches
   end;
   let alerts = Watch.alert_states w in
@@ -112,9 +109,9 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
     List.iter
       (fun (a : Rules.alert_state) ->
         line "%-32s %8s %12s %6d %12s" a.Rules.as_name
-          (if a.Rules.as_firing then "FIRING" else "ok")
-          (fmt_f a.Rules.as_value) a.Rules.as_edges
-          (fmt_f a.Rules.as_since))
+          (if Alarm.firing a.Rules.as_alarm then "FIRING" else "ok")
+          (fmt_f a.Rules.as_value) (Alarm.edges a.Rules.as_alarm)
+          (fmt_f (Alarm.since a.Rules.as_alarm)))
       alerts
   end;
   Buffer.contents buf
@@ -126,51 +123,34 @@ let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labe
 
 let to_json ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t) ~now =
   let series_json s =
-    let pts = Series.points s ~tier:0 in
-    let last = Series.latest s in
+    let vs = values s in
+    let or_null f = if vs = [] then Json.Null else num (f vs) in
     Json.Obj
       [ ("name", Json.Str (Series.name s));
         ("labels", labels_json (Series.labels s));
         ("samples", Json.Num (float_of_int (Series.samples s)));
-        ( "last",
-          match last with
-          | None -> Json.Null
-          | Some p -> num p.Series.pt_last );
-        ( "mean",
-          if pts = [] then Json.Null
-          else
-            num
-              (List.fold_left (fun acc p -> acc +. Series.pt_mean p) 0.0 pts
-              /. float_of_int (List.length pts)) );
-        ( "max",
-          if pts = [] then Json.Null
-          else
-            num
-              (List.fold_left
-                 (fun acc p -> Float.max acc p.Series.pt_max)
-                 Float.neg_infinity pts) ) ]
+        ("last", or_null (fun vs -> List.nth vs (List.length vs - 1)));
+        ("mean", or_null mean);
+        ("max", or_null max_of) ]
   in
-  let sketch_json (name, labels, wd) =
-    let sk =
-      Sketch.Windowed.query wd ~now ~window_s:(Sketch.Windowed.span_s wd)
-    in
+  let sketch_json (name, labels, sk) =
+    let h = Sketch.query sk ~now ~window_s:(Sketch.span_s sk) in
     Json.Obj
       ([ ("name", Json.Str name);
          ("labels", labels_json labels);
-         ("count", Json.Num (float_of_int (Sketch.count sk))) ]
+         ("count", Json.Num (float_of_int (Metrics.hist_count h))) ]
       @ List.map
-          (fun q ->
-            ( Printf.sprintf "p%g" (100.0 *. q),
-              num (Sketch.quantile sk q) ))
+          (fun q -> (Printf.sprintf "p%g" (100.0 *. q), num (Metrics.quantile h q)))
           quantiles)
   in
   let alert_json (a : Rules.alert_state) =
+    let al = a.Rules.as_alarm in
     Json.Obj
       [ ("name", Json.Str a.Rules.as_name);
-        ("firing", Json.Bool a.Rules.as_firing);
+        ("firing", Json.Bool (Alarm.firing al));
         ("value", num a.Rules.as_value);
-        ("edges", Json.Num (float_of_int a.Rules.as_edges));
-        ("since", num a.Rules.as_since) ]
+        ("edges", Json.Num (float_of_int (Alarm.edges al)));
+        ("since", num (Alarm.since al)) ]
   in
   Json.Obj
     [ ("now_s", Json.Num now);

@@ -5,7 +5,7 @@
     ASCII sparkline ramp — two same-seed runs render byte-identical
     dashboards. *)
 
-(** Sparkline over the newest [width] tier-0 points, normalized to their
+(** Sparkline over the newest [width] samples, normalized to their
     own min..max. *)
 val sparkline : ?width:int -> Series.t -> string
 

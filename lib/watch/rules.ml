@@ -6,16 +6,19 @@
    it like any scraped signal; rules evaluate in declaration order, so a
    recording rule's output is visible to everything after it in the same
    tick.  An alert rule tests an expression against a condition — a static
-   threshold or an online change detector — with [for_s] hold-down: the
-   condition must hold continuously that long before the alert fires.
-   Firing is level-triggered and [edges] counts rising edges, the same
-   semantics as the Slo two-window burn alerts, so both kinds of alert
-   aggregate uniformly.
+   threshold or an online change detector — and feeds the verdict to its
+   own [Alarm]: the condition must hold [for_s] before the alert fires,
+   firing is level-triggered and rising edges are counted, the lifecycle
+   the Slo burn-rate monitors share.
 
-   Expressions read the store (latest value / window aggregates over the
-   staircase rings) and the windowed sketches (quantiles in O(buckets)).
-   An expression over a series with no data yet is undefined: the rule is
-   skipped for the tick and alert hold-down state is left untouched. *)
+   Expressions read the store (latest value, or a fold over the raw
+   samples a ring holds in a trailing window) and the windowed sketches
+   (quantiles in O(buckets)).  An expression over a series with no data
+   yet is undefined: the rule is skipped for the tick and alert hold-down
+   state is left untouched. *)
+
+module Alarm = Everest_observe.Alarm
+module Metrics = Everest_telemetry.Metrics
 
 type labels = (string * string) list
 
@@ -29,7 +32,6 @@ type expr =
       (* (last - first) / (t_last - t_first) over the window: the
          counter-increase rate *)
   | Quantile_over of string * labels * float * float  (* q, window_s *)
-  | Count_over of string * labels * float  (* sketch samples in window *)
   | Add of expr * expr
   | Sub of expr * expr
   | Mul of expr * expr
@@ -61,88 +63,107 @@ let alert ?(for_s = 0.0) name expr cond =
    that always misses). *)
 type ctx = {
   ctx_store : Series.Store.t;
-  ctx_sketch : string -> labels -> Sketch.Windowed.t option;
+  ctx_sketch : string -> labels -> Sketch.t option;
 }
 
 type alert_state = {
   as_name : string;
-  mutable as_pending_since : float;  (* nan = condition not holding *)
-  mutable as_firing : bool;
-  mutable as_edges : int;
-  mutable as_since : float;  (* when it started firing; nan otherwise *)
+  as_alarm : Alarm.t;
   mutable as_value : float;  (* last evaluated expression value *)
 }
 
-type t = {
-  e_rules : rule list;
-  e_alerts : (string * alert_state) list;  (* one per alert rule, in order *)
-  mutable e_evals : int;
-}
+(* A rule ready to evaluate, each alert beside its own state. *)
+type step =
+  | Write of string * labels * expr
+  | Check of expr * cond * alert_state
+
+type t = { e_steps : step list; e_alerts : alert_state list }
 
 let engine rules =
-  { e_rules = rules;
-    e_alerts =
-      List.filter_map
-        (function
-          | Record _ -> None
-          | Alert a ->
-              Some
-                ( a.al_name,
-                  { as_name = a.al_name; as_pending_since = Float.nan;
-                    as_firing = false; as_edges = 0; as_since = Float.nan;
-                    as_value = 0.0 } ))
-        rules;
-    e_evals = 0 }
+  let steps =
+    List.map
+      (function
+        | Record { rc_name; rc_labels; rc_expr } ->
+            Write (rc_name, rc_labels, rc_expr)
+        | Alert { al_name; al_expr; al_cond; al_for_s } ->
+            Check
+              ( al_expr,
+                al_cond,
+                { as_name = al_name; as_alarm = Alarm.create ~for_s:al_for_s ();
+                  as_value = 0.0 } ))
+      rules
+  in
+  let alerts =
+    List.filter_map
+      (function Check (_, _, st) -> Some st | Write _ -> None)
+      steps
+  in
+  (* names key the dashboard and [Watch.firing] *)
+  let rec check_unique = function
+    | [] -> ()
+    | st :: rest ->
+        if List.exists (fun o -> String.equal o.as_name st.as_name) rest then
+          invalid_arg
+            (Printf.sprintf "Rules.engine: two alert rules are named %S" st.as_name);
+        check_unique rest
+  in
+  check_unique alerts;
+  { e_steps = steps; e_alerts = alerts }
 
-let alert_states t = List.map snd t.e_alerts
-let firing t = List.filter (fun s -> s.as_firing) (alert_states t)
+let alert_states t = t.e_alerts
+let firing t = List.filter (fun s -> Alarm.firing s.as_alarm) t.e_alerts
 
 let edges_total t =
-  List.fold_left (fun acc s -> acc + s.as_edges) 0 (alert_states t)
+  List.fold_left (fun acc s -> acc + Alarm.edges s.as_alarm) 0 t.e_alerts
+
+(* Fold [f] over the samples of a series in [now - w, now], oldest
+   first, with the number of samples folded; undefined when the series is
+   unknown or the window holds no sample. *)
+let over ctx ~now name labels w f init =
+  match Series.Store.find ctx.ctx_store ~name ~labels with
+  | None -> None
+  | Some s -> (
+      match
+        Series.fold s ~t0:(now -. w) ~t1:now
+          (fun (n, acc) t v -> (n + 1, f acc t v))
+          (0, init)
+      with
+      | 0, _ -> None
+      | folded -> Some folded)
 
 let rec eval_expr ctx ~now = function
   | Const v -> Some v
   | Last (name, labels) -> (
       match Series.Store.find ctx.ctx_store ~name ~labels with
       | None -> None
-      | Some s -> Option.map (fun p -> p.Series.pt_last) (Series.latest s))
+      | Some s -> Option.map snd (Series.latest s))
   | Mean_over (name, labels, w) ->
-      window_agg ctx ~now name labels w (fun ps ->
-          let n = List.fold_left (fun a p -> a + p.Series.pt_count) 0 ps in
-          let sum = List.fold_left (fun a p -> a +. p.Series.pt_sum) 0.0 ps in
-          if n = 0 then None else Some (sum /. float_of_int n))
+      Option.map
+        (fun (n, sum) -> sum /. float_of_int n)
+        (over ctx ~now name labels w (fun sum _ v -> sum +. v) 0.0)
   | Max_over (name, labels, w) ->
-      window_agg ctx ~now name labels w (fun ps ->
-          Some
-            (List.fold_left
-               (fun a p -> Float.max a p.Series.pt_max)
-               neg_infinity ps))
+      Option.map snd
+        (over ctx ~now name labels w (fun a _ v -> Float.max a v) neg_infinity)
   | Min_over (name, labels, w) ->
-      window_agg ctx ~now name labels w (fun ps ->
-          Some
-            (List.fold_left (fun a p -> Float.min a p.Series.pt_min) infinity ps))
-  | Rate_over (name, labels, w) ->
-      window_agg ctx ~now name labels w (fun ps ->
-          match ps with
-          | [] | [ _ ] -> None
-          | first :: _ ->
-              let last = List.nth ps (List.length ps - 1) in
-              let dt = last.Series.pt_t -. first.Series.pt_t in
-              if dt <= 0.0 then None
-              else Some ((last.Series.pt_last -. first.Series.pt_last) /. dt))
+      Option.map snd
+        (over ctx ~now name labels w (fun a _ v -> Float.min a v) infinity)
+  | Rate_over (name, labels, w) -> (
+      let ends acc t v =
+        match acc with
+        | None -> Some ((t, v), (t, v))
+        | Some (first, _) -> Some (first, (t, v))
+      in
+      match over ctx ~now name labels w ends None with
+      | Some (_, Some ((t0, v0), (t1, v1))) ->
+          let dt = t1 -. t0 in
+          if dt <= 0.0 then None else Some ((v1 -. v0) /. dt)
+      | _ -> None)
   | Quantile_over (name, labels, q, w) -> (
       match ctx.ctx_sketch name labels with
       | None -> None
-      | Some wd ->
-          let sk = Sketch.Windowed.query wd ~now ~window_s:w in
-          if Sketch.count sk = 0 then None else Some (Sketch.quantile sk q))
-  | Count_over (name, labels, w) -> (
-      match ctx.ctx_sketch name labels with
-      | None -> None
-      | Some wd ->
-          Some
-            (float_of_int
-               (Sketch.count (Sketch.Windowed.query wd ~now ~window_s:w))))
+      | Some sk ->
+          let h = Sketch.query sk ~now ~window_s:w in
+          if Metrics.hist_count h = 0 then None else Some (Metrics.quantile h q))
   | Add (a, b) -> lift2 ctx ~now ( +. ) a b
   | Sub (a, b) -> lift2 ctx ~now ( -. ) a b
   | Mul (a, b) -> lift2 ctx ~now ( *. ) a b
@@ -156,58 +177,27 @@ and lift2 ctx ~now op a b =
   | Some x, Some y -> Some (op x y)
   | _ -> None
 
-and window_agg ctx ~now name labels w f =
-  match Series.Store.find ctx.ctx_store ~name ~labels with
-  | None -> None
-  | Some s -> (
-      match Series.between s ~t0:(now -. w) ~t1:now with
-      | [] -> None
-      | ps -> f ps)
-
 (* One evaluation pass.  Returns the alerts that newly fired this tick
    (rising edges), in rule order. *)
 let eval t ctx ~now =
-  t.e_evals <- t.e_evals + 1;
-  let fired = ref [] in
-  List.iter
-    (fun rule ->
-      match rule with
-      | Record { rc_name; rc_labels; rc_expr } -> (
-          match eval_expr ctx ~now rc_expr with
-          | None -> ()
+  List.filter_map
+    (function
+      | Write (name, labels, expr) ->
+          Option.iter
+            (Series.Store.observe ctx.ctx_store ~now ~name ~labels)
+            (eval_expr ctx ~now expr);
+          None
+      | Check (expr, cond, st) -> (
+          match eval_expr ctx ~now expr with
+          | None -> None
           | Some v ->
-              Series.Store.observe ctx.ctx_store ~now ~name:rc_name
-                ~labels:rc_labels v)
-      | Alert { al_name; al_expr; al_cond; al_for_s } -> (
-          match eval_expr ctx ~now al_expr with
-          | None -> ()
-          | Some v ->
-              let st = List.assoc al_name t.e_alerts in
               st.as_value <- v;
               let holds =
-                match al_cond with
+                match cond with
                 | Above x -> v > x
                 | Below x -> v < x
                 | Outside (lo, hi) -> v < lo || v > hi
                 | Detector d -> Detect.step d v = Detect.Alarm
               in
-              if holds then begin
-                if Float.is_nan st.as_pending_since then
-                  st.as_pending_since <- now;
-                let held_s = now -. st.as_pending_since in
-                if held_s >= al_for_s && not st.as_firing then begin
-                  st.as_firing <- true;
-                  st.as_since <- now;
-                  st.as_edges <- st.as_edges + 1;
-                  fired := st :: !fired
-                end
-              end
-              else begin
-                st.as_pending_since <- Float.nan;
-                if st.as_firing then begin
-                  st.as_firing <- false;
-                  st.as_since <- Float.nan
-                end
-              end))
-    t.e_rules;
-  List.rev !fired
+              if Alarm.update st.as_alarm ~now holds then Some st else None))
+    t.e_steps

@@ -2,11 +2,14 @@
     on caller-supplied time.
 
     Rules evaluate in declaration order; a recording rule's derived series
-    is visible to every rule after it in the same tick.  Alert firing is
-    level-triggered with [for_s] hold-down and rising-edge counting — the
-    same semantics as {!Everest_observe.Slo} burn-rate alerts.  An
-    expression over a series with no data yet is undefined for the tick:
-    the rule is skipped and alert state is untouched. *)
+    is visible to every rule after it in the same tick.  Window
+    expressions fold the raw samples a series ring still holds in
+    [[now - w, now]].  Each alert's lifecycle — [for_s] hold-down,
+    level-triggered firing, rising-edge count — is an
+    {!Everest_observe.Alarm}, the one the {!Everest_observe.Slo} burn-rate
+    monitors use.  An expression over a series with no data yet is
+    undefined for the tick: the rule is skipped and alert state is
+    untouched. *)
 
 type labels = (string * string) list
 
@@ -20,7 +23,6 @@ type expr =
       (** (last - first) / (t_last - t_first) over the window: the
           counter-increase rate. *)
   | Quantile_over of string * labels * float * float  (** q, window_s. *)
-  | Count_over of string * labels * float  (** Sketch samples in window. *)
   | Add of expr * expr
   | Sub of expr * expr
   | Mul of expr * expr
@@ -40,20 +42,19 @@ val alert : ?for_s:float -> string -> expr -> cond -> rule
 (** What expressions read: the series store plus a sketch lookup. *)
 type ctx = {
   ctx_store : Series.Store.t;
-  ctx_sketch : string -> labels -> Sketch.Windowed.t option;
+  ctx_sketch : string -> labels -> Sketch.t option;
 }
 
 type alert_state = {
   as_name : string;
-  mutable as_pending_since : float;  (** nan = condition not holding. *)
-  mutable as_firing : bool;
-  mutable as_edges : int;  (** Rising edges. *)
-  mutable as_since : float;  (** When it started firing; nan otherwise. *)
+  as_alarm : Everest_observe.Alarm.t;  (** Firing, edges, firing-since. *)
   mutable as_value : float;  (** Last evaluated expression value. *)
 }
 
 type t
 
+(** @raise Invalid_argument when two alert rules share a name: names key
+    the dashboard and {!Watch.firing}. *)
 val engine : rule list -> t
 
 (** One evaluation pass; returns the alerts that newly fired this tick. *)

@@ -1,150 +1,60 @@
-(* Fixed-capacity time series with staircase downsampling.
+(* Fixed-capacity time series.
 
-   One series holds the samples of one (name × labels) signal in a ring of
-   aggregate points per resolution tier: tier 0 keeps every observed sample
-   verbatim, tier i keeps one aggregate point per [res_s * factor^i] of
-   time, so the recent past is dense and the distant past is coarse — the
-   classic staircase layout — at a fixed memory bound of
-   [tiers * capacity] points however long the run gets.
-
-   Every tier aggregates straight from the raw observations (not from the
-   tier below), so a coarse point's count/sum/min/max are exact over its
-   window regardless of what the finer ring has already evicted.  Time
-   comes from the caller, so the whole structure is deterministic on a
-   simulated clock. *)
-
-type point = {
-  pt_t : float;  (* window start (tier 0: the sample time) *)
-  pt_last : float;  (* last raw value in the window *)
-  pt_count : int;
-  pt_sum : float;
-  pt_min : float;
-  pt_max : float;
-}
-
-let pt_mean p =
-  if p.pt_count = 0 then 0.0 else p.pt_sum /. float_of_int p.pt_count
-
-(* One resolution tier: a ring of closed points plus the open
-   (still-accumulating) window. *)
-type tier = {
-  tr_res_s : float;  (* 0.0 on tier 0: every sample is its own point *)
-  tr_buf : point option array;
-  mutable tr_head : int;  (* next write position *)
-  mutable tr_len : int;
-  (* open window accumulation (tiers >= 1) *)
-  mutable tr_open_key : int;  (* floor (t / res); min_int = none *)
-  mutable tr_acc : point option;
-}
+   One series holds the samples of one (name × labels) signal: a ring of
+   the newest [capacity] raw (t, v) samples in two unboxed float arrays,
+   at a fixed memory bound however long the run gets.  Time comes from
+   the caller and may not run backwards, so the ring is always sorted by
+   time and a trailing window is a contiguous run of its newest samples;
+   the whole structure is deterministic on a simulated clock. *)
 
 type t = {
   s_name : string;
   s_labels : (string * string) list;  (* sorted by key *)
-  s_tiers : tier array;
+  s_t : float array;  (* sample i lives at i mod capacity *)
+  s_v : float array;
   mutable s_samples : int;  (* raw observations ever *)
-  mutable s_last_t : float;
 }
 
-let mk_tier ~res_s ~capacity =
-  { tr_res_s = res_s; tr_buf = Array.make capacity None; tr_head = 0;
-    tr_len = 0; tr_open_key = min_int; tr_acc = None }
+let norm labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 
-let create ?(capacity = 256) ?(tiers = 3) ?(factor = 10) ?(res_s = 0.01)
-    ~name ~labels () =
+let create ?(capacity = 256) ~name ~labels () =
   if capacity <= 0 then invalid_arg "Series.create: capacity <= 0";
-  if tiers <= 0 then invalid_arg "Series.create: tiers <= 0";
-  if factor < 2 then invalid_arg "Series.create: factor < 2";
-  if res_s <= 0.0 then invalid_arg "Series.create: res_s <= 0";
-  let labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels in
-  { s_name = name; s_labels = labels;
-    s_tiers =
-      Array.init tiers (fun i ->
-          let res =
-            if i = 0 then 0.0
-            else res_s *. (float_of_int factor ** float_of_int i)
-          in
-          mk_tier ~res_s:res ~capacity);
-    s_samples = 0; s_last_t = neg_infinity }
+  { s_name = name; s_labels = norm labels; s_t = Array.make capacity 0.0;
+    s_v = Array.make capacity 0.0; s_samples = 0 }
 
 let name s = s.s_name
 let labels s = s.s_labels
 let samples s = s.s_samples
-let n_tiers s = Array.length s.s_tiers
-let tier_res s i = s.s_tiers.(i).tr_res_s
+let slot s i = i mod Array.length s.s_t
 
-let push tier p =
-  tier.tr_buf.(tier.tr_head) <- Some p;
-  tier.tr_head <- (tier.tr_head + 1) mod Array.length tier.tr_buf;
-  if tier.tr_len < Array.length tier.tr_buf then tier.tr_len <- tier.tr_len + 1
+let latest s =
+  if s.s_samples = 0 then None
+  else
+    let j = slot s (s.s_samples - 1) in
+    Some (s.s_t.(j), s.s_v.(j))
 
 let observe s ~t v =
-  s.s_samples <- s.s_samples + 1;
-  s.s_last_t <- Float.max s.s_last_t t;
-  let raw =
-    { pt_t = t; pt_last = v; pt_count = 1; pt_sum = v; pt_min = v; pt_max = v }
-  in
-  Array.iter
-    (fun tier ->
-      if tier.tr_res_s = 0.0 then push tier raw
-      else begin
-        let key = int_of_float (Float.floor (t /. tier.tr_res_s)) in
-        if key <> tier.tr_open_key then begin
-          (match tier.tr_acc with Some p -> push tier p | None -> ());
-          tier.tr_open_key <- key;
-          tier.tr_acc <-
-            Some { raw with pt_t = float_of_int key *. tier.tr_res_s }
-        end
-        else
-          match tier.tr_acc with
-          | None -> assert false
-          | Some p ->
-              tier.tr_acc <-
-                Some
-                  { p with
-                    pt_last = v; pt_count = p.pt_count + 1;
-                    pt_sum = p.pt_sum +. v; pt_min = Float.min p.pt_min v;
-                    pt_max = Float.max p.pt_max v }
-      end)
-    s.s_tiers
+  if s.s_samples > 0 && t < s.s_t.(slot s (s.s_samples - 1)) then
+    invalid_arg
+      (Printf.sprintf "Series.observe %s: t %.17g precedes the newest sample %.17g"
+         s.s_name t s.s_t.(slot s (s.s_samples - 1)));
+  let j = slot s s.s_samples in
+  s.s_t.(j) <- t;
+  s.s_v.(j) <- v;
+  s.s_samples <- s.s_samples + 1
 
-(* Closed points of one tier, oldest first, with the open window appended
-   (a query must see the freshest data even before its window closes). *)
-let points s ~tier =
-  let tr = s.s_tiers.(tier) in
-  let cap = Array.length tr.tr_buf in
-  let acc = ref [] in
-  (match tr.tr_acc with Some p -> acc := [ p ] | None -> ());
-  for i = 1 to tr.tr_len do
-    let idx = (tr.tr_head - i + (2 * cap)) mod cap in
-    match tr.tr_buf.(idx) with Some p -> acc := p :: !acc | None -> ()
+let fold s ~t0 ~t1 f init =
+  let acc = ref init in
+  for i = max 0 (s.s_samples - Array.length s.s_t) to s.s_samples - 1 do
+    let j = slot s i in
+    let t = s.s_t.(j) in
+    if t >= t0 && t <= t1 then acc := f !acc t s.s_v.(j)
   done;
   !acc
 
-let latest s =
-  let rec from_tier i =
-    if i >= Array.length s.s_tiers then None
-    else
-      match points s ~tier:i with
-      | [] -> from_tier (i + 1)
-      | ps -> Some (List.nth ps (List.length ps - 1))
-  in
-  from_tier 0
-
-(* Points with pt_t in [t0, t1], from the finest tier that still reaches
-   back to t0 (or the coarsest available when none does). *)
-let between s ~t0 ~t1 =
-  let n = Array.length s.s_tiers in
-  let covering =
-    let rec pick i =
-      if i >= n then n - 1
-      else
-        match points s ~tier:i with
-        | { pt_t; _ } :: _ when pt_t <= t0 -> i
-        | _ -> pick (i + 1)
-    in
-    pick 0
-  in
-  List.filter (fun p -> p.pt_t >= t0 && p.pt_t <= t1) (points s ~tier:covering)
+let to_list s =
+  List.rev
+    (fold s ~t0:neg_infinity ~t1:infinity (fun acc t v -> (t, v) :: acc) [])
 
 (* ---- store ----------------------------------------------------------------------- *)
 
@@ -161,26 +71,16 @@ module Store = struct
   type t = {
     tbl : (string * (string * string) list, series) Hashtbl.t;
     capacity : int;
-    tiers : int;
-    factor : int;
-    res_s : float;
   }
 
-  let create ?(capacity = 256) ?(tiers = 3) ?(factor = 10) ?(res_s = 0.01) ()
-      =
-    { tbl = Hashtbl.create 64; capacity; tiers; factor; res_s }
-
-  let norm labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+  let create ?(capacity = 256) () = { tbl = Hashtbl.create 64; capacity }
 
   let series st ~name ~labels =
     let labels = norm labels in
     match Hashtbl.find_opt st.tbl (name, labels) with
     | Some s -> s
     | None ->
-        let s =
-          mk_series ~capacity:st.capacity ~tiers:st.tiers ~factor:st.factor
-            ~res_s:st.res_s ~name ~labels ()
-        in
+        let s = mk_series ~capacity:st.capacity ~name ~labels () in
         Hashtbl.replace st.tbl (name, labels) s;
         s
 

@@ -1,33 +1,11 @@
-(** Fixed-capacity time series with staircase downsampling.
-
-    A series keeps one ring of aggregate points per resolution tier:
-    tier 0 holds every observed sample, tier [i] one point per
-    [res_s * factor^i] seconds, all bounded by [capacity] points per
-    tier.  Time is caller-supplied, so series built over a simulated
-    clock are deterministic. *)
-
-type point = {
-  pt_t : float;  (** Window start (tier 0: the sample time). *)
-  pt_last : float;  (** Last raw value observed in the window. *)
-  pt_count : int;
-  pt_sum : float;
-  pt_min : float;
-  pt_max : float;
-}
-
-val pt_mean : point -> float
+(** Fixed-capacity time series: one ring of the newest [capacity] raw
+    [(t, v)] samples, in time order.  Time is caller-supplied, so series
+    built over a simulated clock are deterministic. *)
 
 type t
 
 val create :
-  ?capacity:int ->
-  ?tiers:int ->
-  ?factor:int ->
-  ?res_s:float ->
-  name:string ->
-  labels:(string * string) list ->
-  unit ->
-  t
+  ?capacity:int -> name:string -> labels:(string * string) list -> unit -> t
 
 val name : t -> string
 
@@ -37,23 +15,18 @@ val labels : t -> (string * string) list
 (** Raw observations ever recorded (not bounded by capacity). *)
 val samples : t -> int
 
-val n_tiers : t -> int
-
-(** Resolution of tier [i] in seconds; 0 for the raw tier. *)
-val tier_res : t -> int -> float
-
+(** @raise Invalid_argument when [t] precedes the newest sample. *)
 val observe : t -> t:float -> float -> unit
 
-(** Points of one tier, oldest first, the still-open coarse window
-    included last. *)
-val points : t -> tier:int -> point list
+(** The newest [(t, v)], when any sample was ever observed. *)
+val latest : t -> (float * float) option
 
-(** The newest point, when any sample was ever observed. *)
-val latest : t -> point option
+(** [fold s ~t0 ~t1 f init] folds [f acc t v] over the kept samples with
+    [t0 <= t <= t1], oldest first. *)
+val fold : t -> t0:float -> t1:float -> ('a -> float -> float -> 'a) -> 'a -> 'a
 
-(** Points with [pt_t] in [[t0, t1]], read from the finest tier whose
-    ring still reaches back to [t0]. *)
-val between : t -> t0:float -> t1:float -> point list
+(** The kept samples, oldest first. *)
+val to_list : t -> (float * float) list
 
 (** A collection of series keyed by (name × labels) with deterministic
     sorted iteration. *)
@@ -61,9 +34,8 @@ module Store : sig
   type series = t
   type t
 
-  (** Ring parameters apply to every series the store creates. *)
-  val create :
-    ?capacity:int -> ?tiers:int -> ?factor:int -> ?res_s:float -> unit -> t
+  (** [capacity] applies to every series the store creates. *)
+  val create : ?capacity:int -> unit -> t
 
   (** Get or create. *)
   val series : t -> name:string -> labels:(string * string) list -> series

@@ -1,150 +1,60 @@
-(* Mergeable windowed aggregates.
+(* Trailing-window quantile sketches.
 
-   A sketch is the DDSketch-style summary of a sample set: count, sum,
-   min, max, and a log-bucketed histogram reusing the exact bucket layout
-   of [Everest_telemetry.Metrics] (factor 10^(1/10) per bucket from 1 ns),
-   so quantile estimates here and in the metrics registry agree bucket for
-   bucket.  Merging two sketches adds their buckets — associative and
-   commutative by construction, which is what lets a windowed collector
-   answer "p99 over the last W seconds" by merging a handful of
-   time-bucket sketches instead of rescanning samples: O(buckets), not
-   O(samples), at query time. *)
+   A ring of [slots] Metrics histograms, one per [bucket_s] of time.
+   Observing at time [t] lands in slot [floor(t/bucket_s) mod slots]; a
+   slot whose stored epoch differs from the current one is stale and is
+   reset before reuse, so the ring always covers the trailing
+   [slots * bucket_s] seconds exactly.  Histograms merge bucket-wise —
+   associative and commutative — so a query answers "p99 over the last W
+   seconds" by merging the slots inside the window instead of rescanning
+   samples: O(buckets), not O(samples).  Time only moves forward: a
+   sample older than the newest would land in a slot the ring has already
+   reused. *)
 
 module Metrics = Everest_telemetry.Metrics
 
 type t = {
-  mutable k_count : int;
-  mutable k_sum : float;
-  mutable k_min : float;
-  mutable k_max : float;
-  k_buckets : int array;
+  bucket_s : float;
+  slots : Metrics.histogram array;
+  epoch : int array;  (* floor(t/bucket_s) the slot holds; -1 empty *)
+  mutable samples : int;
+  mutable last_t : float;  (* newest sample time *)
 }
 
-let create () =
-  { k_count = 0; k_sum = 0.0; k_min = infinity; k_max = neg_infinity;
-    k_buckets = Array.make Metrics.n_buckets 0 }
+let create ?(bucket_s = 0.05) ?(slots = 20) () =
+  if bucket_s <= 0.0 then invalid_arg "Sketch.create: bucket_s <= 0";
+  if slots <= 0 then invalid_arg "Sketch.create: slots <= 0";
+  { bucket_s;
+    slots = Array.init slots (fun _ -> Metrics.make_histogram ());
+    epoch = Array.make slots (-1);
+    samples = 0;
+    last_t = neg_infinity }
 
-let observe sk x =
-  let x = Float.max 0.0 x in
-  let i = Metrics.bucket_index x in
-  sk.k_buckets.(i) <- sk.k_buckets.(i) + 1;
-  sk.k_count <- sk.k_count + 1;
-  sk.k_sum <- sk.k_sum +. x;
-  sk.k_min <- Float.min sk.k_min x;
-  sk.k_max <- Float.max sk.k_max x
+let span_s w = w.bucket_s *. float_of_int (Array.length w.slots)
+let samples w = w.samples
+let epoch_of w t = int_of_float (Float.floor (t /. w.bucket_s))
 
-let count sk = sk.k_count
-let sum sk = sk.k_sum
-let mean sk = if sk.k_count = 0 then 0.0 else sk.k_sum /. float_of_int sk.k_count
-let min_v sk = if sk.k_count = 0 then 0.0 else sk.k_min
-let max_v sk = if sk.k_count = 0 then 0.0 else sk.k_max
+let observe w ~now v =
+  if now < w.last_t then
+    invalid_arg
+      (Printf.sprintf "Sketch.observe: now %.17g precedes the newest sample %.17g"
+         now w.last_t);
+  w.last_t <- now;
+  let epoch = max 0 (epoch_of w now) in
+  let slot = epoch mod Array.length w.slots in
+  if w.epoch.(slot) <> epoch then begin
+    Metrics.hist_reset w.slots.(slot);
+    w.epoch.(slot) <- epoch
+  end;
+  w.samples <- w.samples + 1;
+  Metrics.observe w.slots.(slot) v
 
-let reset sk =
-  sk.k_count <- 0;
-  sk.k_sum <- 0.0;
-  sk.k_min <- infinity;
-  sk.k_max <- neg_infinity;
-  Array.fill sk.k_buckets 0 (Array.length sk.k_buckets) 0
-
-let merge_into ~into src =
-  into.k_count <- into.k_count + src.k_count;
-  into.k_sum <- into.k_sum +. src.k_sum;
-  into.k_min <- Float.min into.k_min src.k_min;
-  into.k_max <- Float.max into.k_max src.k_max;
-  Array.iteri (fun i c -> into.k_buckets.(i) <- into.k_buckets.(i) + c) src.k_buckets
-
-let merge a b =
-  let sk = create () in
-  merge_into ~into:sk a;
-  merge_into ~into:sk b;
-  sk
-
-(* Geometric interpolation inside the crossing bucket — the same estimator
-   [Metrics.quantile] uses, so a sketch and the registry histogram that saw
-   the same samples answer identically. *)
-let quantile sk q =
-  if sk.k_count = 0 then 0.0
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let rank = q *. float_of_int sk.k_count in
-    let upper = Metrics.bucket_upper in
-    let rec scan i cum =
-      if i >= Metrics.n_buckets then sk.k_max
-      else
-        let cum' = cum + sk.k_buckets.(i) in
-        if float_of_int cum' >= rank && sk.k_buckets.(i) > 0 then begin
-          let lower = if i = 0 then 0.0 else upper.(i - 1) in
-          let frac = (rank -. float_of_int cum) /. float_of_int sk.k_buckets.(i) in
-          let lo = Float.max lower (Metrics.bucket_min /. Metrics.bucket_ratio) in
-          let v = lo *. ((upper.(i) /. lo) ** frac) in
-          Float.min (Float.min v sk.k_max) upper.(i)
-        end
-        else scan (i + 1) cum'
-    in
-    scan 0 0
-  end
-
-(* ---- windowed collector --------------------------------------------------------- *)
-
-(* A ring of [slots] sketches, one per [bucket_s] of time.  Observing at
-   time [t] lands in slot [floor(t/bucket_s) mod slots]; a slot whose
-   stored epoch differs from the current one is stale and is reset before
-   reuse, so the ring always covers the trailing [slots * bucket_s]
-   seconds exactly.  Queries merge the slots inside the asked window. *)
-module Windowed = struct
-  type sketch = t
-
-  (* the outer constructor, before [create] below shadows it *)
-  let mk_sketch = create
-
-  type t = {
-    wd_bucket_s : float;
-    wd_slots : sketch array;
-    wd_epoch : int array;  (* floor(t/bucket_s) the slot holds; -1 empty *)
-    mutable wd_samples : int;
-  }
-
-  let create ?(bucket_s = 0.05) ?(slots = 20) () =
-    if bucket_s <= 0.0 then invalid_arg "Sketch.Windowed.create: bucket_s <= 0";
-    if slots <= 0 then invalid_arg "Sketch.Windowed.create: slots <= 0";
-    { wd_bucket_s = bucket_s;
-      wd_slots = Array.init slots (fun _ -> create ());
-      wd_epoch = Array.make slots (-1);
-      wd_samples = 0 }
-
-  let span_s w = w.wd_bucket_s *. float_of_int (Array.length w.wd_slots)
-  let samples w = w.wd_samples
-
-  let epoch_of w t = int_of_float (Float.floor (t /. w.wd_bucket_s))
-
-  let observe w ~now v =
-    let epoch = max 0 (epoch_of w now) in
-    let slot = epoch mod Array.length w.wd_slots in
-    if w.wd_epoch.(slot) <> epoch then begin
-      reset w.wd_slots.(slot);
-      w.wd_epoch.(slot) <- epoch
-    end;
-    w.wd_samples <- w.wd_samples + 1;
-    observe w.wd_slots.(slot) v
-
-  (* Merge of the slots covering [now - window_s, now].  [into] is reset
-     first and receives the union, so callers can reuse one scratch
-     sketch across queries and allocate nothing per tick. *)
-  let query_into ~into w ~now ~window_s =
-    reset into;
-    let hi = epoch_of w now in
-    let lo = epoch_of w (Float.max 0.0 (now -. window_s)) in
-    let n = Array.length w.wd_slots in
-    let lo = max lo (hi - n + 1) in
-    for e = lo to hi do
-      if e >= 0 then begin
-        let slot = e mod n in
-        if w.wd_epoch.(slot) = e then merge_into ~into w.wd_slots.(slot)
-      end
-    done
-
-  let query w ~now ~window_s =
-    let sk = mk_sketch () in
-    query_into ~into:sk w ~now ~window_s;
-    sk
-end
+let query w ~now ~window_s =
+  let into = Metrics.make_histogram () in
+  let n = Array.length w.slots in
+  let hi = epoch_of w now in
+  let lo = max (epoch_of w (Float.max 0.0 (now -. window_s))) (hi - n + 1) in
+  for e = max 0 lo to hi do
+    if w.epoch.(e mod n) = e then Metrics.hist_merge_into ~into w.slots.(e mod n)
+  done;
+  into

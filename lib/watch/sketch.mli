@@ -1,54 +1,26 @@
-(** Mergeable aggregate sketches (count/sum/min/max + log-bucketed
-    quantiles on the {!Everest_telemetry.Metrics} bucket layout) and a
-    windowed collector answering trailing-window quantile queries in
-    O(buckets) — independent of how many samples the window saw. *)
+(** Trailing-window quantile sketches: a ring of
+    {!Everest_telemetry.Metrics} histograms, one per [bucket_s] of caller
+    time, answering "p99 over the last W seconds" by merging the slots
+    the window covers — O(buckets), independent of how many samples the
+    window saw.  Bucketing and the quantile estimator are the registry's
+    own, so a windowed and a registry quantile over the same samples
+    agree exactly. *)
 
 type t
 
-val create : unit -> t
+(** A ring of [slots] histograms covering the trailing
+    [slots * bucket_s] seconds. *)
+val create : ?bucket_s:float -> ?slots:int -> unit -> t
 
-(** Negative samples are clamped to 0 (the metrics layer does the same). *)
-val observe : t -> float -> unit
+(** Total coverage in seconds. *)
+val span_s : t -> float
 
-val count : t -> int
-val sum : t -> float
-val mean : t -> float
+(** Samples ever observed (including ones already rotated out). *)
+val samples : t -> int
 
-(** 0 on an empty sketch. *)
-val min_v : t -> float
+(** Negative samples are clamped to 0, as the registry does.
+    @raise Invalid_argument when [now] precedes the newest sample. *)
+val observe : t -> now:float -> float -> unit
 
-val max_v : t -> float
-val reset : t -> unit
-
-(** Bucket-wise sum: associative and commutative. *)
-val merge : t -> t -> t
-
-val merge_into : into:t -> t -> unit
-
-(** Same estimator as [Metrics.quantile]: geometric interpolation inside
-    the bucket crossing the rank. *)
-val quantile : t -> float -> float
-
-module Windowed : sig
-  type sketch = t
-
-  (** A ring of [slots] sketches, one per [bucket_s] of caller time,
-      covering the trailing [slots * bucket_s] seconds. *)
-  type t
-
-  val create : ?bucket_s:float -> ?slots:int -> unit -> t
-
-  (** Total coverage in seconds. *)
-  val span_s : t -> float
-
-  (** Samples ever observed (including ones already rotated out). *)
-  val samples : t -> int
-
-  val observe : t -> now:float -> float -> unit
-
-  (** Merged sketch of the slots covering [now - window_s, now]. *)
-  val query : t -> now:float -> window_s:float -> sketch
-
-  (** Allocation-free variant: [into] is reset, then receives the merge. *)
-  val query_into : into:sketch -> t -> now:float -> window_s:float -> unit
-end
+(** Merge of the slots covering [now - window_s, now]. *)
+val query : t -> now:float -> window_s:float -> Everest_telemetry.Metrics.histogram

@@ -16,21 +16,19 @@
 
 type config = {
   wc_interval_s : float;  (* scrape cadence on the watched clock *)
-  wc_capacity : int;  (* ring points per tier *)
-  wc_tiers : int;
-  wc_factor : int;  (* resolution step between tiers *)
+  wc_capacity : int;  (* samples kept per series *)
   wc_sketch_bucket_s : float;  (* windowed-sketch time bucket *)
   wc_sketch_slots : int;
 }
 
 let default_config =
-  { wc_interval_s = 0.01; wc_capacity = 256; wc_tiers = 3; wc_factor = 10;
-    wc_sketch_bucket_s = 0.05; wc_sketch_slots = 20 }
+  { wc_interval_s = 0.01; wc_capacity = 256; wc_sketch_bucket_s = 0.05;
+    wc_sketch_slots = 20 }
 
 type t = {
   w_config : config;
   w_store : Series.Store.t;
-  w_sketches : (string * (string * string) list, Sketch.Windowed.t) Hashtbl.t;
+  w_sketches : (string * (string * string) list, Sketch.t) Hashtbl.t;
   mutable w_sketch_keys : (string * (string * string) list) list;
       (* insertion-ordered keys for deterministic iteration *)
   w_rules : Rules.t;
@@ -45,9 +43,7 @@ type t = {
 let create ?(config = default_config) ?(rules = []) () =
   if config.wc_interval_s <= 0.0 then invalid_arg "Watch.create: interval <= 0";
   { w_config = config;
-    w_store =
-      Series.Store.create ~capacity:config.wc_capacity ~tiers:config.wc_tiers
-        ~factor:config.wc_factor ~res_s:config.wc_interval_s ();
+    w_store = Series.Store.create ~capacity:config.wc_capacity ();
     w_sketches = Hashtbl.create 16;
     w_sketch_keys = [];
     w_rules = Rules.engine rules;
@@ -86,7 +82,7 @@ let sketch w ~name ~labels =
   | Some wd -> wd
   | None ->
       let wd =
-        Sketch.Windowed.create ~bucket_s:w.w_config.wc_sketch_bucket_s
+        Sketch.create ~bucket_s:w.w_config.wc_sketch_bucket_s
           ~slots:w.w_config.wc_sketch_slots ()
       in
       Hashtbl.replace w.w_sketches key wd;
@@ -106,7 +102,7 @@ let sketch_list w =
    call sites: one bucket update plus two clock reads. *)
 let observe w ~now ?(labels = []) name v =
   let t0 = Unix.gettimeofday () in
-  Sketch.Windowed.observe (sketch w ~name ~labels) ~now v;
+  Sketch.observe (sketch w ~name ~labels) ~now v;
   w.w_samples <- w.w_samples + 1;
   w.w_work_s <- w.w_work_s +. (Unix.gettimeofday () -. t0)
 

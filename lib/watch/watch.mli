@@ -9,9 +9,7 @@
 
 type config = {
   wc_interval_s : float;  (** Scrape cadence on the watched clock. *)
-  wc_capacity : int;  (** Ring points per series tier. *)
-  wc_tiers : int;
-  wc_factor : int;  (** Resolution step between tiers. *)
+  wc_capacity : int;  (** Samples kept per series. *)
   wc_sketch_bucket_s : float;  (** Windowed-sketch time bucket. *)
   wc_sketch_slots : int;
 }
@@ -45,14 +43,14 @@ val on_tick : t -> (t -> now:float -> unit) -> unit
 
 (** Get or create the named windowed sketch. *)
 val sketch :
-  t -> name:string -> labels:(string * string) list -> Sketch.Windowed.t
+  t -> name:string -> labels:(string * string) list -> Sketch.t
 
 val find_sketch :
-  t -> name:string -> labels:(string * string) list -> Sketch.Windowed.t option
+  t -> name:string -> labels:(string * string) list -> Sketch.t option
 
 (** Sketches in first-observation order (deterministic). *)
 val sketch_list :
-  t -> (string * (string * string) list * Sketch.Windowed.t) list
+  t -> (string * (string * string) list * Sketch.t) list
 
 (** Feed one sample into the named windowed sketch. *)
 val observe :

@@ -1,6 +1,7 @@
-(* everest_watch: series ring/downsampling, sketch merge laws, change
-   detectors (never-alarm / always-alarm properties), phase segmentation,
-   rules, the facade and the dashboard's determinism. *)
+(* everest_watch: the series ring, the windowed sketch and histogram merge
+   laws, change detectors (never-alarm / always-alarm properties), rules,
+   the facade, the dashboard's determinism, and random scripts checked
+   against the reference watch. *)
 
 module Series = Everest_watch.Series
 module Sketch = Everest_watch.Sketch
@@ -10,60 +11,41 @@ module Scrape = Everest_watch.Scrape
 module Watch = Everest_watch.Watch
 module Live = Everest_watch.Live
 module Metrics = Everest_telemetry.Metrics
+module Alarm = Everest_observe.Alarm
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 let checks = Alcotest.(check string)
 
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 (* ---- series ---------------------------------------------------------------------- *)
 
 let test_series_ring_bounds () =
-  let s = Series.create ~capacity:8 ~tiers:1 ~name:"x" ~labels:[] () in
+  let s = Series.create ~capacity:8 ~name:"x" ~labels:[] () in
   for i = 0 to 99 do
     Series.observe s ~t:(float_of_int i) (float_of_int i)
   done;
-  let pts = Series.points s ~tier:0 in
+  let pts = Series.to_list s in
   checki "capacity bounds the ring" 8 (List.length pts);
   checki "raw samples still counted" 100 (Series.samples s);
   (* the ring keeps the newest points *)
-  checkf "oldest survivor" 92.0 (List.hd pts).Series.pt_t;
-  checkf "latest" 99.0 (Option.get (Series.latest s)).Series.pt_last
+  checkf "oldest survivor" 92.0 (fst (List.hd pts));
+  checkf "latest" 99.0 (snd (Option.get (Series.latest s)))
 
-let test_series_downsampling () =
-  let s =
-    Series.create ~capacity:64 ~tiers:2 ~factor:10 ~res_s:0.01 ~name:"x"
-      ~labels:[] ()
-  in
-  (* 100 samples over 1 s: tier 1 (res 0.1 s) should aggregate 10 raw
-     samples per point *)
-  for i = 0 to 99 do
-    Series.observe s ~t:(0.01 *. float_of_int i) (float_of_int i)
-  done;
-  let t1 = Series.points s ~tier:1 in
-  checki "tier-1 point count" 10 (List.length t1);
-  let p0 = List.hd t1 in
-  checki "tier-1 aggregates 10 samples" 10 p0.Series.pt_count;
-  checkf "tier-1 min" 0.0 p0.Series.pt_min;
-  checkf "tier-1 max" 9.0 p0.Series.pt_max;
-  checkf "tier-1 mean" 4.5 (Series.pt_mean p0)
-
-let test_series_between_picks_tier () =
-  let s =
-    Series.create ~capacity:16 ~tiers:2 ~factor:10 ~res_s:0.01 ~name:"x"
-      ~labels:[] ()
-  in
-  for i = 0 to 199 do
-    Series.observe s ~t:(0.01 *. float_of_int i) 1.0
-  done;
-  (* raw tier only reaches back 16 samples = 0.16 s; asking for the full
-     2 s span must fall back to the coarser tier *)
-  let recent = Series.between s ~t0:1.9 ~t1:2.0 in
-  let full = Series.between s ~t0:0.0 ~t1:2.0 in
-  checkb "recent span served" true (recent <> []);
-  checkb "full span falls back to coarse tier" true (List.length full > 0);
-  checkb "coarse points aggregate" true
-    (List.exists (fun p -> p.Series.pt_count > 1) full)
+let test_series_time_backwards () =
+  let s = Series.create ~name:"x" ~labels:[] () in
+  Series.observe s ~t:5.0 1.0;
+  Series.observe s ~t:5.0 2.0;
+  checkb "an earlier sample is refused" true
+    (raises_invalid (fun () -> Series.observe s ~t:1.0 3.0));
+  checkb "latest stays the newest" true (Series.latest s = Some (5.0, 2.0));
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "window keeps both tied samples"
+    [ (5.0, 1.0); (5.0, 2.0) ]
+    (Series.fold s ~t0:4.0 ~t1:6.0 (fun acc t v -> acc @ [ (t, v) ]) [])
 
 let test_store_sorted_iteration () =
   let st = Series.Store.create () in
@@ -79,81 +61,85 @@ let test_store_sorted_iteration () =
 
 (* ---- sketch ---------------------------------------------------------------------- *)
 
-let sketch_of values =
-  let s = Sketch.create () in
-  List.iter (Sketch.observe s) values;
-  s
+(* The windowed sketch merges Metrics histograms, so the merge laws are
+   the histogram's. *)
+let hist_of values =
+  let h = Metrics.make_histogram () in
+  List.iter (Metrics.observe h) values;
+  h
 
-let sketch_eq a b =
-  Sketch.count a = Sketch.count b
-  && Float.abs (Sketch.sum a -. Sketch.sum b) < 1e-9
-  && Float.abs (Sketch.min_v a -. Sketch.min_v b) < 1e-12
-  && Float.abs (Sketch.max_v a -. Sketch.max_v b) < 1e-12
+let merge a b =
+  let h = Metrics.make_histogram () in
+  Metrics.hist_merge_into ~into:h a;
+  Metrics.hist_merge_into ~into:h b;
+  h
+
+let hist_eq a b =
+  Metrics.hist_count a = Metrics.hist_count b
+  && Float.abs (Metrics.hist_sum a -. Metrics.hist_sum b) < 1e-9
+  && Float.abs (Metrics.hist_min a -. Metrics.hist_min b) < 1e-12
+  && Float.abs (Metrics.hist_max a -. Metrics.hist_max b) < 1e-12
   && List.for_all
-       (fun q -> Float.abs (Sketch.quantile a q -. Sketch.quantile b q) < 1e-12)
+       (fun q -> Float.abs (Metrics.quantile a q -. Metrics.quantile b q) < 1e-12)
        [ 0.1; 0.5; 0.9; 0.99 ]
+
+let samples_gen = QCheck.(list_of_size Gen.(int_range 0 50) (float_range 0.0 1e3))
 
 let prop_merge_associative =
   QCheck.Test.make ~count:100 ~name:"sketch merge is associative"
-    QCheck.(
-      triple
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3))
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3))
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3)))
+    QCheck.(triple samples_gen samples_gen samples_gen)
     (fun (xs, ys, zs) ->
-      let a () = sketch_of xs and b () = sketch_of ys and c () = sketch_of zs in
-      let l = Sketch.merge (Sketch.merge (a ()) (b ())) (c ()) in
-      let r = Sketch.merge (a ()) (Sketch.merge (b ()) (c ())) in
-      sketch_eq l r)
+      let a () = hist_of xs and b () = hist_of ys and c () = hist_of zs in
+      hist_eq (merge (merge (a ()) (b ())) (c ())) (merge (a ()) (merge (b ()) (c ()))))
 
 let prop_merge_commutative =
   QCheck.Test.make ~count:100 ~name:"sketch merge is commutative"
-    QCheck.(
-      pair
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3))
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3)))
-    (fun (xs, ys) ->
-      sketch_eq
-        (Sketch.merge (sketch_of xs) (sketch_of ys))
-        (Sketch.merge (sketch_of ys) (sketch_of xs)))
+    QCheck.(pair samples_gen samples_gen)
+    (fun (xs, ys) -> hist_eq (merge (hist_of xs) (hist_of ys)) (merge (hist_of ys) (hist_of xs)))
 
 let prop_merge_equals_union =
   QCheck.Test.make ~count:100 ~name:"merge of parts equals sketch of union"
-    QCheck.(
-      pair
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3))
-        (list_of_size QCheck.Gen.(int_range 0 50) (float_range 0.0 1e3)))
-    (fun (xs, ys) ->
-      sketch_eq
-        (Sketch.merge (sketch_of xs) (sketch_of ys))
-        (sketch_of (xs @ ys)))
+    QCheck.(pair samples_gen samples_gen)
+    (fun (xs, ys) -> hist_eq (merge (hist_of xs) (hist_of ys)) (hist_of (xs @ ys)))
 
 let test_sketch_quantile_matches_metrics () =
-  (* the sketch reuses the Metrics bucket layout, so on identical data the
-     estimates must agree exactly *)
+  (* a windowed query over samples from one slot answers like the
+     registry histogram that saw the same samples *)
   let values = [ 0.001; 0.004; 0.004; 0.02; 0.3; 2.0 ] in
   let r = Metrics.create_registry () in
   let h = Metrics.histogram ~registry:r "lat" in
   List.iter (Metrics.observe h) values;
-  let s = sketch_of values in
+  let sk = Sketch.create () in
+  List.iter (Sketch.observe sk ~now:0.01) values;
+  let q_h = Sketch.query sk ~now:0.01 ~window_s:(Sketch.span_s sk) in
   List.iter
     (fun q ->
       checkf
         (Printf.sprintf "q=%g agrees with Metrics" q)
-        (Metrics.quantile h q) (Sketch.quantile s q))
+        (Metrics.quantile h q) (Metrics.quantile q_h q))
     [ 0.1; 0.5; 0.9; 0.99 ]
 
 let test_windowed_rotation () =
-  let w = Sketch.Windowed.create ~bucket_s:0.1 ~slots:5 () in
+  let w = Sketch.create ~bucket_s:0.1 ~slots:5 () in
   (* old epoch, then far newer samples: the query over the trailing window
      must only see the new ones *)
-  Sketch.Windowed.observe w ~now:0.0 100.0;
-  Sketch.Windowed.observe w ~now:10.0 1.0;
-  Sketch.Windowed.observe w ~now:10.05 2.0;
-  let sk = Sketch.Windowed.query w ~now:10.05 ~window_s:0.5 in
-  checki "stale slots rotated out" 2 (Sketch.count sk);
-  checkf "max is recent" 2.0 (Sketch.max_v sk);
-  checki "samples counts everything ever" 3 (Sketch.Windowed.samples w)
+  Sketch.observe w ~now:0.0 100.0;
+  Sketch.observe w ~now:10.0 1.0;
+  Sketch.observe w ~now:10.05 2.0;
+  let h = Sketch.query w ~now:10.05 ~window_s:0.5 in
+  checki "stale slots rotated out" 2 (Metrics.hist_count h);
+  checkf "max is recent" 2.0 (Metrics.hist_max h);
+  checki "samples counts everything ever" 3 (Sketch.samples w)
+
+let test_sketch_time_backwards () =
+  (* 9.0 is one full 1 s span before 10.0: it maps to the slot that holds
+     10.0, and resetting it would erase the newer sample *)
+  let w = Sketch.create ~bucket_s:0.1 ~slots:10 () in
+  Sketch.observe w ~now:10.0 1.0;
+  checkb "an earlier sample is refused" true
+    (raises_invalid (fun () -> Sketch.observe w ~now:9.0 1.0));
+  checki "the newer sample survives" 1
+    (Metrics.hist_count (Sketch.query w ~now:10.0 ~window_s:1.0))
 
 (* ---- detectors ------------------------------------------------------------------- *)
 
@@ -165,6 +151,15 @@ let detector_named = function
 
 let det_gen = QCheck.Gen.oneofl [ "ewma"; "cusum"; "ph" ]
 
+(* Rising edges of the verdicts over [xs], after a [last] verdict, and
+   the final verdict. *)
+let edges ?(last = Detect.Ok) d xs =
+  List.fold_left
+    (fun (n, last) x ->
+      let v = Detect.step d x in
+      ((if v = Detect.Alarm && last = Detect.Ok then n + 1 else n), v))
+    (0, last) xs
+
 let prop_constant_never_alarms =
   QCheck.Test.make ~count:200 ~name:"constant series never alarms"
     QCheck.(
@@ -172,13 +167,7 @@ let prop_constant_never_alarms =
         ~print:(fun (k, v, n) -> Printf.sprintf "%s v=%g n=%d" k v n)
         QCheck.Gen.(
           triple det_gen (float_range (-1e6) 1e6) (int_range 10 300)))
-    (fun (kind, v, n) ->
-      let d = detector_named kind in
-      let ok = ref true in
-      for _ = 1 to n do
-        if Detect.step d v = Detect.Alarm then ok := false
-      done;
-      !ok && Detect.alarms d = 0)
+    (fun (kind, v, n) -> fst (edges (detector_named kind) (List.init n (fun _ -> v))) = 0)
 
 let prop_big_step_always_alarms =
   (* after a noiseless baseline, a step of >= 8 sigma-floors must alarm
@@ -202,11 +191,7 @@ let prop_big_step_always_alarms =
       done;
       (* sigma0 is ~0.01; an 8-sigma step is 0.08, scale by step_mag *)
       let stepped = base +. (0.08 *. step_mag) in
-      let alarmed = ref false in
-      for _ = 1 to 10 do
-        if Detect.step d stepped = Detect.Alarm then alarmed := true
-      done;
-      !alarmed)
+      fst (edges d (List.init 10 (fun _ -> stepped))) > 0)
 
 let test_cusum_integrates_small_shift () =
   (* a 1.5-sigma sustained shift: inside the EWMA band, but CUSUM's sums
@@ -216,11 +201,8 @@ let test_cusum_integrates_small_shift () =
   for i = 1 to 8 do
     ignore (Detect.step d (10.0 +. noise i))
   done;
-  let fired = ref false in
-  for _ = 1 to 30 do
-    if Detect.step d 10.016 = Detect.Alarm then fired := true
-  done;
-  checkb "sustained small shift caught" true !fired
+  checkb "sustained small shift caught" true
+    (fst (edges d (List.init 30 (fun _ -> 10.016))) > 0)
 
 let test_ewma_recenters_after_step () =
   let d = Detect.ewma ~alpha:0.3 ~k:4.0 () in
@@ -228,65 +210,32 @@ let test_ewma_recenters_after_step () =
   for i = 1 to 8 do
     ignore (Detect.step d (1.0 +. noise i))
   done;
-  ignore (Detect.step d 2.0);
-  checkb "step fires" true (Detect.firing d);
+  checkb "step fires" true (Detect.step d 2.0 = Detect.Alarm);
   (* keep feeding the new level: the band re-centers and the alarm clears *)
-  for _ = 1 to 50 do
-    ignore (Detect.step d 2.0)
-  done;
-  checkb "new normal settles" false (Detect.firing d);
-  checki "one rising edge" 1 (Detect.alarms d)
+  let n, last = edges ~last:Detect.Alarm d (List.init 50 (fun _ -> 2.0)) in
+  checkb "new normal settles" true (last = Detect.Ok);
+  checki "no second rising edge" 0 n
 
 let test_detector_reset () =
+  let stream =
+    List.init 8 (fun i -> float_of_int (i mod 2)) @ List.init 10 (fun _ -> 100.0)
+  in
   let d = Detect.cusum () in
-  for i = 1 to 8 do
-    ignore (Detect.step d (float_of_int (i mod 2)))
-  done;
-  for _ = 1 to 10 do
-    ignore (Detect.step d 100.0)
-  done;
-  checkb "alarmed before reset" true (Detect.alarms d > 0);
+  let before = fst (edges d stream) in
+  checkb "alarmed before reset" true (before > 0);
   Detect.reset d;
   checki "reset clears samples" 0 (Detect.samples d);
-  checkb "reset clears firing" false (Detect.firing d);
-  checki "reset clears alarms" 0 (Detect.alarms d)
-
-(* ---- phases ---------------------------------------------------------------------- *)
-
-let test_phase_segmentation () =
-  let samples =
-    List.init 30 (fun i ->
-        let t = float_of_int i in
-        let v = if i < 10 then 0.2 else if i < 20 then 0.8 else 0.3 in
-        (t, v))
-  in
-  let ps = Detect.phases ~abs_tol:0.05 ~rel_tol:0.05 samples in
-  checki "three phases" 3 (List.length ps);
-  let means = List.map (fun p -> p.Detect.ph_mean) ps in
-  checkf "phase 1 mean" 0.2 (List.nth means 0);
-  checkf "phase 2 mean" 0.8 (List.nth means 1);
-  checkf "phase 3 mean" 0.3 (List.nth means 2)
-
-let test_phase_merge_absorbs_blips () =
-  let samples =
-    List.init 21 (fun i ->
-        (float_of_int i, if i = 10 then 5.0 else 1.0))
-  in
-  (* a single-sample blip is shorter than min_samples: absorbed, one phase *)
-  let ps = Detect.phases ~abs_tol:0.05 ~rel_tol:0.05 ~min_samples:2 samples in
-  checki "blip absorbed" 1 (List.length ps)
-
-let test_phases_constant () =
-  let samples = List.init 50 (fun i -> (float_of_int i, 0.7)) in
-  let ps = Detect.phases samples in
-  checki "constant timeline is one phase" 1 (List.length ps);
-  checkf "mean preserved" 0.7 (List.hd ps).Detect.ph_mean;
-  checki "all samples in it" 50 (List.hd ps).Detect.ph_samples
+  checkb "reset clears firing" true (Detect.step d 100.0 = Detect.Ok);
+  Detect.reset d;
+  checki "reset clears alarms" before (fst (edges d stream))
 
 (* ---- rules ----------------------------------------------------------------------- *)
 
 let mk_ctx store =
   { Rules.ctx_store = store; ctx_sketch = (fun _ _ -> None) }
+
+let last_value store name =
+  snd (Option.get (Series.latest (Option.get (Series.Store.find store ~name ~labels:[]))))
 
 let test_rules_record_then_alert () =
   let store = Series.Store.create () in
@@ -304,8 +253,7 @@ let test_rules_record_then_alert () =
   checki "fires at 12" 1 (List.length fired);
   checks "fired name" "too-big" (List.hd fired).Rules.as_name;
   (* recording rule wrote the derived series *)
-  let d = Option.get (Series.Store.find store ~name:"doubled" ~labels:[]) in
-  checkf "derived value" 12.0 (Option.get (Series.latest d)).Series.pt_last
+  checkf "derived value" 12.0 (last_value store "doubled")
 
 let test_rules_for_s_holddown () =
   let store = Series.Store.create () in
@@ -341,7 +289,7 @@ let test_rules_undefined_skips () =
   checki "nothing fires" 0 (List.length (Rules.eval eng ctx ~now:0.0));
   List.iter
     (fun (a : Rules.alert_state) ->
-      checkb (a.Rules.as_name ^ " untouched") false a.Rules.as_firing)
+      checkb (a.Rules.as_name ^ " untouched") false (Alarm.firing a.Rules.as_alarm))
     (Rules.alert_states eng)
 
 let test_rules_rate_and_window_exprs () =
@@ -358,14 +306,22 @@ let test_rules_rate_and_window_exprs () =
         Rules.record "mn" (Rules.Min_over ("c", [], 1.0)) ]
   in
   ignore (Rules.eval eng (mk_ctx store) ~now:2.0);
-  let v name =
-    (Option.get
-       (Series.latest (Option.get (Series.Store.find store ~name ~labels:[]))))
-      .Series.pt_last
+  checkf "rate ~10/s" 10.0 (last_value store "rate");
+  checkf "max over window" 20.0 (last_value store "mx");
+  checkf "min over window" 10.0 (last_value store "mn")
+
+let test_rules_duplicate_alert_names () =
+  (* one shared state would let the second rule drive (and clear) the
+     first rule's alert *)
+  let rules =
+    [ Rules.alert "hot" (Rules.Last ("x", [])) (Rules.Above 10.0);
+      Rules.alert "hot" (Rules.Last ("y", [])) (Rules.Above 10.0) ]
   in
-  checkf "rate ~10/s" 10.0 (v "rate");
-  checkf "max over window" 20.0 (v "mx");
-  checkf "min over window" 10.0 (v "mn")
+  match Rules.engine rules with
+  | _ -> Alcotest.fail "two alerts named hot were accepted"
+  | exception Invalid_argument msg ->
+      checkb "the message names the duplicate" true
+        (Astring.String.is_infix ~affix:"\"hot\"" msg)
 
 (* ---- facade + dashboard ---------------------------------------------------------- *)
 
@@ -395,9 +351,9 @@ let test_watch_source_replace () =
   Watch.add_source w (Scrape.of_fn ~name:"s" (fun ~now:_ -> [ ("a", [], 1.0) ]));
   Watch.add_source w (Scrape.of_fn ~name:"s" (fun ~now:_ -> [ ("a", [], 2.0) ]));
   ignore (Watch.tick w ~now:0.0);
-  let s = Option.get (Series.Store.find (Watch.store w) ~name:"a" ~labels:[]) in
-  checki "not double-sampled" 1 (Option.get (Series.latest s)).Series.pt_count;
-  checkf "replacement won" 2.0 (Option.get (Series.latest s)).Series.pt_last
+  checki "not double-sampled" 1
+    (Series.samples (Option.get (Series.Store.find (Watch.store w) ~name:"a" ~labels:[])));
+  checkf "replacement won" 2.0 (last_value (Watch.store w) "a")
 
 let test_dashboard_deterministic () =
   let mk () =
@@ -621,10 +577,7 @@ let run_against_reference sc =
   let rstore = Ref.Series.Store.create ~capacity:sc.sc_capacity in
   let sketches =
     List.map
-      (fun id ->
-        ( id,
-          Sketch.Windowed.create ~bucket_s:sc.sc_bucket_s ~slots:sc.sc_slots ()
-        ))
+      (fun id -> (id, Sketch.create ~bucket_s:sc.sc_bucket_s ~slots:sc.sc_slots ()))
       sketched
   in
   let rsketches =
@@ -651,36 +604,35 @@ let run_against_reference sc =
     let names = List.map (fun (a : Rules.alert_state) -> a.Rules.as_name) in
     let rnames = List.map (fun (a : Ref.Rules.alert_state) -> a.as_name) in
     let alert (a : Rules.alert_state) (r : Ref.Rules.alert_state) =
+      let al = a.Rules.as_alarm in
       String.equal a.Rules.as_name r.as_name
-      && a.Rules.as_firing = r.as_firing
-      && a.Rules.as_edges = r.as_edges
-      && bits a.Rules.as_since = bits r.as_since
+      && Alarm.firing al = r.as_firing
+      && Alarm.edges al = r.as_edges
+      && bits (Alarm.since al) = bits r.as_since
       && bits a.Rules.as_value = bits r.as_value
     in
     let series s (r : Ref.Series.t) =
       String.equal (Series.name s) r.s_name
       && Series.labels s = r.s_labels
       && Series.samples s = r.s_samples
-      && List.map
-           (fun p -> (bits p.Series.pt_t, bits p.Series.pt_last))
-           (Series.points s ~tier:0)
+      && List.map (fun (t, v) -> (bits t, bits v)) (Series.to_list s)
          = List.map
              (fun p -> (bits p.Ref.Series.pt_t, bits p.Ref.Series.pt_last))
              (Ref.Series.points r)
     in
-    let sketch (id, wd) =
+    let sketch (id, sk) =
       let rwd = List.assoc id rsketches in
-      Sketch.Windowed.samples wd = Ref.Sketch.Windowed.samples rwd
+      Sketch.samples sk = Ref.Sketch.Windowed.samples rwd
       && List.for_all
            (fun window_s ->
-             let sk = Sketch.Windowed.query wd ~now ~window_s in
+             let h = Sketch.query sk ~now ~window_s in
              let rsk = Ref.Sketch.Windowed.query rwd ~now ~window_s in
-             Sketch.count sk = Ref.Sketch.count rsk
+             Metrics.hist_count h = Ref.Sketch.count rsk
              && List.for_all
                   (fun q ->
-                    bits (Sketch.quantile sk q) = bits (Ref.Sketch.quantile rsk q))
+                    bits (Metrics.quantile h q) = bits (Ref.Sketch.quantile rsk q))
                   [ 0.0; 0.5; 0.9; 0.99; 1.0 ])
-           [ Sketch.Windowed.span_s wd; 0.125; 1.0 /. 32.0 ]
+           [ Sketch.span_s sk; 0.125; 1.0 /. 32.0 ]
     in
     if names fired <> rnames rfired then Error "fired list"
     else if
@@ -703,7 +655,7 @@ let run_against_reference sc =
             scrape ~now (n, l) v;
             go now ticks rest
         | Feed (n, l, v) ->
-            Sketch.Windowed.observe (List.assoc (n, l) sketches) ~now v;
+            Sketch.observe (List.assoc (n, l) sketches) ~now v;
             Ref.Sketch.Windowed.observe (List.assoc (n, l) rsketches) ~now v;
             go now ticks rest
         | Tick -> (
@@ -732,10 +684,8 @@ let () =
     [
       ( "series",
         [ Alcotest.test_case "ring bounds" `Quick test_series_ring_bounds;
-          Alcotest.test_case "staircase downsampling" `Quick
-            test_series_downsampling;
-          Alcotest.test_case "between picks tier" `Quick
-            test_series_between_picks_tier;
+          Alcotest.test_case "time cannot run backwards" `Quick
+            test_series_time_backwards;
           Alcotest.test_case "store sorted iteration" `Quick
             test_store_sorted_iteration ] );
       ( "sketch",
@@ -744,7 +694,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge_equals_union;
           Alcotest.test_case "quantile matches Metrics" `Quick
             test_sketch_quantile_matches_metrics;
-          Alcotest.test_case "windowed rotation" `Quick test_windowed_rotation ]
+          Alcotest.test_case "windowed rotation" `Quick test_windowed_rotation;
+          Alcotest.test_case "time cannot run backwards" `Quick
+            test_sketch_time_backwards ]
       );
       ( "detect",
         [ QCheck_alcotest.to_alcotest prop_constant_never_alarms;
@@ -754,12 +706,6 @@ let () =
           Alcotest.test_case "ewma recenters" `Quick
             test_ewma_recenters_after_step;
           Alcotest.test_case "reset" `Quick test_detector_reset ] );
-      ( "phases",
-        [ Alcotest.test_case "segmentation" `Quick test_phase_segmentation;
-          Alcotest.test_case "blip absorbed" `Quick
-            test_phase_merge_absorbs_blips;
-          Alcotest.test_case "constant is one phase" `Quick
-            test_phases_constant ] );
       ( "rules",
         [ Alcotest.test_case "record then alert" `Quick
             test_rules_record_then_alert;
@@ -767,7 +713,9 @@ let () =
           Alcotest.test_case "undefined skips" `Quick
             test_rules_undefined_skips;
           Alcotest.test_case "rate and window exprs" `Quick
-            test_rules_rate_and_window_exprs ] );
+            test_rules_rate_and_window_exprs;
+          Alcotest.test_case "duplicate alert names rejected" `Quick
+            test_rules_duplicate_alert_names ] );
       ( "watch",
         [ Alcotest.test_case "scrape and alert" `Quick
             test_watch_scrape_and_alert;
