@@ -1,7 +1,7 @@
 (* E17: Estee-style DAG scheduling benchmark (million-task engine).
 
      dune exec bench/estee.exe              # full sweep, writes BENCH_e17.json
-     dune exec bench/estee.exe -- --quick   # reduced sweep (<= 10^4 tasks)
+     dune exec bench/estee.exe -- --quick   # <= 10^4 tasks, writes BENCH_e17.quick.json
 
    Beránek et al. benchmark task schedulers with generated DAG families at
    increasing scale, reporting scheduled-tasks/second and the
@@ -17,7 +17,7 @@
    - telemetry forcing: a traced ~10^6-span execution and the wall cost of
      forcing the lazy Observe report.
 
-   Results land in BENCH_e17.json; EXPERIMENTS.md section E17 narrates a
+   Full-sweep results land in BENCH_e17.json; EXPERIMENTS.md section E17 narrates a
    committed run. *)
 
 module Wf = Everest_workflow
@@ -181,16 +181,15 @@ let () =
       (Sb.telemetry_json tel)
       quick passed
   in
-  let oc = open_out "BENCH_e17.json" in
-  output_string oc json;
-  close_out oc;
+  let record = Util.write_record ~id:"e17" ~quick json in
   Printf.printf
-    "\nwrote BENCH_e17.json\n\
+    "\nwrote %s\n\
      Expected shape: planning throughput holds in the 10^5-10^6 tasks/s\n\
      range across families and scales (the pre-PR quadratic HEFT collapses\n\
      with n); cone repair after node death costs a small fraction of a full\n\
      reschedule at equal makespan; and forcing the report on a ~10^6-span\n\
-     log stays under 5%% of the traced run.\n";
+     log stays under 5%% of the traced run.\n"
+    record;
   if not passed then begin
     Printf.eprintf "E17 FAILED: speedup_ok=%b telemetry_ok=%b\n" speedup_ok
       telemetry_ok;

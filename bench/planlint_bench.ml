@@ -1,7 +1,7 @@
 (* E18: static plan sanitization at million-task scale.
 
      dune exec bench/planlint_bench.exe              # full sweep, writes BENCH_e18.json
-     dune exec bench/planlint_bench.exe -- --quick   # reduced sweep (<= 10^4 tasks)
+     dune exec bench/planlint_bench.exe -- --quick   # <= 10^4 tasks, writes BENCH_e18.quick.json
 
    The planlint analyzer is a pre-run gate: every executed plan pays for
    it, so its cost must stay a small fraction of what producing the plan
@@ -16,7 +16,7 @@
      re-checked here so the bench fails loudly if the analyzer ever stops
      seeing one.
 
-   Results land in BENCH_e18.json; EXPERIMENTS.md section E18 narrates a
+   Full-sweep results land in BENCH_e18.json; EXPERIMENTS.md section E18 narrates a
    committed run. *)
 
 module Wf = Everest_workflow
@@ -277,16 +277,14 @@ let () =
             defects))
       quick passed
   in
-  let oc = open_out "BENCH_e18.json" in
-  output_string oc json;
-  close_out oc;
+  let record = Util.write_record ~id:"e18" ~quick json in
   Printf.printf
-    "\nwrote BENCH_e18.json\n\
+    "\nwrote %s\n\
      Expected shape: linting a plan costs a few percent of producing it\n\
      at every scale (gated <%.0f%% at %s tasks), the reachability index\n\
      builds in O(n*chains) and answers ~10^7 queries/s, every shipped\n\
      plan is clean, and every seeded defect class is caught.\n"
-    (100.0 *. frac_budget)
+    record (100.0 *. frac_budget)
     (Util.si (float_of_int top));
   if not passed then begin
     Printf.eprintf

@@ -1,7 +1,7 @@
 (* E19: crash-consistent checkpoint/restore cost on the serving fabric.
 
      dune exec bench/recovery_bench.exe              # full sweep, writes BENCH_e19.json
-     dune exec bench/recovery_bench.exe -- --quick   # reduced sweep for CI
+     dune exec bench/recovery_bench.exe -- --quick   # reduced sweep for CI, writes BENCH_e19.quick.json
 
    Write-ahead journaling is only worth having if the fault-free run
    barely notices it, so the headline gate is the CPU-time overhead of
@@ -270,17 +270,15 @@ let () =
       (String.concat ",\n    " (List.map row_json rows))
       steady.r_overhead overhead_budget identity_ok quick passed
   in
-  let oc = open_out "BENCH_e19.json" in
-  output_string oc json;
-  close_out oc;
+  let record = Util.write_record ~id:"e19" ~quick json in
   Printf.printf
-    "\nwrote BENCH_e19.json\n\
+    "\nwrote %s\n\
      Expected shape: journaling + snapshotting tax the fault-free run by\n\
      a few percent (gated <%.0f%%), snapshotting more often trades\n\
      snapshot bytes for a shorter replay tail (so recovery gets faster),\n\
      and every resumed report is byte-identical to the uninterrupted\n\
      same-seed run.\n"
-    (100.0 *. overhead_budget);
+    record (100.0 *. overhead_budget);
   if not passed then begin
     Printf.eprintf
       "E19 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \

@@ -27,6 +27,16 @@ let table ~cols rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
+(* Write an experiment's JSON record: [BENCH_<id>.json] for the full
+   sweep, [BENCH_<id>.quick.json] for a --quick one, so a smoke run never
+   overwrites the committed full-scale record.  Returns the file name. *)
+let write_record ~id ~quick json =
+  let file = Printf.sprintf "BENCH_%s%s.json" id (if quick then ".quick" else "") in
+  let oc = open_out file in
+  output_string oc json;
+  close_out oc;
+  file
+
 let f2 x = Printf.sprintf "%.2f" x
 let f1 x = Printf.sprintf "%.1f" x
 let e2 x = Printf.sprintf "%.2e" x

@@ -1,7 +1,7 @@
 (* E20: watch overhead, determinism and detection on the serving fabric.
 
      dune exec bench/watch_bench.exe              # full sweep, writes BENCH_e20.json
-     dune exec bench/watch_bench.exe -- --quick   # reduced sweep for CI
+     dune exec bench/watch_bench.exe -- --quick   # reduced sweep for CI, writes BENCH_e20.quick.json
 
    A monitoring layer earns its keep only if watching costs almost
    nothing and changes nothing.  Three claims are gated here, at the same
@@ -271,16 +271,14 @@ let () =
       densest.r_overhead overhead_budget identity_ok clean_edges fault_cusum
       quick passed
   in
-  let oc = open_out "BENCH_e20.json" in
-  output_string oc json;
-  close_out oc;
+  let record = Util.write_record ~id:"e20" ~quick json in
   Printf.printf
-    "\nwrote BENCH_e20.json\n\
+    "\nwrote %s\n\
      Expected shape: watching taxes the fault-free run by well under\n\
      %.0f%% even at the densest scrape interval, the watched run's output\n\
      and two watched runs' dashboards are byte-identical, the capacity\n\
      cliff trips the CUSUM latency alert and the clean run trips nothing.\n"
-    (100.0 *. overhead_budget);
+    record (100.0 *. overhead_budget);
   if not passed then begin
     Printf.eprintf
       "E20 FAILED: overhead_ok=%b (%.3f at %.3fs interval) identity_ok=%b \
