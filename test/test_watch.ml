@@ -95,7 +95,8 @@ let prop_merge_associative =
 let prop_merge_commutative =
   QCheck.Test.make ~count:100 ~name:"sketch merge is commutative"
     QCheck.(pair samples_gen samples_gen)
-    (fun (xs, ys) -> hist_eq (merge (hist_of xs) (hist_of ys)) (merge (hist_of ys) (hist_of xs)))
+    (fun (xs, ys) ->
+      hist_eq (merge (hist_of xs) (hist_of ys)) (merge (hist_of ys) (hist_of xs)))
 
 let prop_merge_equals_union =
   QCheck.Test.make ~count:100 ~name:"merge of parts equals sketch of union"
@@ -351,8 +352,8 @@ let test_watch_source_replace () =
   Watch.add_source w (Scrape.of_fn ~name:"s" (fun ~now:_ -> [ ("a", [], 1.0) ]));
   Watch.add_source w (Scrape.of_fn ~name:"s" (fun ~now:_ -> [ ("a", [], 2.0) ]));
   ignore (Watch.tick w ~now:0.0);
-  checki "not double-sampled" 1
-    (Series.samples (Option.get (Series.Store.find (Watch.store w) ~name:"a" ~labels:[])));
+  let a = Option.get (Series.Store.find (Watch.store w) ~name:"a" ~labels:[]) in
+  checki "not double-sampled" 1 (Series.samples a);
   checkf "replacement won" 2.0 (last_value (Watch.store w) "a")
 
 let test_dashboard_deterministic () =
@@ -404,7 +405,10 @@ type g_rule =
   | G_record of string * g_expr
   | G_alert of string * float * g_expr * g_cond
 
-type g_event = Scrape of string * Rules.labels * float | Feed of string * Rules.labels * float | Tick
+type g_event =
+  | Scrape of string * Rules.labels * float
+  | Feed of string * Rules.labels * float
+  | Tick
 
 type script = {
   sc_capacity : int;
@@ -446,7 +450,7 @@ let rec ref_expr = function
   | G_bin (`Mul, a, b) -> Ref.Rules.Mul (ref_expr a, ref_expr b)
   | G_bin (`Div, a, b) -> Ref.Rules.Div (ref_expr a, ref_expr b)
 
-(* (warmup, sensitivity) -> the same detector on both sides *)
+(* The same detector on both sides, from its kind, sensitivity and warmup. *)
 let lib_det kind s warmup =
   match kind with
   | `Ewma -> Detect.ewma ~alpha:0.3 ~k:s ~warmup ()
