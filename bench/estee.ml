@@ -1,7 +1,7 @@
 (* E17: Estee-style DAG scheduling benchmark (million-task engine).
 
      dune exec bench/estee.exe              # full sweep, writes BENCH_e17.json
-     dune exec bench/estee.exe -- --quick   # <= 10^4 tasks, writes BENCH_e17.quick.json
+     dune exec bench/estee.exe -- --quick   # <= 10^4 tasks, BENCH_e17.quick.json
 
    Beránek et al. benchmark task schedulers with generated DAG families at
    increasing scale, reporting scheduled-tasks/second and the
@@ -17,7 +17,7 @@
    - telemetry forcing: a traced ~10^6-span execution and the wall cost of
      forcing the lazy Observe report.
 
-   Full-sweep results land in BENCH_e17.json; EXPERIMENTS.md section E17 narrates a
+   Results land in BENCH_e17.json; EXPERIMENTS.md section E17 narrates a
    committed run. *)
 
 module Wf = Everest_workflow

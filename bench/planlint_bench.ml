@@ -1,7 +1,7 @@
 (* E18: static plan sanitization at million-task scale.
 
      dune exec bench/planlint_bench.exe              # full sweep, writes BENCH_e18.json
-     dune exec bench/planlint_bench.exe -- --quick   # <= 10^4 tasks, writes BENCH_e18.quick.json
+     dune exec bench/planlint_bench.exe -- --quick   # <= 10^4 tasks, BENCH_e18.quick.json
 
    The planlint analyzer is a pre-run gate: every executed plan pays for
    it, so its cost must stay a small fraction of what producing the plan
@@ -16,7 +16,7 @@
      re-checked here so the bench fails loudly if the analyzer ever stops
      seeing one.
 
-   Full-sweep results land in BENCH_e18.json; EXPERIMENTS.md section E18 narrates a
+   Results land in BENCH_e18.json; EXPERIMENTS.md section E18 narrates a
    committed run. *)
 
 module Wf = Everest_workflow

@@ -1,7 +1,7 @@
 (* E19: crash-consistent checkpoint/restore cost on the serving fabric.
 
      dune exec bench/recovery_bench.exe              # full sweep, writes BENCH_e19.json
-     dune exec bench/recovery_bench.exe -- --quick   # reduced sweep for CI, writes BENCH_e19.quick.json
+     dune exec bench/recovery_bench.exe -- --quick   # CI sweep, BENCH_e19.quick.json
 
    Write-ahead journaling is only worth having if the fault-free run
    barely notices it, so the headline gate is the CPU-time overhead of

@@ -1,7 +1,7 @@
 (* E20: watch overhead, determinism and detection on the serving fabric.
 
      dune exec bench/watch_bench.exe              # full sweep, writes BENCH_e20.json
-     dune exec bench/watch_bench.exe -- --quick   # reduced sweep for CI, writes BENCH_e20.quick.json
+     dune exec bench/watch_bench.exe -- --quick   # CI sweep, BENCH_e20.quick.json
 
    A monitoring layer earns its keep only if watching costs almost
    nothing and changes nothing.  Three claims are gated here, at the same
