@@ -56,7 +56,7 @@ type algo =
       mutable u_down_max : float;
     }
 
-type t = { core : core; algo : algo }
+type t = { core : core; mutable algo : algo }
 
 let mk_core warmup =
   if warmup < 2 then invalid_arg "Detect: warmup < 2";
