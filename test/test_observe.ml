@@ -243,6 +243,107 @@ let test_utilization_gaps () =
         (Utilization.worst_gap u = Some ("n0", 1.0, 2.0))
   | _ -> Alcotest.fail "expected one node"
 
+(* ---- analytics reference -------------------------------------------------------- *)
+
+module Plat = Everest_platform
+module Faults = Everest_resilience.Faults
+module Policy = Everest_resilience.Policy
+
+(* One traced chaos run on the demonstrator: a layered, fork-join or
+   ensemble DAG under a random plan of node deaths and transient failures,
+   recovered by [Policy.chaos] (retries, timeouts, speculation,
+   recomputation).  A run that exhausts recovery still yields its partial
+   stats and report. *)
+let chaos_traced_run (family, (dag_seed, fault_seed)) =
+  let dag =
+    match family with
+    | 0 ->
+        Wf.Dag.layered ~seed:dag_seed ~layers:(2 + (dag_seed mod 3))
+          ~width:(2 + (dag_seed mod 2)) ~flops:1e9 ~bytes:2e5 ()
+    | 1 ->
+        Wf.Dag.fork_join ~width:(3 + (dag_seed mod 4)) ~worker_flops:8e8
+          ~worker_bytes:1e5 ~chunk_bytes:4096 ()
+    | _ ->
+        Wf.Dag.ensemble ~seed:dag_seed ~members:(2 + (dag_seed mod 3))
+          ~stages:(2 + (dag_seed mod 2)) ~stage_flops:6e8 ~stage_bytes:1e5 ()
+  in
+  let c = Plat.Cluster.everest_demonstrator () in
+  let tracer =
+    Trace.create ~clock:(fun () -> Plat.Desim.now c.Plat.Cluster.sim) ()
+  in
+  let faults =
+    Faults.random_plan ~seed:fault_seed ~fault_rate:0.3 ~mean_downtime:0.15
+      ~transient_prob:0.1 ~fpga_transient_prob:0.1
+      ~nodes:
+        (List.map (fun (n : Plat.Node.t) -> n.Plat.Node.name) c.Plat.Cluster.nodes)
+      ~horizon:0.6 ()
+  in
+  let scheduler = if dag_seed mod 2 = 0 then "heft-locality" else "min-load" in
+  let plan = (Option.get (Wf.Scheduler.by_name scheduler)) c dag in
+  let stats =
+    try
+      Wf.Executor.execute ~faults ~policy:Policy.chaos ~tracer
+        ~registry:(Metrics.create_registry ()) c plan
+    with Wf.Executor.Execution_failed { partial; _ } -> partial
+  in
+  (dag, plan, c, tracer, stats)
+
+(* The report's critical path and utilization, and the oracle's, as JSON. *)
+let analytics_pair (dag, plan, c, tracer, stats) =
+  let report = Lazy.force stats.Wf.Executor.report in
+  let waits =
+    List.map
+      (fun (n : Plat.Node.t) ->
+        let w r = (Plat.Desim.wait_stats r).Plat.Desim.ws_total_wait_s in
+        ( n.Plat.Node.name,
+          w n.Plat.Node.cores
+          +. List.fold_left
+               (fun acc (f : Plat.Node.fpga_dev) -> acc +. w f.Plat.Node.slots)
+               0.0 n.Plat.Node.fpgas ))
+      c.Plat.Cluster.nodes
+  in
+  let cp, util =
+    Analytics_reference.analyze ~horizon:stats.Wf.Executor.makespan
+      ~finish:stats.Wf.Executor.task_finish
+      ~deps:(fun i -> dag.Wf.Dag.tasks.(i).Wf.Dag.inputs)
+      ~name:(fun i -> dag.Wf.Dag.tasks.(i).Wf.Dag.name)
+      ~node:(fun i ->
+        plan.Wf.Scheduler.assignments.(i).Wf.Scheduler.node)
+      ~waits ~track_names:(Trace.named_tracks tracer) (Trace.spans tracer)
+  in
+  let js f = Option.map (fun x -> Json.to_string (f x)) in
+  ( (js Critical_path.to_json report.Report.r_cp,
+     js Utilization.to_json report.Report.r_util),
+    (js Critical_path.to_json cp, js Utilization.to_json util) )
+
+let prop_analytics_match_reference =
+  QCheck.Test.make ~count:200
+    ~name:"report analytics = list oracle on traced chaos runs"
+    QCheck.(pair (int_bound 2) (pair (int_bound 1000) (int_bound 100_000)))
+    (fun case ->
+      let got, want = analytics_pair (chaos_traced_run case) in
+      got = want)
+
+(* The property's generator reaches every recovery path, and the oracle
+   agrees on each of those runs too. *)
+let test_reference_covers_recovery () =
+  let seen = Array.make 4 false in
+  for k = 0 to 59 do
+    let ((_, _, _, _, stats) as run) =
+      chaos_traced_run (k mod 3, (k, 7919 * k))
+    in
+    let got, want = analytics_pair run in
+    checkb (Printf.sprintf "run %d agrees" k) true (got = want);
+    List.iteri
+      (fun i n -> if n > 0 then seen.(i) <- true)
+      [ stats.Wf.Executor.retries; stats.Wf.Executor.timeouts;
+        stats.Wf.Executor.speculative; stats.Wf.Executor.recomputed ]
+  done;
+  List.iteri
+    (fun i what -> checkb what true seen.(i))
+    [ "some run retries"; "some run times out"; "some run speculates";
+      "some run recomputes" ]
+
 (* ---- slo ------------------------------------------------------------------------ *)
 
 let outcome t ok lat = { Slo.o_t_s = t; o_ok = ok; o_latency_s = lat }
@@ -630,6 +731,10 @@ let () =
         [ Alcotest.test_case "reconciles with the span log" `Quick
             test_utilization_reconciles;
           Alcotest.test_case "idle gaps" `Quick test_utilization_gaps ] );
+      ( "reference",
+        [ Alcotest.test_case "covers every recovery path" `Quick
+            test_reference_covers_recovery;
+          QCheck_alcotest.to_alcotest prop_analytics_match_reference ] );
       ( "slo",
         [ Alcotest.test_case "batch evaluation" `Quick test_slo_evaluate;
           Alcotest.test_case "burn-rate alert flips" `Quick
