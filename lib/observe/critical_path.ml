@@ -1,38 +1,11 @@
-(* Critical-path extraction with self-time vs. wait-time attribution.
-
-   Works over generic *activities* — completed units of work with a
-   dependency list — so the same walk serves executor runs (tasks with DAG
-   edges), orchestrator request logs (requests depending on nothing) or
-   anything else that can name its predecessors.  The caller builds
-   activities from its own structures (the executor's report hook joins the
-   scheduler plan with the span log).
-
-   The path is the backward chain from the latest-finishing activity,
-   always stepping to the latest-finishing present dependency, ending at an
-   activity with no (present) dependencies.  Because a consumer starts the
-   moment its last input is ready, the forward segments
-   [prev.finish, this.finish] tile the whole interval from the first
-   activity's start to the makespan: per step, the segment splits into
-   *self* time (the activity actually executing, bounded by its measured
-   work) and *wait* time (transfers, retries, backoff, queueing — whatever
-   kept the segment longer than the work).  Hence the invariant the tests
-   pin: work_s <= duration_s <= makespan_s, with equality of duration and
-   makespan whenever the chain is anchored at a time-zero root. *)
-
-type activity = {
-  act_id : int;
-  act_name : string;
-  act_node : string;
-  act_start : float;  (* first attempt start (<= finish) *)
-  act_finish : float;  (* authoritative completion time *)
-  act_work_s : float;  (* self time of the winning execution *)
-  act_deps : int list;  (* activity ids that must finish first *)
-}
+(* The critical path of a run with self-time vs. wait-time attribution:
+   the record [Analyzer] extracts from a span log, its invariant, queries
+   and serialization. *)
 
 type step = {
   st_name : string;
   st_node : string;
-  st_start_s : float;  (* the activity's own start *)
+  st_start_s : float;  (* the task's first attempt start *)
   st_finish_s : float;
   st_self_s : float;  (* executing, within this step's path segment *)
   st_wait_s : float;  (* the rest of the segment *)
@@ -43,127 +16,9 @@ type t = {
   duration_s : float;  (* last finish - first start along the path *)
   work_s : float;  (* sum of per-step self time *)
   wait_s : float;  (* sum of per-step wait time *)
-  makespan_s : float;  (* max finish over all activities *)
-  total_work_s : float;  (* sum of work over all activities *)
+  makespan_s : float;  (* max finish over all tasks *)
+  total_work_s : float;  (* sum of work over all tasks *)
 }
-
-let later (a : activity) (b : activity) =
-  (* the gating predecessor: latest finish, ties to the smaller id so the
-     walk is deterministic *)
-  if b.act_finish > a.act_finish
-     || (b.act_finish = a.act_finish && b.act_id < a.act_id)
-  then b
-  else a
-
-(* Turn the backward chain (already reversed into execution order) into the
-   attributed path record; shared by the list and dense entry points. *)
-let assemble ~makespan_s ~total_work_s (anchor : activity) chain =
-  let head = List.hd chain in
-  let steps =
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, prev_end) a ->
-              let seg = a.act_finish -. prev_end in
-              let self = Float.min (Float.max 0.0 a.act_work_s) seg in
-              ( { st_name = a.act_name; st_node = a.act_node;
-                  st_start_s = a.act_start; st_finish_s = a.act_finish;
-                  st_self_s = self; st_wait_s = seg -. self }
-                :: acc,
-                a.act_finish ))
-            ([], head.act_start) chain))
-  in
-  let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 steps in
-  { steps;
-    duration_s = anchor.act_finish -. head.act_start;
-    work_s = sum (fun s -> s.st_self_s);
-    wait_s = sum (fun s -> s.st_wait_s);
-    makespan_s;
-    total_work_s }
-
-let extract (acts : activity list) : t option =
-  match acts with
-  | [] -> None
-  | first :: rest ->
-      let by_id = Hashtbl.create (List.length acts) in
-      List.iter (fun a -> Hashtbl.replace by_id a.act_id a) acts;
-      let anchor = List.fold_left later first rest in
-      let rec walk (a : activity) path =
-        let preds = List.filter_map (Hashtbl.find_opt by_id) a.act_deps in
-        match preds with
-        | [] -> a :: path
-        | p :: ps -> walk (List.fold_left later p ps) (a :: path)
-      in
-      let makespan_s =
-        List.fold_left (fun acc a -> Float.max acc a.act_finish) 0.0 acts
-      in
-      let total_work_s =
-        List.fold_left (fun acc a -> acc +. a.act_work_s) 0.0 acts
-      in
-      Some (assemble ~makespan_s ~total_work_s anchor (walk anchor []))
-
-(* Flat variant for id-indexed activity sets (the executor report keys
-   activities by task id, in [0, n)): timing lives in unboxed float arrays,
-   slot [i] absent when [finish.(i) < 0], and the [deps]/[name]/[node]
-   callbacks are consulted only for ids actually on the walked chain.  A
-   million-task join therefore allocates a few hundred records instead of a
-   million — which is what keeps report forcing inside its <5%-of-run
-   budget (E17).  Anchor choice and gating-predecessor tie-breaks replicate
-   [extract]: latest finish, ties to the smaller id ([later] is a total
-   order, so traversal order doesn't matter). *)
-let extract_flat ~(start : float array) ~(finish : float array)
-    ~(work : float array) ~(deps : int -> int list) ~(name : int -> string)
-    ~(node : int -> string) : t option =
-  let n = Array.length finish in
-  let anchor = ref (-1) in
-  let makespan = ref 0.0 in
-  let total_work = ref 0.0 in
-  for i = 0 to n - 1 do
-    let f = finish.(i) in
-    if f >= 0.0 then begin
-      if f > !makespan then makespan := f;
-      total_work := !total_work +. work.(i);
-      (* ascending scan: a strictly later finish replaces, a tie keeps the
-         smaller (= earlier) id — exactly [later] *)
-      if !anchor < 0 || f > finish.(!anchor) then anchor := i
-    end
-  done;
-  if !anchor < 0 then None
-  else begin
-    let rec walk i chain =
-      let best =
-        List.fold_left
-          (fun best d ->
-            if d < 0 || d >= n || finish.(d) < 0.0 then best
-            else
-              match best with
-              | None -> Some d
-              | Some b ->
-                  if
-                    finish.(d) > finish.(b)
-                    || (finish.(d) = finish.(b) && d < b)
-                  then Some d
-                  else best)
-          None (deps i)
-      in
-      match best with
-      | None -> i :: chain
-      | Some p -> walk p (i :: chain)
-    in
-    let ids = walk !anchor [] in
-    let acts =
-      List.map
-        (fun i ->
-          { act_id = i; act_name = name i; act_node = node i;
-            act_start = start.(i); act_finish = finish.(i);
-            act_work_s = work.(i); act_deps = deps i })
-        ids
-    in
-    let anchor_act = List.fold_left (fun _ a -> a) (List.hd acts) acts in
-    Some
-      (assemble ~makespan_s:!makespan ~total_work_s:!total_work anchor_act
-         acts)
-  end
 
 (* Path time attributed per node, (self, wait) pairs, largest share first. *)
 let by_node t =

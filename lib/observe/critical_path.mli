@@ -1,31 +1,19 @@
-(** Critical-path extraction with self-time vs. wait-time attribution.
+(** The critical path of a run with self-time vs. wait-time attribution.
 
-    Works over generic {e activities} — completed units of work with a
-    dependency list — so the same walk serves executor runs, orchestrator
-    request logs or anything that can name its predecessors.  The path is
-    the backward chain from the latest-finishing activity, always stepping
-    to the latest-finishing present dependency; per step, the segment
+    The path is the backward chain from the latest-finishing task, always
+    stepping to the latest-finishing dependency; per step, the segment
     since the previous finish splits into {e self} time (bounded by the
     measured work) and {e wait} time (transfers, retries, queueing).
+    {!Analyzer.analyze} extracts it from a span log.
 
     Invariant (pinned by {!check} and the tests):
     [work_s <= duration_s <= makespan_s], with [duration_s = makespan_s]
     whenever the chain anchors at a time-zero root. *)
 
-type activity = {
-  act_id : int;
-  act_name : string;
-  act_node : string;
-  act_start : float;  (** First attempt start ([<= finish]). *)
-  act_finish : float;  (** Authoritative completion time. *)
-  act_work_s : float;  (** Self time of the winning execution. *)
-  act_deps : int list;  (** Activity ids that must finish first. *)
-}
-
 type step = {
   st_name : string;
   st_node : string;
-  st_start_s : float;  (** The activity's own start. *)
+  st_start_s : float;  (** The task's first attempt start. *)
   st_finish_s : float;
   st_self_s : float;  (** Executing, within this step's path segment. *)
   st_wait_s : float;  (** The rest of the segment. *)
@@ -36,27 +24,9 @@ type t = {
   duration_s : float;  (** Last finish - first start along the path. *)
   work_s : float;  (** Sum of per-step self time. *)
   wait_s : float;  (** Sum of per-step wait time. *)
-  makespan_s : float;  (** Max finish over all activities. *)
-  total_work_s : float;  (** Sum of work over all activities. *)
+  makespan_s : float;  (** Max finish over all tasks. *)
+  total_work_s : float;  (** Sum of work over all tasks. *)
 }
-
-(** [None] on an empty activity list.  Ties on finish time break to the
-    smaller id, so extraction is deterministic. *)
-val extract : activity list -> t option
-
-(** Flat variant for id-indexed activity sets (slot [i] absent when
-    [finish.(i) < 0]): timing lives in unboxed float arrays and the
-    [deps]/[name]/[node] callbacks are consulted only for ids actually on
-    the walked chain, so a million-task join allocates a few hundred
-    records.  Anchor choice and tie-breaks replicate {!extract}. *)
-val extract_flat :
-  start:float array ->
-  finish:float array ->
-  work:float array ->
-  deps:(int -> int list) ->
-  name:(int -> string) ->
-  node:(int -> string) ->
-  t option
 
 (** Path time attributed per node, (self, wait) pairs, largest share
     first. *)

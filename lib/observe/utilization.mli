@@ -1,4 +1,5 @@
-(** Per-node busy/idle timelines derived from a span log.
+(** Per-node busy/idle timelines derived from a span log by
+    {!Analyzer.analyze}.
 
     One render track is one node's complete activity record (the executor
     records every execution attempt as a ["task:…"] span and every
@@ -23,22 +24,9 @@ type node_util = {
 
 type t = { u_horizon_s : float; u_nodes : node_util list }
 
-(** Build the per-node account from a span index.  [track_names] overrides
-    the node name of a track; [waits] supplies per-node Desim queueing
-    time; [max_gaps] bounds the idle gaps kept per node (largest first). *)
-val of_span_dag :
-  ?horizon:float ->
-  ?track_names:(int * string) list ->
-  ?waits:(string * float) list ->
-  ?max_gaps:int ->
-  Span_dag.t ->
-  t
-
 (** Invariants every extraction satisfies: busy within [0, span_s] and
     [0, horizon], busy + idle tiles the horizon, utilization in [0, 1]. *)
 val check : ?eps:float -> t -> bool
-
-val total_busy_s : t -> float
 
 (** The longest idle gap across every node: (node, start, length). *)
 val worst_gap : t -> (string * float * float) option

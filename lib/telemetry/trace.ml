@@ -53,7 +53,6 @@ let name_track t track name =
   if not (List.mem_assoc track t.track_names) then
     t.track_names <- (track, name) :: t.track_names
 
-let track_name t track = List.assoc_opt track t.track_names
 let named_tracks t = List.sort compare t.track_names
 
 let start t ?parent ?(track = 0) ?(attrs = []) name =
@@ -133,10 +132,6 @@ let spans_rev t =
   done;
   !acc
 
-(* Start-order snapshot of the pool — the cheap bulk read: one array copy,
-   no per-span cons cell. *)
-let to_array t = Array.sub t.pool 0 t.n_spans
-
 (* Zero-allocation walk in start order.  [unsafe_get] is fine: slots
    [0, n_spans) are always live spans by the sink invariant. *)
 let iter t f =
@@ -148,8 +143,6 @@ let span_count t = t.n_spans
 let next_span_id t = t.next_id
 let dropped t = t.dropped
 
-let roots t = List.filter (fun s -> s.parent = None) (spans t)
-let children t s = List.filter (fun c -> c.parent = Some s.id) (spans t)
 let find t name = List.find_opt (fun s -> String.equal s.name name) (spans t)
 
 let attr s key = List.assoc_opt key s.attrs
@@ -192,16 +185,3 @@ let reset t =
   t.next_id <- 0;
   t.stack <- [];
   t.track_names <- []
-
-let pp_attr_value ppf = function
-  | S s -> Fmt.string ppf s
-  | I i -> Fmt.int ppf i
-  | F f -> Fmt.float ppf f
-  | B b -> Fmt.bool ppf b
-
-let pp_span ppf s =
-  Fmt.pf ppf "[%g..%g] %s%a" s.start_s
-    (if finished s then s.end_s else Float.nan)
-    s.name
-    Fmt.(list ~sep:nop (fun ppf (k, v) -> pf ppf " %s=%a" k pp_attr_value v))
-    s.attrs

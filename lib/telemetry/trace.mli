@@ -44,7 +44,6 @@ val is_noop : t -> bool
     binding wins). *)
 val name_track : t -> int -> string -> unit
 
-val track_name : t -> int -> string option
 val named_tracks : t -> (int * string) list
 
 val start : t -> ?parent:int -> ?track:int -> ?attrs:attr list -> string -> span
@@ -72,13 +71,8 @@ val with_span : t -> ?attrs:attr list -> string -> (span -> 'a) -> 'a
 val spans : t -> span list
 
 (** Same spans, newest first (also a copy — the sink is a pooled array, so
-    both list views cost one cons per span; prefer [to_array] or [iter] on
-    hot paths). *)
+    both list views cost one cons per span; prefer [iter] on hot paths). *)
 val spans_rev : t -> span list
-
-(** Start-order snapshot: one array copy, no per-span cons cell.  The cheap
-    bulk read for million-span logs. *)
-val to_array : t -> span array
 
 (** Zero-allocation walk over the log in start order. *)
 val iter : t -> (span -> unit) -> unit
@@ -92,11 +86,8 @@ val next_span_id : t -> int
 (** Spans lost to the bounded sink. *)
 val dropped : t -> int
 
-(** O(n) scans — fine for tests and one-shot queries; index the log with
-    [Everest_observe.Span_dag] for repeated lookups. *)
-val roots : t -> span list
-
-val children : t -> span -> span list
+(** The earliest-started span with this name: an O(n) scan for tests and
+    one-shot queries. *)
 val find : t -> string -> span option
 
 val attr : span -> string -> attr_value option
@@ -114,6 +105,3 @@ val attr_int_def : span -> string -> default:int -> int
     restart at 0 (see [create]), the open-scope stack, drop counter and
     track names are cleared. The clock and capacity are kept. *)
 val reset : t -> unit
-
-val pp_attr_value : attr_value Fmt.t
-val pp_span : span Fmt.t

@@ -1,7 +1,7 @@
-(* Tests for everest_observe: the span-DAG index agrees with naive scans
-   over the raw log, critical-path extraction is exact on a hand-built
-   chain and tiles [0, makespan] on real executor runs, utilization
-   reconciles with the span log, SLOs evaluate and burn-rate alerts flip
+(* Tests for everest_observe: critical-path extraction is exact on
+   hand-built span logs and tiles [0, makespan] on real executor runs,
+   utilization reconciles with the span log, the analyzer matches its list
+   oracle on traced chaos runs, SLOs evaluate and burn-rate alerts flip
    over simulated time, the online monitor matches its list oracle bit
    for bit at constant allocation per call, reports round-trip through
    JSON, and the regression differ flags only genuine regressions. *)
@@ -27,79 +27,45 @@ let traced_run ?(seed = 7) () =
   in
   (dag, stats)
 
-(* ---- span dag ------------------------------------------------------------------- *)
-
-let start_order (a : Trace.span) (b : Trace.span) =
-  match compare a.Trace.start_s b.Trace.start_s with
-  | 0 -> compare a.Trace.id b.Trace.id
-  | c -> c
-
-let test_span_dag_agrees_with_naive () =
-  let _, stats = traced_run () in
-  let spans = stats.Wf.Executor.span_log in
-  checkb "have spans" true (spans <> []);
-  let sd = Span_dag.of_spans spans in
-  checki "size" (List.length spans) (Span_dag.size sd);
-  let naive_children id =
-    List.sort start_order
-      (List.filter (fun (s : Trace.span) -> s.Trace.parent = Some id) spans)
-  in
-  List.iter
-    (fun (s : Trace.span) ->
-      checkb
-        (Printf.sprintf "children of %d agree" s.Trace.id)
-        true
-        (Span_dag.children sd s.Trace.id = naive_children s.Trace.id);
-      checkb "id lookup finds the very span" true
-        (match Span_dag.span sd s.Trace.id with
-        | Some x -> x == s
-        | None -> false);
-      (* find returns the earliest-started span of that name *)
-      let naive_find =
-        List.hd
-          (List.sort start_order
-             (List.filter
-                (fun (x : Trace.span) -> String.equal x.Trace.name s.Trace.name)
-                spans))
-      in
-      checkb ("find " ^ s.Trace.name) true
-        (match Span_dag.find sd s.Trace.name with
-        | Some x -> x == naive_find
-        | None -> false))
-    spans;
-  checkb "roots agree" true
-    (Span_dag.roots sd
-    = List.sort start_order
-        (List.filter (fun (s : Trace.span) -> s.Trace.parent = None) spans));
-  (* track timelines partition the log *)
-  let by_tracks =
-    List.concat_map (Span_dag.track_spans sd) (Span_dag.tracks sd)
-  in
-  checki "tracks partition the log" (List.length spans) (List.length by_tracks);
-  checki "task prefix matches naive filter"
-    (List.length
-       (List.filter
-          (fun (s : Trace.span) ->
-            String.length s.Trace.name >= 5
-            && String.sub s.Trace.name 0 5 = "task:")
-          spans))
-    (List.length (Span_dag.with_prefix sd "task:"))
-
 (* ---- critical path -------------------------------------------------------------- *)
 
-let act ~id ~name ~start ~finish ~work ~deps =
-  { Critical_path.act_id = id; act_name = name; act_node = "n";
-    act_start = start; act_finish = finish; act_work_s = work;
-    act_deps = deps }
+(* Hand-built span logs: a tracer on a settable clock, so attempts can be
+   started in start order and finished at any later time. *)
+let hand_tracer () =
+  let now = ref 0.0 in
+  (Trace.create ~clock:(fun () -> !now) (), now)
+
+(* One ok attempt of [task] on [track], over [start, stop]. *)
+let attempt (tr, now) ~task ~track name start stop =
+  now := start;
+  let s =
+    Trace.start tr ~track
+      ~attrs:[ ("task", Trace.I task); ("node", Trace.S "n") ]
+      ("task:" ^ name)
+  in
+  now := stop;
+  Trace.finish tr ~attrs:[ ("status", Trace.S "ok") ] s;
+  s
+
+let critical_path (tr, _) ~finish ~names ~deps =
+  fst
+    (Analyzer.analyze
+       ~horizon:(Array.fold_left Float.max 0.0 finish)
+       ~finish
+       ~deps:(fun i -> deps.(i))
+       ~name:(fun i -> names.(i))
+       ~node:(fun _ -> "n") ~waits:[] tr)
 
 let test_critical_path_exact_chain () =
   (* a -> b -> c back-to-back: the path is the whole run, all self time *)
-  let acts =
-    [ act ~id:0 ~name:"a" ~start:0.0 ~finish:1.0 ~work:1.0 ~deps:[];
-      act ~id:1 ~name:"b" ~start:1.0 ~finish:2.5 ~work:1.5 ~deps:[ 0 ];
-      act ~id:2 ~name:"c" ~start:2.5 ~finish:3.0 ~work:0.5 ~deps:[ 1 ] ]
-  in
-  match Critical_path.extract acts with
+  let h = hand_tracer () in
+  ignore (attempt h ~task:0 ~track:1 "a" 0.0 1.0);
+  ignore (attempt h ~task:1 ~track:1 "b" 1.0 2.5);
+  ignore (attempt h ~task:2 ~track:1 "c" 2.5 3.0);
+  match
+    critical_path h ~finish:[| 1.0; 2.5; 3.0 |] ~names:[| "a"; "b"; "c" |]
+      ~deps:[| []; [ 0 ]; [ 1 ] |]
+  with
   | None -> Alcotest.fail "no path"
   | Some cp ->
       checki "three steps" 3 (List.length cp.Critical_path.steps);
@@ -115,14 +81,21 @@ let test_critical_path_exact_chain () =
         = [ "a"; "b"; "c" ])
 
 let test_critical_path_attributes_wait () =
-  (* b finishes 2s after a but only works 0.5s: 1.5s of its segment is
-     wait (transfer/queue), and a fast sibling must not hijack the path *)
-  let acts =
-    [ act ~id:0 ~name:"a" ~start:0.0 ~finish:1.0 ~work:1.0 ~deps:[];
-      act ~id:1 ~name:"sibling" ~start:0.0 ~finish:0.4 ~work:0.4 ~deps:[];
-      act ~id:2 ~name:"b" ~start:1.0 ~finish:3.0 ~work:0.5 ~deps:[ 0; 1 ] ]
-  in
-  match Critical_path.extract acts with
+  (* b's attempt spans 2s after a but pulls its input for 1.5s of them:
+     that pull reads as wait, and a fast sibling must not hijack the
+     path *)
+  let ((tr, now) as h) = hand_tracer () in
+  ignore (attempt h ~task:0 ~track:1 "a" 0.0 1.0);
+  ignore (attempt h ~task:1 ~track:2 "sibling" 0.0 0.4);
+  let b = attempt h ~task:2 ~track:1 "b" 1.0 3.0 in
+  now := 1.0;
+  let pull = Trace.start tr ~parent:b.Trace.id ~track:1 "xfer:a->b" in
+  now := 2.5;
+  Trace.finish tr pull;
+  match
+    critical_path h ~finish:[| 1.0; 0.4; 3.0 |]
+      ~names:[| "a"; "sibling"; "b" |] ~deps:[| []; []; [ 0; 1 ] |]
+  with
   | None -> Alcotest.fail "no path"
   | Some cp ->
       checkb "path is a -> b" true
@@ -180,7 +153,6 @@ let test_utilization_reconciles () =
     u.Utilization.u_horizon_s;
   (* per node, the span-time sum must match a direct fold over the raw
      log, and merged busy time can never exceed it *)
-  let sd = Span_dag.of_spans stats.Wf.Executor.span_log in
   List.iter
     (fun (n : Utilization.node_util) ->
       let raw =
@@ -192,7 +164,9 @@ let test_utilization_reconciles () =
             in
             if is_task then acc +. Trace.duration s else acc)
           0.0
-          (Span_dag.track_spans sd n.Utilization.nu_track)
+          (List.filter
+             (fun (s : Trace.span) -> s.Trace.track = n.Utilization.nu_track)
+             stats.Wf.Executor.span_log)
       in
       Alcotest.check (Alcotest.float 1e-9)
         ("span_s matches the log on " ^ n.Utilization.nu_node)
@@ -214,6 +188,7 @@ let test_utilization_gaps () =
   (* one track, two spans with a 2s hole: busy 2, idle 3 (incl. the tail) *)
   let m = Clock.manual () in
   let tr = Trace.create ~clock:(Clock.of_manual m) () in
+  Trace.name_track tr 1 "n0";
   let s1 = Trace.start tr ~track:1 "task:a" in
   Clock.advance m 1.0;
   Trace.finish tr s1;
@@ -221,13 +196,11 @@ let test_utilization_gaps () =
   let s2 = Trace.start tr ~track:1 "task:b" in
   Clock.advance m 1.0;
   Trace.finish tr s2;
-  let u =
-    Utilization.of_span_dag ~horizon:5.0
-      ~track_names:[ (1, "n0") ]
-      (Span_dag.of_tracer tr)
-  in
-  match u.Utilization.u_nodes with
-  | [ n ] ->
+  match
+    Analyzer.analyze ~horizon:5.0 ~finish:[||] ~deps:(fun _ -> [])
+      ~name:string_of_int ~node:(fun _ -> "n0") ~waits:[] tr
+  with
+  | None, Some ({ Utilization.u_nodes = [ n ]; _ } as u) ->
       checkf "busy" 2.0 n.Utilization.nu_busy_s;
       checkf "idle" 3.0 n.Utilization.nu_idle_s;
       checkb "check" true (Utilization.check u);
@@ -241,7 +214,7 @@ let test_utilization_gaps () =
       | _ -> Alcotest.fail "expected two gaps");
       checkb "worst gap" true
         (Utilization.worst_gap u = Some ("n0", 1.0, 2.0))
-  | _ -> Alcotest.fail "expected one node"
+  | _ -> Alcotest.fail "expected one node and no critical path"
 
 (* ---- analytics reference -------------------------------------------------------- *)
 
@@ -718,9 +691,6 @@ let test_regress_flags_regressions () =
 let () =
   Alcotest.run "everest_observe"
     [
-      ( "span-dag",
-        [ Alcotest.test_case "agrees with naive scans" `Quick
-            test_span_dag_agrees_with_naive ] );
       ( "critical-path",
         [ Alcotest.test_case "exact on a chain" `Quick
             test_critical_path_exact_chain;
