@@ -15,33 +15,17 @@ type t = {
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
-  history : (string * Knowledge.metrics) Queue.t;
-  select_memo : Selector.decision option Everest_parallel.Cache.t;
-      (* memoizes [Selector.select] per feature vector; flushed on every
-         observation, since observations move the knowledge *)
 }
 
 let create ?(alpha = 0.3) ?(hysteresis = 0.1) knowledge goal =
   { knowledge; goal; alpha; hysteresis; last = None; selections = 0;
-    switches = 0; history = Queue.create ();
-    select_memo = Everest_parallel.Cache.create ~name:"tuner_select" () }
-
-(* Selection depends only on the feature vector (and the knowledge, which
-   invalidates the memo when it changes), so key on the sorted features. *)
-let features_key features =
-  List.sort (fun (a, _) (b, _) -> compare a b) features
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v)
-  |> String.concat ";"
+    switches = 0 }
 
 (* With hysteresis: if the previously selected variant is still feasible and
    within (1 + hysteresis) of the challenger's score, stick with it —
    avoids thrashing between statistically indistinguishable variants. *)
 let select (t : t) ~features =
-  let fresh =
-    Everest_parallel.Cache.find_or_compute t.select_memo
-      ~key:(features_key features) (fun () ->
-        Selector.select t.knowledge t.goal ~features)
-  in
+  let fresh = Selector.select t.knowledge t.goal ~features in
   let d =
     match (t.last, fresh) with
     | Some prev, Some next
@@ -83,8 +67,6 @@ let select (t : t) ~features =
   d
 
 let observe (t : t) ~variant ~features ~measured =
-  Queue.push (variant, measured) t.history;
-  if Queue.length t.history > 1000 then ignore (Queue.pop t.history);
   (* observed-metric distributions per variant: the monitoring feed of the
      adaptation loop (latency under the default "time_s" goal) *)
   List.iter
@@ -95,15 +77,12 @@ let observe (t : t) ~variant ~features ~measured =
             ("variant", variant) ]
         ("tuner_observed_" ^ metric) v)
     measured;
-  Knowledge.observe ~alpha:t.alpha t.knowledge ~variant ~features ~measured;
-  (* the knowledge just moved: memoized selections are stale *)
-  Everest_parallel.Cache.clear t.select_memo
+  Knowledge.observe ~alpha:t.alpha t.knowledge ~variant ~features ~measured
 
 (* Checkpoint/restore.  The behavioural core of a tuner is its knowledge
    points (EMA state), the identity of the last-selected variant (the
    hysteresis anchor — only its name is ever consulted) and the
-   selection/switch counters.  History is a bounded telemetry buffer and
-   the memo a pure cache; both restart empty. *)
+   selection/switch counters. *)
 type persisted = {
   p_points : Knowledge.point list;
   p_last_variant : string option;
@@ -131,9 +110,7 @@ let import (t : t) p =
            relaxed = [] })
        p.p_last_variant);
   t.selections <- p.p_selections;
-  t.switches <- p.p_switches;
-  Queue.clear t.history;
-  Everest_parallel.Cache.clear t.select_memo
+  t.switches <- p.p_switches
 
 (* One closed-loop step: select, execute via [run], feed the measurement
    back.  [run] returns the measured metrics of the chosen variant. *)

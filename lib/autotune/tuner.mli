@@ -15,10 +15,6 @@ type t = {
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
-  history : (string * Knowledge.metrics) Queue.t;
-  select_memo : Selector.decision option Everest_parallel.Cache.t;
-      (** Memoized [Selector.select] results per feature vector; flushed by
-          [observe] since observations move the knowledge. *)
 }
 
 val create : ?alpha:float -> ?hysteresis:float -> Knowledge.t -> Goal.t -> t
@@ -37,9 +33,7 @@ val observe :
 
 (** {2 Checkpoint / restore} *)
 
-(** Knowledge points, hysteresis anchor (last variant name) and counters.
-    History and the selection memo restart empty — both are
-    non-behavioural. *)
+(** Knowledge points, hysteresis anchor (last variant name) and counters. *)
 type persisted = {
   p_points : Knowledge.point list;
   p_last_variant : string option;

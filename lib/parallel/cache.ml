@@ -1,12 +1,11 @@
 (* Domain-safe string-keyed memo cache with hit/miss accounting.
 
-   The concrete caches built on top of this (the compiler's estimation
-   cache, the tuner's selection memo) share one locking and telemetry
-   discipline: a single mutex guards the table and the counters, the
-   cached computation itself runs outside the lock.  Two domains racing on
-   the same missing key may both compute it — the first insert wins and
-   the duplicate work is bounded by one task — which keeps the lock out of
-   the (potentially expensive) compute path. *)
+   The compiler's estimation cache is built on this: a single mutex guards
+   the table and the counters, the cached computation itself runs outside
+   the lock.  Two domains racing on the same missing key may both compute
+   it — the first insert wins and the duplicate work is bounded by one
+   task — which keeps the lock out of the (potentially expensive) compute
+   path. *)
 
 type 'a t = {
   name : string;
