@@ -12,6 +12,11 @@
    skipped — restore falls back to the previous one and re-replays a
    longer tail, it never silently loads damaged state.
 
+   A resumed run re-derives its events and hands each record to [log]:
+   while the journal tail from [plan_resume] lasts, the record is verified
+   against it byte for byte (a mismatch is a typed [Replay_divergence]);
+   once the tail runs dry, [log] appends.
+
    Crash injection for drills and the QCheck byte-identity property is
    armed here: after N appended records the store flushes (the record
    itself is durable — it is a write-AHEAD log) and raises
@@ -52,7 +57,8 @@ type t = {
   mutable seg_index : int;
   mutable crash_after : int option;
   mutable records_written : int;
-  mutable records_replayed : int;
+  mutable tail : string list;  (* journal records still to verify *)
+  mutable replayed : int;  (* records verified since [plan_resume] *)
   mutable snapshots_written : int;
   mutable journal_bytes : int;
   mutable snapshot_bytes : int;
@@ -123,7 +129,8 @@ let open_store ?(fresh = false) ~dir ~fingerprint () =
       seg_index = -1;
       crash_after = None;
       records_written = 0;
-      records_replayed = 0;
+      tail = [];
+      replayed = 0;
       snapshots_written = 0;
       journal_bytes = 0;
       snapshot_bytes = 0;
@@ -196,6 +203,19 @@ let append t payload =
       t.crash_after <- Some (n - 1)
   | None -> ()
 
+let replaying t = t.tail <> []
+
+(* Write-ahead or verify: the next tail record must equal [payload]; with
+   the tail exhausted, [payload] is appended. *)
+let log t payload =
+  match t.tail with
+  | [] -> append t payload
+  | expected :: rest ->
+      if not (String.equal expected payload) then
+        raise (Recovery_error (Replay_divergence { expected; got = payload }));
+      t.replayed <- t.replayed + 1;
+      t.tail <- rest
+
 let write_snapshot t ~index body =
   let hdr = Snapshot.header body in
   let path = snap_path t index in
@@ -243,10 +263,11 @@ let heal_segment t i =
   end;
   seg
 
-(* [genesis] replays the journal from segment 0 regardless of which
-   snapshot anchors the resume — used by the workflow executor, whose
-   restore model is deterministic re-execution verified against the
-   journal, with snapshots serving as integrity anchors. *)
+(* Pick the newest valid snapshot and arm the journal tail after it for
+   [log] to verify.  [genesis] replays the journal from segment 0
+   regardless of which snapshot anchors the resume — used by the workflow
+   executor, whose restore model is deterministic re-execution verified
+   against the journal, with snapshots serving as integrity anchors. *)
 let plan_resume ?(genesis = false) t =
   close t;
   let snaps = List.rev (snapshot_indices t) in  (* newest first *)
@@ -277,6 +298,8 @@ let plan_resume ?(genesis = false) t =
   let last_seg = List.fold_left max index segs in
   open_segment t last_seg ~truncate:false;
   let next_snap = 1 + List.fold_left max index (List.map fst skipped) in
+  t.tail <- tail;
+  t.replayed <- 0;
   {
     r_state = state;
     r_index = index;

@@ -131,10 +131,6 @@ type recovery = {
   rv_snapshot_every_s : float;
 }
 
-(* Off = recovery disabled; Live = journaling ahead of every event;
-   Replay = verifying re-derived events against the journal tail. *)
-type rmode = R_off | R_live | R_replay of string list ref
-
 type restore_report = {
   rr_snapshot_index : int;  (* snapshot the resume anchored on *)
   rr_fallbacks : int;  (* newer snapshots rejected as invalid *)
@@ -199,7 +195,6 @@ type state = {
   st_failures : (int, int) Hashtbl.t;  (* request id -> failed executions *)
   (* recovery *)
   st_recovery : recovery option;
-  mutable st_rmode : rmode;
   mutable st_ev_seq : int;  (* next event id *)
   st_scratch : Codec.writer;  (* reused for per-event record encoding *)
   st_pending : (int, float * ev * string) Hashtbl.t;
@@ -210,7 +205,6 @@ type state = {
          exactly its scheduled time and events are immutable data. *)
   mutable st_last_snap : float;
   mutable st_snap_index : int;
-  mutable st_replayed : int;
   st_watch : Watch.t option;
       (* strictly read-only observer: scraped on control ticks, fed
          latencies at resolve — never schedules events or feeds back, so
@@ -902,33 +896,17 @@ and perform st = function
   | Ev_tick -> tick st
 
 (* WAL discipline: the journal record is durable before the event's
-   effects happen.  In replay mode the re-derived record must match the
-   journaled one byte for byte; when the tail runs dry the run switches
-   to live journaling (appending to the same on-disk segment the tail
-   came from). *)
+   effects happen.  A resumed store verifies the re-derived record against
+   its journal tail instead, then appends to the same on-disk segment once
+   the tail runs dry. *)
 and journal st payload =
-  match st.st_rmode with
-  | R_off -> ()
-  | R_live ->
-      let rv = Option.get st.st_recovery in
+  match st.st_recovery with
+  | None -> ()
+  | Some rv ->
       let t0 = Unix.gettimeofday () in
-      Store.append rv.rv_store payload;
+      Store.log rv.rv_store payload;
       let s = rv.rv_store in
       s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-  | R_replay q -> (
-      match !q with
-      | [] ->
-          st.st_rmode <- R_live;
-          let rv = Option.get st.st_recovery in
-          Store.append rv.rv_store payload
-      | expected :: rest ->
-          if not (String.equal expected payload) then
-            raise
-              (Store.Recovery_error
-                 (Store.Replay_divergence { expected; got = payload }));
-          st.st_replayed <- st.st_replayed + 1;
-          q := rest;
-          if rest = [] then st.st_rmode <- R_live)
 
 and fire st id ev =
   let enc =
@@ -963,15 +941,15 @@ and maybe_snapshot st =
       let now = Desim.now st.st_sim in
       if now -. st.st_last_snap >= rv.rv_snapshot_every_s then begin
         st.st_last_snap <- now;
-        match st.st_rmode with
-        | R_live ->
-            st.st_snap_index <- st.st_snap_index + 1;
-            let t0 = Unix.gettimeofday () in
-            Store.write_snapshot rv.rv_store ~index:st.st_snap_index
-              (Codec.encode Codecs.snapshot (export st));
-            let s = rv.rv_store in
-            s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-        | R_off | R_replay _ -> ()
+        (* no snapshot while replaying: the journal already covers it *)
+        if not (Store.replaying rv.rv_store) then begin
+          st.st_snap_index <- st.st_snap_index + 1;
+          let t0 = Unix.gettimeofday () in
+          Store.write_snapshot rv.rv_store ~index:st.st_snap_index
+            (Codec.encode Codecs.snapshot (export st));
+          let s = rv.rv_store in
+          s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
+        end
       end
 
 let instantiate_slos config tenant =
@@ -1023,10 +1001,9 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
     st_reroutes = 0; st_failures = Hashtbl.create 64;
     st_recovery = recovery;
-    st_rmode = (match recovery with None -> R_off | Some _ -> R_live);
     st_ev_seq = 0; st_scratch = Codec.writer ();
     st_pending = Hashtbl.create 64; st_last_snap = 0.0;
-    st_snap_index = 0; st_replayed = 0; st_watch = watch }
+    st_snap_index = 0; st_watch = watch }
 
 (* Register what the fabric exposes to a watch: the whole metrics
    registry plus live control-state gauges (queue depth, busy workers,
@@ -1132,7 +1109,7 @@ let finish st =
       g "recovery_snapshots" (float_of_int rv.rv_store.Store.snapshots_written);
       g "recovery_snapshot_bytes"
         (float_of_int rv.rv_store.Store.snapshot_bytes);
-      g "recovery_replayed_events" (float_of_int st.st_replayed));
+      g "recovery_replayed_events" (float_of_int rv.rv_store.Store.replayed));
   { f_config = config; f_horizon_s = horizon; f_makespan_s = makespan;
     f_log = log; f_tenants = List.map tenant_report tenant_names;
     f_shards = Array.to_list (Array.map shard_report shards);
@@ -1214,10 +1191,6 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
   | Invalid_argument why -> corrupt ("snapshot does not fit this fabric: " ^ why));
   st.st_snap_index <- plan.Store.r_next_snapshot_index - 1;
   st.st_last_snap <- Desim.now st.st_sim;
-  st.st_rmode <-
-    (match plan.Store.r_tail with
-    | [] -> R_live
-    | tail -> R_replay (ref tail));
   Desim.run st.st_sim;
   let result = finish st in
   (match watch with
@@ -1235,7 +1208,7 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
         List.map
           (fun (i, e) -> (i, Store.error_to_string e))
           plan.Store.r_skipped;
-      rr_replayed = st.st_replayed;
+      rr_replayed = recovery.rv_store.Store.replayed;
       rr_torn_tail = plan.Store.r_torn } )
 
 (* ---- summary accessors ---------------------------------------------------------- *)

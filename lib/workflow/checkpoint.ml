@@ -18,14 +18,10 @@
 module Store = Everest_recovery.Store
 module Codec = Everest_recovery.Codec
 
-type mode = Live | Replay of string list ref
-
 type t = {
   ck_store : Store.t;
   ck_every : int;
-  mutable ck_mode : mode;
   mutable ck_completions : int;
-  mutable ck_replayed : int;
   mutable ck_next_snap : int;
   (* integrity anchor carried by the resume plan: the digest the original
      run wrote at [ck_anchor_count] completions *)
@@ -41,8 +37,8 @@ let journal_record = Codec.(triple int float string)
 
 let create ~store ~every =
   if every <= 0 then invalid_arg "Checkpoint.create: every <= 0";
-  { ck_store = store; ck_every = every; ck_mode = Live; ck_completions = 0;
-    ck_replayed = 0; ck_next_snap = 0; ck_anchor = None }
+  { ck_store = store; ck_every = every; ck_completions = 0; ck_next_snap = 0;
+    ck_anchor = None }
 
 let resume ~store ~every =
   if every <= 0 then invalid_arg "Checkpoint.resume: every <= 0";
@@ -52,16 +48,22 @@ let resume ~store ~every =
     with Codec.Decode why ->
       raise (Store.Recovery_error (Store.Corrupt ("snapshot schema: " ^ why)))
   in
-  { ck_store = store; ck_every = every;
-    ck_mode =
-      (match plan.Store.r_tail with [] -> Live | tail -> Replay (ref tail));
-    ck_completions = 0; ck_replayed = 0;
-    ck_next_snap = plan.Store.r_next_snapshot_index;
-    ck_anchor = Some anchor }
+  { ck_store = store; ck_every = every; ck_completions = 0;
+    ck_next_snap = plan.Store.r_next_snapshot_index; ck_anchor = Some anchor }
 
 let resumed t = t.ck_anchor <> None
-let replayed t = t.ck_replayed
+let replayed t = t.ck_store.Store.replayed
 let completions t = t.ck_completions
+
+(* The resume anchor must equal the state re-derived at its completion
+   count. *)
+let verify_anchor t got =
+  match t.ck_anchor with
+  | Some (count, expected)
+    when count = t.ck_completions && not (String.equal expected got) ->
+      raise
+        (Store.Recovery_error (Store.Replay_divergence { expected; got }))
+  | _ -> ()
 
 (* Genesis: executed before the first task launches.  A fresh run anchors
    snapshot 0 at zero completions; a resumed run whose anchor *is* the
@@ -71,23 +73,8 @@ let start t ~state =
   | None ->
       Store.write_snapshot t.ck_store ~index:0 (Codec.encode snapshot (0, state ()));
       t.ck_next_snap <- 1
-  | Some (0, anchor) ->
-      let got = state () in
-      if not (String.equal anchor got) then
-        raise
-          (Store.Recovery_error
-             (Store.Replay_divergence { expected = anchor; got }))
+  | Some (0, _) -> verify_anchor t (state ())
   | Some _ -> ()
-
-let verify_anchor t =
-  match t.ck_anchor with
-  | Some (count, anchor) when count = t.ck_completions ->
-      fun got ->
-        if not (String.equal anchor got) then
-          raise
-            (Store.Recovery_error
-               (Store.Replay_divergence { expected = anchor; got }))
-  | _ -> fun _ -> ()
 
 (* One first-completion: WAL record (live) or replay verification, then,
    at [every]-completion boundaries, prune + snapshot (live) / anchor
@@ -95,29 +82,14 @@ let verify_anchor t =
    [prune] runs at boundaries in *both* modes so pruning never makes the
    replayed run diverge. *)
 let on_complete t ~task ~now ~node ~state ~prune =
-  let payload = Codec.encode journal_record (task, now, node) in
-  (match t.ck_mode with
-  | Live -> Store.append t.ck_store payload
-  | Replay q -> (
-      match !q with
-      | [] ->
-          t.ck_mode <- Live;
-          Store.append t.ck_store payload
-      | expected :: rest ->
-          if not (String.equal expected payload) then
-            raise
-              (Store.Recovery_error
-                 (Store.Replay_divergence { expected; got = payload }));
-          t.ck_replayed <- t.ck_replayed + 1;
-          q := rest;
-          if rest = [] then t.ck_mode <- Live));
+  Store.log t.ck_store (Codec.encode journal_record (task, now, node));
   t.ck_completions <- t.ck_completions + 1;
   if t.ck_completions mod t.ck_every = 0 then begin
     ignore (prune () : int);
-    match t.ck_mode with
-    | Live ->
-        Store.write_snapshot t.ck_store ~index:t.ck_next_snap
-          (Codec.encode snapshot (t.ck_completions, state ()));
-        t.ck_next_snap <- t.ck_next_snap + 1
-    | Replay _ -> verify_anchor t (state ())
+    if Store.replaying t.ck_store then verify_anchor t (state ())
+    else begin
+      Store.write_snapshot t.ck_store ~index:t.ck_next_snap
+        (Codec.encode snapshot (t.ck_completions, state ()));
+      t.ck_next_snap <- t.ck_next_snap + 1
+    end
   end
