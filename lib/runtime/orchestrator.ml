@@ -281,7 +281,10 @@ let serve orch ~kernel ~n ~policy
   let last_variant = ref None in
   let alerts_before = ref orch.protection.Protection.total_alerts in
   let log = ref [] in
-  let rng = Everest_parallel.Rng.create 123 in
+  let rng =
+    Everest_parallel.Rng.create
+      (match policy with Random seed -> seed | Adaptive | Fixed _ -> 0)
+  in
   let pick_random seed_variants =
     List.nth seed_variants
       (Everest_parallel.Rng.int rng (List.length seed_variants))

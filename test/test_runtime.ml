@@ -270,6 +270,25 @@ let test_orchestrator_random_policy () =
   let hist = Orchestrator.variant_histogram log in
   checkb "both variants explored" true (List.length hist = 2)
 
+let test_orchestrator_random_seeded () =
+  (* the policy's seed picks the stream: two seeds on one deployment draw
+     different variant sequences, and a seed replays its own *)
+  let orch = fresh_orch () in
+  let _ =
+    Orchestrator.deploy orch ~kname:"k" ~impls:(impls ())
+      ~knowledge:(knowledge_for_impls ())
+      ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
+  in
+  let picks seed =
+    List.map
+      (fun r -> r.Orchestrator.requested)
+      (Orchestrator.serve orch ~kernel:"k" ~n:30
+         ~policy:(Orchestrator.Random seed) ())
+  in
+  let p7 = picks 7 in
+  checkb "seeds 7 and 8 differ" true (p7 <> picks 8);
+  checkb "seed 7 replays" true (p7 = picks 7)
+
 let () =
   Alcotest.run "everest_runtime"
     [
@@ -291,6 +310,8 @@ let () =
           Alcotest.test_case "adaptive prefers hw" `Quick test_orchestrator_adaptive_prefers_hw;
           Alcotest.test_case "adapts to contention" `Quick test_orchestrator_adapts_to_contention;
           Alcotest.test_case "random explores" `Quick test_orchestrator_random_policy;
+          Alcotest.test_case "random follows its seed" `Quick
+            test_orchestrator_random_seeded;
           Alcotest.test_case "breaker degrades hw to sw" `Quick
             test_orchestrator_breaker_degrades ] );
     ]
