@@ -699,14 +699,14 @@ let telemetry_cmd =
     (* 2. demonstrator workflow under the executor, on simulated time *)
     let c = Sdk.Platform.Cluster.everest_demonstrator () in
     let exec_tracer = Sdk.Runtime.Orchestrator.sim_tracer c in
-    let failures = match kill with None -> [] | Some f -> [ f ] in
+    let faults = Everest_resilience.Faults.of_failures (Option.to_list kill) in
     let plan =
       match Sdk.Workflow.Scheduler.by_name policy with
       | Some f -> f c app.Everest_compiler.Pipeline.dag
       | None -> invalid_arg ("unknown scheduling policy " ^ policy)
     in
     let stats =
-      Sdk.Workflow.Executor.execute ~failures ~tracer:exec_tracer ~registry c
+      Sdk.Workflow.Executor.execute ~faults ~tracer:exec_tracer ~registry c
         plan
     in
     (* 3. adaptive serving phase (Fig. 2 loop), its own simulated clock *)

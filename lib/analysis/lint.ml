@@ -277,8 +277,6 @@ let all_rules () =
   Hashtbl.fold (fun _ r acc -> r :: acc) registry []
   |> List.sort (fun a b -> compare a.rule_code b.rule_code)
 
-let find_rule code = Hashtbl.find_opt registry code
-
 (* ---- running ----------------------------------------------------------- *)
 
 let run ?(ctx = default_ctx) ?only (m : Ir.modul) : diag list =

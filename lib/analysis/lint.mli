@@ -59,8 +59,6 @@ val register : rule -> unit
 (** All registered rules, sorted by code. *)
 val all_rules : unit -> rule list
 
-val find_rule : string -> rule option
-
 (** Run the registered rules over a module.  [only] restricts the run to
     rules matching the given codes or names; [ctx] defaults to
     {!default_ctx}. *)

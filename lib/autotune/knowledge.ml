@@ -113,10 +113,3 @@ let observe ?(alpha = 0.3) k ~variant ~features ~measured =
         List.map
           (fun q -> if q == p then { p with metrics = updated @ extra } else q)
           k.points
-
-let pp_point ppf p =
-  Fmt.pf ppf "%s %a -> %a" p.variant
-    Fmt.(list ~sep:(any ",") (pair ~sep:(any "=") string float))
-    p.features
-    Fmt.(list ~sep:(any ",") (pair ~sep:(any "=") string float))
-    p.metrics

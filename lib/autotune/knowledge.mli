@@ -48,5 +48,3 @@ val observe :
   features:(string * float) list ->
   measured:metrics ->
   unit
-
-val pp_point : Format.formatter -> point -> unit

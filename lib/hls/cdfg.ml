@@ -42,12 +42,6 @@ type t = {
 let size g = Array.length g.nodes
 let node g i = g.nodes.(i)
 
-let succs g i =
-  Array.fold_left
-    (fun acc n -> if List.mem i n.preds then n.id :: acc else acc)
-    [] g.nodes
-  |> List.rev
-
 (* Longest path through the DFG in #nodes (a lower bound on latency). *)
 let depth g latency_of =
   let memo = Array.make (size g) (-1) in

@@ -40,7 +40,6 @@ type t = {
 
 val size : t -> int
 val node : t -> int -> node
-val succs : t -> int -> int list
 
 (** Longest path under a per-class latency function. *)
 val depth : t -> (opclass -> int) -> int

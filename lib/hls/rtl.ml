@@ -107,5 +107,3 @@ let emit ppf (m : t) =
   Fmt.pf ppf "endmodule@."
 
 let to_string m = Fmt.str "%a" emit m
-
-let line_count m = String.split_on_char '\n' (to_string m) |> List.length

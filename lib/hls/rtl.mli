@@ -37,4 +37,3 @@ val generate :
 
 val emit : Format.formatter -> t -> unit
 val to_string : t -> string
-val line_count : t -> int

@@ -23,8 +23,6 @@ let fit_norm (xs : float array array) =
 let normalize norm x =
   Array.mapi (fun j v -> (v -. norm.means.(j)) /. norm.stds.(j)) x
 
-let denormalize_scalar ~mean ~std v = (v *. std) +. mean
-
 let split ?(train_frac = 0.8) xs ys =
   let n = Array.length xs in
   let k = int_of_float (train_frac *. float_of_int n) in

@@ -7,7 +7,6 @@ type norm = { means : float array; stds : float array }
 val fit_norm : float array array -> norm
 
 val normalize : norm -> float array -> float array
-val denormalize_scalar : mean:float -> std:float -> float -> float
 
 (** Front/back split (no shuffling — time series stay ordered). *)
 val split :

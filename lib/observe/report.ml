@@ -29,8 +29,6 @@ let make ?(name = "run") ?(policy = "") ?(tasks_done = 0) ?(tasks_total = 0)
     r_makespan_s = makespan_s; r_cp = cp; r_util = util;
     r_quantiles = quantiles; r_counters = counters; r_slos = slos }
 
-let slo_violations t = List.filter (fun (r : Slo.result) -> not r.met) t.r_slos
-
 (* ---- serialization -------------------------------------------------------------- *)
 
 let pairs_to_json kvs =

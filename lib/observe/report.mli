@@ -38,7 +38,6 @@ val make :
   unit ->
   t
 
-val slo_violations : t -> Slo.result list
 val to_json : t -> Json.t
 val of_json : Json.t -> t
 val pp : Format.formatter -> t -> unit

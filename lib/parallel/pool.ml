@@ -180,9 +180,6 @@ let parallel_map t f xs =
         List.init n (fun i ->
             match out.(i) with Some v -> v | None -> assert false)
 
-let parallel_iter t f xs = run_items t ~n:(List.length xs)
-    (let arr = Array.of_list xs in fun i -> f arr.(i))
-
 (* Map in parallel, combine sequentially in input order: the reduction is
    deterministic for any [combine], associative or not. *)
 let parallel_reduce t ~map ~combine ~init xs =

@@ -35,9 +35,6 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
     Must not be called from inside a task running on the same pool. *)
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [parallel_iter t f xs] is [parallel_map] for effects only. *)
-val parallel_iter : t -> ('a -> unit) -> 'a list -> unit
-
 (** [parallel_reduce t ~map ~combine ~init xs] maps in parallel and folds
     the results sequentially in input order — deterministic for any
     [combine], associative or not. *)

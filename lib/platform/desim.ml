@@ -225,11 +225,9 @@ let with_resource sim r ~duration k =
           release sim r;
           k ()))
 
-let resource_name r = r.rname
 let capacity r = r.capacity
 let in_use r = r.in_use
 let queue_length r = Queue.length r.waiting
-let utilization_now r = float_of_int r.in_use /. float_of_int r.capacity
 
 (* ---- contention statistics ------------------------------------------------------ *)
 
@@ -246,7 +244,6 @@ type wait_stats = {
 }
 
 let peak r = r.peak
-let wait_count r = r.total_wait_starts
 let total_wait_s r = r.total_wait_s
 
 let mean_wait_s r =

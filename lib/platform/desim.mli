@@ -78,14 +78,12 @@ val release : t -> resource -> unit
     callback. *)
 val with_resource : t -> resource -> duration:float -> (unit -> unit) -> unit
 
-val resource_name : resource -> string
 val capacity : resource -> int
 
 (** Units currently held. *)
 val in_use : resource -> int
 
 val queue_length : resource -> int
-val utilization_now : resource -> float
 
 (** {2 Contention statistics} *)
 
@@ -99,7 +97,6 @@ type wait_stats = {
 }
 
 val peak : resource -> int
-val wait_count : resource -> int
 val total_wait_s : resource -> float
 val mean_wait_s : resource -> float
 val wait_stats : resource -> wait_stats

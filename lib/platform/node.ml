@@ -131,10 +131,6 @@ let total_energy (node : t) ~elapsed =
   in
   node.energy_j +. idle
 
-let cpu_utilization (node : t) ~elapsed =
-  if elapsed <= 0.0 then 0.0
-  else node.cpu_busy_core_s /. (elapsed *. float_of_int node.cpu.Spec.cores)
-
 let pp ppf (n : t) =
   Fmt.pf ppf "%s[%s] %s cores=%d fpgas=%d" n.name (Spec.tier_name n.tier)
     n.cpu.Spec.cpu_name n.cpu.Spec.cores (List.length n.fpgas)

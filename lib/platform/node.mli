@@ -71,5 +71,4 @@ val run_fpga :
 (** Active energy plus the idle floor over [elapsed] seconds. *)
 val total_energy : t -> elapsed:float -> float
 
-val cpu_utilization : t -> elapsed:float -> float
 val pp : Format.formatter -> t -> unit

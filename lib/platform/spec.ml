@@ -125,10 +125,6 @@ let wan =
 let transfer_time (l : link) ~bytes =
   l.latency_s +. l.per_msg_s +. (float_of_int bytes /. (l.bandwidth_gbs *. 1e9))
 
-(* effective bandwidth including fixed costs *)
-let effective_gbs (l : link) ~bytes =
-  float_of_int bytes /. transfer_time l ~bytes /. 1e9
-
 type tier = Endpoint | Inner_edge | Cloud
 
 let tier_name = function

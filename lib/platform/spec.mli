@@ -75,7 +75,6 @@ val eth10_udp : link
 val wan : link
 
 val transfer_time : link -> bytes:int -> float
-val effective_gbs : link -> bytes:int -> float
 
 (** Processing tiers of the EVEREST ecosystem (Fig. 3). *)
 type tier = Endpoint | Inner_edge | Cloud

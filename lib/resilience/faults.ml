@@ -39,8 +39,8 @@ let plan ?(seed = 1) ?(windows = []) ?(transient_prob = 0.0)
     invalid_arg "Faults.plan: fpga_transient_prob must be in [0, 1)";
   { seed; windows; transient_prob; fpga_transient_prob; link_factors }
 
-(* Compatibility shim for the historical [Executor.execute ~failures] list:
-   each (node, time) pair becomes a permanent-death window. *)
+(* A kill list (the CLI's [--kill NODE:T]): each (node, time) pair becomes
+   a permanent-death window. *)
 let of_failures failures =
   { none with
     windows =

@@ -37,8 +37,8 @@ val plan :
   unit ->
   t
 
-(** Compatibility shim for the historical [(node, time)] failure lists:
-    each pair becomes a permanent-death window. *)
+(** A kill list: each [(node, time)] pair becomes a permanent-death
+    window.  [of_failures []] is {!none}. *)
 val of_failures : (string * float) list -> t
 
 (** Is [node] inside a down window at [now]? *)

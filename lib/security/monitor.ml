@@ -166,10 +166,3 @@ let policy (e : event) : action list =
   | s when s >= 3 -> [ Raise_alert; Quarantine_source; Switch_variant "hardened" ]
   | 2 -> [ Raise_alert; Enable_encryption ]
   | _ -> [ Raise_alert; Throttle 0.5 ]
-
-let pp_action ppf = function
-  | Raise_alert -> Fmt.string ppf "alert"
-  | Enable_encryption -> Fmt.string ppf "enable-encryption"
-  | Quarantine_source -> Fmt.string ppf "quarantine"
-  | Switch_variant v -> Fmt.pf ppf "switch-variant<%s>" v
-  | Throttle f -> Fmt.pf ppf "throttle<%.2f>" f

@@ -72,5 +72,3 @@ val classify_event : string -> string -> event
 
 (** Actions for an event, escalating with severity. *)
 val policy : event -> action list
-
-val pp_action : Format.formatter -> action -> unit

@@ -90,13 +90,6 @@ let oldest_age t ~now =
     (fun acc (_, p) -> Float.max acc (now -. p.p_oldest_s))
     0.0 t.t_keys
 
-let next_deadline t =
-  List.fold_left
-    (fun acc (_, p) ->
-      let d = p.p_oldest_s +. t.t_config.max_delay_s in
-      match acc with Some a when a <= d -> acc | _ -> Some d)
-    None t.t_keys
-
 (* Checkpoint/restore: per-key accumulators exactly as stored (requests
    newest first, keys in insertion order) so a restored batcher forms the
    same batches in the same order. *)

@@ -54,9 +54,6 @@ val pending : t -> int
 (** Age of the oldest pending request; 0 when empty. *)
 val oldest_age : t -> now:float -> float
 
-(** Earliest pending deadline (oldest member's arrival + max_delay_s). *)
-val next_deadline : t -> float option
-
 (** {2 Checkpoint / restore} *)
 
 (** Per-key accumulators [(key, oldest_arrival_s, requests)] with

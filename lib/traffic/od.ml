@@ -41,6 +41,3 @@ let gravity ?(seed = 13) ~n_zones ~total_trips_per_hour ~cols () =
 
 let demand (od : t) ~from_zone ~to_zone ~hour =
   od.trips.((from_zone * od.n_zones) + to_zone) *. peak_factor hour
-
-let total_demand (od : t) ~hour =
-  Array.fold_left ( +. ) 0.0 od.trips *. peak_factor hour

@@ -15,4 +15,3 @@ val gravity :
   ?seed:int -> n_zones:int -> total_trips_per_hour:float -> cols:int -> unit -> t
 
 val demand : t -> from_zone:int -> to_zone:int -> hour:int -> float
-val total_demand : t -> hour:int -> float

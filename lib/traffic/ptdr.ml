@@ -99,6 +99,3 @@ let alternatives ?(k = 3) (net : Roadnet.t) (prof : Profiles.t) ~src ~dst
           else go (n - 1) (p :: acc)
   in
   go k []
-
-(* flops per Monte Carlo sample: one div+add per link *)
-let flops_per_sample (route : Routing.path) = 10 * List.length route.Routing.links

@@ -53,5 +53,3 @@ val convergence :
 val alternatives :
   ?k:int -> Roadnet.t -> Profiles.t -> src:int -> dst:int -> period:int ->
   Routing.path list
-
-val flops_per_sample : Routing.path -> int

@@ -114,7 +114,6 @@ let rev_adj d =
       d.rev_adj <- Some (d.tasks, adj);
       adj
 
-let consumers_array d id = (rev_adj d).(id)
 let consumers d id = Array.to_list (rev_adj d).(id)
 let iter_consumers d id f = Array.iter f (rev_adj d).(id)
 let out_degree d id = Array.length (rev_adj d).(id)

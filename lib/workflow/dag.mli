@@ -60,9 +60,6 @@ val find : t -> int -> task
     cached reverse adjacency (duplicate inputs collapse to one edge). *)
 val consumers : t -> int -> int list
 
-(** Same consumers without the list copy (do not mutate the array). *)
-val consumers_array : t -> int -> int array
-
 val iter_consumers : t -> int -> (int -> unit) -> unit
 val out_degree : t -> int -> int
 

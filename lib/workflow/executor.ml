@@ -11,8 +11,7 @@
    [Policy.t] governs recovery — retry budgets with decorrelated-jitter
    backoff, plan-relative timeouts, speculative re-execution of stragglers
    and heartbeat-based death detection.  Outputs lost with a dead node are
-   recomputed from lineage.  The historical [~failures:(node, time) list]
-   argument remains as a shim over permanent-death windows.
+   recomputed from lineage.
 
    Telemetry: every execution attempt opens a span on the tracer (simulated
    clock, one track per node) and every transfer nests a span under the
@@ -183,13 +182,10 @@ type token = {
   mutable tk_timers : Desim.handle list;
 }
 
-let execute ?(failures = []) ?faults ?(policy = Policy.default)
+let execute ?(faults = Faults.none) ?(policy = Policy.default)
     ?(tracer = Trace.noop) ?(registry = Metrics.default) ?(plan_lint = true)
     ?checkpoint ?watch (c : Cluster.t) (plan : Scheduler.plan) : stats =
   if plan_lint then Planlint.gate c plan;
-  let faults =
-    match faults with Some f -> f | None -> Faults.of_failures failures
-  in
   let dag = plan.Scheduler.dag in
   let sim = c.Cluster.sim in
   let labels = [ ("workflow", dag.Dag.dag_name) ] in
@@ -730,7 +726,7 @@ let execute ?(failures = []) ?faults ?(policy = Policy.default)
 
 (* Convenience: build a fresh demonstrator, schedule with [policy], run. *)
 let run_on_demonstrator ?(cloud_fpgas = 4) ?(edges = 2) ?(endpoints = 4)
-    ?failures ?faults ?exec_policy ?(tracer = `Noop) ?registry ~policy dag =
+    ?faults ?exec_policy ?(tracer = `Noop) ?registry ~policy dag =
   let c = Cluster.everest_demonstrator ~cloud_fpgas ~edges ~endpoints () in
   let tracer =
     match tracer with
@@ -742,4 +738,4 @@ let run_on_demonstrator ?(cloud_fpgas = 4) ?(edges = 2) ?(endpoints = 4)
   | None -> invalid_arg ("unknown scheduling policy " ^ policy)
   | Some f ->
       let plan = f c dag in
-      (plan, execute ?failures ?faults ?policy:exec_policy ~tracer ?registry c plan)
+      (plan, execute ?faults ?policy:exec_policy ~tracer ?registry c plan)

@@ -45,10 +45,9 @@ exception Execution_failed of { reason : string; partial : stats }
 
 (** Execute the plan.
 
-    [failures] is the historical shim: a list of [(node, time)] pairs, each
-    becoming a permanent node death at the given simulated time.  [faults]
-    is the full fault plan and wins over [failures] when both are given.
-    [policy] (default {!Everest_resilience.Policy.default}) sets retry
+    [faults] (default {!Everest_resilience.Faults.none}) is the fault
+    plan; {!Everest_resilience.Faults.of_failures} lowers a
+    [(node, time)] kill list onto one.  [policy] (default {!Everest_resilience.Policy.default}) sets retry
     budget, backoff, timeouts, speculation and heartbeat; the default is
     inert beyond retries, so zero-fault runs behave exactly like the
     pre-resilience executor.
@@ -78,7 +77,6 @@ exception Execution_failed of { reason : string; partial : stats }
     first completion feeds its ["task_duration"] windowed sketch.
     Watching never perturbs the simulated run. *)
 val execute :
-  ?failures:(string * float) list ->
   ?faults:Everest_resilience.Faults.t ->
   ?policy:Everest_resilience.Policy.t ->
   ?tracer:Everest_telemetry.Trace.t ->
@@ -106,7 +104,6 @@ val run_on_demonstrator :
   ?cloud_fpgas:int ->
   ?edges:int ->
   ?endpoints:int ->
-  ?failures:(string * float) list ->
   ?faults:Everest_resilience.Faults.t ->
   ?exec_policy:Everest_resilience.Policy.t ->
   ?tracer:[ `Noop | `Sim ] ->

@@ -119,8 +119,3 @@ let total_chosen allocs =
 let saving allocs =
   let p = total_pull allocs in
   if p <= 0.0 then 0.0 else (p -. total_chosen allocs) /. p
-
-let pp_decision ppf = function
-  | Keep_at_producer -> Fmt.string ppf "keep"
-  | Hub h -> Fmt.pf ppf "hub<%s>" h
-  | Replicate_to_consumers -> Fmt.string ppf "replicate"

@@ -45,5 +45,3 @@ val total_chosen : allocation list -> float
 
 (** Relative modeled saving over naive pulls, in [0, 1). *)
 val saving : allocation list -> float
-
-val pp_decision : Format.formatter -> decision -> unit

@@ -346,7 +346,9 @@ let test_executor_fpga_fallback_pays_reconfig () =
   let c = Cluster.everest_demonstrator () in
   let plan = Scheduler.heft c d in
   let planned = plan.Scheduler.assignments.(0).Scheduler.node in
-  let stats = Executor.execute ~failures:[ (planned, 0.0) ] c plan in
+  let stats =
+    Executor.execute ~faults:(Faults.of_failures [ (planned, 0.0) ]) c plan
+  in
   checkb "task completed" true (stats.Executor.task_finish.(0) >= 0.0);
   let ran_fpga, reconfigs =
     List.fold_left

@@ -373,7 +373,7 @@ let test_executor_trace_agrees_with_stats () =
   let d = Dag.layered ~seed:5 ~layers:4 ~width:6 ~flops:5e9 ~bytes:1e6 () in
   let _, stats =
     Executor.run_on_demonstrator ~policy:"min-load"
-      ~failures:[ ("cf0", 1e-4); ("cf1", 2e-4) ]
+      ~faults:(Everest_resilience.Faults.of_failures [ ("cf0", 1e-4); ("cf1", 2e-4) ])
       ~tracer:`Sim ~registry d
   in
   checkb "trace non-empty" true (stats.Executor.span_log <> []);

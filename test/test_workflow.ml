@@ -128,7 +128,7 @@ let test_failure_recovery () =
   let _, clean = Executor.run_on_demonstrator ~policy:"min-load" d in
   let _, faulty =
     Executor.run_on_demonstrator ~policy:"min-load"
-      ~failures:[ ("cf0", 1e-4); ("cf1", 1e-4) ]
+      ~faults:(Everest_resilience.Faults.of_failures [ ("cf0", 1e-4); ("cf1", 1e-4) ])
       d
   in
   checkb "all tasks complete despite failures" true
@@ -147,7 +147,9 @@ let test_failure_mid_run_retries () =
   in
   let c = Cluster.everest_demonstrator () in
   let plan = Scheduler.min_load c d in
-  let stats = Executor.execute ~failures:[ ("p9", 0.5) ] c plan in
+  let stats =
+    Executor.execute ~faults:(Everest_resilience.Faults.of_failures [ ("p9", 0.5) ]) c plan
+  in
   checkb "task finished" true (stats.Executor.task_finish.(0) >= 0.0);
   checkb "was retried" true (stats.Executor.retries >= 1)
 
@@ -155,7 +157,7 @@ let test_all_nodes_failed () =
   let d = chain 2 in
   let c = Cluster.create [ Cluster.power9_node "p9" ] in
   let plan = Scheduler.min_load c d in
-  match Executor.execute ~failures:[ ("p9", 0.0) ] c plan with
+  match Executor.execute ~faults:(Everest_resilience.Faults.of_failures [ ("p9", 0.0) ]) c plan with
   | exception Executor.Execution_failed { partial; _ } ->
       checki "no task completed" 0
         (Array.fold_left
