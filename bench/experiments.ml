@@ -1253,10 +1253,9 @@ let e14 () =
 
 (* ================================================================= E15 == *)
 (* everest_observe claim: run analytics are pull-only and cheap — building
-   the full report (span index, critical path, utilization, quantiles,
-   SLOs) from a traced chaos run costs under 5% of the run it describes,
-   and diffing two report JSONs is cheaper still.  Results also land in
-   BENCH_e15.json. *)
+   the full report (critical path and utilization in one analyzer pass,
+   quantiles, SLOs) from a traced chaos run costs under 5% of the run it
+   describes.  Results also land in BENCH_e15.json. *)
 
 let e15 () =
   header "E15 (observe): report generation cost vs the run it analyzes";
@@ -1321,7 +1320,7 @@ let e15 () =
   table
     ~cols:[ "phase"; "per-run"; "share of run" ]
     [ [ "traced chaos run (executor)"; time_str t_run; "100%" ];
-      [ "force report (index+cp+util+slo)"; time_str t_report;
+      [ "force report (cp+util+slo)"; time_str t_report;
         Printf.sprintf "%.2f%%" report_pct ];
       [ "regress diff (report vs self)"; time_str t_diff;
         Printf.sprintf "%.2f%%" (100.0 *. t_diff /. t_run) ] ];
@@ -1356,10 +1355,9 @@ let e15 () =
   Printf.printf
     "\nwrote BENCH_e15.json\n\
      Expected shape: the analytics are pull-only, so the run itself pays\n\
-     nothing; forcing the report (span index, critical path with self/wait\n\
-     split, per-node utilization, quantiles, completion SLO) stays under\n\
-     the %.0f%%-of-run budget, and the report-vs-report diff is cheaper\n\
-     than the report itself.\n"
+     nothing; forcing the report (critical path with self/wait split,\n\
+     per-node utilization, quantiles, completion SLO) stays under the\n\
+     %.0f%%-of-run budget.\n"
     budget_pct
 
 (* everest_serving claim: the serving fabric scales — aggregate sustained
