@@ -1,36 +1,10 @@
-(* The run analyzer: one pass over a tracer's span log yields the critical
-   path and the per-node utilization account.
-
-   The executor records every execution attempt as a ["task:…"] span on its
-   node's render track (attributes [task], [node], [status]) and every
-   transfer as an ["xfer:…"] child of the pulling attempt on the same
-   track, so one track is one node's complete activity record and the
-   attempts carrying one task id are that task's whole history.
-
-   Utilization: busy time is the union of a track's task-span intervals
-   (speculative attempts overlap — merging avoids double counting), clamped
-   to [0, horizon]; everything else up to the horizon is idle, kept as the
-   largest gaps so schedulers can see *where* a node sat unused.  Per-node
-   queueing time supplied by the caller rides along, reconciling the
-   span-log account with the engine's own contention counters.
-
-   Critical path: per task, the winning attempt is the last-started ok one,
-   else the last-started finished one (a recomputed output); its self time
-   minus the transfer time nested under it is the task's work, so pull
-   time reads as wait on the path.  The path is the backward chain from
-   the latest-finishing task, always stepping to the latest-finishing
-   present dependency (ties to the smaller id), ending at a task with no
-   present dependency.  Because a consumer starts the moment its last
-   input is ready, the segments [prev.finish, this.finish] tile the path's
-   interval: per step, the segment splits into self time (bounded by the
-   work) and wait time (transfers, retries, backoff, queueing).
-
-   Everything is one walk over the pooled sink (start order) into flat
-   task-id / track-id / span-id indexed arrays — no per-task span lists,
-   no hashtables — and the name/dependency/node callbacks are consulted
-   only for tasks on the walked chain.  At 10⁶ spans the report must stay
-   inside its <5%-of-run budget (E17), so the loop also avoids boxed
-   floats and closure allocation. *)
+(* The run analyzer: critical path and utilization from one walk over a
+   tracer's pooled sink (start order), into flat task-id / track-id /
+   span-id indexed arrays — no per-task span lists, no hashtables — with
+   the name/dependency/node callbacks consulted only for tasks on the
+   walked chain.  At 10⁶ spans the report must stay inside its
+   <5%-of-run budget (E17), so the loop also avoids boxed floats and
+   closure allocation. *)
 
 module Trace = Everest_telemetry.Trace
 
@@ -49,7 +23,8 @@ let has_prefix s p =
 
 (* The backward walk over the flat activity arrays (slot [i] absent when
    [finish.(i) < 0]), assembled into the attributed path record. *)
-let critical_path ~start ~finish ~work ~deps ~name ~node : Critical_path.t option =
+let critical_path ~start ~finish ~work ~deps ~name ~node :
+    Critical_path.t option =
   let n = Array.length finish in
   let anchor = ref (-1) in
   let makespan = ref 0.0 in

@@ -244,7 +244,6 @@ type resume = {
   r_index : int;                    (* its index *)
   r_fallbacks : int;                (* newer snapshots rejected as invalid *)
   r_skipped : (int * error) list;   (* what was wrong with each of them *)
-  r_tail : string list;             (* journal records to replay *)
   r_torn : bool;                    (* a torn segment tail was truncated *)
   r_next_snapshot_index : int;      (* where the resumed run snapshots next *)
 }
@@ -284,28 +283,25 @@ let plan_resume ?(genesis = false) t =
   let first_seg = if genesis then 0 else index in
   let replay_segs = List.filter (fun i -> i >= first_seg) segs in
   let torn = ref false in
-  let tail =
+  t.tail <-
     List.concat_map
       (fun i ->
         let seg = heal_segment t i in
         if seg.Journal.sg_torn then torn := true;
         seg.Journal.sg_records)
-      replay_segs
-  in
+      replay_segs;
+  t.replayed <- 0;
   (* Keep appending to the newest segment on disk; the next snapshot
      gets a fresh index above everything present (including rejected
      snapshots, which are left in place as evidence). *)
   let last_seg = List.fold_left max index segs in
   open_segment t last_seg ~truncate:false;
   let next_snap = 1 + List.fold_left max index (List.map fst skipped) in
-  t.tail <- tail;
-  t.replayed <- 0;
   {
     r_state = state;
     r_index = index;
     r_fallbacks = List.length skipped;
     r_skipped = skipped;
-    r_tail = tail;
     r_torn = !torn;
     r_next_snapshot_index = next_snap;
   }

@@ -47,10 +47,11 @@ exception Execution_failed of { reason : string; partial : stats }
 
     [faults] (default {!Everest_resilience.Faults.none}) is the fault
     plan; {!Everest_resilience.Faults.of_failures} lowers a
-    [(node, time)] kill list onto one.  [policy] (default {!Everest_resilience.Policy.default}) sets retry
-    budget, backoff, timeouts, speculation and heartbeat; the default is
-    inert beyond retries, so zero-fault runs behave exactly like the
-    pre-resilience executor.
+    [(node, time)] kill list onto one.  [policy] (default
+    {!Everest_resilience.Policy.default}) sets retry budget, backoff,
+    timeouts, speculation and heartbeat; the default is inert beyond
+    retries, so zero-fault runs behave exactly like the pre-resilience
+    executor.
 
     [tracer] (default {!Everest_telemetry.Trace.noop}) records per-attempt
     task spans and per-transfer spans in simulated time, one track per

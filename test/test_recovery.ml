@@ -145,7 +145,7 @@ let test_journal_heals_torn_tail () =
   let store = Store.open_store ~dir ~fingerprint:"fp" () in
   let plan = Store.plan_resume store in
   checkb "torn detected" true plan.Store.r_torn;
-  checkb "valid prefix kept" true (plan.Store.r_tail = [ "rec-one"; "rec-two" ]);
+  checkb "valid prefix kept" true (store.Store.tail = [ "rec-one"; "rec-two" ]);
   Store.append store "rec-three";
   Store.close store;
   (* after healing + append the segment reads back clean *)
@@ -196,7 +196,7 @@ let test_store_falls_back_over_corrupt_snapshot () =
   checki "one fallback" 1 plan.Store.r_fallbacks;
   checks "anchor body" "state-zero" plan.Store.r_state;
   (* the tail re-replays both segments *)
-  checkb "tail spans segments" true (plan.Store.r_tail = [ "a"; "b"; "c" ]);
+  checkb "tail spans segments" true (store.Store.tail = [ "a"; "b"; "c" ]);
   (* the next snapshot index clears the rejected one *)
   checki "next index" 2 plan.Store.r_next_snapshot_index;
   Store.close store
