@@ -17,7 +17,6 @@ type t = {
   cpu : Spec.cpu;
   cores : Desim.resource;
   fpgas : fpga_dev list;
-  mutable cpu_busy_core_s : float;  (* core-seconds of CPU work *)
   mutable energy_j : float;  (* active energy; idle added at teardown *)
   mutable tasks_run : int;
 }
@@ -33,7 +32,7 @@ let create ?(fpgas = []) ~name ~tier (cpu : Spec.cpu) : t =
             slots = Desim.resource (Printf.sprintf "%s.fpga%d" name i) f.Spec.role_slots;
             loaded = []; next_slot = 0; reconfigs = 0; f_busy_s = 0.0 })
         fpgas;
-    cpu_busy_core_s = 0.0; energy_j = 0.0; tasks_run = 0;
+    energy_j = 0.0; tasks_run = 0;
   }
 
 let has_fpga n = n.fpgas <> []
@@ -56,7 +55,6 @@ let run_cpu sim (node : t) ~flops ~bytes ?(threads = 1) k =
   acquire_n sim node.cores threads (fun () ->
       let dt = Spec.cpu_time node.cpu ~flops ~bytes ~threads in
       Desim.schedule sim dt (fun () ->
-          node.cpu_busy_core_s <- node.cpu_busy_core_s +. (dt *. float_of_int threads);
           node.energy_j <-
             node.energy_j
             +. dt *. float_of_int threads *. node.cpu.Spec.active_w_per_core;

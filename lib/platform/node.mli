@@ -18,7 +18,6 @@ type t = {
   cpu : Spec.cpu;
   cores : Desim.resource;
   fpgas : fpga_dev list;
-  mutable cpu_busy_core_s : float;
   mutable energy_j : float;  (** Active energy; idle added by {!total_energy}. *)
   mutable tasks_run : int;
 }
