@@ -248,7 +248,9 @@ let chaos_traced_run (family, (dag_seed, fault_seed)) =
     Faults.random_plan ~seed:fault_seed ~fault_rate:0.3 ~mean_downtime:0.15
       ~transient_prob:0.1 ~fpga_transient_prob:0.1
       ~nodes:
-        (List.map (fun (n : Plat.Node.t) -> n.Plat.Node.name) c.Plat.Cluster.nodes)
+        (List.map
+           (fun (n : Plat.Node.t) -> n.Plat.Node.name)
+           c.Plat.Cluster.nodes)
       ~horizon:0.6 ()
   in
   let scheduler = if dag_seed mod 2 = 0 then "heft-locality" else "min-load" in
@@ -280,8 +282,7 @@ let analytics_pair (dag, plan, c, tracer, stats) =
       ~finish:stats.Wf.Executor.task_finish
       ~deps:(fun i -> dag.Wf.Dag.tasks.(i).Wf.Dag.inputs)
       ~name:(fun i -> dag.Wf.Dag.tasks.(i).Wf.Dag.name)
-      ~node:(fun i ->
-        plan.Wf.Scheduler.assignments.(i).Wf.Scheduler.node)
+      ~node:(fun i -> plan.Wf.Scheduler.assignments.(i).Wf.Scheduler.node)
       ~waits ~track_names:(Trace.named_tracks tracer) (Trace.spans tracer)
   in
   let js f = Option.map (fun x -> Json.to_string (f x)) in
