@@ -4,7 +4,8 @@
    measured metrics update the knowledge (EMA), so sustained drifts in the
    system state (contention, input changes, degraded links) move future
    selections — the "dynamic hardware-software adaptation strategy" of
-   Fig. 2. *)
+   Fig. 2.  The tuner writes no metrics: [selections] and [switches] are
+   its account, and whoever runs the loop publishes them. *)
 
 type t = {
   knowledge : Knowledge.t;
@@ -52,31 +53,17 @@ let select (t : t) ~features =
     | _ -> fresh
   in
   t.selections <- t.selections + 1;
-  let kernel_labels = [ ("kernel", t.knowledge.Knowledge.kernel) ] in
-  Everest_telemetry.Probe.count ~labels:kernel_labels "tuner_selections_total";
   (match (t.last, d) with
   | Some prev, Some next
     when not
            (String.equal prev.Selector.point.Knowledge.variant
               next.Selector.point.Knowledge.variant) ->
-      t.switches <- t.switches + 1;
-      Everest_telemetry.Probe.count ~labels:kernel_labels
-        "tuner_switches_total"
+      t.switches <- t.switches + 1
   | _ -> ());
   t.last <- d;
   d
 
 let observe (t : t) ~variant ~features ~measured =
-  (* observed-metric distributions per variant: the monitoring feed of the
-     adaptation loop (latency under the default "time_s" goal) *)
-  List.iter
-    (fun (metric, v) ->
-      Everest_telemetry.Probe.observe
-        ~labels:
-          [ ("kernel", t.knowledge.Knowledge.kernel);
-            ("variant", variant) ]
-        ("tuner_observed_" ^ metric) v)
-    measured;
   Knowledge.observe ~alpha:t.alpha t.knowledge ~variant ~features ~measured
 
 (* Checkpoint/restore.  The behavioural core of a tuner is its knowledge

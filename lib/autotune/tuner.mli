@@ -5,7 +5,11 @@
     system state move future selections — the "dynamic hardware-software
     adaptation strategy" of Fig. 2.  Hysteresis keeps the current variant
     unless a challenger is decisively better, preventing thrashing between
-    statistically indistinguishable variants. *)
+    statistically indistinguishable variants.
+
+    The tuner writes no metrics.  [selections] and [switches] count its
+    decisions; the orchestrator publishes them as [tuner_*] gauges and
+    observes [tuner_observed_time_s] where it calls {!observe}. *)
 
 type t = {
   knowledge : Knowledge.t;

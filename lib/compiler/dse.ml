@@ -12,6 +12,7 @@
 
 open Everest_dsl
 module Probe = Everest_telemetry.Probe
+module Metrics = Everest_telemetry.Metrics
 module Trace = Everest_telemetry.Trace
 module Pool = Everest_parallel.Pool
 module Rng = Everest_parallel.Rng
@@ -39,8 +40,10 @@ let summarize ?(strategy = "exhaustive") explored vs =
     }
   in
   let labels = [ ("strategy", strategy) ] in
-  Probe.count ~labels ~by:(float_of_int explored) "dse_evaluations_total";
-  Probe.gauge_set ~labels "dse_pareto_size"
+  Metrics.inc ~by:(float_of_int explored)
+    (Metrics.counter ~labels "dse_evaluations_total");
+  Metrics.set
+    (Metrics.gauge ~labels "dse_pareto_size")
     (float_of_int (List.length r.variants));
   r
 

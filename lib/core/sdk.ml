@@ -105,6 +105,7 @@ let serve ?(n = 100) ?(goal = Autotune.Goal.make (Autotune.Goal.Minimize "time_s
     Runtime.Orchestrator.serve orch ~kernel ~n
       ~policy:Runtime.Orchestrator.Adaptive ?slowdown ()
   in
+  Runtime.Orchestrator.publish_metrics orch;
   {
     kernel;
     requests = List.length log;

@@ -77,10 +77,11 @@ let reset t =
    single domain (the metrics registry is not written concurrently). *)
 let publish ?registry t =
   let s = stats t in
-  let labels = [ ("cache", t.name) ] in
-  Everest_telemetry.Probe.gauge_set ?registry ~labels "cache_hits"
-    (float_of_int s.hits);
-  Everest_telemetry.Probe.gauge_set ?registry ~labels "cache_misses"
-    (float_of_int s.misses);
-  Everest_telemetry.Probe.gauge_set ?registry ~labels "cache_entries"
-    (float_of_int s.entries)
+  let module M = Everest_telemetry.Metrics in
+  let g name v =
+    M.set (M.gauge ?registry ~labels:[ ("cache", t.name) ] name)
+      (float_of_int v)
+  in
+  g "cache_hits" s.hits;
+  g "cache_misses" s.misses;
+  g "cache_entries" s.entries

@@ -193,14 +193,15 @@ let stats t =
 
 (* Per-domain task gauges, published from the submitting domain. *)
 let publish_stats ?registry t =
+  let module M = Everest_telemetry.Metrics in
   Array.iteri
     (fun i n ->
-      Everest_telemetry.Probe.gauge_set ?registry
-        ~labels:[ ("domain", string_of_int i) ]
-        "pool_domain_tasks" (float_of_int n))
+      M.set
+        (M.gauge ?registry ~labels:[ ("domain", string_of_int i) ]
+           "pool_domain_tasks")
+        (float_of_int n))
     (stats t);
-  Everest_telemetry.Probe.gauge_set ?registry "pool_domains"
-    (float_of_int t.size)
+  M.set (M.gauge ?registry "pool_domains") (float_of_int t.size)
 
 (* ---- process-wide default pool -------------------------------------------------- *)
 

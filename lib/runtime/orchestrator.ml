@@ -21,6 +21,19 @@ type variant_impl =
       out_bytes : int;
     }
 
+(* A kernel's request-loop metrics, resolved once at [deploy] so serving
+   a request looks nothing up by name. *)
+type meters = {
+  m_requests : Metrics.counter;
+  m_switches : Metrics.counter;
+  m_retries : Metrics.counter;
+  m_failures : Metrics.counter;
+  m_degraded : Metrics.counter;
+  h_latency : Metrics.histogram;
+  h_observed : (string * Metrics.histogram Lazy.t) list;
+      (* per variant, registered on its first tuner observation *)
+}
+
 type deployed_kernel = {
   kname : string;
   impls : (string * variant_impl) list;
@@ -28,16 +41,16 @@ type deployed_kernel = {
   breakers : (string * Everest_resilience.Breaker.t) list;
       (* one per hardware variant: trips when the variant keeps failing,
          degrading requests to software until a half-open probe succeeds *)
+  meters : meters;
+  mutable slos : Everest_observe.Slo.monitor list;  (* of the last [serve] *)
 }
 
 type t = {
   cluster : Cluster.t;
   host : Node.t;
-  hyper : Vm.hypervisor;
   vm : Vm.t;
   vfpga_mgr : Vfpga.t;
   vctx : Vfpga.vctx option;
-  protection : Protection.t;
   tracer : Trace.t;  (* simulated-clock spans of the request loop *)
   registry : Metrics.registry;
   mutable kernels : deployed_kernel list;
@@ -46,15 +59,13 @@ type t = {
 let create ?(vcpus = 4) ?tracer ?(registry = Metrics.default)
     (cluster : Cluster.t) ~host_name =
   let host = Cluster.find_node cluster host_name in
-  let hyper = Vm.hypervisor host in
-  let vm = Vm.spawn hyper ~name:"everest-app" ~vcpus in
+  let vm = Vm.spawn (Vm.hypervisor host) ~name:"everest-app" ~vcpus in
   let vfpga_mgr = Vfpga.create () in
   let vctx =
     if Node.has_fpga host then Some (Vfpga.allocate vfpga_mgr ~vm) else None
   in
   let tracer = Option.value ~default:Trace.noop tracer in
-  { cluster; host; hyper; vm; vfpga_mgr; vctx;
-    protection = Protection.create (); tracer; registry; kernels = [] }
+  { cluster; host; vm; vfpga_mgr; vctx; tracer; registry; kernels = [] }
 
 (* Tracer on the cluster's simulated clock, for [?tracer] at [create]. *)
 let sim_tracer ?capacity (cluster : Cluster.t) =
@@ -83,7 +94,30 @@ let deploy ?breaker orch ~kname ~impls ~(knowledge : Knowledge.t)
         | Sw _ -> None)
       impls
   in
-  let k = { kname; impls; tuner = Tuner.create knowledge goal; breakers } in
+  let registry = orch.registry and labels = [ ("kernel", kname) ] in
+  let counter name = Metrics.counter ~registry ~labels name in
+  let meters =
+    { m_requests = counter "orchestrator_requests_total";
+      m_switches = counter "orchestrator_variant_switches_total";
+      m_retries = counter "orchestrator_retries_total";
+      m_failures = counter "orchestrator_failures_total";
+      m_degraded = counter "orchestrator_degraded_total";
+      h_latency =
+        Metrics.histogram ~registry ~labels "orchestrator_request_latency_s";
+      h_observed =
+        List.map
+          (fun (variant, _) ->
+            ( variant,
+              lazy
+                (Metrics.histogram ~registry
+                   ~labels:(("variant", variant) :: labels)
+                   "tuner_observed_time_s") ))
+          impls }
+  in
+  let k =
+    { kname; impls; tuner = Tuner.create knowledge goal; breakers; meters;
+      slos = [] }
+  in
   orch.kernels <- k :: orch.kernels;
   k
 
@@ -161,9 +195,10 @@ let restore_state orch ps =
         breakers_p)
     ps.ps_kernels
 
-(* Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
-   protection monitors — into telemetry gauges of the orchestrator's
-   registry. *)
+(* Snapshot the runtime layers — tuner decisions, breakers, the SLO
+   verdicts of the last [serve], vFPGA activity, the platform — into
+   telemetry gauges of the orchestrator's registry.  The reader calls this;
+   [serve] never does. *)
 let publish_metrics orch =
   let registry = orch.registry in
   let g ?labels name v = Metrics.set (Metrics.gauge ~registry ?labels name) v in
@@ -184,11 +219,17 @@ let publish_metrics orch =
             | Everest_resilience.Breaker.Open -> 1.0);
           g ~labels "orchestrator_breaker_opens"
             (float_of_int (Everest_resilience.Breaker.opens b)))
-        dk.breakers)
+        dk.breakers;
+      List.iter
+        (fun m ->
+          let module Slo = Everest_observe.Slo in
+          let labels = labels @ [ ("slo", Slo.monitor_name m) ] in
+          let r = Slo.snapshot m in
+          g ~labels "orchestrator_slo_budget_used" r.Slo.budget_used;
+          g ~labels "orchestrator_slo_met" (if r.Slo.met then 1.0 else 0.0);
+          g ~labels "orchestrator_slo_alerts" (float_of_int (Slo.alerts m)))
+        dk.slos)
     orch.kernels;
-  g "protection_alerts" (float_of_int orch.protection.Protection.total_alerts);
-  g "protection_dropped_batches"
-    (float_of_int orch.protection.Protection.dropped_batches);
   g "vfpga_active_contexts"
     (float_of_int (Vfpga.active_contexts orch.vfpga_mgr));
   g "vfpga_denied" (float_of_int orch.vfpga_mgr.Vfpga.denied);
@@ -251,35 +292,19 @@ type request_log = {
    until a half-open probe succeeds.
 
    [slos] are online SLO monitors fed as each request completes (simulated
-   completion time, final latency and outcome); burn-rate gauges are
-   published per monitor — only when monitors were passed, so default runs
-   touch no extra metrics. *)
+   completion time, final latency and outcome); the kernel keeps them so
+   [publish_metrics] can publish their verdicts.  Serving publishes
+   nothing itself: it only bumps the counters resolved at [deploy]. *)
 let serve orch ~kernel ~n ~policy
     ?(slowdown = fun _req _variant -> 1.0)
     ?(features = fun _req -> [])
     ?(fail = fun ~req:_ ~variant:_ ~attempt:_ -> false)
     ?(max_attempts = 3) ?(slos = []) () =
   let dk = find_kernel orch kernel in
-  let registry = orch.registry in
-  let labels = [ ("kernel", kernel) ] in
-  let m_requests =
-    Metrics.counter ~registry ~labels "orchestrator_requests_total"
-  and m_switches =
-    Metrics.counter ~registry ~labels "orchestrator_variant_switches_total"
-  and m_faults =
-    Metrics.counter ~registry ~labels "orchestrator_protection_faults_total"
-  and m_retries =
-    Metrics.counter ~registry ~labels "orchestrator_retries_total"
-  and m_failures =
-    Metrics.counter ~registry ~labels "orchestrator_failures_total"
-  and m_degraded =
-    Metrics.counter ~registry ~labels "orchestrator_degraded_total"
-  and h_latency =
-    Metrics.histogram ~registry ~labels "orchestrator_request_latency_s"
-  in
+  let meters = dk.meters in
+  dk.slos <- slos;
   let trace_on = not (Trace.is_noop orch.tracer) in
   let last_variant = ref None in
-  let alerts_before = ref orch.protection.Protection.total_alerts in
   let log = ref [] in
   let rng =
     Everest_parallel.Rng.create
@@ -348,7 +373,7 @@ let serve orch ~kernel ~n ~policy
           | _ -> (requested, false)
         in
         let degraded = degraded_sofar || degraded_now in
-        if degraded_now then Metrics.inc m_degraded;
+        if degraded_now then Metrics.inc meters.m_degraded;
         let espan =
           if trace_on then
             Some
@@ -374,7 +399,7 @@ let serve orch ~kernel ~n ~policy
                 Everest_resilience.Breaker.record b ~now ~ok:(not failed)
             | None -> ());
             if failed && attempt < max_attempts then begin
-              Metrics.inc m_retries;
+              Metrics.inc meters.m_retries;
               let delay =
                 Everest_resilience.Policy.next_delay
                   Everest_resilience.Policy.default_backoff ~rng:backoff_rng
@@ -386,11 +411,11 @@ let serve orch ~kernel ~n ~policy
             end
             else begin
               let ok = not failed in
-              if failed then Metrics.inc m_failures;
+              if failed then Metrics.inc meters.m_failures;
               let latency = now -. t_req in
               (match !last_variant with
               | Some prev when not (String.equal prev variant) ->
-                  Metrics.inc m_switches
+                  Metrics.inc meters.m_switches
               | _ -> ());
               last_variant := Some variant;
               log :=
@@ -401,15 +426,8 @@ let serve orch ~kernel ~n ~policy
                 (fun m ->
                   Everest_observe.Slo.observe m ~now ~latency_s:latency ~ok ())
                 slos;
-              Metrics.inc m_requests;
-              Metrics.observe h_latency latency;
-              let faults = orch.protection.Protection.total_alerts in
-              if faults > !alerts_before then begin
-                Metrics.inc
-                  ~by:(float_of_int (faults - !alerts_before))
-                  m_faults;
-                alerts_before := faults
-              end;
+              Metrics.inc meters.m_requests;
+              Metrics.observe meters.h_latency latency;
               (match policy with
               | Adaptive when ok ->
                   let ospan =
@@ -421,6 +439,9 @@ let serve orch ~kernel ~n ~policy
                      retry-inflated request latency *)
                   Tuner.observe dk.tuner ~variant ~features:(features req)
                     ~measured:[ ("time_s", measured) ];
+                  Metrics.observe
+                    (Lazy.force (List.assoc variant meters.h_observed))
+                    measured;
                   Option.iter (fun s -> Trace.finish orch.tracer s) ospan
               | _ -> ());
               Option.iter
@@ -440,26 +461,6 @@ let serve orch ~kernel ~n ~policy
   in
   loop 0;
   Cluster.run orch.cluster;
-  publish_metrics orch;
-  (* end-of-run SLO gauges, one set per monitor (skipped entirely when no
-     monitors were passed, keeping default runs byte-identical) *)
-  List.iter
-    (fun m ->
-      let module Slo = Everest_observe.Slo in
-      let slo_labels = labels @ [ ("slo", Slo.monitor_name m) ] in
-      let r = Slo.snapshot m in
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels
-           "orchestrator_slo_budget_used")
-        r.Slo.budget_used;
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels "orchestrator_slo_met")
-        (if r.Slo.met then 1.0 else 0.0);
-      Metrics.set
-        (Metrics.gauge ~registry ~labels:slo_labels
-           "orchestrator_slo_alerts")
-        (float_of_int (Slo.alerts m)))
-    slos;
   List.rev !log
 
 let total_latency log =

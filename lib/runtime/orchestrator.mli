@@ -19,6 +19,10 @@ type variant_impl =
       out_bytes : int;
     }
 
+(** A kernel's request-loop counters and histograms, resolved in the
+    orchestrator's registry at {!deploy}. *)
+type meters
+
 type deployed_kernel = {
   kname : string;
   impls : (string * variant_impl) list;
@@ -27,16 +31,17 @@ type deployed_kernel = {
       (** One circuit breaker per hardware variant: repeated failures trip
           it and requests degrade to software until a half-open probe
           succeeds. *)
+  meters : meters;
+  mutable slos : Everest_observe.Slo.monitor list;
+      (** The monitors the last {!serve} fed. *)
 }
 
 type t = {
   cluster : Cluster.t;
   host : Node.t;
-  hyper : Vm.hypervisor;
   vm : Vm.t;
   vfpga_mgr : Vfpga.t;
   vctx : Vfpga.vctx option;
-  protection : Protection.t;
   tracer : Everest_telemetry.Trace.t;
       (** Request-loop spans in simulated time (no-op by default). *)
   registry : Everest_telemetry.Metrics.registry;
@@ -47,7 +52,7 @@ type t = {
     when the host has FPGAs, a vFPGA context.  Pass [tracer] (usually
     {!sim_tracer} on the same cluster) to record per-request spans;
     [registry] (default {!Everest_telemetry.Metrics.default}) receives the
-    [orchestrator_*], [tuner_*] and [protection_*] metrics. *)
+    [orchestrator_*] and [tuner_*] metrics. *)
 val create :
   ?vcpus:int ->
   ?tracer:Everest_telemetry.Trace.t ->
@@ -59,14 +64,18 @@ val create :
 (** A tracer driven by the cluster's simulated clock. *)
 val sim_tracer : ?capacity:int -> Cluster.t -> Everest_telemetry.Trace.t
 
-(** Snapshot the runtime layers — tuner decisions, vFPGA activity, the data
-    protection monitors — into telemetry gauges (also called at the end of
-    every [serve]). *)
+(** Snapshot the runtime layers — tuner selections and switches, breaker
+    states, each kernel's SLO verdicts, vFPGA activity and the cluster —
+    into gauges of the orchestrator's registry.  The reader of those
+    gauges calls this; {!serve} never does.  Reading a breaker's state
+    promotes an expired open breaker to half-open, as the next {!serve}
+    would. *)
 val publish_metrics : t -> unit
 
 (** Deploy a kernel with its variants; hardware bitstreams are preloaded
     (deployment-time configuration) and every hardware variant gets a
-    circuit breaker ([breaker] overrides the default configuration). *)
+    circuit breaker ([breaker] overrides the default configuration).  The
+    kernel's request counters and latency histogram are registered here. *)
 val deploy :
   ?breaker:Everest_resilience.Breaker.config ->
   t ->
@@ -107,16 +116,6 @@ val restore_state : t -> persisted_state -> unit
 val breaker_state :
   t -> deployed_kernel -> variant:string -> Everest_resilience.Breaker.state option
 
-(** Execute one variant; the continuation receives the measured simulated
-    latency.  [slowdown] injects contention per variant. *)
-val execute :
-  t ->
-  deployed_kernel ->
-  variant:string ->
-  ?slowdown:(string -> float) ->
-  (float -> unit) ->
-  unit
-
 type policy = Adaptive | Fixed of string | Random of int
 
 type request_log = {
@@ -142,9 +141,13 @@ type request_log = {
     [degraded] and in the [orchestrator_degraded_total] counter.
 
     [slos] are online {!Everest_observe.Slo} monitors fed as each request
-    completes (simulated completion time, final latency, outcome); their
-    end-of-run verdicts land in [orchestrator_slo_*] gauges labelled by
-    monitor name.  Without monitors no extra metrics are touched. *)
+    completes (simulated completion time, final latency, outcome); the
+    kernel keeps them, and {!publish_metrics} publishes their verdicts as
+    [orchestrator_slo_*] gauges labelled by monitor name.
+
+    Serving publishes no snapshot: it bumps the counters resolved at
+    {!deploy}, observes [tuner_observed_time_s] per variant on Adaptive
+    successes, and leaves the gauges to {!publish_metrics}. *)
 val serve :
   t ->
   kernel:string ->

@@ -137,8 +137,8 @@ let locked f =
 
 let create_registry () = { tbl = Hashtbl.create 64 }
 
-(* The process-wide default registry: the Probe API and all subsystem
-   counters write here unless told otherwise. *)
+(* The process-wide default registry: [Probe.time_block] and every
+   subsystem write here unless given a registry of their own. *)
 let default = create_registry ()
 
 let reset r = locked (fun () -> Hashtbl.reset r.tbl)

@@ -1,22 +1,21 @@
-(* The lightweight instrumentation facade the rest of the codebase calls.
+(* Scoped wall-clock instrumentation for code that has no tracer of its
+   own (the compiler's DSE stages).
 
    Spans go to a process-global tracer that is [Trace.noop] until someone
-   installs one ([with_tracer] in the CLI, tests, benchmarks), so plain
-   library use pays a single physical-equality check per probe.  Metrics go
-   to [Metrics.default] unless a registry is passed explicitly. *)
+   installs one for a scope ([with_tracer] in the CLI, tests, benchmarks),
+   so plain library use pays a single physical-equality check per probe.
+   [time_block] also records the duration into a histogram, in
+   [Metrics.default] unless a registry is passed.  Counters and gauges are
+   written through [Metrics] directly. *)
 
 let tracer = ref Trace.noop
 
-let set_tracer t = tracer := t
-let clear_tracer () = tracer := Trace.noop
-let current_tracer () = !tracer
 let enabled () = not (Trace.is_noop !tracer)
 
 (* Time source for [time_block]; swappable so tests (and simulated runs)
    can measure against a manual clock instead of the wall. *)
 let clock = ref Clock.wall
 
-let set_clock c = clock := c
 let current_clock () = !clock
 
 (* Install [c] for the duration of [f]. *)
@@ -54,12 +53,3 @@ let time_block ?registry ?labels ?attrs name f =
   else
     Trace.with_span t ?attrs name (fun _ ->
         Fun.protect ~finally:record (fun () -> f ()))
-
-let count ?registry ?labels ?(by = 1.0) name =
-  Metrics.inc ~by (Metrics.counter ?registry ?labels name)
-
-let gauge_set ?registry ?labels name v =
-  Metrics.set (Metrics.gauge ?registry ?labels name) v
-
-let observe ?registry ?labels name v =
-  Metrics.observe (Metrics.histogram ?registry ?labels name) v

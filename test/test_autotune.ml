@@ -130,6 +130,25 @@ let test_adaptation_switches_variant () =
   checks "switched to software" "sw-tiled" (fst final);
   checkb "switch counted" true (t.Tuner.switches >= 1)
 
+(* The tuner keeps its account in its own fields; it writes no metrics,
+   not even to the process-wide registry. *)
+let test_tuner_writes_no_metrics () =
+  let module Metrics = Everest_telemetry.Metrics in
+  Metrics.reset Metrics.default;
+  let t =
+    Tuner.create (base_knowledge ()) (Goal.make (Goal.Minimize "time_s"))
+  in
+  for _ = 1 to 5 do
+    match Tuner.select t ~features:[] with
+    | Some d ->
+        Tuner.observe t ~variant:d.Selector.point.Knowledge.variant
+          ~features:[] ~measured:[ ("time_s", 0.5) ]
+    | None -> Alcotest.fail "no selection"
+  done;
+  checki "five selections" 5 t.Tuner.selections;
+  checki "default registry empty" 0
+    (List.length (Metrics.metrics Metrics.default))
+
 let test_regret_oracle_zero () =
   let costs _step v = match v with "a" -> 1.0 | _ -> 2.0 in
   let r =
@@ -180,5 +199,7 @@ let () =
       ( "adapt",
         [ Alcotest.test_case "ema update" `Quick test_observation_updates;
           Alcotest.test_case "switches variant" `Quick test_adaptation_switches_variant;
-          Alcotest.test_case "regret" `Quick test_regret_oracle_zero ] );
+          Alcotest.test_case "regret" `Quick test_regret_oracle_zero;
+          Alcotest.test_case "writes no metrics" `Quick
+            test_tuner_writes_no_metrics ] );
     ]

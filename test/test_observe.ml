@@ -407,11 +407,15 @@ let test_orchestrator_slo_wiring () =
   checkb "t_done monotone" true (monotone log);
   let snap = Slo.snapshot m in
   checkb "violated at 50% availability" false snap.Slo.met;
-  (* end-of-run gauges were published, labelled by monitor name *)
+  (* the verdict gauges are the reader's snapshot: absent until
+     [publish_metrics], then labelled by monitor name *)
+  let slo_labels = [ ("kernel", "k"); ("slo", "avail") ] in
+  checkb "serve publishes no slo gauge" true
+    (Metrics.find ~registry ~labels:slo_labels "orchestrator_slo_budget_used"
+    = None);
+  Rt.Orchestrator.publish_metrics orch;
   (match
-     Metrics.find ~registry
-       ~labels:[ ("kernel", "k"); ("slo", "avail") ]
-       "orchestrator_slo_budget_used"
+     Metrics.find ~registry ~labels:slo_labels "orchestrator_slo_budget_used"
    with
   | Some { Metrics.value = Metrics.Gauge g; _ } ->
       checkb "budget gauge shows exhaustion" true (!g > 1.0)

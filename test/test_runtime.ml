@@ -162,6 +162,50 @@ let fresh_orch () =
   let cluster = Cluster.create [ Cluster.power9_node "p9" ] in
   Orchestrator.create cluster ~host_name:"p9"
 
+(* The orchestrator owns the runtime's metrics: serving lands the tuner's
+   per-variant observations in the orchestrator's registry and publishes
+   no snapshot; the gauges appear when the reader calls [publish_metrics].
+   Nothing reaches the process-wide registry. *)
+let test_orchestrator_metrics_owner () =
+  let module Metrics = Everest_telemetry.Metrics in
+  Metrics.reset Metrics.default;
+  let r = Metrics.create_registry () in
+  let cluster = Cluster.create [ Cluster.power9_node "p9" ] in
+  let orch = Orchestrator.create ~registry:r cluster ~host_name:"p9" in
+  let _ =
+    Orchestrator.deploy orch ~kname:"k" ~impls:(impls ())
+      ~knowledge:(knowledge_for_impls ())
+      ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s"))
+  in
+  let n = 20 in
+  ignore (Orchestrator.serve orch ~kernel:"k" ~n ~policy:Orchestrator.Adaptive ());
+  let observed =
+    List.filter
+      (fun (m : Metrics.metric) -> m.Metrics.mname = "tuner_observed_time_s")
+      (Metrics.metrics r)
+  in
+  checkb "observations in the orchestrator's registry" true (observed <> []);
+  checki "every request observed" n
+    (List.fold_left
+       (fun acc (m : Metrics.metric) ->
+         match m.Metrics.value with
+         | Metrics.Histogram h -> acc + Metrics.hist_count h
+         | _ -> acc)
+       0 observed);
+  let selections () =
+    Metrics.find ~registry:r ~labels:[ ("kernel", "k") ] "tuner_selections"
+  in
+  checkb "no snapshot before publish" true (selections () = None);
+  checki "default registry empty after serve" 0
+    (List.length (Metrics.metrics Metrics.default));
+  Orchestrator.publish_metrics orch;
+  (match selections () with
+  | Some { Metrics.value = Metrics.Gauge g; _ } ->
+      Alcotest.check (Alcotest.float 0.0) "selections gauge" (float_of_int n) !g
+  | _ -> Alcotest.fail "tuner_selections missing after publish");
+  checki "default registry empty after publish" 0
+    (List.length (Metrics.metrics Metrics.default))
+
 let test_orchestrator_fixed_policies () =
   let orch = fresh_orch () in
   let _ =
@@ -313,5 +357,7 @@ let () =
           Alcotest.test_case "random follows its seed" `Quick
             test_orchestrator_random_seeded;
           Alcotest.test_case "breaker degrades hw to sw" `Quick
-            test_orchestrator_breaker_degrades ] );
+            test_orchestrator_breaker_degrades;
+          Alcotest.test_case "owns its metrics" `Quick
+            test_orchestrator_metrics_owner ] );
     ]

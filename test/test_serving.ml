@@ -494,6 +494,35 @@ let test_shard_draining_on_open_breaker () =
        ~max_attempts:2 ());
   checkb "draining with open breaker" true (Shard.draining shard)
 
+(* Allocation budget of the per-batch orchestrator call: a warm
+   [Orch.serve ~n:1] on a demo shard, the call [Fabric.execute] makes once
+   per batch.  Minor words do not depend on the host, so unlike a
+   wall-time gate this one holds in tier-1; a change that moves the figure
+   updates the budget and says why. *)
+let orchestrator_words_per_call_budget = 1_000.0
+
+let test_orchestrator_alloc_budget () =
+  let shard =
+    Shard.create ~id:0 ~batcher:Batcher.default_config
+      ~autoscale:(Autoscale.fixed 1) ~deploy:(Fabric.demo_deploy ()) ()
+  in
+  let features = [ ("size", 1024.0) ] in
+  let serve () =
+    ignore
+      (Orch.serve shard.Shard.s_orch ~kernel:"mm" ~n:1 ~policy:Orch.Adaptive
+         ~features:(fun _ -> features)
+         ~fail:(fun ~req:_ ~variant:_ ~attempt:_ -> false)
+         ~max_attempts:3 ())
+  in
+  for _ = 1 to 50 do serve () done;
+  let calls = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do serve () done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call > orchestrator_words_per_call_budget then
+    Alcotest.failf "Orch.serve ~n:1 allocates %.0f minor words per call (budget %.0f)"
+      per_call orchestrator_words_per_call_budget
+
 let () =
   Alcotest.run "everest_serving"
     [ ( "workload",
@@ -545,4 +574,6 @@ let () =
             test_fabric_sheds_when_everything_is_down;
           Alcotest.test_case "open breaker drains the shard" `Quick
             test_shard_draining_on_open_breaker;
+          Alcotest.test_case "orchestrator allocation budget" `Quick
+            test_orchestrator_alloc_budget;
           QCheck_alcotest.to_alcotest prop_same_seed_identical ] ) ]
