@@ -257,8 +257,10 @@ let wait_stats r =
     ws_waits = r.total_wait_starts; ws_total_wait_s = r.total_wait_s;
     ws_mean_wait_s = mean_wait_s r }
 
-(* Publish the engine and resource state into telemetry gauges/histograms of
-   [registry] — the monitoring feed of the self-adaptive loop. *)
+(* Publish the engine and resource state into telemetry gauges of
+   [registry] — the monitoring feed of the self-adaptive loop.  Gauges
+   only, so publishing again without progress leaves the registry as it
+   was. *)
 let publish_resource ?registry r =
   let module M = Everest_telemetry.Metrics in
   let labels = [ ("resource", r.rname) ] in
@@ -267,11 +269,7 @@ let publish_resource ?registry r =
   M.set (M.gauge ?registry ~labels "desim_resource_waits")
     (float_of_int r.total_wait_starts);
   M.set (M.gauge ?registry ~labels "desim_resource_mean_wait_s")
-    (mean_wait_s r);
-  if r.total_wait_s > 0.0 then
-    M.observe
-      (M.histogram ?registry "desim_resource_wait_s")
-      (mean_wait_s r)
+    (mean_wait_s r)
 
 let publish ?registry sim =
   let module M = Everest_telemetry.Metrics in
