@@ -19,25 +19,7 @@ exception Parse_error of string
 
 (* ---- printing ------------------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+module Text = Everest_telemetry.Json_text
 
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 1024 in
@@ -46,10 +28,10 @@ let to_string ?(pretty = false) v =
   let rec go d = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (num_to_string f)
+    | Num f -> Buffer.add_string buf (Text.number f)
     | Str s ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
+        Buffer.add_string buf (Text.escape s);
         Buffer.add_char buf '"'
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr xs ->
@@ -73,7 +55,7 @@ let to_string ?(pretty = false) v =
             if i > 0 then (Buffer.add_char buf ','; nl ());
             pad (d + 1);
             Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
+            Buffer.add_string buf (Text.escape k);
             Buffer.add_string buf (if pretty then "\": " else "\":");
             go (d + 1) x)
           kvs;

@@ -7,38 +7,11 @@
    is exactly what we want — an executor trace laid out in simulated time.
 
    Span tracks map to Chrome thread ids and named tracks become thread_name
-   metadata events, so executor traces show one lane per platform node. *)
+   metadata events, so executor traces show one lane per platform node.
+   Numbers print exactly (see [Json_text]), so a microsecond-wide span late
+   in a long run keeps its place. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
-
-let attr_json (k, v) =
-  let value =
-    match (v : Trace.attr_value) with
-    | Trace.S s -> Printf.sprintf "\"%s\"" (escape s)
-    | Trace.I i -> string_of_int i
-    | Trace.F f -> json_float f
-    | Trace.B b -> if b then "true" else "false"
-  in
-  Printf.sprintf "\"%s\":%s" (escape k) value
+open Json_text
 
 let span_json ~pid (s : Trace.span) =
   let us t = t *. 1e6 in
@@ -66,7 +39,7 @@ let span_json ~pid (s : Trace.span) =
              match v with
              | Trace.S str -> Printf.sprintf "\"%s\"" (escape str)
              | Trace.I i -> string_of_int i
-             | Trace.F f -> json_float f
+             | Trace.F f -> number f
              | Trace.B b -> if b then "true" else "false" ))
          attrs
   in
@@ -78,8 +51,8 @@ let span_json ~pid (s : Trace.span) =
     "{\"name\":\"%s\",\"cat\":\"everest\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\
      \"pid\":%d,\"tid\":%d,\"args\":{%s}}"
     (escape s.Trace.name)
-    (json_float (us s.Trace.start_s))
-    (json_float (us (Trace.duration s)))
+    (number (us s.Trace.start_s))
+    (number (us (Trace.duration s)))
     pid s.Trace.track args_s
 
 let thread_name_json ~pid track name =

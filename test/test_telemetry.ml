@@ -440,6 +440,22 @@ let test_resource_wait_stats () =
       Alcotest.check (Alcotest.float 1e-9) "gauge mean wait" 1.5 !g
   | _ -> Alcotest.fail "gauge missing")
 
+(* A snapshot is idempotent: publishing a contended resource twice leaves
+   the registry as publishing it once does. *)
+let test_resource_publish_idempotent () =
+  let sim = Desim.create () in
+  let r = Desim.resource "dev" 1 in
+  for _ = 1 to 3 do
+    Desim.acquire sim r (fun () ->
+        Desim.schedule sim 1.0 (fun () -> Desim.release sim r))
+  done;
+  Desim.run sim;
+  let once = Metrics.create_registry () and twice = Metrics.create_registry () in
+  Desim.publish_resource ~registry:once r;
+  Desim.publish_resource ~registry:twice r;
+  Desim.publish_resource ~registry:twice r;
+  checks "same registry" (Metrics.render_text once) (Metrics.render_text twice)
+
 (* ---- orchestrator closed loop --------------------------------------------------- *)
 
 let small_estimate cycles =
@@ -568,6 +584,35 @@ let test_reset_restarts_ids () =
   checki "drops consume ids" 2 (y.Trace.id - x.Trace.id);
   Trace.reset t2;
   checki "new generation at 0" 0 (Trace.start t2 "fresh").Trace.id
+
+(* Timestamps survive the export exactly: a span deep into a run, lasting
+   a microsecond and a half, parses back to the same ts and dur. *)
+let test_chrome_trace_exact_times () =
+  let now = ref 123.4567891 in
+  let t = Trace.create ~clock:(fun () -> !now) () in
+  let s = Trace.start t "late" in
+  now := !now +. 1.5e-6;
+  Trace.finish t s;
+  let parsed =
+    match Json.parse (Chrome_trace.to_string t) with
+    | v -> v
+    | exception Json.Bad m -> Alcotest.failf "invalid JSON: %s" m
+  in
+  let ev =
+    match Json.member "traceEvents" parsed with
+    | Some (Json.Arr evs) -> (
+        match List.find_opt (fun e -> Json.member "ph" e = Some (Json.Str "X")) evs with
+        | Some e -> e
+        | None -> Alcotest.fail "no complete event")
+    | _ -> Alcotest.fail "traceEvents array missing"
+  in
+  let num k =
+    match Json.member k ev with
+    | Some (Json.Num f) -> f
+    | _ -> Alcotest.failf "%s missing" k
+  in
+  Alcotest.check (Alcotest.float 0.0) "ts" (s.Trace.start_s *. 1e6) (num "ts");
+  Alcotest.check (Alcotest.float 0.0) "dur" (Trace.duration s *. 1e6) (num "dur")
 
 (* ---- chrome trace duplicate keys ------------------------------------------------- *)
 
@@ -769,14 +814,18 @@ let () =
           Alcotest.test_case "render formats" `Quick test_render_formats ] );
       ( "chrome-trace",
         [ Alcotest.test_case "well-formed JSON" `Quick
-            test_chrome_trace_wellformed ] );
+            test_chrome_trace_wellformed;
+          Alcotest.test_case "exact timestamps" `Quick
+            test_chrome_trace_exact_times ] );
       ( "executor",
         [ Alcotest.test_case "trace agrees with stats" `Quick
             test_executor_trace_agrees_with_stats;
           Alcotest.test_case "untraced by default" `Quick
             test_executor_default_is_untraced ] );
       ( "desim",
-        [ Alcotest.test_case "wait stats" `Quick test_resource_wait_stats ] );
+        [ Alcotest.test_case "wait stats" `Quick test_resource_wait_stats;
+          Alcotest.test_case "publish is idempotent" `Quick
+            test_resource_publish_idempotent ] );
       ( "orchestrator",
         [ Alcotest.test_case "closed loop traced" `Quick
             test_orchestrator_closed_loop_traced ] );
