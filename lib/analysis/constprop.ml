@@ -50,46 +50,6 @@ end
 
 module E = Dataflow.Make (Stamp)
 
-let int_fold name a b =
-  match name with
-  | "arith.addi" -> Some (a + b)
-  | "arith.subi" -> Some (a - b)
-  | "arith.muli" -> Some (a * b)
-  | "arith.divi" -> if b = 0 then None else Some (a / b)
-  | "arith.remi" -> if b = 0 then None else Some (a mod b)
-  | "arith.andi" -> Some (a land b)
-  | "arith.ori" -> Some (a lor b)
-  | "arith.xori" -> Some (a lxor b)
-  | "arith.shli" -> Some (a lsl b)
-  | "arith.shri" -> Some (a lsr b)
-  | _ -> None
-
-let float_fold name a b =
-  match name with
-  | "arith.addf" -> Some (a +. b)
-  | "arith.subf" -> Some (a -. b)
-  | "arith.mulf" -> Some (a *. b)
-  | "arith.divf" -> Some (a /. b)
-  | "arith.maxf" -> Some (Float.max a b)
-  | "arith.minf" -> Some (Float.min a b)
-  | _ -> None
-
-let float_unary_fold name a =
-  match name with
-  | "arith.negf" -> Some (-.a)
-  | "arith.sqrtf" -> Some (sqrt a)
-  | "arith.expf" -> Some (exp a)
-  | _ -> None
-
-let cmp_fold (pred : Dialect_arith.cmp_pred) c =
-  match pred with
-  | Dialect_arith.Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-
 let is_int_binop n = List.mem n Dialect_arith.int_binops
 let is_float_binop n = List.mem n Dialect_arith.float_binops
 
@@ -182,7 +142,8 @@ let analyze (f : Ir.func) : result =
         binary
           (fun x y ->
             match (x, y) with
-            | CInt a, CInt b -> Option.map (fun r -> CInt r) (int_fold n a b)
+            | CInt a, CInt b ->
+                Option.map (fun r -> CInt r) (Dialect_arith.int_fold n a b)
             | _ -> None)
           Fun.id s o
     | n when is_float_binop n ->
@@ -190,7 +151,7 @@ let analyze (f : Ir.func) : result =
           (fun x y ->
             match (x, y) with
             | CFloat a, CFloat b ->
-                Option.map (fun r -> CFloat r) (float_fold n a b)
+                Option.map (fun r -> CFloat r) (Dialect_arith.float_fold n a b)
             | _ -> None)
           Fun.id s o
     | "arith.negf" | "arith.sqrtf" | "arith.expf" -> (
@@ -198,7 +159,7 @@ let analyze (f : Ir.func) : result =
         | [ a ] -> (
             match get s a with
             | FlatC.Const (CFloat x) -> (
-                match float_unary_fold o.Ir.name x with
+                match Dialect_arith.float_unary_fold o.Ir.name x with
                 | Some r -> set s (Ir.result o) (FlatC.const (CFloat r))
                 | None -> set s (Ir.result o) FlatC.top)
             | FlatC.Bot -> set s (Ir.result o) FlatC.Bot
@@ -220,8 +181,9 @@ let analyze (f : Ir.func) : result =
                 in
                 (match c with
                 | Some c ->
+                    let holds = Dialect_arith.cmp_fold pred c in
                     set s (Ir.result o)
-                      (FlatC.const (CInt (if cmp_fold pred c then 1 else 0)))
+                      (FlatC.const (CInt (if holds then 1 else 0)))
                 | None -> set s (Ir.result o) FlatC.top)
             | _ -> set s (Ir.result o) FlatC.top)
         | _ -> set_all s o.Ir.results FlatC.top)

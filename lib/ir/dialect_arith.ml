@@ -64,6 +64,48 @@ let float_binops =
   [ "arith.addf"; "arith.subf"; "arith.mulf"; "arith.divf"; "arith.maxf";
     "arith.minf" ]
 
+(* ---- constant folding: the ops' semantics on known operands ---- *)
+
+let int_fold name a b =
+  match name with
+  | "arith.addi" -> Some (a + b)
+  | "arith.subi" -> Some (a - b)
+  | "arith.muli" -> Some (a * b)
+  | "arith.divi" -> if b = 0 then None else Some (a / b)
+  | "arith.remi" -> if b = 0 then None else Some (a mod b)
+  | "arith.andi" -> Some (a land b)
+  | "arith.ori" -> Some (a lor b)
+  | "arith.xori" -> Some (a lxor b)
+  | "arith.shli" -> Some (a lsl b)
+  | "arith.shri" -> Some (a lsr b)
+  | _ -> None
+
+let float_fold name a b =
+  match name with
+  | "arith.addf" -> Some (a +. b)
+  | "arith.subf" -> Some (a -. b)
+  | "arith.mulf" -> Some (a *. b)
+  | "arith.divf" -> Some (a /. b)
+  | "arith.maxf" -> Some (Float.max a b)
+  | "arith.minf" -> Some (Float.min a b)
+  | _ -> None
+
+let float_unary_fold name a =
+  match name with
+  | "arith.negf" -> Some (-.a)
+  | "arith.sqrtf" -> Some (sqrt a)
+  | "arith.expf" -> Some (exp a)
+  | _ -> None
+
+let cmp_fold pred c =
+  match pred with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
 let verify_binary op =
   Dialect.all
     [ Dialect.expect_operands 2; Dialect.expect_results 1;

@@ -51,5 +51,18 @@ val const_value : Ir.op -> Attr.t option
 val int_binops : string list
 val float_binops : string list
 
+(** {2 Constant folding}
+
+    The ops' semantics on known operands, shared by the canonicalizer's
+    [fold-constants] pattern and constant propagation.  [None] when the op
+    is not foldable (unknown name, integer division by zero). *)
+
+val int_fold : string -> int -> int -> int option
+val float_fold : string -> float -> float -> float option
+val float_unary_fold : string -> float -> float option
+
+(** [cmp_fold pred c] decides [pred] from a three-way comparison [c]. *)
+val cmp_fold : cmp_pred -> int -> bool
+
 (** Register the dialect's op definitions. *)
 val register : unit -> unit

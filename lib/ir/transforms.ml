@@ -5,39 +5,6 @@ open Ir
 
 (* ---- constant folding ---------------------------------------------------- *)
 
-let int_fold name a b =
-  match name with
-  | "arith.addi" -> Some (a + b)
-  | "arith.subi" -> Some (a - b)
-  | "arith.muli" -> Some (a * b)
-  | "arith.divi" -> if b = 0 then None else Some (a / b)
-  | "arith.remi" -> if b = 0 then None else Some (a mod b)
-  | "arith.andi" -> Some (a land b)
-  | "arith.ori" -> Some (a lor b)
-  | "arith.xori" -> Some (a lxor b)
-  | "arith.shli" -> Some (a lsl b)
-  | "arith.shri" -> Some (a lsr b)
-  | _ -> None
-
-let float_fold name a b =
-  match name with
-  | "arith.addf" -> Some (a +. b)
-  | "arith.subf" -> Some (a -. b)
-  | "arith.mulf" -> Some (a *. b)
-  | "arith.divf" -> Some (a /. b)
-  | "arith.maxf" -> Some (Float.max a b)
-  | "arith.minf" -> Some (Float.min a b)
-  | _ -> None
-
-let cmp_fold pred c =
-  match pred with
-  | Dialect_arith.Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-
 let const_of ~defs (v : value) =
   match defs v.vid with
   | Some o -> Dialect_arith.const_value o
@@ -49,7 +16,7 @@ let fold_constants =
       | [ a; b ] -> (
           match (const_of ~defs a, const_of ~defs b) with
           | Some (Attr.Int x), Some (Attr.Int y) -> (
-              match int_fold o.name x y with
+              match Dialect_arith.int_fold o.name x y with
               | Some r ->
                   let c = Dialect_arith.const_i ~ty:a.vty ctx r in
                   Rewrite.fold_to o (Ir.result c) [ c ]
@@ -59,7 +26,7 @@ let fold_constants =
                       Option.bind (Ir.attr_str "predicate" o) (fun p ->
                           Option.bind (Dialect_arith.cmp_pred_of_name p)
                             (fun pred ->
-                              let r = cmp_fold pred (compare x y) in
+                              let r = Dialect_arith.cmp_fold pred (compare x y) in
                               let c =
                                 Dialect_arith.const_i ~ty:Types.i1 ctx
                                   (if r then 1 else 0)
@@ -67,7 +34,7 @@ let fold_constants =
                               Rewrite.fold_to o (Ir.result c) [ c ]))
                   | _ -> None))
           | Some (Attr.Float x), Some (Attr.Float y) -> (
-              match float_fold o.name x y with
+              match Dialect_arith.float_fold o.name x y with
               | Some r ->
                   let c = Dialect_arith.const_f ~ty:a.vty ctx r in
                   Rewrite.fold_to o (Ir.result c) [ c ]
@@ -77,7 +44,7 @@ let fold_constants =
                       Option.bind (Ir.attr_str "predicate" o) (fun p ->
                           Option.bind (Dialect_arith.cmp_pred_of_name p)
                             (fun pred ->
-                              let r = cmp_fold pred (compare x y) in
+                              let r = Dialect_arith.cmp_fold pred (compare x y) in
                               let c =
                                 Dialect_arith.const_i ~ty:Types.i1 ctx
                                   (if r then 1 else 0)
