@@ -151,8 +151,15 @@ let valid_name n =
          || (c >= '0' && c <= '9') || c = '_' || c = ':')
        n
 
+(* Labels sorted by key, one binding per key.  A list already in that form
+   (every registered metric's, so every scraped one) comes back as is. *)
 let normalize_labels labels =
-  List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+  let rec normal = function
+    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && normal rest
+    | _ -> true
+  in
+  if normal labels then labels
+  else List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -216,11 +223,25 @@ let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   | Histogram h -> h
   | _ -> assert false
 
+(* The order polymorphic [compare] gives (name, then labels pair by pair,
+   a shorter list first), without its generic traversal: scrapes call this
+   every tick. *)
+let rec compare_labels a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | (k, v) :: a', (k', v') :: b' -> (
+      match String.compare k k' with
+      | 0 -> (
+          match String.compare v v' with 0 -> compare_labels a' b' | c -> c)
+      | c -> c)
+
 let metrics r =
   locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) r.tbl [])
   |> List.sort (fun a b ->
-         match compare a.mname b.mname with
-         | 0 -> compare a.labels b.labels
+         match String.compare a.mname b.mname with
+         | 0 -> compare_labels a.labels b.labels
          | c -> c)
 
 let find ?(registry = default) ?(labels = []) name =

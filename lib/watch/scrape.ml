@@ -23,12 +23,18 @@ let of_fn ~name f = { src_name = name; src_sample = f }
 
 let of_registry ?(prefix = "") ?(quantiles = [ 0.5; 0.9; 0.99 ])
     (registry : Metrics.registry) =
+  let quantiles =
+    List.map (fun q -> (Printf.sprintf ":p%g" (100.0 *. q), q)) quantiles
+  in
   { src_name = "registry";
     src_sample =
       (fun ~now:_ ->
         List.concat_map
           (fun (m : Metrics.metric) ->
-            let n = prefix ^ m.Metrics.mname in
+            let n =
+              if String.equal prefix "" then m.Metrics.mname
+              else prefix ^ m.Metrics.mname
+            in
             let labels = m.Metrics.labels in
             match m.Metrics.value with
             | Metrics.Counter c -> [ (n, labels, !c) ]
@@ -37,9 +43,7 @@ let of_registry ?(prefix = "") ?(quantiles = [ 0.5; 0.9; 0.99 ])
                 (n ^ ":count", labels, float_of_int (Metrics.hist_count h))
                 :: (n ^ ":sum", labels, Metrics.hist_sum h)
                 :: List.map
-                     (fun q ->
-                       ( Printf.sprintf "%s:p%g" n (100.0 *. q),
-                         labels,
-                         Metrics.quantile h q ))
+                     (fun (suffix, q) ->
+                       (n ^ suffix, labels, Metrics.quantile h q))
                      quantiles)
           (Metrics.metrics registry)) }

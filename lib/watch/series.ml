@@ -15,7 +15,7 @@ type t = {
   mutable s_samples : int;  (* raw observations ever *)
 }
 
-let norm labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+let norm = Everest_telemetry.Metrics.normalize_labels
 
 let create ?(capacity = 256) ~name ~labels () =
   if capacity <= 0 then invalid_arg "Series.create: capacity <= 0";
