@@ -22,15 +22,6 @@ let create ?(name = "cache") () =
 
 let name t = t.name
 
-let find t key =
-  Mutex.lock t.m;
-  let r = Hashtbl.find_opt t.tbl key in
-  (match r with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
-  Mutex.unlock t.m;
-  r
-
 let add t key v =
   Mutex.lock t.m;
   if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;

@@ -15,9 +15,6 @@ val create : ?name:string -> unit -> 'a t
 
 val name : 'a t -> string
 
-(** Counted lookup. *)
-val find : 'a t -> string -> 'a option
-
 (** Insert unless present (first writer wins). *)
 val add : 'a t -> string -> 'a -> unit
 

@@ -112,6 +112,3 @@ let write_processes path procs =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (processes_to_string procs))
-
-let write_file path ?pid ?process_name t =
-  write_processes path [ of_tracer ?pid ?process_name t ]

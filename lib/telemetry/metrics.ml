@@ -151,15 +151,8 @@ let valid_name n =
          || (c >= '0' && c <= '9') || c = '_' || c = ':')
        n
 
-(* Labels sorted by key, one binding per key.  A list already in that form
-   (every registered metric's, so every scraped one) comes back as is. *)
 let normalize_labels labels =
-  let rec normal = function
-    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && normal rest
-    | _ -> true
-  in
-  if normal labels then labels
-  else List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
+  List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -212,7 +205,6 @@ let gauge ?(registry = default) ?(labels = []) ?(help = "") name : gauge =
 
 let set (g : gauge) v = g := v
 let add (g : gauge) v = g := !g +. v
-let gauge_value (g : gauge) = !g
 
 let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   match
@@ -223,19 +215,11 @@ let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   | Histogram h -> h
   | _ -> assert false
 
-(* The order polymorphic [compare] gives (name, then labels pair by pair,
-   a shorter list first), without its generic traversal: scrapes call this
-   every tick. *)
-let rec compare_labels a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ -> -1
-  | _, [] -> 1
-  | (k, v) :: a', (k', v') :: b' -> (
-      match String.compare k k' with
-      | 0 -> (
-          match String.compare v v' with 0 -> compare_labels a' b' | c -> c)
-      | c -> c)
+(* The order polymorphic [compare] gives, without its generic traversal:
+   scrapes sort the registry every tick. *)
+let compare_labels =
+  List.compare (fun (k, v) (k', v') ->
+      match String.compare k k' with 0 -> String.compare v v' | c -> c)
 
 let metrics r =
   locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) r.tbl [])

@@ -63,7 +63,6 @@ let config w = w.w_config
 let ticks w = w.w_ticks
 let samples w = w.w_samples
 let work_s w = w.w_work_s
-let interval_s w = w.w_config.wc_interval_s
 
 (* Replace-by-name: re-attaching a watch (e.g. a second [execute] run
    over the same registry) swaps the source instead of double-sampling. *)

@@ -22,7 +22,6 @@ val create : ?config:config -> ?rules:Rules.rule list -> unit -> t
 val store : t -> Series.Store.t
 val rules : t -> Rules.t
 val config : t -> config
-val interval_s : t -> float
 
 (** Scrape ticks performed. *)
 val ticks : t -> int
