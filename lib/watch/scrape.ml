@@ -21,21 +21,16 @@ let sample s ~now = s.src_sample ~now
 
 let of_fn ~name f = { src_name = name; src_sample = f }
 
-let of_registry ?(prefix = "") ?(quantiles = [ 0.5; 0.9; 0.99 ])
-    (registry : Metrics.registry) =
-  let quantiles =
-    List.map (fun q -> (Printf.sprintf ":p%g" (100.0 *. q), q)) quantiles
-  in
+(* A histogram's quantile series: name suffix and quantile. *)
+let quantiles = [ (":p50", 0.5); (":p90", 0.9); (":p99", 0.99) ]
+
+let of_registry (registry : Metrics.registry) =
   { src_name = "registry";
     src_sample =
       (fun ~now:_ ->
         List.concat_map
           (fun (m : Metrics.metric) ->
-            let n =
-              if String.equal prefix "" then m.Metrics.mname
-              else prefix ^ m.Metrics.mname
-            in
-            let labels = m.Metrics.labels in
+            let n = m.Metrics.mname and labels = m.Metrics.labels in
             match m.Metrics.value with
             | Metrics.Counter c -> [ (n, labels, !c) ]
             | Metrics.Gauge g -> [ (n, labels, !g) ]

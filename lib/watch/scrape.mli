@@ -13,10 +13,6 @@ val sample : t -> now:float -> sample list
 val of_fn : name:string -> (now:float -> sample list) -> t
 
 (** Every metric of a registry as signals: counters and gauges become
-    their value; a histogram becomes [name:count], [name:sum] and one
-    [name:pQ] series per requested quantile. *)
-val of_registry :
-  ?prefix:string ->
-  ?quantiles:float list ->
-  Everest_telemetry.Metrics.registry ->
-  t
+    their value; a histogram becomes [name:count], [name:sum], [name:p50],
+    [name:p90] and [name:p99]. *)
+val of_registry : Everest_telemetry.Metrics.registry -> t
