@@ -215,17 +215,11 @@ let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   | Histogram h -> h
   | _ -> assert false
 
-(* The order polymorphic [compare] gives, without its generic traversal:
-   scrapes sort the registry every tick. *)
-let compare_labels =
-  List.compare (fun (k, v) (k', v') ->
-      match String.compare k k' with 0 -> String.compare v v' | c -> c)
-
 let metrics r =
   locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) r.tbl [])
   |> List.sort (fun a b ->
-         match String.compare a.mname b.mname with
-         | 0 -> compare_labels a.labels b.labels
+         match compare a.mname b.mname with
+         | 0 -> compare a.labels b.labels
          | c -> c)
 
 let find ?(registry = default) ?(labels = []) name =

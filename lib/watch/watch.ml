@@ -31,8 +31,6 @@ type t = {
   w_sketches : (string * (string * string) list, Sketch.t) Hashtbl.t;
   mutable w_sketch_keys : (string * (string * string) list) list;
       (* insertion-ordered keys for deterministic iteration *)
-  mutable w_last : (string * (string * string) list * Sketch.t) option;
-      (* [observe]'s last (name, labels) as passed, and its sketch *)
   w_rules : Rules.t;
   mutable w_sources : Scrape.t list;  (* in registration order *)
   mutable w_last_tick : float;  (* nan = never ticked *)
@@ -48,7 +46,6 @@ let create ?(config = default_config) ?(rules = []) () =
     w_store = Series.Store.create ~capacity:config.wc_capacity ();
     w_sketches = Hashtbl.create 16;
     w_sketch_keys = [];
-    w_last = None;
     w_rules = Rules.engine rules;
     w_sources = [];
     w_last_tick = Float.nan;
@@ -99,25 +96,12 @@ let find_sketch w ~name ~labels =
 let sketch_list w =
   List.map (fun (n, l) -> (n, l, Hashtbl.find w.w_sketches (n, l))) w.w_sketch_keys
 
-let same_labels =
-  List.equal (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
-
 (* Feed one sample into the named windowed sketch — the push half of the
    pipeline (the pull half is the scrape).  Cheap enough for per-request
-   call sites: one bucket update plus two clock reads.  A per-request feed
-   names the same sketch call after call, so the last one is remembered
-   and a repeat skips the label sort and the table lookup. *)
+   call sites: one bucket update plus two clock reads. *)
 let observe w ~now ?(labels = []) name v =
   let t0 = Unix.gettimeofday () in
-  let sk =
-    match w.w_last with
-    | Some (n, l, sk) when String.equal n name && same_labels l labels -> sk
-    | _ ->
-        let sk = sketch w ~name ~labels in
-        w.w_last <- Some (name, labels, sk);
-        sk
-  in
-  Sketch.observe sk ~now v;
+  Sketch.observe (sketch w ~name ~labels) ~now v;
   w.w_samples <- w.w_samples + 1;
   w.w_work_s <- w.w_work_s +. (Unix.gettimeofday () -. t0)
 
