@@ -147,9 +147,13 @@ type persisted_state = {
     list;
 }
 
+(* A breaker is exported as a query at this instant sees it: one whose
+   cooldown ran out during the last [serve] is promoted first, whether or
+   not anything has queried it since. *)
 let export_state orch =
+  let now = Desim.now orch.cluster.Cluster.sim in
   {
-    ps_clock = Desim.now orch.cluster.Cluster.sim;
+    ps_clock = now;
     ps_fpgas =
       List.map
         (fun d -> (d.Node.dev_id, d.Node.next_slot, d.Node.loaded))
@@ -160,7 +164,9 @@ let export_state orch =
           ( dk.kname,
             Tuner.export dk.tuner,
             List.map
-              (fun (v, b) -> (v, Everest_resilience.Breaker.export b))
+              (fun (v, b) ->
+                ignore (Everest_resilience.Breaker.state b ~now);
+                (v, Everest_resilience.Breaker.export b))
               dk.breakers ))
         orch.kernels;
   }

@@ -104,6 +104,9 @@ type persisted_state = {
     list;
 }
 
+(** Breakers are exported in the state a query at the current simulated
+    time sees: an Open breaker whose cooldown has run out is promoted to
+    Half_open first. *)
 val export_state : t -> persisted_state
 
 (** Restore into a freshly created-and-deployed orchestrator: kernels and

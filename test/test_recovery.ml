@@ -487,8 +487,8 @@ let store_digests store =
 
 let golden_horizon = 0.3
 
-let golden_fabric_store ?crash_after ~dir () =
-  let config = fabric_config ~seed:7 in
+let golden_fabric_store ?(config = fabric_config ~seed:7) ?breaker ?crash_after
+    ~dir () =
   let fp = Fabric.fingerprint config ~tenants ~horizon:golden_horizon in
   let open_rv ~fresh =
     let store = Store.open_store ~fresh ~dir ~fingerprint:fp () in
@@ -496,7 +496,7 @@ let golden_fabric_store ?crash_after ~dir () =
   in
   let run ?recovery () =
     Fabric.run ~registry:(Metrics.create_registry ()) ?recovery config
-      ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon:golden_horizon
+      ~deploy:(Fabric.demo_deploy ?breaker ()) ~tenants ~horizon:golden_horizon
   in
   let store, recovery = open_rv ~fresh:true in
   (match crash_after with
@@ -510,7 +510,7 @@ let golden_fabric_store ?crash_after ~dir () =
           let store, recovery = open_rv ~fresh:false in
           ignore
             (Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery
-               config ~deploy:(Fabric.demo_deploy ()) ~tenants
+               config ~deploy:(Fabric.demo_deploy ?breaker ()) ~tenants
                ~horizon:golden_horizon);
           Store.close store));
   Store.close store;
@@ -572,6 +572,47 @@ let test_golden_fabric_format () =
     (golden_fabric_store ~dir:(tmp_dir "golden-fab") ());
   check_digests "crashed and resumed" golden_fabric
     (golden_fabric_store ~crash_after:100 ~dir:(tmp_dir "golden-fab-crash") ())
+
+(* Shard 0 dies at 195 ms: its last batch left its hardware breaker Open
+   with the 2 ms cooldown run out, and no control tick queried it before
+   the death.  Nothing queries a dead shard's breaker again, so the
+   snapshots must still export it half-open, as these digests (recorded
+   when every [Orch.serve] ended by promoting its breakers) do. *)
+let dead_shard_config =
+  { (fabric_config ~seed:7) with
+    Fabric.faults =
+      Faults.plan ~seed:5 ~transient_prob:0.05 ~fpga_transient_prob:0.3
+        ~windows:[ { Faults.w_node = "shard0"; w_down = 0.195; w_up = None } ]
+        () }
+
+let short_cooldown =
+  { Everest_resilience.Breaker.failure_threshold = 1; cooldown_s = 0.002;
+    half_open_probes = 1 }
+
+let golden_dead_shard =
+  [ "snap-0 643b2d4dd58ba86b3e7a9798d817b60d";
+    "snap-1 19d8256c41af39019f9c7423b7dfcf75";
+    "snap-2 360f346ea330211bab2aed95939d9483";
+    "snap-3 66c767505659a85e68b7e1acfda326d2";
+    "snap-4 ad502d86e5f44b566dd045c1fc5f17fd";
+    "snap-5 d6a3c6b99f723ece8d3d8e79ad925507";
+    "snap-6 7dd42a3762f5cc9223c10009a95af3a5";
+    "journal-0 40 33e170c984f11ee29be0d633777cebea";
+    "journal-1 30 251ad5a8a679b20c0046855251d3ec5a";
+    "journal-2 20 c662bb99aa222dae90e3732660932b3a";
+    "journal-3 34 cf8a0ded9a21dade5d177f61b701bbf0";
+    "journal-4 41 e5cd61e5339e54e8c295cd03cc634117";
+    "journal-5 27 f41ec4b6409da93a7bd1a42ee7565630";
+    "journal-6 0 d41d8cd98f00b204e9800998ecf8427e" ]
+
+let test_golden_dead_shard_format () =
+  let store ?crash_after name =
+    golden_fabric_store ~config:dead_shard_config ~breaker:short_cooldown
+      ?crash_after ~dir:(tmp_dir name) ()
+  in
+  check_digests "uninterrupted" golden_dead_shard (store "golden-dead");
+  check_digests "crashed and resumed" golden_dead_shard
+    (store ~crash_after:100 "golden-dead-crash")
 
 let test_golden_executor_format () =
   check_digests "uninterrupted" golden_executor
@@ -864,6 +905,8 @@ let () =
       ( "format",
         [ Alcotest.test_case "fabric store golden" `Quick
             test_golden_fabric_format;
+          Alcotest.test_case "dead shard with an expired breaker golden"
+            `Quick test_golden_dead_shard_format;
           Alcotest.test_case "executor store golden" `Quick
             test_golden_executor_format;
           Alcotest.test_case "store records re-encode" `Quick
