@@ -36,21 +36,24 @@ let checksum payload =
   String.init 8 (fun i -> hex_digits.[(h lsr ((7 - i) * 4)) land 0xf])
 
 (* Write a record straight to [oc] — payload then " #xxxxxxxx\n" trailer
-   — without building the line: one append per simulated event makes
-   this framing hot, and the trailer goes out char by char into the
-   channel buffer, so the append path allocates nothing.  Returns the
-   bytes written. *)
+   — without building the line.  One append per simulated event makes
+   this framing hot, and under OCaml 5 every channel call takes the
+   channel's lock, so the 11 trailer bytes are built first and written
+   in one call.  Returns the bytes written. *)
 let output_record oc payload =
   if String.contains payload '\n' then
     invalid_arg "Journal.output_record: payload contains newline";
-  output_string oc payload;
-  output_char oc ' ';
-  output_char oc '#';
   let h = checksum_raw payload in
-  for i = 7 downto 0 do
-    output_char oc (String.unsafe_get hex_digits ((h lsr (i * 4)) land 0xf))
+  let trailer = Bytes.create 11 in
+  Bytes.unsafe_set trailer 0 ' ';
+  Bytes.unsafe_set trailer 1 '#';
+  for i = 0 to 7 do
+    Bytes.unsafe_set trailer (2 + i)
+      (String.unsafe_get hex_digits ((h lsr ((7 - i) * 4)) land 0xf))
   done;
-  output_char oc '\n';
+  Bytes.unsafe_set trailer 10 '\n';
+  output_string oc payload;
+  output_bytes oc trailer;
   String.length payload + 11
 
 let decode_record line =
