@@ -34,21 +34,6 @@ let reset w =
   Buffer.clear w.buf;
   w.first <- true
 
-let blit_into w dst = Buffer.add_buffer dst w.buf
-
-(* a memcpy instead of re-encoding *)
-let splice w b =
-  if Buffer.length b > 0 then begin
-    sep w;
-    Buffer.add_buffer w.buf b
-  end
-
-let splice_str w s =
-  if String.length s > 0 then begin
-    sep w;
-    Buffer.add_string w.buf s
-  end
-
 (* ---- reader --------------------------------------------------------------------- *)
 
 let reader s = { s; pos = 0 }

@@ -21,19 +21,6 @@ val contents : writer -> string
     into one writer). *)
 val reset : writer -> unit
 
-(** Append everything written so far to a buffer, without the string
-    {!contents} would build. *)
-val blit_into : writer -> Buffer.t -> unit
-
-(** Splice tokens pre-encoded by this codec into the stream, byte for
-    byte — the encode-once fast path.  The buffer holds zero or more
-    space-separated tokens with no leading or trailing separator; an
-    empty one splices nothing. *)
-val splice : writer -> Buffer.t -> unit
-
-(** {!splice} for a string. *)
-val splice_str : writer -> string -> unit
-
 type reader
 
 (** {2 Codecs} *)

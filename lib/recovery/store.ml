@@ -15,7 +15,10 @@
    A resumed run re-derives its events and hands each record to [log]:
    while the journal tail from [plan_resume] lasts, the record is verified
    against it byte for byte (a mismatch is a typed [Replay_divergence]);
-   once the tail runs dry, [log] appends.
+   once the tail runs dry, [log] appends.  [plan_resume] also returns the
+   records of the segments before the anchoring snapshot, for a client
+   whose snapshots leave out what those records already hold; a damaged
+   record there is [Corrupt], never truncated like a torn tail.
 
    Crash injection for drills and the QCheck byte-identity property is
    armed here: after N appended records the store flushes (the record
@@ -242,6 +245,7 @@ let load_snapshot t ~index =
 type resume = {
   r_state : string;                 (* body of the newest valid snapshot *)
   r_index : int;                    (* its index *)
+  r_earlier : string list;          (* records of the segments before it *)
   r_fallbacks : int;                (* newer snapshots rejected as invalid *)
   r_skipped : (int * error) list;   (* what was wrong with each of them *)
   r_torn : bool;                    (* a torn segment tail was truncated *)
@@ -262,11 +266,25 @@ let heal_segment t i =
   end;
   seg
 
-(* Pick the newest valid snapshot and arm the journal tail after it for
-   [log] to verify.  [genesis] replays the journal from segment 0
-   regardless of which snapshot anchors the resume — used by the workflow
-   executor, whose restore model is deterministic re-execution verified
-   against the journal, with snapshots serving as integrity anchors. *)
+(* The records of segment [i], which precedes the anchoring snapshot
+   [anchor]: it was closed when a later snapshot was written, so a record
+   failing its checksum there is damage, not a torn tail. *)
+let earlier_records t i ~anchor =
+  let seg = Journal.read_segment (seg_path t i) in
+  if seg.Journal.sg_torn then
+    raise
+      (Recovery_error
+         (Corrupt
+            (Printf.sprintf "journal segment %d, before snapshot %d, is damaged"
+               i anchor)));
+  seg.Journal.sg_records
+
+(* Pick the newest valid snapshot, read the segments before it, and arm
+   the journal tail after it for [log] to verify.  [genesis] replays the
+   journal from segment 0 regardless of which snapshot anchors the
+   resume — used by the workflow executor, whose restore model is
+   deterministic re-execution verified against the journal, with
+   snapshots serving as integrity anchors. *)
 let plan_resume ?(genesis = false) t =
   close t;
   let snaps = List.rev (snapshot_indices t) in  (* newest first *)
@@ -281,7 +299,10 @@ let plan_resume ?(genesis = false) t =
   let index, state, skipped = pick [] snaps in
   let segs = segment_indices t in
   let first_seg = if genesis then 0 else index in
-  let replay_segs = List.filter (fun i -> i >= first_seg) segs in
+  let earlier_segs, replay_segs = List.partition (fun i -> i < first_seg) segs in
+  let earlier =
+    List.concat_map (fun i -> earlier_records t i ~anchor:index) earlier_segs
+  in
   let torn = ref false in
   t.tail <-
     List.concat_map
@@ -300,6 +321,7 @@ let plan_resume ?(genesis = false) t =
   {
     r_state = state;
     r_index = index;
+    r_earlier = earlier;
     r_fallbacks = List.length skipped;
     r_skipped = skipped;
     r_torn = !torn;

@@ -19,20 +19,26 @@
    whole recovery story:
 
    - Journal: when recovery is on, firing an event first appends its
-     encoded form to the write-ahead journal, then performs it.  Replay
-     after a crash re-derives each event and byte-compares it against
-     the journaled record (divergence is a typed error, not a wrong
+     encoded form to the write-ahead journal, then performs it, and each
+     resolved request appends its served-log entry.  Replay after a
+     crash re-derives both kinds of record and byte-compares them
+     against the journal (divergence is a typed error, not a wrong
      answer).
-   - Snapshot: at tick boundaries the complete resumable state —
-     shard queues and batcher accumulators, admission buckets, SLO
-     monitor windows, breaker/tuner state inside each shard's
-     orchestrator, closed-loop RNG positions, and the pending event
-     set — serializes byte-deterministically.  Restore = decode the
-     newest valid snapshot into a freshly built fabric, warp the clock,
-     re-insert pending events in id order (id order equals original
-     insertion order, so Desim tie-breaking is preserved), then replay
-     the journal tail in verify mode until it is exhausted and the run
-     continues live. *)
+   - Snapshot: at tick boundaries the live state a resumed run cannot
+     re-derive — shard queues and batcher accumulators, admission
+     buckets, SLO monitor windows, breaker/tuner state inside each
+     shard's orchestrator, closed-loop RNG positions, and the pending
+     events other than open-loop arrivals — serializes
+     byte-deterministically, with two counts for the rest: open-loop
+     arrivals fired (they fire in id order, so the rest regenerate from
+     the seed) and served-log entries (each one is in a journal record
+     before the snapshot).  Its size does not grow with the run.
+     Restore = decode the newest valid snapshot into a freshly built
+     fabric, warp the clock, rebuild the log from the earlier journal
+     segments, re-insert pending events in id order (id order equals
+     original insertion order, so Desim tie-breaking is preserved),
+     then replay the journal tail in verify mode until it is exhausted
+     and the run continues live. *)
 
 module Slo = Everest_observe.Slo
 module Orch = Everest_runtime.Orchestrator
@@ -139,6 +145,13 @@ type restore_report = {
   rr_torn_tail : bool;  (* a half-written record was truncated *)
 }
 
+(* What a store holds: bumped whenever a snapshot or journal record
+   changes shape or meaning, so a store an older fabric wrote fails to
+   open with [Config_mismatch] instead of resuming into garbage.
+   Version 2: snapshots without the served log and the open-loop
+   arrivals, served-log entries as journal records. *)
+let schema_version = 2
+
 (* The run is a deterministic function of (config, tenants, horizon); a
    store written under one configuration must never be resumed under
    another.  Tenant feature functions are code, not data, and are
@@ -151,7 +164,9 @@ let fingerprint (config : config) ~tenants ~horizon =
         (t.Workload.t_name, t.Workload.t_kernel, t.Workload.t_arrival))
       tenants
   in
-  Digest.to_hex (Digest.string (Marshal.to_string (config, tenant_sig, horizon) []))
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (schema_version, config, tenant_sig, horizon) []))
 
 (* ---- run state ------------------------------------------------------------------ *)
 
@@ -170,6 +185,11 @@ type ev =
   | Ev_spawn of int  (* delayed autoscale worker-up on one shard *)
   | Ev_tick  (* fabric control tick *)
 
+(* One write-ahead journal record. *)
+type record =
+  | Fired of int * float * ev  (* event id, fire time, event *)
+  | Logged of served_request  (* a resolved request's served-log entry *)
+
 type state = {
   st_config : config;
   st_sim : Desim.t;
@@ -183,26 +203,21 @@ type state = {
   st_horizon : float;
   st_registry : Metrics.registry;
   mutable st_log : served_request list;  (* newest first *)
-  mutable st_log_enc : Buffer.t;
-      (* the same log, codec-encoded incrementally (oldest first): each
-         entry is encoded exactly once when resolved, so a snapshot
-         splices these bytes instead of re-encoding the whole log —
-         snapshot cost stays O(live state), not O(run length) *)
+  mutable st_logged : int;  (* entries in [st_log] *)
   mutable st_outstanding : int;  (* admitted, not yet resolved *)
   mutable st_arrivals_pending : int;  (* scheduled arrival events *)
   mutable st_next_id : int;
   mutable st_reroutes : int;
-  st_failures : (int, int) Hashtbl.t;  (* request id -> failed executions *)
+  st_failures : (int, int) Hashtbl.t;
+      (* unresolved request id -> failed executions *)
   (* recovery *)
   st_recovery : recovery option;
   mutable st_ev_seq : int;  (* next event id *)
-  st_scratch : Codec.writer;  (* reused for per-event record encoding *)
-  st_pending : (int, float * ev * string) Hashtbl.t;
-      (* scheduled, not yet fired: fire time, event, and (when recovery is
-         on) the event's journal payload, encoded once at schedule time —
-         fired events append it to the journal, snapshots splice it, so
-         neither path re-encodes.  Sound because Desim fires an event at
-         exactly its scheduled time and events are immutable data. *)
+  mutable st_opened : int;  (* open-loop arrivals fired *)
+  st_scratch : Codec.writer;  (* reused for per-record encoding *)
+  st_pending : (int, float * ev) Hashtbl.t;
+      (* scheduled, not yet fired, open-loop arrivals aside: fire time
+         and event *)
   mutable st_last_snap : float;
   mutable st_snap_index : int;
   st_watch : Watch.t option;
@@ -229,26 +244,24 @@ let counter st ?labels name = Metrics.counter ~registry:st.st_registry ?labels n
 
 (* ---- persisted formats ---------------------------------------------------------- *)
 
-(* The complete resumable fabric state as plain data: one snapshot body
-   (the Snapshot envelope adds version + checksum).  [export] reads it
-   off a live state, [import] writes it into a freshly built one. *)
+(* The resumable fabric state as plain data: one snapshot body (the
+   Snapshot envelope adds version + checksum).  [export] reads it off a
+   live state, [import] writes it into a freshly built one. *)
 type image = {
   im_now : float;
   im_ev_seq : int;
   im_outstanding : int;
-  im_arrivals_pending : int;
   im_next_id : int;
   im_reroutes : int;
   im_failures : (int * int) list;  (* by request id *)
   im_cursor : int;  (* balancer *)
-  im_log : served_request list * Buffer.t;
-      (* newest first, and the same entries' oldest-first encoding *)
+  im_opened : int;  (* open-loop arrivals fired *)
+  im_logged : int;  (* served-log entries, journaled before the snapshot *)
   im_admission : Admission.tenant_persisted list;
   im_monitors : (string * Slo.monitor_state list) list;
   im_users : int list;  (* closed-loop RNG positions *)
   im_shards : Shard.persisted list;
-  im_pending : ((int * float * ev) * string) list;
-      (* by id, each with its journal payload *)
+  im_pending : (int * float * ev) list;  (* by id, open-loop arrivals aside *)
 }
 
 (* Each persisted type, declared once. *)
@@ -309,10 +322,6 @@ module Codecs = struct
           (function Ev_spawn sid -> Some sid | _ -> None);
         case "T" unit (fun () -> Ev_tick) (function Ev_tick -> Some () | _ -> None) ]
 
-  (* One journal record: event id, fire time, event body.  Replay
-     re-derives this payload and byte-compares it against the journal. *)
-  let journal_record = triple int float ev
-
   let reason =
     enum (List.map (fun r -> (Admission.reason_name r, r)) Admission.all_reasons)
 
@@ -343,37 +352,17 @@ module Codecs = struct
     |> field bool (fun x -> x.sr_degraded)
     |> seal
 
-  (* Append one entry's tokens to an encoded log through the scratch
-     writer [w]. *)
-  let append_served w log_enc x =
-    reset w;
-    served.enc w x;
-    if Buffer.length log_enc > 0 then Buffer.add_char log_enc ' ';
-    blit_into w log_enc
+  let pending = triple int float ev
 
-  (* The served log.  On disk it is [list served], oldest first; the
-     encoder splices the bytes [append_served] wrote as each request
-     resolved, so a snapshot costs O(live state), not O(run length). *)
-  let log =
-    { enc =
-        (fun w (entries, log_enc) ->
-          int.enc w (List.length entries);
-          splice w log_enc);
-      dec =
-        (fun r ->
-          let oldest_first = (list served).dec r in
-          let log_enc = Buffer.create 4096 and w = writer () in
-          List.iter (append_served w log_enc) oldest_first;
-          (List.rev oldest_first, log_enc)) }
-
-  (* A pending event with its journal record, encoded once when it was
-     scheduled: the encoder splices the record. *)
-  let scheduled =
-    { enc = (fun w (_, payload) -> splice_str w payload);
-      dec =
-        (fun r ->
-          let p = journal_record.dec r in
-          (p, encode journal_record p)) }
+  (* Replay re-derives each record and byte-compares it against the
+     journal. *)
+  let journal_record =
+    variant
+      [ case "E" pending
+          (fun (id, at, e) -> Fired (id, at, e))
+          (function Fired (id, at, e) -> Some (id, at, e) | Logged _ -> None);
+        case "L" served (fun x -> Logged x)
+          (function Logged x -> Some x | Fired _ -> None) ]
 
   let breaker_state =
     enum
@@ -472,46 +461,41 @@ module Codecs = struct
 
   let snapshot =
     tagged "fabric"
-      (record (fun im_now im_ev_seq im_outstanding im_arrivals_pending im_next_id
-                   im_reroutes im_failures im_cursor im_log im_admission im_monitors
-                   im_users im_shards im_pending ->
-           { im_now; im_ev_seq; im_outstanding; im_arrivals_pending; im_next_id;
-             im_reroutes; im_failures; im_cursor; im_log; im_admission; im_monitors;
-             im_users; im_shards; im_pending })
+      (record (fun im_now im_ev_seq im_outstanding im_next_id im_reroutes
+                   im_failures im_cursor im_opened im_logged im_admission
+                   im_monitors im_users im_shards im_pending ->
+           { im_now; im_ev_seq; im_outstanding; im_next_id; im_reroutes;
+             im_failures; im_cursor; im_opened; im_logged; im_admission;
+             im_monitors; im_users; im_shards; im_pending })
       |> field float (fun im -> im.im_now)
       |> field int (fun im -> im.im_ev_seq)
       |> field int (fun im -> im.im_outstanding)
-      |> field int (fun im -> im.im_arrivals_pending)
       |> field int (fun im -> im.im_next_id)
       |> field int (fun im -> im.im_reroutes)
       |> field (list (pair int int)) (fun im -> im.im_failures)
       |> field int (fun im -> im.im_cursor)
-      |> field log (fun im -> im.im_log)
+      |> field int (fun im -> im.im_opened)
+      |> field int (fun im -> im.im_logged)
       |> field (list tenant) (fun im -> im.im_admission)
       |> field (list (pair string (list monitor))) (fun im -> im.im_monitors)
       |> field (list int) (fun im -> im.im_users)
       |> field (list shard) (fun im -> im.im_shards)
-      |> field (list scheduled) (fun im -> im.im_pending)
+      |> field (list pending) (fun im -> im.im_pending)
       |> seal)
 end
-
-let pending_payload w id ~at ev =
-  Codec.reset w;
-  Codecs.journal_record.enc w (id, at, ev);
-  Codec.contents w
 
 let export st =
   { im_now = Desim.now st.st_sim;
     im_ev_seq = st.st_ev_seq;
     im_outstanding = st.st_outstanding;
-    im_arrivals_pending = st.st_arrivals_pending;
     im_next_id = st.st_next_id;
     im_reroutes = st.st_reroutes;
     im_failures =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.st_failures []);
     im_cursor = Balancer.cursor st.st_balancer;
-    im_log = (st.st_log, st.st_log_enc);
+    im_opened = st.st_opened;
+    im_logged = st.st_logged;
     im_admission = Admission.export st.st_admission;
     im_monitors =
       List.map
@@ -520,30 +504,54 @@ let export st =
     im_users = List.map Workload.user_rng_state st.st_users;
     im_shards = Array.to_list (Array.map Shard.export st.st_shards);
     im_pending =
-      Hashtbl.fold
-        (fun id (at, ev, payload) acc -> ((id, at, ev), payload) :: acc)
-        st.st_pending []
-      |> List.sort (fun ((a, _, _), _) ((b, _, _), _) -> Int.compare a b) }
+      Hashtbl.fold (fun id (at, ev) acc -> (id, at, ev) :: acc) st.st_pending []
+      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) }
 
 (* Write a snapshot into a freshly built state (same config / tenants /
-   deploy).  Returns the pending events, which the caller re-inserts
-   once the handlers exist.  Raises [Codec.Decode] when the snapshot's
-   populations do not match this fabric, [Invalid_argument] when its
-   orchestrator state does not match the deployment. *)
-let import st im =
+   deploy), with what the snapshot leaves out: [arrivals], the open-loop
+   stream regenerated from the seed, and [earlier], the journal records
+   before the snapshot, which hold the served log.  The caller re-inserts
+   the pending events once the handlers exist.  Raises [Codec.Decode]
+   when the snapshot does not match this fabric, its stream, its clock or
+   its journal, [Invalid_argument] when its orchestrator state does not
+   match the deployment. *)
+let import st im ~arrivals ~earlier =
   let mismatch what = raise (Codec.Decode (what ^ " mismatch")) in
-  Desim.warp st.st_sim im.im_now;
+  let now = im.im_now in
+  Desim.warp st.st_sim now;
   st.st_ev_seq <- im.im_ev_seq;
   st.st_outstanding <- im.im_outstanding;
-  st.st_arrivals_pending <- im.im_arrivals_pending;
   st.st_next_id <- im.im_next_id;
   st.st_reroutes <- im.im_reroutes;
   Hashtbl.reset st.st_failures;
   List.iter (fun (k, v) -> Hashtbl.replace st.st_failures k v) im.im_failures;
   Balancer.set_cursor st.st_balancer im.im_cursor;
-  let log, log_enc = im.im_log in
-  st.st_log <- log;
-  st.st_log_enc <- log_enc;
+  (* the fired open-loop arrivals are a prefix of the stream, and the
+     snapshot's clock lies between the last of them and the next *)
+  let opened = im.im_opened and n_open = Array.length arrivals in
+  let arrival_s i = arrivals.(i).Workload.rq_arrival_s in
+  if
+    opened < 0 || opened > n_open
+    || (opened > 0 && arrival_s (opened - 1) > now)
+    || (opened < n_open && arrival_s opened < now)
+  then mismatch "open-loop arrival cursor";
+  st.st_opened <- opened;
+  st.st_arrivals_pending <-
+    n_open - opened
+    + List.length
+        (List.filter
+           (function _, _, Ev_arrival _ -> true | _ -> false)
+           im.im_pending);
+  List.iter
+    (fun r ->
+      match Codec.decode Codecs.journal_record r with
+      | Logged x ->
+          if x.sr_done_s > now then mismatch "served-log clock";
+          st.st_log <- x :: st.st_log;
+          st.st_logged <- st.st_logged + 1
+      | Fired _ -> ())
+    earlier;
+  if st.st_logged <> im.im_logged then mismatch "served-log count";
   Admission.import st.st_admission im.im_admission;
   if List.compare_lengths im.im_monitors st.st_monitors <> 0 then
     mismatch "tenant/monitor population";
@@ -558,10 +566,27 @@ let import st im =
   List.iter2 Workload.set_user_rng_state st.st_users im.im_users;
   if List.length im.im_shards <> Array.length st.st_shards then
     mismatch "shard count";
-  List.iteri (fun sid p -> Shard.import st.st_shards.(sid) p) im.im_shards;
-  im.im_pending
+  List.iteri (fun sid p -> Shard.import st.st_shards.(sid) p) im.im_shards
 
 (* ---- the event loop ------------------------------------------------------------- *)
+
+(* WAL discipline: a record is durable before its effects happen.  A
+   resumed store verifies each re-derived record against its journal tail
+   instead, then appends to the same on-disk segment once the tail runs
+   dry. *)
+let journal rv w record =
+  let t0 = Unix.gettimeofday () in
+  Codec.reset w;
+  Codecs.journal_record.enc w record;
+  Store.log rv.rv_store (Codec.contents w);
+  let s = rv.rv_store in
+  s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
+
+let write_snapshot st rv ~index =
+  let t0 = Unix.gettimeofday () in
+  Store.write_snapshot rv.rv_store ~index (Codec.encode Codecs.snapshot (export st));
+  let s = rv.rv_store in
+  s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
 
 (* Resolve one request exactly once: log it, feed the tenant's SLO
    monitors (service outcomes only — rejections are accounted at the
@@ -569,7 +594,13 @@ let import st im =
 let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
     ~degraded =
   let now = Desim.now st.st_sim in
-  let attempts = 1 + Option.value ~default:0 (Hashtbl.find_opt st.st_failures rq.Workload.rq_id) in
+  let attempts =
+    match Hashtbl.find_opt st.st_failures rq.Workload.rq_id with
+    | Some n ->
+        Hashtbl.remove st.st_failures rq.Workload.rq_id;
+        1 + n
+    | None -> 1
+  in
   let latency =
     match outcome with
     | Rejected _ -> 0.0
@@ -583,13 +614,10 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
       sr_attempts = attempts; sr_variant = variant; sr_degraded = degraded }
   in
   st.st_log <- entry :: st.st_log;
+  st.st_logged <- st.st_logged + 1;
   (match st.st_recovery with
-  | None -> ()
-  | Some rv ->
-      let t0 = Unix.gettimeofday () in
-      Codecs.append_served st.st_scratch st.st_log_enc entry;
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0));
+  | Some rv -> journal rv st.st_scratch (Logged entry)
+  | None -> ());
   (match outcome with
   | Served ->
       Metrics.inc
@@ -895,44 +923,32 @@ and perform st = function
   | Ev_spawn sid -> worker_up st sid
   | Ev_tick -> tick st
 
-(* WAL discipline: the journal record is durable before the event's
-   effects happen.  A resumed store verifies the re-derived record against
-   its journal tail instead, then appends to the same on-disk segment once
-   the tail runs dry. *)
-and journal st payload =
-  match st.st_recovery with
-  | None -> ()
-  | Some rv ->
-      let t0 = Unix.gettimeofday () in
-      Store.log rv.rv_store payload;
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
-
+(* Desim fires an event at exactly its scheduled time, so [now] is the
+   time it was scheduled for. *)
 and fire st id ev =
-  let enc =
-    match Hashtbl.find_opt st.st_pending id with
-    | Some (_, _, enc) -> enc
-    | None -> ""
-  in
   Hashtbl.remove st.st_pending id;
-  journal st enc;
+  (match st.st_recovery with
+  | Some rv -> journal rv st.st_scratch (Fired (id, Desim.now st.st_sim, ev))
+  | None -> ());
   perform st ev
 
 and sched st ~at ev =
   let id = st.st_ev_seq in
   st.st_ev_seq <- id + 1;
-  let enc =
-    match st.st_recovery with
-    | None -> ""
-    | Some rv ->
-        let t0 = Unix.gettimeofday () in
-        let e = pending_payload st.st_scratch id ~at ev in
-        let s = rv.rv_store in
-        s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0);
-        e
-  in
-  Hashtbl.replace st.st_pending id (at, ev, enc);
+  pend st id ~at ev
+
+and pend st id ~at ev =
+  Hashtbl.replace st.st_pending id (at, ev);
   Desim.at st.st_sim at (fun () -> fire st id ev)
+
+(* Open-loop arrival [i] is event [i + 1] (the genesis tick is event 0).
+   The stream is a function of the seed, tenants and horizon, and its
+   arrivals fire in id order, so they stay out of [st_pending]: a
+   snapshot counts the fired ones and [resume] regenerates the rest. *)
+and sched_open st (rq : Workload.request) =
+  Desim.at st.st_sim rq.Workload.rq_arrival_s (fun () ->
+      st.st_opened <- st.st_opened + 1;
+      fire st (rq.Workload.rq_id + 1) (Ev_arrival rq))
 
 and maybe_snapshot st =
   match st.st_recovery with
@@ -944,11 +960,7 @@ and maybe_snapshot st =
         (* no snapshot while replaying: the journal already covers it *)
         if not (Store.replaying rv.rv_store) then begin
           st.st_snap_index <- st.st_snap_index + 1;
-          let t0 = Unix.gettimeofday () in
-          Store.write_snapshot rv.rv_store ~index:st.st_snap_index
-            (Codec.encode Codecs.snapshot (export st));
-          let s = rv.rv_store in
-          s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
+          write_snapshot st rv ~index:st.st_snap_index
         end
       end
 
@@ -996,12 +1008,11 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     st_balancer = Balancer.create config.balancer ~n_shards:config.n_shards;
     st_admission = admission; st_monitors = monitors; st_users = users;
     st_user_of = user_of;
-    st_horizon = horizon; st_registry = registry; st_log = [];
-    st_log_enc = Buffer.create 4096;
+    st_horizon = horizon; st_registry = registry; st_log = []; st_logged = 0;
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
     st_reroutes = 0; st_failures = Hashtbl.create 64;
     st_recovery = recovery;
-    st_ev_seq = 0; st_scratch = Codec.writer ();
+    st_ev_seq = 0; st_opened = 0; st_scratch = Codec.writer ();
     st_pending = Hashtbl.create 64; st_last_snap = 0.0;
     st_snap_index = 0; st_watch = watch }
 
@@ -1123,12 +1134,11 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
      t=0 arrivals, matching the historical synchronous first tick *)
   sched st ~at:0.0 Ev_tick;
   let open_requests = Workload.generate ~seed:config.seed ~horizon tenants in
-  st.st_next_id <- List.length open_requests;
-  List.iter
-    (fun (rq : Workload.request) ->
-      st.st_arrivals_pending <- st.st_arrivals_pending + 1;
-      sched st ~at:rq.Workload.rq_arrival_s (Ev_arrival rq))
-    open_requests;
+  let n_open = List.length open_requests in
+  List.iter (sched_open st) open_requests;
+  st.st_ev_seq <- st.st_ev_seq + n_open;
+  st.st_next_id <- n_open;
+  st.st_arrivals_pending <- n_open;
   List.iteri
     (fun i u ->
       let rq =
@@ -1146,12 +1156,7 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
   (* genesis snapshot: even a crash before the first tick boundary can
      restore (and will replay the journal from t=0) *)
   (match recovery with
-  | Some rv ->
-      let t0 = Unix.gettimeofday () in
-      Store.write_snapshot rv.rv_store ~index:0
-        (Codec.encode Codecs.snapshot (export st));
-      let s = rv.rv_store in
-      s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
+  | Some rv -> write_snapshot st rv ~index:0
   | None -> ());
   Desim.run st.st_sim;
   let result = finish st in
@@ -1178,14 +1183,26 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
   let corrupt why = raise (Store.Recovery_error (Store.Corrupt why)) in
   (try
      let image = Codec.decode Codecs.snapshot plan.Store.r_state in
-     (* re-insert pending events ascending by id: id order is original
-        insertion order, so Desim's (time, seq) tie-breaking is preserved;
-        an event before the restored clock is refused *)
-     List.iter
-       (fun ((id, at, ev), payload) ->
-         Hashtbl.replace st.st_pending id (at, ev, payload);
-         Desim.at st.st_sim at (fun () -> fire st id ev))
-       (import st image)
+     let arrivals =
+       Array.of_list (Workload.generate ~seed:config.seed ~horizon tenants)
+     in
+     import st image ~arrivals ~earlier:plan.Store.r_earlier;
+     (* re-insert pending events ascending by id, the unfired open-loop
+        arrivals among them: id order is original insertion order, so
+        Desim's (time, seq) tie-breaking is preserved; an event before
+        the restored clock is refused *)
+     let n_open = Array.length arrivals in
+     let rec reinsert pending i =
+       match pending with
+       | (id, at, ev) :: rest when i = n_open || id <= i ->
+           pend st id ~at ev;
+           reinsert rest i
+       | _ when i < n_open ->
+           sched_open st arrivals.(i);
+           reinsert pending (i + 1)
+       | _ -> ()
+     in
+     reinsert image.im_pending image.im_opened
    with
   | Codec.Decode why -> corrupt ("snapshot schema: " ^ why)
   | Invalid_argument why -> corrupt ("snapshot does not fit this fabric: " ^ why));

@@ -94,10 +94,14 @@ type result = {
 (** {2 Crash recovery}
 
     With recovery enabled, the fabric write-ahead journals every event it
-    fires and snapshots its complete resumable state at control-tick
-    boundaries.  After a crash, {!resume} restores the newest valid
-    snapshot, replay-verifies the journal tail (each re-derived event is
-    byte-compared against its journaled record) and finishes the run —
+    fires and every served-log entry, and snapshots its live state at
+    control-tick boundaries.  A snapshot leaves out what a resumed run
+    re-derives: the open-loop arrivals (regenerated from the seed; the
+    snapshot counts the fired ones) and the served log (rebuilt from the
+    journal segments before the snapshot), so its size does not grow
+    with the run.  After a crash, {!resume} restores the newest valid
+    snapshot, replay-verifies the journal tail (each re-derived record is
+    byte-compared against its journaled one) and finishes the run —
     producing a result byte-identical ({!render_log}, {!render_slos},
     {!render_summary}) to the uninterrupted same-seed run. *)
 
@@ -119,9 +123,11 @@ type restore_report = {
   rr_torn_tail : bool;
 }
 
-(** Identity of a run for store compatibility checks: a digest of
-    (config, tenant names/kernels/arrival processes, horizon).  Tenant
-    feature functions are code, not state, and are excluded. *)
+(** Identity of a run for store compatibility checks: a digest of the
+    store schema version, config, tenant names/kernels/arrival processes
+    and horizon.  Tenant feature functions are code, not state, and are
+    excluded.  A store written under another schema version fails to
+    open with [Config_mismatch]. *)
 val fingerprint : config -> tenants:Workload.tenant list -> horizon:float -> string
 
 (** Run the workload through the fleet.  [deploy] installs kernels on
@@ -148,12 +154,15 @@ val run :
   result
 
 (** Restore from the newest valid snapshot in [recovery.rv_store],
+    rebuild the served log from the journal segments before it,
     replay-verify the journal tail and finish the run.  The store must
     have been written by {!run} under the same (config, tenants, deploy,
     horizon).
     @raise Everest_recovery.Store.Recovery_error when no valid snapshot
-    survives, the snapshot does not match the freshly built fabric, or
-    replay diverges from the journal. *)
+    survives, a record before it is damaged, the snapshot does not match
+    the freshly built fabric, its regenerated arrivals, its clock or the
+    journal before it ([Corrupt]), or replay diverges from the
+    journal. *)
 val resume :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?watch:Everest_watch.Watch.t ->
@@ -182,7 +191,12 @@ type ev =
   | Ev_spawn of int  (** Delayed autoscale worker-up on one shard. *)
   | Ev_tick  (** Fabric control tick. *)
 
-(** The complete resumable fabric state. *)
+(** One write-ahead journal record. *)
+type record =
+  | Fired of int * float * ev  (** An event fired: id, fire time, event. *)
+  | Logged of served_request  (** A request resolved: its served-log entry. *)
+
+(** The live fabric state a snapshot holds. *)
 type image
 
 module Codecs : sig
@@ -193,8 +207,9 @@ module Codecs : sig
       spawn, [T] tick. *)
   val ev : ev Everest_recovery.Codec.t
 
-  (** One journal record: event id, fire time, event. *)
-  val journal_record : (int * float * ev) Everest_recovery.Codec.t
+  (** A leading tag token: [E] fired event, then its id, fire time and
+      event; [L] served-log entry. *)
+  val journal_record : record Everest_recovery.Codec.t
 
   (** One snapshot body. *)
   val snapshot : image Everest_recovery.Codec.t

@@ -201,6 +201,35 @@ let test_store_falls_back_over_corrupt_snapshot () =
   checki "next index" 2 plan.Store.r_next_snapshot_index;
   Store.close store
 
+(* [plan_resume] hands back the records before the anchoring snapshot;
+   damage there is [Corrupt], and the segment is left as it was. *)
+let test_store_earlier_segments () =
+  let dir = tmp_dir "earlier" in
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:"fp" () in
+  Store.write_snapshot store ~index:0 "state-zero";
+  Store.append store "a";
+  Store.append store "b";
+  Store.write_snapshot store ~index:1 "state-one";
+  Store.append store "c";
+  Store.close store;
+  let store = Store.open_store ~dir ~fingerprint:"fp" () in
+  let plan = Store.plan_resume store in
+  checkb "earlier records" true (plan.Store.r_earlier = [ "a"; "b" ]);
+  checkb "tail" true (store.Store.tail = [ "c" ]);
+  Store.close store;
+  let seg = Filename.concat dir "journal-000000.ejrnl" in
+  let damaged = Bytes.of_string (read_file seg) in
+  Bytes.set damaged (String.length Journal.magic_line + 1) 'X';
+  let damaged = Bytes.to_string damaged in
+  write_file seg damaged;
+  let store = Store.open_store ~dir ~fingerprint:"fp" () in
+  checkb "damage before the anchor is corrupt" true
+    (match Store.plan_resume store with
+    | exception Store.Recovery_error (Store.Corrupt _) -> true
+    | _ -> false);
+  Store.close store;
+  checks "segment left as it was" damaged (read_file seg)
+
 (* ---- fabric crash/restore ------------------------------------------------- *)
 
 let tenants =
@@ -623,7 +652,8 @@ let test_golden_executor_format () =
 (* ---- codec round-trips ---------------------------------------------------- *)
 
 (* [encode (decode b) = b] for every snapshot body and journal record the
-   golden runs leave in their stores. *)
+   golden runs leave in their stores, fired events and served-log entries
+   both. *)
 let test_store_roundtrip () =
   let reencodes what c b = checks what b (Codec.encode c (Codec.decode c b)) in
   let each_record ~dir ~fingerprint ~snapshot ~record =
@@ -643,12 +673,19 @@ let test_store_roundtrip () =
   in
   let dir = tmp_dir "roundtrip-fab" in
   ignore (golden_fabric_store ~dir ());
+  let fired = ref 0 and logged = ref 0 in
   each_record ~dir
     ~fingerprint:
       (Fabric.fingerprint (fabric_config ~seed:7) ~tenants
          ~horizon:golden_horizon)
     ~snapshot:(reencodes "fabric snapshot" Fabric.Codecs.snapshot)
-    ~record:(reencodes "fabric record" Fabric.Codecs.journal_record);
+    ~record:(fun r ->
+      reencodes "fabric record" Fabric.Codecs.journal_record r;
+      match Codec.decode Fabric.Codecs.journal_record r with
+      | Fabric.Fired _ -> incr fired
+      | Fabric.Logged _ -> incr logged);
+  checkb "fired-event records" true (!fired > 0);
+  checkb "served-log records" true (!logged > 0);
   let dir = tmp_dir "roundtrip-exec" in
   ignore (golden_executor_store ~dir ());
   each_record ~dir ~fingerprint:"exec"
@@ -743,12 +780,13 @@ let prop_codec_roundtrip =
              roundtrips Fabric.Codecs.served { sr with Fabric.sr_outcome = o })
            (sr.Fabric.sr_outcome :: all_outcomes)
       && roundtrips Fabric.Codecs.ev ev
-      && roundtrips Fabric.Codecs.journal_record (7, 0.5, ev))
+      && roundtrips Fabric.Codecs.journal_record (Fabric.Fired (7, 0.5, ev))
+      && roundtrips Fabric.Codecs.journal_record (Fabric.Logged sr))
 
 (* A snapshot that does not fit the fabric it is resumed into is a typed
    error, never an escaping [Not_found] or [Invalid_argument].  [tamper]
    may rewrite the store before the resume. *)
-let resume_is_refused ?(tamper = fun _ -> ()) ~deploy name =
+let refusal ?(tamper = fun _ -> ()) ~deploy name =
   let config = fabric_config ~seed:7 in
   let dir = tmp_dir name in
   ignore (fabric_baseline ~dir config);
@@ -764,38 +802,58 @@ let resume_is_refused ?(tamper = fun _ -> ()) ~deploy name =
       Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery config
         ~deploy ~tenants ~horizon
     with
-    | exception Store.Recovery_error (Store.Corrupt _) -> true
-    | _ -> false
+    | exception Store.Recovery_error (Store.Corrupt why) -> Some why
+    | _ -> None
   in
   Store.close store;
   refused
+
+let resume_is_refused ?tamper ~deploy name =
+  Option.is_some (refusal ?tamper ~deploy name)
+
+(* Refused as [Corrupt] with a message naming [what]. *)
+let check_refused what ~tamper name =
+  match refusal ~tamper ~deploy:(Fabric.demo_deploy ()) name with
+  | Some why when Astring.String.is_infix ~affix:what why -> ()
+  | Some why -> Alcotest.failf "refused for another reason: %s" why
+  | None -> Alcotest.failf "%s: resume not refused" what
 
 let test_fabric_resume_mismatched_deploy () =
   checkb "typed refusal" true
     (resume_is_refused ~deploy:(fun _ -> ()) "fab-deploy")
 
-(* The first event fired after the newest snapshot was pending in it;
-   moving it to t=0 (a well-formed, re-sealed snapshot) puts it before
-   the restored clock. *)
-let move_first_pending_to_genesis store =
+let newest_body store =
   let i = List.fold_left max 0 (Store.snapshot_indices store) in
-  let body =
-    match Store.load_snapshot store ~index:i with
-    | Ok body -> body
-    | Error e -> Alcotest.fail (Store.error_to_string e)
+  match Store.load_snapshot store ~index:i with
+  | Ok body -> (i, body)
+  | Error e -> Alcotest.fail (Store.error_to_string e)
+
+(* A snapshot's pending event, as its body holds it. *)
+let pending = Codec.(triple int float Fabric.Codecs.ev)
+
+(* The first event fired after the newest snapshot that the snapshot
+   still holds (open-loop arrivals are regenerated, not held); moving it
+   to t=0 (a well-formed, re-sealed snapshot) puts it before the restored
+   clock. *)
+let move_first_pending_to_genesis store =
+  let i, body = newest_body store in
+  let held =
+    List.find_map
+      (fun r ->
+        match Codec.decode Fabric.Codecs.journal_record r with
+        | Fabric.Fired (id, at, ev) ->
+            let enc = Codec.encode pending (id, at, ev) in
+            Option.map
+              (fun cut -> (cut, Codec.encode pending (id, 0.0, ev)))
+              (Astring.String.cut ~sep:enc body)
+        | Fabric.Logged _ -> None)
+      (Journal.read_segment (Store.seg_path store i)).Journal.sg_records
   in
-  let first =
-    match (Journal.read_segment (Store.seg_path store i)).Journal.sg_records with
-    | r :: _ -> r
-    | [] -> Alcotest.fail "no event after the newest snapshot"
-  in
-  let id, _, ev = Codec.decode Fabric.Codecs.journal_record first in
-  let moved = Codec.encode Fabric.Codecs.journal_record (id, 0.0, ev) in
-  match Astring.String.cut ~sep:first body with
-  | Some (before, after) ->
+  match held with
+  | Some ((before, after), moved) ->
       write_file (Store.snap_path store i)
         (Snapshot.encode (before ^ moved ^ after))
-  | None -> Alcotest.fail "pending event not in the snapshot"
+  | None -> Alcotest.fail "no pending event of the snapshot fired after it"
 
 let test_fabric_resume_pending_in_the_past () =
   checkb "typed refusal" true
@@ -856,6 +914,106 @@ let test_fabric_resume_slo_events_out_of_order () =
     (resume_is_refused ~tamper:reverse_slo_events
        ~deploy:(Fabric.demo_deploy ()) "fab-slo-order")
 
+(* Add [by] to one of the newest snapshot's two counts and re-seal it:
+   [which] 0 is the open-loop arrival cursor, 1 the served-log count.
+   They follow the clock, four counters, the failure list (a count, then
+   pairs) and the balancer cursor. *)
+let bump_count ~which ~by store =
+  let i, body = newest_body store in
+  let toks = Array.of_list (String.split_on_char ' ' body) in
+  let k = 8 + (2 * int_of_string toks.(6)) + which in
+  toks.(k) <- string_of_int (int_of_string toks.(k) + by);
+  write_file (Store.snap_path store i)
+    (Snapshot.encode (String.concat " " (Array.to_list toks)))
+
+let test_fabric_resume_counts_disagree () =
+  List.iter
+    (fun (what, which, by) ->
+      check_refused what ~tamper:(bump_count ~which ~by)
+        (Printf.sprintf "fab-count-%d%+d" which by))
+    [ ("open-loop arrival cursor", 0, 1); ("open-loop arrival cursor", 0, -1);
+      ("served-log count", 1, 1); ("served-log count", 1, -1) ]
+
+(* Damage the first record of journal segment 0, which precedes the
+   newest snapshot: it holds served-log entries the resume cannot do
+   without. *)
+let damage_first_record store =
+  let seg = Store.seg_path store 0 in
+  let b = Bytes.of_string (read_file seg) in
+  let k = String.length Journal.magic_line + 1 in
+  Bytes.set b k (if Bytes.get b k = 'X' then 'Y' else 'X');
+  write_file seg (Bytes.to_string b)
+
+let test_fabric_resume_damaged_earlier_record () =
+  check_refused "journal segment 0" ~tamper:damage_first_record "fab-earlier"
+
+(* A store written before the schema version joined the fingerprint (it
+   digested config, tenants and horizon alone) does not open. *)
+let test_fabric_refuses_older_schema () =
+  let config = fabric_config ~seed:7 in
+  let tenant_sig =
+    List.map
+      (fun (t : Workload.tenant) ->
+        (t.Workload.t_name, t.Workload.t_kernel, t.Workload.t_arrival))
+      tenants
+  in
+  let older =
+    Digest.to_hex (Digest.string (Marshal.to_string (config, tenant_sig, horizon) []))
+  in
+  let dir = tmp_dir "older-schema" in
+  Store.close (Store.open_store ~fresh:true ~dir ~fingerprint:older ());
+  checkb "config mismatch" true
+    (match
+       Store.open_store ~dir ~fingerprint:(Fabric.fingerprint config ~tenants ~horizon) ()
+     with
+    | exception Store.Recovery_error (Store.Config_mismatch _) -> true
+    | store ->
+        Store.close store;
+        false)
+
+(* A snapshot holds live state, not the run: at one rate, horizons 4x
+   apart (both past the SLO monitors' 0.5 s slow window) leave newest
+   snapshots of about one size.  The journal holds each served-log entry
+   exactly once. *)
+let test_fabric_snapshot_size_flat () =
+  let config = Fabric.default_config ~n_shards:2 in
+  let tenants =
+    [ Workload.open_tenant ~name:"acme" ~kernel:"mm" ~rate_rps:400.0 () ]
+  in
+  let newest_size horizon =
+    let fingerprint = Fabric.fingerprint config ~tenants ~horizon in
+    let dir = tmp_dir (Printf.sprintf "flat-%g" horizon) in
+    let store = Store.open_store ~fresh:true ~dir ~fingerprint () in
+    let r =
+      Fabric.run ~registry:(Metrics.create_registry ())
+        ~recovery:{ Fabric.rv_store = store; rv_snapshot_every_s = 0.25 }
+        config ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon
+    in
+    Store.close store;
+    let store = Store.open_store ~dir ~fingerprint () in
+    let _, body = newest_body store in
+    let logged =
+      List.fold_left
+        (fun n i ->
+          List.fold_left
+            (fun n rec_ ->
+              match Codec.decode Fabric.Codecs.journal_record rec_ with
+              | Fabric.Logged _ -> n + 1
+              | Fabric.Fired _ -> n)
+            n (Journal.read_segment (Store.seg_path store i)).Journal.sg_records)
+        0 (Store.segment_indices store)
+    in
+    Store.close store;
+    checki
+      (Printf.sprintf "horizon %g: one record per served-log entry" horizon)
+      (List.length r.Fabric.f_log) logged;
+    String.length body
+  in
+  let short = newest_size 1.0 and long = newest_size 4.0 in
+  if float_of_int long > 1.5 *. float_of_int short then
+    Alcotest.failf "newest snapshot grew from %d to %d bytes with a 4x horizon"
+      short long
+
 let () =
   Alcotest.run "everest_recovery"
     [ ( "codec",
@@ -879,7 +1037,9 @@ let () =
             test_store_rejects_config_mismatch;
           Alcotest.test_case "no snapshot" `Quick test_store_no_snapshot;
           Alcotest.test_case "snapshot fallback" `Quick
-            test_store_falls_back_over_corrupt_snapshot ] );
+            test_store_falls_back_over_corrupt_snapshot;
+          Alcotest.test_case "earlier segments" `Quick
+            test_store_earlier_segments ] );
       ( "fabric",
         [ Alcotest.test_case "journaling is transparent" `Quick
             test_fabric_journaling_is_transparent;
@@ -895,6 +1055,14 @@ let () =
             test_fabric_resume_pending_in_the_past;
           Alcotest.test_case "resume with SLO events out of order" `Quick
             test_fabric_resume_slo_events_out_of_order;
+          Alcotest.test_case "resume with counts that disagree" `Quick
+            test_fabric_resume_counts_disagree;
+          Alcotest.test_case "resume over a damaged earlier record" `Quick
+            test_fabric_resume_damaged_earlier_record;
+          Alcotest.test_case "older schema refused" `Quick
+            test_fabric_refuses_older_schema;
+          Alcotest.test_case "snapshot size flat in the run" `Quick
+            test_fabric_snapshot_size_flat;
           QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick

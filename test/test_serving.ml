@@ -8,6 +8,7 @@ module Slo = Everest_observe.Slo
 module Faults = Everest_resilience.Faults
 module Metrics = Everest_telemetry.Metrics
 module Orch = Everest_runtime.Orchestrator
+module Store = Everest_recovery.Store
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -523,6 +524,41 @@ let test_orchestrator_alloc_budget () =
     Alcotest.failf "Orch.serve ~n:1 allocates %.0f minor words per call (budget %.0f)"
       per_call orchestrator_words_per_call_budget
 
+(* Recovery's allocation per journal record: the minor words a
+   quick-size journaled run (the serve-durable benchmark workload at its
+   quick size) allocates beyond the same run unjournaled, over the
+   records it journals.  Measured 115 when this budget was set. *)
+let recovery_words_per_record_budget = 140.0
+
+let test_recovery_alloc_budget () =
+  let config =
+    { (Fabric.default_config ~n_shards:2) with
+      Fabric.seed = 11;
+      faults = Faults.plan ~seed:11 ~transient_prob:0.02 ~fpga_transient_prob:0.05 () }
+  in
+  let tenants = [ acme ~rate:1600.0 (); globex () ] and horizon = 0.3 in
+  let run ?recovery () =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Fabric.run ~registry:(Metrics.create_registry ()) ?recovery config
+         ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon);
+    Gc.minor_words () -. w0
+  in
+  ignore (run ());
+  let plain = run () in
+  let store =
+    Store.open_store ~fresh:true
+      ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "everest-serving-alloc")
+      ~fingerprint:(Fabric.fingerprint config ~tenants ~horizon) ()
+  in
+  let journaled = run ~recovery:{ Fabric.rv_store = store; rv_snapshot_every_s = 0.05 } () in
+  let records = store.Store.records_written in
+  Store.close store;
+  let per_record = (journaled -. plain) /. float_of_int records in
+  if per_record > recovery_words_per_record_budget then
+    Alcotest.failf "journaling allocates %.0f minor words per record (budget %.0f)"
+      per_record recovery_words_per_record_budget
+
 let () =
   Alcotest.run "everest_serving"
     [ ( "workload",
@@ -576,4 +612,6 @@ let () =
             test_shard_draining_on_open_breaker;
           Alcotest.test_case "orchestrator allocation budget" `Quick
             test_orchestrator_alloc_budget;
+          Alcotest.test_case "recovery allocation budget" `Quick
+            test_recovery_alloc_budget;
           QCheck_alcotest.to_alcotest prop_same_seed_identical ] ) ]
