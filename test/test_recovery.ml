@@ -549,18 +549,18 @@ let golden_fabric_store ?(config = fabric_config ~seed:7) ?breaker ?crash_after
   digests
 
 let golden_fabric =
-  [ "snap-0 643b2d4dd58ba86b3e7a9798d817b60d";
-    "snap-1 99c59713a8fe864f60cfbd58777f74f6";
-    "snap-2 466bc80e9c1672be6603a78e978ad75a";
-    "snap-3 95ca1704d169c4f8cef4ffd8aaa31e1e";
-    "snap-4 bed5e027f6073315eb48bade4bb6c240";
-    "snap-5 580eb00a18e4ce869dcb06b71246bc97";
-    "journal-0 40 a90d02103d1d7ee033dae9dc18d2eff0";
-    "journal-1 35 07d909e6082c3686781ce52c1115b878";
-    "journal-2 16 61fcc3e3098ac5465a36d141bceda790";
-    "journal-3 36 9fdb20879cfdefebfbf324d371ec36cf";
-    "journal-4 47 b7aa12c0ac37d4f1be0cc684ec182eb6";
-    "journal-5 25 3ecce55dd85682cc6c8ab62819fc4ead" ]
+  [ "snap-0 de63eadea9e7845e8e2247774549e21e";
+    "snap-1 13d5be3411b2fb2547ca8d7acc4a770c";
+    "snap-2 1668e5fe5f832ebb31d04d0db6c20fcf";
+    "snap-3 92a0891563ff63934de9949c46818d72";
+    "snap-4 53fa1c1ab65d5a57e4bf8bd4a6860161";
+    "snap-5 2a67ed2ba154896fa287bf3ea6fef385";
+    "journal-0 52 5d1f40f20d73e2b360eed9e7491fba7e";
+    "journal-1 44 eacf1f6b9af0268251c03e6951351bae";
+    "journal-2 20 b2dd505c69609df7817975fb9f9dc072";
+    "journal-3 46 cf9110f2336b32eca912b40fe3ba5b3c";
+    "journal-4 62 a17496a107adb130e171213c25be4e19";
+    "journal-5 31 fe38a0d1010ef8cb467348a8bc7cf2f2" ]
 
 let golden_executor_store ?crash_after ~dir () =
   let store = Store.open_store ~fresh:true ~dir ~fingerprint:"exec" () in
@@ -605,8 +605,9 @@ let test_golden_fabric_format () =
 (* Shard 0 dies at 195 ms: its last batch left its hardware breaker Open
    with the 2 ms cooldown run out, and no control tick queried it before
    the death.  Nothing queries a dead shard's breaker again, so the
-   snapshots must still export it half-open, as these digests (recorded
-   when every [Orch.serve] ended by promoting its breakers) do. *)
+   snapshots must still export it half-open.  These digests pin that:
+   their shard state is, byte for byte, what the snapshots held when
+   every [Orch.serve] ended by promoting its breakers. *)
 let dead_shard_config =
   { (fabric_config ~seed:7) with
     Fabric.faults =
@@ -619,19 +620,19 @@ let short_cooldown =
     half_open_probes = 1 }
 
 let golden_dead_shard =
-  [ "snap-0 643b2d4dd58ba86b3e7a9798d817b60d";
-    "snap-1 19d8256c41af39019f9c7423b7dfcf75";
-    "snap-2 360f346ea330211bab2aed95939d9483";
-    "snap-3 66c767505659a85e68b7e1acfda326d2";
-    "snap-4 ad502d86e5f44b566dd045c1fc5f17fd";
-    "snap-5 d6a3c6b99f723ece8d3d8e79ad925507";
-    "snap-6 7dd42a3762f5cc9223c10009a95af3a5";
-    "journal-0 40 33e170c984f11ee29be0d633777cebea";
-    "journal-1 30 251ad5a8a679b20c0046855251d3ec5a";
-    "journal-2 20 c662bb99aa222dae90e3732660932b3a";
-    "journal-3 34 cf8a0ded9a21dade5d177f61b701bbf0";
-    "journal-4 41 e5cd61e5339e54e8c295cd03cc634117";
-    "journal-5 27 f41ec4b6409da93a7bd1a42ee7565630";
+  [ "snap-0 de63eadea9e7845e8e2247774549e21e";
+    "snap-1 ffe6c9a2a7a45753d57d0acc27ddd6ad";
+    "snap-2 14b9dbfa0778681b5ea5508e52435022";
+    "snap-3 e0a439ac0bfa8b5794a9a3b0ceaa4b3e";
+    "snap-4 20c1c56185c5ecb5b5860853c770f029";
+    "snap-5 2fdb175a7902d2b0b883673d0205ce11";
+    "snap-6 3001548e5c6e6bb44cf17487ba3baa97";
+    "journal-0 52 fff5bb15d5db92265ce82fd713cebb32";
+    "journal-1 37 4b7d42bb51604edcc5d11b2e1566e03a";
+    "journal-2 25 3ee3336c18e2e4ded2b4f4c8cd0b01f2";
+    "journal-3 43 6d06bc5800523eae0357f66fce51b986";
+    "journal-4 54 edf0a9919ed622e7af402566c165fd00";
+    "journal-5 35 f90d7aced1694a9c40e0f8f435bc6f1b";
     "journal-6 0 d41d8cd98f00b204e9800998ecf8427e" ]
 
 let test_golden_dead_shard_format () =
