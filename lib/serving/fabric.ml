@@ -14,31 +14,28 @@
      the per-tenant SLO monitors and the closed-loop continuation.
 
    Crash consistency: every scheduled continuation is a *typed event*
-   ([ev]) — plain data, no closures — registered in [st_pending] under a
-   monotonically increasing id until it fires.  That design carries the
-   whole recovery story:
+   ([ev]) — plain data, no closures — under a monotonically increasing
+   id.  That design carries the whole recovery story:
 
    - Journal: when recovery is on, firing an event first appends its
-     encoded form to the write-ahead journal, then performs it, and each
+     encoded form to the write-ahead journal, then performs it; each
      resolved request appends its served-log entry.  Replay after a
      crash re-derives both kinds of record and byte-compares them
      against the journal (divergence is a typed error, not a wrong
      answer).
-   - Snapshot: at tick boundaries the live state a resumed run cannot
-     re-derive — shard queues and batcher accumulators, admission
-     buckets, SLO monitor windows, breaker/tuner state inside each
-     shard's orchestrator, closed-loop RNG positions, and the pending
-     events other than open-loop arrivals — serializes
-     byte-deterministically, with two counts for the rest: open-loop
-     arrivals fired (they fire in id order, so the rest regenerate from
-     the seed) and served-log entries (each one is in a journal record
-     before the snapshot).  Its size does not grow with the run.
-     Restore = decode the newest valid snapshot into a freshly built
-     fabric, warp the clock, rebuild the log from the earlier journal
-     segments, re-insert pending events in id order (id order equals
-     original insertion order, so Desim tie-breaking is preserved),
-     then replay the journal tail in verify mode until it is exhausted
-     and the run continues live. *)
+   - Snapshot: at tick boundaries the live state — shard queues and
+     batcher accumulators, admission buckets, SLO monitor windows,
+     breaker/tuner state inside each shard's orchestrator, closed-loop
+     RNG positions, and the pending events in [st_pending] — serializes
+     byte-deterministically, with counts of the fired open-loop
+     arrivals and of the served-log entries, which a resumed run
+     re-derives.  Restore = decode the newest valid snapshot into a
+     freshly built fabric, warp the clock, rebuild the log from the
+     journal before the snapshot, re-insert the pending events and the
+     unfired open-loop arrivals in id order (id order equals original
+     insertion order, so Desim tie-breaking is preserved), then replay
+     the journal tail in verify mode until it is exhausted and the run
+     continues live. *)
 
 module Slo = Everest_observe.Slo
 module Orch = Everest_runtime.Orchestrator
@@ -145,11 +142,10 @@ type restore_report = {
   rr_torn_tail : bool;  (* a half-written record was truncated *)
 }
 
-(* What a store holds: bumped whenever a snapshot or journal record
-   changes shape or meaning, so a store an older fabric wrote fails to
-   open with [Config_mismatch] instead of resuming into garbage.
-   Version 2: snapshots without the served log and the open-loop
-   arrivals, served-log entries as journal records. *)
+(* Bumped whenever a snapshot or journal record changes shape or
+   meaning, so a store written by another layout fails to open with
+   [Config_mismatch] instead of resuming into garbage.  2: live-state
+   snapshots, served-log entries as journal records. *)
 let schema_version = 2
 
 (* The run is a deterministic function of (config, tenants, horizon); a
