@@ -154,6 +154,70 @@ let test_journal_heals_torn_tail () =
   checkb "records" true
     (seg2.Journal.sg_records = [ "rec-one"; "rec-two"; "rec-three" ])
 
+(* The journal line format, pinned: one record line as
+   [Journal.output_record] frames it. *)
+let framed payload =
+  let path = tmp_dir "framed.ejrnl" in
+  let oc = open_out_bin path in
+  ignore (Journal.output_record oc payload : int);
+  close_out oc;
+  read_file path
+
+(* The same line with its checksum in uppercase hex. *)
+let upper_trailer line =
+  let n = String.length line - 9 in
+  let up = String.sub line 0 n ^ String.uppercase_ascii (String.sub line n 9) in
+  checkb "trailer has a hex letter" false (String.equal up line);
+  up
+
+(* [read_segment] of the magic line followed by [lines] keeps [records],
+   finds a torn tail when [torn], and then keeps the bytes up to the
+   first line it rejects. *)
+let check_segment lines ~records ~torn =
+  let path = tmp_dir "format.ejrnl" in
+  write_file path (String.concat "" ((Journal.magic_line ^ "\n") :: lines));
+  let seg = Journal.read_segment path in
+  Alcotest.(check (list string)) "records" records seg.Journal.sg_records;
+  checkb "torn" torn seg.Journal.sg_torn;
+  if torn then
+    checki "valid bytes"
+      (String.length Journal.magic_line + 1
+      + List.fold_left ( + ) 0
+          (List.filteri
+             (fun i _ -> i < List.length records)
+             (List.map String.length lines)))
+      seg.Journal.sg_valid_bytes
+
+let journal_format_cases =
+  let payloads = [ "#"; " #"; "a #0123abcd"; "x # y #" ] in
+  [ ( "payload with '#' and ' #'",
+      fun () ->
+        check_segment (List.map framed payloads) ~records:payloads ~torn:false );
+    ( "empty payload",
+      fun () ->
+        check_segment [ framed ""; framed "after" ] ~records:[ ""; "after" ]
+          ~torn:false );
+    ( "uppercase trailer",
+      fun () ->
+        check_segment
+          [ framed "before"; upper_trailer (framed "mixed-case"); framed "after" ]
+          ~records:[ "before" ] ~torn:true );
+    ( "line shorter than the trailer",
+      fun () ->
+        check_segment [ framed "before"; "#abc\n"; framed "after" ]
+          ~records:[ "before" ] ~torn:true );
+    ( "blank line mid-segment",
+      fun () ->
+        check_segment [ framed "one"; "\n"; framed "two" ] ~records:[ "one" ]
+          ~torn:true );
+    ( "last record without newline",
+      fun () ->
+        let last = framed "two" in
+        check_segment
+          [ framed "one"; String.sub last 0 (String.length last - 1) ]
+          ~records:[ "one"; "two" ] ~torn:false );
+    ("magic line only", fun () -> check_segment [] ~records:[] ~torn:false) ]
+
 (* ---- store ---------------------------------------------------------------- *)
 
 let test_store_rejects_config_mismatch () =
@@ -1042,7 +1106,10 @@ let () =
         [ Alcotest.test_case "record round-trip" `Quick
             test_journal_record_roundtrip;
           Alcotest.test_case "torn tail healed" `Quick
-            test_journal_heals_torn_tail ] );
+            test_journal_heals_torn_tail ]
+        @ List.map
+            (fun (name, f) -> Alcotest.test_case name `Quick f)
+            journal_format_cases );
       ( "store",
         [ Alcotest.test_case "config mismatch" `Quick
             test_store_rejects_config_mismatch;
