@@ -1022,6 +1022,57 @@ let damage_first_record store =
 let test_fabric_resume_damaged_earlier_record () =
   check_refused "journal segment 0" ~tamper:damage_first_record "fab-earlier"
 
+(* Rewrite the first [kind] record ("E" or "L") after the anchoring
+   snapshot, re-sealing its checksum: its id token goes up by one.  The
+   resume replays up to it and refuses, holding the rewritten record as
+   the journal's and the original as the re-derived one. *)
+let test_fabric_replay_detects_divergence () =
+  let config = fabric_config ~seed:7 in
+  let fingerprint = Fabric.fingerprint config ~tenants ~horizon in
+  List.iter
+    (fun kind ->
+      let dir = tmp_dir ("fab-diverge-" ^ kind) in
+      ignore (fabric_baseline ~dir config);
+      let store = Store.open_store ~dir ~fingerprint () in
+      keep_first_two store;
+      let seg = Store.seg_path store 1 in
+      let records = (Journal.read_segment seg).Journal.sg_records in
+      let k =
+        match
+          List.find_index
+            (fun r -> String.equal (List.hd (String.split_on_char ' ' r)) kind)
+            records
+        with
+        | Some k -> k
+        | None -> Alcotest.failf "no %s record after snapshot 1" kind
+      in
+      let original = List.nth records k in
+      let rewritten =
+        match String.split_on_char ' ' original with
+        | tag :: id :: rest ->
+            String.concat " " (tag :: string_of_int (int_of_string id + 1) :: rest)
+        | _ -> Alcotest.failf "%s record %S has no id" kind original
+      in
+      let oc = open_out_bin seg in
+      output_string oc (Journal.magic_line ^ "\n");
+      List.iteri
+        (fun i r ->
+          ignore (Journal.output_record oc (if i = k then rewritten else r) : int))
+        records;
+      close_out oc;
+      let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
+      (match
+         Fabric.resume ~registry:(Metrics.create_registry ()) ~recovery config
+           ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon
+       with
+      | exception Store.Recovery_error (Store.Replay_divergence { expected; got })
+        ->
+          checks (kind ^ ": journal record") rewritten expected;
+          checks (kind ^ ": re-derived record") original got
+      | _ -> Alcotest.failf "%s: rewritten record replayed" kind);
+      Store.close store)
+    [ "E"; "L" ]
+
 (* A store written before the schema version joined the fingerprint (it
    digested config, tenants and horizon alone) does not open. *)
 let test_fabric_refuses_older_schema () =
@@ -1137,6 +1188,8 @@ let () =
             test_fabric_resume_counts_disagree;
           Alcotest.test_case "resume over a damaged earlier record" `Quick
             test_fabric_resume_damaged_earlier_record;
+          Alcotest.test_case "replay detects divergence" `Quick
+            test_fabric_replay_detects_divergence;
           Alcotest.test_case "older schema refused" `Quick
             test_fabric_refuses_older_schema;
           Alcotest.test_case "snapshot size flat in the run" `Quick
