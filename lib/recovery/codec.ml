@@ -8,53 +8,112 @@
    newlines or '%' cannot break the framing).  Each persisted type is
    declared once, as a codec whose decoder is the exact inverse of its
    encoder and fails loudly with {!Decode} — a snapshot that does not
-   parse is corrupt, never half-loaded. *)
+   parse is corrupt, never half-loaded.  Decoders accept only what the
+   encoder writes (no '+' or leading zeros, no needless escapes), so
+   whenever [decode c s] succeeds, [encode c (decode c s) = s].
+
+   Hot paths encode one ~100-byte journal record per simulated event, so
+   the writer is one growable [bytes] that tokens are written into in
+   place, and the journal frames and writes a record from those same
+   bytes; decoders likewise read tokens where they lie in the record. *)
 
 exception Decode of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode s)) fmt
 
-type writer = { buf : Buffer.t; mutable first : bool }
+type writer = { mutable buf : bytes; mutable len : int }
 type reader = { s : string; mutable pos : int }
 type 'a t = { enc : writer -> 'a -> unit; dec : reader -> 'a }
 
 (* ---- writer --------------------------------------------------------------------- *)
 
-let writer () = { buf = Buffer.create 256; first = true }
+let writer () = { buf = Bytes.create 256; len = 0 }
 
-let sep w =
-  if w.first then w.first <- false else Buffer.add_char w.buf ' '
+let reserve w n =
+  if w.len + n > Bytes.length w.buf then begin
+    let b = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
 
-let contents w = Buffer.contents w.buf
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
 
-(* Reuse one writer across many small encodes (hot paths encode one
-   ~100-byte record per simulated event — a fresh Buffer each time is
-   pure allocator churn). *)
-let reset w =
-  Buffer.clear w.buf;
-  w.first <- true
+let add_string w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let hex_digits = "0123456789abcdef"
+
+let add_hex32 w x =
+  reserve w 8;
+  for i = 0 to 7 do
+    Bytes.unsafe_set w.buf (w.len + i)
+      (String.unsafe_get hex_digits ((x lsr ((7 - i) * 4)) land 0xf))
+  done;
+  w.len <- w.len + 8
+
+(* Every token is at least one byte, so a writer holding bytes holds a
+   token to separate the next one from. *)
+let sep w = if w.len > 0 then add_char w ' '
+
+let length w = w.len
+let buffer w = w.buf
+let contents w = Bytes.sub_string w.buf 0 w.len
+let reset w = w.len <- 0
+
+let contents_equal w s =
+  let n = w.len in
+  if n <> String.length s then false
+  else begin
+    let i = ref 0 in
+    while !i < n && Bytes.unsafe_get w.buf !i = String.unsafe_get s !i do
+      incr i
+    done;
+    !i = n
+  end
 
 (* ---- reader --------------------------------------------------------------------- *)
 
 let reader s = { s; pos = 0 }
 
-let token r =
+(* Start of the next token, which ends at [r.pos] on return: the record's
+   first byte or the byte after the one space following the previous
+   token, up to the next space or the end, and never empty. *)
+let next r =
   let n = String.length r.s in
-  if r.pos >= n then fail "unexpected end of record at byte %d" r.pos;
-  let start = r.pos in
-  while r.pos < n && r.s.[r.pos] <> ' ' do
-    r.pos <- r.pos + 1
+  let start =
+    if r.pos = 0 && n > 0 then 0
+    else if r.pos < n then r.pos + 1  (* [r.pos] is the space *)
+    else fail "unexpected end of record at byte %d" r.pos
+  in
+  let e = ref start in
+  while !e < n && String.unsafe_get r.s !e <> ' ' do
+    incr e
   done;
-  let t = String.sub r.s start (r.pos - start) in
-  if r.pos < n then r.pos <- r.pos + 1;  (* skip the separator *)
-  t
+  if !e = start then fail "empty token at byte %d" start;
+  r.pos <- !e;
+  start
+
+let token_at r start = String.sub r.s start (r.pos - start)
 
 let at_end r = r.pos >= String.length r.s
 
-(* Expect a literal tag token — the schema self-check inside a record. *)
-let expect r tag =
-  let t = token r in
-  if not (String.equal t tag) then fail "expected tag %S, got %S" tag t
+(* Whether the token from [start] to [r.pos] is [tok]. *)
+let token_is r start tok =
+  let n = String.length tok in
+  if r.pos - start <> n then false
+  else begin
+    let i = ref 0 in
+    while !i < n && String.unsafe_get r.s (start + !i) = String.unsafe_get tok !i do
+      incr i
+    done;
+    !i = n
+  end
 
 let encode c x =
   let w = writer () in
@@ -69,22 +128,52 @@ let decode c s =
 
 (* ---- primitives ----------------------------------------------------------------- *)
 
-let int =
-  { enc = (fun w i -> sep w; Buffer.add_string w.buf (string_of_int i));
-    dec =
-      (fun r ->
-        let t = token r in
-        match int_of_string_opt t with
-        | Some i -> i
-        | None -> fail "expected int, got %S" t) }
+let add_int w i =
+  (* digits of the non-positive [m], so [min_int] needs no special case *)
+  let m = if i < 0 then i else -i in
+  let digits = ref 1 and q = ref (m / 10) in
+  while !q <> 0 do
+    incr digits;
+    q := !q / 10
+  done;
+  let n = !digits + if i < 0 then 1 else 0 in
+  reserve w n;
+  if i < 0 then Bytes.unsafe_set w.buf w.len '-';
+  let q = ref m in
+  for p = w.len + n - 1 downto w.len + n - !digits do
+    Bytes.unsafe_set w.buf p (Char.unsafe_chr (48 - (!q mod 10)));
+    q := !q / 10
+  done;
+  w.len <- w.len + n
+
+let dec_int r =
+  let start = next r in
+  let s = r.s and e = r.pos in
+  let neg = String.unsafe_get s start = '-' in
+  let d0 = if neg then start + 1 else start in
+  (* "0" is the only token with a leading zero; no "-0", no '+' *)
+  if d0 = e || (String.unsafe_get s d0 = '0' && (neg || e - d0 > 1)) then
+    fail "expected int, got %S" (token_at r start);
+  (* accumulate negatively, so [min_int] fits *)
+  let m = ref 0 and i = ref d0 in
+  while !i < e do
+    let d = Char.code (String.unsafe_get s !i) - 48 in
+    if d < 0 || d > 9 || !m < (min_int + d) / 10 then
+      fail "expected int, got %S" (token_at r start);
+    m := (!m * 10) - d;
+    incr i
+  done;
+  if neg then !m
+  else if !m = min_int then fail "expected int, got %S" (token_at r start)
+  else - !m
+
+let int = { enc = (fun w i -> sep w; add_int w i); dec = dec_int }
 
 (* Floats are written as the 16 hex digits of their IEEE-754 bit pattern:
    bit-exact for every value including infinities, NaNs and signed zeros,
    and an order of magnitude cheaper to produce than printf float
    formatting — float tokens dominate snapshot bodies, so this is the
    codec's hot path. *)
-let hex_digits = "0123456789abcdef"
-
 let unhex c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -96,26 +185,18 @@ let float =
       (fun w f ->
         sep w;
         let bits = Int64.bits_of_float f in
-        (* split into two plain ints up front so the digit loop runs on
-           unboxed arithmetic — per-iteration Int64 ops would allocate *)
-        let hi = Int64.to_int (Int64.shift_right_logical bits 32) land 0xffffffff in
-        let lo = Int64.to_int bits land 0xffffffff in
-        let b = Bytes.create 16 in
-        for i = 0 to 7 do
-          Bytes.unsafe_set b i
-            (String.unsafe_get hex_digits ((hi lsr ((7 - i) * 4)) land 0xf));
-          Bytes.unsafe_set b (8 + i)
-            (String.unsafe_get hex_digits ((lo lsr ((7 - i) * 4)) land 0xf))
-        done;
-        Buffer.add_bytes w.buf b);
+        (* two plain ints, so the digits come from unboxed arithmetic *)
+        add_hex32 w (Int64.to_int (Int64.shift_right_logical bits 32));
+        add_hex32 w (Int64.to_int bits));
     dec =
       (fun r ->
-        let t = token r in
-        if String.length t <> 16 then fail "expected float bits, got %S" t;
+        let start = next r in
+        if r.pos - start <> 16 then
+          fail "expected float bits, got %S" (token_at r start);
         let hi = ref 0 and lo = ref 0 in
         for i = 0 to 7 do
-          hi := (!hi lsl 4) lor unhex (String.unsafe_get t i);
-          lo := (!lo lsl 4) lor unhex (String.unsafe_get t (8 + i))
+          hi := (!hi lsl 4) lor unhex (String.unsafe_get r.s (start + i));
+          lo := (!lo lsl 4) lor unhex (String.unsafe_get r.s (start + 8 + i))
         done;
         Int64.float_of_bits
           (Int64.logor
@@ -123,13 +204,13 @@ let float =
              (Int64.of_int !lo))) }
 
 let bool =
-  { enc = (fun w b -> sep w; Buffer.add_char w.buf (if b then 't' else 'f'));
+  { enc = (fun w b -> sep w; add_char w (if b then 't' else 'f'));
     dec =
       (fun r ->
-        match token r with
-        | "t" -> true
-        | "f" -> false
-        | t -> fail "expected bool, got %S" t) }
+        let start = next r in
+        if token_is r start "t" then true
+        else if token_is r start "f" then false
+        else fail "expected bool, got %S" (token_at r start)) }
 
 let needs_escape c =
   c <= ' ' || c > '~' || c = '%'
@@ -138,44 +219,66 @@ let string =
   { enc =
       (fun w s ->
         sep w;
-        if String.for_all (fun c -> not (needs_escape c)) s && s <> "" then
-          Buffer.add_string w.buf s
+        if s <> "" && not (String.exists needs_escape s) then add_string w s
         else begin
           (* '%' guards the empty string and every byte outside the
              printable ASCII range *)
-          Buffer.add_char w.buf '%';
-          String.iter
-            (fun c ->
-              if needs_escape c then
-                Buffer.add_string w.buf (Printf.sprintf "%%%02x" (Char.code c))
-              else Buffer.add_char w.buf c)
-            s
+          add_char w '%';
+          for i = 0 to String.length s - 1 do
+            let c = String.unsafe_get s i in
+            if needs_escape c then begin
+              add_char w '%';
+              add_char w hex_digits.[Char.code c lsr 4];
+              add_char w hex_digits.[Char.code c land 0xf]
+            end
+            else add_char w c
+          done
         end);
     dec =
       (fun r ->
-        let t = token r in
-        let n = String.length t in
-        if n = 0 then fail "empty string token"
-        else if t.[0] <> '%' then t
+        let start = next r in
+        let s = r.s and e = r.pos in
+        if String.unsafe_get s start <> '%' then begin
+          for i = start to e - 1 do
+            if needs_escape (String.unsafe_get s i) then
+              fail "unescaped byte in %S" (token_at r start)
+          done;
+          token_at r start
+        end
         else begin
-          let b = Buffer.create n in
-          let i = ref 1 in
-          while !i < n do
-            if t.[!i] = '%' then begin
-              if !i + 2 >= n then fail "truncated escape in %S" t;
-              Buffer.add_char b
-                (Char.chr ((unhex t.[!i + 1] * 16) + unhex t.[!i + 2]));
+          (* the bytes that need it escaped, the others as they are, and
+             at least one escape unless the string is empty *)
+          let b = Bytes.create (e - start - 1) in
+          let i = ref (start + 1) and k = ref 0 and escaped = ref false in
+          while !i < e do
+            let c = String.unsafe_get s !i in
+            if c = '%' then begin
+              if !i + 2 >= e then fail "truncated escape in %S" (token_at r start);
+              let c = Char.chr ((unhex s.[!i + 1] * 16) + unhex s.[!i + 2]) in
+              if not (needs_escape c) then
+                fail "needless escape in %S" (token_at r start);
+              Bytes.unsafe_set b !k c;
+              escaped := true;
               i := !i + 3
             end
             else begin
-              Buffer.add_char b t.[!i];
+              if needs_escape c then fail "unescaped byte in %S" (token_at r start);
+              Bytes.unsafe_set b !k c;
               incr i
-            end
+            end;
+            incr k
           done;
-          Buffer.contents b
+          if !k > 0 && not !escaped then fail "needless '%%' in %S" (token_at r start);
+          Bytes.sub_string b 0 !k
         end) }
 
 let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
+
+(* A tag as its string token, escaped once when its codec is built;
+   decoding compares it where it lies. *)
+let tag_token tag = encode string tag
+
+let add_token w tok = sep w; add_string w tok
 
 (* ---- combinators ---------------------------------------------------------------- *)
 
@@ -208,36 +311,49 @@ let pair a b =
   { enc = (fun w (x, y) -> a.enc w x; b.enc w y);
     dec = (fun r -> let x = a.dec r in let y = b.dec r in (x, y)) }
 
+let triple a b c =
+  { enc = (fun w (x, y, z) -> a.enc w x; b.enc w y; c.enc w z);
+    dec =
+      (fun r ->
+        let x = a.dec r in
+        let y = b.dec r in
+        let z = c.dec r in
+        (x, y, z)) }
+
 let conv f g c = { enc = (fun w x -> c.enc w (f x)); dec = (fun r -> g (c.dec r)) }
 
-let triple a b c =
-  conv (fun (x, y, z) -> (x, (y, z))) (fun (x, (y, z)) -> (x, y, z)) (pair a (pair b c))
-
 let tagged tag c =
-  { enc = (fun w x -> string.enc w tag; c.enc w x);
-    dec = (fun r -> expect r tag; c.dec r) }
+  let tok = tag_token tag in
+  { enc = (fun w x -> add_token w tok; c.enc w x);
+    dec =
+      (fun r ->
+        let start = next r in
+        if not (token_is r start tok) then
+          fail "expected tag %S, got %S" tok (token_at r start);
+        c.dec r) }
 
 type 'a case =
-  | Case : { tag : string; arg : 'b t; inj : 'b -> 'a; proj : 'a -> 'b option }
+  | Case : { tok : string; arg : 'b t; inj : 'b -> 'a; proj : 'a -> 'b option }
       -> 'a case
 
-let case tag arg inj proj = Case { tag; arg; inj; proj }
+let case tag arg inj proj = Case { tok = tag_token tag; arg; inj; proj }
 
 let variant cases =
   let rec enc_case w x = function
     | [] -> invalid_arg "Codec.variant: no case matches"
     | Case c :: rest -> (
         match c.proj x with
-        | Some y -> string.enc w c.tag; c.arg.enc w y
+        | Some y -> add_token w c.tok; c.arg.enc w y
         | None -> enc_case w x rest)
   in
-  let rec dec_case t r = function
-    | [] -> fail "unknown tag %S" t
+  let rec dec_case r start = function
+    | [] -> fail "unknown tag %S" (token_at r start)
     | Case c :: rest ->
-        if String.equal c.tag t then c.inj (c.arg.dec r) else dec_case t r rest
+        if token_is r start c.tok then c.inj (c.arg.dec r)
+        else dec_case r start rest
   in
   { enc = (fun w x -> enc_case w x cases);
-    dec = (fun r -> let t = string.dec r in dec_case t r cases) }
+    dec = (fun r -> let start = next r in dec_case r start cases) }
 
 let enum cases =
   variant

@@ -4,12 +4,15 @@
     is declared once, as a codec value ['a t] that pairs its encoder with
     its decoder; the decoder is the exact inverse of the encoder and
     fails with {!Decode} on anything else — a record that does not parse
-    is corrupt, never half-loaded. *)
+    is corrupt, never half-loaded.  Decoders accept only the bytes the
+    encoder writes: whenever [decode c s] succeeds,
+    [encode c (decode c s) = s]. *)
 
 exception Decode of string
 
 (** {2 Writing and reading} *)
 
+(** A growable byte buffer that tokens are written into in place. *)
 type writer
 
 val writer : unit -> writer
@@ -17,9 +20,33 @@ val writer : unit -> writer
 (** Everything written so far. *)
 val contents : writer -> string
 
+(** Whether the writer holds exactly the bytes of the string, compared
+    in place. *)
+val contents_equal : writer -> string -> bool
+
 (** Empty the writer for reuse (hot paths encode one record per event
     into one writer). *)
 val reset : writer -> unit
+
+(** {3 Framing}
+
+    For the journal, which checksums, frames and writes a record straight
+    from the writer's bytes. *)
+
+(** Bytes written so far. *)
+val length : writer -> int
+
+(** The writer's storage: its first [length w] bytes are what was
+    written.  A later write may replace it. *)
+val buffer : writer -> bytes
+
+(** These write their argument as it is: no separator, no escaping. *)
+
+val add_char : writer -> char -> unit
+val add_string : writer -> string -> unit
+
+(** The 8 lowercase hex digits of the low 32 bits. *)
+val add_hex32 : writer -> int -> unit
 
 type reader
 
@@ -34,7 +61,8 @@ val encode : 'a t -> 'a -> string
     @raise Decode on a malformed record or trailing tokens. *)
 val decode : 'a t -> string -> 'a
 
-(** A decimal integer token. *)
+(** A decimal integer token: ['-'] for negatives, no ['+'], no leading
+    zeros. *)
 val int : int t
 
 (** The 16 lowercase hex digits of the IEEE-754 bit pattern: bit-exact
@@ -45,8 +73,8 @@ val float : float t
 val bool : bool t
 
 (** The string itself when it is non-empty printable ASCII without
-    ['%']; otherwise ['%'] followed by the string with every such byte
-    as [%xx]. *)
+    ['%']; otherwise ['%'] followed by the string with every other byte
+    as [%xx] in lowercase hex. *)
 val string : string t
 
 (** No tokens. *)

@@ -17,55 +17,67 @@ let magic_line = "EVEREST-JRNL v1"
 (* Raised by the store when an armed crash point fires mid-append. *)
 exception Crashed
 
-(* FNV-1a 32-bit: record checksums are a torn-write detector on the hot
-   append path, not a cryptographic seal — a cheap in-OCaml hash beats an
-   MD5 round-trip per record by an order of magnitude. *)
-let checksum_raw payload =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to String.length payload - 1 do
+(* FNV-1a 32-bit over [len] bytes of [b] from [off]: record checksums
+   are a torn-write detector on the hot append path, not a cryptographic
+   seal — a cheap in-OCaml hash beats an MD5 round-trip per record by an
+   order of magnitude.  Unboxed [Int32] arithmetic wraps at 32 bits by
+   itself, where tagged ints need a mask per byte. *)
+let checksum b off len =
+  let h = ref 0x811c9dc5l in
+  for i = off to off + len - 1 do
     h :=
-      (!h lxor Char.code (String.unsafe_get payload i))
-      * 0x01000193 land 0xffffffff
+      Int32.mul
+        (Int32.logxor !h (Int32.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x01000193l
   done;
-  !h
+  Int32.to_int !h land 0xffffffff
+
+(* The trailer after a payload: " #", its checksum's 8 hex digits and
+   the newline. *)
+let trailer_length = 11
+
+(* Frame the payload [w] holds as one record line and write the line to
+   [oc] in one channel call: one append per simulated event makes this
+   hot, and under OCaml 5 every channel call takes the channel's lock.
+   The trailer is written into [w] after the payload.  Returns the bytes
+   written. *)
+let output_framed oc w =
+  let n = Codec.length w in
+  let b = Codec.buffer w in
+  for i = 0 to n - 1 do
+    if Bytes.unsafe_get b i = '\n' then
+      invalid_arg "Journal.output_record: payload contains newline"
+  done;
+  let h = checksum b 0 n in
+  Codec.add_char w ' ';
+  Codec.add_char w '#';
+  Codec.add_hex32 w h;
+  Codec.add_char w '\n';
+  output oc (Codec.buffer w) 0 (n + trailer_length);
+  n + trailer_length
+
+let output_record oc payload =
+  let w = Codec.writer () in
+  Codec.add_string w payload;
+  output_framed oc w
 
 let hex_digits = "0123456789abcdef"
 
-let checksum payload =
-  let h = checksum_raw payload in
-  String.init 8 (fun i -> hex_digits.[(h lsr ((7 - i) * 4)) land 0xf])
-
-(* Write a record straight to [oc] — payload then " #xxxxxxxx\n" trailer
-   — without building the line.  One append per simulated event makes
-   this framing hot, and under OCaml 5 every channel call takes the
-   channel's lock, so the 11 trailer bytes are built first and written
-   in one call.  Returns the bytes written. *)
-let output_record oc payload =
-  if String.contains payload '\n' then
-    invalid_arg "Journal.output_record: payload contains newline";
-  let h = checksum_raw payload in
-  let trailer = Bytes.create 11 in
-  Bytes.unsafe_set trailer 0 ' ';
-  Bytes.unsafe_set trailer 1 '#';
-  for i = 0 to 7 do
-    Bytes.unsafe_set trailer (2 + i)
-      (String.unsafe_get hex_digits ((h lsr ((7 - i) * 4)) land 0xf))
-  done;
-  Bytes.unsafe_set trailer 10 '\n';
-  output_string oc payload;
-  output_bytes oc trailer;
-  String.length payload + 11
-
-let decode_record line =
-  match String.rindex_opt line '#' with
-  | Some i
-    when i >= 1
-         && line.[i - 1] = ' '
-         && String.length line - i - 1 = 8 ->
-      let payload = String.sub line 0 (i - 1) in
-      let sum = String.sub line (i + 1) 8 in
-      if String.equal sum (checksum payload) then Some payload else None
-  | _ -> None
+(* The payload length of the line from [a] to [e] in [raw] when the line
+   is a payload followed by the trailer of its checksum (lowercase hex,
+   as written), or -1. *)
+let payload_length raw a e =
+  let p = e - a - (trailer_length - 1) in
+  if p < 0 || raw.[a + p] <> ' ' || raw.[a + p + 1] <> '#' then -1
+  else begin
+    let h = checksum (Bytes.unsafe_of_string raw) a p in
+    let ok = ref true in
+    for i = 0 to 7 do
+      if raw.[a + p + 2 + i] <> hex_digits.[(h lsr ((7 - i) * 4)) land 0xf] then
+        ok := false
+    done;
+    if !ok then p else -1
+  end
 
 type segment = {
   sg_records : string list;  (* decoded payloads, in append order *)
@@ -74,7 +86,8 @@ type segment = {
 }
 
 (* Lenient read: a missing file is an empty segment, a bad magic line is
-   fully torn, and decoding stops at the first invalid record. *)
+   fully torn, and decoding stops at the first invalid record.  A last
+   line without its newline is read like the others. *)
 let read_segment path =
   if not (Sys.file_exists path) then
     { sg_records = []; sg_torn = false; sg_valid_bytes = 0 }
@@ -85,27 +98,27 @@ let read_segment path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let lines = String.split_on_char '\n' raw in
-    match lines with
-    | m :: rest when String.equal m magic_line ->
-        let valid = ref (String.length magic_line + 1) in
-        let torn = ref false in
-        let records = ref [] in
-        let rec go = function
-          | [] | [ "" ] -> ()
-          | line :: tl -> (
-              match decode_record line with
-              | Some payload ->
-                  records := payload :: !records;
-                  valid := !valid + String.length line + 1;
-                  go tl
-              | None -> torn := true)
-        in
-        go rest;
-        {
-          sg_records = List.rev !records;
-          sg_torn = !torn;
-          sg_valid_bytes = !valid;
-        }
-    | _ -> { sg_records = []; sg_torn = true; sg_valid_bytes = 0 }
+    let n = String.length raw and m = String.length magic_line in
+    if
+      n < m
+      || (n > m && raw.[m] <> '\n')
+      || not (String.equal (String.sub raw 0 m) magic_line)
+    then { sg_records = []; sg_torn = true; sg_valid_bytes = 0 }
+    else begin
+      (* each line from [a]: a record, or the first invalid one *)
+      let rec go a valid records =
+        if a >= n then (records, false, valid)
+        else begin
+          let e = ref a in
+          while !e < n && String.unsafe_get raw !e <> '\n' do
+            incr e
+          done;
+          let p = payload_length raw a !e in
+          if p < 0 then (records, true, valid)
+          else go (!e + 1) (valid + !e - a + 1) (String.sub raw a p :: records)
+        end
+      in
+      let records, torn, valid = go (m + 1) (m + 1) [] in
+      { sg_records = List.rev records; sg_torn = torn; sg_valid_bytes = valid }
+    end
   end

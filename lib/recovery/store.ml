@@ -15,7 +15,9 @@
    A resumed run re-derives its events and hands each record to [log]:
    while the journal tail from [plan_resume] lasts, the record is verified
    against it byte for byte (a mismatch is a typed [Replay_divergence]);
-   once the tail runs dry, [log] appends.  [plan_resume] also returns the
+   once the tail runs dry, [log] appends.  [log] encodes the record into
+   the store's one writer, and the journal checksums, frames and writes
+   it from there, or the store compares it with the tail where it lies.  [plan_resume] also returns the
    records of the segments before the anchoring snapshot, for a client
    whose snapshots leave out what those records already hold; a damaged
    record there is [Corrupt], never truncated like a torn tail.
@@ -66,11 +68,14 @@ type t = {
   mutable journal_bytes : int;
   mutable snapshot_bytes : int;
   mutable work_s : float;
-      (* CPU the client attributes to recovery work (encoding, appends,
-         snapshots).  Benches gate on [work_s /. (total -. work_s)]: both
-         sides of that fraction come from the same run, so host-noise
-         multipliers (frequency scaling, co-tenant contention) cancel,
-         unlike an A/B comparison of separate timed runs. *)
+      (* Seconds the client attributes to recovery work (encoding,
+         appends, snapshots), as it times them: the fabric reads
+         [Unix.gettimeofday], so this is wall-clock time.  Benches gate
+         on [work_s /. (total -. work_s)]: both sides of that fraction
+         come from the same run, so host-noise multipliers (frequency
+         scaling, co-tenant contention) cancel, unlike an A/B comparison
+         of separate timed runs. *)
+  record : Codec.writer;  (* the record [log] or [append] is writing *)
 }
 
 let meta_magic = "EVEREST-META v1"
@@ -138,6 +143,7 @@ let open_store ?(fresh = false) ~dir ~fingerprint () =
       journal_bytes = 0;
       snapshot_bytes = 0;
       work_s = 0.0;
+      record = Codec.writer ();
     }
   in
   let meta = Filename.concat dir "meta" in
@@ -182,7 +188,8 @@ let open_segment t i ~truncate =
   t.chan <- Some oc;
   t.seg_index <- i
 
-let append t payload =
+(* Append the record [t.record] holds. *)
+let append_record t =
   let oc =
     match t.chan with
     | Some oc -> oc
@@ -192,7 +199,7 @@ let append t payload =
         open_segment t t.seg_index ~truncate:false;
         Option.get t.chan
   in
-  let written = Journal.output_record oc payload in
+  let written = Journal.output_framed oc t.record in
   t.records_written <- t.records_written + 1;
   t.journal_bytes <- t.journal_bytes + written;
   match t.crash_after with
@@ -206,16 +213,25 @@ let append t payload =
       t.crash_after <- Some (n - 1)
   | None -> ()
 
+let append t payload =
+  Codec.reset t.record;
+  Codec.add_string t.record payload;
+  append_record t
+
 let replaying t = t.tail <> []
 
-(* Write-ahead or verify: the next tail record must equal [payload]; with
-   the tail exhausted, [payload] is appended. *)
-let log t payload =
+(* Write-ahead or verify [x] as [c] encodes it: the next tail record must
+   equal it; with the tail exhausted, it is appended. *)
+let log t c x =
+  Codec.reset t.record;
+  c.Codec.enc t.record x;
   match t.tail with
-  | [] -> append t payload
+  | [] -> append_record t
   | expected :: rest ->
-      if not (String.equal expected payload) then
-        raise (Recovery_error (Replay_divergence { expected; got = payload }));
+      if not (Codec.contents_equal t.record expected) then
+        raise
+          (Recovery_error
+             (Replay_divergence { expected; got = Codec.contents t.record }));
       t.replayed <- t.replayed + 1;
       t.tail <- rest
 

@@ -210,7 +210,6 @@ type state = {
   st_recovery : recovery option;
   mutable st_ev_seq : int;  (* next event id *)
   mutable st_opened : int;  (* open-loop arrivals fired *)
-  st_scratch : Codec.writer;  (* reused for per-record encoding *)
   st_pending : (int, float * ev) Hashtbl.t;
       (* scheduled, not yet fired, open-loop arrivals aside: fire time
          and event *)
@@ -570,11 +569,9 @@ let import st im ~arrivals ~earlier =
    resumed store verifies each re-derived record against its journal tail
    instead, then appends to the same on-disk segment once the tail runs
    dry. *)
-let journal rv w record =
+let journal rv record =
   let t0 = Unix.gettimeofday () in
-  Codec.reset w;
-  Codecs.journal_record.enc w record;
-  Store.log rv.rv_store (Codec.contents w);
+  Store.log rv.rv_store Codecs.journal_record record;
   let s = rv.rv_store in
   s.Store.work_s <- s.Store.work_s +. (Unix.gettimeofday () -. t0)
 
@@ -612,7 +609,7 @@ let rec resolve st (rq : Workload.request) ~shard ~outcome ~batch ~variant
   st.st_log <- entry :: st.st_log;
   st.st_logged <- st.st_logged + 1;
   (match st.st_recovery with
-  | Some rv -> journal rv st.st_scratch (Logged entry)
+  | Some rv -> journal rv (Logged entry)
   | None -> ());
   (match outcome with
   | Served ->
@@ -924,7 +921,7 @@ and perform st = function
 and fire st id ev =
   Hashtbl.remove st.st_pending id;
   (match st.st_recovery with
-  | Some rv -> journal rv st.st_scratch (Fired (id, Desim.now st.st_sim, ev))
+  | Some rv -> journal rv (Fired (id, Desim.now st.st_sim, ev))
   | None -> ());
   perform st ev
 
@@ -1008,7 +1005,7 @@ let mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch =
     st_outstanding = 0; st_arrivals_pending = 0; st_next_id = 0;
     st_reroutes = 0; st_failures = Hashtbl.create 64;
     st_recovery = recovery;
-    st_ev_seq = 0; st_opened = 0; st_scratch = Codec.writer ();
+    st_ev_seq = 0; st_opened = 0;
     st_pending = Hashtbl.create 64; st_last_snap = 0.0;
     st_snap_index = 0; st_watch = watch }
 

@@ -82,7 +82,7 @@ let start t ~state =
    [prune] runs at boundaries in *both* modes so pruning never makes the
    replayed run diverge. *)
 let on_complete t ~task ~now ~node ~state ~prune =
-  Store.log t.ck_store (Codec.encode journal_record (task, now, node));
+  Store.log t.ck_store journal_record (task, now, node);
   t.ck_completions <- t.ck_completions + 1;
   if t.ck_completions mod t.ck_every = 0 then begin
     ignore (prune () : int);
