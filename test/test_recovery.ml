@@ -81,7 +81,12 @@ let test_codec_rejects_garbage () =
   checkb "truncated" true (rejects Codec.(pair int int) "5");
   checkb "trailing" true (rejects Codec.int "5 6");
   checkb "negative count" true (rejects Codec.(list int) "-1");
-  checkb "unknown tag" true (rejects Codec.(enum [ ("a", 1) ]) "b")
+  checkb "unknown tag" true (rejects Codec.(enum [ ("a", 1) ]) "b");
+  (* only what the encoder writes *)
+  List.iter
+    (fun t -> checkb ("int " ^ t) true (rejects Codec.int t))
+    [ "+5"; "0x10"; "1_000"; "007"; "-0" ];
+  checkb "needless escape" true (rejects Codec.string "%41")
 
 (* ---- snapshot envelope ---------------------------------------------------- *)
 
@@ -130,7 +135,13 @@ let test_journal_record_roundtrip () =
   close_out oc;
   checki "bytes written" (String.length payload + 11) written;
   checkb "payload back" true
-    ((Journal.read_segment path).Journal.sg_records = [ payload ])
+    ((Journal.read_segment path).Journal.sg_records = [ payload ]);
+  let oc = open_out_bin path in
+  checkb "newline refused" true
+    (match Journal.output_record oc "a\nb" with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  close_out oc
 
 let test_journal_heals_torn_tail () =
   let dir = tmp_dir "torn" in
@@ -762,17 +773,35 @@ let test_store_roundtrip () =
 
 module Gen = QCheck.Gen
 
+(* Ints and floats with their edge cases: the extremes, signed zeros,
+   infinities, NaNs with payloads and subnormals (exponent bits all ones
+   or all zeros under a random sign and mantissa). *)
+let gen_int = Gen.(oneof [ oneofl [ 0; 1; -1; min_int; max_int ]; int; small_signed_int ])
+
+let gen_float =
+  Gen.(
+    oneof
+      [ oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; 5e-324; Float.max_float ];
+        map2
+          (fun exponent bits ->
+            Int64.float_of_bits
+              (Int64.logor exponent (Int64.logand bits 0x800fffffffffffffL)))
+          (oneofl [ 0x7ff0000000000000L; 0L ])
+          ui64;
+        map Int64.float_of_bits ui64;
+        float ])
+
 let gen_name = Gen.(string_size ~gen:char (int_range 0 6))
-let gen_named_floats = Gen.(list_size (int_range 0 3) (pair gen_name float))
+let gen_named_floats = Gen.(list_size (int_range 0 3) (pair gen_name gen_float))
 
 let gen_request =
   Gen.(
-    let+ rq_id = int
+    let+ rq_id = gen_int
     and+ rq_tenant = gen_name
     and+ rq_kernel = gen_name
-    and+ rq_user = int
-    and+ rq_seq = int
-    and+ rq_arrival_s = float
+    and+ rq_user = gen_int
+    and+ rq_seq = gen_int
+    and+ rq_arrival_s = gen_float
     and+ rq_features = gen_named_floats in
     { Workload.rq_id; rq_tenant; rq_kernel; rq_user; rq_seq; rq_arrival_s;
       rq_features })
@@ -783,17 +812,17 @@ let all_outcomes =
 
 let gen_served =
   Gen.(
-    let+ sr_id = int
+    let+ sr_id = gen_int
     and+ sr_tenant = gen_name
     and+ sr_kernel = gen_name
-    and+ sr_shard = int
-    and+ sr_arrival_s = float
-    and+ sr_done_s = float
-    and+ sr_latency_s = float
+    and+ sr_shard = gen_int
+    and+ sr_arrival_s = gen_float
+    and+ sr_done_s = gen_float
+    and+ sr_latency_s = gen_float
     and+ sr_outcome =
       oneof [ oneofl all_outcomes; map (fun why -> Fabric.Failed why) gen_name ]
-    and+ sr_batch = int
-    and+ sr_attempts = int
+    and+ sr_batch = gen_int
+    and+ sr_attempts = gen_int
     and+ sr_variant = gen_name
     and+ sr_degraded = bool in
     { Fabric.sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
@@ -802,14 +831,14 @@ let gen_served =
 
 let gen_entry =
   Gen.(
-    let+ req = int
+    let+ req = gen_int
     and+ requested = gen_name
     and+ variant = gen_name
-    and+ latency_s = float
-    and+ attempts = int
+    and+ latency_s = gen_float
+    and+ attempts = gen_int
     and+ degraded = bool
     and+ ok = bool
-    and+ t_done = float in
+    and+ t_done = gen_float in
     { Everest_runtime.Orchestrator.req; requested; variant; latency_s;
       attempts; degraded; ok; t_done })
 
@@ -817,18 +846,18 @@ let gen_ev =
   Gen.(
     oneof
       [ map (fun rq -> Fabric.Ev_arrival rq) gen_request;
-        (let+ c_sid = int
-         and+ c_start = float
+        (let+ c_sid = gen_int
+         and+ c_start = gen_float
          and+ b_key = gen_name
-         and+ b_formed_s = float
+         and+ b_formed_s = gen_float
          and+ b_requests = list_size (int_range 1 3) gen_request
          and+ c_entry = gen_entry in
          Fabric.Ev_complete
            { c_sid; c_start;
              c_batch = { Everest_serving.Batcher.b_key; b_requests; b_formed_s };
              c_entry });
-        map (fun sid -> Fabric.Ev_flush sid) int;
-        map (fun sid -> Fabric.Ev_spawn sid) int;
+        map (fun sid -> Fabric.Ev_flush sid) gen_int;
+        map (fun sid -> Fabric.Ev_spawn sid) gen_int;
         return Fabric.Ev_tick ])
 
 (* [compare], not [=]: a NaN float must round-trip too *)
@@ -847,6 +876,157 @@ let prop_codec_roundtrip =
       && roundtrips Fabric.Codecs.ev ev
       && roundtrips Fabric.Codecs.journal_record (Fabric.Fired (7, 0.5, ev))
       && roundtrips Fabric.Codecs.journal_record (Fabric.Logged sr))
+
+(* The four fabric record codecs over the reference encoders, field by
+   field in the order [Fabric.Codecs] declares them. *)
+module Reference_fabric = struct
+  open Codec_reference
+
+  let request w (rq : Workload.request) =
+    int w rq.Workload.rq_id;
+    string w rq.Workload.rq_tenant;
+    string w rq.Workload.rq_kernel;
+    int w rq.Workload.rq_user;
+    int w rq.Workload.rq_seq;
+    float w rq.Workload.rq_arrival_s;
+    list (pair string float) w rq.Workload.rq_features
+
+  let entry w (e : Everest_runtime.Orchestrator.request_log) =
+    let open Everest_runtime.Orchestrator in
+    int w e.req;
+    string w e.requested;
+    string w e.variant;
+    float w e.latency_s;
+    int w e.attempts;
+    bool w e.degraded;
+    bool w e.ok;
+    float w e.t_done
+
+  let ev w = function
+    | Fabric.Ev_arrival rq -> string w "A"; request w rq
+    | Fabric.Ev_complete { c_sid; c_start; c_batch; c_entry } ->
+        string w "C";
+        int w c_sid;
+        float w c_start;
+        string w c_batch.Everest_serving.Batcher.b_key;
+        float w c_batch.Everest_serving.Batcher.b_formed_s;
+        list request w c_batch.Everest_serving.Batcher.b_requests;
+        entry w c_entry
+    | Fabric.Ev_flush sid -> string w "F"; int w sid
+    | Fabric.Ev_spawn sid -> string w "S"; int w sid
+    | Fabric.Ev_tick -> string w "T"
+
+  let served w (x : Fabric.served_request) =
+    int w x.Fabric.sr_id;
+    string w x.Fabric.sr_tenant;
+    string w x.Fabric.sr_kernel;
+    int w x.Fabric.sr_shard;
+    float w x.Fabric.sr_arrival_s;
+    float w x.Fabric.sr_done_s;
+    float w x.Fabric.sr_latency_s;
+    (match x.Fabric.sr_outcome with
+    | Fabric.Served -> string w "ok"
+    | Fabric.Rejected r ->
+        string w "rej";
+        string w (Everest_serving.Admission.reason_name r)
+    | Fabric.Failed why -> string w "fail"; string w why);
+    int w x.Fabric.sr_batch;
+    int w x.Fabric.sr_attempts;
+    string w x.Fabric.sr_variant;
+    bool w x.Fabric.sr_degraded
+
+  let journal_record w = function
+    | Fabric.Fired (id, at, e) -> string w "E"; int w id; float w at; ev w e
+    | Fabric.Logged x -> string w "L"; served w x
+end
+
+let gen_bytes =
+  Gen.(
+    oneof
+      [ oneofl [ ""; "%"; "%%"; "%41"; "a b"; "\n"; "\x00\x1f\x7f\x80\xff"; "100%"; "~" ];
+        string_size ~gen:char (int_range 0 8);
+        string_size ~gen:printable (int_range 1 8) ])
+
+let prop_codec_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"codec: bytes equal the reference encoders' for primitives and records"
+    (QCheck.make
+       Gen.(pair (triple gen_int gen_float gen_bytes) (triple gen_request gen_served gen_ev)))
+    (fun ((i, f, s), (rq, sr, ev)) ->
+      let same c reference v =
+        String.equal (Codec.encode c v) (Codec_reference.encode reference v)
+      in
+      same Codec.int Codec_reference.int i
+      && same Codec.float Codec_reference.float f
+      && same Codec.string Codec_reference.string s
+      && same
+           Codec.(triple int (option float) (list string))
+           Codec_reference.(triple int (option float) (list string))
+           (i, Some f, [ s; s ])
+      && same Fabric.Codecs.request Reference_fabric.request rq
+      && List.for_all
+           (fun o ->
+             same Fabric.Codecs.served Reference_fabric.served
+               { sr with Fabric.sr_outcome = o })
+           (sr.Fabric.sr_outcome :: all_outcomes)
+      && same Fabric.Codecs.ev Reference_fabric.ev ev
+      && same Fabric.Codecs.journal_record Reference_fabric.journal_record
+           (Fabric.Fired (i, f, ev))
+      && same Fabric.Codecs.journal_record Reference_fabric.journal_record
+           (Fabric.Logged sr))
+
+(* Tokens the encoders write and near misses they never write: signs,
+   leading zeros, other radixes, overflow, uppercase hex, needless or
+   broken escapes, unescaped bytes, and the empty token. *)
+let near_misses =
+  [ "0"; "-0"; "+5"; "007"; "00"; "-"; "1"; "-1"; "0x10"; "1_000"; "1e3";
+    string_of_int max_int; string_of_int min_int; "4611686018427387904";
+    "-4611686018427387905"; "t"; "f"; "T"; "true"; "%"; "%%25"; "%41"; "%2";
+    "%zz"; "%2A"; "%2a"; "%%"; "a%b"; "%a"; "%20"; "\x01"; "\xc3\xa9";
+    "3ff0000000000000"; "3FF0000000000000"; "7ff8000000000001";
+    "fff0000000000000"; "3ff000000000000"; "A"; "C"; "E"; "F"; "L"; "S";
+    "ok"; "rej"; "fail"; "" ]
+
+(* Candidate records: near misses joined by spaces, and encoded journal
+   records with one token replaced by a near miss or dropped. *)
+let gen_candidate =
+  Gen.(
+    oneof
+      [ map (String.concat " ") (list_size (int_range 0 6) (oneofl near_misses));
+        (let+ ev = gen_ev
+         and+ sr = gen_served
+         and+ fired = bool
+         and+ k = nat
+         and+ token = oneofl near_misses
+         and+ drop = bool in
+         let record = if fired then Fabric.Fired (3, 0.25, ev) else Fabric.Logged sr in
+         let toks = String.split_on_char ' ' (Codec.encode Fabric.Codecs.journal_record record) in
+         let k = k mod List.length toks in
+         String.concat " "
+           (List.concat
+              (List.mapi
+                 (fun j t -> if j <> k then [ t ] else if drop then [] else [ token ])
+                 toks))) ])
+
+let prop_codec_canonical =
+  QCheck.Test.make ~count:2000
+    ~name:"codec: whenever decode c s succeeds, encode c (decode c s) = s"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_candidate)
+    (fun s ->
+      let canonical c =
+        match Codec.decode c s with
+        | exception Codec.Decode _ -> true
+        | v -> String.equal (Codec.encode c v) s
+      in
+      canonical Codec.int && canonical Codec.float && canonical Codec.bool
+      && canonical Codec.string
+      && canonical Codec.(list int)
+      && canonical Codec.(option string)
+      && canonical Codec.(pair int float)
+      && canonical Codec.(enum [ ("ok", 1); ("rej", 2) ])
+      && canonical Fabric.Codecs.ev
+      && canonical Fabric.Codecs.journal_record
+      && canonical Checkpoint.journal_record)
 
 (* A snapshot that does not fit the fabric it is resumed into is a typed
    error, never an escaping [Not_found] or [Invalid_argument].  [tamper]
@@ -1210,5 +1390,7 @@ let () =
             test_golden_executor_format;
           Alcotest.test_case "store records re-encode" `Quick
             test_store_roundtrip;
-          QCheck_alcotest.to_alcotest prop_codec_roundtrip ] )
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+          QCheck_alcotest.to_alcotest prop_codec_canonical ] )
     ]
