@@ -49,17 +49,28 @@ let add_string w s =
 
 let hex_digits = "0123456789abcdef"
 
+(* The 8 hex digits of the low 32 bits of [x] at [b.[off]]. *)
+let put_hex32 b off x =
+  let x = ref x in
+  for i = off + 7 downto off do
+    Bytes.unsafe_set b i (String.unsafe_get hex_digits (!x land 0xf));
+    x := !x lsr 4
+  done
+
 let add_hex32 w x =
   reserve w 8;
-  for i = 0 to 7 do
-    Bytes.unsafe_set w.buf (w.len + i)
-      (String.unsafe_get hex_digits ((x lsr ((7 - i) * 4)) land 0xf))
-  done;
+  put_hex32 w.buf w.len x;
   w.len <- w.len + 8
 
-(* Every token is at least one byte, so a writer holding bytes holds a
-   token to separate the next one from. *)
-let sep w = if w.len > 0 then add_char w ' '
+(* Start a token of [n] bytes: room for it, and the space before it
+   unless it is the first.  Every token is at least one byte, so a
+   writer holding bytes holds a token to separate it from. *)
+let token w n =
+  reserve w (n + 1);
+  if w.len > 0 then begin
+    Bytes.unsafe_set w.buf w.len ' ';
+    w.len <- w.len + 1
+  end
 
 let length w = w.len
 let buffer w = w.buf
@@ -137,7 +148,7 @@ let add_int w i =
     q := !q / 10
   done;
   let n = !digits + if i < 0 then 1 else 0 in
-  reserve w n;
+  token w n;
   if i < 0 then Bytes.unsafe_set w.buf w.len '-';
   let q = ref m in
   for p = w.len + n - 1 downto w.len + n - !digits do
@@ -167,7 +178,7 @@ let dec_int r =
   else if !m = min_int then fail "expected int, got %S" (token_at r start)
   else - !m
 
-let int = { enc = (fun w i -> sep w; add_int w i); dec = dec_int }
+let int = { enc = add_int; dec = dec_int }
 
 (* Floats are written as the 16 hex digits of their IEEE-754 bit pattern:
    bit-exact for every value including infinities, NaNs and signed zeros,
@@ -183,11 +194,12 @@ let unhex c =
 let float =
   { enc =
       (fun w f ->
-        sep w;
+        token w 16;
         let bits = Int64.bits_of_float f in
         (* two plain ints, so the digits come from unboxed arithmetic *)
-        add_hex32 w (Int64.to_int (Int64.shift_right_logical bits 32));
-        add_hex32 w (Int64.to_int bits));
+        put_hex32 w.buf w.len (Int64.to_int (Int64.shift_right_logical bits 32));
+        put_hex32 w.buf (w.len + 8) (Int64.to_int bits);
+        w.len <- w.len + 16);
     dec =
       (fun r ->
         let start = next r in
@@ -204,7 +216,11 @@ let float =
              (Int64.of_int !lo))) }
 
 let bool =
-  { enc = (fun w b -> sep w; add_char w (if b then 't' else 'f'));
+  { enc =
+      (fun w b ->
+        token w 1;
+        Bytes.unsafe_set w.buf w.len (if b then 't' else 'f');
+        w.len <- w.len + 1);
     dec =
       (fun r ->
         let start = next r in
@@ -218,21 +234,36 @@ let needs_escape c =
 let string =
   { enc =
       (fun w s ->
-        sep w;
-        if s <> "" && not (String.exists needs_escape s) then add_string w s
+        let n = String.length s in
+        let escapes = ref 0 in
+        for i = 0 to n - 1 do
+          if needs_escape (String.unsafe_get s i) then incr escapes
+        done;
+        if n > 0 && !escapes = 0 then begin
+          token w n;
+          Bytes.unsafe_blit_string s 0 w.buf w.len n;
+          w.len <- w.len + n
+        end
         else begin
           (* '%' guards the empty string and every byte outside the
              printable ASCII range *)
-          add_char w '%';
-          for i = 0 to String.length s - 1 do
+          token w (1 + n + (2 * !escapes));
+          let b = w.buf and p = ref w.len in
+          Bytes.unsafe_set b !p '%';
+          for i = 0 to n - 1 do
             let c = String.unsafe_get s i in
             if needs_escape c then begin
-              add_char w '%';
-              add_char w hex_digits.[Char.code c lsr 4];
-              add_char w hex_digits.[Char.code c land 0xf]
+              Bytes.unsafe_set b (!p + 1) '%';
+              Bytes.unsafe_set b (!p + 2) hex_digits.[Char.code c lsr 4];
+              Bytes.unsafe_set b (!p + 3) hex_digits.[Char.code c land 0xf];
+              p := !p + 3
             end
-            else add_char w c
-          done
+            else begin
+              Bytes.unsafe_set b (!p + 1) c;
+              incr p
+            end
+          done;
+          w.len <- !p + 1
         end);
     dec =
       (fun r ->
@@ -278,7 +309,11 @@ let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
    decoding compares it where it lies. *)
 let tag_token tag = encode string tag
 
-let add_token w tok = sep w; add_string w tok
+let add_token w tok =
+  let n = String.length tok in
+  token w n;
+  Bytes.unsafe_blit_string tok 0 w.buf w.len n;
+  w.len <- w.len + n
 
 (* ---- combinators ---------------------------------------------------------------- *)
 

@@ -17,19 +17,22 @@ let magic_line = "EVEREST-JRNL v1"
 (* Raised by the store when an armed crash point fires mid-append. *)
 exception Crashed
 
-(* FNV-1a 32-bit over [len] bytes of [b] from [off]: record checksums
-   are a torn-write detector on the hot append path, not a cryptographic
-   seal — a cheap in-OCaml hash beats an MD5 round-trip per record by an
-   order of magnitude.  Unboxed [Int32] arithmetic wraps at 32 bits by
-   itself, where tagged ints need a mask per byte. *)
+(* FNV-1a 32-bit over the payload of a record line, [len] bytes of [b]
+   from [off]: record checksums are a torn-write detector on the hot
+   append path, not a cryptographic seal — a cheap in-OCaml hash beats
+   an MD5 round-trip per record by an order of magnitude.  Unboxed
+   [Int32] arithmetic wraps at 32 bits by itself, where tagged ints need
+   a mask per byte.  The same pass refuses a newline, which would split
+   the line; it costs next to nothing beside the multiply each byte
+   waits for. *)
 let checksum b off len =
-  let h = ref 0x811c9dc5l in
+  let h = ref 0x811c9dc5l and newline = ref false in
   for i = off to off + len - 1 do
-    h :=
-      Int32.mul
-        (Int32.logxor !h (Int32.of_int (Char.code (Bytes.unsafe_get b i))))
-        0x01000193l
+    let c = Bytes.unsafe_get b i in
+    if c = '\n' then newline := true;
+    h := Int32.mul (Int32.logxor !h (Int32.of_int (Char.code c))) 0x01000193l
   done;
+  if !newline then invalid_arg "Journal.output_record: payload contains newline";
   Int32.to_int !h land 0xffffffff
 
 (* The trailer after a payload: " #", its checksum's 8 hex digits and
@@ -43,12 +46,7 @@ let trailer_length = 11
    written. *)
 let output_framed oc w =
   let n = Codec.length w in
-  let b = Codec.buffer w in
-  for i = 0 to n - 1 do
-    if Bytes.unsafe_get b i = '\n' then
-      invalid_arg "Journal.output_record: payload contains newline"
-  done;
-  let h = checksum b 0 n in
+  let h = checksum (Codec.buffer w) 0 n in
   Codec.add_char w ' ';
   Codec.add_char w '#';
   Codec.add_hex32 w h;
