@@ -72,21 +72,28 @@ let token w n =
     w.len <- w.len + 1
   end
 
+let add_token w tok =
+  let n = String.length tok in
+  token w n;
+  Bytes.unsafe_blit_string tok 0 w.buf w.len n;
+  w.len <- w.len + n
+
 let length w = w.len
 let buffer w = w.buf
 let contents w = Bytes.sub_string w.buf 0 w.len
 let reset w = w.len <- 0
 
-let contents_equal w s =
-  let n = w.len in
-  if n <> String.length s then false
-  else begin
-    let i = ref 0 in
-    while !i < n && Bytes.unsafe_get w.buf !i = String.unsafe_get s !i do
-      incr i
-    done;
-    !i = n
-  end
+(* Whether the [len] bytes of [b] from [off] are [s]. *)
+let holds b off len s =
+  len = String.length s
+  &&
+  let i = ref 0 in
+  while !i < len && Bytes.unsafe_get b (off + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  !i = len
+
+let contents_equal w s = holds w.buf 0 w.len s
 
 (* ---- reader --------------------------------------------------------------------- *)
 
@@ -116,15 +123,7 @@ let at_end r = r.pos >= String.length r.s
 
 (* Whether the token from [start] to [r.pos] is [tok]. *)
 let token_is r start tok =
-  let n = String.length tok in
-  if r.pos - start <> n then false
-  else begin
-    let i = ref 0 in
-    while !i < n && String.unsafe_get r.s (start + !i) = String.unsafe_get tok !i do
-      incr i
-    done;
-    !i = n
-  end
+  holds (Bytes.unsafe_of_string r.s) start (r.pos - start) tok
 
 let encode c x =
   let w = writer () in
@@ -239,11 +238,7 @@ let string =
         for i = 0 to n - 1 do
           if needs_escape (String.unsafe_get s i) then incr escapes
         done;
-        if n > 0 && !escapes = 0 then begin
-          token w n;
-          Bytes.unsafe_blit_string s 0 w.buf w.len n;
-          w.len <- w.len + n
-        end
+        if n > 0 && !escapes = 0 then add_token w s
         else begin
           (* '%' guards the empty string and every byte outside the
              printable ASCII range *)
@@ -308,12 +303,6 @@ let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
 (* A tag as its string token, escaped once when its codec is built;
    decoding compares it where it lies. *)
 let tag_token tag = encode string tag
-
-let add_token w tok =
-  let n = String.length tok in
-  token w n;
-  Bytes.unsafe_blit_string tok 0 w.buf w.len n;
-  w.len <- w.len + n
 
 (* ---- combinators ---------------------------------------------------------------- *)
 
