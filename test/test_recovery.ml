@@ -86,7 +86,8 @@ let test_codec_rejects_garbage () =
   List.iter
     (fun t -> checkb ("int " ^ t) true (rejects Codec.int t))
     [ "+5"; "0x10"; "1_000"; "007"; "-0" ];
-  checkb "needless escape" true (rejects Codec.string "%41")
+  checkb "needless '%'" true (rejects Codec.string "%41");
+  checkb "needless escape" true (rejects Codec.string "%%41")
 
 (* ---- snapshot envelope ---------------------------------------------------- *)
 
@@ -982,7 +983,7 @@ let near_misses =
   [ "0"; "-0"; "+5"; "007"; "00"; "-"; "1"; "-1"; "0x10"; "1_000"; "1e3";
     string_of_int max_int; string_of_int min_int; "4611686018427387904";
     "-4611686018427387905"; "t"; "f"; "T"; "true"; "%"; "%%25"; "%41"; "%2";
-    "%zz"; "%2A"; "%2a"; "%%"; "a%b"; "%a"; "%20"; "\x01"; "\xc3\xa9";
+    "%zz"; "%2A"; "%2a"; "%%"; "%%41"; "%%0a"; "%%0A"; "a%b"; "%a"; "%20"; "\x01"; "\xc3\xa9";
     "3ff0000000000000"; "3FF0000000000000"; "7ff8000000000001";
     "fff0000000000000"; "3ff000000000000"; "A"; "C"; "E"; "F"; "L"; "S";
     "ok"; "rej"; "fail"; "" ]
