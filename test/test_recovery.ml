@@ -228,6 +228,8 @@ let journal_format_cases =
         check_segment
           [ framed "one"; String.sub last 0 (String.length last - 1) ]
           ~records:[ "one"; "two" ] ~torn:false );
+    ( "torn tail of one byte",
+      fun () -> check_segment [ framed "one"; "t" ] ~records:[ "one" ] ~torn:true );
     ("magic line only", fun () -> check_segment [] ~records:[] ~torn:false) ]
 
 (* ---- store ---------------------------------------------------------------- *)
