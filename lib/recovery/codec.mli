@@ -40,7 +40,8 @@ val length : writer -> int
     written.  A later write may replace it. *)
 val buffer : writer -> bytes
 
-(** These write their argument as it is: no separator, no escaping. *)
+(** The next three write their argument as it is: no separator, no
+    escaping. *)
 
 val add_char : writer -> char -> unit
 val add_string : writer -> string -> unit

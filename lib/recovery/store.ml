@@ -16,11 +16,12 @@
    while the journal tail from [plan_resume] lasts, the record is verified
    against it byte for byte (a mismatch is a typed [Replay_divergence]);
    once the tail runs dry, [log] appends.  [log] encodes the record into
-   the store's one writer, and the journal checksums, frames and writes
-   it from there, or the store compares it with the tail where it lies.  [plan_resume] also returns the
-   records of the segments before the anchoring snapshot, for a client
-   whose snapshots leave out what those records already hold; a damaged
-   record there is [Corrupt], never truncated like a torn tail.
+   the store's one writer; the journal checksums, frames and writes it
+   from there, and replay compares it with the tail where it lies.
+   [plan_resume] also returns the records of the segments before the
+   anchoring snapshot, for a client whose snapshots leave out what those
+   records already hold; a damaged record there is [Corrupt], never
+   truncated like a torn tail.
 
    Crash injection for drills and the QCheck byte-identity property is
    armed here: after N appended records the store flushes (the record
