@@ -124,14 +124,6 @@ let consumers_naive d id =
   Array.to_list d.tasks
   |> List.filter_map (fun t -> if List.mem id t.inputs then Some t.id else None)
 
-let total_flops d =
-  Array.fold_left
-    (fun acc t ->
-      match t.impls with
-      | Cpu { flops; _ } :: _ -> acc +. flops
-      | _ -> acc)
-    0.0 d.tasks
-
 (* ---- generators ------------------------------------------------------------------ *)
 
 (* Layered random DAG: [layers] layers of [width] tasks, each consuming 1-2

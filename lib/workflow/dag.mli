@@ -67,8 +67,6 @@ val out_degree : t -> int -> int
     property-tested against, and the quadratic baseline of bench e17. *)
 val consumers_naive : t -> int -> int list
 
-val total_flops : t -> float
-
 (** {2 Generators} *)
 
 (** Layered random DAG (deterministic in [seed]): [layers] layers of [width]

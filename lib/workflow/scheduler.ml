@@ -6,14 +6,14 @@
 
    Scale engineering (e17): all policies run over a per-call memo that
    caches [exec_estimate] per (implementation × node) — the historical
-   code recomputed it inside [eligible_nodes], [avg_exec] and [eft_on] for
-   every candidate node of every task — and the HEFT internals are
-   array-based (node-indexed ready times, rank-sorted index array with an
-   explicit id tie-break reproducing the old stable [List.sort]).  Every
-   plan is bit-identical to the pre-memo implementation, which is kept as
-   [heft_reference] and property-tested against.  [heft_delta] re-places
-   only the downward cone of tasks hit by node death instead of recomputing
-   the whole plan. *)
+   code recomputed it inside its eligibility filter, [avg_exec] and
+   [eft_on] for every candidate node of every task — and the HEFT
+   internals are array-based (node-indexed ready times, rank-sorted index
+   array with an explicit id tie-break reproducing the old stable
+   [List.sort]).  Every plan is bit-identical to the pre-memo
+   implementation, which is kept as [heft_reference] and property-tested
+   against.  [heft_delta] re-places only the downward cone of tasks hit by
+   node death instead of recomputing the whole plan. *)
 
 open Everest_platform
 
@@ -53,12 +53,6 @@ let best_impl (node : Node.t) (t : Dag.task) =
       | _ when c = infinity -> acc
       | _ -> Some (impl, c))
     None t.Dag.impls
-
-let eligible_nodes (c : Cluster.t) (t : Dag.task) =
-  match t.Dag.pinned with
-  | Some n -> [ Cluster.find_node c n ]
-  | None ->
-      List.filter (fun n -> best_impl n t <> None) c.Cluster.nodes
 
 let assign_or_fail t node =
   match best_impl node t with

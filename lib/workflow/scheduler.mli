@@ -19,8 +19,6 @@ val exec_estimate : Node.t -> Dag.impl -> float
 (** Fastest feasible implementation of a task on a node. *)
 val best_impl : Node.t -> Dag.task -> (Dag.impl * float) option
 
-val eligible_nodes : Cluster.t -> Dag.task -> Node.t list
-
 (** Spread tasks across eligible nodes in turn. *)
 val round_robin : Cluster.t -> Dag.t -> plan
 
