@@ -116,11 +116,7 @@ let hw_variant_of ~cache ~fp (fpga : Spec.fpga) ~dift ~in_bytes ~out_bytes
             (Everest_hls.Estimate.fits ~budget:(Spec.fpga_budget fpga) est)
         then Estimate_cache.Hw_rejected
         else
-          let link =
-            match fpga.Spec.attach with
-            | Spec.Bus_coherent -> Spec.opencapi
-            | Spec.Network_attached -> Spec.eth100_tcp
-          in
+          let link = Spec.host_link fpga in
           let t_exec = Spec.fpga_kernel_time fpga est in
           let t_io =
             Spec.transfer_time link ~bytes:in_bytes

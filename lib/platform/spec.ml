@@ -37,8 +37,8 @@ let cpu_peak_flops c =
 
 (* Execution time of a kernel on [threads] cores with an efficiency factor
    (memory-bound kernels are capped by bandwidth via the roofline). *)
-let cpu_time c ~flops ~bytes ~threads =
-  let threads = max 1 (min threads c.cores) in
+let[@inline] cpu_time c ~flops ~bytes ~threads =
+  let threads = Int.max 1 (Int.min threads c.cores) in
   let compute =
     flops /. (float_of_int threads *. c.freq_ghz *. 1e9 *. c.flops_per_cycle)
   in
@@ -124,6 +124,11 @@ let wan =
 
 let transfer_time (l : link) ~bytes =
   l.latency_s +. l.per_msg_s +. (float_of_int bytes /. (l.bandwidth_gbs *. 1e9))
+
+(* The link between a host and its FPGA: OpenCAPI to a bus-attached card,
+   the DC network to a network-attached module. *)
+let host_link (f : fpga) =
+  match f.attach with Bus_coherent -> opencapi | Network_attached -> eth100_tcp
 
 type tier = Endpoint | Inner_edge | Cloud
 

@@ -76,6 +76,10 @@ val wan : link
 
 val transfer_time : link -> bytes:int -> float
 
+(** The link a host reaches its FPGA over: {!opencapi} for a bus-attached
+    card, {!eth100_tcp} for a network-attached module. *)
+val host_link : fpga -> link
+
 (** Processing tiers of the EVEREST ecosystem (Fig. 3). *)
 type tier = Endpoint | Inner_edge | Cloud
 

@@ -66,13 +66,9 @@ let launch mgr sim ~(vm : Vm.t) ~(ctx : vctx) ~bitstream
          (Printf.sprintf "vm %d attempted launch on vFPGA of vm %d" vm.Vm.vm_id
             ctx.owner_vm))
   end;
-  let link =
-    match ctx.dev.Node.fspec.Spec.attach with
-    | Spec.Bus_coherent -> Spec.opencapi
-    | Spec.Network_attached -> Spec.eth100_tcp
-  in
-  Node.run_fpga sim ctx.node ctx.dev ~bitstream ~estimate ~host_link:link
-    ~in_bytes ~out_bytes (fun () ->
+  Node.run_fpga sim ctx.node ctx.dev ~bitstream ~estimate
+    ~host_link:(Spec.host_link ctx.dev.Node.fspec) ~in_bytes ~out_bytes
+    (fun () ->
       ctx.launches <- ctx.launches + 1;
       k ())
 

@@ -182,6 +182,22 @@ type token = {
   mutable tk_timers : Desim.handle list;
 }
 
+(* Run [impl] on [node], then [k].  An FPGA implementation on a node
+   without an FPGA degrades explicitly to its CPU fallback. *)
+let rec run_impl sim (node : Node.t) (impl : Dag.impl) k =
+  match impl with
+  | Dag.Cpu { flops; bytes; threads } ->
+      Node.run_cpu sim node ~flops ~bytes ~threads k
+  | Dag.Fpga { bitstream; estimate; in_bytes; out_bytes } -> (
+      match Node.pick_device node with
+      | None ->
+          run_impl sim node
+            (Scheduler.cpu_fallback estimate ~in_bytes ~out_bytes)
+            k
+      | Some dev ->
+          Node.run_fpga sim node dev ~bitstream ~estimate
+            ~host_link:(Spec.host_link dev.Node.fspec) ~in_bytes ~out_bytes k)
+
 let execute ?(faults = Faults.none) ?(policy = Policy.default)
     ?(tracer = Trace.noop) ?(registry = Metrics.default) ?(plan_lint = true)
     ?checkpoint ?watch (c : Cluster.t) (plan : Scheduler.plan) : stats =
@@ -466,28 +482,7 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
             then fail_attempt tk ~reason:"transient"
             else complete tk ~t_start
           in
-          match a.Scheduler.impl with
-          | Dag.Cpu { flops; bytes; threads } ->
-              Node.run_cpu sim dst ~flops ~bytes ~threads done_
-          | Dag.Fpga { bitstream; estimate; in_bytes; out_bytes } -> (
-              match Node.pick_device dst with
-              | None ->
-                  (* infeasible fallback: degrade explicitly to the CPU
-                     path at estimate cycles *)
-                  Node.run_cpu sim dst
-                    ~flops:
-                      (float_of_int estimate.Everest_hls.Estimate.cycles
-                      *. 10.0)
-                    ~bytes:(float_of_int (in_bytes + out_bytes))
-                    ~threads:1 done_
-              | Some dev ->
-                  let link =
-                    match dev.Node.fspec.Spec.attach with
-                    | Spec.Bus_coherent -> Spec.opencapi
-                    | Spec.Network_attached -> Spec.eth100_tcp
-                  in
-                  Node.run_fpga sim dst dev ~bitstream ~estimate
-                    ~host_link:link ~in_bytes ~out_bytes done_)
+          run_impl sim dst a.Scheduler.impl done_
         end)
   and complete tk ~t_start =
     let i = tk.tk_task in

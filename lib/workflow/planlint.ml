@@ -284,14 +284,83 @@ let build_structure ?report (tasks : Dag.task array) =
       st_rank = Some rank; st_cyclic = cyclic }
   end
 
-(* ---- chains + reachability index --------------------------------------------------- *)
+(* Consumers of each task over the deduped edges, ascending per row: a
+   local transpose, since the dag's cached adjacency cannot be trusted
+   here (and must not be forced). *)
+let transpose st =
+  let n = st.st_n in
+  let outdeg = Array.make (max 1 n) 0 in
+  for e = 0 to st_edges st - 1 do
+    let d = st.st_src.(e) in
+    outdeg.(d) <- outdeg.(d) + 1
+  done;
+  let adj = Array.init n (fun i -> Array.make outdeg.(i) 0) in
+  let fill = Array.make (max 1 n) 0 in
+  for t = 0 to n - 1 do
+    for e = st.st_off.(t) to st.st_off.(t + 1) - 1 do
+      let d = st.st_src.(e) in
+      adj.(d).(fill.(d)) <- t;
+      fill.(d) <- fill.(d) + 1
+    done
+  done;
+  adj
 
-(* Chains: tasks grouped by assigned node, ordered topologically inside
-   each group (the order any serialization of the plan's static timeline
-   executes them in).  The index row of vertex v stores, per chain c, the
-   smallest position in c among vertices reachable from v through plan
-   order (data edges + chain succession); membership of w's chain position
-   then answers reaches(v, w) in O(1). *)
+(* ---- chains ------------------------------------------------------------------------ *)
+
+(* One chain per distinct assigned node, numbered in order of first
+   appearance.  Node names in a real plan are physically shared (the
+   scheduler hands out the node's own string), so a direct-mapped memo over
+   a cheap shape hash answers most lookups with three character loads and
+   one pointer compare; a miss scans the few known chains. *)
+type chain_table = {
+  mutable ch_names : (string * int) list;  (* newest first *)
+  mutable ch_k : int;
+  ch_memo_name : string array;
+  ch_memo_id : int array;
+}
+
+let chain_table () =
+  { ch_names = []; ch_k = 0; ch_memo_name = Array.make 256 "";
+    ch_memo_id = Array.make 256 0 }
+
+let rec scan_chains ch name = function
+  | (nm, id) :: rest ->
+      if nm == name || String.equal nm name then id
+      else scan_chains ch name rest
+  | [] ->
+      let id = ch.ch_k in
+      ch.ch_k <- id + 1;
+      ch.ch_names <- (name, id) :: ch.ch_names;
+      id
+
+let[@inline] chain_id ch name =
+  let len = String.length name in
+  if len = 0 then scan_chains ch name ch.ch_names
+  else begin
+    let s =
+      ((len * 31)
+      + (Char.code (String.unsafe_get name 0) * 7)
+      + Char.code (String.unsafe_get name (len - 1)))
+      land 255
+    in
+    if Array.unsafe_get ch.ch_memo_name s == name then
+      Array.unsafe_get ch.ch_memo_id s
+    else begin
+      let id = scan_chains ch name ch.ch_names in
+      ch.ch_memo_name.(s) <- name;
+      ch.ch_memo_id.(s) <- id;
+      id
+    end
+  end
+
+(* ---- reachability index ------------------------------------------------------------ *)
+
+(* Chains ordered topologically inside each group are the order any
+   serialization of the plan's static timeline executes them in.  The
+   index row of vertex v stores, per chain c, the smallest position in c
+   among vertices reachable from v through plan order (data edges + chain
+   succession); membership of w's chain position then answers
+   reaches(v, w) in O(1). *)
 type reach = {
   r_n : int;
   r_k : int;
@@ -300,26 +369,9 @@ type reach = {
   r_label : int array;  (* n·k, min reachable position per chain *)
 }
 
-let build_reach st (assignments : Scheduler.assignment array)
-    ~(consumers : int -> int array) =
+let build_reach st ~(chain : int array) ~k ~(consumers : int array array) =
   let n = st.st_n in
-  let chain = Array.make (max 1 n) 0 in
-  let tbl = Hashtbl.create 32 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i (a : Scheduler.assignment) ->
-      let c =
-        match Hashtbl.find_opt tbl a.Scheduler.node with
-        | Some c -> c
-        | None ->
-            let c = !k in
-            Hashtbl.add tbl a.Scheduler.node c;
-            incr k;
-            c
-      in
-      chain.(i) <- c)
-    assignments;
-  let k = max 1 !k in
+  let k = max 1 k in
   let pos = Array.make (max 1 n) 0 in
   let chain_next = Array.make (max 1 n) (-1) in
   let last = Array.make k (-1) in
@@ -341,7 +393,7 @@ let build_reach st (assignments : Scheduler.assignment array)
   in
   iter_order_rev st (fun v ->
       if chain_next.(v) >= 0 then merge_from v chain_next.(v);
-      Array.iter (fun w -> merge_from v w) (consumers v);
+      Array.iter (fun w -> merge_from v w) consumers.(v);
       let own = (v * k) + chain.(v) in
       if pos.(v) < label.(own) then label.(own) <- pos.(v));
   { r_n = n; r_k = k; r_chain = chain; r_pos = pos; r_label = label }
@@ -370,27 +422,20 @@ module Reach = struct
     if st.st_cyclic > 0 then invalid_arg "Planlint.Reach.build: cyclic DAG";
     if Array.length plan.Scheduler.assignments <> st.st_n then
       invalid_arg "Planlint.Reach.build: plan does not cover the DAG";
-    (* consumers come from a local transpose: build must not force (or
-       trust) the dag's cached adjacency *)
-    let outdeg = Array.make (max 1 st.st_n) 0 in
-    Array.iter (fun d -> outdeg.(d) <- outdeg.(d) + 1) st.st_src;
-    let adj = Array.init st.st_n (fun i -> Array.make outdeg.(i) 0) in
-    let fill = Array.make (max 1 st.st_n) 0 in
-    for t = 0 to st.st_n - 1 do
-      for e = st.st_off.(t) to st.st_off.(t + 1) - 1 do
-        let d = st.st_src.(e) in
-        adj.(d).(fill.(d)) <- t;
-        fill.(d) <- fill.(d) + 1
-      done
-    done;
-    build_reach st plan.Scheduler.assignments ~consumers:(fun v -> adj.(v))
+    let ch = chain_table () in
+    let chain =
+      Array.map
+        (fun (a : Scheduler.assignment) -> chain_id ch a.Scheduler.node)
+        plan.Scheduler.assignments
+    in
+    build_reach st ~chain ~k:ch.ch_k ~consumers:(transpose st)
 
   let tasks r = r.r_n
   let chains r = r.r_k
   let reaches = reach_query
 end
 
-(* ---- the analyzer ------------------------------------------------------------------ *)
+(* ---- the per-task pass ------------------------------------------------------------- *)
 
 type summary = {
   pl_diags : Lint.diag list;
@@ -400,30 +445,206 @@ type summary = {
   pl_cp_lower_s : float;
 }
 
-(* binary search for [x] in the ascending slice [a.(lo..hi)) *)
-let rec mem_sorted a x lo hi =
-  if lo >= hi then false
+(* Both modes run this pass over the tasks, visiting each task after its
+   producers.  Per task it resolves the node chain, runs the placement
+   checks (EV120–EV123), accumulates ASAP readiness from the producers,
+   adds the execution estimate, and collects FPGA tasks for the slot sweep
+   (EV130/EV131).  The modes differ only in how they hand it the
+   producers: the construction-ordered mode walks each task's raw inputs,
+   the general mode the deduped CSR rows.  Transfer times are affine in
+   bytes per node pair, so the pass memoizes the two coefficients per
+   (source chain, destination chain). *)
+type pass = {
+  p_em : emitter;
+  p_c : Cluster.t;
+  p_excluded : string list;
+  p_cluster_fpga : bool;
+  p_chains : chain_table;
+  mutable p_cap : int;  (* capacity of the per-chain tables *)
+  mutable p_node : Node.t option array;  (* None: unknown node *)
+  mutable p_excl : bool array;
+  mutable p_fpga : bool array;
+  mutable p_ftasks : (float * float * string) list array;
+      (* FPGA tasks on FPGA nodes: (start, finish, bitstream) *)
+  mutable p_x_base : float array;  (* cap·cap, nan until probed *)
+  mutable p_x_per : float array;
+  p_chain : int array;  (* task -> chain *)
+  p_fin : float array;  (* task -> readiness, then finish *)
+  p_outb : float array;  (* task -> output bytes *)
+}
+
+let pass ~excluded c (plan : Scheduler.plan) n =
+  let cap = 16 in
+  { p_em = emitter plan; p_c = c; p_excluded = excluded;
+    p_cluster_fpga = List.exists Node.has_fpga c.Cluster.nodes;
+    p_chains = chain_table (); p_cap = cap; p_node = Array.make cap None;
+    p_excl = Array.make cap false; p_fpga = Array.make cap false;
+    p_ftasks = Array.make cap []; p_x_base = Array.make (cap * cap) nan;
+    p_x_per = Array.make (cap * cap) 0.0; p_chain = Array.make (max 1 n) 0;
+    p_fin = Array.make (max 1 n) 0.0; p_outb = Array.make (max 1 n) 0.0 }
+
+let is_excluded p name = List.exists (String.equal name) p.p_excluded
+
+(* cold path: a new chain looks its node up once; a full table doubles,
+   and the transfer memo starts over at the new stride *)
+let add_chain p name ci =
+  if ci = p.p_cap then begin
+    let grow a x = Array.append a (Array.make p.p_cap x) in
+    p.p_node <- grow p.p_node None;
+    p.p_excl <- grow p.p_excl false;
+    p.p_fpga <- grow p.p_fpga false;
+    p.p_ftasks <- grow p.p_ftasks [];
+    p.p_cap <- 2 * p.p_cap;
+    p.p_x_base <- Array.make (p.p_cap * p.p_cap) nan;
+    p.p_x_per <- Array.make (p.p_cap * p.p_cap) 0.0
+  end;
+  let node = Hashtbl.find_opt p.p_c.Cluster.node_tbl name in
+  p.p_node.(ci) <- node;
+  p.p_excl.(ci) <- is_excluded p name;
+  p.p_fpga.(ci) <-
+    (match node with Some nd -> Node.has_fpga nd | None -> false)
+
+(* task [i]'s chain, recorded with its output size *)
+let[@inline] resolve p i (t : Dag.task) (a : Scheduler.assignment) =
+  let k = p.p_chains.ch_k in
+  let ci = chain_id p.p_chains a.Scheduler.node in
+  if ci = k then add_chain p a.Scheduler.node ci;
+  Array.unsafe_set p.p_chain i ci;
+  Array.unsafe_set p.p_outb i (float_of_int t.Dag.out_bytes);
+  ci
+
+(* impl-offered membership without per-task closures; scheduler-produced
+   plans share the impl value physically with the task's own list, so
+   pointer equality is tried first *)
+let rec impl_mem_phys x = function
+  | [] -> false
+  | y :: rest -> y == x || impl_mem_phys x rest
+
+let rec impl_mem_struct x = function
+  | [] -> false
+  | y :: rest -> y = x || impl_mem_struct x rest
+
+(* EV120–EV123 for task [i] placed on chain [ci] *)
+let[@inline] place p i (t : Dag.task) (a : Scheduler.assignment) ci =
+  let em = p.p_em in
+  match p.p_node.(ci) with
+  | None ->
+      emit em ~code:"EV121" ~op:(task_op t i)
+        (Printf.sprintf "assigned to unknown node %S" a.Scheduler.node)
+  | Some _ -> (
+      if p.p_excl.(ci) then
+        emit em ~code:"EV121" ~op:(task_op t i)
+          (Printf.sprintf "assigned to excluded node %S" a.Scheduler.node);
+      (match t.Dag.pinned with
+      | Some pin when not (String.equal pin a.Scheduler.node) ->
+          if is_excluded p pin then
+            emit em ~code:"EV120" ~severity:Lint.Warning ~op:(task_op t i)
+              (Printf.sprintf
+                 "pinned to excluded node %S, placed on %S (repair had no \
+                  choice)"
+                 pin a.Scheduler.node)
+          else
+            emit em ~code:"EV120" ~op:(task_op t i)
+              (Printf.sprintf "pinned to %S but placed on %S" pin
+                 a.Scheduler.node)
+      | _ -> ());
+      (match t.Dag.impls with
+      | [] -> ()
+      | impls ->
+          if
+            (not (impl_mem_phys a.Scheduler.impl impls))
+            && not (impl_mem_struct a.Scheduler.impl impls)
+          then
+            emit em ~code:"EV123" ~op:(task_op t i)
+              (Printf.sprintf
+                 "assigned implementation %s is not offered by the task \
+                  (offers: %s)"
+                 (Dag.impl_name a.Scheduler.impl)
+                 (String.concat ", " (List.map Dag.impl_name impls))));
+      match a.Scheduler.impl with
+      | Dag.Fpga { bitstream; _ } when not p.p_fpga.(ci) ->
+          let pinned_here =
+            match t.Dag.pinned with
+            | Some pin -> String.equal pin a.Scheduler.node
+            | None -> false
+          in
+          (* misrouting (an FPGA-capable node exists, nothing forced this
+             placement) is an error; designed degradation (FPGA-less
+             cluster, or the pin wins) is a warning *)
+          let misrouted = p.p_cluster_fpga && not pinned_here in
+          emit em ~code:"EV122"
+            ~severity:(if misrouted then Lint.Error else Lint.Warning)
+            ~op:(task_op t i)
+            (Printf.sprintf
+               "FPGA implementation %S on FPGA-less node %S%s: the executor \
+                will degrade it to CPU"
+               bitstream a.Scheduler.node
+               (if misrouted then " while FPGA-capable nodes exist" else ""))
+      | _ -> ())
+
+(* cold path: probe the platform model once per node pair *)
+let probe_xfer p slot cs cd =
+  (match (p.p_node.(cs), p.p_node.(cd)) with
+  | Some src, Some dst ->
+      let t0 = Cluster.transfer_time p.p_c ~src ~dst ~bytes:0 in
+      let t1 = Cluster.transfer_time p.p_c ~src ~dst ~bytes:1_000_000 in
+      p.p_x_base.(slot) <- t0;
+      p.p_x_per.(slot) <- (t1 -. t0) /. 1_000_000.0
+  | _ ->
+      p.p_x_base.(slot) <- 0.0;
+      p.p_x_per.(slot) <- 0.0);
+  p.p_x_base.(slot)
+
+(* readiness of task [i] on chain [ci] after producer [d]: the producer's
+   finish, plus the transfer when it ran on another node (float array
+   cells stay unboxed; [p_fin.(i)] is the accumulator) *)
+let[@inline] await p i ci d =
+  let cd = Array.unsafe_get p.p_chain d in
+  let arr =
+    if ci = cd then Array.unsafe_get p.p_fin d
+    else begin
+      let slot = (cd * p.p_cap) + ci in
+      let base = Array.unsafe_get p.p_x_base slot in
+      let base = if Float.is_nan base then probe_xfer p slot cd ci else base in
+      Array.unsafe_get p.p_fin d +. base
+      +. (Array.unsafe_get p.p_x_per slot *. Array.unsafe_get p.p_outb d)
+    end
+  in
+  if arr > Array.unsafe_get p.p_fin i then Array.unsafe_set p.p_fin i arr
+
+(* What running [impl] on [node] costs, priced as the schedulers price it.
+   An FPGA implementation on a node without an FPGA costs its CPU
+   fallback, which the executor runs instead; a CPU estimate that is not
+   finite counts 0. *)
+let[@inline] exec_time node impl =
+  let e = Scheduler.exec_estimate node impl in
+  if Float.is_finite e then e
   else
-    let mid = (lo + hi) / 2 in
-    let v = a.(mid) in
-    if v = x then true
-    else if v < x then mem_sorted a x (mid + 1) hi
-    else mem_sorted a x lo mid
+    match impl with
+    | Dag.Fpga { estimate; in_bytes; out_bytes; _ } ->
+        Scheduler.exec_estimate node
+          (Scheduler.cpu_fallback estimate ~in_bytes ~out_bytes)
+    | Dag.Cpu _ -> 0.0
 
-(* Raised by the single-pass analyzer when the plan is not in the clean
-   construction-ordered shape; the general analyzer takes over and names
-   the defect precisely.  Never escapes [analyze]. *)
-exception Slow_path
-
-(* ---- shared late passes (identical in the fast and general analyzers) ---- *)
+(* task [i]'s finish: its readiness plus the execution estimate *)
+let[@inline] settle p i (a : Scheduler.assignment) ci =
+  match Array.unsafe_get p.p_node ci with
+  | None -> ()  (* unknown node (EV121): estimate 0 *)
+  | Some node -> (
+      let ready = Array.unsafe_get p.p_fin i in
+      let e = exec_time node a.Scheduler.impl in
+      Array.unsafe_set p.p_fin i (ready +. e);
+      match a.Scheduler.impl with
+      | Dag.Fpga { bitstream; _ } when Array.unsafe_get p.p_fpga ci ->
+          p.p_ftasks.(ci) <- (ready, ready +. e, bitstream) :: p.p_ftasks.(ci)
+      | _ -> ())
 
 (* FPGA slot pressure (EV130) + reconfiguration thrash (EV131) per node,
-   over the per-chain (start, finish, bitstream) lists collected during the
-   timeline replay *)
-let slot_sweep em ~k ~(chain_node : Node.t option array) fpga_tasks =
-  for ci = 0 to k - 1 do
-    match chain_node.(ci) with
-    | Some node when fpga_tasks.(ci) <> [] ->
+   over the per-chain (start, finish, bitstream) lists the pass collected *)
+let slot_sweep p =
+  for ci = 0 to p.p_chains.ch_k - 1 do
+    match p.p_node.(ci) with
+    | Some node when p.p_ftasks.(ci) <> [] ->
         let slots =
           List.fold_left
             (fun acc (d : Node.fpga_dev) ->
@@ -434,7 +655,7 @@ let slot_sweep em ~k ~(chain_node : Node.t option array) fpga_tasks =
           List.sort
             (fun (s1, f1, _) (s2, f2, _) ->
               if s1 <> s2 then compare s1 s2 else compare f1 f2)
-            fpga_tasks.(ci)
+            p.p_ftasks.(ci)
         in
         if slots > 0 then begin
           (* peak concurrent demand: sweep starts against the sorted
@@ -454,7 +675,7 @@ let slot_sweep em ~k ~(chain_node : Node.t option array) fpga_tasks =
               if !live > !peak then peak := !live)
             ftasks;
           if !peak > slots then
-            emit em ~code:"EV130" ~op:("node " ^ node.Node.name)
+            emit p.p_em ~code:"EV130" ~op:("node " ^ node.Node.name)
               (Printf.sprintf
                  "peak concurrent FPGA demand %d exceeds %d role slot(s): \
                   the timeline will serialize on slot contention"
@@ -488,7 +709,7 @@ let slot_sweep em ~k ~(chain_node : Node.t option array) fpga_tasks =
                 | d :: _ -> d.Node.fspec.Spec.reconfig_s
                 | [] -> 0.0
               in
-              emit em ~code:"EV131" ~op:("node " ^ node.Node.name)
+              emit p.p_em ~code:"EV131" ~op:("node " ^ node.Node.name)
                 (Printf.sprintf
                    "%d distinct bitstream(s) over %d role slot(s) force \
                     >=%d reconfiguration(s) in plan order (~%.3f s of \
@@ -522,25 +743,50 @@ let slo_checks em cp_lb deadline_s slos =
       | Slo.Availability _ | Slo.Completion_ratio _ -> ())
     slos
 
-let analyze_general ?dag ?(excluded = []) ?(slos = []) ?deadline_s
-    (c : Cluster.t) (plan : Scheduler.plan) : summary =
+let summary p ~n ~edges cp_lb =
+  { pl_diags = drain p.p_em; pl_tasks = n; pl_edges = edges;
+    pl_chains = p.p_chains.ch_k; pl_cp_lower_s = cp_lb }
+
+(* the late passes over a completed timeline, and the summary *)
+let conclude p ~n ~edges ~slos ?deadline_s () =
+  let cp_lb = ref 0.0 in
+  for i = 0 to Array.length p.p_fin - 1 do
+    cp_lb := Float.max !cp_lb (Array.unsafe_get p.p_fin i)
+  done;
+  slot_sweep p;
+  slo_checks p.p_em !cp_lb deadline_s slos;
+  summary p ~n ~edges !cp_lb
+
+(* ---- general mode ------------------------------------------------------------------ *)
+
+(* binary search for [x] in the ascending slice [a.(lo..hi)) *)
+let rec mem_sorted a x lo hi =
+  if lo >= hi then false
+  else
+    let mid = (lo + hi) / 2 in
+    let v = a.(mid) in
+    if v = x then true
+    else if v < x then mem_sorted a x (mid + 1) hi
+    else mem_sorted a x lo mid
+
+(* Any plan, defective or checked against a reference DAG: the structural
+   checks (EV100–EV103, EV110–EV112) name each defect precisely, then the
+   pass runs over the deduped CSR producers in topological order. *)
+let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
+    (plan : Scheduler.plan) : summary =
   let pdag = plan.Scheduler.dag in
   let tasks = pdag.Dag.tasks in
   let n = Array.length tasks in
-  let em = emitter plan in
-  let finish st chains cp =
-    { pl_diags = drain em; pl_tasks = n;
-      pl_edges = (match st with Some st -> st_edges st | None -> 0);
-      pl_chains = chains; pl_cp_lower_s = cp }
-  in
+  let assignments = plan.Scheduler.assignments in
+  let p = pass ~excluded c plan n in
+  let em = p.p_em in
   (* EV112: shape — nothing else is meaningful if the plan doesn't cover
      the task array *)
-  if Array.length plan.Scheduler.assignments <> n then begin
+  if Array.length assignments <> n then begin
     emit em ~code:"EV112" ~op:"plan"
       (Printf.sprintf "%d assignment(s) for %d task(s)"
-         (Array.length plan.Scheduler.assignments)
-         n);
-    finish None 0 0.0
+         (Array.length assignments) n);
+    summary p ~n ~edges:0 0.0
   end
   else begin
     (* EV100/EV101 + structure (deduped edges, topological order, cycles) *)
@@ -632,114 +878,17 @@ let analyze_general ?dag ?(excluded = []) ?(slos = []) ?deadline_s
           end
           else Some adj
     in
-    let acyclic = st.st_cyclic = 0 in
-    (* ---- chains: one per distinct assigned node ---- *)
-    (* Node names in a real plan are physically shared (the scheduler hands
-       out the node's own string), so resolve each task's chain by a
-       pointer scan over the few known chains before falling back to
-       string comparison — no per-task hashing. *)
-    let assignments = plan.Scheduler.assignments in
-    let chain = Array.make (max 1 n) 0 in
-    let chain_names = ref [] and chain_count = ref 0 in
-    let rec resolve name = function
-      | (nm, id) :: rest ->
-          if nm == name || String.equal nm name then id
-          else resolve name rest
-      | [] ->
-          let id = !chain_count in
-          incr chain_count;
-          chain_names := (name, id) :: !chain_names;
-          id
-    in
-    Array.iteri
-      (fun i (a : Scheduler.assignment) ->
-        chain.(i) <- resolve a.Scheduler.node !chain_names)
-      assignments;
-    let k = !chain_count in
-    let chain_node = Array.make (max 1 k) None in
-    let chain_excluded = Array.make (max 1 k) false in
-    let chain_fpga = Array.make (max 1 k) false in
-    List.iter
-      (fun (name, id) ->
-        let node = Hashtbl.find_opt c.Cluster.node_tbl name in
-        chain_node.(id) <- node;
-        chain_excluded.(id) <- List.exists (String.equal name) excluded;
-        chain_fpga.(id) <-
-          (match node with Some nd -> Node.has_fpga nd | None -> false))
-      !chain_names;
-    let is_excluded name = List.exists (String.equal name) excluded in
-    let cluster_has_fpga = List.exists Node.has_fpga c.Cluster.nodes in
-    (* ---- capability / placement checks for one task ---- *)
-    let cap_check i (a : Scheduler.assignment) (t : Dag.task) ci =
-      match chain_node.(ci) with
-      | None ->
-          emit em ~code:"EV121" ~op:(task_op t i)
-            (Printf.sprintf "assigned to unknown node %S" a.Scheduler.node)
-      | Some _ ->
-          if chain_excluded.(ci) then
-            emit em ~code:"EV121" ~op:(task_op t i)
-              (Printf.sprintf "assigned to excluded node %S"
-                 a.Scheduler.node);
-          (match t.Dag.pinned with
-          | Some p when not (String.equal p a.Scheduler.node) ->
-              if is_excluded p then
-                emit em ~code:"EV120" ~severity:Lint.Warning
-                  ~op:(task_op t i)
-                  (Printf.sprintf
-                     "pinned to excluded node %S, placed on %S (repair \
-                      had no choice)"
-                     p a.Scheduler.node)
-              else
-                emit em ~code:"EV120" ~op:(task_op t i)
-                  (Printf.sprintf "pinned to %S but placed on %S" p
-                     a.Scheduler.node)
-          | _ -> ());
-          (if t.Dag.impls <> [] then
-             (* scheduler-produced plans share the impl value physically
-                with the task's own list, so try pointer equality first *)
-             let offered =
-               List.exists (fun impl -> impl == a.Scheduler.impl) t.Dag.impls
-               || List.exists (fun impl -> impl = a.Scheduler.impl) t.Dag.impls
-             in
-             if not offered then
-               emit em ~code:"EV123" ~op:(task_op t i)
-                 (Printf.sprintf
-                    "assigned implementation %s is not offered by the \
-                     task (offers: %s)"
-                    (Dag.impl_name a.Scheduler.impl)
-                    (String.concat ", "
-                       (List.map Dag.impl_name t.Dag.impls))));
-          (match a.Scheduler.impl with
-          | Dag.Fpga { bitstream; _ } when not chain_fpga.(ci) ->
-              let pinned_here =
-                match t.Dag.pinned with
-                | Some p -> String.equal p a.Scheduler.node
-                | None -> false
-              in
-              let severity =
-                (* misrouting (an FPGA-capable node exists, nothing forced
-                   this placement) is an error; designed degradation
-                   (FPGA-less cluster, or the pin wins) is a warning *)
-                if cluster_has_fpga && not pinned_here then Lint.Error
-                else Lint.Warning
-              in
-              emit em ~code:"EV122" ~severity ~op:(task_op t i)
-                (Printf.sprintf
-                   "FPGA implementation %S on FPGA-less node %S%s: the \
-                    executor will degrade it to CPU"
-                   bitstream a.Scheduler.node
-                   (if cluster_has_fpga && not pinned_here then
-                      " while FPGA-capable nodes exist"
-                    else ""))
-          | _ -> ())
-    in
-    if not acyclic then begin
+    (* chain ids in index order, as the construction-ordered mode assigns
+       them *)
+    for i = 0 to n - 1 do
+      ignore (resolve p i tasks.(i) assignments.(i))
+    done;
+    if st.st_cyclic > 0 then begin
       (* no usable order: still run the per-task placement checks *)
-      Array.iteri
-        (fun i (a : Scheduler.assignment) ->
-          cap_check i a tasks.(i) chain.(i))
-        assignments;
-      finish (Some st) k 0.0
+      for i = 0 to n - 1 do
+        place p i tasks.(i) assignments.(i) p.p_chain.(i)
+      done;
+      summary p ~n ~edges:(st_edges st) 0.0
     end
     else begin
       (* ---- happens-before ----
@@ -755,24 +904,11 @@ let analyze_general ?dag ?(excluded = []) ?(slos = []) ?deadline_s
       (match dag with
       | Some rdag when rdag.Dag.tasks != tasks ->
           let consumers =
-            match adj_checked with
-            | Some adj -> fun v -> adj.(v)
-            | None ->
-                (* cross-checked cache unavailable: local transpose *)
-                let outdeg = Array.make (max 1 n) 0 in
-                Array.iter (fun d -> outdeg.(d) <- outdeg.(d) + 1) st.st_src;
-                let adj = Array.init n (fun i -> Array.make outdeg.(i) 0) in
-                let fill = Array.make (max 1 n) 0 in
-                for t = 0 to n - 1 do
-                  for e = st.st_off.(t) to st.st_off.(t + 1) - 1 do
-                    let d = st.st_src.(e) in
-                    adj.(d).(fill.(d)) <- t;
-                    fill.(d) <- fill.(d) + 1
-                  done
-                done;
-                fun v -> adj.(v)
+            match adj_checked with Some adj -> adj | None -> transpose st
           in
-          let r = build_reach st assignments ~consumers in
+          let r =
+            build_reach st ~chain:p.p_chain ~k:p.p_chains.ch_k ~consumers
+          in
           let rtasks = rdag.Dag.tasks in
           let rn = min (Array.length rtasks) n in
           if Array.length rtasks <> n then
@@ -804,96 +940,24 @@ let analyze_general ?dag ?(excluded = []) ?(slos = []) ?deadline_s
                 (List.sort_uniq compare rtasks.(t).Dag.inputs)
           done
       | _ -> ());
-      (* ---- fused hot loop: capability + ASAP timeline + FPGA collection ----
-         One pass in topological order.  Each task record is loaded exactly
-         once and feeds the placement checks, the contention-free timeline
-         replay (producers already finished by topological order), and the
-         per-chain FPGA task lists for the slot-pressure sweep — at 10^6
-         tasks the analyzer is memory-bound, so the passes are fused. *)
-      (* transfer times are affine in bytes per node pair; memoize the two
-         coefficients per (src chain, dst chain) *)
-      let x_base = Array.make (k * k) nan in
-      let x_per = Array.make (k * k) 0.0 in
-      (* cold path: probe the platform model once per node pair *)
-      let fill_xfer slot cs cd =
-        (match (chain_node.(cs), chain_node.(cd)) with
-        | Some src, Some dst ->
-            let t0 = Cluster.transfer_time c ~src ~dst ~bytes:0 in
-            let t1 = Cluster.transfer_time c ~src ~dst ~bytes:1_000_000 in
-            x_base.(slot) <- t0;
-            x_per.(slot) <- (t1 -. t0) /. 1_000_000.0
-        | _ ->
-            x_base.(slot) <- 0.0;
-            x_per.(slot) <- 0.0);
-        x_base.(slot)
-      in
-      let exec_est (a : Scheduler.assignment) ci =
-        match chain_node.(ci) with
-        | None -> 0.0
-        | Some node -> (
-            let est = Scheduler.exec_estimate node a.Scheduler.impl in
-            if Float.is_finite est then est
-            else
-              (* the executor's explicit degradation path for an FPGA impl
-                 on an FPGA-less node: estimate cycles on the host CPU *)
-              match a.Scheduler.impl with
-              | Dag.Fpga { estimate; in_bytes; out_bytes; _ } ->
-                  Spec.cpu_time node.Node.cpu
-                    ~flops:
-                      (float_of_int estimate.Everest_hls.Estimate.cycles
-                      *. 10.0)
-                    ~bytes:(float_of_int (in_bytes + out_bytes))
-                    ~threads:1
-              | Dag.Cpu _ -> 0.0)
-      in
-      let start = Array.make (max 1 n) 0.0 in
-      let fin = Array.make (max 1 n) 0.0 in
-      let outb = Array.make (max 1 n) 0.0 in
-      let fpga_tasks = Array.make (max 1 k) [] in
       iter_order st (fun i ->
           let a = assignments.(i) in
-          let t = tasks.(i) in
-          let ci = chain.(i) in
-          Array.unsafe_set outb i (float_of_int t.Dag.out_bytes);
-          cap_check i a t ci;
-          let ready = ref 0.0 in
+          let ci = p.p_chain.(i) in
+          place p i tasks.(i) a ci;
           for e = st.st_off.(i) to st.st_off.(i + 1) - 1 do
-            let d = Array.unsafe_get st.st_src e in
-            let cd = Array.unsafe_get chain d in
-            let arr =
-              if ci = cd then Array.unsafe_get fin d
-              else begin
-                let slot = (cd * k) + ci in
-                let base = Array.unsafe_get x_base slot in
-                let base =
-                  if Float.is_nan base then fill_xfer slot cd ci else base
-                in
-                Array.unsafe_get fin d +. base
-                +. (Array.unsafe_get x_per slot *. Array.unsafe_get outb d)
-              end
-            in
-            if arr > !ready then ready := arr
+            await p i ci (Array.unsafe_get st.st_src e)
           done;
-          Array.unsafe_set start i !ready;
-          Array.unsafe_set fin i (!ready +. exec_est a ci);
-          match a.Scheduler.impl with
-          | Dag.Fpga { bitstream; _ } when chain_fpga.(ci) ->
-              fpga_tasks.(ci) <-
-                (start.(i), fin.(i), bitstream) :: fpga_tasks.(ci)
-          | _ -> ());
-      let cp_lb = Array.fold_left Float.max 0.0 (if n = 0 then [| 0.0 |] else fin) in
-      slot_sweep em ~k ~chain_node fpga_tasks;
-      slo_checks em cp_lb deadline_s slos;
-      finish (Some st) k cp_lb
+          settle p i a ci);
+      conclude p ~n ~edges:(st_edges st) ~slos ?deadline_s ()
     end
   end
 
-(* ---- single-pass fast path --------------------------------------------------------- *)
+(* ---- construction-ordered mode ----------------------------------------------------- *)
 
-(* Chain capacity of the fast path: a plan using more distinct nodes than
-   this (none of the shipped clusters comes close) falls back to the
-   general analyzer rather than growing the tables. *)
-let max_fast_chains = 64
+(* Raised by the construction-ordered mode when the plan is not in the
+   clean shape; the general mode takes over and names the defect
+   precisely.  Never escapes [analyze]. *)
+exception Slow_path
 
 (* mixes one edge into a commutative multiset hash (summed per edge); the
    two multiplies are independent so the mix pipelines — this guards
@@ -903,305 +967,71 @@ let edge_hash d t = (d * 0x9E3779B9) lxor (t * 0x85EBCA6B)
 
 (* The overwhelmingly common case: the plan is checked against its own DAG
    and the DAG is in construction-ordered shape (ids = indexes, inputs
-   strictly ascending below the task, as [Dag.create] guarantees).  Then a
-   SINGLE walk over the tasks — the analyzer is memory-bound at 10^6 tasks,
-   so pass count is what matters — performs the structural validation, the
-   placement checks, the ASAP timeline and the FPGA collection, and the
-   cached reverse adjacency is cross-checked against the inputs by a
-   sequential multiset hash over the edges instead of a random-access
-   positional compare.  The first structural anomaly raises [Slow_path]:
-   defective plans go back through the general analyzer, which can name the
-   defect precisely and does not need to be fast. *)
-let analyze_fast ~excluded ~slos ?deadline_s (c : Cluster.t)
+   strictly ascending below the task, as [Dag.create] guarantees).  Then
+   ascending ids are a topological order, and ONE walk over the tasks — the
+   analyzer is memory-bound at 10^6 tasks, so pass count is what matters —
+   feeds the pass each task's raw inputs, with the structural validation
+   and the EV103 edge hash fused into the same walk: the cached reverse
+   adjacency is cross-checked by a sequential multiset hash over the edges
+   instead of a random-access positional compare.  The first structural
+   anomaly raises [Slow_path]. *)
+let analyze_ordered ~excluded ~slos ?deadline_s (c : Cluster.t)
     (plan : Scheduler.plan) : summary =
   let pdag = plan.Scheduler.dag in
   let tasks = pdag.Dag.tasks in
   let n = Array.length tasks in
   let assignments = plan.Scheduler.assignments in
-  let em = emitter plan in
+  let p = pass ~excluded c plan n in
   let adj_to_hash =
     match pdag.Dag.rev_adj with
     | Some (arr, adj) when arr == tasks ->
         if Array.length adj <> n then raise Slow_path;
         Some adj
     | Some _ ->
-        emit em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
+        emit p.p_em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
           "reverse-adjacency cache refers to a superseded tasks array \
            (functional update); it will be rebuilt lazily";
         None
     | None -> None
   in
   let do_hash = adj_to_hash <> None in
-  (* chains: one per distinct assigned node, tables filled at discovery *)
-  let cap = max_fast_chains in
-  (* chain ids fit a byte (cap = 64): a Bytes chain map keeps the per-task
-     working set small *)
-  let chain = Bytes.make (max 1 n) '\000' in
-  let chain_names = ref [] and chain_count = ref 0 in
-  let chain_node = Array.make cap None in
-  let chain_excluded = Array.make cap false in
-  let chain_fpga = Array.make cap false in
-  let chain_cores = Array.make cap 1 in
-  let chain_inv_fc = Array.make cap 0.0 in  (* 1 / (flops/s at one thread) *)
-  let chain_inv_bw = Array.make cap 0.0 in  (* 1 / (bytes/s) *)
-  let add_chain name =
-    let id = !chain_count in
-    if id >= cap then raise Slow_path;
-    incr chain_count;
-    chain_names := (name, id) :: !chain_names;
-    (match Hashtbl.find_opt c.Cluster.node_tbl name with
-    | Some node ->
-        chain_node.(id) <- Some node;
-        chain_fpga.(id) <- Node.has_fpga node;
-        let cpu = node.Node.cpu in
-        chain_cores.(id) <- cpu.Spec.cores;
-        chain_inv_fc.(id) <-
-          1.0 /. (cpu.Spec.freq_ghz *. 1e9 *. cpu.Spec.flops_per_cycle);
-        chain_inv_bw.(id) <- 1.0 /. (cpu.Spec.mem_bw_gbs *. 1e9)
-    | None -> ());
-    chain_excluded.(id) <- List.exists (String.equal name) excluded;
-    id
-  in
-  (* node names in a real plan are physically shared with the node's own
-     string, so a pointer scan over the few known chains beats hashing *)
-  let rec scan_chains name = function
-    | (nm, id) :: rest ->
-        if nm == name || String.equal nm name then id
-        else scan_chains name rest
-    | [] -> add_chain name
-  in
-  (* direct-mapped memo over a cheap shape hash: after warmup a lookup is
-     three character loads and one pointer compare *)
-  let memo_names = Array.make 256 "" in
-  let memo_ci = Array.make 256 0 in
-  let resolve name =
-    let len = String.length name in
-    if len = 0 then scan_chains name !chain_names
-    else begin
-      let s =
-        ((len * 31)
-        + (Char.code (String.unsafe_get name 0) * 7)
-        + Char.code (String.unsafe_get name (len - 1)))
-        land 255
-      in
-      if Array.unsafe_get memo_names s == name then Array.unsafe_get memo_ci s
-      else begin
-        let ci = scan_chains name !chain_names in
-        memo_names.(s) <- name;
-        memo_ci.(s) <- ci;
-        ci
-      end
-    end
-  in
-  let is_excluded name = List.exists (String.equal name) excluded in
-  let cluster_has_fpga = List.exists Node.has_fpga c.Cluster.nodes in
-  (* transfer times are affine in bytes per node pair; memoized coefficients *)
-  let x_base = Array.make (cap * cap) nan in
-  let x_per = Array.make (cap * cap) 0.0 in
-  let fill_xfer slot cs cd =
-    (match (chain_node.(cs), chain_node.(cd)) with
-    | Some src, Some dst ->
-        let t0 = Cluster.transfer_time c ~src ~dst ~bytes:0 in
-        let t1 = Cluster.transfer_time c ~src ~dst ~bytes:1_000_000 in
-        x_base.(slot) <- t0;
-        x_per.(slot) <- (t1 -. t0) /. 1_000_000.0
-    | _ ->
-        x_base.(slot) <- 0.0;
-        x_per.(slot) <- 0.0);
-    x_base.(slot)
-  in
-  let hash_adj adj =
-    let total = ref 0 and h = ref 0 in
-    for d = 0 to n - 1 do
-      let row = Array.unsafe_get adj d in
-      let len = Array.length row in
-      total := !total + len;
-      for j = 0 to len - 1 do
-        h := !h + edge_hash d (Array.unsafe_get row j)
-      done
-    done;
-    (!total, !h)
-  in
-  let fin = Array.make (max 1 n) 0.0 in
-  let outb = Array.make (max 1 n) 0.0 in
-  let fpga_tasks = Array.make cap [] in
   let edges = ref 0 and h_inputs = ref 0 in
-  (* impl-offered membership, pointer equality first (no per-task closures) *)
-  let rec impl_mem_phys x = function
-    | [] -> false
-    | y :: rest -> y == x || impl_mem_phys x rest
-  in
-  let rec impl_mem_struct x = function
-    | [] -> false
-    | y :: rest -> y = x || impl_mem_struct x rest
-  in
-  (* the per-task input walk, defined once: validates strict ascent, mixes
-     the edge hash, and accumulates ASAP readiness into [fin.(i)] (float
-     array cells stay unboxed; a captured [ref] would box every update —
-     cell [i] is free as the accumulator because producers are all < i) *)
+  (* the producer walk: strict ascent below the task, the edge hash, and
+     the readiness step of the pass *)
   let rec walk i ci prev = function
     | [] -> ()
     | d :: rest ->
         if d <= prev || d >= i then raise Slow_path;
         if do_hash then h_inputs := !h_inputs + edge_hash d i;
         incr edges;
-        let cd = Char.code (Bytes.unsafe_get chain d) in
-        let arr =
-          if ci = cd then Array.unsafe_get fin d
-          else begin
-            let slot = (cd * max_fast_chains) + ci in
-            let base = Array.unsafe_get x_base slot in
-            let base =
-              if Float.is_nan base then fill_xfer slot cd ci else base
-            in
-            Array.unsafe_get fin d +. base
-            +. (Array.unsafe_get x_per slot *. Array.unsafe_get outb d)
-          end
-        in
-        if arr > Array.unsafe_get fin i then Array.unsafe_set fin i arr;
+        await p i ci d;
         walk i ci d rest
   in
-  (* look-ahead: the per-task loads form a dependent miss chain
-     (assignment -> impl record -> boxed floats; task -> inputs/impls
-     cells).  Touching task [i + pf_dist] here issues those misses early
-     and independent of the current task, so they overlap instead of
-     serializing — the analyzer is latency-bound, not bandwidth-bound. *)
-  let pf_dist = 16 in
-  let pf_sink = ref 0 in
-  let touch j =
-    let tp = Array.unsafe_get tasks j in
-    let ap = Array.unsafe_get assignments j in
-    let x =
-      tp.Dag.out_bytes
-      lxor (match tp.Dag.inputs with [] -> 0 | d :: _ -> d)
-      lxor (match tp.Dag.impls with [] -> 0 | _ :: _ -> 1)
-      lxor
-      (match ap.Scheduler.impl with
-      | Dag.Cpu { flops; bytes; threads } ->
-          threads
-          lxor (if flops > 0.0 then 1 else 0)
-          lxor if bytes > 0.0 then 2 else 0
-      | Dag.Fpga _ -> 0)
-    in
-    pf_sink := !pf_sink lxor x
-  in
   for i = 0 to n - 1 do
-    if i + pf_dist < n then touch (i + pf_dist);
     let a = Array.unsafe_get assignments i in
     let t = Array.unsafe_get tasks i in
     if t.Dag.id <> i then raise Slow_path;
-    let ci = resolve a.Scheduler.node in
-    Bytes.unsafe_set chain i (Char.unsafe_chr ci);
-    Array.unsafe_set outb i (float_of_int t.Dag.out_bytes);
-    (* placement checks (defects emit; they do not force the slow path) *)
-    (match chain_node.(ci) with
-    | None ->
-        emit em ~code:"EV121" ~op:(task_op t i)
-          (Printf.sprintf "assigned to unknown node %S" a.Scheduler.node)
-    | Some _ ->
-        if chain_excluded.(ci) then
-          emit em ~code:"EV121" ~op:(task_op t i)
-            (Printf.sprintf "assigned to excluded node %S" a.Scheduler.node);
-        (match t.Dag.pinned with
-        | Some p when not (String.equal p a.Scheduler.node) ->
-            if is_excluded p then
-              emit em ~code:"EV120" ~severity:Lint.Warning ~op:(task_op t i)
-                (Printf.sprintf
-                   "pinned to excluded node %S, placed on %S (repair had \
-                    no choice)"
-                   p a.Scheduler.node)
-            else
-              emit em ~code:"EV120" ~op:(task_op t i)
-                (Printf.sprintf "pinned to %S but placed on %S" p
-                   a.Scheduler.node)
-        | _ -> ());
-        (match t.Dag.impls with
-        | [] -> ()
-        | impls ->
-            if
-              (not (impl_mem_phys a.Scheduler.impl impls))
-              && not (impl_mem_struct a.Scheduler.impl impls)
-            then
-              emit em ~code:"EV123" ~op:(task_op t i)
-                (Printf.sprintf
-                   "assigned implementation %s is not offered by the task \
-                    (offers: %s)"
-                   (Dag.impl_name a.Scheduler.impl)
-                   (String.concat ", " (List.map Dag.impl_name impls))));
-        (match a.Scheduler.impl with
-        | Dag.Fpga { bitstream; _ } when not chain_fpga.(ci) ->
-            let pinned_here =
-              match t.Dag.pinned with
-              | Some p -> String.equal p a.Scheduler.node
-              | None -> false
-            in
-            let severity =
-              if cluster_has_fpga && not pinned_here then Lint.Error
-              else Lint.Warning
-            in
-            emit em ~code:"EV122" ~severity ~op:(task_op t i)
-              (Printf.sprintf
-                 "FPGA implementation %S on FPGA-less node %S%s: the \
-                  executor will degrade it to CPU"
-                 bitstream a.Scheduler.node
-                 (if cluster_has_fpga && not pinned_here then
-                    " while FPGA-capable nodes exist"
-                  else ""))
-        | _ -> ()));
-    (* structure + ASAP readiness over the raw inputs: strictly ascending
-       below the task, or bail (ids are topological, producers finished) *)
+    let ci = resolve p i t a in
+    place p i t a ci;
     walk i ci (-1) t.Dag.inputs;
-    (* execution estimate, added to the readiness already in fin.(i); each
-       branch stores directly so the float never crosses a match join *)
-    match chain_node.(ci) with
-    | None -> ()  (* unknown node (EV121 above): estimate 0 *)
-    | Some node -> (
-        match a.Scheduler.impl with
-        | Dag.Cpu { flops; bytes; threads } ->
-            (* [Spec.cpu_time] with per-chain reciprocals *)
-            let comp =
-              if threads <= 1 then flops *. Array.unsafe_get chain_inv_fc ci
-              else
-                flops *. Array.unsafe_get chain_inv_fc ci
-                /. float_of_int (min threads chain_cores.(ci))
-            in
-            let mem = bytes *. Array.unsafe_get chain_inv_bw ci in
-            Array.unsafe_set fin i
-              (Array.unsafe_get fin i +. (if comp > mem then comp else mem))
-        | Dag.Fpga { bitstream; estimate; in_bytes; out_bytes } ->
-            let ready = Array.unsafe_get fin i in
-            let e = Scheduler.exec_estimate node a.Scheduler.impl in
-            let e =
-              if Float.is_finite e then e
-              else
-                (* the executor's degradation path: cycles on the host CPU *)
-                Spec.cpu_time node.Node.cpu
-                  ~flops:
-                    (float_of_int estimate.Everest_hls.Estimate.cycles
-                    *. 10.0)
-                  ~bytes:(float_of_int (in_bytes + out_bytes))
-                  ~threads:1
-            in
-            Array.unsafe_set fin i (ready +. e);
-            if chain_fpga.(ci) then
-              fpga_tasks.(ci) <- (ready, ready +. e, bitstream) :: fpga_tasks.(ci))
+    settle p i a ci
   done;
   (* EV103: the cached reverse adjacency must carry exactly the edge
      multiset of the inputs — compared by commutative hash so both walks
-     stay sequential.  A mismatch is re-diagnosed by the general path. *)
+     stay sequential.  A mismatch is re-diagnosed by the general mode. *)
   (match adj_to_hash with
   | None -> ()
   | Some adj ->
-      let total, h = hash_adj adj in
-      if total <> !edges || h <> !h_inputs then raise Slow_path);
-  let cp_lb =
-    Array.fold_left Float.max 0.0 (if n = 0 then [| 0.0 |] else fin)
-  in
-  let k = max 1 !chain_count in
-  slot_sweep em ~k ~chain_node fpga_tasks;
-  slo_checks em cp_lb deadline_s slos;
-  { pl_diags = drain em; pl_tasks = n; pl_edges = !edges;
-    pl_chains = !chain_count; pl_cp_lower_s = cp_lb }
+      let total = ref 0 and h = ref 0 in
+      for d = 0 to n - 1 do
+        let row = Array.unsafe_get adj d in
+        total := !total + Array.length row;
+        for j = 0 to Array.length row - 1 do
+          h := !h + edge_hash d (Array.unsafe_get row j)
+        done
+      done;
+      if !total <> !edges || !h <> !h_inputs then raise Slow_path);
+  conclude p ~n ~edges:!edges ~slos ?deadline_s ()
 
 let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
     (plan : Scheduler.plan) : summary =
@@ -1215,7 +1045,7 @@ let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
     && Array.length plan.Scheduler.assignments
        = Array.length plan.Scheduler.dag.Dag.tasks
   then
-    try analyze_fast ~excluded ~slos ?deadline_s c plan
+    try analyze_ordered ~excluded ~slos ?deadline_s c plan
     with Slow_path -> analyze_general ~excluded ~slos ?deadline_s c plan
   else analyze_general ?dag ~excluded ~slos ?deadline_s c plan
 

@@ -25,8 +25,9 @@ type plan = {
   policy : string;
 }
 
-(* Estimated execution time of [impl] on [node], ignoring queuing. *)
-let exec_estimate (node : Node.t) (impl : Dag.impl) =
+(* Estimated execution time of [impl] on [node], ignoring queuing.
+   Inlined so a caller in a per-task loop keeps the float unboxed. *)
+let[@inline] exec_estimate (node : Node.t) (impl : Dag.impl) =
   match impl with
   | Dag.Cpu { flops; bytes; threads } ->
       Spec.cpu_time node.Node.cpu ~flops ~bytes ~threads
@@ -34,14 +35,20 @@ let exec_estimate (node : Node.t) (impl : Dag.impl) =
       match node.Node.fpgas with
       | [] -> infinity
       | dev :: _ ->
-          let link =
-            match dev.Node.fspec.Spec.attach with
-            | Spec.Bus_coherent -> Spec.opencapi
-            | Spec.Network_attached -> Spec.eth100_tcp
-          in
+          let link = Spec.host_link dev.Node.fspec in
           Spec.fpga_kernel_time dev.Node.fspec estimate
           +. Spec.transfer_time link ~bytes:in_bytes
           +. Spec.transfer_time link ~bytes:out_bytes)
+
+(* What an FPGA implementation runs as on a node without an FPGA: its HLS
+   cycle count as flops on one host thread, moving its input and output.
+   [exec_estimate] prices that placement at infinity, so no scheduler
+   picks it, but a pin or a hand-made plan can. *)
+let cpu_fallback (estimate : Everest_hls.Estimate.t) ~in_bytes ~out_bytes =
+  Dag.Cpu
+    { flops = float_of_int estimate.Everest_hls.Estimate.cycles *. 10.0;
+      bytes = float_of_int (in_bytes + out_bytes);
+      threads = 1 }
 
 (* Best implementation for a node: fastest feasible. *)
 let best_impl (node : Node.t) (t : Dag.task) =

@@ -16,6 +16,13 @@ type plan = {
     [infinity] for FPGA implementations on FPGA-less nodes. *)
 val exec_estimate : Node.t -> Dag.impl -> float
 
+(** [cpu_fallback estimate ~in_bytes ~out_bytes] is the CPU implementation
+    an FPGA kernel degrades to on a node without an FPGA: [estimate]'s
+    cycle count times 10 as flops, on one thread, moving
+    [in_bytes + out_bytes]. *)
+val cpu_fallback :
+  Everest_hls.Estimate.t -> in_bytes:int -> out_bytes:int -> Dag.impl
+
 (** Fastest feasible implementation of a task on a node. *)
 val best_impl : Node.t -> Dag.task -> (Dag.impl * float) option
 

@@ -173,6 +173,119 @@ let prop_shipped_schedulers_lint_clean =
         (fun policy -> Planlint.check c (plan_of ~policy c d) = [])
         [ "round-robin"; "min-load"; "heft"; "heft-locality" ])
 
+(* ---- the two modes agree ---------------------------------------------------- *)
+
+(* [analyze c plan] takes the construction-ordered mode on a clean plan; a
+   reference DAG with a copied task array forces the general mode over the
+   same plan.  Both must return the same summary, floats compared by their
+   bits. *)
+let both_modes ?excluded ?deadline_s c (plan : Scheduler.plan) =
+  let d = plan.Scheduler.dag in
+  ( Planlint.analyze ?excluded ?deadline_s c plan,
+    Planlint.analyze ?excluded ?deadline_s
+      ~dag:{ d with Dag.tasks = Array.copy d.Dag.tasks }
+      c plan )
+
+let same_summary (a : Planlint.summary) (b : Planlint.summary) =
+  a.Planlint.pl_diags = b.Planlint.pl_diags
+  && a.Planlint.pl_tasks = b.Planlint.pl_tasks
+  && a.Planlint.pl_edges = b.Planlint.pl_edges
+  && a.Planlint.pl_chains = b.Planlint.pl_chains
+  && Int64.equal
+       (Int64.bits_of_float a.Planlint.pl_cp_lower_s)
+       (Int64.bits_of_float b.Planlint.pl_cp_lower_s)
+
+(* Random DAGs in construction order: CPU tasks of random flops, bytes and
+   1-8 threads, some with an FPGA implementation (some FPGA-only), some
+   pinned to a random node of the demonstrator. *)
+let random_mixed_dag seed =
+  let module Rng = Everest_parallel.Rng in
+  let r = Rng.create seed in
+  let nodes =
+    [| "p9"; "cf0"; "cf1"; "cf2"; "cf3"; "edge0"; "edge1"; "ep0"; "ep1";
+       "ep2"; "ep3" |]
+  in
+  let n = 1 + Rng.int r 150 in
+  Dag.create "mixed"
+    (List.init n (fun i ->
+         let inputs =
+           if i = 0 then []
+           else List.init (1 + Rng.int r 3) (fun _ -> Rng.int r i)
+                |> List.sort_uniq compare
+         in
+         let cpu =
+           Dag.Cpu
+             { flops = 1e6 +. (Rng.float r *. 3.7e9);
+               bytes = Rng.float r *. 1e7;
+               threads = 1 + Rng.int r 8 }
+         in
+         let fpga () =
+           Dag.Fpga
+             { bitstream = Printf.sprintf "k%d" (Rng.int r 5);
+               estimate = { est with cycles = 1_000 + Rng.int r 5_000_000 };
+               in_bytes = Rng.int r 1_000_000;
+               out_bytes = Rng.int r 1_000_000 }
+         in
+         let impls =
+           match Rng.int r 10 with
+           | 0 -> [ fpga () ]
+           | 1 | 2 -> [ cpu; fpga () ]
+           | _ -> [ cpu ]
+         in
+         let pinned =
+           if Rng.int r 10 = 0 then Some nodes.(Rng.int r (Array.length nodes))
+           else None
+         in
+         Dag.task ~id:i ~name:(Printf.sprintf "t%d" i) ~pinned ~inputs
+           ~out_bytes:(Rng.int r 2_000_000) ~impls ()))
+
+let prop_modes_agree =
+  QCheck.Test.make ~count:150
+    ~name:"construction-ordered and general modes return the same summary"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let d = random_mixed_dag seed in
+      let c = demonstrator () in
+      let excluded = if seed mod 4 = 0 then [ "cf1"; "ep2" ] else [] in
+      List.for_all
+        (fun policy ->
+          let plan = plan_of ~policy c d in
+          let a, b = both_modes ~excluded c plan in
+          let bound = b.Planlint.pl_cp_lower_s in
+          same_summary a b
+          && List.for_all
+               (fun deadline_s ->
+                 let a, b = both_modes ~excluded ~deadline_s c plan in
+                 same_summary a b)
+               [ Float.pred bound; bound; Float.succ bound;
+                 bound *. (0.5 +. (float_of_int (seed mod 100) /. 100.0)) ])
+        [ "round-robin"; "min-load"; "heft"; "heft-locality" ])
+
+(* A one-task plan whose estimate the construction-ordered mode once
+   rounded differently from the general mode: with the deadline one ulp
+   under the estimate, only one of them raised EV140. *)
+let test_modes_agree_on_ev140 () =
+  let c = demonstrator () in
+  let d =
+    Dag.create "threads"
+      [ Dag.task ~id:0 ~name:"k" ~inputs:[] ~out_bytes:64
+          ~impls:[ Dag.Cpu { flops = 1e7; bytes = 0.0; threads = 3 } ]
+          () ]
+  in
+  let plan = Scheduler.heft c d in
+  let a = plan.Scheduler.assignments.(0) in
+  let node = Cluster.find_node c a.Scheduler.node in
+  let est = Spec.cpu_time node.Node.cpu ~flops:1e7 ~bytes:0.0 ~threads:3 in
+  let a, b = both_modes ~deadline_s:(Float.pred est) c plan in
+  checkb "same summary" true (same_summary a b);
+  checkb "bound is the estimate" true
+    (Int64.equal
+       (Int64.bits_of_float a.Planlint.pl_cp_lower_s)
+       (Int64.bits_of_float est));
+  checkb "EV140 in both modes" true
+    (has_code "EV140" a.Planlint.pl_diags
+    && has_code "EV140" b.Planlint.pl_diags)
+
 (* ---- structural mutations --------------------------------------------------- *)
 
 (* build a valid plan, then swap in a dag whose task [i] was rewritten
@@ -504,6 +617,10 @@ let suite =
         QCheck_alcotest.to_alcotest prop_reach_matches_naive ] );
     ( "clean-plans",
       [ QCheck_alcotest.to_alcotest prop_shipped_schedulers_lint_clean ] );
+    ( "modes",
+      [ QCheck_alcotest.to_alcotest prop_modes_agree;
+        Alcotest.test_case "EV140 verdict" `Quick test_modes_agree_on_ev140 ]
+    );
     ( "structural",
       [ Alcotest.test_case "EV100 dangling input" `Quick
           test_ev100_dangling_input;
