@@ -84,8 +84,10 @@ type segment = {
 }
 
 (* Lenient read: a missing file is an empty segment, a bad magic line is
-   fully torn, and decoding stops at the first invalid record.  A last
-   line without its newline is read like the others. *)
+   fully torn, and decoding stops at the first invalid record.  A line
+   without its newline, the magic line included, is a torn tail: a crash
+   can cut a record just before its newline, and an append after it would
+   land on the same line. *)
 let read_segment path =
   if not (Sys.file_exists path) then
     { sg_records = []; sg_torn = false; sg_valid_bytes = 0 }
@@ -98,8 +100,8 @@ let read_segment path =
     in
     let n = String.length raw and m = String.length magic_line in
     if
-      n < m
-      || (n > m && raw.[m] <> '\n')
+      n <= m
+      || raw.[m] <> '\n'
       || not (String.equal (String.sub raw 0 m) magic_line)
     then { sg_records = []; sg_torn = true; sg_valid_bytes = 0 }
     else begin
@@ -111,7 +113,7 @@ let read_segment path =
           while !e < n && String.unsafe_get raw !e <> '\n' do
             incr e
           done;
-          let p = payload_length raw a !e in
+          let p = if !e = n then -1 else payload_length raw a !e in
           if p < 0 then (records, true, valid)
           else go (!e + 1) (valid + !e - a + 1) (String.sub raw a p :: records)
         end

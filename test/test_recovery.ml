@@ -166,6 +166,36 @@ let test_journal_heals_torn_tail () =
   checkb "records" true
     (seg2.Journal.sg_records = [ "rec-one"; "rec-two"; "rec-three" ])
 
+(* A crash can cut a segment just before its last newline: resume drops
+   that record instead of appending onto its line. *)
+let test_journal_heals_missing_newline () =
+  let dir = tmp_dir "newline" in
+  let store = Store.open_store ~fresh:true ~dir ~fingerprint:"fp" () in
+  Store.write_snapshot store ~index:0 "state-zero";
+  Store.append store "a";
+  Store.append store "b";
+  Store.close store;
+  let seg = Filename.concat dir "journal-000000.ejrnl" in
+  let raw = read_file seg in
+  write_file seg (String.sub raw 0 (String.length raw - 1));
+  let store = Store.open_store ~dir ~fingerprint:"fp" () in
+  let plan = Store.plan_resume store in
+  checkb "torn detected" true plan.Store.r_torn;
+  Store.append store "c";
+  Store.close store;
+  let seg = Journal.read_segment seg in
+  checkb "healed" false seg.Journal.sg_torn;
+  Alcotest.(check (list string)) "records" [ "a"; "c" ] seg.Journal.sg_records
+
+(* A segment holding the magic line without its newline is torn with no
+   valid bytes, so healing rewrites the whole line. *)
+let test_journal_magic_without_newline () =
+  let path = tmp_dir "magic.ejrnl" in
+  write_file path Journal.magic_line;
+  let seg = Journal.read_segment path in
+  checkb "torn" true seg.Journal.sg_torn;
+  checki "valid bytes" 0 seg.Journal.sg_valid_bytes
+
 (* The journal line format, pinned: one record line as
    [Journal.output_record] frames it. *)
 let framed payload =
@@ -1340,7 +1370,11 @@ let () =
         [ Alcotest.test_case "record round-trip" `Quick
             test_journal_record_roundtrip;
           Alcotest.test_case "torn tail healed" `Quick
-            test_journal_heals_torn_tail ]
+            test_journal_heals_torn_tail;
+          Alcotest.test_case "missing newline healed" `Quick
+            test_journal_heals_missing_newline;
+          Alcotest.test_case "magic line without newline" `Quick
+            test_journal_magic_without_newline ]
         @ List.map
             (fun (name, f) -> Alcotest.test_case name `Quick f)
             journal_format_cases );
