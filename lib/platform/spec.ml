@@ -37,7 +37,7 @@ let cpu_peak_flops c =
 
 (* Execution time of a kernel on [threads] cores with an efficiency factor
    (memory-bound kernels are capped by bandwidth via the roofline). *)
-let[@inline] cpu_time c ~flops ~bytes ~threads =
+let cpu_time c ~flops ~bytes ~threads =
   let threads = Int.max 1 (Int.min threads c.cores) in
   let compute =
     flops /. (float_of_int threads *. c.freq_ghz *. 1e9 *. c.flops_per_cycle)

@@ -25,9 +25,8 @@ type plan = {
   policy : string;
 }
 
-(* Estimated execution time of [impl] on [node], ignoring queuing.
-   Inlined so a caller in a per-task loop keeps the float unboxed. *)
-let[@inline] exec_estimate (node : Node.t) (impl : Dag.impl) =
+(* Estimated execution time of [impl] on [node], ignoring queuing. *)
+let exec_estimate (node : Node.t) (impl : Dag.impl) =
   match impl with
   | Dag.Cpu { flops; bytes; threads } ->
       Spec.cpu_time node.Node.cpu ~flops ~bytes ~threads
