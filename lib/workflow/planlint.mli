@@ -26,10 +26,10 @@
 
     Diagnostics are deterministic (task order within each rule, rules in
     code order) and capped per code so a corrupt million-task plan cannot
-    flood the report.  Per the issue this analyzer is the plan-level
-    counterpart of [Everest_analysis.Lint]; it lives in [everest_workflow]
-    because it consumes [Dag]/[Scheduler]/[Cluster] and gates [Executor]
-    (the analysis library sits below the platform layer). *)
+    flood the report.  This analyzer is the plan-level counterpart of
+    [Everest_analysis.Lint]; it lives in [everest_workflow] because it
+    consumes [Dag]/[Scheduler]/[Cluster] and gates [Executor] (the
+    analysis library sits below the platform layer). *)
 
 (** Raised by {!gate} (and the executor's pre-run gate) when a plan has
     error-severity diagnostics. *)
@@ -73,7 +73,10 @@ type summary = {
   pl_chains : int;
   pl_cp_lower_s : float;
       (** Critical-path lower bound of the plan's static timeline
-          (transfer-aware, contention-free); 0 when the DAG is cyclic. *)
+          (transfer-aware, contention-free); 0 when the DAG is cyclic.
+          Each task costs {!Scheduler.exec_estimate} on its node, or
+          {!Scheduler.cpu_fallback} for an FPGA implementation on a node
+          without an FPGA, as the executor runs it. *)
 }
 
 (** Run every EV1xx rule.
