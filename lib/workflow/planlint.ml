@@ -743,7 +743,7 @@ let slo_checks em cp_lb deadline_s slos =
       | Slo.Availability _ | Slo.Completion_ratio _ -> ())
     slos
 
-let summary p ~n ~edges cp_lb =
+let summarize p ~n ~edges cp_lb =
   { pl_diags = drain p.p_em; pl_tasks = n; pl_edges = edges;
     pl_chains = p.p_chains.ch_k; pl_cp_lower_s = cp_lb }
 
@@ -755,7 +755,13 @@ let conclude p ~n ~edges ~slos ?deadline_s () =
   done;
   slot_sweep p;
   slo_checks p.p_em !cp_lb deadline_s slos;
-  summary p ~n ~edges !cp_lb
+  summarize p ~n ~edges !cp_lb
+
+(* EV103 at Info, in both modes *)
+let superseded_cache em =
+  emit em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
+    "reverse-adjacency cache refers to a superseded tasks array \
+     (functional update); it will be rebuilt lazily"
 
 (* ---- general mode ------------------------------------------------------------------ *)
 
@@ -786,7 +792,7 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
     emit em ~code:"EV112" ~op:"plan"
       (Printf.sprintf "%d assignment(s) for %d task(s)"
          (Array.length assignments) n);
-    summary p ~n ~edges:0 0.0
+    summarize p ~n ~edges:0 0.0
   end
   else begin
     (* EV100/EV101 + structure (deduped edges, topological order, cycles) *)
@@ -841,9 +847,7 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
       match pdag.Dag.rev_adj with
       | None -> None
       | Some (arr, _) when arr != tasks ->
-          emit em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
-            "reverse-adjacency cache refers to a superseded tasks array \
-             (functional update); it will be rebuilt lazily";
+          superseded_cache em;
           None
       | Some (_, adj) ->
           let total = ref 0 and stale = ref (Array.length adj <> n) in
@@ -888,7 +892,7 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
       for i = 0 to n - 1 do
         place p i tasks.(i) assignments.(i) p.p_chain.(i)
       done;
-      summary p ~n ~edges:(st_edges st) 0.0
+      summarize p ~n ~edges:(st_edges st) 0.0
     end
     else begin
       (* ---- happens-before ----
@@ -988,9 +992,7 @@ let analyze_ordered ~excluded ~slos ?deadline_s (c : Cluster.t)
         if Array.length adj <> n then raise Slow_path;
         Some adj
     | Some _ ->
-        emit p.p_em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
-          "reverse-adjacency cache refers to a superseded tasks array \
-           (functional update); it will be rebuilt lazily";
+        superseded_cache p.p_em;
         None
     | None -> None
   in
