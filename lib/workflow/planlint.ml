@@ -149,6 +149,25 @@ let iter_order_rev st f =
   | None -> for i = st.st_n - 1 downto 0 do f i done
   | Some o -> for k = Array.length o - 1 downto 0 do f o.(k) done
 
+(* Consumers of each task over CSR producer lists ([off]/[src]),
+   ascending per row: a local transpose, since the dag's cached adjacency
+   cannot be trusted here (and must not be forced). *)
+let transpose n off src =
+  let outdeg = Array.make (max 1 n) 0 in
+  for e = 0 to off.(n) - 1 do
+    outdeg.(src.(e)) <- outdeg.(src.(e)) + 1
+  done;
+  let adj = Array.init n (fun i -> Array.make outdeg.(i) 0) in
+  let fill = Array.make (max 1 n) 0 in
+  for t = 0 to n - 1 do
+    for e = off.(t) to off.(t + 1) - 1 do
+      let d = src.(e) in
+      adj.(d).(fill.(d)) <- t;
+      fill.(d) <- fill.(d) + 1
+    done
+  done;
+  adj
+
 (* Deduped, validity-filtered producers.  [report] sees (consumer, input,
    kind) for every defect; kind is [`Dangling] or [`Duplicate]. *)
 let build_structure ?report (tasks : Dag.task array) =
@@ -235,27 +254,9 @@ let build_structure ?report (tasks : Dag.task array) =
     { st_n = n; st_off = off; st_src = src; st_order = None; st_rank = None;
       st_cyclic = 0 }
   else begin
-    (* Kahn over the filtered edges; out-edges come from a local transpose
-       (the dag's cached adjacency cannot be trusted here) *)
-    let outdeg = Array.make n 0 in
-    Array.iter (fun d -> outdeg.(d) <- outdeg.(d) + 1) src;
-    let aoff = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      aoff.(i + 1) <- aoff.(i) + outdeg.(i)
-    done;
-    let adst = Array.make (max 1 m) 0 in
-    let afill = Array.copy aoff in
-    for t = 0 to n - 1 do
-      for e = off.(t) to off.(t + 1) - 1 do
-        let d = src.(e) in
-        adst.(afill.(d)) <- t;
-        afill.(d) <- afill.(d) + 1
-      done
-    done;
-    let indeg = Array.make n 0 in
-    for t = 0 to n - 1 do
-      indeg.(t) <- off.(t + 1) - off.(t)
-    done;
+    (* Kahn over the filtered edges *)
+    let consumers = transpose n off src in
+    let indeg = Array.init n (fun t -> off.(t + 1) - off.(t)) in
     let order = Array.make n 0 in
     let head = ref 0 and tail = ref 0 in
     for i = 0 to n - 1 do
@@ -267,14 +268,14 @@ let build_structure ?report (tasks : Dag.task array) =
     while !head < !tail do
       let v = order.(!head) in
       incr head;
-      for e = aoff.(v) to aoff.(v + 1) - 1 do
-        let w = adst.(e) in
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then begin
-          order.(!tail) <- w;
-          incr tail
-        end
-      done
+      Array.iter
+        (fun w ->
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then begin
+            order.(!tail) <- w;
+            incr tail
+          end)
+        consumers.(v)
     done;
     let cyclic = n - !tail in
     let order = if cyclic = 0 then order else Array.sub order 0 !tail in
@@ -283,27 +284,6 @@ let build_structure ?report (tasks : Dag.task array) =
     { st_n = n; st_off = off; st_src = src; st_order = Some order;
       st_rank = Some rank; st_cyclic = cyclic }
   end
-
-(* Consumers of each task over the deduped edges, ascending per row: a
-   local transpose, since the dag's cached adjacency cannot be trusted
-   here (and must not be forced). *)
-let transpose st =
-  let n = st.st_n in
-  let outdeg = Array.make (max 1 n) 0 in
-  for e = 0 to st_edges st - 1 do
-    let d = st.st_src.(e) in
-    outdeg.(d) <- outdeg.(d) + 1
-  done;
-  let adj = Array.init n (fun i -> Array.make outdeg.(i) 0) in
-  let fill = Array.make (max 1 n) 0 in
-  for t = 0 to n - 1 do
-    for e = st.st_off.(t) to st.st_off.(t + 1) - 1 do
-      let d = st.st_src.(e) in
-      adj.(d).(fill.(d)) <- t;
-      fill.(d) <- fill.(d) + 1
-    done
-  done;
-  adj
 
 (* ---- chains ------------------------------------------------------------------------ *)
 
@@ -428,7 +408,8 @@ module Reach = struct
         (fun (a : Scheduler.assignment) -> chain_id ch a.Scheduler.node)
         plan.Scheduler.assignments
     in
-    build_reach st ~chain ~k:ch.ch_k ~consumers:(transpose st)
+    build_reach st ~chain ~k:ch.ch_k
+      ~consumers:(transpose st.st_n st.st_off st.st_src)
 
   let tasks r = r.r_n
   let chains r = r.r_k
@@ -908,7 +889,9 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
       (match dag with
       | Some rdag when rdag.Dag.tasks != tasks ->
           let consumers =
-            match adj_checked with Some adj -> adj | None -> transpose st
+            match adj_checked with
+            | Some adj -> adj
+            | None -> transpose n st.st_off st.st_src
           in
           let r =
             build_reach st ~chain:p.p_chain ~k:p.p_chains.ch_k ~consumers
