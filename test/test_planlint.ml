@@ -279,8 +279,8 @@ let test_modes_agree_on_ev140 () =
           () ]
   in
   let plan = Scheduler.heft c d in
-  let a = plan.Scheduler.assignments.(0) in
-  let node = Cluster.find_node c a.Scheduler.node in
+  let asg = plan.Scheduler.assignments.(0) in
+  let node = Cluster.find_node c asg.Scheduler.node in
   let est = Spec.cpu_time node.Node.cpu ~flops:1e7 ~bytes:0.0 ~threads:3 in
   let a, b = both_modes ~deadline_s:(Float.pred est) c plan in
   checkb "same summary" true (same_summary a b);
