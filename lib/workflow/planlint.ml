@@ -449,7 +449,8 @@ type pass = {
       (* FPGA tasks on FPGA nodes: (start, finish, bitstream) *)
   mutable p_x_base : float array;  (* cap·cap, nan until probed *)
   mutable p_x_per : float array;
-  p_chain : int array;  (* task -> chain *)
+  p_chain : Bytes.t;  (* task -> chain, one byte; 255 = look in p_wide *)
+  mutable p_wide : int array;  (* task -> chain from 255 on, made on demand *)
   p_fin : float array;  (* task -> readiness, then finish *)
   p_outb : float array;  (* task -> output bytes *)
 }
@@ -461,7 +462,8 @@ let pass ~excluded c (plan : Scheduler.plan) n =
     p_chains = chain_table (); p_cap = cap; p_node = Array.make cap None;
     p_excl = Array.make cap false; p_fpga = Array.make cap false;
     p_ftasks = Array.make cap []; p_x_base = Array.make (cap * cap) nan;
-    p_x_per = Array.make (cap * cap) 0.0; p_chain = Array.make (max 1 n) 0;
+    p_x_per = Array.make (cap * cap) 0.0;
+    p_chain = Bytes.make (max 1 n) '\000'; p_wide = [||];
     p_fin = Array.make (max 1 n) 0.0; p_outb = Array.make (max 1 n) 0.0 }
 
 let is_excluded p name = List.exists (String.equal name) p.p_excluded
@@ -485,12 +487,25 @@ let add_chain p name ci =
   p.p_fpga.(ci) <-
     (match node with Some nd -> Node.has_fpga nd | None -> false)
 
+(* task [i]'s chain: a one-byte map keeps the per-task working set small
+   (the walks are memory-bound at 10^6 tasks); a plan on more than 255
+   nodes keeps the larger ids in a second, full-width map *)
+let[@inline] chain_of p i =
+  let c = Char.code (Bytes.unsafe_get p.p_chain i) in
+  if c < 255 then c else p.p_wide.(i)
+
 (* task [i]'s chain, recorded with its output size *)
 let[@inline] resolve p i (t : Dag.task) (a : Scheduler.assignment) =
   let k = p.p_chains.ch_k in
   let ci = chain_id p.p_chains a.Scheduler.node in
   if ci = k then add_chain p a.Scheduler.node ci;
-  Array.unsafe_set p.p_chain i ci;
+  if ci < 255 then Bytes.unsafe_set p.p_chain i (Char.unsafe_chr ci)
+  else begin
+    if Array.length p.p_wide = 0 then
+      p.p_wide <- Array.make (Bytes.length p.p_chain) 0;
+    Bytes.unsafe_set p.p_chain i '\255';
+    p.p_wide.(i) <- ci
+  end;
   Array.unsafe_set p.p_outb i (float_of_int t.Dag.out_bytes);
   ci
 
@@ -580,7 +595,7 @@ let probe_xfer p slot cs cd =
    finish, plus the transfer when it ran on another node (float array
    cells stay unboxed; [p_fin.(i)] is the accumulator) *)
 let[@inline] await p i ci d =
-  let cd = Array.unsafe_get p.p_chain d in
+  let cd = chain_of p d in
   let arr =
     if ci = cd then Array.unsafe_get p.p_fin d
     else begin
@@ -871,7 +886,7 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
     if st.st_cyclic > 0 then begin
       (* no usable order: still run the per-task placement checks *)
       for i = 0 to n - 1 do
-        place p i tasks.(i) assignments.(i) p.p_chain.(i)
+        place p i tasks.(i) assignments.(i) (chain_of p i)
       done;
       summarize p ~n ~edges:(st_edges st) 0.0
     end
@@ -894,7 +909,8 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
             | None -> transpose n st.st_off st.st_src
           in
           let r =
-            build_reach st ~chain:p.p_chain ~k:p.p_chains.ch_k ~consumers
+            build_reach st ~chain:(Array.init n (chain_of p))
+              ~k:p.p_chains.ch_k ~consumers
           in
           let rtasks = rdag.Dag.tasks in
           let rn = min (Array.length rtasks) n in
@@ -929,7 +945,7 @@ let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
       | _ -> ());
       iter_order st (fun i ->
           let a = assignments.(i) in
-          let ci = p.p_chain.(i) in
+          let ci = chain_of p i in
           place p i tasks.(i) a ci;
           for e = st.st_off.(i) to st.st_off.(i + 1) - 1 do
             await p i ci (Array.unsafe_get st.st_src e)
@@ -981,24 +997,27 @@ let analyze_ordered ~excluded ~slos ?deadline_s (c : Cluster.t)
   in
   let do_hash = adj_to_hash <> None in
   let edges = ref 0 and h_inputs = ref 0 in
-  (* the producer walk: strict ascent below the task, the edge hash, and
-     the readiness step of the pass *)
-  let rec walk i ci prev = function
-    | [] -> ()
-    | d :: rest ->
-        if d <= prev || d >= i then raise Slow_path;
-        if do_hash then h_inputs := !h_inputs + edge_hash d i;
-        incr edges;
-        await p i ci d;
-        walk i ci d rest
-  in
   for i = 0 to n - 1 do
     let a = Array.unsafe_get assignments i in
     let t = Array.unsafe_get tasks i in
     if t.Dag.id <> i then raise Slow_path;
     let ci = resolve p i t a in
     place p i t a ci;
-    walk i ci (-1) t.Dag.inputs;
+    (* the producer walk: strict ascent below the task, the edge hash and
+       the readiness step of the pass, as a loop so that no closure holds
+       the counters *)
+    let rest = ref t.Dag.inputs and prev = ref (-1) in
+    while !rest != [] do
+      match !rest with
+      | [] -> ()
+      | d :: tl ->
+          if d <= !prev || d >= i then raise Slow_path;
+          if do_hash then h_inputs := !h_inputs + edge_hash d i;
+          incr edges;
+          await p i ci d;
+          prev := d;
+          rest := tl
+    done;
     settle p i a ci
   done;
   (* EV103: the cached reverse adjacency must carry exactly the edge

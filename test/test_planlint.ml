@@ -292,6 +292,21 @@ let test_modes_agree_on_ev140 () =
     (has_code "EV140" a.Planlint.pl_diags
     && has_code "EV140" b.Planlint.pl_diags)
 
+(* More chains than the pass's one-byte map holds: ids from 255 up live
+   in its side table, and the modes still agree. *)
+let test_modes_agree_past_255_chains () =
+  let c =
+    Cluster.create
+      (List.init 300 (fun i ->
+           Cluster.endpoint_node (Printf.sprintf "n%d" i)))
+  in
+  let d =
+    Dag.layered ~seed:3 ~layers:4 ~width:150 ~flops:1e9 ~bytes:1e5 ()
+  in
+  let a, b = both_modes c (plan_of ~policy:"round-robin" c d) in
+  checki "chains" 300 a.Planlint.pl_chains;
+  checkb "same summary" true (same_summary a b)
+
 (* ---- structural mutations --------------------------------------------------- *)
 
 (* build a valid plan, then swap in a dag whose task [i] was rewritten
@@ -625,7 +640,9 @@ let suite =
       [ QCheck_alcotest.to_alcotest prop_shipped_schedulers_lint_clean ] );
     ( "modes",
       [ QCheck_alcotest.to_alcotest prop_modes_agree;
-        Alcotest.test_case "EV140 verdict" `Quick test_modes_agree_on_ev140 ]
+        Alcotest.test_case "EV140 verdict" `Quick test_modes_agree_on_ev140;
+        Alcotest.test_case "past 255 chains" `Quick
+          test_modes_agree_past_255_chains ]
     );
     ( "structural",
       [ Alcotest.test_case "EV100 dangling input" `Quick
