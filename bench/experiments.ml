@@ -489,7 +489,8 @@ let e6 () =
     { Hls.Estimate.area = Hls.Estimate.zero_area; cycles = 2_500_000; ii = 1;
       clock_mhz = 250.0; dynamic_power_w = 12.0 }
   in
-  let mk_dag () =
+  (* [fpga:false] leaves the members their CPU implementation only *)
+  let mk_dag ~fpga =
     Wf.Dag.create "ensemble"
       (Wf.Dag.task ~id:0 ~name:"scatter" ~inputs:[] ~out_bytes:(32 * 1_000_000)
          ~impls:[ Wf.Dag.Cpu { flops = 1e7; bytes = 3.2e7; threads = 1 } ]
@@ -499,29 +500,18 @@ let e6 () =
                ~name:(Printf.sprintf "member%d" i)
                ~inputs:[ 0 ] ~out_bytes:100_000
                ~impls:
-                 [ Wf.Dag.Cpu { flops = 5e9; bytes = 1e6; threads = 1 };
-                   Wf.Dag.Fpga { bitstream = "member"; estimate = est;
-                                 in_bytes = 1_000_000; out_bytes = 100_000 } ]
+                 (Wf.Dag.Cpu { flops = 5e9; bytes = 1e6; threads = 1 }
+                 :: (if fpga then
+                       [ Wf.Dag.Fpga { bitstream = "member"; estimate = est;
+                                       in_bytes = 1_000_000;
+                                       out_bytes = 100_000 } ]
+                     else []))
                ()))
   in
   let rows =
     List.map
       (fun (name, cloud_fpgas, strip_fpga) ->
-        let dag = mk_dag () in
-        let dag =
-          if strip_fpga then
-            { dag with
-              Wf.Dag.tasks =
-                Array.map
-                  (fun (t : Wf.Dag.task) ->
-                    { t with
-                      Wf.Dag.impls =
-                        List.filter
-                          (function Wf.Dag.Cpu _ -> true | _ -> false)
-                          t.Wf.Dag.impls })
-                  dag.Wf.Dag.tasks }
-          else dag
-        in
+        let dag = mk_dag ~fpga:(not strip_fpga) in
         let _, stats =
           Wf.Executor.run_on_demonstrator ~cloud_fpgas ~edges:0 ~endpoints:0
             ~policy:"heft-locality" dag

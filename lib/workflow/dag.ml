@@ -5,13 +5,15 @@
    scheduler picks a node and an implementation per task; the executor
    replays the plan on the simulated platform.
 
-   Scale: the reverse adjacency (consumers) is precomputed once at
-   construction as an array of arrays, so [consumers]/[iter_consumers] are
-   O(out-degree) instead of the historical O(n) rebuild per call — at 10⁵+
-   tasks that rebuild made every downstream walk (HEFT ranks, executor
-   completions) quadratic.  The cache is keyed on the physical identity of
-   the task array, so functional updates ([{ dag with tasks = … }]) get a
-   fresh index lazily instead of a stale one. *)
+   Every DAG is built here, by [create] or a generator, and checked once:
+   ids equal indexes, each input precedes its task and no input repeats,
+   so index order is a topological order and nothing downstream re-checks
+   it.  The record is private and its task array is never written after
+   construction, so the reverse adjacency (consumers), built in the same
+   step as an array of arrays, can never go stale; [consumers] and
+   [iter_consumers] are O(out-degree) instead of the historical O(n)
+   rebuild per call, which at 10⁵+ tasks made every downstream walk (HEFT
+   ranks, executor completions) quadratic. *)
 
 type impl =
   | Cpu of { flops : float; bytes : float; threads : int }
@@ -38,32 +40,30 @@ type task = {
 type t = {
   dag_name : string;
   tasks : task array;
-  mutable rev_adj : (task array * int array array) option;
+  rev_adj : int array array;  (* consumer ids per producer, ascending *)
 }
 
 let task ?(pinned = None) ?(impls = []) ~id ~name ~inputs ~out_bytes () =
   { id; name; impls; inputs; out_bytes; pinned }
 
-(* Reverse adjacency in one O(tasks + edges) pass; consumer lists come out
-   in ascending task id (the order the historical scan produced).  Duplicate
-   inputs collapse to one edge, matching the old [List.mem] semantics. *)
+(* Reverse adjacency of validated tasks in one O(tasks + edges) pass;
+   consumer lists come out in ascending task id (the order the historical
+   scan produced). *)
 let build_rev_adj tasks =
   let n = Array.length tasks in
   let deg = Array.make n 0 in
-  let each_input t f =
-    match t.inputs with
-    | [] -> ()
-    | [ d ] -> f d
-    | ds -> List.iter f (List.sort_uniq compare ds)
-  in
-  Array.iter (fun t -> each_input t (fun d -> deg.(d) <- deg.(d) + 1)) tasks;
+  Array.iter
+    (fun t -> List.iter (fun d -> deg.(d) <- deg.(d) + 1) t.inputs)
+    tasks;
   let adj = Array.init n (fun i -> Array.make deg.(i) 0) in
   let fill = Array.make n 0 in
   Array.iter
     (fun t ->
-      each_input t (fun d ->
+      List.iter
+        (fun d ->
           adj.(d).(fill.(d)) <- t.id;
-          fill.(d) <- fill.(d) + 1))
+          fill.(d) <- fill.(d) + 1)
+        t.inputs)
     tasks;
   adj
 
@@ -99,24 +99,16 @@ let of_tasks dag_name tasks =
           in
           dups (List.sort compare ds))
     tasks;
-  { dag_name; tasks; rev_adj = Some (tasks, build_rev_adj tasks) }
+  { dag_name; tasks; rev_adj = build_rev_adj tasks }
 
 let create dag_name tasks = of_tasks dag_name (Array.of_list tasks)
 
 let size d = Array.length d.tasks
 let find d id = d.tasks.(id)
 
-let rev_adj d =
-  match d.rev_adj with
-  | Some (arr, adj) when arr == d.tasks -> adj
-  | _ ->
-      let adj = build_rev_adj d.tasks in
-      d.rev_adj <- Some (d.tasks, adj);
-      adj
-
-let consumers d id = Array.to_list (rev_adj d).(id)
-let iter_consumers d id f = Array.iter f (rev_adj d).(id)
-let out_degree d id = Array.length (rev_adj d).(id)
+let consumers d id = Array.to_list d.rev_adj.(id)
+let iter_consumers d id f = Array.iter f d.rev_adj.(id)
+let out_degree d id = Array.length d.rev_adj.(id)
 
 (* The historical O(n·deg) rebuild, kept as the reference the cached index
    is property-tested against (and as the quadratic baseline in e17). *)

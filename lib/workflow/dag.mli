@@ -25,15 +25,18 @@ type task = {
   pinned : string option;  (** Sources pinned to a node (data origin). *)
 }
 
-type t = {
+(** A validated DAG.  Only {!create} and the generators below build one,
+    and each checks it once: task [i] has id [i], every input precedes its
+    task, and no task lists an input twice, so ascending index order is a
+    topological order.  The record is private: code outside this module
+    reads it but can neither build nor functionally update one, and the
+    task array is never written after construction. *)
+type t = private {
   dag_name : string;
-  tasks : task array;
-  mutable rev_adj : (task array * int array array) option;
-      (** Cached reverse adjacency (consumer ids per producer), built once
-          at construction; valid while its first component is physically
-          the current [tasks] array, so functional updates of [tasks] get
-          a fresh index lazily rather than a stale one.  Use the accessors
-          below, not this field. *)
+  tasks : task array;  (** Task [i] at index [i]. *)
+  rev_adj : int array array;
+      (** Consumer ids of each task, ascending (the reverse adjacency),
+          built with the DAG; {!consumers} and {!iter_consumers} read it. *)
 }
 
 val task :
@@ -46,18 +49,20 @@ val task :
   unit ->
   task
 
-(** @raise Invalid_argument unless ids are consecutive, every input precedes
-    its task, and no task lists an input twice (duplicates would deadlock
-    the executor: it counts raw inputs but producers signal deduplicated
-    consumers).  Messages name the dag, the offending task id and name, and
-    the bad input id. *)
+(** [create name tasks] validates [tasks] and builds their reverse
+    adjacency.
+    @raise Invalid_argument unless ids are consecutive from 0, every input
+    precedes its task, and no task lists an input twice (duplicates would
+    deadlock the executor: it counts raw inputs but producers signal
+    deduplicated consumers).  Messages name the dag, the offending task id
+    and name, and the bad input id. *)
 val create : string -> task list -> t
 
 val size : t -> int
 val find : t -> int -> task
 
 (** Consumer task ids of [id] in ascending order, O(out-degree) from the
-    cached reverse adjacency (duplicate inputs collapse to one edge). *)
+    reverse adjacency. *)
 val consumers : t -> int -> int list
 
 val iter_consumers : t -> int -> (int -> unit) -> unit

@@ -648,34 +648,34 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
                            then fail_attempt tk ~reason:"heartbeat")
                          tks)
                      (Array.copy inflight))));
-  let execution_failed reason =
+  (* the stats of the run so far: the partial stats of a failed run, or
+     the final ones *)
+  let stats () =
     let makespan = Array.fold_left Float.max 0.0 finish in
-    let per_node =
-      List.map
-        (fun (nd : Node.t) -> (nd.Node.name, nd.Node.tasks_run))
-        c.Cluster.nodes
-    in
-    let partial =
-      { makespan;
-        task_finish = finish;
-        bytes_moved = c.Cluster.bytes_moved;
-        transfers = c.Cluster.transfers;
-        energy_j = Cluster.total_energy c;
-        per_node_tasks = per_node;
-        retries = !retries;
-        timeouts = !timeouts;
-        speculative = !speculative;
-        recomputed = !recomputed;
-        span_log = (if trace_on then Trace.spans_rev tracer else []);
-        report =
-          build_report ~plan ~tracer ~registry ~labels ~cluster:c ~finish
-            ~makespan ~retries:!retries ~timeouts:!timeouts
-            ~speculative:!speculative ~recomputed:!recomputed
-            ~bytes_moved:c.Cluster.bytes_moved ~transfers:c.Cluster.transfers
-            ~energy_j:(Cluster.total_energy c);
-      }
-    in
-    Execution_failed { reason; partial }
+    let energy_j = Cluster.total_energy c in
+    { makespan;
+      task_finish = finish;
+      bytes_moved = c.Cluster.bytes_moved;
+      transfers = c.Cluster.transfers;
+      energy_j;
+      per_node_tasks =
+        List.map
+          (fun (nd : Node.t) -> (nd.Node.name, nd.Node.tasks_run))
+          c.Cluster.nodes;
+      retries = !retries;
+      timeouts = !timeouts;
+      speculative = !speculative;
+      recomputed = !recomputed;
+      span_log = (if trace_on then Trace.spans_rev tracer else []);
+      report =
+        build_report ~plan ~tracer ~registry ~labels ~cluster:c ~finish
+          ~makespan ~retries:!retries ~timeouts:!timeouts
+          ~speculative:!speculative ~recomputed:!recomputed
+          ~bytes_moved:c.Cluster.bytes_moved ~transfers:c.Cluster.transfers
+          ~energy_j }
+  in
+  let execution_failed reason =
+    Execution_failed { reason; partial = stats () }
   in
   (try
      Array.iteri (fun i t -> if t.Dag.inputs = [] then launch i) dag.Dag.tasks;
@@ -689,35 +689,12 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
         raise
           (execution_failed (Printf.sprintf "task %d never completed" i)))
     finish;
-  let makespan = Array.fold_left Float.max 0.0 finish in
+  let stats = stats () in
   Metrics.set
     (Metrics.gauge ~registry ~labels "workflow_makespan_s")
-    makespan;
+    stats.makespan;
   Cluster.publish_metrics ~registry c;
-  let per_node =
-    List.map
-      (fun (nd : Node.t) -> (nd.Node.name, nd.Node.tasks_run))
-      c.Cluster.nodes
-  in
-  {
-    makespan;
-    task_finish = finish;
-    bytes_moved = c.Cluster.bytes_moved;
-    transfers = c.Cluster.transfers;
-    energy_j = Cluster.total_energy c;
-    per_node_tasks = per_node;
-    retries = !retries;
-    timeouts = !timeouts;
-    speculative = !speculative;
-    recomputed = !recomputed;
-    span_log = (if trace_on then Trace.spans_rev tracer else []);
-    report =
-      build_report ~plan ~tracer ~registry ~labels ~cluster:c ~finish
-        ~makespan ~retries:!retries ~timeouts:!timeouts
-        ~speculative:!speculative ~recomputed:!recomputed
-        ~bytes_moved:c.Cluster.bytes_moved ~transfers:c.Cluster.transfers
-        ~energy_j:(Cluster.total_energy c);
-  }
+  stats
 
 (* Convenience: build a fresh demonstrator, schedule with [policy], run. *)
 let run_on_demonstrator ?(cloud_fpgas = 4) ?(edges = 2) ?(endpoints = 4)

@@ -1,16 +1,16 @@
 (* Planlint: static sanitization of execution plans before they run.
 
-   The analyzer re-derives everything it asserts from first principles —
-   it never trusts the DAG's construction-time invariants (functional
-   updates and in-place mutation can break them) nor the cached reverse
-   adjacency (it cross-checks it instead, EV103).  The expensive part, the
-   happens-before proof, runs over a chain-decomposition reachability
-   index: chains are the plan's per-node serialization sequences in
-   topological order, so with k assigned nodes the index is n·k ints built
-   in one reverse-topological pass and every "is the producer ordered
-   before this consumer" query is an O(1) array compare.  A million-task
-   plan lints in a small fraction of the time HEFT took to produce it
-   (bench e18 gates <5%).
+   A [Dag.t] is checked once, when [Dag.create] or a generator builds it
+   (ids equal indexes, inputs precede their task, no input repeats), and
+   cannot be changed afterwards, so ascending index order is a
+   topological order and the analyzer lints a plan in one walk over its
+   tasks.  The expensive part, the happens-before proof against a
+   reference DAG, runs over a chain-decomposition reachability index:
+   chains are the plan's per-node serialization sequences in index order,
+   so with k assigned nodes the index is n·k ints built in one reverse
+   pass and every "is the producer ordered before this consumer" query is
+   an O(1) array compare.  A million-task plan lints in a small fraction
+   of the time HEFT took to produce it (bench e18 gates <5%).
 
    Diagnostics reuse the Everest_analysis.Lint shapes so the CLI renders
    plan reports and IR reports identically; emission is capped per code so
@@ -25,18 +25,7 @@ module Slo = Everest_observe.Slo
 exception Plan_invalid of { plan : string; diags : Lint.diag list }
 
 let codes =
-  [ ("EV100", Lint.Error,
-     "dangling input: input id outside the task array (or task id \
-      disagreeing with its index)");
-    ("EV101", Lint.Error,
-     "duplicate input: the executor counts raw inputs but producers signal \
-      deduplicated consumers, so the task can never launch");
-    ("EV102", Lint.Error, "dependency cycle among tasks");
-    ("EV103", Lint.Error,
-     "stale reverse-adjacency cache: tasks mutated in place after \
-      construction (a superseded cache from a functional update is Info — \
-      it is rebuilt lazily by design)");
-    ("EV110", Lint.Error,
+  [ ("EV110", Lint.Error,
      "precedence edge of the reference DAG missing from the plan's DAG: \
       the executor will not wait for the producer");
     ("EV111", Lint.Error,
@@ -121,170 +110,6 @@ let task_op (t : Dag.task) i =
   if String.length t.Dag.name = 0 then Printf.sprintf "task %d" i
   else Printf.sprintf "task %d (%s)" i t.Dag.name
 
-(* ---- structure: deduped edges + topological order ---------------------------------- *)
-
-(* Per-task deduplicated producer lists in CSR form ([st_off]/[st_src],
-   producers of task t at [st_off.(t) .. st_off.(t+1))], ascending), plus a
-   topological order.  When construction-time ordering (inputs < id = index)
-   holds, ascending ids ARE a topological order and [st_order] is [None];
-   otherwise a Kahn pass orders (and detects cycles in) the graph. *)
-type structure = {
-  st_n : int;
-  st_off : int array;
-  st_src : int array;
-  st_order : int array option;  (* None = ascending ids *)
-  st_rank : int array option;  (* topological rank when st_order <> None *)
-  st_cyclic : int;  (* number of tasks trapped in cycles; 0 = acyclic *)
-}
-
-let st_edges st = st.st_off.(st.st_n)
-
-let iter_order st f =
-  match st.st_order with
-  | None -> for i = 0 to st.st_n - 1 do f i done
-  | Some o -> Array.iter f o
-
-let iter_order_rev st f =
-  match st.st_order with
-  | None -> for i = st.st_n - 1 downto 0 do f i done
-  | Some o -> for k = Array.length o - 1 downto 0 do f o.(k) done
-
-(* Consumers of each task over CSR producer lists ([off]/[src]),
-   ascending per row: a local transpose, since the dag's cached adjacency
-   cannot be trusted here (and must not be forced). *)
-let transpose n off src =
-  let outdeg = Array.make (max 1 n) 0 in
-  for e = 0 to off.(n) - 1 do
-    outdeg.(src.(e)) <- outdeg.(src.(e)) + 1
-  done;
-  let adj = Array.init n (fun i -> Array.make outdeg.(i) 0) in
-  let fill = Array.make (max 1 n) 0 in
-  for t = 0 to n - 1 do
-    for e = off.(t) to off.(t + 1) - 1 do
-      let d = src.(e) in
-      adj.(d).(fill.(d)) <- t;
-      fill.(d) <- fill.(d) + 1
-    done
-  done;
-  adj
-
-(* Deduped, validity-filtered producers.  [report] sees (consumer, input,
-   kind) for every defect; kind is [`Dangling] or [`Duplicate]. *)
-let build_structure ?report (tasks : Dag.task array) =
-  let n = Array.length tasks in
-  let report k t d = match report with Some f -> f k t d | None -> () in
-  let off = Array.make (n + 1) 0 in
-  let ordered = ref true in
-  (* pass 1: count valid deduped inputs per task *)
-  let count_valid t inputs =
-    match inputs with
-    | [] -> 0
-    | [ d ] ->
-        if d < 0 || d >= n then (report `Dangling t d; 0)
-        else begin
-          if d >= t then ordered := false;
-          1
-        end
-    | ds ->
-        (* fast path: strictly ascending and in range (how [Dag.create]
-           leaves them) — no sort, no allocation *)
-        let rec asc prev cnt = function
-          | [] -> cnt
-          | d :: rest ->
-              if d > prev && d < n then begin
-                if d >= t then ordered := false;
-                asc d (cnt + 1) rest
-              end
-              else -1
-        in
-        let fast = asc (-1) 0 ds in
-        if fast >= 0 then fast
-        else begin
-          let sorted = List.sort compare ds in
-          let k = ref 0 and prev = ref min_int and first = ref true in
-          List.iter
-            (fun d ->
-              if d < 0 || d >= n then report `Dangling t d
-              else if (not !first) && d = !prev then report `Duplicate t d
-              else begin
-                if d >= t then ordered := false;
-                incr k
-              end;
-              prev := d;
-              first := false)
-            sorted;
-          !k
-        end
-  in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + count_valid i tasks.(i).Dag.inputs
-  done;
-  let m = off.(n) in
-  let src = Array.make (max 1 m) 0 in
-  let fill = Array.copy off in
-  for i = 0 to n - 1 do
-    match tasks.(i).Dag.inputs with
-    | [] -> ()
-    | [ d ] ->
-        if d >= 0 && d < n then begin
-          src.(fill.(i)) <- d;
-          fill.(i) <- fill.(i) + 1
-        end
-    | ds ->
-        let rec asc prev = function
-          | [] -> true
-          | d :: rest -> d > prev && d < n && asc d rest
-        in
-        if asc (-1) ds then
-          List.iter
-            (fun d ->
-              src.(fill.(i)) <- d;
-              fill.(i) <- fill.(i) + 1)
-            ds
-        else
-          List.iter
-            (fun d ->
-              if d >= 0 && d < n then begin
-                src.(fill.(i)) <- d;
-                fill.(i) <- fill.(i) + 1
-              end)
-            (List.sort_uniq compare ds)
-  done;
-  if !ordered then
-    { st_n = n; st_off = off; st_src = src; st_order = None; st_rank = None;
-      st_cyclic = 0 }
-  else begin
-    (* Kahn over the filtered edges *)
-    let consumers = transpose n off src in
-    let indeg = Array.init n (fun t -> off.(t + 1) - off.(t)) in
-    let order = Array.make n 0 in
-    let head = ref 0 and tail = ref 0 in
-    for i = 0 to n - 1 do
-      if indeg.(i) = 0 then begin
-        order.(!tail) <- i;
-        incr tail
-      end
-    done;
-    while !head < !tail do
-      let v = order.(!head) in
-      incr head;
-      Array.iter
-        (fun w ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then begin
-            order.(!tail) <- w;
-            incr tail
-          end)
-        consumers.(v)
-    done;
-    let cyclic = n - !tail in
-    let order = if cyclic = 0 then order else Array.sub order 0 !tail in
-    let rank = Array.make n max_int in
-    Array.iteri (fun k v -> rank.(v) <- k) order;
-    { st_n = n; st_off = off; st_src = src; st_order = Some order;
-      st_rank = Some rank; st_cyclic = cyclic }
-  end
-
 (* ---- chains ------------------------------------------------------------------------ *)
 
 (* One chain per distinct assigned node, numbered in order of first
@@ -335,9 +160,10 @@ let[@inline] chain_id ch name =
 
 (* ---- reachability index ------------------------------------------------------------ *)
 
-(* Chains ordered topologically inside each group are the order any
-   serialization of the plan's static timeline executes them in.  The
-   index row of vertex v stores, per chain c, the smallest position in c
+(* Each chain lists its tasks in index order, a topological order, which
+   is the order any serialization of the plan's static timeline executes
+   them in.  The index row of vertex v stores, per chain c, the smallest
+   position in c
    among vertices reachable from v through plan order (data edges + chain
    succession); membership of w's chain position then answers
    reaches(v, w) in O(1). *)
@@ -349,19 +175,20 @@ type reach = {
   r_label : int array;  (* n·k, min reachable position per chain *)
 }
 
-let build_reach st ~(chain : int array) ~k ~(consumers : int array array) =
-  let n = st.st_n in
+let build_reach (dag : Dag.t) ~(chain : int array) ~k =
+  let n = Dag.size dag in
   let k = max 1 k in
   let pos = Array.make (max 1 n) 0 in
   let chain_next = Array.make (max 1 n) (-1) in
   let last = Array.make k (-1) in
   let counts = Array.make k 0 in
-  iter_order st (fun v ->
-      let c = chain.(v) in
-      pos.(v) <- counts.(c);
-      counts.(c) <- counts.(c) + 1;
-      if last.(c) >= 0 then chain_next.(last.(c)) <- v;
-      last.(c) <- v);
+  for v = 0 to n - 1 do
+    let c = chain.(v) in
+    pos.(v) <- counts.(c);
+    counts.(c) <- counts.(c) + 1;
+    if last.(c) >= 0 then chain_next.(last.(c)) <- v;
+    last.(c) <- v
+  done;
   let label = Array.make (max 1 (n * k)) max_int in
   let merge_from v w =
     let bv = v * k and bw = w * k in
@@ -371,11 +198,12 @@ let build_reach st ~(chain : int array) ~k ~(consumers : int array array) =
         Array.unsafe_set label (bv + c) x
     done
   in
-  iter_order_rev st (fun v ->
-      if chain_next.(v) >= 0 then merge_from v chain_next.(v);
-      Array.iter (fun w -> merge_from v w) consumers.(v);
-      let own = (v * k) + chain.(v) in
-      if pos.(v) < label.(own) then label.(own) <- pos.(v));
+  for v = n - 1 downto 0 do
+    if chain_next.(v) >= 0 then merge_from v chain_next.(v);
+    Dag.iter_consumers dag v (fun w -> merge_from v w);
+    let own = (v * k) + chain.(v) in
+    if pos.(v) < label.(own) then label.(own) <- pos.(v)
+  done;
   { r_n = n; r_k = k; r_chain = chain; r_pos = pos; r_label = label }
 
 (* Strict ordering: v's own label includes itself, so a strict query on the
@@ -394,13 +222,7 @@ module Reach = struct
 
   let build ?dag (plan : Scheduler.plan) =
     let dag = Option.value ~default:plan.Scheduler.dag dag in
-    let bad = ref false in
-    let st =
-      build_structure ~report:(fun _ _ _ -> bad := true) dag.Dag.tasks
-    in
-    if !bad then invalid_arg "Planlint.Reach.build: malformed inputs";
-    if st.st_cyclic > 0 then invalid_arg "Planlint.Reach.build: cyclic DAG";
-    if Array.length plan.Scheduler.assignments <> st.st_n then
+    if Array.length plan.Scheduler.assignments <> Dag.size dag then
       invalid_arg "Planlint.Reach.build: plan does not cover the DAG";
     let ch = chain_table () in
     let chain =
@@ -408,8 +230,7 @@ module Reach = struct
         (fun (a : Scheduler.assignment) -> chain_id ch a.Scheduler.node)
         plan.Scheduler.assignments
     in
-    build_reach st ~chain ~k:ch.ch_k
-      ~consumers:(transpose st.st_n st.st_off st.st_src)
+    build_reach dag ~chain ~k:ch.ch_k
 
   let tasks r = r.r_n
   let chains r = r.r_k
@@ -426,15 +247,13 @@ type summary = {
   pl_cp_lower_s : float;
 }
 
-(* Both modes run this pass over the tasks, visiting each task after its
-   producers.  Per task it resolves the node chain, runs the placement
-   checks (EV120–EV123), accumulates ASAP readiness from the producers,
-   adds the execution estimate, and collects FPGA tasks for the slot sweep
-   (EV130/EV131).  The modes differ only in how they hand it the
-   producers: the construction-ordered mode walks each task's raw inputs,
-   the general mode the deduped CSR rows.  Transfer times are affine in
-   bytes per node pair, so the pass memoizes the two coefficients per
-   (source chain, destination chain). *)
+(* The pass visits the tasks in index order, so each after its producers.
+   Per task it resolves the node chain, runs the placement checks
+   (EV120–EV123), accumulates ASAP readiness from the producers, adds the
+   execution estimate, and collects FPGA tasks for the slot sweep
+   (EV130/EV131).  Transfer times are affine in bytes per node pair, so
+   the pass memoizes the two coefficients per (source chain, destination
+   chain). *)
 type pass = {
   p_em : emitter;
   p_c : Cluster.t;
@@ -753,305 +572,87 @@ let conclude p ~n ~edges ~slos ?deadline_s () =
   slo_checks p.p_em !cp_lb deadline_s slos;
   summarize p ~n ~edges !cp_lb
 
-(* EV103 at Info, in both modes *)
-let superseded_cache em =
-  emit em ~code:"EV103" ~severity:Lint.Info ~op:"plan"
-    "reverse-adjacency cache refers to a superseded tasks array \
-     (functional update); it will be rebuilt lazily"
+(* EV110/EV111 against a reference DAG other than the plan's own.  The
+   executor enforces exactly the plan DAG's data edges, each of which is by
+   construction an edge of the plan-order graph, so checking a plan against
+   its own DAG proves nothing and is skipped.  Against a different DAG each
+   of its precedence edges must be in the plan's DAG (EV110) and ordered by
+   the plan (EV111), which verifies repairs instead of trusting them.  The
+   chains are resolved in index order first, as the walk resolves them. *)
+let reference_checks p (rdag : Dag.t) (plan : Scheduler.plan) =
+  let tasks = plan.Scheduler.dag.Dag.tasks in
+  let assignments = plan.Scheduler.assignments in
+  let n = Array.length tasks in
+  for i = 0 to n - 1 do
+    ignore (resolve p i tasks.(i) assignments.(i))
+  done;
+  let r =
+    build_reach plan.Scheduler.dag ~chain:(Array.init n (chain_of p))
+      ~k:p.p_chains.ch_k
+  in
+  let rtasks = rdag.Dag.tasks in
+  if Array.length rtasks <> n then
+    emit p.p_em ~code:"EV112" ~op:"plan"
+      (Printf.sprintf "reference DAG has %d task(s), the plan's DAG %d"
+         (Array.length rtasks) n);
+  for t = 0 to min (Array.length rtasks) n - 1 do
+    (* a task record shared with the plan's DAG carries its edges *)
+    if rtasks.(t) != tasks.(t) then
+      List.iter
+        (fun d ->
+          if not (List.mem d tasks.(t).Dag.inputs) then
+            emit p.p_em ~code:"EV110" ~op:(task_op rtasks.(t) t)
+              (Printf.sprintf
+                 "dependence on task %d (%s) was dropped from the plan's DAG"
+                 d rtasks.(d).Dag.name);
+          if not (reach_query r d t) then
+            emit p.p_em ~code:"EV111" ~op:(task_op rtasks.(t) t)
+              (Printf.sprintf
+                 "no plan ordering places producer %d (%s) before this \
+                  consumer"
+                 d rtasks.(d).Dag.name))
+        (List.sort compare rtasks.(t).Dag.inputs)
+  done
 
-(* ---- general mode ------------------------------------------------------------------ *)
-
-(* binary search for [x] in the ascending slice [a.(lo..hi)) *)
-let rec mem_sorted a x lo hi =
-  if lo >= hi then false
-  else
-    let mid = (lo + hi) / 2 in
-    let v = a.(mid) in
-    if v = x then true
-    else if v < x then mem_sorted a x (mid + 1) hi
-    else mem_sorted a x lo mid
-
-(* Any plan, defective or checked against a reference DAG: the structural
-   checks (EV100–EV103, EV110–EV112) name each defect precisely, then the
-   pass runs over the deduped CSR producers in topological order. *)
-let analyze_general ?dag ~excluded ~slos ?deadline_s (c : Cluster.t)
+(* EV112, then EV110/EV111 when a different reference DAG is given, then
+   one walk over the tasks in index order that feeds the pass each task's
+   inputs, as a loop so that no closure holds the edge counter. *)
+let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
     (plan : Scheduler.plan) : summary =
   let pdag = plan.Scheduler.dag in
   let tasks = pdag.Dag.tasks in
   let n = Array.length tasks in
   let assignments = plan.Scheduler.assignments in
   let p = pass ~excluded c plan n in
-  let em = p.p_em in
-  (* EV112: shape — nothing else is meaningful if the plan doesn't cover
-     the task array *)
   if Array.length assignments <> n then begin
-    emit em ~code:"EV112" ~op:"plan"
+    emit p.p_em ~code:"EV112" ~op:"plan"
       (Printf.sprintf "%d assignment(s) for %d task(s)"
          (Array.length assignments) n);
     summarize p ~n ~edges:0 0.0
   end
   else begin
-    (* EV100/EV101 + structure (deduped edges, topological order, cycles) *)
-    let st =
-      build_structure
-        ~report:(fun kind t d ->
-          match kind with
-          | `Dangling ->
-              if tasks.(t).Dag.id <> t then ()  (* reported below *)
-              else
-                emit em ~code:"EV100" ~op:(task_op tasks.(t) t)
-                  (Printf.sprintf
-                     "input %d is outside the task array [0, %d)" d n)
-          | `Duplicate ->
-              emit em ~code:"EV101" ~op:(task_op tasks.(t) t)
-                (Printf.sprintf
-                   "input %d listed more than once: the executor counts \
-                    raw inputs but the producer signals once, so this task \
-                    can never launch"
-                   d))
-        tasks
-    in
-    (* ids must agree with indexes (everything downstream identifies tasks
-       by index, as the executor does) *)
-    Array.iteri
-      (fun i (t : Dag.task) ->
-        if t.Dag.id <> i then
-          emit em ~code:"EV100" ~op:(task_op t i)
-            (Printf.sprintf "task at index %d carries id %d" i t.Dag.id))
-      tasks;
-    if st.st_cyclic > 0 then begin
-      (* smallest trapped id makes the report deterministic and gives a
-         place to start untangling *)
-      let example = ref (-1) in
-      (match st.st_rank with
-      | Some rank ->
-          for i = n - 1 downto 0 do
-            if rank.(i) = max_int then example := i
-          done
-      | None -> ());
-      emit em ~code:"EV102" ~op:"plan"
-        (Printf.sprintf
-           "%d task(s) trapped in dependency cycles (e.g. task %d)"
-           st.st_cyclic !example)
-    end;
-    (* EV103: the cached reverse adjacency.  A cache keyed on a previous
-       tasks array is benign (rebuilt lazily on next access) — Info.  A
-       cache keyed on THIS array must agree with the actual inputs; if the
-       tasks were mutated in place it will not, and every consumer walk in
-       the executor follows the stale edges — Error. *)
-    let adj_checked =
-      match pdag.Dag.rev_adj with
-      | None -> None
-      | Some (arr, _) when arr != tasks ->
-          superseded_cache em;
-          None
-      | Some (_, adj) ->
-          let total = ref 0 and stale = ref (Array.length adj <> n) in
-          if not !stale then begin
-            Array.iter (fun a -> total := !total + Array.length a) adj;
-            if !total <> st_edges st then stale := true
-            else begin
-              (* both sides list each producer's consumers in ascending
-                 order, so a positional cursor per row checks exact
-                 equality in O(edges) — no per-edge binary search *)
-              let cursor = Array.make (max 1 n) 0 in
-              (try
-                 for t = 0 to n - 1 do
-                   for e = st.st_off.(t) to st.st_off.(t + 1) - 1 do
-                     let d = Array.unsafe_get st.st_src e in
-                     let row = adj.(d) in
-                     let cu = Array.unsafe_get cursor d in
-                     if cu >= Array.length row || row.(cu) <> t then
-                       raise Exit;
-                     Array.unsafe_set cursor d (cu + 1)
-                   done
-                 done
-               with Exit -> stale := true)
-            end
-          end;
-          if !stale then begin
-            emit em ~code:"EV103" ~op:"plan"
-              "reverse-adjacency cache disagrees with the task inputs: the \
-               tasks array was mutated in place after construction (the \
-               executor would follow the stale edges)";
-            None
-          end
-          else Some adj
-    in
-    (* chain ids in index order, as the construction-ordered mode assigns
-       them *)
+    (match dag with
+    | Some rdag when rdag != pdag -> reference_checks p rdag plan
+    | _ -> ());
+    let edges = ref 0 in
     for i = 0 to n - 1 do
-      ignore (resolve p i tasks.(i) assignments.(i))
-    done;
-    if st.st_cyclic > 0 then begin
-      (* no usable order: still run the per-task placement checks *)
-      for i = 0 to n - 1 do
-        place p i tasks.(i) assignments.(i) (chain_of p i)
+      let a = Array.unsafe_get assignments i in
+      let t = Array.unsafe_get tasks i in
+      let ci = resolve p i t a in
+      place p i t a ci;
+      let rest = ref t.Dag.inputs in
+      while !rest != [] do
+        match !rest with
+        | [] -> ()
+        | d :: tl ->
+            incr edges;
+            await p i ci d;
+            rest := tl
       done;
-      summarize p ~n ~edges:(st_edges st) 0.0
-    end
-    else begin
-      (* ---- happens-before ----
-         The executor enforces exactly the plan DAG's data edges, and every
-         one of those edges is by construction an edge of the plan-order
-         graph — so when the plan is checked against its own DAG the proof
-         is vacuous and the reachability index is not built at all.  The
-         index (and the EV110/EV111 obligations) only come into play when a
-         *different* reference DAG is supplied: then each of its precedence
-         edges must be found in the plan's DAG (EV110) and ordered by the
-         plan (EV111), which verifies cone repairs and functional updates
-         instead of trusting them. *)
-      (match dag with
-      | Some rdag when rdag.Dag.tasks != tasks ->
-          let consumers =
-            match adj_checked with
-            | Some adj -> adj
-            | None -> transpose n st.st_off st.st_src
-          in
-          let r =
-            build_reach st ~chain:(Array.init n (chain_of p))
-              ~k:p.p_chains.ch_k ~consumers
-          in
-          let rtasks = rdag.Dag.tasks in
-          let rn = min (Array.length rtasks) n in
-          if Array.length rtasks <> n then
-            emit em ~code:"EV112" ~op:"plan"
-              (Printf.sprintf
-                 "reference DAG has %d task(s), the plan's DAG %d"
-                 (Array.length rtasks) n);
-          for t = 0 to rn - 1 do
-            (* task records are shared between a dag and its functional
-               update except where edited — skip untouched tasks *)
-            if rtasks.(t) != tasks.(t) then
-              List.iter
-                (fun d ->
-                  if d >= 0 && d < n && d <> t then begin
-                    let lo = st.st_off.(t) and hi = st.st_off.(t + 1) in
-                    if not (mem_sorted st.st_src d lo hi) then
-                      emit em ~code:"EV110" ~op:(task_op rtasks.(t) t)
-                        (Printf.sprintf
-                           "dependence on task %d (%s) was dropped from \
-                            the plan's DAG"
-                           d rtasks.(d).Dag.name);
-                    if not (reach_query r d t) then
-                      emit em ~code:"EV111" ~op:(task_op rtasks.(t) t)
-                        (Printf.sprintf
-                           "no plan ordering places producer %d (%s) \
-                            before this consumer"
-                           d rtasks.(d).Dag.name)
-                  end)
-                (List.sort_uniq compare rtasks.(t).Dag.inputs)
-          done
-      | _ -> ());
-      iter_order st (fun i ->
-          let a = assignments.(i) in
-          let ci = chain_of p i in
-          place p i tasks.(i) a ci;
-          for e = st.st_off.(i) to st.st_off.(i + 1) - 1 do
-            await p i ci (Array.unsafe_get st.st_src e)
-          done;
-          settle p i a ci);
-      conclude p ~n ~edges:(st_edges st) ~slos ?deadline_s ()
-    end
+      settle p i a ci
+    done;
+    conclude p ~n ~edges:!edges ~slos ?deadline_s ()
   end
-
-(* ---- construction-ordered mode ----------------------------------------------------- *)
-
-(* Raised by the construction-ordered mode when the plan is not in the
-   clean shape; the general mode takes over and names the defect
-   precisely.  Never escapes [analyze]. *)
-exception Slow_path
-
-(* mixes one edge into a commutative multiset hash (summed per edge); the
-   two multiplies are independent so the mix pipelines — this guards
-   against accidental cache staleness, not an adversary, so no final
-   avalanche is needed *)
-let edge_hash d t = (d * 0x9E3779B9) lxor (t * 0x85EBCA6B)
-
-(* The overwhelmingly common case: the plan is checked against its own DAG
-   and the DAG is in construction-ordered shape (ids = indexes, inputs
-   strictly ascending below the task, as [Dag.create] guarantees).  Then
-   ascending ids are a topological order, and ONE walk over the tasks — the
-   analyzer is memory-bound at 10^6 tasks, so pass count is what matters —
-   feeds the pass each task's raw inputs, with the structural validation
-   and the EV103 edge hash fused into the same walk: the cached reverse
-   adjacency is cross-checked by a sequential multiset hash over the edges
-   instead of a random-access positional compare.  The first structural
-   anomaly raises [Slow_path]. *)
-let analyze_ordered ~excluded ~slos ?deadline_s (c : Cluster.t)
-    (plan : Scheduler.plan) : summary =
-  let pdag = plan.Scheduler.dag in
-  let tasks = pdag.Dag.tasks in
-  let n = Array.length tasks in
-  let assignments = plan.Scheduler.assignments in
-  let p = pass ~excluded c plan n in
-  let adj_to_hash =
-    match pdag.Dag.rev_adj with
-    | Some (arr, adj) when arr == tasks ->
-        if Array.length adj <> n then raise Slow_path;
-        Some adj
-    | Some _ ->
-        superseded_cache p.p_em;
-        None
-    | None -> None
-  in
-  let do_hash = adj_to_hash <> None in
-  let edges = ref 0 and h_inputs = ref 0 in
-  for i = 0 to n - 1 do
-    let a = Array.unsafe_get assignments i in
-    let t = Array.unsafe_get tasks i in
-    if t.Dag.id <> i then raise Slow_path;
-    let ci = resolve p i t a in
-    place p i t a ci;
-    (* the producer walk: strict ascent below the task, the edge hash and
-       the readiness step of the pass, as a loop so that no closure holds
-       the counters *)
-    let rest = ref t.Dag.inputs and prev = ref (-1) in
-    while !rest != [] do
-      match !rest with
-      | [] -> ()
-      | d :: tl ->
-          if d <= !prev || d >= i then raise Slow_path;
-          if do_hash then h_inputs := !h_inputs + edge_hash d i;
-          incr edges;
-          await p i ci d;
-          prev := d;
-          rest := tl
-    done;
-    settle p i a ci
-  done;
-  (* EV103: the cached reverse adjacency must carry exactly the edge
-     multiset of the inputs — compared by commutative hash so both walks
-     stay sequential.  A mismatch is re-diagnosed by the general mode. *)
-  (match adj_to_hash with
-  | None -> ()
-  | Some adj ->
-      let total = ref 0 and h = ref 0 in
-      for d = 0 to n - 1 do
-        let row = Array.unsafe_get adj d in
-        total := !total + Array.length row;
-        for j = 0 to Array.length row - 1 do
-          h := !h + edge_hash d (Array.unsafe_get row j)
-        done
-      done;
-      if !total <> !edges || !h <> !h_inputs then raise Slow_path);
-  conclude p ~n ~edges:!edges ~slos ?deadline_s ()
-
-let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
-    (plan : Scheduler.plan) : summary =
-  let own_dag =
-    match dag with
-    | None -> true
-    | Some d -> d.Dag.tasks == plan.Scheduler.dag.Dag.tasks
-  in
-  if
-    own_dag
-    && Array.length plan.Scheduler.assignments
-       = Array.length plan.Scheduler.dag.Dag.tasks
-  then
-    try analyze_ordered ~excluded ~slos ?deadline_s c plan
-    with Slow_path -> analyze_general ~excluded ~slos ?deadline_s c plan
-  else analyze_general ?dag ~excluded ~slos ?deadline_s c plan
 
 let check ?dag ?excluded ?slos ?deadline_s c plan =
   (analyze ?dag ?excluded ?slos ?deadline_s c plan).pl_diags

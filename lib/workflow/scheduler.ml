@@ -301,6 +301,13 @@ let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
             let start = Float.max ready_node ready_data in
             Some (impl, start +. exec)
       in
+      (* a task pinned to an excluded node is placed as [heft_delta]
+         places one whose pin died: by EFT over the remaining nodes *)
+      let pin =
+        match t.Dag.pinned with
+        | Some n when not (List.mem n exclude) -> pinned_index mm n
+        | _ -> -1
+      in
       let best = ref None in
       (let consider ni =
          match eft_on ni with
@@ -310,12 +317,11 @@ let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
              | Some (_, _, best_eft) when best_eft <= eft -> ()
              | _ -> best := Some (ni, impl, eft))
        in
-       match t.Dag.pinned with
-       | Some n -> consider (pinned_index mm n)
-       | None ->
-           for ni = 0 to n_nodes - 1 do
-             consider ni
-           done);
+       if pin >= 0 then consider pin
+       else
+         for ni = 0 to n_nodes - 1 do
+           consider ni
+         done);
       match !best with
       | Some (ni, impl, eft) ->
           assignments.(i) <- { node = nodes.(ni).Node.name; impl };
@@ -323,8 +329,11 @@ let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
           task_node.(i) <- ni;
           node_ready.(ni) <- eft
       | None ->
-          assignments.(i) <- assign_of_rows mm rows 0 t;
-          task_node.(i) <- 0)
+          (* nothing feasible: the pin, else the first node, with the
+             task's first implementation *)
+          let ni = if pin >= 0 then pin else 0 in
+          assignments.(i) <- assign_of_rows mm rows ni t;
+          task_node.(i) <- ni)
     order;
   { dag; assignments;
     policy = (if locality_aware then "heft-locality" else "heft") }
@@ -430,7 +439,8 @@ let heft_delta ?locality_aware (c : Cluster.t) (plan : plan)
         | Some (ni, impl, exec, _) -> place ni impl exec
         | None ->
             (* no feasible impl on any survivor: first alive node, first
-               impl — the same last resort as full HEFT *)
+               impl — the last resort full HEFT takes for an unpinned
+               task *)
             place 0 (List.hd t.Dag.impls) (impl_costs mm (List.hd t.Dag.impls)).(0)
       end)
     order;
@@ -530,7 +540,8 @@ let heft_reference ?(locality_aware = false) (c : Cluster.t) (dag : Dag.t) :
           task_node.(i) <- n.Node.name;
           Hashtbl.replace node_ready n.Node.name eft
       | None ->
-          let n = List.hd nodes in
+          (* the pin, else the first node *)
+          let n = List.hd candidates in
           assignments.(i) <- assign_or_fail t n;
           task_node.(i) <- n.Node.name)
     order;
