@@ -578,7 +578,10 @@ let conclude p ~n ~edges ~slos ?deadline_s () =
    its own DAG proves nothing and is skipped.  Against a different DAG each
    of its precedence edges must be in the plan's DAG (EV110) and ordered by
    the plan (EV111), which verifies repairs instead of trusting them.  The
-   chains are resolved in index order first, as the walk resolves them. *)
+   index needs every task's chain, and these diagnostics precede the
+   walk's, so the chains are resolved here first, in index order as the
+   walk resolves them; each task's producers are checked in ascending
+   order. *)
 let reference_checks p (rdag : Dag.t) (plan : Scheduler.plan) =
   let tasks = plan.Scheduler.dag.Dag.tasks in
   let assignments = plan.Scheduler.assignments in
