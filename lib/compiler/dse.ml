@@ -50,7 +50,7 @@ let summarize ?(strategy = "exhaustive") explored vs =
 (* Cache hit/miss gauges + per-domain task gauges, recorded once per
    strategy run from the coordinating domain. *)
 let publish_instrumentation pool cache =
-  Estimate_cache.publish
+  Everest_parallel.Cache.publish
     (match cache with Some c -> c | None -> Estimate_cache.global);
   Pool.publish_stats (match pool with Some p -> p | None -> Pool.default ())
 

@@ -52,14 +52,3 @@ let hw_key ~fp (fpga : Spec.fpga) ~unroll ~dift =
   String.concat "|"
     [ fp; "hw"; fpga_key fpga; string_of_int unroll;
       (if dift then "dift" else "plain") ]
-
-let find_or_compute (t : t) ~key f =
-  Everest_parallel.Cache.find_or_compute t ~key f
-
-let stats (t : t) = Everest_parallel.Cache.stats t
-let hit_rate (t : t) = Everest_parallel.Cache.hit_rate t
-let reset (t : t) = Everest_parallel.Cache.reset t
-
-(* Publish hit/miss/entry gauges (labelled cache=<name>) from the
-   coordinating domain; workers never touch the metrics registry. *)
-let publish ?registry (t : t) = Everest_parallel.Cache.publish ?registry t

@@ -29,13 +29,3 @@ val global : t
 
 val sw_key : fp:string -> Spec.cpu -> Cost_model.sw_params -> string
 val hw_key : fp:string -> Spec.fpga -> unroll:int -> dift:bool -> string
-
-val find_or_compute : t -> key:string -> (unit -> value) -> value
-
-val stats : t -> Everest_parallel.Cache.stats
-val hit_rate : t -> float
-val reset : t -> unit
-
-(** Publish hit/miss/entry gauges labelled [cache=<name>].  Call from the
-    coordinating domain only. *)
-val publish : ?registry:Everest_telemetry.Metrics.registry -> t -> unit

@@ -75,7 +75,7 @@ let sw_variant_of ~cache ~fp (t : target) (e : Tensor_expr.expr)
     (p : Cost_model.sw_params) : variant =
   let key = Estimate_cache.sw_key ~fp t.cpu p in
   match
-    Estimate_cache.find_or_compute cache ~key (fun () ->
+    Everest_parallel.Cache.find_or_compute cache ~key (fun () ->
         Estimate_cache.Sw_cost
           { time_s = Cost_model.sw_time t.cpu e p;
             energy_j = Cost_model.sw_energy t.cpu e p })
@@ -97,7 +97,7 @@ let hw_variant_of ~cache ~fp (fpga : Spec.fpga) ~dift ~in_bytes ~out_bytes
     (e : Tensor_expr.expr) (unroll : int) : variant option =
   let key = Estimate_cache.hw_key ~fp fpga ~unroll ~dift in
   match
-    Estimate_cache.find_or_compute cache ~key (fun () ->
+    Everest_parallel.Cache.find_or_compute cache ~key (fun () ->
         let dfg = Hw_lower.dfg_of_expr ~unroll e in
         let trips = Hw_lower.trips e ~unroll in
         let c =

@@ -12,8 +12,9 @@
    array with an explicit id tie-break reproducing the old stable
    [List.sort]).  Every plan is bit-identical to the pre-memo
    implementation, which is kept as [heft_reference] and property-tested
-   against.  [heft_delta] re-places only the downward cone of tasks hit by
-   node death instead of recomputing the whole plan. *)
+   against.  [heft] and [heft_delta] share one placement loop
+   ([eft_assign]); [heft_delta] re-places only the downward cone of tasks
+   hit by node death and keeps the rest of the plan. *)
 
 open Everest_platform
 
@@ -121,8 +122,9 @@ let assign_of_rows mm rows ni (t : Dag.task) =
   | Some (impl, _) -> { node = name; impl }
   | None -> { node = name; impl = List.hd t.Dag.impls }
 
-(* Pinned-node index; raises the cluster's own unknown-node error. *)
-let pinned_index mm name =
+(* Index of a node by name, -1 for an excluded one; raises the cluster's
+   own unknown-node error. *)
+let node_index mm name =
   match Hashtbl.find_opt mm.mm_index name with
   | Some i -> i
   | None -> ignore (Cluster.find_node mm.mm_cluster name); -1
@@ -144,7 +146,7 @@ let round_robin (c : Cluster.t) (dag : Dag.t) : plan =
         let eligible, n_eligible =
           match t.Dag.pinned with
           | Some n ->
-              scratch.(0) <- pinned_index mm n;
+              scratch.(0) <- node_index mm n;
               (scratch, 1)
           | None ->
               let k = ref 0 in
@@ -175,7 +177,7 @@ let min_load (c : Cluster.t) (dag : Dag.t) : plan =
         let rows = cost_rows mm t in
         let best = ref (-1) in
         (match t.Dag.pinned with
-        | Some n -> best := pinned_index mm n
+        | Some n -> best := node_index mm n
         | None ->
             for ni = 0 to n_nodes - 1 do
               if best_of_rows rows ni <> None then
@@ -248,23 +250,26 @@ let rank_order rank =
     order;
   order
 
-let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
-    (dag : Dag.t) : plan =
-  let nodes =
-    if exclude = [] then c.Cluster.nodes
-    else
-      List.filter
-        (fun (n : Node.t) -> not (List.mem n.Node.name exclude))
-        c.Cluster.nodes
+(* The one HEFT placement loop, over the cluster minus [exclude], in rank
+   order (inputs always rank above their consumers, so they are placed
+   first).  A task with [keep i = Some a] keeps [a] and is only replayed to
+   rebuild node-ready and finish times; every other task takes its earliest
+   finish over its pin, unless the pin is excluded, or over every node.  If
+   nothing is feasible there it takes the pin, else the first node, with its
+   first implementation. *)
+let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
+  let mm =
+    memo_of_nodes c
+      (List.filter
+         (fun (n : Node.t) -> not (List.mem n.Node.name exclude))
+         c.Cluster.nodes)
   in
-  if nodes = [] then invalid_arg "heft: every node excluded";
-  let mm = memo_of_nodes c nodes in
   let nodes = mm.mm_nodes in
   let n_nodes = Array.length nodes in
+  if n_nodes = 0 then invalid_arg "heft: every node excluded";
   let n_tasks = Dag.size dag in
   let avg_bw = avg_bw () in
-  let rank = upward_ranks mm dag in
-  let order = rank_order rank in
+  let order = rank_order (upward_ranks mm dag) in
   let node_ready = Array.make n_nodes 0.0 in
   let task_finish = Array.make n_tasks 0.0 in
   let task_node = Array.make n_tasks (-1) in
@@ -272,70 +277,68 @@ let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
     Array.make n_tasks
       { node = ""; impl = Dag.Cpu { flops = 0.; bytes = 0.; threads = 1 } }
   in
-  (* schedule in rank order, but dependencies always rank higher, so inputs
-     are placed before consumers *)
+  (* [t]'s finish on node [ni]: it starts once the node is free and every
+     input has arrived *)
+  let finish (t : Dag.task) ni exec =
+    let ready_data =
+      List.fold_left
+        (fun m d ->
+          let comm =
+            if locality_aware then
+              Cluster.transfer_time c ~src:nodes.(task_node.(d))
+                ~dst:nodes.(ni) ~bytes:dag.Dag.tasks.(d).Dag.out_bytes
+            else if task_node.(d) = ni then 0.0
+            else float_of_int dag.Dag.tasks.(d).Dag.out_bytes /. avg_bw
+          in
+          Float.max m (task_finish.(d) +. comm))
+        0.0 t.Dag.inputs
+    in
+    Float.max node_ready.(ni) ready_data +. exec
+  in
+  let place i ni impl eft =
+    assignments.(i) <- { node = nodes.(ni).Node.name; impl };
+    task_finish.(i) <- eft;
+    task_node.(i) <- ni;
+    node_ready.(ni) <- eft
+  in
   Array.iter
     (fun i ->
       let t = dag.Dag.tasks.(i) in
-      let rows = cost_rows mm t in
-      let eft_on ni =
-        match best_of_rows rows ni with
-        | None -> None
-        | Some (impl, exec) ->
-            let ready_node = node_ready.(ni) in
-            let ready_data =
-              List.fold_left
-                (fun m d ->
-                  let src = nodes.(task_node.(d)) in
-                  let comm =
-                    if locality_aware then
-                      Cluster.transfer_time c ~src ~dst:nodes.(ni)
-                        ~bytes:dag.Dag.tasks.(d).Dag.out_bytes
-                    else if task_node.(d) = ni then 0.0
-                    else
-                      float_of_int dag.Dag.tasks.(d).Dag.out_bytes /. avg_bw
-                  in
-                  Float.max m (task_finish.(d) +. comm))
-                0.0 t.Dag.inputs
-            in
-            let start = Float.max ready_node ready_data in
-            Some (impl, start +. exec)
-      in
-      (* a task pinned to an excluded node is placed as [heft_delta]
-         places one whose pin died: by EFT over the remaining nodes *)
-      let pin =
-        match t.Dag.pinned with
-        | Some n when not (List.mem n exclude) -> pinned_index mm n
-        | _ -> -1
-      in
-      let best = ref None in
-      (let consider ni =
-         match eft_on ni with
-         | None -> ()
-         | Some (impl, eft) -> (
-             match !best with
-             | Some (_, _, best_eft) when best_eft <= eft -> ()
-             | _ -> best := Some (ni, impl, eft))
-       in
-       if pin >= 0 then consider pin
-       else
-         for ni = 0 to n_nodes - 1 do
-           consider ni
-         done);
-      match !best with
-      | Some (ni, impl, eft) ->
-          assignments.(i) <- { node = nodes.(ni).Node.name; impl };
-          task_finish.(i) <- eft;
-          task_node.(i) <- ni;
-          node_ready.(ni) <- eft
-      | None ->
-          (* nothing feasible: the pin, else the first node, with the
-             task's first implementation *)
-          let ni = if pin >= 0 then pin else 0 in
-          assignments.(i) <- assign_of_rows mm rows ni t;
-          task_node.(i) <- ni)
+      match keep i with
+      | Some a ->
+          let ni = node_index mm a.node in
+          place i ni a.impl (finish t ni (impl_costs mm a.impl).(ni))
+      | None -> (
+          let rows = cost_rows mm t in
+          let pin =
+            match t.Dag.pinned with
+            | Some n when not (List.mem n exclude) -> node_index mm n
+            | _ -> -1
+          in
+          let lo, hi = if pin >= 0 then (pin, pin) else (0, n_nodes - 1) in
+          let best = ref None in
+          for ni = lo to hi do
+            match best_of_rows rows ni with
+            | None -> ()
+            | Some (impl, exec) -> (
+                let eft = finish t ni exec in
+                match !best with
+                | Some (_, _, best_eft) when best_eft <= eft -> ()
+                | _ -> best := Some (ni, impl, eft))
+          done;
+          match !best with
+          | Some (ni, impl, eft) -> place i ni impl eft
+          | None ->
+              assignments.(i) <-
+                { node = nodes.(lo).Node.name; impl = List.hd t.Dag.impls };
+              task_node.(i) <- lo))
     order;
-  { dag; assignments;
+  assignments
+
+let heft ?(locality_aware = false) ?(exclude = []) (c : Cluster.t)
+    (dag : Dag.t) : plan =
+  { dag;
+    assignments = eft_assign ~locality_aware ~exclude ~keep:(fun _ -> None) c dag;
     policy = (if locality_aware then "heft-locality" else "heft") }
 
 let locality (c : Cluster.t) (dag : Dag.t) : plan = heft ~locality_aware:true c dag
@@ -344,108 +347,28 @@ let locality (c : Cluster.t) (dag : Dag.t) : plan = heft ~locality_aware:true c 
 
 (* On node death, re-place only the affected downward cone: every task
    assigned to a dead node plus its transitive consumers (their input data
-   moved, so their placement may no longer be best).  Unaffected tasks keep
-   their assignment and are only replayed to rebuild node-ready/finish
-   state in O(1) per task — the per-node EFT search runs for cone tasks
-   only.  This is what lineage recovery needs at scale: node death touches
-   a cone, not the whole 10⁶-task plan. *)
-let heft_delta ?locality_aware (c : Cluster.t) (plan : plan)
-    ~(dead : string list) : plan =
-  let locality_aware =
-    match locality_aware with
-    | Some b -> b
-    | None -> String.equal plan.policy "heft-locality"
-  in
+   moved, so their placement may no longer be best).  Every other task
+   keeps its assignment and is only replayed; the per-node EFT search
+   runs for cone tasks only.  This is what lineage
+   recovery needs at scale: node death touches a cone, not the whole
+   10⁶-task plan. *)
+let heft_delta (c : Cluster.t) (plan : plan) ~(dead : string list) : plan =
   let dag = plan.dag in
-  let n_tasks = Dag.size dag in
-  let is_dead name = List.exists (String.equal name) dead in
-  let alive =
-    List.filter (fun (n : Node.t) -> not (is_dead n.Node.name)) c.Cluster.nodes
-  in
-  if alive = [] then invalid_arg "heft_delta: every node dead";
-  let mm = memo_of_nodes c alive in
-  let nodes = mm.mm_nodes in
-  let n_nodes = Array.length nodes in
-  let avg_bw = avg_bw () in
   (* the cone: dead-node tasks, closed under consumers (edges only point
      forward, so one ascending pass suffices) *)
-  let affected = Array.make n_tasks false in
-  for i = 0 to n_tasks - 1 do
-    if is_dead plan.assignments.(i).node then affected.(i) <- true;
+  let affected = Array.make (Dag.size dag) false in
+  for i = 0 to Dag.size dag - 1 do
+    if List.mem plan.assignments.(i).node dead then affected.(i) <- true;
     if affected.(i) then
       Dag.iter_consumers dag i (fun s -> affected.(s) <- true)
   done;
-  let rank = upward_ranks mm dag in
-  let order = rank_order rank in
-  let node_ready = Array.make n_nodes 0.0 in
-  let task_finish = Array.make n_tasks 0.0 in
-  let task_node = Array.make n_tasks (-1) in
-  let assignments = Array.copy plan.assignments in
-  let moved = ref 0 in
-  Array.iter
-    (fun i ->
-      let t = dag.Dag.tasks.(i) in
-      let ready_data ni =
-        List.fold_left
-          (fun m d ->
-            let comm =
-              if locality_aware then
-                Cluster.transfer_time c ~src:nodes.(task_node.(d))
-                  ~dst:nodes.(ni)
-                  ~bytes:dag.Dag.tasks.(d).Dag.out_bytes
-              else if task_node.(d) = ni then 0.0
-              else float_of_int dag.Dag.tasks.(d).Dag.out_bytes /. avg_bw
-            in
-            Float.max m (task_finish.(d) +. comm))
-          0.0 t.Dag.inputs
-      in
-      let place ni impl exec =
-        let eft = Float.max node_ready.(ni) (ready_data ni) +. exec in
-        assignments.(i) <- { node = nodes.(ni).Node.name; impl };
-        task_finish.(i) <- eft;
-        task_node.(i) <- ni;
-        node_ready.(ni) <- eft
-      in
-      if not affected.(i) then begin
-        (* keep the assignment; replay to rebuild planner state *)
-        let a = assignments.(i) in
-        let ni =
-          match Hashtbl.find_opt mm.mm_index a.node with
-          | Some ni -> ni
-          | None -> invalid_arg "heft_delta: unaffected task on a dead node"
-        in
-        place ni a.impl (impl_costs mm a.impl).(ni)
-      end
-      else begin
-        incr moved;
-        let rows = cost_rows mm t in
-        let best = ref None in
-        let consider ni =
-          match best_of_rows rows ni with
-          | None -> ()
-          | Some (impl, exec) -> (
-              let eft = Float.max node_ready.(ni) (ready_data ni) +. exec in
-              match !best with
-              | Some (_, _, _, best_eft) when best_eft <= eft -> ()
-              | _ -> best := Some (ni, impl, exec, eft))
-        in
-        (match t.Dag.pinned with
-        | Some n when not (is_dead n) -> consider (pinned_index mm n)
-        | _ ->
-            for ni = 0 to n_nodes - 1 do
-              consider ni
-            done);
-        match !best with
-        | Some (ni, impl, exec, _) -> place ni impl exec
-        | None ->
-            (* no feasible impl on any survivor: first alive node, first
-               impl — the last resort full HEFT takes for an unpinned
-               task *)
-            place 0 (List.hd t.Dag.impls) (impl_costs mm (List.hd t.Dag.impls)).(0)
-      end)
-    order;
-  ignore !moved;
-  { dag; assignments; policy = plan.policy ^ "+delta" }
+  let keep i = if affected.(i) then None else Some plan.assignments.(i) in
+  { dag;
+    assignments =
+      eft_assign
+        ~locality_aware:(String.equal plan.policy "heft-locality")
+        ~exclude:dead ~keep c dag;
+    policy = plan.policy ^ "+delta" }
 
 (* ---- pre-PR reference ------------------------------------------------------------- *)
 

@@ -23,9 +23,6 @@ val exec_estimate : Node.t -> Dag.impl -> float
 val cpu_fallback :
   Everest_hls.Estimate.t -> in_bytes:int -> out_bytes:int -> Dag.impl
 
-(** Fastest feasible implementation of a task on a node. *)
-val best_impl : Node.t -> Dag.task -> (Dag.impl * float) option
-
 (** Spread tasks across eligible nodes in turn. *)
 val round_robin : Cluster.t -> Dag.t -> plan
 
@@ -47,15 +44,16 @@ val heft : ?locality_aware:bool -> ?exclude:string list -> Cluster.t -> Dag.t ->
 val locality : Cluster.t -> Dag.t -> plan
 
 (** [heft_delta c plan ~dead] repairs [plan] after the nodes in [dead]
-    fail: tasks assigned to dead nodes and their transitive consumers (the
-    downward cone) are re-placed with the HEFT earliest-finish-time rule
-    over the surviving nodes; every other task keeps its assignment.
-    Decision time scales with the cone, not the DAG.  The result's policy
-    is [plan.policy ^ "+delta"].  [locality_aware] defaults to matching
-    [plan.policy].
+    fail.  Every task outside the downward cone of the dead nodes (the
+    tasks assigned to them and their transitive consumers) keeps its
+    assignment.  The cone is re-placed by the loop [heft ~exclude:dead]
+    runs, with the same fallback: a task with no feasible node keeps its
+    surviving pin, else takes the first surviving node, with its first
+    implementation.  Decision time scales with the cone, not the DAG.
+    Communication is costed as [heft ~locality_aware] when [plan.policy]
+    is ["heft-locality"]; the result's policy is [plan.policy ^ "+delta"].
     @raise Invalid_argument when every node is dead. *)
-val heft_delta :
-  ?locality_aware:bool -> Cluster.t -> plan -> dead:string list -> plan
+val heft_delta : Cluster.t -> plan -> dead:string list -> plan
 
 (** The historical (pre-memoization) HEFT: per-task [Dag.consumers_naive]
     rebuilds and per-candidate [exec_estimate] recomputation — Θ(n²·deg).

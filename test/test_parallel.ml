@@ -114,11 +114,11 @@ let test_dse_cache_hits_on_repeat () =
   let cache = Comp.Estimate_cache.create () in
   let e = matmul_expr 64 in
   let r1 = Comp.Dse.exhaustive ~cache e in
-  let cold = Comp.Estimate_cache.stats cache in
+  let cold = Cache.stats cache in
   checki "cold run misses everything" 0 cold.Cache.hits;
   checkb "cold run populates" true (cold.Cache.entries > 0);
   let r2 = Comp.Dse.exhaustive ~cache e in
-  let warm = Comp.Estimate_cache.stats cache in
+  let warm = Cache.stats cache in
   checki "warm run hits everything" cold.Cache.misses warm.Cache.hits;
   checki "no new entries" cold.Cache.entries warm.Cache.entries;
   checki "same pareto size" (List.length r1.Comp.Dse.variants)

@@ -200,7 +200,9 @@ let shipped_policies = [ "round-robin"; "min-load"; "heft"; "heft-locality" ]
 (* Every family's plans lint without a diagnostic.  The mixed DAGs' plans
    lint without an error: a pin on a node that cannot run the task's
    implementation keeps the task there, which EV122 reports as a warning
-   (the executor degrades it to CPU by design). *)
+   (the executor degrades it to CPU by design).  So does each HEFT plan's
+   [heft_delta] repair after one node dies, linted with that node
+   excluded. *)
 let prop_shipped_schedulers_lint_clean =
   QCheck.Test.make ~count:25 ~name:"all shipped schedulers lint clean"
     QCheck.(pair (int_range 0 1000) (int_range 0 2))
@@ -219,11 +221,20 @@ let prop_shipped_schedulers_lint_clean =
       in
       let mixed = random_mixed_dag seed in
       let c = demonstrator () in
+      let repairs_lint_clean policy =
+        let base = plan_of ~policy c mixed in
+        List.for_all
+          (fun dead ->
+            let repair = Scheduler.heft_delta c base ~dead:[ dead ] in
+            not (Lint.has_errors (Planlint.check ~excluded:[ dead ] c repair)))
+          [ "p9"; "cf0"; "edge0"; "ep0" ]
+      in
       List.for_all
         (fun policy ->
           Planlint.check c (plan_of ~policy c d) = []
           && not (Lint.has_errors (Planlint.check c (plan_of ~policy c mixed))))
-        shipped_policies)
+        shipped_policies
+      && List.for_all repairs_lint_clean [ "heft"; "heft-locality" ])
 
 (* ---- a reference DAG of equal content --------------------------------------- *)
 
