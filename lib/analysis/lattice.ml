@@ -67,35 +67,6 @@ module Int_set = struct
       (IntSet.elements s)
 end
 
-(* Must-powerset: the dual of {!Int_set}.  [All] (the full universe) is
-   the bottom element, so [join] is set intersection and a forward
-   fixpoint computes "definitely defined on every path" — the basis of the
-   dominance-of-definition check. *)
-module Int_set_must = struct
-  type t = All | Only of IntSet.t
-
-  let bottom = All
-  let of_set s = Only s
-
-  let equal a b =
-    match (a, b) with
-    | All, All -> true
-    | Only x, Only y -> IntSet.equal x y
-    | _ -> false
-
-  let join a b =
-    match (a, b) with
-    | All, x | x, All -> x
-    | Only x, Only y -> Only (IntSet.inter x y)
-
-  let mem i = function All -> true | Only s -> IntSet.mem i s
-  let add i = function All -> All | Only s -> Only (IntSet.add i s)
-
-  let pp ppf = function
-    | All -> Fmt.string ppf "all"
-    | Only s -> Int_set.pp ppf s
-end
-
 (* Pointwise lift of [L] to finite maps keyed by value id; absent keys are
    [L.bottom]. *)
 module Int_map (L : LATTICE) = struct

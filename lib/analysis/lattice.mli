@@ -37,19 +37,6 @@ end
 (** May-powerset over value ids; [join] is union. *)
 module Int_set : LATTICE with type t = IntSet.t
 
-(** Must-powerset (the dual of {!Int_set}): [All] is bottom and [join] is
-    intersection, so a forward fixpoint computes "definitely holds on
-    every path". *)
-module Int_set_must : sig
-  type t = All | Only of IntSet.t
-
-  include LATTICE with type t := t
-
-  val of_set : IntSet.t -> t
-  val mem : int -> t -> bool
-  val add : int -> t -> t
-end
-
 (** Pointwise lift of [L] to maps keyed by value id; absent keys are
     [L.bottom]. *)
 module Int_map (L : LATTICE) : sig

@@ -1,62 +1,19 @@
-(* Reaching definitions and the dominance-of-definition check.
+(* The dominance-of-definition check: every use whose definition does not
+   dominate it (e.g. a value defined in one branch of an [scf.if] and
+   consumed after it).
 
-   Two instantiations of the same forward walk:
-
-   - [may_defs]: union-join powerset — a definition reaches if it reaches
-     along some path;
-   - [analyze]: the dual (intersection-join) lattice — a value is
-     "definitely defined" only if every feasible path defines it.  A use
-     whose operand is not definitely defined means the definition does not
-     dominate the use (e.g. a value defined in one branch of an [scf.if]
-     and consumed after it). *)
+   In this structured SSA IR dominance is syntactic scoping: a definition
+   dominates a use iff it appears earlier in the same block or in an
+   enclosing one.  Straight regions (df.graph, hw.kernel bodies) run
+   exactly once, so their definitions behave like the enclosing block's;
+   Loop and Branch region definitions go out of scope when the op ends.
+   A single walk with a scoped symbol table therefore yields the offending
+   uses in O(ops). *)
 
 open Everest_ir
-module IntSet = Lattice.IntSet
-module Must = Lattice.Int_set_must
-module MustE = Dataflow.Make (Lattice.Int_set_must)
-module MayE = Dataflow.Make (Lattice.Int_set)
 
 type undominated = { u_op : Ir.op; u_vid : int }
 
-let arg_set (f : Ir.func) =
-  List.fold_left
-    (fun s (v : Ir.value) -> IntSet.add v.Ir.vid s)
-    IntSet.empty f.Ir.fargs
-
-(* Definitely-defined set at function exit, plus every use whose
-   definition does not dominate it (deduplicated, program order). *)
-let analyze (f : Ir.func) : Must.t * undominated list =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let transfer s (o : Ir.op) =
-    List.iter
-      (fun (v : Ir.value) ->
-        if not (Must.mem v.Ir.vid s) then begin
-          let key = (o.Ir.name, v.Ir.vid) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            out := { u_op = o; u_vid = v.Ir.vid } :: !out
-          end
-        end)
-      o.Ir.operands;
-    List.fold_left (fun s (r : Ir.value) -> Must.add r.Ir.vid s) s o.Ir.results
-  in
-  let enter_block s _o (b : Ir.block) =
-    List.fold_left (fun s (v : Ir.value) -> Must.add v.Ir.vid s) s b.Ir.bargs
-  in
-  let hooks = MustE.hooks ~enter_block transfer in
-  let final = MustE.forward hooks (Must.of_set (arg_set f)) f.Ir.fbody in
-  (final, List.rev !out)
-
-(* Fast path for the lint gate.  In this structured SSA IR dominance is
-   syntactic scoping: a definition dominates a use iff it appears earlier
-   in the same block or in an enclosing one.  Straight regions (df.graph,
-   hw.kernel bodies) run exactly once, so their definitions behave like
-   the enclosing block's; Loop and Branch region definitions go out of
-   scope when the op ends — exactly the intersection-join of [analyze].
-   A single walk with a scoped symbol table therefore yields the same
-   offending-use list in O(ops), where the must engine re-joins the whole
-   (growing) set at every loop and turns large functions quadratic. *)
 let undominated_uses (f : Ir.func) : undominated list =
   let defined = Hashtbl.create 64 in
   let seen = Hashtbl.create 8 in
@@ -100,15 +57,3 @@ let undominated_uses (f : Ir.func) : undominated list =
   List.iter (define None) f.Ir.fargs;
   List.iter (walk_op None) f.Ir.fbody;
   List.rev !out
-
-(* Union-join variant: ids defined along at least one path to the exit. *)
-let may_defs (f : Ir.func) : IntSet.t =
-  let transfer s (o : Ir.op) =
-    List.fold_left
-      (fun s (r : Ir.value) -> IntSet.add r.Ir.vid s)
-      s o.Ir.results
-  in
-  let enter_block s _o (b : Ir.block) =
-    List.fold_left (fun s (v : Ir.value) -> IntSet.add v.Ir.vid s) s b.Ir.bargs
-  in
-  MayE.forward (MayE.hooks ~enter_block transfer) (arg_set f) f.Ir.fbody

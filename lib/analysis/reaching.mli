@@ -4,15 +4,8 @@ open Everest_ir
 
 type undominated = { u_op : Ir.op; u_vid : int }
 
-(** Definitely-defined set at function exit (intersection across paths),
-    plus every use whose definition does not dominate it. *)
-val analyze : Ir.func -> Lattice.Int_set_must.t * undominated list
-
-(** The offending uses of {!analyze}, in program order, computed by a
-    single scoped walk (dominance is syntactic in the structured IR) so
-    the lint gate stays linear in the number of ops. *)
+(** Every use whose definition does not dominate it, deduplicated, in
+    program order, computed by a single scoped walk (dominance is
+    syntactic in the structured IR) so the lint gate stays linear in the
+    number of ops. *)
 val undominated_uses : Ir.func -> undominated list
-
-(** Ids defined along at least one path to the exit (union across
-    paths); a superset of the definitely-defined set. *)
-val may_defs : Ir.func -> Lattice.IntSet.t

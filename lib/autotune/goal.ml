@@ -39,19 +39,3 @@ let score (g : t) (p : Knowledge.point) =
           let v = Float.max 1e-30 (Knowledge.metric_exn p m) in
           acc *. Float.pow v w)
         1.0 ws
-
-let pp_constr ppf c =
-  Fmt.pf ppf "%s %s %g (p%d)" c.metric
-    (match c.cmp with Le -> "<=" | Ge -> ">=")
-    c.bound c.priority
-
-let pp ppf g =
-  Fmt.pf ppf "constraints=[%a] objective=%s"
-    Fmt.(list ~sep:(any "; ") pp_constr)
-    g.constraints
-    (match g.objective with
-    | Minimize m -> "min " ^ m
-    | Maximize m -> "max " ^ m
-    | Combo ws ->
-        String.concat "*"
-          (List.map (fun (m, w) -> Printf.sprintf "%s^%g" m w) ws))

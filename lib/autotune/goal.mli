@@ -27,6 +27,3 @@ val satisfies : Knowledge.point -> constr -> bool
 (** Rank score; lower is better.
     @raise Invalid_argument when a referenced metric is absent. *)
 val score : t -> Knowledge.point -> float
-
-val pp_constr : Format.formatter -> constr -> unit
-val pp : Format.formatter -> t -> unit

@@ -27,9 +27,6 @@ let metric_exn p name =
   | None ->
       invalid_arg (Printf.sprintf "point %s has no metric %S" p.variant name)
 
-let variants k =
-  List.sort_uniq compare (List.map (fun p -> p.variant) k.points)
-
 (* Euclidean distance over the union of feature keys (missing = 0),
    normalized by the scale of each feature across the knowledge. *)
 let feature_distance ?(scales = []) a b =

@@ -23,8 +23,6 @@ val metric : point -> string -> float option
 (** @raise Invalid_argument when the metric is absent. *)
 val metric_exn : point -> string -> float
 
-val variants : t -> string list
-
 (** Normalized Euclidean distance over the union of feature keys. *)
 val feature_distance :
   ?scales:(string * float) list ->

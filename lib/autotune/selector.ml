@@ -50,13 +50,3 @@ let select (k : Knowledge.t) (g : Goal.t) ~features : decision option =
         None candidates
     in
     Option.map (fun (_, p) -> { point = p; relaxed = List.rev relaxed }) best
-
-(* Oracle: ignores clustering and constraints, returns the true best score
-   for regret measurement. *)
-let oracle (k : Knowledge.t) (g : Goal.t) =
-  List.fold_left
-    (fun acc p ->
-      let s = Goal.score g p in
-      match acc with Some (bs, _) when bs <= s -> acc | _ -> Some (s, p))
-    None k.Knowledge.points
-  |> Option.map snd

@@ -20,6 +20,3 @@ val feasible_set :
 (** [None] only when the knowledge is empty. *)
 val select :
   Knowledge.t -> Goal.t -> features:(string * float) list -> decision option
-
-(** Best point ignoring clustering and constraints (for regret studies). *)
-val oracle : Knowledge.t -> Goal.t -> Knowledge.point option

@@ -11,16 +11,17 @@ type t = {
   knowledge : Knowledge.t;
   goal : Goal.t;
   alpha : float;
-  hysteresis : float;  (* keep the current variant unless the challenger is
-                          better by more than this relative margin *)
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
 }
 
-let create ?(alpha = 0.3) ?(hysteresis = 0.1) knowledge goal =
-  { knowledge; goal; alpha; hysteresis; last = None; selections = 0;
-    switches = 0 }
+let create ?(alpha = 0.3) knowledge goal =
+  { knowledge; goal; alpha; last = None; selections = 0; switches = 0 }
+
+(* Keep the current variant unless the challenger is better by more than
+   this relative margin. *)
+let hysteresis = 0.1
 
 (* With hysteresis: if the previously selected variant is still feasible and
    within (1 + hysteresis) of the challenger's score, stick with it —
@@ -47,7 +48,7 @@ let select (t : t) ~features =
                     t.goal.Goal.constraints)
                && (let s_prev = Goal.score t.goal prev_point in
                    let s_next = Goal.score t.goal next.Selector.point in
-                   s_prev <= s_next +. (t.hysteresis *. Float.abs s_next)) ->
+                   s_prev <= s_next +. (hysteresis *. Float.abs s_next)) ->
             Some { next with Selector.point = prev_point }
         | _ -> fresh)
     | _ -> fresh

@@ -4,8 +4,8 @@
     measured metrics update the knowledge (EMA), so sustained drifts in the
     system state move future selections — the "dynamic hardware-software
     adaptation strategy" of Fig. 2.  Hysteresis keeps the current variant
-    unless a challenger is decisively better, preventing thrashing between
-    statistically indistinguishable variants.
+    unless a challenger beats it by more than 10%, preventing thrashing
+    between statistically indistinguishable variants.
 
     The tuner writes no metrics.  [selections] and [switches] count its
     decisions; the orchestrator publishes them as [tuner_*] gauges and
@@ -15,13 +15,12 @@ type t = {
   knowledge : Knowledge.t;
   goal : Goal.t;
   alpha : float;  (** EMA factor for observations. *)
-  hysteresis : float;  (** Relative margin a challenger must beat. *)
   mutable last : Selector.decision option;
   mutable selections : int;
   mutable switches : int;
 }
 
-val create : ?alpha:float -> ?hysteresis:float -> Knowledge.t -> Goal.t -> t
+val create : ?alpha:float -> Knowledge.t -> Goal.t -> t
 
 (** Select the variant for the current [features], applying hysteresis
     against the previous choice. *)

@@ -86,17 +86,6 @@ let emit_sycl ~kernel (e : Tensor_expr.expr) (p : Cost_model.sw_params) =
   Buffer.add_string buf ";\n  });\n}\n";
   Buffer.contents buf
 
-let emit_hw_stub ~kernel (v : Variants.variant) =
-  match v.Variants.impl with
-  | Variants.Hw { design; unroll } ->
-      Printf.sprintf
-        "// hardware variant %s: unroll=%d, %d cycles, II=%d\n// bitstream: %s.bit\n%s"
-        v.Variants.vname unroll
-        design.Everest_hls.Hls.estimate.Everest_hls.Estimate.cycles
-        design.Everest_hls.Hls.estimate.Everest_hls.Estimate.ii kernel
-        (Everest_hls.Rtl.to_string design.Everest_hls.Hls.rtl)
-  | Variants.Sw _ -> invalid_arg "emit_hw_stub: software variant"
-
 (* Variant metadata for the runtime, as an IR attribute dictionary. *)
 let metadata (vs : Variants.variant list) : Everest_ir.Attr.t =
   Everest_ir.Attr.list

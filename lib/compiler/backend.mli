@@ -10,9 +10,5 @@
 val emit_sycl :
   kernel:string -> Everest_dsl.Tensor_expr.expr -> Cost_model.sw_params -> string
 
-(** Invocation stub plus the RTL sketch of a hardware variant.
-    @raise Invalid_argument on software variants. *)
-val emit_hw_stub : kernel:string -> Variants.variant -> string
-
 (** Variant metadata as an IR attribute (a list of dictionaries). *)
 val metadata : Variants.variant list -> Everest_ir.Attr.t

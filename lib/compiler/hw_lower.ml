@@ -8,21 +8,6 @@
 
 open Everest_dsl
 
-(* Per-element operation count of one output element. *)
-let rec elem_ops (e : Tensor_expr.expr) =
-  match e.Tensor_expr.node with
-  | Tensor_expr.Input _ | Tensor_expr.Const _ -> 0
-  | Tensor_expr.Binop (_, a, b) -> 1 + elem_ops a + elem_ops b
-  | Tensor_expr.Unop (_, a) | Tensor_expr.Scale (_, a) -> 1 + elem_ops a
-  | Tensor_expr.Matmul (a, b) ->
-      (* per output element: k multiply-adds *)
-      let k = match a.Tensor_expr.shape with [ _; k ] -> k | _ -> 1 in
-      (2 * k) + elem_ops a + elem_ops b
-  | Tensor_expr.Transpose a | Tensor_expr.Reshape a -> elem_ops a
-  | Tensor_expr.Reduce (_, a) -> 1 + elem_ops a
-  | Tensor_expr.Contract (_, es) ->
-      2 + List.fold_left (fun acc x -> acc + elem_ops x) 0 es
-
 (* Build the inner-loop body DFG.  Each input contributes a load; the
    expression tree contributes arithmetic nodes; the root ends in a store.
    [unroll] replicates the body with shifted affine offsets. *)

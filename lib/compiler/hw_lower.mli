@@ -5,9 +5,6 @@
     [unroll] times and hands the DFG to the HLS flow — the "chain of tensor
     operations directly on the FPGA logic" of §III-B. *)
 
-(** Scalar operations needed per output element. *)
-val elem_ops : Everest_dsl.Tensor_expr.expr -> int
-
 (** Inner-loop body DFG; [unroll] replicates with shifted affine offsets. *)
 val dfg_of_expr : ?unroll:int -> Everest_dsl.Tensor_expr.expr -> Everest_hls.Cdfg.t
 

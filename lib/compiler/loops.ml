@@ -255,11 +255,6 @@ let lower_func ctx (f : Ir.func) : Ir.func =
     fbody = List.rev e.acc;
   }
 
-let lower_module ctx (m : Ir.modul) : Ir.modul =
-  { m with Ir.funcs = List.map (lower_func ctx) m.Ir.funcs }
-
-let pass = Everest_ir.Pass.make "tensor-to-loops" lower_module
-
 (* The innermost loop body of the first (deepest) scf.for nest: what the
    HLS flow synthesizes.  Returns the ops plus the induction variable. *)
 let innermost_body (f : Ir.func) : (Ir.op list * Ir.value) option =

@@ -18,11 +18,6 @@ val buf_type : Everest_ir.Types.t -> Everest_ir.Types.t
     @raise Unsupported on dynamic shapes or unhandled tensor ops. *)
 val lower_func : Everest_ir.Ir.ctx -> Everest_ir.Ir.func -> Everest_ir.Ir.func
 
-val lower_module : Everest_ir.Ir.ctx -> Everest_ir.Ir.modul -> Everest_ir.Ir.modul
-
-(** The lowering as a pipeline pass. *)
-val pass : Everest_ir.Pass.t
-
 (** Deepest [scf.for] body (ops plus induction variable): the candidate the
     HLS flow synthesizes. *)
 val innermost_body :

@@ -52,10 +52,11 @@ let run ?(policy = "heft-locality") ?(cloud_fpgas = 4) ?(edges = 2)
     policy = plan.Workflow.Scheduler.policy;
   }
 
-(* Compare scheduling policies on the same application. *)
-let compare_policies ?(policies = [ "round-robin"; "min-load"; "heft"; "heft-locality" ])
-    (app : app) =
-  List.map (fun p -> (p, run ~policy:p app)) policies
+(* Compare the four scheduling policies on the same application. *)
+let compare_policies (app : app) =
+  List.map
+    (fun p -> (p, run ~policy:p app))
+    [ "round-robin"; "min-load"; "heft"; "heft-locality" ]
 
 (* ---- serve one kernel adaptively (the Fig. 2 loop) -------------------------------- *)
 

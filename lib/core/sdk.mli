@@ -52,8 +52,9 @@ val run :
   ?exec_policy:Everest_resilience.Policy.t -> app ->
   run_stats
 
-(** Run the same application under several scheduling policies. *)
-val compare_policies : ?policies:string list -> app -> (string * run_stats) list
+(** Run the same application under each scheduling policy: round-robin,
+    min-load, heft and heft-locality, in that order. *)
+val compare_policies : app -> (string * run_stats) list
 
 (** {2 Adaptive serving (the Fig. 2 loop)} *)
 

@@ -90,7 +90,3 @@ let access anns =
 
 let latency_bound anns =
   List.find_map (function Latency_bound_ms f -> Some f | _ -> None) anns
-
-let pp ppf a =
-  let k, v = to_attr a in
-  Fmt.pf ppf "%s=%a" k Attr.pp v

@@ -36,4 +36,3 @@ val security_level : t list -> Everest_ir.Dialect_sec.level
 
 val access : t list -> access_pattern option
 val latency_bound : t list -> float option
-val pp : Format.formatter -> t -> unit

@@ -80,8 +80,6 @@ let kernel_flops = function
 
 let node_flops n = kernel_flops n.kernel
 
-let in_bytes n = List.fold_left (fun acc d -> acc + d.out_bytes) 0 n.deps
-
 (* Validation: names unique, deps precede, sinks registered on graph nodes. *)
 let validate g =
   let errs = ref [] in
@@ -121,13 +119,3 @@ let critical_path g cost =
 
 let total_flops g =
   List.fold_left (fun acc n -> acc + node_flops n) 0 (nodes g)
-
-let total_bytes g =
-  List.fold_left (fun acc n -> acc + n.out_bytes) 0 (nodes g)
-
-let pp_node ppf n =
-  Fmt.pf ppf "%s(#%d, %d deps, %dB)" n.nname n.nid (List.length n.deps)
-    n.out_bytes
-
-let pp ppf g =
-  Fmt.pf ppf "graph %s: %a" g.gname Fmt.(list ~sep:(any " -> ") pp_node) (nodes g)

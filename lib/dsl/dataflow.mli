@@ -57,7 +57,6 @@ val size : graph -> int
 val find : graph -> string -> node option
 val kernel_flops : kernel option -> int
 val node_flops : node -> int
-val in_bytes : node -> int
 
 (** Check name uniqueness, dependency ordering and sink membership. *)
 val validate : graph -> (unit, string list) result
@@ -66,6 +65,3 @@ val validate : graph -> (unit, string list) result
 val critical_path : graph -> (node -> float) -> float
 
 val total_flops : graph -> int
-val total_bytes : graph -> int
-val pp_node : Format.formatter -> node -> unit
-val pp : Format.formatter -> graph -> unit

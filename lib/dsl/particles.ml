@@ -43,9 +43,6 @@ let idx s p a =
 let get s p name = s.data.(idx s p (attr_index s name))
 let set s p name v = s.data.(idx s p (attr_index s name)) <- v
 
-let get_by_index s p a = s.data.(idx s p a)
-let set_by_index s p a v = s.data.(idx s p a) <- v
-
 (* Convert between layouts (same logical contents). *)
 let with_layout s layout =
   if s.layout = layout then s
@@ -138,9 +135,10 @@ let recommend_layout s ~reads ~writes =
 
 (* ---- a small reference simulation ----------------------------------------------- *)
 
-(* Leapfrog step of a 2-D short-range force field; used by tests and the
-   bench as the particle workload. *)
-let step ?(dt = 0.01) s ~cutoff ~force =
+(* Leapfrog step (dt = 0.01) of a 2-D short-range force field; used by
+   tests and the bench as the particle workload. *)
+let step s ~cutoff ~force =
+  let dt = 0.01 in
   (* zero forces *)
   map_kernel s ~reads:[] ~writes:[ "fx"; "fy" ] (fun _ -> [ 0.0; 0.0 ]);
   let inter = pairwise_kernel s ~cutoff force in

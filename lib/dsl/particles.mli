@@ -25,8 +25,6 @@ val attr_index : system -> string -> int
 val create : ?layout:layout -> n:int -> string list -> system
 val get : system -> int -> string -> float
 val set : system -> int -> string -> float -> unit
-val get_by_index : system -> int -> int -> float
-val set_by_index : system -> int -> int -> float -> unit
 
 (** Same logical contents in the other layout. *)
 val with_layout : system -> layout -> system
@@ -60,10 +58,9 @@ val recommend_layout :
 
 (** {2 Reference simulation} *)
 
-(** One leapfrog step of a 2-D short-range force field; returns the number
-    of interacting pairs. *)
+(** One leapfrog step (dt = 0.01) of a 2-D short-range force field;
+    returns the number of interacting pairs. *)
 val step :
-  ?dt:float ->
   system ->
   cutoff:float ->
   force:(float -> float -> float -> float * float) ->

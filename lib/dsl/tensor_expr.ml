@@ -33,7 +33,6 @@ let num_elems s = List.fold_left ( * ) 1 s
 
 let input name shape = { node = Input name; shape }
 let const ?(shape = []) v = { node = Const v; shape }
-let scalar v = const v
 
 let binop op a b =
   if a.shape <> b.shape then
@@ -46,9 +45,6 @@ let binop op a b =
 let add = binop Add
 let sub = binop Sub
 let mul = binop Mul
-let div = binop Div
-let max_ a b = binop Max a b
-let min_ a b = binop Min a b
 
 (* Infix operators, in a submodule so arithmetic inside this file and in
    client code stays unambiguous unless explicitly opened. *)
@@ -63,9 +59,6 @@ let unop op a = { node = Unop (op, a); shape = a.shape }
 let relu a = unop Relu a
 let sigmoid a = unop Sigmoid a
 let tanh_ a = unop Tanh a
-let exp_ a = unop Exp a
-let neg a = unop Neg a
-let sqrt_ a = unop Sqrt a
 
 let scale k a = { node = Scale (k, a); shape = a.shape }
 
@@ -283,24 +276,6 @@ let bytes_moved e =
 let intensity e =
   let b = bytes_moved e in
   if Stdlib.( = ) b 0 then 0.0 else float_of_int (flops e) /. float_of_int b
-
-let rec depth e =
-  let open Stdlib in
-  match e.node with
-  | Input _ | Const _ -> 0
-  | Binop (_, a, b) | Matmul (a, b) -> 1 + max (depth a) (depth b)
-  | Unop (_, a) | Scale (_, a) | Transpose a | Reshape a | Reduce (_, a) ->
-      1 + depth a
-  | Contract (_, es) -> 1 + List.fold_left (fun m x -> max m (depth x)) 0 es
-
-let rec node_count e =
-  let open Stdlib in
-  match e.node with
-  | Input _ | Const _ -> 1
-  | Binop (_, a, b) | Matmul (a, b) -> 1 + node_count a + node_count b
-  | Unop (_, a) | Scale (_, a) | Transpose a | Reshape a | Reduce (_, a) ->
-      1 + node_count a
-  | Contract (_, es) -> List.fold_left (fun n x -> Stdlib.( + ) n (node_count x)) 1 es
 
 (* ---- structural fingerprint --------------------------------------------------- *)
 

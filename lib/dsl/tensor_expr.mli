@@ -35,14 +35,10 @@ val num_elems : int list -> int
 
 val input : string -> int list -> expr
 val const : ?shape:int list -> float -> expr
-val scalar : float -> expr
 val binop : binop -> expr -> expr -> expr
 val add : expr -> expr -> expr
 val sub : expr -> expr -> expr
 val mul : expr -> expr -> expr
-val div : expr -> expr -> expr
-val max_ : expr -> expr -> expr
-val min_ : expr -> expr -> expr
 
 (** Infix elementwise operators. *)
 module O : sig
@@ -56,9 +52,6 @@ val unop : unop -> expr -> expr
 val relu : expr -> expr
 val sigmoid : expr -> expr
 val tanh_ : expr -> expr
-val exp_ : expr -> expr
-val neg : expr -> expr
-val sqrt_ : expr -> expr
 val scale : float -> expr -> expr
 val matmul : expr -> expr -> expr
 val transpose : expr -> expr
@@ -94,9 +87,6 @@ val bytes_moved : expr -> int
 
 (** Arithmetic intensity (flops per byte): the key HW/SW partitioning driver. *)
 val intensity : expr -> float
-
-val depth : expr -> int
-val node_count : expr -> int
 
 (** Compact structural serialization (node kinds, operator payloads, input
     names, every shape): two expressions share a fingerprint iff they are

@@ -42,21 +42,6 @@ type t = {
 let size g = Array.length g.nodes
 let node g i = g.nodes.(i)
 
-(* Longest path through the DFG in #nodes (a lower bound on latency). *)
-let depth g latency_of =
-  let memo = Array.make (size g) (-1) in
-  let rec d i =
-    if memo.(i) >= 0 then memo.(i)
-    else begin
-      let n = g.nodes.(i) in
-      let pd = List.fold_left (fun m p -> max m (d p)) 0 n.preds in
-      let v = pd + latency_of n.cls in
-      memo.(i) <- v;
-      v
-    end
-  in
-  Array.fold_left (fun m n -> max m (d n.id)) 0 g.nodes
-
 let count_class g cls =
   Array.fold_left (fun acc n -> if n.cls = cls then acc + 1 else acc) 0 g.nodes
 
@@ -242,13 +227,3 @@ let random ?(seed = 42) ~n ~load_frac ~mul_frac () =
               (opclass_name cls) preds)
   done;
   finish b
-
-let pp ppf g =
-  Array.iter
-    (fun n ->
-      Fmt.pf ppf "%d: %s%a <- %a@." n.id (opclass_name n.cls)
-        Fmt.(option (fun ppf a -> Fmt.pf ppf "[%s]" a))
-        n.array
-        Fmt.(Dump.list int)
-        n.preds)
-    g.nodes

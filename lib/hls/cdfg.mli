@@ -41,9 +41,6 @@ type t = {
 val size : t -> int
 val node : t -> int -> node
 
-(** Longest path under a per-class latency function. *)
-val depth : t -> (opclass -> int) -> int
-
 val count_class : t -> opclass -> int
 
 (** {2 Incremental construction} *)
@@ -81,5 +78,3 @@ val of_ir_ops : ?iv:Everest_ir.Ir.value -> Everest_ir.Ir.op list -> t
 (** Deterministic pseudo-random DFG with the given class mix, for
     scheduling benchmarks. *)
 val random : ?seed:int -> n:int -> load_frac:float -> mul_frac:float -> unit -> t
-
-val pp : Format.formatter -> t -> unit

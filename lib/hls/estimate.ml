@@ -39,8 +39,6 @@ type t = {
 
 let exec_time_s e = float_of_int e.cycles /. (e.clock_mhz *. 1e6)
 
-let energy_j e = exec_time_s e *. e.dynamic_power_w
-
 (* Dynamic power model: proportional to active logic. *)
 let power_of_area a clock_mhz =
   let cap =

@@ -29,7 +29,6 @@ type t = {
 }
 
 val exec_time_s : t -> float
-val energy_j : t -> float
 
 (** Dynamic power from active logic at the given clock. *)
 val power_of_area : area -> float -> float

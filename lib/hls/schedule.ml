@@ -13,10 +13,6 @@ type resources = {
 let default_resources =
   { adders = 2; multipliers = 2; dividers = 1; logic_units = 2; mem_ports = 2 }
 
-let unlimited =
-  { adders = max_int; multipliers = max_int; dividers = max_int;
-    logic_units = max_int; mem_ports = max_int }
-
 (* Cycle latencies per operation class (values typical of fmax-400MHz FPGA
    operators, matching Bambu's default characterization). *)
 let latency = function
@@ -192,17 +188,6 @@ let pipelined_cycles ?(res = default_resources) g ~trips =
   let ii = min_ii ~res g in
   let depth = (list_schedule ~res g).makespan in
   depth + (ii * (trips - 1))
-
-(* Average issue throughput: operations per cycle over the makespan. *)
-let utilization g (s : t) =
-  let issued =
-    Array.fold_left
-      (fun acc (nd : Cdfg.node) ->
-        match nd.Cdfg.cls with Cdfg.Const | Cdfg.Nop -> acc | _ -> acc + 1)
-      0 g.Cdfg.nodes
-  in
-  if s.makespan = 0 then 1.0
-  else float_of_int issued /. float_of_int s.makespan
 
 let validate (g : Cdfg.t) (s : t) ~res =
   let ok_deps =

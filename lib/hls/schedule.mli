@@ -12,7 +12,6 @@ type resources = {
 }
 
 val default_resources : resources
-val unlimited : resources
 
 (** Cycle latency per operation class (Bambu-like characterization). *)
 val latency : Cdfg.opclass -> int
@@ -49,9 +48,6 @@ val min_ii : ?res:resources -> Cdfg.t -> int
 
 (** Fill + drain + II*(trips-1) cycles for a pipelined loop. *)
 val pipelined_cycles : ?res:resources -> Cdfg.t -> trips:int -> int
-
-(** Average issued operations per cycle. *)
-val utilization : Cdfg.t -> t -> float
 
 (** Dependencies respected and per-cycle resource bounds honored. *)
 val validate : Cdfg.t -> t -> res:resources -> bool

@@ -15,27 +15,20 @@ type t =
   | List of t list
   | Dict of (string * t) list
 
-let unit = Unit
 let bool b = Bool b
 let int i = Int i
 let float f = Float f
 let str s = Str s
-let typ t = Type t
 let sym s = Sym s
 let list l = List l
 let dict d = Dict d
 
 let ints l = List (List.map (fun i -> Int i) l)
-let strs l = List (List.map (fun s -> Str s) l)
 
 let as_bool = function Bool b -> Some b | _ -> None
-let as_int = function Int i -> Some i | _ -> None
 let as_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let as_str = function Str s -> Some s | _ -> None
 let as_sym = function Sym s -> Some s | _ -> None
-let as_type = function Type t -> Some t | _ -> None
-let as_list = function List l -> Some l | _ -> None
-let as_dict = function Dict d -> Some d | _ -> None
 
 let as_ints a =
   match a with
@@ -47,7 +40,6 @@ let as_ints a =
   | _ -> None
 
 let find key attrs = List.assoc_opt key attrs
-let find_int key attrs = Option.bind (find key attrs) as_int
 let find_str key attrs = Option.bind (find key attrs) as_str
 let find_bool key attrs = Option.bind (find key attrs) as_bool
 let find_float key attrs = Option.bind (find key attrs) as_float
@@ -81,8 +73,6 @@ let rec pp ppf = function
       Fmt.pf ppf "{%a}"
         Fmt.(list ~sep:(any ", ") (pair ~sep:(any " = ") string pp))
         d
-
-let to_string a = Fmt.str "%a" pp a
 
 let rec equal a b =
   match (a, b) with

@@ -17,12 +17,10 @@ type t =
 
 (** {2 Constructors} *)
 
-val unit : t
 val bool : bool -> t
 val int : int -> t
 val float : float -> t
 val str : string -> t
-val typ : Types.t -> t
 val sym : string -> t
 val list : t list -> t
 val dict : (string * t) list -> t
@@ -30,26 +28,18 @@ val dict : (string * t) list -> t
 (** [ints l] is a list attribute of integers. *)
 val ints : int list -> t
 
-(** [strs l] is a list attribute of strings. *)
-val strs : string list -> t
-
 (** {2 Projections} — [None] when the attribute has a different kind.
     [as_float] also accepts integer attributes. *)
 
 val as_bool : t -> bool option
-val as_int : t -> int option
 val as_float : t -> float option
 val as_str : t -> string option
 val as_sym : t -> string option
-val as_type : t -> Types.t option
-val as_list : t -> t list option
-val as_dict : t -> (string * t) list option
 val as_ints : t -> int list option
 
 (** {2 Attribute lists} — the [(key, value)] dictionaries ops carry. *)
 
 val find : string -> (string * t) list -> t option
-val find_int : string -> (string * t) list -> int option
 val find_str : string -> (string * t) list -> string option
 val find_bool : string -> (string * t) list -> bool option
 val find_float : string -> (string * t) list -> float option
@@ -60,5 +50,4 @@ val find_ints : string -> (string * t) list -> int list option
 val set : string -> t -> (string * t) list -> (string * t) list
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 val equal : t -> t -> bool

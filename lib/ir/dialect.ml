@@ -23,17 +23,11 @@ let register ?(traits = []) ?(doc = "") opname verify =
   Hashtbl.replace registry opname { opname; traits; doc; verify }
 
 let lookup name = Hashtbl.find_opt registry name
-let is_registered name = Hashtbl.mem registry name
 
 let has_trait name t =
   match lookup name with Some d -> List.mem t d.traits | None -> false
 
 let is_pure (op : Ir.op) = has_trait op.name Pure
-let is_terminator (op : Ir.op) = has_trait op.name Terminator
-
-let registered_ops () =
-  Hashtbl.fold (fun _ d acc -> d :: acc) registry []
-  |> List.sort (fun a b -> compare a.opname b.opname)
 
 (* Verification helpers used by dialect definitions. *)
 
@@ -55,8 +49,6 @@ let expect_regions n (op : Ir.op) =
 let expect_attr key (op : Ir.op) =
   if Ir.has_attr key op then ok else err "%s: missing attribute %S" op.name key
 
-let ( >>> ) a b = match a with Ok () -> b () | Error _ as e -> e
-
 let all checks op =
   List.fold_left
     (fun acc c -> match acc with Ok () -> c op | Error _ as e -> e)
@@ -70,6 +62,5 @@ let same_type_operands (op : Ir.op) =
       else err "%s: operands must share one type" op.name
 
 let operand_type n (op : Ir.op) = (List.nth op.operands n).Ir.vty
-let result_type n (op : Ir.op) = (List.nth op.results n).Ir.vty
 
 let no_verify (_ : Ir.op) = ok

@@ -25,13 +25,8 @@ val register :
   unit
 
 val lookup : string -> op_def option
-val is_registered : string -> bool
 val has_trait : string -> trait -> bool
 val is_pure : Ir.op -> bool
-val is_terminator : Ir.op -> bool
-
-(** All registered definitions, sorted by name. *)
-val registered_ops : unit -> op_def list
 
 (** {2 Verification helpers for dialect definitions} *)
 
@@ -42,14 +37,9 @@ val expect_results : int -> Ir.op -> (unit, string) result
 val expect_regions : int -> Ir.op -> (unit, string) result
 val expect_attr : string -> Ir.op -> (unit, string) result
 
-(** Sequence two checks, stopping at the first error. *)
-val ( >>> ) :
-  (unit, string) result -> (unit -> (unit, string) result) -> (unit, string) result
-
 (** Apply every check in order, stopping at the first error. *)
 val all : (Ir.op -> (unit, string) result) list -> Ir.op -> (unit, string) result
 
 val same_type_operands : Ir.op -> (unit, string) result
 val operand_type : int -> Ir.op -> Types.t
-val result_type : int -> Ir.op -> Types.t
 val no_verify : Ir.op -> (unit, string) result

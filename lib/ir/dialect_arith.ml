@@ -16,37 +16,19 @@ let addi ctx a b = binary ctx "arith.addi" a b
 let subi ctx a b = binary ctx "arith.subi" a b
 let muli ctx a b = binary ctx "arith.muli" a b
 let divi ctx a b = binary ctx "arith.divi" a b
-let remi ctx a b = binary ctx "arith.remi" a b
 let addf ctx a b = binary ctx "arith.addf" a b
 let subf ctx a b = binary ctx "arith.subf" a b
 let mulf ctx a b = binary ctx "arith.mulf" a b
 let divf ctx a b = binary ctx "arith.divf" a b
 let maxf ctx a b = binary ctx "arith.maxf" a b
 let minf ctx a b = binary ctx "arith.minf" a b
-let andi ctx a b = binary ctx "arith.andi" a b
-let ori ctx a b = binary ctx "arith.ori" a b
-let xori ctx a b = binary ctx "arith.xori" a b
-let shli ctx a b = binary ctx "arith.shli" a b
-let shri ctx a b = binary ctx "arith.shri" a b
 
 type cmp_pred = Eq | Ne | Lt | Le | Gt | Ge
-
-let cmp_pred_name = function
-  | Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge"
 
 let cmp_pred_of_name = function
   | "eq" -> Some Eq | "ne" -> Some Ne | "lt" -> Some Lt
   | "le" -> Some Le | "gt" -> Some Gt | "ge" -> Some Ge | _ -> None
 
-let cmpi ctx pred a b =
-  op ctx "arith.cmpi" [ a; b ] [ Types.i1 ]
-    ~attrs:[ ("predicate", Attr.str (cmp_pred_name pred)) ]
-
-let cmpf ctx pred a b =
-  op ctx "arith.cmpf" [ a; b ] [ Types.i1 ]
-    ~attrs:[ ("predicate", Attr.str (cmp_pred_name pred)) ]
-
-let select ctx c a b = op ctx "arith.select" [ c; a; b ] [ a.vty ]
 let cast ctx v ty = op ctx "arith.cast" [ v ] [ ty ]
 let negf ctx a = op ctx "arith.negf" [ a ] [ a.vty ]
 let sqrtf ctx a = op ctx "arith.sqrtf" [ a ] [ a.vty ]

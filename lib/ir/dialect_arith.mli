@@ -15,28 +15,18 @@ val addi : ctx -> value -> value -> op
 val subi : ctx -> value -> value -> op
 val muli : ctx -> value -> value -> op
 val divi : ctx -> value -> value -> op
-val remi : ctx -> value -> value -> op
 val addf : ctx -> value -> value -> op
 val subf : ctx -> value -> value -> op
 val mulf : ctx -> value -> value -> op
 val divf : ctx -> value -> value -> op
 val maxf : ctx -> value -> value -> op
 val minf : ctx -> value -> value -> op
-val andi : ctx -> value -> value -> op
-val ori : ctx -> value -> value -> op
-val xori : ctx -> value -> value -> op
-val shli : ctx -> value -> value -> op
-val shri : ctx -> value -> value -> op
 
 (** {2 Comparisons and selection} *)
 
 type cmp_pred = Eq | Ne | Lt | Le | Gt | Ge
 
-val cmp_pred_name : cmp_pred -> string
 val cmp_pred_of_name : string -> cmp_pred option
-val cmpi : ctx -> cmp_pred -> value -> value -> op
-val cmpf : ctx -> cmp_pred -> value -> value -> op
-val select : ctx -> value -> value -> value -> op
 
 (** {2 Unary operations} *)
 

@@ -22,9 +22,6 @@ let graph ?(attrs = []) ctx name body =
   op ctx "df.graph" [] [] ~regions:[ simple_region body ]
     ~attrs:(("name", Attr.str name) :: attrs)
 
-(* Barrier producing a token once all inputs are available. *)
-let barrier ctx inputs = op ctx "df.barrier" inputs [ Types.Token ]
-
 let verify_task (o : Ir.op) =
   match Ir.attr_sym "kernel" o with
   | Some _ -> Dialect.ok

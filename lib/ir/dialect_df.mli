@@ -25,7 +25,4 @@ val sink : ?attrs:(string * Attr.t) list -> ctx -> string -> value -> op
 (** Graph container holding the orchestration ops in its region. *)
 val graph : ?attrs:(string * Attr.t) list -> ctx -> string -> op list -> op
 
-(** Token produced once all inputs are available. *)
-val barrier : ctx -> value list -> op
-
 val register : unit -> unit

@@ -5,30 +5,6 @@
    initiation interval) the DSE and runtime need.  `hw.offload` is the
    call-site form referring to an outlined kernel function. *)
 
-open Ir
-
-let kernel ?(attrs = []) ctx name inputs out_types body =
-  op ctx "hw.kernel" inputs out_types
-    ~regions:[ simple_region body ]
-    ~attrs:(("sym", Attr.sym name) :: attrs)
-
-let offload ?(attrs = []) ctx ~kernel inputs out_types =
-  op ctx "hw.offload" inputs out_types
-    ~attrs:(("kernel", Attr.sym kernel) :: attrs)
-
-let stream_read ctx s =
-  match s.vty with
-  | Types.Stream t -> op ctx "hw.stream_read" [ s ] [ t ]
-  | _ -> invalid_arg "hw.stream_read: operand must be a stream"
-
-let stream_write ctx s v = op ctx "hw.stream_write" [ s; v ] []
-
-(* Partial reconfiguration request: load bitstream [sym] into a role slot. *)
-let reconfig ctx sym =
-  op ctx "hw.reconfig" [] [ Types.Token ] ~attrs:[ ("bitstream", Attr.sym sym) ]
-
-let yield ctx vs = op ctx "hw.yield" vs []
-
 let register () =
   Dialect.register "hw.kernel" ~doc:"Outlined hardware kernel."
     (Dialect.all [ Dialect.expect_regions 1; Dialect.expect_attr "sym" ]);

@@ -5,33 +5,4 @@
     need.  [hw.offload] is the call-site form referring to an outlined
     kernel. *)
 
-open Ir
-
-val kernel :
-  ?attrs:(string * Attr.t) list ->
-  ctx ->
-  string ->
-  value list ->
-  Types.t list ->
-  op list ->
-  op
-
-val offload :
-  ?attrs:(string * Attr.t) list ->
-  ctx ->
-  kernel:string ->
-  value list ->
-  Types.t list ->
-  op
-
-(** @raise Invalid_argument when the operand is not a stream. *)
-val stream_read : ctx -> value -> op
-
-val stream_write : ctx -> value -> value -> op
-
-(** Partial reconfiguration request: load the bitstream into a role slot;
-    yields a completion token. *)
-val reconfig : ctx -> string -> op
-
-val yield : ctx -> value list -> op
 val register : unit -> unit

@@ -9,9 +9,6 @@ open Ir
 let alloc ?(space = Types.Host) ctx elt shape =
   op ctx "memref.alloc" [] [ Types.memref ~space elt shape ]
 
-let alloc_dyn ?(space = Types.Host) ctx elt dims ty_shape =
-  op ctx "memref.alloc" dims [ Types.memref_dyn ~space elt ty_shape ]
-
 let dealloc ctx m = op ctx "memref.dealloc" [ m ] []
 
 let load ctx m idxs =
@@ -24,13 +21,6 @@ let load ctx m idxs =
 
 let store ctx v m idxs = op ctx "memref.store" (v :: m :: idxs) []
 let copy ctx src dst = op ctx "memref.copy" [ src; dst ] []
-
-(* Change only the memory space: models an explicit transfer. *)
-let transfer ctx m space =
-  match m.vty with
-  | Types.Memref { elt; shape; _ } ->
-      op ctx "memref.transfer" [ m ] [ Types.Memref { elt; shape; space } ]
-  | _ -> invalid_arg "memref.transfer: not a memref"
 
 let memref_rank (v : value) =
   match v.vty with Types.Memref { shape; _ } -> List.length shape | _ -> -1

@@ -8,10 +8,6 @@ open Ir
 
 val alloc : ?space:Types.mem_space -> ctx -> Types.scalar -> int list -> op
 
-(** Allocation with dynamic extents supplied as operands. *)
-val alloc_dyn :
-  ?space:Types.mem_space -> ctx -> Types.scalar -> value list -> Types.dim list -> op
-
 val dealloc : ctx -> value -> op
 
 (** Indexed load; the result type is the element type.
@@ -22,8 +18,5 @@ val load : ctx -> value -> value list -> op
 val store : ctx -> value -> value -> value list -> op
 
 val copy : ctx -> value -> value -> op
-
-(** Change only the memory space: an explicit data transfer. *)
-val transfer : ctx -> value -> Types.mem_space -> op
 
 val register : unit -> unit

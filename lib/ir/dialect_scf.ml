@@ -31,15 +31,6 @@ let if_ ?(ret_types = []) ctx cond then_body else_body =
         [ block (else_ops @ [ yield ctx else_vals ]) ];
       ]
 
-(* Parallel loop: like scf.for but iterations are independent; the compiler
-   uses this to emit threaded variants. *)
-let parallel ?(attrs = []) ctx lo hi step body =
-  let iv = fresh_value ctx Types.index in
-  let body_ops = body ctx iv in
-  op ctx "scf.parallel" [ lo; hi; step ] []
-    ~regions:[ [ block ~args:[ iv ] (body_ops @ [ yield ctx [] ]) ] ]
-    ~attrs
-
 let verify_for (o : Ir.op) =
   let n_ops = List.length o.operands in
   if n_ops < 3 then Dialect.err "scf.for: needs lo/hi/step"

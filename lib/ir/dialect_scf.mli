@@ -31,15 +31,4 @@ val if_ :
   (ctx -> op list * value list) ->
   op
 
-(** Parallel counted loop: iterations are independent (the compiler emits
-    threaded variants from it). *)
-val parallel :
-  ?attrs:(string * Attr.t) list ->
-  ctx ->
-  value ->
-  value ->
-  value ->
-  (ctx -> value -> op list) ->
-  op
-
 val register : unit -> unit

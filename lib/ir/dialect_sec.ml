@@ -36,16 +36,8 @@ let encrypt ?(algo = "aes128-ctr") ctx v key =
 let decrypt ?(algo = "aes128-ctr") ctx v key =
   op ctx "sec.decrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str algo) ]
 
-let mac ?(algo = "hmac-sha256") ctx v key =
-  op ctx "sec.mac" [ v; key ] [ Types.tensor Types.I8 [ 32 ] ]
-    ~attrs:[ ("algo", Attr.str algo) ]
-
 let taint ctx v = op ctx "sec.taint" [ v ] [ v.vty ]
 let check ctx v = op ctx "sec.check" [ v ] [ v.vty ]
-
-(* Attach a runtime anomaly monitor to a value (timing / range / pattern). *)
-let monitor ctx v kind =
-  op ctx "sec.monitor" [ v ] [ v.vty ] ~attrs:[ ("kind", Attr.str kind) ]
 
 let verify_level (o : Ir.op) =
   match Ir.attr_str "level" o with

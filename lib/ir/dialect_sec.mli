@@ -23,13 +23,7 @@ val classify : ctx -> value -> level -> op
 val encrypt : ?algo:string -> ctx -> value -> value -> op
 val decrypt : ?algo:string -> ctx -> value -> value -> op
 
-(** Authentication tag (32 bytes). *)
-val mac : ?algo:string -> ctx -> value -> value -> op
-
 val taint : ctx -> value -> op
 val check : ctx -> value -> op
-
-(** Attach a runtime anomaly monitor of the given kind. *)
-val monitor : ctx -> value -> string -> op
 
 val register : unit -> unit

@@ -13,7 +13,6 @@ let elt_of (v : value) =
   | Types.Scalar s -> s
   | _ -> invalid_arg "tensor op on non-tensor value"
 
-
 let fill ctx scalar ty = op ctx "tensor.fill" [ scalar ] [ ty ]
 
 let elementwise ctx kind operands =
@@ -23,12 +22,6 @@ let elementwise ctx kind operands =
         ~attrs:[ ("kind", Attr.str kind) ]
   | [] -> invalid_arg "tensor.elementwise: no operands"
 
-let add ctx a b = elementwise ctx "add" [ a; b ]
-let sub ctx a b = elementwise ctx "sub" [ a; b ]
-let mul ctx a b = elementwise ctx "mul" [ a; b ]
-let relu ctx a = elementwise ctx "relu" [ a ]
-let sigmoid ctx a = elementwise ctx "sigmoid" [ a ]
-let tanh_ ctx a = elementwise ctx "tanh" [ a ]
 let scale ctx s a = op ctx "tensor.scale" [ s; a ] [ a.vty ]
 
 let matmul ctx a b =

@@ -14,13 +14,6 @@ val fill : ctx -> value -> Types.t -> op
     relu/sigmoid/tanh/exp/neg/sqrt (unary). *)
 val elementwise : ctx -> string -> value list -> op
 
-val add : ctx -> value -> value -> op
-val sub : ctx -> value -> value -> op
-val mul : ctx -> value -> value -> op
-val relu : ctx -> value -> op
-val sigmoid : ctx -> value -> op
-val tanh_ : ctx -> value -> op
-
 (** Scalar-tensor multiply. *)
 val scale : ctx -> value -> value -> op
 

@@ -171,16 +171,9 @@ let step env =
   env.steps <- env.steps + 1;
   if env.steps > env.max_steps then fail "interpreter step budget exceeded"
 
-let rec eval_ops env (ops : Ir.op list) =
-  List.iter (eval_op env) ops
-
-and eval_block env (b : Ir.block) args =
-  List.iter2 (fun v a -> bind env v a) b.bargs args;
-  eval_ops env b.body
-
 (* Evaluate the single-block region's body and return values yielded by the
    trailing terminator (scf.yield / hw.yield / func.return). *)
-and eval_region_yield env (r : Ir.region) args =
+let rec eval_region_yield env (r : Ir.region) args =
   match r with
   | [ b ] -> (
       List.iter2 (fun v a -> bind env v a) b.bargs args;

@@ -55,12 +55,6 @@ val einsum : string -> buf list -> buf
 (** Evaluate a single op in [env]. *)
 val eval_op : env -> Ir.op -> unit
 
-(** Evaluate a straight-line op list. *)
-val eval_ops : env -> Ir.op list -> unit
-
-(** Bind [args] to the block arguments, then evaluate its body. *)
-val eval_block : env -> Ir.block -> rt list -> unit
-
 (** Call a function value-to-value within an existing environment. *)
 val call_func : env -> Ir.func -> rt list -> rt list
 

@@ -54,25 +54,15 @@ let op ?(attrs = []) ?(regions = []) ?(loc = Loc.unknown) ctx name operands
   { name; operands; results = fresh_values ctx result_types; attrs; regions; loc }
 
 let result ?(n = 0) o = List.nth o.results n
-let result_opt ?(n = 0) o = List.nth_opt o.results n
 let attr key o = Attr.find key o.attrs
-let attr_int key o = Attr.find_int key o.attrs
 let attr_str key o = Attr.find_str key o.attrs
-let attr_bool key o = Attr.find_bool key o.attrs
-let attr_float key o = Attr.find_float key o.attrs
 let attr_sym key o = Attr.find_sym key o.attrs
-let attr_ints key o = Attr.find_ints key o.attrs
 let with_attr key v o = { o with attrs = Attr.set key v o.attrs }
 let has_attr key o = Option.is_some (attr key o)
 
 let block ?(args = []) body = { bargs = args; body }
 let region blocks : region = blocks
 let simple_region body = [ block body ]
-
-let dialect_of op =
-  match String.index_opt op.name '.' with
-  | Some i -> String.sub op.name 0 i
-  | None -> op.name
 
 (* Structural traversal *)
 
@@ -177,17 +167,6 @@ let func ?(attrs = []) name args ret_types body =
 let modul ?(attrs = []) name funcs = { mname = name; funcs; mattrs = attrs }
 
 let find_func m name = List.find_opt (fun f -> String.equal f.fname name) m.funcs
-
-let replace_func m f =
-  {
-    m with
-    funcs = List.map (fun g -> if String.equal g.fname f.fname then f else g) m.funcs;
-  }
-
-let add_func m f = { m with funcs = m.funcs @ [ f ] }
-
-let func_type f =
-  Types.func (List.map (fun v -> v.vty) f.fargs) f.fret_types
 
 let module_op_count m =
   List.fold_left (fun n f -> n + count_ops f.fbody) 0 m.funcs

@@ -50,17 +50,11 @@ val op :
 (** [result ?n o] is the [n]-th result of [o] (default the first). *)
 val result : ?n:int -> op -> value
 
-val result_opt : ?n:int -> op -> value option
-
 (** {2 Attribute accessors} *)
 
 val attr : string -> op -> Attr.t option
-val attr_int : string -> op -> int option
 val attr_str : string -> op -> string option
-val attr_bool : string -> op -> bool option
-val attr_float : string -> op -> float option
 val attr_sym : string -> op -> string option
-val attr_ints : string -> op -> int list option
 val with_attr : string -> Attr.t -> op -> op
 val has_attr : string -> op -> bool
 
@@ -69,9 +63,6 @@ val has_attr : string -> op -> bool
 val block : ?args:value list -> op list -> block
 val region : block list -> region
 val simple_region : op list -> region
-
-(** Dialect prefix of an op name (["arith"] for ["arith.addf"]). *)
-val dialect_of : op -> string
 
 (** {2 Traversal} — visit nested regions depth-first. *)
 
@@ -111,9 +102,4 @@ val func :
 val modul : ?attrs:(string * Attr.t) list -> string -> func list -> modul
 val find_func : modul -> string -> func option
 
-(** Replace the function with the same name. *)
-val replace_func : modul -> func -> modul
-
-val add_func : modul -> func -> modul
-val func_type : func -> Types.t
 val module_op_count : modul -> int

@@ -4,21 +4,14 @@ type t =
   | Unknown
   | File of { file : string; line : int; col : int }
   | Name of string
-  | Fused of t list
 
 let unknown = Unknown
-let file ?(col = 0) fname line = File { file = fname; line; col }
+let file fname line = File { file = fname; line; col = 0 }
 let name n = Name n
 
-let fused = function
-  | [] -> Unknown
-  | [ l ] -> l
-  | ls -> Fused ls
-
-let rec pp ppf = function
+let pp ppf = function
   | Unknown -> Fmt.string ppf "loc(unknown)"
   | File { file; line; col } -> Fmt.pf ppf "loc(%s:%d:%d)" file line col
   | Name n -> Fmt.pf ppf "loc(%S)" n
-  | Fused ls -> Fmt.pf ppf "loc(fused[%a])" Fmt.(list ~sep:(any ", ") pp) ls
 
 let to_string l = Fmt.str "%a" pp l

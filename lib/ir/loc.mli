@@ -4,17 +4,13 @@ type t =
   | Unknown
   | File of { file : string; line : int; col : int }
   | Name of string  (** A named location, e.g. a DSL node label. *)
-  | Fused of t list
 
 val unknown : t
 
-(** [file name line] is a file location (column defaults to 0). *)
-val file : ?col:int -> string -> int -> t
+(** [file name line] is a file location at column 0. *)
+val file : string -> int -> t
 
 val name : string -> t
-
-(** Combine several locations (e.g. after fusion); singletons collapse. *)
-val fused : t list -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

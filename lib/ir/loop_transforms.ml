@@ -218,8 +218,9 @@ let unroll_by ctx ~factor (f : func) : func =
 
 (* ---- inlining -------------------------------------------------------------------- *)
 
-(* Inline every func.call whose callee exists in [m] and is small enough. *)
-let inline_module ?(max_ops = 1000) ctx (m : modul) : modul =
+(* Inline every func.call whose callee exists in [m] and has at most 1000
+   ops. *)
+let inline_module ctx (m : modul) : modul =
   let rec inline_ops (ops : op list) : op list =
     let subst = ref [] in
     let out =
@@ -235,7 +236,7 @@ let inline_module ?(max_ops = 1000) ctx (m : modul) : modul =
           if not (String.equal o.name "func.call") then [ o ]
           else
             match Option.bind (Ir.attr_sym "callee" o) (Ir.find_func m) with
-            | Some callee when Ir.count_ops callee.fbody <= max_ops ->
+            | Some callee when Ir.count_ops callee.fbody <= 1000 ->
                 let arg_subst =
                   List.map2
                     (fun (formal : value) actual -> (formal.vid, actual))
@@ -261,5 +262,3 @@ let inline_module ?(max_ops = 1000) ctx (m : modul) : modul =
   in
   { m with
     funcs = List.map (fun f -> { f with fbody = inline_ops f.fbody }) m.funcs }
-
-let inline_pass = Pass.make "inline" (fun ctx m -> inline_module ctx m)

@@ -19,8 +19,5 @@ val full_unroll : ?limit:int -> Ir.ctx -> Ir.func -> Ir.func
 val unroll_by : Ir.ctx -> factor:int -> Ir.func -> Ir.func
 
 (** Inline every [func.call] whose callee is defined in the module and has
-    at most [max_ops] operations (default 1000). *)
-val inline_module : ?max_ops:int -> Ir.ctx -> Ir.modul -> Ir.modul
-
-(** {!inline_module} as a pipeline pass. *)
-val inline_pass : Pass.t
+    at most 1000 operations. *)
+val inline_module : Ir.ctx -> Ir.modul -> Ir.modul

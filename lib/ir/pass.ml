@@ -1,5 +1,5 @@
-(* Pass manager: named module-to-module transformations with optional
-   inter-pass verification and timing, like MLIR's pass pipeline. *)
+(* Pass manager: named module-to-module transformations with an inter-pass
+   lint hook and timing, like MLIR's pass pipeline. *)
 
 type t = { pass_name : string; run : Ir.ctx -> Ir.modul -> Ir.modul }
 
@@ -11,12 +11,10 @@ let pp_report ppf r =
   Fmt.pf ppf "%-24s %8.4fs  ops %d -> %d" r.name r.seconds r.ops_before
     r.ops_after
 
-exception Verification_failed of string * Verify.diag list
-
 (* [lint_each] receives the pass name and the module after every pass; it
    is a callback (rather than a direct call into the lint engine) because
    the analysis library layers above the IR.  It aborts by raising. *)
-let run_pipeline ?(verify_each = false) ?lint_each ctx passes m =
+let run_pipeline ?lint_each ctx passes m =
   let reports = ref [] in
   let m =
     List.fold_left
@@ -29,11 +27,6 @@ let run_pipeline ?(verify_each = false) ?lint_each ctx passes m =
           { name = p.pass_name; seconds = dt; ops_before = before;
             ops_after = Ir.module_op_count m' }
           :: !reports;
-        if verify_each then begin
-          match Verify.check_module m' with
-          | Ok () -> ()
-          | Error ds -> raise (Verification_failed (p.pass_name, ds))
-        end;
         (match lint_each with Some f -> f p.pass_name m' | None -> ());
         m')
       m passes

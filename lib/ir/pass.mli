@@ -1,5 +1,5 @@
-(** Pass manager: named module-to-module transformations with optional
-    inter-pass verification and timing. *)
+(** Pass manager: named module-to-module transformations with an
+    inter-pass lint hook and timing. *)
 
 type t = { pass_name : string; run : Ir.ctx -> Ir.modul -> Ir.modul }
 
@@ -10,15 +10,10 @@ type report = { name : string; seconds : float; ops_before : int; ops_after : in
 
 val pp_report : Format.formatter -> report -> unit
 
-exception Verification_failed of string * Verify.diag list
-
-(** Run the pipeline in order.  With [verify_each], {!Verify.check_module}
-    runs after every pass and failures raise {!Verification_failed}.
-    [lint_each], when given, is called after every pass (and after its
-    verification) with the pass name and the resulting module — the
+(** Run the pipeline in order.  [lint_each], when given, is called after
+    every pass with the pass name and the resulting module — the
     [everest_analysis] lint gate is wired through here; it aborts the
     pipeline by raising. *)
 val run_pipeline :
-  ?verify_each:bool ->
   ?lint_each:(string -> Ir.modul -> unit) ->
   Ir.ctx -> t list -> Ir.modul -> Ir.modul * report list

@@ -18,11 +18,6 @@ type pattern = {
 
 let pattern ?(benefit = 1) pname matcher = { pname; benefit; matcher }
 
-(* Replace the op by nothing (all results must be dead or substituted). *)
-let erase = { new_ops = []; subst = [] }
-
-let replace_with ops subst = { new_ops = ops; subst }
-
 (* One value replaces the single result. *)
 let fold_to (op : Ir.op) v new_ops =
   match op.results with

@@ -22,11 +22,6 @@ val pattern :
   (Ir.ctx -> defs:(int -> Ir.op option) -> Ir.op -> produced option) ->
   pattern
 
-(** Replace the op by nothing (its results must be dead or substituted). *)
-val erase : produced
-
-val replace_with : Ir.op list -> (Ir.value * Ir.value) list -> produced
-
 (** [fold_to op v new_ops] replaces single-result [op] by value [v],
     splicing [new_ops]; [None] if [op] has several results. *)
 val fold_to : Ir.op -> Ir.value -> Ir.op list -> produced option

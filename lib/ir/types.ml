@@ -22,8 +22,6 @@ type t =
   | Opaque of string  (* dialect-specific types, e.g. "sec.key" *)
 
 let i1 = Scalar I1
-let i8 = Scalar I8
-let i16 = Scalar I16
 let i32 = Scalar I32
 let i64 = Scalar I64
 let f32 = Scalar F32
@@ -34,7 +32,6 @@ let tensor elt shape = Tensor { elt; shape = List.map (fun d -> Static d) shape 
 let tensor_dyn elt shape = Tensor { elt; shape }
 let memref ?(space = Host) elt shape =
   Memref { elt; shape = List.map (fun d -> Static d) shape; space }
-let memref_dyn ?(space = Host) elt shape = Memref { elt; shape; space }
 let stream t = Stream t
 let func args rets = Func { args; rets }
 let opaque s = Opaque s
@@ -56,10 +53,6 @@ let scalar_bits = function
   | I64 | Index -> 64
   | F32 -> 32
   | F64 -> 64
-
-let elt_type = function
-  | Tensor { elt; _ } | Memref { elt; _ } -> Some (Scalar elt)
-  | _ -> None
 
 let shape = function
   | Tensor { shape; _ } | Memref { shape; _ } -> Some shape
@@ -85,8 +78,6 @@ let byte_size t =
       | Some n -> Some (n * ((scalar_bits elt + 7) / 8))
       | None -> None)
   | _ -> None
-
-let rank t = match shape t with Some s -> Some (List.length s) | None -> None
 
 let static_shape_exn t =
   match shape t with

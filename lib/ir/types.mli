@@ -28,8 +28,6 @@ type t =
 (** {2 Constructors} *)
 
 val i1 : t
-val i8 : t
-val i16 : t
 val i32 : t
 val i64 : t
 val f32 : t
@@ -45,7 +43,6 @@ val tensor_dyn : scalar -> dim list -> t
 (** [memref ?space elt dims] is a static buffer type (default space {!Host}). *)
 val memref : ?space:mem_space -> scalar -> int list -> t
 
-val memref_dyn : ?space:mem_space -> scalar -> dim list -> t
 val stream : t -> t
 val func : t list -> t list -> t
 val opaque : string -> t
@@ -61,9 +58,6 @@ val is_int_scalar : t -> bool
 (** Bit width of a scalar element. *)
 val scalar_bits : scalar -> int
 
-(** Element type of a tensor/memref, as a scalar type. *)
-val elt_type : t -> t option
-
 (** Shape of a tensor/memref. *)
 val shape : t -> dim list option
 
@@ -72,8 +66,6 @@ val num_elements : t -> int option
 
 (** Total byte size when statically known. *)
 val byte_size : t -> int option
-
-val rank : t -> int option
 
 (** Static shape of a shaped type.
     @raise Invalid_argument on dynamic dims or unshaped types. *)

@@ -23,12 +23,6 @@ let fit_norm (xs : float array array) =
 let normalize norm x =
   Array.mapi (fun j v -> (v -. norm.means.(j)) /. norm.stds.(j)) x
 
-let split ?(train_frac = 0.8) xs ys =
-  let n = Array.length xs in
-  let k = int_of_float (train_frac *. float_of_int n) in
-  ( (Array.sub xs 0 k, Array.sub ys 0 k),
-    (Array.sub xs k (n - k), Array.sub ys k (n - k)) )
-
 let batches rng ~batch_size xs ys =
   let n = Array.length xs in
   let idx = Array.init n Fun.id in

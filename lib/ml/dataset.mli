@@ -8,13 +8,6 @@ val fit_norm : float array array -> norm
 
 val normalize : norm -> float array -> float array
 
-(** Front/back split (no shuffling — time series stay ordered). *)
-val split :
-  ?train_frac:float ->
-  'a array ->
-  'b array ->
-  ('a array * 'b array) * ('a array * 'b array)
-
 (** Shuffled mini-batches covering every sample exactly once. *)
 val batches :
   Rng.t ->

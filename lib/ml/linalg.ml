@@ -46,18 +46,10 @@ let matvec a (x : float array) =
       done;
       !acc)
 
-(* y <- a*x + y *)
-let axpy a (x : float array) (y : float array) =
-  Array.iteri (fun i xi -> y.(i) <- y.(i) +. (a *. xi)) x
-
 let dot x y =
   let acc = ref 0.0 in
   Array.iteri (fun i xi -> acc := !acc +. (xi *. y.(i))) x;
   !acc
-
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
-let map f m = { m with data = Array.map f m.data }
 
 (* Solve A x = b by Gaussian elimination with partial pivoting. *)
 let solve a0 (b0 : float array) =

@@ -18,12 +18,7 @@ val matmul : mat -> mat -> mat
 
 val matvec : mat -> float array -> float array
 
-(** [axpy a x y] updates [y <- a*x + y] in place. *)
-val axpy : float -> float array -> float array -> unit
-
 val dot : float array -> float array -> float
-val transpose : mat -> mat
-val map : (float -> float) -> mat -> mat
 
 (** Gaussian elimination with partial pivoting.
     @raise Failure on singular systems. *)

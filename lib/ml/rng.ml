@@ -48,5 +48,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick t arr = arr.(int t (Array.length arr))

@@ -18,5 +18,3 @@ val gaussian : ?mu:float -> ?sigma:float -> t -> float
 
 (** In-place Fisher–Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-val pick : t -> 'a array -> 'a

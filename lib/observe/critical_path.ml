@@ -44,8 +44,9 @@ let bottlenecks ?(k = 5) t =
   in
   List.filteri (fun i _ -> i < k) sorted
 
-(* The invariant every extraction must satisfy (eps is absolute). *)
-let check ?(eps = 1e-9) t =
+(* The invariant every extraction must satisfy, to an absolute 1e-9 s. *)
+let check t =
+  let eps = 1e-9 in
   t.work_s <= t.duration_s +. eps
   && t.duration_s <= t.makespan_s +. eps
   && t.work_s <= t.total_work_s +. eps
@@ -80,7 +81,3 @@ let of_json j =
     makespan_s = Json.need_num "makespan_s" j;
     total_work_s = Json.need_num "total_work_s" j;
     steps = List.map step_of_json (Json.to_list (Json.need "steps" j)) }
-
-let pp ppf t =
-  Fmt.pf ppf "critical path: %d steps, %.4gs (self %.4gs + wait %.4gs)"
-    (List.length t.steps) t.duration_s t.work_s t.wait_s

@@ -35,11 +35,10 @@ val by_node : t -> (string * (float * float)) list
 (** The top-[k] path steps by share of the critical path (self + wait). *)
 val bottlenecks : ?k:int -> t -> step list
 
-(** The extraction invariant ([eps] is absolute). *)
-val check : ?eps:float -> t -> bool
+(** The extraction invariant, to an absolute 1e-9 s. *)
+val check : t -> bool
 
 val step_to_json : step -> Json.t
 val to_json : t -> Json.t
 val step_of_json : Json.t -> step
 val of_json : Json.t -> t
-val pp : Format.formatter -> t -> unit

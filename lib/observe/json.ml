@@ -192,7 +192,6 @@ let to_str = function Str s -> s | _ -> invalid_arg "Json.to_str"
 let to_bool = function Bool b -> b | _ -> invalid_arg "Json.to_bool"
 let to_list = function Arr xs -> xs | _ -> invalid_arg "Json.to_list"
 
-let num_member k v = Option.map to_num (member k v)
 let str_member k v = Option.map to_str (member k v)
 
 (* Required members, for reconstructing reports written by this library. *)

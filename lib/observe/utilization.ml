@@ -19,8 +19,9 @@ type t = { u_horizon_s : float; u_nodes : node_util list }
 
 (* Reconciliation against the span log it was built from: merged busy time
    can never exceed the raw span sum or the horizon, busy + idle must tile
-   the horizon, and utilization is a fraction. *)
-let check ?(eps = 1e-9) t =
+   the horizon, and utilization is a fraction (all to an absolute 1e-9). *)
+let check t =
+  let eps = 1e-9 in
   List.for_all
     (fun n ->
       n.nu_busy_s >= -.eps

@@ -25,8 +25,9 @@ type node_util = {
 type t = { u_horizon_s : float; u_nodes : node_util list }
 
 (** Invariants every extraction satisfies: busy within [0, span_s] and
-    [0, horizon], busy + idle tiles the horizon, utilization in [0, 1]. *)
-val check : ?eps:float -> t -> bool
+    [0, horizon], busy + idle tiles the horizon, utilization in [0, 1], all
+    to an absolute 1e-9. *)
+val check : t -> bool
 
 (** The longest idle gap across every node: (node, start, length). *)
 val worst_gap : t -> (string * float * float) option

@@ -47,21 +47,9 @@ let stats t =
   Mutex.unlock t.m;
   s
 
-let hit_rate t =
-  let s = stats t in
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
 let clear t =
   Mutex.lock t.m;
   Hashtbl.reset t.tbl;
-  Mutex.unlock t.m
-
-let reset t =
-  Mutex.lock t.m;
-  Hashtbl.reset t.tbl;
-  t.hits <- 0;
-  t.misses <- 0;
   Mutex.unlock t.m
 
 (* Publish the counters as gauges labelled by cache name.  Call from a

@@ -23,13 +23,9 @@ val add : 'a t -> string -> 'a -> unit
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
 
 val stats : 'a t -> stats
-val hit_rate : 'a t -> float
 
 (** Drop all entries, keep the counters (used for invalidation). *)
 val clear : 'a t -> unit
-
-(** Drop entries and zero the counters. *)
-val reset : 'a t -> unit
 
 (** Publish [cache_hits] / [cache_misses] / [cache_entries] gauges labelled
     [cache=<name>].  Call from a single domain. *)

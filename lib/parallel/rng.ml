@@ -18,8 +18,6 @@ let create seed =
   let s = ((seed mod modulus) + modulus) mod modulus in
   { state = (if s = 0 then 1 else s) }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- t.state * multiplier mod modulus;
   t.state
@@ -31,9 +29,6 @@ let int t bound =
 
 (* Uniform draw in [0, 1). *)
 let float t = float_of_int (next t) /. float_of_int modulus
-
-(* Derive an independent deterministic stream, e.g. one per parallel task. *)
-let split t = create (next t)
 
 (* Raw stream position, for checkpoint/restore.  [set_state] guards the
    incoming value the same way [create] guards seeds, so a corrupted

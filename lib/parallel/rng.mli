@@ -10,7 +10,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
 
 (** Next raw state, in [1, 2^31-2]. *)
 val next : t -> int
@@ -21,9 +20,6 @@ val int : t -> int -> int
 
 (** Uniform draw in [0, 1). *)
 val float : t -> float
-
-(** Derive an independent deterministic child stream. *)
-val split : t -> t
 
 (** Raw stream position, for checkpoint/restore. *)
 val state : t -> int

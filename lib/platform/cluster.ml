@@ -14,7 +14,7 @@ type t = {
   mutable transfers : int;
 }
 
-let create ?(links = []) nodes =
+let create nodes =
   (* name -> node index built once: [find_node] sits on the executor's
      per-task hot path, where the historical list scan was O(|nodes|) per
      lookup.  First binding wins, matching the old [List.find_opt]. *)
@@ -24,7 +24,7 @@ let create ?(links = []) nodes =
       if not (Hashtbl.mem node_tbl n.Node.name) then
         Hashtbl.add node_tbl n.Node.name n)
     nodes;
-  { sim = Desim.create (); nodes; node_tbl; links; bytes_moved = 0;
+  { sim = Desim.create (); nodes; node_tbl; links = []; bytes_moved = 0;
     transfers = 0 }
 
 let find_node c name =
@@ -103,10 +103,8 @@ let cloudfpga_node name =
   Node.create ~name ~tier:Spec.Cloud ~fpgas:[ Spec.cloud_fpga ]
     { Spec.riscv_endpoint with Spec.cpu_name = "cFDK-shell" }
 
-let edge_node ?(with_fpga = true) name =
-  Node.create ~name ~tier:Spec.Inner_edge
-    ~fpgas:(if with_fpga then [ Spec.edge_fpga ] else [])
-    Spec.arm_edge
+let edge_node name =
+  Node.create ~name ~tier:Spec.Inner_edge ~fpgas:[ Spec.edge_fpga ] Spec.arm_edge
 
 let endpoint_node name =
   Node.create ~name ~tier:Spec.Endpoint Spec.riscv_endpoint
@@ -122,6 +120,3 @@ let everest_demonstrator ?(cloud_fpgas = 4) ?(edges = 2) ?(endpoints = 4) () =
   (* cloudFPGAs sit on the DC network close to the POWER9 host *)
   List.iter (fun (cf : Node.t) -> add_link c "p9" cf.Node.name Spec.eth100_tcp) cfs;
   c
-
-let pp ppf c =
-  Fmt.pf ppf "cluster: %a" Fmt.(list ~sep:(any "; ") Node.pp) c.nodes

@@ -12,7 +12,7 @@ type t = {
   mutable transfers : int;
 }
 
-val create : ?links:(string * string * Spec.link) list -> Node.t list -> t
+val create : Node.t list -> t
 
 (** O(1) name lookup. @raise Invalid_argument on unknown names. *)
 val find_node : t -> string -> Node.t
@@ -47,12 +47,10 @@ val power9_node : ?n_fpgas:int -> string -> Node.t
 (** A disaggregated network-attached cloudFPGA as a standalone node. *)
 val cloudfpga_node : string -> Node.t
 
-val edge_node : ?with_fpga:bool -> string -> Node.t
+val edge_node : string -> Node.t
 val endpoint_node : string -> Node.t
 
 (** The full demonstrator: one POWER9 with bus FPGAs, a cloudFPGA rack on
     the DC network, edge nodes and endpoints. *)
 val everest_demonstrator :
   ?cloud_fpgas:int -> ?edges:int -> ?endpoints:int -> unit -> t
-
-val pp : Format.formatter -> t -> unit

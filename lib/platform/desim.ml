@@ -243,7 +243,6 @@ type wait_stats = {
   ws_mean_wait_s : float;  (* over queued acquisitions only *)
 }
 
-let peak r = r.peak
 let total_wait_s r = r.total_wait_s
 
 let mean_wait_s r =

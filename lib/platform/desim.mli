@@ -96,7 +96,6 @@ type wait_stats = {
   ws_mean_wait_s : float;  (** over queued-and-granted acquisitions *)
 }
 
-val peak : resource -> int
 val total_wait_s : resource -> float
 val mean_wait_s : resource -> float
 val wait_stats : resource -> wait_stats

@@ -128,7 +128,3 @@ let total_energy (node : t) ~elapsed =
          0.0 node.fpgas
   in
   node.energy_j +. idle
-
-let pp ppf (n : t) =
-  Fmt.pf ppf "%s[%s] %s cores=%d fpgas=%d" n.name (Spec.tier_name n.tier)
-    n.cpu.Spec.cpu_name n.cpu.Spec.cores (List.length n.fpgas)

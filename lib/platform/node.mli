@@ -69,5 +69,3 @@ val run_fpga :
 
 (** Active energy plus the idle floor over [elapsed] seconds. *)
 val total_energy : t -> elapsed:float -> float
-
-val pp : Format.formatter -> t -> unit

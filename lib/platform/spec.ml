@@ -19,10 +19,6 @@ let power9 =
   { cpu_name = "POWER9"; cores = 16; freq_ghz = 3.3; flops_per_cycle = 16.0;
     mem_bw_gbs = 140.0; idle_w = 90.0; active_w_per_core = 12.0 }
 
-let x86_server =
-  { cpu_name = "x86-server"; cores = 24; freq_ghz = 2.8; flops_per_cycle = 32.0;
-    mem_bw_gbs = 120.0; idle_w = 80.0; active_w_per_core = 10.0 }
-
 let arm_edge =
   { cpu_name = "ARM-edge"; cores = 4; freq_ghz = 1.8; flops_per_cycle = 8.0;
     mem_bw_gbs = 12.0; idle_w = 3.0; active_w_per_core = 2.0 }
@@ -131,8 +127,3 @@ let host_link (f : fpga) =
   match f.attach with Bus_coherent -> opencapi | Network_attached -> eth100_tcp
 
 type tier = Endpoint | Inner_edge | Cloud
-
-let tier_name = function
-  | Endpoint -> "endpoint"
-  | Inner_edge -> "inner-edge"
-  | Cloud -> "cloud"

@@ -16,7 +16,6 @@ type cpu = {
 }
 
 val power9 : cpu
-val x86_server : cpu
 val arm_edge : cpu
 val riscv_endpoint : cpu
 
@@ -82,5 +81,3 @@ val host_link : fpga -> link
 
 (** Processing tiers of the EVEREST ecosystem (Fig. 3). *)
 type tier = Endpoint | Inner_edge | Cloud
-
-val tier_name : tier -> string

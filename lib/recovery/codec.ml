@@ -335,8 +335,6 @@ let pair a b =
   { enc = (fun w (x, y) -> a.enc w x; b.enc w y);
     dec = (fun r -> let x = a.dec r in let y = b.dec r in (x, y)) }
 
-let conv f g c = { enc = (fun w x -> c.enc w (f x)); dec = (fun r -> g (c.dec r)) }
-
 let triple a b c =
   { enc = (fun w (x, y, z) -> a.enc w x; b.enc w y; c.enc w z);
     dec =

@@ -92,9 +92,6 @@ val pair : 'a t -> 'b t -> ('a * 'b) t
 
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
-(** [conv f g c] persists ['a] as [f x] through [c]; [g] maps back. *)
-val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
-
 (** A literal tag token, then the value.  The decoder checks the tag —
     a schema self-check at the head of a record. *)
 val tagged : string -> 'a t -> 'a t

@@ -126,9 +126,3 @@ let import b p =
   b.probes <- p.p_probes;
   b.opens <- p.p_opens;
   b.transitions <- List.rev p.p_transitions
-
-let pp_state ppf s = Fmt.string ppf (state_name s)
-
-let pp ppf b =
-  Fmt.pf ppf "breaker[%a failures=%d opens=%d]" pp_state b.cur
-    b.consecutive_failures b.opens

@@ -52,6 +52,3 @@ type persisted = {
 
 val export : t -> persisted
 val import : t -> persisted -> unit
-
-val pp_state : Format.formatter -> state -> unit
-val pp : Format.formatter -> t -> unit

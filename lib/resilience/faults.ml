@@ -27,10 +27,6 @@ let none =
   { seed = 0; windows = []; transient_prob = 0.0; fpga_transient_prob = 0.0;
     link_factors = [] }
 
-let is_none t =
-  t.windows = [] && t.transient_prob = 0.0 && t.fpga_transient_prob = 0.0
-  && t.link_factors = []
-
 let plan ?(seed = 1) ?(windows = []) ?(transient_prob = 0.0)
     ?(fpga_transient_prob = 0.0) ?(link_factors = []) () =
   if transient_prob < 0.0 || transient_prob >= 1.0 then
@@ -127,13 +123,3 @@ let random_plan ?(seed = 7) ~fault_rate ?(mean_downtime = 0.0)
       nodes
   in
   { seed; windows; transient_prob; fpga_transient_prob; link_factors = [] }
-
-let pp ppf t =
-  Fmt.pf ppf "faults[seed=%d transient=%g fpga=%g windows=%a]" t.seed
-    t.transient_prob t.fpga_transient_prob
-    Fmt.(
-      list ~sep:(any ", ") (fun ppf w ->
-          pf ppf "%s@%g%a" w.w_node w.w_down
-            (option (fun ppf up -> pf ppf "..%g" up))
-            w.w_up))
-    t.windows

@@ -25,8 +25,6 @@ type t = {
 (** The empty plan: nothing ever fails. *)
 val none : t
 
-val is_none : t -> bool
-
 (** @raise Invalid_argument when a probability is outside [0, 1). *)
 val plan :
   ?seed:int ->
@@ -74,5 +72,3 @@ val random_plan :
   horizon:float ->
   unit ->
   t
-
-val pp : Format.formatter -> t -> unit

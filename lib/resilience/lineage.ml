@@ -94,11 +94,3 @@ let export t =
       (task, List.map (fun c -> (c.c_node, c.c_since)) cs) :: acc)
     t.copies []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let import t entries =
-  Hashtbl.reset t.copies;
-  List.iter
-    (fun (task, cs) ->
-      Hashtbl.replace t.copies task
-        (List.map (fun (c_node, c_since) -> { c_node; c_since }) cs))
-    entries

@@ -36,5 +36,3 @@ val prune : ?keep_replicas:int -> t -> now:float -> int
 (** Checkpoint/restore: copies per task (node, since), primary first,
     sorted by task id. *)
 val export : t -> (int * (string * float) list) list
-
-val import : t -> (int * (string * float) list) list -> unit

@@ -63,13 +63,3 @@ let make ?(max_retries = default.max_retries) ?(backoff = default.backoff)
     ?timeout ?speculation ?heartbeat_s () =
   if max_retries < 0 then invalid_arg "Policy.make: max_retries < 0";
   { max_retries; backoff; timeout; speculation; heartbeat_s }
-
-let pp ppf p =
-  Fmt.pf ppf "policy[retries=%d backoff=%g*%g<=%g timeout=%a spec=%a hb=%a]"
-    p.max_retries p.backoff.base_s p.backoff.factor p.backoff.max_s
-    Fmt.(option ~none:(any "off") (fun ppf t -> pf ppf "%gx" t.timeout_factor))
-    p.timeout
-    Fmt.(option ~none:(any "off") (fun ppf s -> pf ppf "%gx" s.spec_factor))
-    p.speculation
-    Fmt.(option ~none:(any "off") float)
-    p.heartbeat_s

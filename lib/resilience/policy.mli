@@ -57,5 +57,3 @@ val make :
   ?heartbeat_s:float ->
   unit ->
   t
-
-val pp : Format.formatter -> t -> unit

@@ -56,10 +56,9 @@ type t = {
   mutable kernels : deployed_kernel list;
 }
 
-let create ?(vcpus = 4) ?tracer ?(registry = Metrics.default)
-    (cluster : Cluster.t) ~host_name =
+let create ?tracer ?(registry = Metrics.default) (cluster : Cluster.t) ~host_name =
   let host = Cluster.find_node cluster host_name in
-  let vm = Vm.spawn (Vm.hypervisor host) ~name:"everest-app" ~vcpus in
+  let vm = Vm.spawn (Vm.hypervisor host) ~name:"everest-app" ~vcpus:4 in
   let vfpga_mgr = Vfpga.create () in
   let vctx =
     if Node.has_fpga host then Some (Vfpga.allocate vfpga_mgr ~vm) else None

@@ -54,7 +54,6 @@ type t = {
     [registry] (default {!Everest_telemetry.Metrics.default}) receives the
     [orchestrator_*] and [tuner_*] metrics. *)
 val create :
-  ?vcpus:int ->
   ?tracer:Everest_telemetry.Trace.t ->
   ?registry:Everest_telemetry.Metrics.registry ->
   Cluster.t ->

@@ -35,9 +35,6 @@ let register layer name =
   layer.streams <- s :: layer.streams;
   s
 
-let find layer name =
-  List.find_opt (fun s -> String.equal s.sname name) layer.streams
-
 (* Training phase: feed known-good traffic. *)
 let train (s : stream_state) ~values ~bytes ~latency_s =
   List.iter (Monitor.range_train s.range_mon) values;

@@ -26,7 +26,6 @@ type t = {
 
 val create : unit -> t
 val register : t -> string -> stream_state
-val find : t -> string -> stream_state option
 
 (** Feed known-good traffic into every monitor of the stream. *)
 val train : stream_state -> values:float list -> bytes:int -> latency_s:float -> unit

@@ -7,13 +7,10 @@
 
 open Everest_platform
 
-type guest_isa = X86 | Arm | Riscv
-
 type t = {
   vm_id : int;
   vm_name : string;
   vcpus : int;
-  isa : guest_isa;
   host : Node.t;
   overhead : float;  (* multiplicative slowdown on guest compute, e.g. 1.05 *)
   mutable running : bool;
@@ -36,7 +33,7 @@ let vcpus_in_use h =
 exception Admission_failed of string
 
 (* Admission control: vCPUs may not oversubscribe physical cores beyond 2x. *)
-let spawn ?(overhead = None) ?(isa = X86) h ~name ~vcpus =
+let spawn h ~name ~vcpus =
   let limit = 2 * h.hnode.Node.cpu.Spec.cores in
   if vcpus_in_use h + vcpus > limit then
     raise
@@ -44,9 +41,8 @@ let spawn ?(overhead = None) ?(isa = X86) h ~name ~vcpus =
          (Printf.sprintf "vm %s: %d vCPUs exceed 2x oversubscription (%d in use, %d max)"
             name vcpus (vcpus_in_use h) limit));
   let vm =
-    { vm_id = h.next_id; vm_name = name; vcpus; isa; host = h.hnode;
-      overhead = Option.value ~default:h.default_overhead overhead;
-      running = true; guest_tasks = 0 }
+    { vm_id = h.next_id; vm_name = name; vcpus; host = h.hnode;
+      overhead = h.default_overhead; running = true; guest_tasks = 0 }
   in
   h.next_id <- h.next_id + 1;
   h.vms <- vm :: h.vms;
@@ -63,10 +59,3 @@ let run_guest sim (vm : t) ~flops ~bytes ?(threads = 1) k =
     (fun () ->
       vm.guest_tasks <- vm.guest_tasks + 1;
       k ())
-
-(* Live migration: move a VM to another node, paying for the memory copy. *)
-let migrate sim cluster (vm : t) ~(dst : Node.t) ~mem_bytes k =
-  Cluster.transfer cluster ~src:vm.host ~dst ~bytes:mem_bytes (fun () ->
-      let vm' = { vm with host = dst } in
-      ignore sim;
-      k vm')

@@ -7,13 +7,10 @@
 
 open Everest_platform
 
-type guest_isa = X86 | Arm | Riscv
-
 type t = {
   vm_id : int;
   vm_name : string;
   vcpus : int;
-  isa : guest_isa;
   host : Node.t;
   overhead : float;  (** Multiplicative slowdown on guest compute. *)
   mutable running : bool;
@@ -35,8 +32,7 @@ exception Admission_failed of string
 (** Admission control: vCPUs may not oversubscribe physical cores beyond
     2x.
     @raise Admission_failed when the limit would be exceeded. *)
-val spawn :
-  ?overhead:float option -> ?isa:guest_isa -> hypervisor -> name:string -> vcpus:int -> t
+val spawn : hypervisor -> name:string -> vcpus:int -> t
 
 val stop : t -> unit
 
@@ -45,7 +41,3 @@ val stop : t -> unit
     @raise Invalid_argument on stopped VMs. *)
 val run_guest :
   Desim.t -> t -> flops:float -> bytes:float -> ?threads:int -> (unit -> unit) -> unit
-
-(** Live migration: pay the memory copy, then continue with the moved VM. *)
-val migrate :
-  Desim.t -> Cluster.t -> t -> dst:Node.t -> mem_bytes:int -> (t -> unit) -> unit

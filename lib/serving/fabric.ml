@@ -1344,28 +1344,22 @@ let render_summary r =
 
 (* ---- demo deployment ------------------------------------------------------------ *)
 
-let demo_deploy ?(kernels = [ "mm" ]) ?breaker () orch =
+let demo_deploy ?breaker () orch =
   let estimate =
     { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
       cycles = 100_000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 8.0 }
   in
-  List.iter
-    (fun kname ->
-      ignore
-        (Orch.deploy ?breaker orch ~kname
-           ~impls:
-             [ ("sw", Orch.Sw { flops = 5e8; bytes = 1e5; threads = 2 });
-               ("hw",
-                Orch.Hw
-                  { bitstream = kname; estimate; in_bytes = 4096;
-                    out_bytes = 4096 }) ]
-           ~knowledge:
-             (Everest_autotune.Knowledge.create kname
-                [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
-                    metrics = [ ("time_s", 0.01) ] };
-                  { Everest_autotune.Knowledge.variant = "hw"; features = [];
-                    metrics = [ ("time_s", 0.001) ] } ])
-           ~goal:
-             (Everest_autotune.Goal.make
-                (Everest_autotune.Goal.Minimize "time_s"))))
-    kernels
+  ignore
+    (Orch.deploy ?breaker orch ~kname:"mm"
+       ~impls:
+         [ ("sw", Orch.Sw { flops = 5e8; bytes = 1e5; threads = 2 });
+           ("hw",
+            Orch.Hw
+              { bitstream = "mm"; estimate; in_bytes = 4096; out_bytes = 4096 }) ]
+       ~knowledge:
+         (Everest_autotune.Knowledge.create "mm"
+            [ { Everest_autotune.Knowledge.variant = "sw"; features = [];
+                metrics = [ ("time_s", 0.01) ] };
+              { Everest_autotune.Knowledge.variant = "hw"; features = [];
+                metrics = [ ("time_s", 0.001) ] } ])
+       ~goal:(Everest_autotune.Goal.make (Everest_autotune.Goal.Minimize "time_s")))

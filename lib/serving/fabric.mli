@@ -248,11 +248,10 @@ val render_slos : result -> string
 (** Human-readable run summary (CLI/bench). *)
 val render_summary : result -> string
 
-(** A demo deployment for drills and tests: each kernel gets a fast
-    hardware variant and a software fallback with seeded tuner
-    knowledge, mirroring the chaos/observe drill kernel. *)
+(** A demo deployment for drills and tests: one kernel, [mm], with a fast
+    hardware variant and a software fallback with seeded tuner knowledge,
+    mirroring the chaos/observe drill kernel. *)
 val demo_deploy :
-  ?kernels:string list ->
   ?breaker:Everest_resilience.Breaker.config ->
   unit ->
   Orch.t ->

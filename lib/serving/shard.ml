@@ -98,7 +98,3 @@ let draining t =
           = Some Everest_resilience.Breaker.Open)
         dk.Orch.breakers)
     t.s_orch.Orch.kernels
-
-let kernels t =
-  List.rev_map (fun (dk : Orch.deployed_kernel) -> dk.Orch.kname)
-    t.s_orch.Orch.kernels

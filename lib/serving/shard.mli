@@ -72,6 +72,3 @@ val backlog_age : t -> now:float -> float
 
 (** Any deployed hardware variant's breaker currently open? *)
 val draining : t -> bool
-
-(** Names of kernels deployed on this shard. *)
-val kernels : t -> string list

@@ -204,7 +204,6 @@ let gauge ?(registry = default) ?(labels = []) ?(help = "") name : gauge =
   | _ -> assert false
 
 let set (g : gauge) v = g := v
-let add (g : gauge) v = g := !g +. v
 
 let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   match

@@ -45,8 +45,8 @@ let assign_period (net : Roadnet.t) (od : Od.t) ~hour ~(speeds : float array) =
   done;
   volumes
 
-(* Run [periods] hours with [relaxations] equilibrium iterations each. *)
-let run ?(relaxations = 3) (net : Roadnet.t) (od : Od.t) ~periods : state =
+(* Run [periods] hours with three equilibrium iterations each. *)
+let run (net : Roadnet.t) (od : Od.t) ~periods : state =
   let st = free_flow_state net ~periods in
   for p = 0 to periods - 1 do
     (* warm-start from previous period's speeds *)
@@ -55,7 +55,7 @@ let run ?(relaxations = 3) (net : Roadnet.t) (od : Od.t) ~periods : state =
       else Array.copy st.speeds.(p - 1)
     in
     let volumes = ref (Array.make (Roadnet.n_links net) 0.0) in
-    for it = 0 to relaxations - 1 do
+    for it = 0 to 2 do
       let v = assign_period net od ~hour:p ~speeds in
       (* method of successive averages *)
       let w = 1.0 /. float_of_int (it + 1) in

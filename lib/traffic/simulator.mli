@@ -19,8 +19,8 @@ val free_flow_state : Roadnet.t -> periods:int -> state
 (** All-or-nothing assignment of one period's demand at given speeds. *)
 val assign_period : Roadnet.t -> Od.t -> hour:int -> speeds:float array -> float array
 
-(** Run [periods] hours with [relaxations] equilibrium iterations each. *)
-val run : ?relaxations:int -> Roadnet.t -> Od.t -> periods:int -> state
+(** Run [periods] hours with three equilibrium iterations each. *)
+val run : Roadnet.t -> Od.t -> periods:int -> state
 
 val speed : state -> period:int -> link:int -> float
 val travel_time : state -> period:int -> link:int -> float

@@ -16,12 +16,12 @@ let ramp = " .:-=+*#%@"
 
 let values s = List.map snd (Series.to_list s)
 
-(* Sparkline over the newest [width] samples, normalized to their own
-   min..max (a flat series renders as all-middle). *)
-let sparkline ?(width = 16) (s : Series.t) =
+(* Sparkline over the newest 16 samples, normalized to their own min..max
+   (a flat series renders as all-middle). *)
+let sparkline (s : Series.t) =
   let vs = values s in
   let n = List.length vs in
-  let vs = if n > width then List.filteri (fun i _ -> i >= n - width) vs else vs in
+  let vs = if n > 16 then List.filteri (fun i _ -> i >= n - 16) vs else vs in
   match vs with
   | [] -> ""
   | vs ->
@@ -55,10 +55,12 @@ let fmt_f v = if Float.is_nan v then "-" else Printf.sprintf "%.6f" v
 let mean vs = List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
 let max_of vs = List.fold_left Float.max Float.neg_infinity vs
 
+(* The quantiles each sketch shows, in the text and JSON forms alike. *)
+let quantiles = [ 0.5; 0.99 ]
+
 (* ---- text ------------------------------------------------------------------------ *)
 
-let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
-    ~now =
+let render (w : Watch.t) ~now =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let firing = Watch.firing w in
@@ -79,7 +81,7 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
             let vs = values s in
             line "%-44s %12s %12s %12s  %s" id (fmt_f last)
               (fmt_f (mean vs)) (fmt_f (max_of vs))
-              (sparkline ~width:spark_width s))
+              (sparkline s))
       series
   end;
   let sketches = Watch.sketch_list w in
@@ -121,7 +123,7 @@ let render ?(spark_width = 16) ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t)
 let num v = if Float.is_nan v then Json.Null else Json.Num v
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
 
-let to_json ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t) ~now =
+let to_json (w : Watch.t) ~now =
   let series_json s =
     let vs = values s in
     let or_null f = if vs = [] then Json.Null else num (f vs) in
@@ -164,5 +166,4 @@ let to_json ?(quantiles = [ 0.5; 0.99 ]) (w : Watch.t) ~now =
       ("sketches", Json.Arr (List.map sketch_json (Watch.sketch_list w)));
       ("alerts", Json.Arr (List.map alert_json (Watch.alert_states w))) ]
 
-let render_json ?quantiles w ~now =
-  Json.to_string ~pretty:true (to_json ?quantiles w ~now)
+let render_json w ~now = Json.to_string ~pretty:true (to_json w ~now)

@@ -5,14 +5,15 @@
     ASCII sparkline ramp — two same-seed runs render byte-identical
     dashboards. *)
 
-(** Sparkline over the newest [width] samples, normalized to their
-    own min..max. *)
-val sparkline : ?width:int -> Series.t -> string
+(** Sparkline over the newest 16 samples, normalized to their own
+    min..max. *)
+val sparkline : Series.t -> string
 
-(** The text dashboard shown by [everest_cli top]. *)
-val render : ?spark_width:int -> ?quantiles:float list -> Watch.t -> now:float -> string
+(** The text dashboard shown by [everest_cli top]; each sketch shows its
+    p50 and p99. *)
+val render : Watch.t -> now:float -> string
 
-val to_json : ?quantiles:float list -> Watch.t -> now:float -> Everest_observe.Json.t
+val to_json : Watch.t -> now:float -> Everest_observe.Json.t
 
 (** [to_json] pretty-printed. *)
-val render_json : ?quantiles:float list -> Watch.t -> now:float -> string
+val render_json : Watch.t -> now:float -> string

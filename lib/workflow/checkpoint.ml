@@ -51,9 +51,7 @@ let resume ~store ~every =
   { ck_store = store; ck_every = every; ck_completions = 0;
     ck_next_snap = plan.Store.r_next_snapshot_index; ck_anchor = Some anchor }
 
-let resumed t = t.ck_anchor <> None
 let replayed t = t.ck_store.Store.replayed
-let completions t = t.ck_completions
 
 (* The resume anchor must equal the state re-derived at its completion
    count. *)

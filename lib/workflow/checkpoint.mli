@@ -32,14 +32,8 @@ val create : store:Everest_recovery.Store.t -> every:int -> t
     survives or the snapshot body is malformed. *)
 val resume : store:Everest_recovery.Store.t -> every:int -> t
 
-(** Was this checkpoint created by {!resume}? *)
-val resumed : t -> bool
-
 (** Journal records replay-verified so far. *)
 val replayed : t -> int
-
-(** First completions observed so far. *)
-val completions : t -> int
 
 (** Called by the executor before the first task launches; [state] is the
     zero-state digest.  Writes the genesis snapshot (fresh run) or
