@@ -256,7 +256,9 @@ let rank_order rank =
    rebuild node-ready and finish times; every other task takes its earliest
    finish over its pin, unless the pin is excluded, or over every node.  If
    nothing is feasible there it takes the pin, else the first node, with its
-   first implementation. *)
+   first implementation, and leaves its finish and the node's ready time
+   alone; a kept assignment that is infeasible on its node is one that
+   fallback made, so it is replayed the same way. *)
 let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
   let mm =
     memo_of_nodes c
@@ -295,10 +297,13 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
     in
     Float.max node_ready.(ni) ready_data +. exec
   in
-  let place i ni impl eft =
+  let fallback i ni impl =
     assignments.(i) <- { node = nodes.(ni).Node.name; impl };
+    task_node.(i) <- ni
+  in
+  let place i ni impl eft =
+    fallback i ni impl;
     task_finish.(i) <- eft;
-    task_node.(i) <- ni;
     node_ready.(ni) <- eft
   in
   Array.iter
@@ -307,7 +312,9 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
       match keep i with
       | Some a ->
           let ni = node_index mm a.node in
-          place i ni a.impl (finish t ni (impl_costs mm a.impl).(ni))
+          let exec = (impl_costs mm a.impl).(ni) in
+          if exec = infinity then fallback i ni a.impl
+          else place i ni a.impl (finish t ni exec)
       | None -> (
           let rows = cost_rows mm t in
           let pin =
@@ -328,10 +335,7 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
           done;
           match !best with
           | Some (ni, impl, eft) -> place i ni impl eft
-          | None ->
-              assignments.(i) <-
-                { node = nodes.(lo).Node.name; impl = List.hd t.Dag.impls };
-              task_node.(i) <- lo))
+          | None -> fallback i lo (List.hd t.Dag.impls)))
     order;
   assignments
 

@@ -183,6 +183,50 @@ let test_delta_keeps_live_pin () =
            (Planlint.check ~excluded:[ "p9" ] c delta)))
     [ false; true ]
 
+(* A task outside the cone that full HEFT placed by its fallback (an
+   FPGA-only kernel pinned to an FPGA-less endpoint) is replayed as the
+   fallback placed it, with no finish time: its consumer, in the cone of
+   the dead node that held its other input, still follows that 64 MiB
+   input to its earliest finish, so the repair equals [heft ~exclude]. *)
+let test_delta_replays_fallback () =
+  let k =
+    Dag.Fpga
+      { bitstream = "k";
+        estimate =
+          { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
+            cycles = 1000; ii = 1; clock_mhz = 250.0; dynamic_power_w = 5.0 };
+        in_bytes = 1024; out_bytes = 1024 }
+  in
+  let cpu = Dag.Cpu { flops = 1e9; bytes = 1024.0; threads = 1 } in
+  let d =
+    Dag.create "kept-fallback"
+      [ Dag.task ~id:0 ~name:"k" ~inputs:[] ~out_bytes:1024
+          ~pinned:(Some "ep0") ~impls:[ k ] ();
+        Dag.task ~id:1 ~name:"src" ~inputs:[] ~out_bytes:(1 lsl 26)
+          ~impls:[ cpu ] ();
+        Dag.task ~id:2 ~name:"join" ~inputs:[ 0; 1 ] ~out_bytes:64
+          ~impls:[ cpu ] () ]
+  in
+  let c = Cluster.everest_demonstrator () in
+  let node (plan : Scheduler.plan) i =
+    plan.Scheduler.assignments.(i).Scheduler.node
+  in
+  List.iter
+    (fun locality_aware ->
+      let base = Scheduler.heft ~locality_aware c d in
+      Alcotest.(check (list string)) "base placement" [ "ep0"; "p9"; "p9" ]
+        [ node base 0; node base 1; node base 2 ];
+      let delta = Scheduler.heft_delta c base ~dead:[ "p9" ] in
+      Alcotest.check Alcotest.string "kernel kept on its pin" "ep0"
+        (node delta 0);
+      Alcotest.check Alcotest.string "join follows its 64 MiB input"
+        (node delta 1) (node delta 2);
+      checkb "repair = heft ~exclude" true
+        (delta.Scheduler.assignments
+        = (Scheduler.heft ~locality_aware ~exclude:[ "p9" ] c d)
+            .Scheduler.assignments))
+    [ false; true ]
+
 let test_fpga_impl_selected_when_faster () =
   (* a kernel with a drastically better FPGA estimate must land on an FPGA
      node under HEFT *)
@@ -592,6 +636,8 @@ let () =
           Alcotest.test_case "pin without feasible impl" `Quick
             test_pin_without_feasible_impl;
           Alcotest.test_case "delta keeps live pin" `Quick test_delta_keeps_live_pin;
+          Alcotest.test_case "delta replays a fallback" `Quick
+            test_delta_replays_fallback;
           Alcotest.test_case "fpga variant" `Quick test_fpga_impl_selected_when_faster ] );
       ( "scale",
         [ Alcotest.test_case "plan goldens" `Quick test_plan_goldens;
