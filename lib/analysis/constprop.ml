@@ -8,9 +8,9 @@
    constants survive and varying ones go to Top within two engine
    iterations.
 
-   Folding mirrors [Interp] exactly (division by zero stays Top, [shri]
-   is a logical shift), which is what the QCheck agreement property in
-   test_analysis.ml checks. *)
+   Folding uses the [Dialect_arith] folds [Interp] evaluates with
+   (division by zero stays Top, [shri] is a logical shift), and the QCheck
+   agreement property in test_analysis.ml checks the two agree. *)
 
 open Everest_ir
 

@@ -3,9 +3,9 @@
     When the condition of an [scf.if] is a known constant only the taken
     region is analyzed and only its yield feeds the op results;
     [scf.for] iteration arguments join the facts of the body yield, so
-    loop-invariant constants survive the loop.  Folding mirrors
-    {!Everest_ir.Interp} exactly (division by zero stays varying,
-    [arith.shri] is a logical shift). *)
+    loop-invariant constants survive the loop.  Folding uses the
+    [Dialect_arith] folds {!Everest_ir.Interp} evaluates with (division by
+    zero stays varying, [arith.shri] is a logical shift). *)
 
 open Everest_ir
 

@@ -44,8 +44,9 @@ val float_binops : string list
 (** {2 Constant folding}
 
     The ops' semantics on known operands, shared by the canonicalizer's
-    [fold-constants] pattern and constant propagation.  [None] when the op
-    is not foldable (unknown name, integer division by zero). *)
+    [fold-constants] pattern, constant propagation and the reference
+    interpreter ({!Interp}).  [None] when the op is not foldable (unknown
+    name, integer division by zero). *)
 
 val int_fold : string -> int -> int -> int option
 val float_fold : string -> float -> float -> float option

@@ -200,42 +200,23 @@ and eval_op env (o : Ir.op) =
       | Some (Attr.Float f) -> bind1 (RFloat f)
       | _ -> fail "arith.constant: bad value")
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divi" | "arith.remi"
-  | "arith.andi" | "arith.ori" | "arith.xori" | "arith.shli" | "arith.shri" ->
+  | "arith.andi" | "arith.ori" | "arith.xori" | "arith.shli" | "arith.shri" -> (
       p.scalar_ops <- p.scalar_ops + 1;
       let a = as_int (value env (List.nth o.operands 0)) in
       let b = as_int (value env (List.nth o.operands 1)) in
-      let r =
-        match o.name with
-        | "arith.addi" -> a + b
-        | "arith.subi" -> a - b
-        | "arith.muli" -> a * b
-        | "arith.divi" -> if b = 0 then fail "division by zero" else a / b
-        | "arith.remi" -> if b = 0 then fail "division by zero" else a mod b
-        | "arith.andi" -> a land b
-        | "arith.ori" -> a lor b
-        | "arith.xori" -> a lxor b
-        | "arith.shli" -> a lsl b
-        | _ -> a lsr b
-      in
-      bind1 (RInt r)
+      (* the only integer op the fold declines is division by zero *)
+      match Dialect_arith.int_fold o.name a b with
+      | Some r -> bind1 (RInt r)
+      | None -> fail "division by zero")
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf"
   | "arith.minf" ->
       p.scalar_ops <- p.scalar_ops + 1;
       let a = as_float (value env (List.nth o.operands 0)) in
       let b = as_float (value env (List.nth o.operands 1)) in
-      let r =
-        match o.name with
-        | "arith.addf" -> a +. b
-        | "arith.subf" -> a -. b
-        | "arith.mulf" -> a *. b
-        | "arith.divf" -> a /. b
-        | "arith.maxf" -> Float.max a b
-        | _ -> Float.min a b
-      in
-      bind1 (RFloat r)
-  | "arith.negf" -> bind1 (RFloat (-.as_float (value env (List.hd o.operands))))
-  | "arith.sqrtf" -> bind1 (RFloat (sqrt (as_float (value env (List.hd o.operands)))))
-  | "arith.expf" -> bind1 (RFloat (exp (as_float (value env (List.hd o.operands)))))
+      bind1 (RFloat (Option.get (Dialect_arith.float_fold o.name a b)))
+  | "arith.negf" | "arith.sqrtf" | "arith.expf" ->
+      let a = as_float (value env (List.hd o.operands)) in
+      bind1 (RFloat (Option.get (Dialect_arith.float_unary_fold o.name a)))
   | "arith.cmpi" | "arith.cmpf" ->
       p.scalar_ops <- p.scalar_ops + 1;
       let a = value env (List.nth o.operands 0) in
@@ -250,12 +231,7 @@ and eval_op env (o : Ir.op) =
         | Some p -> p
         | None -> fail "cmp: bad predicate"
       in
-      let r =
-        match pred with
-        | Dialect_arith.Eq -> c = 0 | Ne -> c <> 0 | Lt -> c < 0
-        | Le -> c <= 0 | Gt -> c > 0 | Ge -> c >= 0
-      in
-      bind1 (RInt (if r then 1 else 0))
+      bind1 (RInt (if Dialect_arith.cmp_fold pred c then 1 else 0))
   | "arith.select" ->
       let c = as_int (value env (List.nth o.operands 0)) in
       bind1 (value env (List.nth o.operands (if c <> 0 then 1 else 2)))
