@@ -4,8 +4,8 @@
      dune exec bench/recovery_bench.exe -- --quick   # CI sweep, BENCH_e19.quick.json
 
    Write-ahead journaling is only worth having if the fault-free run
-   barely notices it, so the headline gate is the CPU-time overhead of
-   a journaled+snapshotted e16-scale serving run over the identical
+   barely notices it, so the headline gate is the overhead of a
+   journaled+snapshotted e16-scale serving run over the identical
    unjournaled run — <5% in the full sweep.  The second question is the
    operational trade the snapshot interval buys: snapshotting more often
    costs more snapshot bytes during the run but leaves a shorter journal
@@ -21,7 +21,7 @@ module Rec = Everest_recovery
 module Tel = Everest_telemetry
 
 (* Measuring a 5% effect on a shared host is the hard part of this
-   bench: identical back-to-back runs drift by ±15-30% in CPU time
+   bench: identical back-to-back runs drift by ±15-30% in time
    (frequency scaling and co-tenant contention change the cycles a fixed
    workload costs), so an A-vs-B comparison of separately timed runs
    cannot resolve the gate.  The gated overhead is therefore measured by
@@ -31,8 +31,10 @@ module Tel = Everest_telemetry
    single run — numerator and denominator share whatever noise
    multiplier the host applied, so it cancels.  The A/B median over
    interleaved pairs is still reported per row as a sanity cross-check,
-   but it carries the host noise. *)
-let now () = Sys.time ()
+   but it carries the host noise.  Runs are timed on the wall clock, the
+   clock the fabric times [Store.work_s] with, so a journal write blocked
+   on I/O counts on both sides of the fraction. *)
+let now () = Unix.gettimeofday ()
 
 let time_one f =
   let t0 = now () in
@@ -41,14 +43,14 @@ let time_one f =
 
 type row = {
   r_interval_s : float;
-  r_run_s : float;  (* best journaled run CPU time *)
+  r_run_s : float;  (* best journaled run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
   r_ab_overhead : float;  (* median interleaved-pair A/B ratio - 1 (noisy) *)
   r_records : int;
   r_journal_kib : float;
   r_snapshots : int;
   r_snapshot_kib : float;
-  r_resume_s : float;  (* restore + replay-to-front CPU after a mid-run kill *)
+  r_resume_s : float;  (* restore + replay-to-front wall time after a mid-run kill *)
   r_replayed : int;  (* journal tail re-applied on restore *)
   r_identical : bool;  (* resumed report == uninterrupted report *)
 }

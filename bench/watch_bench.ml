@@ -8,7 +8,7 @@
    e16 scale the recovery bench uses (16 shards, 12800 req/s, 1 s):
 
      1. Overhead: scraping + sketch feeds + rule evaluation tax the
-        watched run by <5% CPU (full mode).
+        watched run by <5% (full mode).
      2. Nothing changes: the watched run's served log / SLO verdicts /
         summary are byte-identical to the unwatched same-seed run, and
         two watched runs render byte-identical dashboards.
@@ -26,8 +26,9 @@ module W = Everest_watch
    ATTRIBUTED — the watch clocks its own code paths (scrape ticks, rule
    evaluation, sketch observes) into [Watch.work_s], and the fraction
    work/(total-work) comes out of a single run where the host's noise
-   multiplier cancels. *)
-let now () = Sys.time ()
+   multiplier cancels.  Runs are timed on the wall clock, the clock the
+   watch times [Watch.work_s] with. *)
+let now () = Unix.gettimeofday ()
 
 let time_one f =
   let t0 = now () in
@@ -36,7 +37,7 @@ let time_one f =
 
 type row = {
   r_interval_s : float;
-  r_run_s : float;  (* best watched run CPU time *)
+  r_run_s : float;  (* best watched run wall time *)
   r_overhead : float;  (* median attributed work/(total-work) fraction *)
   r_ticks : int;
   r_series : int;

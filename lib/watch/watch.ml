@@ -36,7 +36,7 @@ type t = {
   mutable w_last_tick : float;  (* nan = never ticked *)
   mutable w_ticks : int;
   mutable w_samples : int;  (* sketch observations *)
-  mutable w_work_s : float;  (* host CPU attributed to watching *)
+  mutable w_work_s : float;  (* host wall time attributed to watching *)
   mutable w_on_tick : (t -> now:float -> unit) option;
 }
 

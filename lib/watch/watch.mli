@@ -29,8 +29,8 @@ val ticks : t -> int
 (** Sketch observations recorded. *)
 val samples : t -> int
 
-(** Host CPU seconds attributed to watching (scrapes, rule evaluation,
-    sketch feeds) — the numerator of the E20 overhead gate. *)
+(** Host wall-clock seconds attributed to watching (scrapes, rule
+    evaluation, sketch feeds) — the numerator of the E20 overhead gate. *)
 val work_s : t -> float
 
 (** Register a scrape source.  A source with the same name replaces the
