@@ -32,18 +32,39 @@ let demo ~doc = Arg.(value & flag & info [ "demo" ] ~doc)
 let out ~doc =
   Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
 
-(* A count below one is rejected while the command line is parsed, so
-   Cmdliner reports it against --shards and exits 124 before anything
-   runs. *)
-let shard_count =
+(* Typed numbers: a value out of range is rejected while the command line
+   is parsed, so Cmdliner reports it against its flag and exits 124 before
+   anything runs.  Every numeric flag but the seeds uses one of these. *)
+let checked conv ok what =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < 1 ->
-        Error
-          (`Msg (Printf.sprintf "%d is not a shard count (need at least 1)" n))
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
     | r -> r
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let shard_count = checked Arg.int (fun n -> n >= 1) "a shard count (need at least 1)"
+
+(* Sizes and task or request counts. *)
+let positive_int = checked Arg.int (fun n -> n >= 1) "a positive integer"
+
+(* Retry budgets and other counts where 0 means none. *)
+let count = checked Arg.int (fun n -> n >= 0) "an integer >= 0"
+
+(* Rates, horizons and intervals. *)
+let positive =
+  checked Arg.float
+    (fun x -> Float.is_finite x && x > 0.0)
+    "a positive finite number"
+
+(* Budgets, tolerances and fractions where 0 disables or means none. *)
+let non_negative =
+  checked Arg.float
+    (fun x -> Float.is_finite x && x >= 0.0)
+    "a finite number >= 0"
+
+let probability =
+  checked Arg.float (fun p -> p >= 0.0 && p <= 1.0) "a probability in [0, 1]"
 
 let shards ~default =
   Arg.(
@@ -52,12 +73,12 @@ let shards ~default =
 
 let rate ~default =
   Arg.(
-    value & opt float default
+    value & opt positive default
     & info [ "rate" ] ~docv:"RPS" ~doc:"Open-loop tenant arrival rate.")
 
 let horizon ~default =
   Arg.(
-    value & opt float default
+    value & opt positive default
     & info [ "horizon" ] ~docv:"T" ~doc:"Workload horizon in seconds.")
 
 (* ---- files ----------------------------------------------------------------- *)

@@ -91,7 +91,7 @@ let demo_graph n =
 
 let compile_cmd =
   let size =
-    Arg.(value & opt int 64 & info [ "size" ] ~docv:"N" ~doc:"Tensor size N×N.")
+    Arg.(value & opt Drill.positive_int 64 & info [ "size" ] ~docv:"N" ~doc:"Tensor size N×N.")
   in
   let emit =
     Arg.(
@@ -134,7 +134,7 @@ let node_time_conv =
         let node = String.sub s 0 i
         and t = String.sub s (i + 1) (String.length s - i - 1) in
         match float_of_string_opt t with
-        | Some t when node <> "" -> Ok (node, t)
+        | Some t when node <> "" && Float.is_finite t && t >= 0.0 -> Ok (node, t)
         | _ -> Error (`Msg "expected NODE:TIME, e.g. cf0:0.0001"))
     | None -> Error (`Msg "expected NODE:TIME, e.g. cf0:0.0001")
   in
@@ -148,10 +148,10 @@ let run_cmd =
       & info [ "policy" ] ~doc:"Scheduling policy.")
   in
   let fpgas =
-    Arg.(value & opt int 4 & info [ "fpgas" ] ~doc:"Number of cloudFPGA nodes.")
+    Arg.(value & opt Drill.count 4 & info [ "fpgas" ] ~doc:"Number of cloudFPGA nodes.")
   in
   let size =
-    Arg.(value & opt int 128 & info [ "size" ] ~docv:"N" ~doc:"Tensor size.")
+    Arg.(value & opt Drill.positive_int 128 & info [ "size" ] ~docv:"N" ~doc:"Tensor size.")
   in
   let kills =
     Arg.(
@@ -161,7 +161,7 @@ let run_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 3
+      value & opt Drill.count 3
       & info [ "retries" ] ~doc:"Per-task retry budget under --kill.")
   in
   let run policy fpgas size kills retries =
@@ -206,7 +206,7 @@ let serve_cmd =
   in
   let fault_rate =
     Arg.(
-      value & opt float 0.0
+      value & opt Drill.probability 0.0
       & info [ "fault-rate" ] ~docv:"R"
           ~doc:"Per-shard crash probability over the horizon.")
   in
@@ -360,13 +360,13 @@ let recover_cmd =
   let module Wf = Everest_workflow in
   let snapshot_every =
     Arg.(
-      value & opt float 0.1
+      value & opt Drill.positive 0.1
       & info [ "snapshot-every" ] ~docv:"T"
           ~doc:"Fabric snapshot interval in simulated seconds.")
   in
   let crash_after =
     Arg.(
-      value & opt int 0
+      value & opt Drill.count 0
       & info [ "crash-after" ] ~docv:"N"
           ~doc:"Kill after N journal records (0: mid-run).")
   in
@@ -624,7 +624,7 @@ let recover_cmd =
 (* ---- hls ------------------------------------------------------------------- *)
 
 let hls_cmd =
-  let unroll = Arg.(value & opt int 4 & info [ "unroll" ] ~doc:"Unroll factor.") in
+  let unroll = Arg.(value & opt Drill.positive_int 4 & info [ "unroll" ] ~doc:"Unroll factor.") in
   let dift = Arg.(value & flag & info [ "dift" ] ~doc:"Instrument with DIFT.") in
   let rtl = Arg.(value & flag & info [ "rtl" ] ~doc:"Print the RTL sketch.") in
   let run unroll dift rtl =
@@ -653,7 +653,7 @@ let hls_cmd =
    the two accounts can be compared; they must agree exactly. *)
 let telemetry_cmd =
   let size =
-    Arg.(value & opt int 128 & info [ "size" ] ~docv:"N" ~doc:"Tensor size.")
+    Arg.(value & opt Drill.positive_int 128 & info [ "size" ] ~docv:"N" ~doc:"Tensor size.")
   in
   let policy =
     Arg.(
@@ -662,7 +662,7 @@ let telemetry_cmd =
   in
   let requests =
     Arg.(
-      value & opt int 50
+      value & opt Drill.positive_int 50
       & info [ "requests" ] ~doc:"Closed-loop requests in the serving phase.")
   in
   let kill =
@@ -833,13 +833,13 @@ let chaos_cmd =
   let module Wf = Sdk.Workflow in
   let fault_rate =
     Arg.(
-      value & opt float 0.2
+      value & opt Drill.probability 0.2
       & info [ "fault-rate" ] ~docv:"R"
           ~doc:"Per-node crash probability over the run.")
   in
   let mean_downtime =
     Arg.(
-      value & opt float 0.25
+      value & opt Drill.non_negative 0.25
       & info [ "mean-downtime" ] ~docv:"F"
           ~doc:
             "Mean downtime as a fraction of the clean makespan (0 = crashed \
@@ -847,13 +847,13 @@ let chaos_cmd =
   in
   let transient =
     Arg.(
-      value & opt float 0.05
+      value & opt Drill.probability 0.05
       & info [ "transient" ] ~docv:"P"
           ~doc:"Per-attempt transient task-failure probability.")
   in
   let fpga_transient =
     Arg.(
-      value & opt float 0.02
+      value & opt Drill.probability 0.02
       & info [ "fpga-transient" ] ~docv:"P"
           ~doc:"Extra transient probability for FPGA executions.")
   in
@@ -864,7 +864,7 @@ let chaos_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 8
+      value & opt Drill.count 8
       & info [ "retries" ] ~docv:"N" ~doc:"Per-task retry budget.")
   in
   let run seed fault_rate mean_downtime transient fpga_transient sched retries
@@ -1174,7 +1174,7 @@ let lint_cmd =
 let estee_cmd =
   let tasks =
     Arg.(
-      value & opt int 10_000
+      value & opt Drill.positive_int 10_000
       & info [ "tasks" ] ~docv:"N" ~doc:"Approximate DAG size.")
   in
   let family =
@@ -1193,7 +1193,7 @@ let estee_cmd =
   in
   let budget =
     Arg.(
-      value & opt float 0.0
+      value & opt Drill.non_negative 0.0
       & info [ "budget-s" ] ~docv:"T"
           ~doc:
             "Exit 1 if planning (+ execution) wall time exceeds T seconds; 0 \
@@ -1277,7 +1277,7 @@ let plan_lint_cmd =
   in
   let tasks =
     Arg.(
-      value & opt int 10_000
+      value & opt Drill.positive_int 10_000
       & info [ "tasks" ] ~docv:"N" ~doc:"Family DAG size (with --family).")
   in
   let policy =
@@ -1289,7 +1289,7 @@ let plan_lint_cmd =
   in
   let budget =
     Arg.(
-      value & opt float 0.0
+      value & opt Drill.non_negative 0.0
       & info [ "budget-s" ] ~docv:"T"
           ~doc:
             "With --family: exit 1 if the lint pass exceeds T seconds of \
@@ -1304,7 +1304,7 @@ let plan_lint_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Drill.positive) None
       & info [ "deadline-s" ] ~docv:"T"
           ~doc:"Latency deadline for the EV140 feasibility check.")
   in
@@ -1560,7 +1560,7 @@ let observe_cmd =
   in
   let tolerance =
     Arg.(
-      value & opt float 0.05
+      value & opt Drill.non_negative 0.05
       & info [ "tolerance" ] ~docv:"T"
           ~doc:"Relative change treated as noise by --diff.")
   in
@@ -1708,7 +1708,7 @@ let top_cmd =
   let module W = Everest_watch in
   let interval =
     Arg.(
-      value & opt float 0.02
+      value & opt Drill.positive 0.02
       & info [ "interval" ] ~docv:"T" ~doc:"Watch scrape interval in seconds.")
   in
   let follow =
