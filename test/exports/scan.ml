@@ -95,10 +95,11 @@ let read_dune dir =
         | List (Atom kind :: fields) ->
             List.fold_left
               (fun d -> function
-                | List [ Atom "name"; Atom n ] when kind = "library" -> { d with own = Some n }
+                | List [ Atom "name"; Atom n ] when kind = "library" ->
+                    { d with own = Some n }
                 | List (Atom "libraries" :: libs) ->
-                    let libs = List.filter_map (function Atom l -> Some l | List _ -> None) libs in
-                    { d with deps = libs @ d.deps }
+                    let atom = function Atom l -> Some l | List _ -> None in
+                    { d with deps = List.filter_map atom libs @ d.deps }
                 | _ -> d)
               d fields
         | _ -> d)
@@ -202,13 +203,17 @@ let rec components = function
 let rec expand aliases depth cs =
   match cs with
   | c :: rest when depth < 8 -> (
-      match List.filter_map (fun (x, l) -> if x = c then components l else None) aliases with
+      let target (x, l) = if x = c then components l else None in
+      match List.filter_map target aliases with
       | [] -> [ cs ]
-      | targets -> List.concat_map (fun t -> expand aliases (depth + 1) (t @ rest)) targets)
+      | ts -> List.concat_map (fun t -> expand aliases (depth + 1) (t @ rest)) ts)
   | _ -> [ cs ]
 
 let () =
-  let exports : (string * string * string, bool ref * bool ref) Hashtbl.t = Hashtbl.create 2048 in
+  (* (library, module, name) -> (referenced by a caller, by a test) *)
+  let exports : (string * string * string, bool ref * bool ref) Hashtbl.t =
+    Hashtbl.create 2048
+  in
   let defined_by : (string, string) Hashtbl.t = Hashtbl.create 256 in
   let wrappers : (string, string) Hashtbl.t = Hashtbl.create 32 in
   let dirs : (string, dir) Hashtbl.t = Hashtbl.create 64 in
@@ -226,17 +231,23 @@ let () =
   let with_ext e = List.filter (fun p -> Filename.extension p = e) files in
   let lib_of p = if String.starts_with ~prefix:"lib/" p then (dir_of p).own else None in
   let from_lib = List.filter (fun p -> lib_of p <> None) in
-  let add lib m names = List.iter (fun n -> Hashtbl.replace exports (lib, m, n) (ref false, ref false)) names in
+  let add lib m =
+    List.iter (fun n -> Hashtbl.replace exports (lib, m, n) (ref false, ref false))
+  in
   List.iter
     (fun p ->
       let lib = Option.get (lib_of p) and m = module_name p in
       Hashtbl.replace wrappers (String.capitalize_ascii lib) lib;
-      if not (List.mem lib (Hashtbl.find_all defined_by m)) then Hashtbl.add defined_by m lib;
+      if not (List.mem lib (Hashtbl.find_all defined_by m)) then
+        Hashtbl.add defined_by m lib;
       let mli = p ^ "i" in
       if Sys.file_exists mli then
         add lib m
           (List.filter_map
-             (fun si -> match si.psig_desc with Psig_value vd -> Some vd.pval_name.txt | _ -> None)
+             (fun si ->
+               match si.psig_desc with
+               | Psig_value vd -> Some vd.pval_name.txt
+               | _ -> None)
              (parse Parse.interface mli))
       else add lib m (top_level_lets (parse Parse.implementation p)))
     (from_lib (with_ext ".ml"));
@@ -246,30 +257,39 @@ let () =
       let from_test = List.mem (List.hd (String.split_on_char '/' p)) tests in
       let mark lib m n =
         match Hashtbl.find_opt exports (lib, m, n) with
-        | Some (by_caller, by_test) -> (if from_test then by_test else by_caller) := true
+        | Some (by_caller, by_test) ->
+            (if from_test then by_test else by_caller) := true
         | None -> ()
       in
       let paths l = Option.fold ~none:[] ~some:(expand u.aliases 0) (components l) in
       let opened_libs =
         List.concat_map
-          (fun l -> List.filter_map (function [ w ] -> Hashtbl.find_opt wrappers w | _ -> None) (paths l))
+          (fun l ->
+            List.filter_map
+              (function [ w ] -> Hashtbl.find_opt wrappers w | _ -> None)
+              (paths l))
           u.opens
       in
       let candidates m =
         let defs = Hashtbl.find_all defined_by m in
-        let near = List.filter (fun l -> d.own = Some l || List.mem l opened_libs) defs in
+        let near =
+          List.filter (fun l -> d.own = Some l || List.mem l opened_libs) defs
+        in
         let listed = List.filter (fun l -> List.mem l d.deps) defs in
         if near <> [] then near else if listed <> [] then listed else defs
       in
       let modules cs =
         let m = List.nth cs (List.length cs - 1) in
-        match cs with
-        | w :: _ :: _
-          when Option.fold ~none:false
-                 ~some:(fun lib -> List.mem lib (Hashtbl.find_all defined_by m))
-                 (Hashtbl.find_opt wrappers w) ->
-            [ (Hashtbl.find wrappers w, m) ]
-        | _ -> List.map (fun lib -> (lib, m)) (candidates m)
+        let libs =
+          match cs with
+          | w :: _ :: _ -> (
+              match Hashtbl.find_opt wrappers w with
+              | Some lib when List.mem lib (Hashtbl.find_all defined_by m) ->
+                  [ lib ]
+              | _ -> candidates m)
+          | _ -> candidates m
+        in
+        List.map (fun lib -> (lib, m)) libs
       in
       let resolve l = List.concat_map modules (paths l) in
       let opened = List.concat_map resolve u.opens in
@@ -277,7 +297,9 @@ let () =
         (fun l ->
           List.iter
             (fun (lib, m) ->
-              Hashtbl.iter (fun (lib', m', n) _ -> if lib = lib' && m = m' then mark lib m n) exports)
+              Hashtbl.iter
+                (fun (lib', m', n) _ -> if lib = lib' && m = m' then mark lib m n)
+                exports)
             (resolve l))
         u.whole;
       let own = Option.map (fun lib -> (lib, module_name p)) d.own in
@@ -291,14 +313,18 @@ let () =
           | Lapply _ -> ())
         u.idents)
     (with_ext ".ml");
-  let lines, unreferenced, test_only =
+  let lines =
     Hashtbl.fold
-      (fun (lib, m, n) (by_caller, by_test) (lines, u, t) ->
-        if !by_caller then (lines, u, t)
+      (fun (lib, m, n) (by_caller, by_test) lines ->
+        if !by_caller then lines
         else
           let kind = if !by_test then "test-only" else "unreferenced" in
-          (Printf.sprintf "%s %s %s.%s" kind lib m n :: lines, u + Bool.to_int (not !by_test), t + Bool.to_int !by_test))
-      exports ([], 0, 0)
+          Printf.sprintf "%s %s %s.%s" kind lib m n :: lines)
+      exports []
+  in
+  let count kind =
+    List.length (List.filter (String.starts_with ~prefix:(kind ^ " ")) lines)
   in
   List.iter print_endline (List.sort compare lines);
-  Printf.printf "exports %d\nunreferenced %d\ntest-only %d\n" (Hashtbl.length exports) unreferenced test_only
+  Printf.printf "exports %d\nunreferenced %d\ntest-only %d\n" (Hashtbl.length exports)
+    (count "unreferenced") (count "test-only")
