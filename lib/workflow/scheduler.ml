@@ -258,7 +258,7 @@ let rank_order rank =
    nothing is feasible there it takes the pin, else the first node, with its
    first implementation, and leaves its finish and the node's ready time
    alone; a kept assignment that is infeasible on its node is one that
-   fallback made, so it is replayed the same way. *)
+   fallback made, and its replay does the same. *)
 let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
   let mm =
     memo_of_nodes c
@@ -297,14 +297,16 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
     in
     Float.max node_ready.(ni) ready_data +. exec
   in
-  let fallback i ni impl =
-    assignments.(i) <- { node = nodes.(ni).Node.name; impl };
-    task_node.(i) <- ni
-  in
+  (* an infinite finish is an infeasible placement (the fallback below, or
+     a kept assignment it made): it records the node and leaves the finish
+     and ready times alone *)
   let place i ni impl eft =
-    fallback i ni impl;
-    task_finish.(i) <- eft;
-    node_ready.(ni) <- eft
+    assignments.(i) <- { node = nodes.(ni).Node.name; impl };
+    task_node.(i) <- ni;
+    if eft < infinity then begin
+      task_finish.(i) <- eft;
+      node_ready.(ni) <- eft
+    end
   in
   Array.iter
     (fun i ->
@@ -312,9 +314,7 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
       match keep i with
       | Some a ->
           let ni = node_index mm a.node in
-          let exec = (impl_costs mm a.impl).(ni) in
-          if exec = infinity then fallback i ni a.impl
-          else place i ni a.impl (finish t ni exec)
+          place i ni a.impl (finish t ni (impl_costs mm a.impl).(ni))
       | None -> (
           let rows = cost_rows mm t in
           let pin =
@@ -335,7 +335,7 @@ let eft_assign ~locality_aware ~exclude ~keep (c : Cluster.t) (dag : Dag.t) =
           done;
           match !best with
           | Some (ni, impl, eft) -> place i ni impl eft
-          | None -> fallback i lo (List.hd t.Dag.impls)))
+          | None -> place i lo (List.hd t.Dag.impls) infinity))
     order;
   assignments
 
