@@ -7,6 +7,5 @@ type t = { weights : float array; bias : float }
     @raise Failure on (unregularized) singular systems. *)
 val fit : ?lambda:float -> float array array -> float array -> t
 
-(** Kept for PAPER.md §1's ML substrate (linear regression): applying the
-    fitted model; only the tests fit one so far. *)
+(** Kept for PAPER.md §1's ML substrate row (linear regression). *)
 val predict : t -> float array -> float

@@ -28,9 +28,7 @@ exception Isolation_violation of string
     @raise No_fpga when the host has none. *)
 val allocate : t -> vm:Vm.t -> vctx
 
-(** Free a context's slot for other tenants; later use of [ctx] raises
-    {!Isolation_violation}.  Kept for PAPER.md §1's vFPGA manager (slot
-    allocation): nothing in the tree frees a slot yet. *)
+(** Kept for PAPER.md §1's vFPGA manager row (slot allocation). *)
 val release : t -> vctx -> unit
 
 (** Launch a kernel on a vFPGA on behalf of [vm]; the caller must own the
