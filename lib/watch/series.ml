@@ -4,8 +4,7 @@
    the newest [capacity] raw (t, v) samples in two unboxed float arrays,
    at a fixed memory bound however long the run gets.  Time comes from
    the caller and may not run backwards, so the ring is always sorted by
-   time and a trailing window is a contiguous run of its newest samples;
-   the whole structure is deterministic on a simulated clock. *)
+   time; the whole structure is deterministic on a simulated clock. *)
 
 type t = {
   s_name : string;
@@ -43,18 +42,11 @@ let observe s ~t v =
   s.s_v.(j) <- v;
   s.s_samples <- s.s_samples + 1
 
-let fold s ~t0 ~t1 f init =
-  let acc = ref init in
-  for i = max 0 (s.s_samples - Array.length s.s_t) to s.s_samples - 1 do
-    let j = slot s i in
-    let t = s.s_t.(j) in
-    if t >= t0 && t <= t1 then acc := f !acc t s.s_v.(j)
-  done;
-  !acc
-
 let to_list s =
-  List.rev
-    (fold s ~t0:neg_infinity ~t1:infinity (fun acc t v -> (t, v) :: acc) [])
+  let first = max 0 (s.s_samples - Array.length s.s_t) in
+  List.init (s.s_samples - first) (fun i ->
+      let j = slot s (first + i) in
+      (s.s_t.(j), s.s_v.(j)))
 
 (* ---- store ----------------------------------------------------------------------- *)
 

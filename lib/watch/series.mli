@@ -21,10 +21,6 @@ val observe : t -> t:float -> float -> unit
 (** The newest [(t, v)], when any sample was ever observed. *)
 val latest : t -> (float * float) option
 
-(** [fold s ~t0 ~t1 f init] folds [f acc t v] over the kept samples with
-    [t0 <= t <= t1], oldest first. *)
-val fold : t -> t0:float -> t1:float -> ('a -> float -> float -> 'a) -> 'a -> 'a
-
 (** The kept samples, oldest first. *)
 val to_list : t -> (float * float) list
 

@@ -17,7 +17,6 @@ type t = {
   bucket_s : float;
   slots : Metrics.histogram array;
   epoch : int array;  (* floor(t/bucket_s) the slot holds; -1 empty *)
-  mutable samples : int;
   mutable last_t : float;  (* newest sample time *)
 }
 
@@ -27,11 +26,9 @@ let create ?(bucket_s = 0.05) ?(slots = 20) () =
   { bucket_s;
     slots = Array.init slots (fun _ -> Metrics.make_histogram ());
     epoch = Array.make slots (-1);
-    samples = 0;
     last_t = neg_infinity }
 
 let span_s w = w.bucket_s *. float_of_int (Array.length w.slots)
-let samples w = w.samples
 let epoch_of w t = int_of_float (Float.floor (t /. w.bucket_s))
 
 let observe w ~now v =
@@ -46,7 +43,6 @@ let observe w ~now v =
     Metrics.hist_reset w.slots.(slot);
     w.epoch.(slot) <- epoch
   end;
-  w.samples <- w.samples + 1;
   Metrics.observe w.slots.(slot) v
 
 let query w ~now ~window_s =

@@ -15,9 +15,6 @@ val create : ?bucket_s:float -> ?slots:int -> unit -> t
 (** Total coverage in seconds. *)
 val span_s : t -> float
 
-(** Samples ever observed (including ones already rotated out). *)
-val samples : t -> int
-
 (** Negative samples are clamped to 0, as the registry does.
     @raise Invalid_argument when [now] precedes the newest sample. *)
 val observe : t -> now:float -> float -> unit
