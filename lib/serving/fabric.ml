@@ -1119,8 +1119,15 @@ let finish st =
     f_shards = Array.to_list (Array.map shard_report shards);
     f_spawned = spawned; f_retired = retired; f_reroutes = st.st_reroutes }
 
+(* A NaN horizon would never end a closed-loop user's think cycle and an
+   infinite one would never end the run. *)
+let check_horizon fn horizon =
+  if not (Float.is_finite horizon && horizon > 0.0) then
+    invalid_arg (fn ^ ": horizon must be finite and > 0")
+
 let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
     ~horizon =
+  check_horizon "Fabric.run" horizon;
   let st = mk_state ~registry config ~deploy ~tenants ~horizon ~recovery ~watch in
   (match watch with Some w -> attach_watch st w | None -> ());
   (* the genesis tick is event 0, so a tick at t=0 still precedes any
@@ -1166,6 +1173,7 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
    render_summary) to the same-seed uninterrupted run. *)
 let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
     ~tenants ~horizon =
+  check_horizon "Fabric.resume" horizon;
   let t0_wall = Sys.time () in
   let st =
     mk_state ~registry config ~deploy ~tenants ~horizon

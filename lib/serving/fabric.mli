@@ -142,7 +142,8 @@ val fingerprint : config -> tenants:Workload.tenant list -> horizon:float -> str
     outstanding) are scraped on control ticks, per-request latencies feed
     its ["latency"] windowed sketch, and a final scrape follows the run.
     Watching never schedules events or feeds back, so a watched run is
-    byte-identical to the unwatched same-seed run. *)
+    byte-identical to the unwatched same-seed run.
+    @raise Invalid_argument unless [horizon] is finite and > 0. *)
 val run :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?recovery:recovery ->
@@ -162,7 +163,8 @@ val run :
     survives, a record before it is damaged, the snapshot does not match
     the freshly built fabric, its regenerated arrivals, its clock or the
     journal before it ([Corrupt]), or replay diverges from the
-    journal. *)
+    journal.
+    @raise Invalid_argument unless [horizon] is finite and > 0. *)
 val resume :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?watch:Everest_watch.Watch.t ->

@@ -40,16 +40,27 @@ type tenant = {
 
 let no_features _ = []
 
+(* Every rate, period, think time, sojourn and horizon must be a finite
+   positive number: a NaN or infinite one makes the arrival loops below
+   spin forever or silently emit nothing. *)
+let check_positive fn param x =
+  if not (Float.is_finite x && x > 0.0) then
+    invalid_arg (Printf.sprintf "%s: %s must be finite and > 0" fn param)
+
 let open_tenant ?(diurnal_amplitude = 0.0) ?(diurnal_period_s = 1.0) ?burst
     ?(features = no_features) ~name ~kernel ~rate_rps () =
-  if rate_rps <= 0.0 then invalid_arg "Workload.open_tenant: rate_rps <= 0";
-  if diurnal_amplitude < 0.0 || diurnal_amplitude > 1.0 then
-    invalid_arg "Workload.open_tenant: diurnal_amplitude outside [0, 1]";
-  (match burst with
-  | Some b when b.burst_factor < 1.0 || b.mean_calm_s <= 0.0 || b.mean_burst_s <= 0.0
-    ->
-      invalid_arg "Workload.open_tenant: malformed burst overlay"
-  | _ -> ());
+  let fn = "Workload.open_tenant" in
+  check_positive fn "rate_rps" rate_rps;
+  if not (diurnal_amplitude >= 0.0 && diurnal_amplitude <= 1.0) then
+    invalid_arg (fn ^ ": diurnal_amplitude must be finite and in [0, 1]");
+  check_positive fn "diurnal_period_s" diurnal_period_s;
+  Option.iter
+    (fun b ->
+      if not (Float.is_finite b.burst_factor && b.burst_factor >= 1.0) then
+        invalid_arg (fn ^ ": burst_factor must be finite and >= 1");
+      check_positive fn "mean_calm_s" b.mean_calm_s;
+      check_positive fn "mean_burst_s" b.mean_burst_s)
+    burst;
   { t_name = name; t_kernel = kernel; t_features = features;
     t_arrival =
       Open
@@ -58,7 +69,7 @@ let open_tenant ?(diurnal_amplitude = 0.0) ?(diurnal_period_s = 1.0) ?burst
 
 let closed_tenant ?(features = no_features) ~name ~kernel ~users ~think_s () =
   if users <= 0 then invalid_arg "Workload.closed_tenant: users <= 0";
-  if think_s <= 0.0 then invalid_arg "Workload.closed_tenant: think_s <= 0";
+  check_positive "Workload.closed_tenant" "think_s" think_s;
   { t_name = name; t_kernel = kernel; t_features = features;
     t_arrival = Closed { users; think_s } }
 
@@ -151,7 +162,7 @@ let open_arrivals ~seed ~horizon tenant =
       loop 0.0 0 []
 
 let generate ?(seed = 0) ~horizon tenants =
-  if horizon <= 0.0 then invalid_arg "Workload.generate: horizon <= 0";
+  check_positive "Workload.generate" "horizon" horizon;
   let tagged =
     List.concat
       (List.mapi

@@ -39,7 +39,10 @@ type tenant = {
           sequence number within the tenant); must be pure. *)
 }
 
-(** An open-loop tenant with optional diurnal/burst modulation. *)
+(** An open-loop tenant with optional diurnal/burst modulation.
+    @raise Invalid_argument unless the rate, the diurnal period and the
+    burst sojourns are finite and > 0, the burst factor is finite and
+    >= 1, and the amplitude is in [0, 1]. *)
 val open_tenant :
   ?diurnal_amplitude:float ->
   ?diurnal_period_s:float ->
@@ -51,7 +54,9 @@ val open_tenant :
   unit ->
   tenant
 
-(** A closed-loop tenant: [users] clients with mean [think_s] think time. *)
+(** A closed-loop tenant: [users] clients with mean [think_s] think time.
+    @raise Invalid_argument unless [users] > 0 and [think_s] is finite
+    and > 0. *)
 val closed_tenant :
   ?features:(int -> (string * float) list) ->
   name:string ->
@@ -74,7 +79,8 @@ type request = {
 (** All open-loop arrivals in [0, horizon), merged across tenants, sorted
     by arrival time (ties break by tenant order then sequence) and
     numbered densely from 0.  Closed-loop tenants contribute nothing here;
-    see {!closed_users}. *)
+    see {!closed_users}.
+    @raise Invalid_argument unless [horizon] is finite and > 0. *)
 val generate : ?seed:int -> horizon:float -> tenant list -> request list
 
 (** Live state of one closed-loop user; mutable only through its private

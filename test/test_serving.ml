@@ -102,6 +102,74 @@ let test_workload_validation () =
   expect_invalid (fun () ->
       Workload.generate ~horizon:0.0 [ acme () ])
 
+(* Each non-finite or degenerate number a library entry point takes is
+   refused with an [Invalid_argument] naming the function and the
+   parameter.  Before these checks the rate, amplitude and horizon cases
+   looped forever; the others returned a wrong result. *)
+let non_finite_cases =
+  let tenant ?(rate = 100.0) ?(amplitude = 0.0) ?(period = 1.0) ?burst () =
+    ignore
+      (Workload.open_tenant ~name:"x" ~kernel:"mm" ~rate_rps:rate
+         ~diurnal_amplitude:amplitude ~diurnal_period_s:period ?burst ())
+  in
+  let burst ?(factor = 2.0) ?(calm = 0.1) ?(hot = 0.1) () =
+    tenant ~burst:{ Workload.burst_factor = factor; mean_calm_s = calm; mean_burst_s = hot } ()
+  in
+  let think think_s =
+    ignore (Workload.closed_tenant ~name:"x" ~kernel:"mm" ~users:1 ~think_s ())
+  in
+  let generate horizon = ignore (Workload.generate ~horizon [ acme () ]) in
+  let fabric horizon =
+    ignore
+      (Fabric.run ~registry:(Metrics.create_registry ())
+         (Fabric.default_config ~n_shards:1)
+         ~deploy:(Fabric.demo_deploy ()) ~tenants:[ globex () ] ~horizon)
+  in
+  let resume horizon =
+    let store =
+      Store.open_store ~fresh:true
+        ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "everest-serving-horizon")
+        ~fingerprint:"horizon" ()
+    in
+    Fun.protect ~finally:(fun () -> Store.close store) (fun () ->
+        ignore
+          (Fabric.resume ~registry:(Metrics.create_registry ())
+             ~recovery:{ Fabric.rv_store = store; rv_snapshot_every_s = 0.05 }
+             (Fabric.default_config ~n_shards:1)
+             ~deploy:(Fabric.demo_deploy ()) ~tenants:[ globex () ] ~horizon))
+  in
+  let open_tenant = "Workload.open_tenant" in
+  [ (open_tenant, "rate_rps", "nan", fun () -> tenant ~rate:Float.nan ());
+    (open_tenant, "rate_rps", "inf", fun () -> tenant ~rate:Float.infinity ());
+    (open_tenant, "diurnal_amplitude", "nan", fun () -> tenant ~amplitude:Float.nan ());
+    (open_tenant, "diurnal_period_s", "nan", fun () -> tenant ~period:Float.nan ());
+    (open_tenant, "diurnal_period_s", "0", fun () -> tenant ~period:0.0 ());
+    (open_tenant, "diurnal_period_s", "inf", fun () -> tenant ~period:Float.infinity ());
+    (open_tenant, "burst_factor", "nan", fun () -> burst ~factor:Float.nan ());
+    (open_tenant, "burst_factor", "inf", fun () -> burst ~factor:Float.infinity ());
+    (open_tenant, "mean_calm_s", "nan", fun () -> burst ~calm:Float.nan ());
+    (open_tenant, "mean_calm_s", "inf", fun () -> burst ~calm:Float.infinity ());
+    (open_tenant, "mean_burst_s", "nan", fun () -> burst ~hot:Float.nan ());
+    (open_tenant, "mean_burst_s", "inf", fun () -> burst ~hot:Float.infinity ());
+    ("Workload.closed_tenant", "think_s", "nan", fun () -> think Float.nan);
+    ("Workload.closed_tenant", "think_s", "inf", fun () -> think Float.infinity);
+    ("Workload.generate", "horizon", "nan", fun () -> generate Float.nan);
+    ("Workload.generate", "horizon", "inf", fun () -> generate Float.infinity);
+    ("Fabric.run", "horizon", "nan", fun () -> fabric Float.nan);
+    ("Fabric.run", "horizon", "inf", fun () -> fabric Float.infinity);
+    ("Fabric.resume", "horizon", "nan", fun () -> resume Float.nan);
+    ("Fabric.resume", "horizon", "inf", fun () -> resume Float.infinity) ]
+
+let non_finite_test (fn, param, value, f) =
+  Alcotest.test_case (Printf.sprintf "%s %s %s" fn param value) `Quick (fun () ->
+      match f () with
+      | exception Invalid_argument msg ->
+          checkb
+            (Printf.sprintf "%S names %s and %s" msg fn param)
+            true
+            (Astring.String.is_prefix ~affix:(fn ^ ": " ^ param) msg)
+      | () -> Alcotest.failf "%s accepted %s = %s" fn param value)
+
 (* ---- admission ------------------------------------------------------------ *)
 
 let test_admission_token_bucket () =
@@ -573,6 +641,7 @@ let () =
           Alcotest.test_case "closed-loop users" `Quick
             test_workload_closed_users;
           Alcotest.test_case "validation" `Quick test_workload_validation ] );
+      ("non-finite", List.map non_finite_test non_finite_cases);
       ( "admission",
         [ Alcotest.test_case "token bucket" `Quick test_admission_token_bucket;
           Alcotest.test_case "sheds on burned budget" `Quick
