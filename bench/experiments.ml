@@ -994,7 +994,7 @@ let e13 () =
   in
   let analyses =
     [ ("liveness", fun () -> ignore (An.Liveness.live_in f));
-      ("dead-ops", fun () -> ignore (An.Liveness.dead_ops f));
+      ("dead-ops", fun () -> ignore (EIr.Transforms.dead_ops f));
       ("reaching", fun () -> ignore (An.Reaching.undominated_uses f));
       ("constprop", fun () -> ignore (An.Constprop.analyze f));
       ("memlife", fun () -> ignore (An.Memlife.analyze f));

@@ -109,7 +109,7 @@ and r_dead_op =
                         (List.map
                            (fun (v : Ir.value) -> Fmt.str "%%%d" v.Ir.vid)
                            o.Ir.results))))
-              (Liveness.dead_ops f))) }
+              (Transforms.dead_ops f))) }
 
 and r_unused_func =
   { rule_code = "EV011"; rule_name = "unused-function"; rule_severity = Warning;

@@ -1,4 +1,4 @@
-(* Backward liveness over SSA value ids, plus iterated dead-op detection.
+(* Backward liveness over SSA value ids.
 
    Liveness runs through the generic engine: the transfer kills results
    and gens operands; block arguments are killed when their block is left
@@ -25,56 +25,3 @@ let hooks = E.hooks ~leave_block transfer
 
 (* Values live on entry to [f]. *)
 let live_in (f : Ir.func) : IntSet.t = E.backward hooks IntSet.empty f.Ir.fbody
-
-(* Every value id used as an operand anywhere in [f]. *)
-let used (f : Ir.func) : IntSet.t =
-  Ir.fold_ops
-    (fun acc (o : Ir.op) ->
-      List.fold_left
-        (fun acc (v : Ir.value) -> IntSet.add v.Ir.vid acc)
-        acc o.Ir.operands)
-    IntSet.empty f.Ir.fbody
-
-(* Iterated dead-op set: pure region-free ops all of whose results are
-   unused, including chains that become dead once their consumers are
-   condemned (exactly what DCE would delete). *)
-let dead_ops (f : Ir.func) : Ir.op list =
-  let condemned (dead : IntSet.t) (o : Ir.op) =
-    Dialect.is_pure o && o.Ir.regions = [] && o.Ir.results <> []
-    && List.for_all (fun (r : Ir.value) -> IntSet.mem r.Ir.vid dead) o.Ir.results
-  in
-  let rec go dead =
-    (* uses, not counting operands of already-condemned ops *)
-    let used =
-      Ir.fold_ops
-        (fun acc (o : Ir.op) ->
-          if condemned dead o then acc
-          else
-            List.fold_left
-              (fun acc (v : Ir.value) -> IntSet.add v.Ir.vid acc)
-              acc o.Ir.operands)
-        IntSet.empty f.Ir.fbody
-    in
-    let dead' =
-      Ir.fold_ops
-        (fun acc (o : Ir.op) ->
-          if
-            Dialect.is_pure o && o.Ir.regions = [] && o.Ir.results <> []
-            && List.for_all
-                 (fun (r : Ir.value) -> not (IntSet.mem r.Ir.vid used))
-                 o.Ir.results
-          then
-            List.fold_left
-              (fun acc (r : Ir.value) -> IntSet.add r.Ir.vid acc)
-              acc o.Ir.results
-          else acc)
-        dead f.Ir.fbody
-    in
-    if IntSet.equal dead' dead then dead else go dead'
-  in
-  let dead = go IntSet.empty in
-  let out = ref [] in
-  Ir.iter_ops
-    (fun (o : Ir.op) -> if condemned dead o then out := o :: !out)
-    f.Ir.fbody;
-  List.rev !out

@@ -1,14 +1,8 @@
-(** Backward liveness over SSA value ids, plus dead-op detection. *)
+(** Backward liveness over SSA value ids.  Dead ops are
+    {!Everest_ir.Transforms.dead_ops}, the rule DCE applies. *)
 
 open Everest_ir
 
 (** Value ids live on entry to the function.  For a well-formed function
     this is a subset of the formal-argument ids. *)
 val live_in : Ir.func -> Lattice.IntSet.t
-
-(** Every value id used as an operand anywhere in the function. *)
-val used : Ir.func -> Lattice.IntSet.t
-
-(** Pure region-free ops all of whose results are (transitively) unused —
-    exactly the ops DCE would delete — in program order. *)
-val dead_ops : Ir.func -> Ir.op list

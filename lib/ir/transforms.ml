@@ -168,51 +168,61 @@ let cse =
 
 module IntSet = Set.Make (Int)
 
-let rec used_in ops =
-  List.fold_left
-    (fun s (o : op) ->
-      let s =
-        List.fold_left (fun s (v : value) -> IntSet.add v.vid s) s o.operands
-      in
-      List.fold_left
-        (fun s r -> List.fold_left (fun s (b : block) -> IntSet.union s (used_in b.body)) s r)
-        s o.regions)
-    IntSet.empty ops
+let deletable (o : op) = Dialect.is_pure o && o.regions = [] && o.results <> []
 
-let rec dce_ops live ops =
-  (* A pure region-free op whose results are all dead is removed.  Iterate
-     because removal can kill producers. *)
-  let one_round ops =
-    let used = IntSet.union live (used_in ops) in
+let condemned dead (o : op) =
+  deletable o && List.for_all (fun (r : value) -> IntSet.mem r.vid dead) o.results
+
+(* One dead-op rule for the whole function: a pure region-free op is dead
+   when none of its results is used by a live op, anywhere, nested
+   regions included.  Iterated until nothing changes, so a chain that
+   only feeds dead ops dies with them.  Returns the dead result ids. *)
+let dead_results ops =
+  let rec go dead =
+    (* uses, not counting operands of already-condemned ops *)
+    let used =
+      fold_ops
+        (fun acc o ->
+          if condemned dead o then acc
+          else List.fold_left (fun acc (v : value) -> IntSet.add v.vid acc) acc o.operands)
+        IntSet.empty ops
+    in
+    let dead' =
+      fold_ops
+        (fun acc (o : op) ->
+          if
+            deletable o
+            && List.for_all (fun (r : value) -> not (IntSet.mem r.vid used)) o.results
+          then List.fold_left (fun acc (r : value) -> IntSet.add r.vid acc) acc o.results
+          else acc)
+        dead ops
+    in
+    if IntSet.equal dead' dead then dead else go dead'
+  in
+  go IntSet.empty
+
+let dead_ops (f : func) =
+  let dead = dead_results f.fbody in
+  List.rev (fold_ops (fun acc o -> if condemned dead o then o :: acc else acc) [] f.fbody)
+
+let dce_ops ops =
+  let dead = dead_results ops in
+  let rec strip ops =
     List.filter_map
       (fun (o : op) ->
-        let o =
-          if o.regions = [] then o
-          else
+        if condemned dead o then None
+        else if o.regions = [] then Some o
+        else
+          Some
             { o with
               regions =
-                List.map
-                  (List.map (fun (b : block) ->
-                       { b with body = dce_ops used b.body }))
-                  o.regions }
-        in
-        if
-          Dialect.is_pure o && o.regions = []
-          && o.results <> []
-          && List.for_all (fun (r : value) -> not (IntSet.mem r.vid used)) o.results
-        then None
-        else Some o)
+                List.map (List.map (fun (b : block) -> { b with body = strip b.body })) o.regions })
       ops
   in
-  let rec fix ops =
-    let ops' = one_round ops in
-    if List.length ops' = List.length ops then ops' else fix ops'
-  in
-  fix ops
+  strip ops
 
 let dce =
   Pass.make "dce" (fun _ctx m ->
-      { m with
-        funcs = List.map (fun f -> { f with fbody = dce_ops IntSet.empty f.fbody }) m.funcs })
+      { m with funcs = List.map (fun f -> { f with fbody = dce_ops f.fbody }) m.funcs })
 
 let standard_pipeline = [ canonicalize; cse; dce ]

@@ -18,7 +18,13 @@ val canonicalize : Pass.t
 (** Value-number pure region-free ops within each block. *)
 val cse : Pass.t
 
-(** Remove pure ops whose results are unused (iterated). *)
+(** Pure region-free ops none of whose results is used by a live op,
+    anywhere in the function (iterated, so chains that only feed dead
+    ops are dead too), in program order.  Exactly the ops {!dce}
+    deletes, and what lint's EV010 reports. *)
+val dead_ops : Ir.func -> Ir.op list
+
+(** Remove the ops {!dead_ops} reports. *)
 val dce : Pass.t
 
 (** [canonicalize; cse; dce] — the default middle-end pipeline. *)

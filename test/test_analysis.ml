@@ -13,6 +13,7 @@ module Memref = Everest_ir.Dialect_memref
 module Scf = Everest_ir.Dialect_scf
 module Func = Everest_ir.Dialect_func
 module Df = Everest_ir.Dialect_df
+module Transforms = Everest_ir.Transforms
 module Sec = Everest_ir.Dialect_sec
 module Interp = Everest_ir.Interp
 module Dsl = Everest_dsl
@@ -140,7 +141,7 @@ let test_dead_op_chain () =
   let f =
     Ir.func "f" [ a ] [ Types.f64 ] [ live; d1; d2; Func.return ctx [ r live ] ]
   in
-  let dead = Liveness.dead_ops f in
+  let dead = Transforms.dead_ops f in
   checki "the whole unused chain is dead" 2 (List.length dead);
   checkb "live op survives" true
     (not (List.exists (fun (o : Ir.op) -> o == live) dead))
@@ -150,7 +151,7 @@ let test_liveness_impure_not_dead () =
   let buf = Memref.alloc ctx Types.F64 [ 4 ] in
   let free = Memref.dealloc ctx (r buf) in
   let f = Ir.func "f" [] [] [ buf; free; Func.return ctx [] ] in
-  checki "allocation is not dead code" 0 (List.length (Liveness.dead_ops f))
+  checki "allocation is not dead code" 0 (List.length (Transforms.dead_ops f))
 
 (* ---- reaching definitions ----------------------------------------------- *)
 
@@ -465,7 +466,15 @@ let prop_liveness_args =
       let arg_ids =
         Lattice.IntSet.of_list (List.map (fun (v : Ir.value) -> v.Ir.vid) args)
       in
-      let used_args = Lattice.IntSet.inter (Liveness.used f) arg_ids in
+      let used =
+        Ir.fold_ops
+          (fun acc (o : Ir.op) ->
+            List.fold_left
+              (fun acc (v : Ir.value) -> Lattice.IntSet.add v.Ir.vid acc)
+              acc o.Ir.operands)
+          Lattice.IntSet.empty f.Ir.fbody
+      in
+      let used_args = Lattice.IntSet.inter used arg_ids in
       Lattice.IntSet.subset live arg_ids && Lattice.IntSet.equal live used_args)
 
 let prop_constprop_agrees_with_interp =

@@ -247,6 +247,44 @@ let test_dce_keeps_stores () =
   let f' = Option.get (Ir.find_func m "st") in
   checki "only dead add removed" 5 (List.length f'.Ir.fbody)
 
+(* DCE deletes exactly the ops [Transforms.dead_ops] reports, so nothing
+   it leaves behind is dead.  Two shapes a per-block DCE missed: a loop
+   body computing a chain nothing reads, and a top-level product whose
+   only reader is dead code inside a second loop. *)
+let test_dce_deletes_every_dead_op () =
+  let ctx = Ir.ctx () in
+  let r = Ir.result in
+  let x = Ir.fresh_value ctx Types.f64 in
+  let lo = Dialect_arith.const_index ctx 0 in
+  let hi = Dialect_arith.const_index ctx 4 in
+  let st = Dialect_arith.const_index ctx 1 in
+  let loop1 =
+    Dialect_scf.for_ ctx (r lo) (r hi) (r st) (fun ctx _iv _ ->
+        let c = Dialect_arith.mulf ctx x x in
+        let d = Dialect_arith.addf ctx (r c) (r c) in
+        ([ c; d ], []))
+  in
+  let m = Dialect_arith.mulf ctx x x in
+  let loop2 =
+    Dialect_scf.for_ ctx (r lo) (r hi) (r st) (fun ctx _iv _ ->
+        ([ Dialect_arith.addf ctx (r m) (r m) ], []))
+  in
+  let ret = Dialect_func.return ctx [ x ] in
+  let f =
+    Ir.func "shapes" [ x ] [ Types.f64 ] [ lo; hi; st; loop1; m; loop2; ret ]
+  in
+  checki "ops before" 12 (Ir.count_ops f.Ir.fbody);
+  let names ops = List.map (fun (o : Ir.op) -> o.Ir.name) ops in
+  Alcotest.(check (list string))
+    "dead ops"
+    [ "arith.mulf"; "arith.addf"; "arith.mulf"; "arith.addf" ]
+    (names (Transforms.dead_ops f));
+  let m', _ = Pass.run_pipeline ctx [ Transforms.dce ] (Ir.modul "m" [ f ]) in
+  let f' = Option.get (Ir.find_func m' "shapes") in
+  checki "dce deletes all four" 8 (Ir.count_ops f'.Ir.fbody);
+  checki "nothing left dead" 0 (List.length (Transforms.dead_ops f'));
+  checki "still verifies" 0 (List.length (Verify.verify_module m'))
+
 (* ---- Interpreter ------------------------------------------------------------ *)
 
 let test_interp_matmul () =
@@ -549,7 +587,9 @@ let () =
           Alcotest.test_case "involutions" `Quick test_involutions;
           Alcotest.test_case "encrypt-decrypt" `Quick test_encrypt_decrypt_fold;
           Alcotest.test_case "cse" `Quick test_cse;
-          Alcotest.test_case "dce keeps stores" `Quick test_dce_keeps_stores ] );
+          Alcotest.test_case "dce keeps stores" `Quick test_dce_keeps_stores;
+          Alcotest.test_case "dce deletes every dead op" `Quick
+            test_dce_deletes_every_dead_op ] );
       ( "interp",
         [ Alcotest.test_case "matmul" `Quick test_interp_matmul;
           Alcotest.test_case "einsum" `Quick test_interp_einsum_matches_matmul;
