@@ -28,8 +28,8 @@ let default_site =
 (* Hourly weather for the plume: wind speed/direction and stability. *)
 type hour_weather = { wind_ms : float; wind_dir_rad : float; cls : Plume.stability }
 
-let weather_series ?(seed = 21) ~hours () =
-  let rng = Rng.create seed in
+let weather_series ~hours () =
+  let rng = Rng.create 21 in
   let dir = ref (Rng.uniform rng 0.0 (2.0 *. Float.pi)) in
   let speed = ref 4.0 in
   Array.init hours (fun h ->
@@ -43,8 +43,8 @@ let weather_series ?(seed = 21) ~hours () =
 
 (* Forecast error model: coarser weather ensembles mispredict the wind
    direction/speed more. *)
-let perturb_weather ?(seed = 77) ~resolution_km (w : hour_weather array) =
-  let rng = Rng.create seed in
+let perturb_weather ~resolution_km (w : hour_weather array) =
+  let rng = Rng.create 77 in
   let dir_err = 0.02 *. resolution_km and spd_err = 0.04 *. resolution_km in
   Array.map
     (fun hw ->
@@ -73,7 +73,8 @@ type decision_eval = {
 
 (* Compare forecast decisions (perturbed weather, given grid resolution)
    against the truth (exact weather, fine grid). *)
-let evaluate ?(site = default_site) ?(hours = 96) ~cells ~resolution_km () =
+let evaluate ?(hours = 96) ~cells ~resolution_km () =
+  let site = default_site in
   let truth_weather = weather_series ~hours () in
   let forecast_weather = perturb_weather ~resolution_km truth_weather in
   let truth =

@@ -20,12 +20,11 @@ type hour_weather = {
 }
 
 (** Auto-correlated hourly wind/stability series. *)
-val weather_series : ?seed:int -> hours:int -> unit -> hour_weather array
+val weather_series : hours:int -> unit -> hour_weather array
 
 (** Forecast error model: coarser weather ensembles mispredict wind
     direction and speed more. *)
-val perturb_weather :
-  ?seed:int -> resolution_km:float -> hour_weather array -> hour_weather array
+val perturb_weather : resolution_km:float -> hour_weather array -> hour_weather array
 
 (** Does any receptor exceed the threshold under the given weather? *)
 val receptor_exceedance : site -> cells:int -> hour_weather -> bool
@@ -39,6 +38,5 @@ type decision_eval = {
 }
 
 (** Compare forecast decisions (perturbed weather, given grid) against the
-    fine-grid truth. *)
-val evaluate :
-  ?site:site -> ?hours:int -> cells:int -> resolution_km:float -> unit -> decision_eval
+    fine-grid truth at {!default_site}. *)
+val evaluate : ?hours:int -> cells:int -> resolution_km:float -> unit -> decision_eval

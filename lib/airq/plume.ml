@@ -67,9 +67,8 @@ let cell_coord g i =
     -.g.half_extent_m +. ((float_of_int row +. 0.5) *. step) )
 
 (* Evaluate the plume field of several sources on a grid. *)
-let field ?(half_extent_m = 10_000.0) ~cells ~sources ~wind_ms ~wind_dir_rad
-    ~cls () =
-  let g = { half_extent_m; cells; conc = Array.make (cells * cells) 0.0 } in
+let field ~cells ~sources ~wind_ms ~wind_dir_rad ~cls () =
+  let g = { half_extent_m = 10_000.0; cells; conc = Array.make (cells * cells) 0.0 } in
   for i = 0 to (cells * cells) - 1 do
     let rx, ry = cell_coord g i in
     g.conc.(i) <-

@@ -39,9 +39,9 @@ type grid = {
 
 val cell_coord : grid -> int -> float * float
 
-(** Evaluate the plume field of several sources on a grid. *)
+(** Evaluate the plume field of several sources on a grid over
+    [-10 km, 10 km]². *)
 val field :
-  ?half_extent_m:float ->
   cells:int ->
   sources:source list ->
   wind_ms:float ->

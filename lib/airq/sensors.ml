@@ -15,8 +15,8 @@ type sensor = {
 
 type reading = { sensor_id : int; value : float option }
 
-let deploy ?(seed = 3) ~n ~half_extent_m () =
-  let rng = Rng.create seed in
+let deploy ~n ~half_extent_m () =
+  let rng = Rng.create 3 in
   List.init n (fun id ->
       { id;
         x = Rng.uniform rng (-.half_extent_m) half_extent_m;
@@ -32,8 +32,8 @@ let sample rng (g : Plume.grid) (s : sensor) : reading =
     let v = Float.max 0.0 ((s.bias *. truth) +. Rng.gaussian ~sigma:s.noise_sigma rng) in
     { sensor_id = s.id; value = Some v }
 
-let sample_all ?(seed = 9) (g : Plume.grid) sensors =
-  let rng = Rng.create seed in
+let sample_all (g : Plume.grid) sensors =
+  let rng = Rng.create 9 in
   List.map (sample rng g) sensors
 
 (* Median-based robust fusion of sensor values near a point. *)

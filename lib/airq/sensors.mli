@@ -14,10 +14,10 @@ type sensor = {
 type reading = { sensor_id : int; value : float option }
 
 (** Deterministic random deployment of [n] sensors over the domain. *)
-val deploy : ?seed:int -> n:int -> half_extent_m:float -> unit -> sensor list
+val deploy : n:int -> half_extent_m:float -> unit -> sensor list
 
 val sample : Everest_ml.Rng.t -> Plume.grid -> sensor -> reading
-val sample_all : ?seed:int -> Plume.grid -> sensor list -> reading list
+val sample_all : Plume.grid -> sensor list -> reading list
 
 (** Median-based robust fusion of readings within [radius_m] of a point. *)
 val fused_estimate :

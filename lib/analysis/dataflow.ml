@@ -28,7 +28,9 @@ let region_kind (o : Ir.op) =
   | "scf.for" | "scf.parallel" | "scf.while" -> Loop
   | _ -> Straight
 
-let default_max_iter = 64
+(* A loop region is iterated at most this many times past the fixpoint
+   check. *)
+let max_iter = 64
 
 module Make (L : Lattice.LATTICE) = struct
   type hooks = {
@@ -49,31 +51,31 @@ module Make (L : Lattice.LATTICE) = struct
 
   (* ---- forward ---------------------------------------------------------- *)
 
-  let rec fwd h max_iter s ops = List.fold_left (fwd_op h max_iter) s ops
+  let rec forward h s ops = List.fold_left (fwd_op h) s ops
 
-  and fwd_region h max_iter s o (r : Ir.region) =
+  and fwd_region h s o (r : Ir.region) =
     List.fold_left
       (fun s (b : Ir.block) ->
         let s = h.enter_block s o b in
-        let s = fwd h max_iter s b.Ir.body in
+        let s = forward h s b.Ir.body in
         h.leave_block s o b)
       s r
 
-  and fwd_op h max_iter s (o : Ir.op) =
+  and fwd_op h s (o : Ir.op) =
     match o.Ir.regions with
     | [] -> h.transfer s o
     | regions -> (
         match region_kind o with
         | Straight ->
             let s =
-              List.fold_left (fun s r -> fwd_region h max_iter s o r) s regions
+              List.fold_left (fun s r -> fwd_region h s o r) s regions
             in
             h.transfer s o
         | Loop ->
             let rec iterate s n =
               let out =
                 List.fold_left
-                  (fun acc r -> fwd_region h max_iter acc o r)
+                  (fun acc r -> fwd_region h acc o r)
                   s regions
               in
               let s' = L.join s out in
@@ -86,7 +88,7 @@ module Make (L : Lattice.LATTICE) = struct
               List.concat
                 (List.mapi
                    (fun i r ->
-                     if List.mem i taken then [ fwd_region h max_iter s o r ]
+                     if List.mem i taken then [ fwd_region h s o r ]
                      else [])
                    regions)
             in
@@ -100,26 +102,24 @@ module Make (L : Lattice.LATTICE) = struct
             in
             h.transfer joined o)
 
-  let forward ?(max_iter = default_max_iter) h init ops = fwd h max_iter init ops
-
   (* ---- backward --------------------------------------------------------- *)
 
   (* The op's own transfer is applied to the state flowing in from below
      before its regions are walked: the regions are "inside" the op, so in
      reverse execution order they come after it. *)
 
-  let rec bwd h max_iter s ops =
-    List.fold_left (fun s o -> bwd_op h max_iter s o) s (List.rev ops)
+  let rec backward h s ops =
+    List.fold_left (fun s o -> bwd_op h s o) s (List.rev ops)
 
-  and bwd_region h max_iter s o (r : Ir.region) =
+  and bwd_region h s o (r : Ir.region) =
     List.fold_left
       (fun s (b : Ir.block) ->
         let s = h.enter_block s o b in
-        let s = bwd h max_iter s b.Ir.body in
+        let s = backward h s b.Ir.body in
         h.leave_block s o b)
       s (List.rev r)
 
-  and bwd_op h max_iter s (o : Ir.op) =
+  and bwd_op h s (o : Ir.op) =
     let s1 = h.transfer s o in
     match o.Ir.regions with
     | [] -> s1
@@ -127,13 +127,13 @@ module Make (L : Lattice.LATTICE) = struct
         match region_kind o with
         | Straight ->
             List.fold_left
-              (fun s r -> bwd_region h max_iter s o r)
+              (fun s r -> bwd_region h s o r)
               s1 (List.rev regions)
         | Loop ->
             let rec iterate s n =
               let out =
                 List.fold_left
-                  (fun acc r -> bwd_region h max_iter acc o r)
+                  (fun acc r -> bwd_region h acc o r)
                   s regions
               in
               let s' = L.join s out in
@@ -144,9 +144,6 @@ module Make (L : Lattice.LATTICE) = struct
             (* join every region exit with the fall-through state [s1]; a
                pruning filter is rarely useful backwards, so all regions are
                considered. *)
-            let outs = List.map (fun r -> bwd_region h max_iter s1 o r) regions in
+            let outs = List.map (fun r -> bwd_region h s1 o r) regions in
             List.fold_left L.join s1 outs)
-
-  let backward ?(max_iter = default_max_iter) h init ops =
-    bwd h max_iter init ops
 end

@@ -16,8 +16,6 @@ type region_kind = Straight | Loop | Branch
     through. *)
 val region_kind : Ir.op -> region_kind
 
-val default_max_iter : int
-
 module Make (L : Lattice.LATTICE) : sig
   type hooks = {
     transfer : L.t -> Ir.op -> L.t;  (** Per-op state update. *)
@@ -40,10 +38,10 @@ module Make (L : Lattice.LATTICE) : sig
     hooks
 
   (** [forward h init ops] runs the ops in program order; loop regions are
-      iterated at most [max_iter] times past the fixpoint check. *)
-  val forward : ?max_iter:int -> hooks -> L.t -> Ir.op list -> L.t
+      iterated at most 64 times past the fixpoint check. *)
+  val forward : hooks -> L.t -> Ir.op list -> L.t
 
   (** [backward h init ops] runs the ops in reverse program order (the op
       transfer fires before its regions are walked). *)
-  val backward : ?max_iter:int -> hooks -> L.t -> Ir.op list -> L.t
+  val backward : hooks -> L.t -> Ir.op list -> L.t
 end

@@ -279,7 +279,7 @@ let all_rules () =
 
 (* ---- running ----------------------------------------------------------- *)
 
-let run ?(ctx = default_ctx) ?only (m : Ir.modul) : diag list =
+let run ?only (m : Ir.modul) : diag list =
   let rules =
     match only with
     | None -> all_rules ()
@@ -291,7 +291,7 @@ let run ?(ctx = default_ctx) ?only (m : Ir.modul) : diag list =
               codes)
           (all_rules ())
   in
-  List.concat_map (fun r -> r.rule_check ctx m) rules
+  List.concat_map (fun r -> r.rule_check default_ctx m) rules
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds

@@ -54,31 +54,28 @@ let publish_instrumentation pool cache =
     (match cache with Some c -> c | None -> Estimate_cache.global);
   Pool.publish_stats (match pool with Some p -> p | None -> Pool.default ())
 
-let exhaustive ?pool ?cache ?(target = Variants.default_target) ?(annots = [])
-    (e : Tensor_expr.expr) : result =
+let exhaustive ?pool ?cache ?annots (e : Tensor_expr.expr) : result =
   Probe.time_block ~labels:[ ("stage", "exhaustive") ] "dse_stage"
     (fun () ->
-      let vs = Variants.generate ?pool ?cache ~target ~annots e in
+      let vs = Variants.generate ?pool ?cache ?annots e in
       let r = summarize ~strategy:"exhaustive" (List.length vs) vs in
       publish_instrumentation pool cache;
       r)
 
-(* Random subset of the full space: [budget] samples, deterministic seed.
-   The shared Rng guards degenerate seeds (0 would freeze the ad-hoc
-   generator this code used to carry). *)
-let sampled ?pool ?cache ?(target = Variants.default_target) ?(annots = [])
-    ?(seed = 17) ~budget (e : Tensor_expr.expr) : result =
+(* Random subset of the full space: [budget] samples drawn with a fixed
+   seed, so the subset is deterministic. *)
+let sampled ?pool ?cache ~budget (e : Tensor_expr.expr) : result =
   Probe.time_block ~labels:[ ("stage", "sampled") ] "dse_stage" @@ fun () ->
   let summarize explored vs =
     let r = summarize ~strategy:"sampled" explored vs in
     publish_instrumentation pool cache;
     r
   in
-  let all = Variants.generate ?pool ?cache ~target ~annots e in
+  let all = Variants.generate ?pool ?cache e in
   let n = List.length all in
   if budget >= n then summarize n all
   else begin
-    let rng = Rng.create seed in
+    let rng = Rng.create 17 in
     let arr = Array.of_list all in
     (* partial Fisher-Yates *)
     for i = 0 to budget - 1 do
@@ -96,8 +93,8 @@ let sampled ?pool ?cache ?(target = Variants.default_target) ?(annots = [])
    (few) hardware candidates, so far fewer cost evaluations run than in the
    exhaustive search.  The sweeps revisit points (the threads axis runs
    twice), so evaluation goes through the shared estimation cache. *)
-let greedy ?pool ?cache ?(target = Variants.default_target) ?(annots = [])
-    (e : Tensor_expr.expr) : result =
+let greedy ?pool ?cache (e : Tensor_expr.expr) : result =
+  let target = Variants.default_target in
   Probe.time_block ~labels:[ ("stage", "greedy") ] "dse_stage" @@ fun () ->
   (* per-axis timing: each coordinate sweep is its own probe stage *)
   let stage name f =
@@ -152,7 +149,6 @@ let greedy ?pool ?cache ?(target = Variants.default_target) ?(annots = [])
     stage "hw" (fun () -> Variants.hw_variants ?pool ?cache target ~dift:false e)
   in
   explored := !explored + List.length hw;
-  ignore annots;
   let final = List.fold_left better current hw in
   let r = summarize ~strategy:"greedy" !explored [ final ] in
   publish_instrumentation pool cache;

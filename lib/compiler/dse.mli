@@ -16,35 +16,29 @@ type result = {
 (** [strategy] labels the [dse_*] telemetry metrics the summary emits. *)
 val summarize : ?strategy:string -> int -> Variants.variant list -> result
 
-(** Evaluate the whole space (the oracle). *)
+(** Evaluate the default target's whole space (the oracle). *)
 val exhaustive :
   ?pool:Everest_parallel.Pool.t ->
   ?cache:Estimate_cache.t ->
-  ?target:Variants.target ->
   ?annots:Everest_dsl.Annot.t list ->
   Everest_dsl.Tensor_expr.expr ->
   result
 
-(** Deterministic random subset of [budget] candidates.  Any [seed] is
-    valid: degenerate seeds (0, multiples of [0x7FFFFFFF]) are guarded by
-    {!Everest_parallel.Rng}. *)
+(** Deterministic random subset of [budget] candidates of the default
+    target's space. *)
 val sampled :
   ?pool:Everest_parallel.Pool.t ->
   ?cache:Estimate_cache.t ->
-  ?target:Variants.target ->
-  ?annots:Everest_dsl.Annot.t list ->
-  ?seed:int ->
   budget:int ->
   Everest_dsl.Tensor_expr.expr ->
   result
 
 (** Coordinate descent over threads, tile, threads again, layout, then the
-    hardware candidates — far fewer evaluations than exhaustive. *)
+    hardware candidates of the default target — far fewer evaluations than
+    exhaustive. *)
 val greedy :
   ?pool:Everest_parallel.Pool.t ->
   ?cache:Estimate_cache.t ->
-  ?target:Variants.target ->
-  ?annots:Everest_dsl.Annot.t list ->
   Everest_dsl.Tensor_expr.expr ->
   result
 

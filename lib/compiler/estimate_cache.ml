@@ -24,7 +24,7 @@ type value =
 
 type t = value Everest_parallel.Cache.t
 
-let create ?(name = "estimate") () : t = Everest_parallel.Cache.create ~name ()
+let create () : t = Everest_parallel.Cache.create ~name:"estimate" ()
 
 (* The process-wide cache: shared across Dse strategies, Pipeline.compile
    and repeated explorations so warm re-runs skip estimation entirely. *)

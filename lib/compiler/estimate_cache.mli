@@ -22,7 +22,7 @@ type value =
 
 type t = value Everest_parallel.Cache.t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
 (** The process-wide shared cache (default for every estimation site). *)
 val global : t

@@ -55,7 +55,7 @@ let count_lint_warnings ds =
              "compile_lint_warnings_total"))
     ds
 
-let compile ?pool ?cache ?(target = Variants.default_target) ?(lint = true)
+let compile ?cache ?(lint = true)
     (g : Dataflow.graph) : compiled_app =
   (match Dataflow.validate g with
   | Ok () -> ()
@@ -88,7 +88,7 @@ let compile ?pool ?cache ?(target = Variants.default_target) ?(lint = true)
       (fun (n : Dataflow.node) ->
         match n.Dataflow.kernel with
         | Some (Dataflow.Tensor_kernel e) ->
-            let dse = Dse.exhaustive ?pool ?cache ~target ~annots:n.Dataflow.annots e in
+            let dse = Dse.exhaustive ?cache ~annots:n.Dataflow.annots e in
             let knowledge =
               Variants.to_knowledge ~kernel:n.Dataflow.nname dse.Dse.variants
             in

@@ -31,9 +31,9 @@ type compiled_app = {
 
 exception Compile_error of string
 
-(** Compile a workflow graph.  Per-kernel DSE evaluates candidates on
-    [pool] through [cache] (process-wide defaults when omitted, so warm
-    re-compiles of the same kernels skip estimation).
+(** Compile a workflow graph.  Per-kernel DSE evaluates the default
+    target's candidates on the default pool through [cache] (the process-wide cache when
+    omitted, so warm re-compiles of the same kernels skip estimation).
 
     Unless [lint] is [false], a pre-flight {!Everest_analysis.Lint} run
     checks the freshly lowered module — error-severity diagnostics abort
@@ -43,9 +43,7 @@ exception Compile_error of string
     @raise Compile_error on invalid graphs, IR verification failures, or
     error-severity lint diagnostics. *)
 val compile :
-  ?pool:Everest_parallel.Pool.t ->
   ?cache:Estimate_cache.t ->
-  ?target:Variants.target ->
   ?lint:bool ->
   Everest_dsl.Dataflow.graph ->
   compiled_app

@@ -258,12 +258,12 @@ let pareto (vs : variant list) =
 
 (* ---- bridges to the runtime -------------------------------------------------------- *)
 
-let to_knowledge ~kernel ?(features = []) (vs : variant list) :
+let to_knowledge ~kernel (vs : variant list) :
     Everest_autotune.Knowledge.t =
   Everest_autotune.Knowledge.create kernel
     (List.map
        (fun v ->
-         { Everest_autotune.Knowledge.variant = v.vname; features;
+         { Everest_autotune.Knowledge.variant = v.vname; features = [];
            metrics =
              [ ("time_s", v.time_s); ("energy_j", v.energy_j);
                ("area_luts", float_of_int v.area_luts) ] })

@@ -89,11 +89,7 @@ val pareto : variant list -> variant list
 val pareto_naive : variant list -> variant list
 
 (** Bridge to the runtime: variants as mARGOt operating points. *)
-val to_knowledge :
-  kernel:string ->
-  ?features:(string * float) list ->
-  variant list ->
-  Everest_autotune.Knowledge.t
+val to_knowledge : kernel:string -> variant list -> Everest_autotune.Knowledge.t
 
 (** Bridge to the workflow layer: a variant as a task implementation. *)
 val to_dag_impl :

@@ -24,8 +24,7 @@ let workflow name = Dsl.Dataflow.create name
 
 (* ---- compile --------------------------------------------------------------------- *)
 
-let compile ?target (g : Dsl.Dataflow.graph) : app =
-  Compiler.Pipeline.compile ?target g
+let compile (g : Dsl.Dataflow.graph) : app = Compiler.Pipeline.compile g
 
 (* Security audit results of the compiled IR. *)
 let security_report (app : app) = app.Compiler.Pipeline.violations
@@ -39,10 +38,10 @@ type run_stats = {
   policy : string;
 }
 
-let run ?(policy = "heft-locality") ?(cloud_fpgas = 4) ?(edges = 2)
-    ?(endpoints = 4) ?faults ?exec_policy (app : app) : run_stats =
+let run ?(policy = "heft-locality") ?(cloud_fpgas = 4) ?faults ?exec_policy
+    (app : app) : run_stats =
   let plan, stats =
-    Workflow.Executor.run_on_demonstrator ~cloud_fpgas ~edges ~endpoints
+    Workflow.Executor.run_on_demonstrator ~cloud_fpgas ~edges:2 ~endpoints:4
       ?faults ?exec_policy ~policy app.Compiler.Pipeline.dag
   in
   {
@@ -70,7 +69,7 @@ type served = {
 }
 
 let serve ?(n = 100) ?(goal = Autotune.Goal.make (Autotune.Goal.Minimize "time_s"))
-    ?slowdown ?(telemetry = false) (app : app) ~kernel : served =
+    ?(telemetry = false) (app : app) ~kernel : served =
   let ck =
     match
       List.find_opt
@@ -104,7 +103,7 @@ let serve ?(n = 100) ?(goal = Autotune.Goal.make (Autotune.Goal.Minimize "time_s
   in
   let log =
     Runtime.Orchestrator.serve orch ~kernel ~n
-      ~policy:Runtime.Orchestrator.Adaptive ?slowdown ()
+      ~policy:Runtime.Orchestrator.Adaptive ()
   in
   Runtime.Orchestrator.publish_metrics orch;
   {

@@ -26,7 +26,7 @@ val workflow : string -> Dsl.Dataflow.graph
 
 (** Front-end + middle-end + back-end; see {!Everest_compiler.Pipeline}.
     @raise Everest_compiler.Pipeline.Compile_error on invalid inputs. *)
-val compile : ?target:Compiler.Variants.target -> Dsl.Dataflow.graph -> app
+val compile : Dsl.Dataflow.graph -> app
 
 (** Static information-flow audit results of the compiled IR. *)
 val security_report :
@@ -41,13 +41,14 @@ type run_stats = {
   policy : string;
 }
 
-(** Execute the compiled workflow on a fresh EVEREST demonstrator.
-    [faults] injects a deterministic fault plan and [exec_policy] sets the
-    recovery policy (defaults: no faults, {!Everest_resilience.Policy.default}).
+(** Execute the compiled workflow on a fresh EVEREST demonstrator (2
+    edge nodes, 4 endpoints).  [faults] injects a deterministic fault plan
+    and [exec_policy] sets the recovery policy (defaults: no faults,
+    {!Everest_resilience.Policy.default}).
     @raise Everest_workflow.Executor.Execution_failed when recovery is
     exhausted; the exception carries the partial stats. *)
 val run :
-  ?policy:string -> ?cloud_fpgas:int -> ?edges:int -> ?endpoints:int ->
+  ?policy:string -> ?cloud_fpgas:int ->
   ?faults:Everest_resilience.Faults.t ->
   ?exec_policy:Everest_resilience.Policy.t -> app ->
   run_stats
@@ -70,15 +71,13 @@ type served = {
 }
 
 (** Serve [n] closed-loop requests of one compiled kernel through the
-    virtualized runtime with mARGOt selection.  [slowdown req variant]
-    injects contention.  [telemetry] records per-request spans into
+    virtualized runtime with mARGOt selection.  [telemetry] records per-request spans into
     [span_log] (metrics always accumulate in
     {!Everest_telemetry.Metrics.default}).
     @raise Invalid_argument on unknown kernels. *)
 val serve :
   ?n:int ->
   ?goal:Autotune.Goal.t ->
-  ?slowdown:(int -> string -> float) ->
   ?telemetry:bool ->
   app ->
   kernel:string ->

@@ -47,16 +47,14 @@ let default_out_bytes kernel deps =
       match List.rev layers with [] -> 8 | last :: _ -> 8 * last * 1)
   |> fun b -> if b = 0 then List.fold_left (fun a n -> a + n.out_bytes) 8 deps else b
 
-let task ?(annots = []) ?out_bytes g name kernel ~deps =
+let task ?(annots = []) g name kernel ~deps =
   List.iter
     (fun d ->
       if d.nid >= g.next_id then invalid_arg "task: dependency from another graph")
     deps;
-  let out_bytes =
-    match out_bytes with Some b -> b | None -> default_out_bytes kernel deps
-  in
   add g
-    { nid = g.next_id; nname = name; kernel = Some kernel; deps; annots; out_bytes }
+    { nid = g.next_id; nname = name; kernel = Some kernel; deps; annots;
+      out_bytes = default_out_bytes kernel deps }
 
 let sink g name node = g.sinks <- (name, node) :: g.sinks
 

@@ -34,12 +34,11 @@ val create : string -> graph
 (** [source g name ~bytes] adds an external data source producing [bytes]. *)
 val source : ?annots:Annot.t list -> graph -> string -> bytes:int -> node
 
-(** [task g name kernel ~deps] adds a computation consuming [deps].
-    [out_bytes] defaults to an estimate from the kernel.
+(** [task g name kernel ~deps] adds a computation consuming [deps]; its
+    output size is estimated from the kernel.
     @raise Invalid_argument when a dependency belongs to another graph. *)
 val task :
   ?annots:Annot.t list ->
-  ?out_bytes:int ->
   graph ->
   string ->
   kernel ->

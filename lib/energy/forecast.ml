@@ -41,8 +41,8 @@ let features (e : Weather.ensemble) (truth : Weather.series) h =
 let effective_cfg cfg (p : Weather.params) =
   { cfg with train_days = max 2 (min cfg.train_days (p.Weather.days - 4)) }
 
-let train ?(cfg = default_config) ?(farm = Windfarm.default_farm)
-    (p : Weather.params) =
+let train ?(cfg = default_config) (p : Weather.params) =
+  let farm = Windfarm.default_farm in
   let cfg = effective_cfg cfg p in
   let truth = Weather.truth p in
   let power = Windfarm.production farm truth in
@@ -99,10 +99,9 @@ type eval = {
 }
 
 (* Evaluate day-ahead forecasts over the test days. *)
-let evaluate ?(cfg = default_config) ?(farm = Windfarm.default_farm)
-    (p : Weather.params) =
+let evaluate ?(cfg = default_config) (p : Weather.params) =
   let cfg = effective_cfg cfg p in
-  let f, truth, power, ensemble = train ~cfg ~farm p in
+  let f, truth, power, ensemble = train ~cfg p in
   let hours = Array.length truth in
   let start = cfg.train_days * 24 in
   let days = (hours - start) / 24 - 1 in
@@ -120,7 +119,7 @@ let evaluate ?(cfg = default_config) ?(farm = Windfarm.default_farm)
   let flat l = Array.concat (List.rev !l) in
   let pred = flat all_pred and truth_p = flat all_true in
   let persist = flat all_persist and climo = flat all_climo in
-  let rated = Windfarm.rated_farm_kw farm in
+  let rated = Windfarm.rated_farm_kw f.farm in
   let ramp_threshold = 0.3 *. rated in
   (* ramp events: hour-to-hour production change above 30% of rated power *)
   let ramp_conf pred truth =

@@ -20,11 +20,10 @@ type forecaster
 (** Feature vector of one forecast hour. *)
 val features : Weather.ensemble -> Weather.series -> int -> float array
 
-(** Train on the first [train_days]; returns the forecaster plus the truth,
-    production and ensemble used. *)
+(** Train on the first [train_days] of the default farm; returns the
+    forecaster plus the truth, production and ensemble used. *)
 val train :
   ?cfg:config ->
-  ?farm:Windfarm.farm ->
   Weather.params ->
   forecaster * Weather.series * float array * Weather.ensemble
 
@@ -47,8 +46,7 @@ type eval = {
 
 (** Day-ahead evaluation over the test days: (model, persistence,
     climatology). *)
-val evaluate :
-  ?cfg:config -> ?farm:Windfarm.farm -> Weather.params -> eval * eval * eval
+val evaluate : ?cfg:config -> Weather.params -> eval * eval * eval
 
 (** The headline study: per resolution, (resolution, model MAE, imbalance
     cost, flop/member). *)

@@ -18,9 +18,9 @@ let source ?(attrs = []) ctx name ty =
 let sink ?(attrs = []) ctx name v =
   op ctx "df.sink" [ v ] [] ~attrs:(("name", Attr.str name) :: attrs)
 
-let graph ?(attrs = []) ctx name body =
+let graph ctx name body =
   op ctx "df.graph" [] [] ~regions:[ simple_region body ]
-    ~attrs:(("name", Attr.str name) :: attrs)
+    ~attrs:[ ("name", Attr.str name) ]
 
 let verify_task (o : Ir.op) =
   match Ir.attr_sym "kernel" o with

@@ -23,6 +23,6 @@ val source : ?attrs:(string * Attr.t) list -> ctx -> string -> Types.t -> op
 val sink : ?attrs:(string * Attr.t) list -> ctx -> string -> value -> op
 
 (** Graph container holding the orchestration ops in its region. *)
-val graph : ?attrs:(string * Attr.t) list -> ctx -> string -> op list -> op
+val graph : ctx -> string -> op list -> op
 
 val register : unit -> unit

@@ -6,8 +6,7 @@
 
 open Ir
 
-let alloc ?(space = Types.Host) ctx elt shape =
-  op ctx "memref.alloc" [] [ Types.memref ~space elt shape ]
+let alloc ctx elt shape = op ctx "memref.alloc" [] [ Types.memref elt shape ]
 
 let dealloc ctx m = op ctx "memref.dealloc" [ m ] []
 

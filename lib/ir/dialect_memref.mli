@@ -6,7 +6,8 @@
 
 open Ir
 
-val alloc : ?space:Types.mem_space -> ctx -> Types.scalar -> int list -> op
+(** A host-memory buffer. *)
+val alloc : ctx -> Types.scalar -> int list -> op
 
 val dealloc : ctx -> value -> op
 

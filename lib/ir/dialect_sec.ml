@@ -30,11 +30,11 @@ let classify ctx v level =
   op ctx "sec.classify" [ v ] [ v.vty ]
     ~attrs:[ ("level", Attr.str (level_name level)) ]
 
-let encrypt ?(algo = "aes128-ctr") ctx v key =
-  op ctx "sec.encrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str algo) ]
+let encrypt ctx v key =
+  op ctx "sec.encrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str "aes128-ctr") ]
 
-let decrypt ?(algo = "aes128-ctr") ctx v key =
-  op ctx "sec.decrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str algo) ]
+let decrypt ctx v key =
+  op ctx "sec.decrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str "aes128-ctr") ]
 
 let taint ctx v = op ctx "sec.taint" [ v ] [ v.vty ]
 let check ctx v = op ctx "sec.check" [ v ] [ v.vty ]

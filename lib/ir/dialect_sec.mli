@@ -20,8 +20,11 @@ val level_rank : level -> int
 val level_leq : level -> level -> bool
 
 val classify : ctx -> value -> level -> op
-val encrypt : ?algo:string -> ctx -> value -> value -> op
-val decrypt : ?algo:string -> ctx -> value -> value -> op
+
+(** AES-128-CTR under [key]. *)
+val encrypt : ctx -> value -> value -> op
+
+val decrypt : ctx -> value -> value -> op
 
 val taint : ctx -> value -> op
 val check : ctx -> value -> op

@@ -164,7 +164,7 @@ type modul = { mname : string; funcs : func list; mattrs : (string * Attr.t) lis
 let func ?(attrs = []) name args ret_types body =
   { fname = name; fargs = args; fret_types = ret_types; fbody = body; fattrs = attrs }
 
-let modul ?(attrs = []) name funcs = { mname = name; funcs; mattrs = attrs }
+let modul name funcs = { mname = name; funcs; mattrs = [] }
 
 let find_func m name = List.find_opt (fun f -> String.equal f.fname name) m.funcs
 

@@ -99,7 +99,7 @@ val func :
   op list ->
   func
 
-val modul : ?attrs:(string * Attr.t) list -> string -> func list -> modul
+val modul : string -> func list -> modul
 val find_func : modul -> string -> func option
 
 val module_op_count : modul -> int

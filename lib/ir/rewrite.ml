@@ -30,8 +30,10 @@ let bump stats name =
   let n = try List.assoc name stats.applications with Not_found -> 0 in
   stats.applications <- (name, n + 1) :: List.remove_assoc name stats.applications
 
-(* Apply patterns over an op list until fixpoint (bounded). *)
-let apply_patterns ?(max_iterations = 20) ctx (patterns : pattern list) ops =
+(* Apply patterns over an op list until fixpoint, at most 20 sweeps. *)
+let max_iterations = 20
+
+let apply_patterns ctx (patterns : pattern list) ops =
   let patterns =
     List.sort (fun a b -> compare b.benefit a.benefit) patterns
   in
@@ -100,12 +102,9 @@ let apply_patterns ?(max_iterations = 20) ctx (patterns : pattern list) ops =
   in
   (fix 0 ops, stats)
 
-let apply_to_func ?max_iterations ctx patterns (f : Ir.func) =
-  let body, stats = apply_patterns ?max_iterations ctx patterns f.Ir.fbody in
+let apply_to_func ctx patterns (f : Ir.func) =
+  let body, stats = apply_patterns ctx patterns f.Ir.fbody in
   ({ f with Ir.fbody = body }, stats)
 
-let apply_to_module ?max_iterations ctx patterns (m : Ir.modul) =
-  let funcs =
-    List.map (fun f -> fst (apply_to_func ?max_iterations ctx patterns f)) m.Ir.funcs
-  in
-  { m with Ir.funcs }
+let apply_to_module ctx patterns (m : Ir.modul) =
+  { m with Ir.funcs = List.map (fun f -> fst (apply_to_func ctx patterns f)) m.Ir.funcs }

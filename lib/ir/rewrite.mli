@@ -29,17 +29,13 @@ val fold_to : Ir.op -> Ir.value -> Ir.op list -> produced option
 (** Rewrite statistics: how often each pattern applied. *)
 type stats = { mutable applications : (string * int) list }
 
-(** Apply [patterns] over an op list until fixpoint (bounded by
-    [max_iterations]). *)
+(** Apply [patterns] over an op list until fixpoint, at most 20 sweeps. *)
 val apply_patterns :
-  ?max_iterations:int ->
   Ir.ctx ->
   pattern list ->
   Ir.op list ->
   Ir.op list * stats
 
-val apply_to_func :
-  ?max_iterations:int -> Ir.ctx -> pattern list -> Ir.func -> Ir.func * stats
+val apply_to_func : Ir.ctx -> pattern list -> Ir.func -> Ir.func * stats
 
-val apply_to_module :
-  ?max_iterations:int -> Ir.ctx -> pattern list -> Ir.modul -> Ir.modul
+val apply_to_module : Ir.ctx -> pattern list -> Ir.modul -> Ir.modul

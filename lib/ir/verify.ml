@@ -61,10 +61,8 @@ let verify_func ?(allow_unregistered = false) (f : Ir.func) : diag list =
   ignore (check_ops scope0 f.Ir.fbody);
   List.rev !diags
 
-let verify_module ?(allow_unregistered = false) (m : Ir.modul) : diag list =
-  let per_func =
-    List.concat_map (verify_func ~allow_unregistered) m.Ir.funcs
-  in
+let verify_module (m : Ir.modul) : diag list =
+  let per_func = List.concat_map verify_func m.Ir.funcs in
   let calls = ref [] in
   List.iter
     (fun (f : Ir.func) ->
@@ -102,8 +100,8 @@ let verify_module ?(allow_unregistered = false) (m : Ir.modul) : diag list =
   in
   per_func @ call_diags
 
-let check_module ?allow_unregistered m =
-  match verify_module ?allow_unregistered m with
+let check_module m =
+  match verify_module m with
   | [] -> Ok ()
   | ds -> Error ds
 

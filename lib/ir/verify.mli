@@ -16,10 +16,9 @@ val pp_diag : Format.formatter -> diag -> unit
 val verify_func : ?allow_unregistered:bool -> Ir.func -> diag list
 
 (** Per-function diagnostics plus call-graph checks. *)
-val verify_module : ?allow_unregistered:bool -> Ir.modul -> diag list
+val verify_module : Ir.modul -> diag list
 
 (** [Ok ()] when the module is clean. *)
-val check_module :
-  ?allow_unregistered:bool -> Ir.modul -> (unit, diag list) result
+val check_module : Ir.modul -> (unit, diag list) result
 
 val errors_to_string : diag list -> string

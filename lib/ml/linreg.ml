@@ -3,7 +3,11 @@
 
 type t = { weights : float array; bias : float }
 
-let fit ?(lambda = 1e-6) (xs : float array array) (ys : float array) : t =
+(* The ridge term keeps the normal equations solvable for collinear
+   features. *)
+let lambda = 1e-6
+
+let fit (xs : float array array) (ys : float array) : t =
   let n = Array.length xs in
   if n = 0 then invalid_arg "linreg: empty";
   let d = Array.length xs.(0) in

@@ -3,9 +3,9 @@
 
 type t = { weights : float array; bias : float }
 
-(** @raise Invalid_argument on empty input.
-    @raise Failure on (unregularized) singular systems. *)
-val fit : ?lambda:float -> float array array -> float array -> t
+(** Ridge weight 1e-6.
+    @raise Invalid_argument on empty input. *)
+val fit : float array array -> float array -> t
 
 (** Kept for PAPER.md §1's ML substrate row (linear regression). *)
 val predict : t -> float array -> float

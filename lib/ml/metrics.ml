@@ -34,7 +34,8 @@ let r2 pred truth =
 (* Asymmetric imbalance cost of energy-market forecasting: under-forecasting
    (producing more than sold) is cheaper than over-forecasting (buying
    balancing energy). *)
-let imbalance_cost ?(under_price = 20.0) ?(over_price = 60.0) pred truth =
+let imbalance_cost pred truth =
+  let under_price = 20.0 and over_price = 60.0 in
   check_lengths pred truth;
   let acc = ref 0.0 in
   Array.iteri

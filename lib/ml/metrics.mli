@@ -10,9 +10,9 @@ val mean : float array -> float
 val r2 : float array -> float array -> float
 
 (** Asymmetric energy-market imbalance cost: over-forecasting (buying
-    balancing energy) is priced higher than under-forecasting. *)
-val imbalance_cost :
-  ?under_price:float -> ?over_price:float -> float array -> float array -> float
+    balancing energy) is priced at 60 per unit, three times
+    under-forecasting. *)
+val imbalance_cost : float array -> float array -> float
 
 (** Binary-event skill on threshold exceedances. *)
 type confusion = { tp : int; fp : int; fn : int; tn : int }

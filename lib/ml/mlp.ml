@@ -67,9 +67,11 @@ let forward_trace net x =
   in
   go x net.layers
 
+(* Weight of the previous step in the SGD velocity buffers. *)
+let momentum = 0.9
+
 (* One SGD step on a batch; returns batch MSE loss. *)
-let train_batch ?(lr = 0.01) ?(momentum = 0.9) (net : t)
-    (xs : float array array) (ys : float array array) =
+let train_batch ?(lr = 0.01) (net : t) (xs : float array array) (ys : float array array) =
   let n = Array.length xs in
   if n = 0 then 0.0
   else begin
@@ -146,15 +148,14 @@ let train_batch ?(lr = 0.01) ?(momentum = 0.9) (net : t)
     !loss /. float_of_int n
   end
 
-let fit ?(epochs = 100) ?(lr = 0.01) ?(momentum = 0.9) ?(batch_size = 32)
-    ?(seed = 11) (net : t) xs ys =
-  let rng = Rng.create seed in
+let fit ?(epochs = 100) ?(lr = 0.01) ?(batch_size = 32) (net : t) xs ys =
+  let rng = Rng.create 11 in
   let losses = ref [] in
   for _e = 1 to epochs do
     let epoch_loss = ref 0.0 and nb = ref 0 in
     List.iter
       (fun (bx, by) ->
-        epoch_loss := !epoch_loss +. train_batch ~lr ~momentum net bx by;
+        epoch_loss := !epoch_loss +. train_batch ~lr net bx by;
         incr nb)
       (Dataset.batches rng ~batch_size xs ys);
     losses := (!epoch_loss /. float_of_int (max 1 !nb)) :: !losses

@@ -15,17 +15,15 @@ val create : ?seed:int -> layers:int list -> activation:activation -> unit -> t
 
 val forward : t -> float array -> float array
 
-(** One SGD step on a batch; returns the batch MSE. *)
-val train_batch :
-  ?lr:float -> ?momentum:float -> t -> float array array -> float array array -> float
+(** One SGD step (momentum 0.9) on a batch; returns the batch MSE. *)
+val train_batch : ?lr:float -> t -> float array array -> float array array -> float
 
-(** Mini-batch training; returns the per-epoch loss curve. *)
+(** Mini-batch training of {!train_batch} steps with a fixed shuffle seed;
+    returns the per-epoch loss curve. *)
 val fit :
   ?epochs:int ->
   ?lr:float ->
-  ?momentum:float ->
   ?batch_size:int ->
-  ?seed:int ->
   t ->
   float array array ->
   float array array ->

@@ -54,11 +54,11 @@ let clear t =
 
 (* Publish the counters as gauges labelled by cache name.  Call from a
    single domain (the metrics registry is not written concurrently). *)
-let publish ?registry t =
+let publish t =
   let s = stats t in
   let module M = Everest_telemetry.Metrics in
   let g name v =
-    M.set (M.gauge ?registry ~labels:[ ("cache", t.name) ] name)
+    M.set (M.gauge ~labels:[ ("cache", t.name) ] name)
       (float_of_int v)
   in
   g "cache_hits" s.hits;

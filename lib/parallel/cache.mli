@@ -28,5 +28,6 @@ val stats : 'a t -> stats
 val clear : 'a t -> unit
 
 (** Publish [cache_hits] / [cache_misses] / [cache_entries] gauges labelled
-    [cache=<name>].  Call from a single domain. *)
-val publish : ?registry:Everest_telemetry.Metrics.registry -> 'a t -> unit
+    [cache=<name>] into {!Everest_telemetry.Metrics.default}.  Call from a
+    single domain. *)
+val publish : 'a t -> unit

@@ -192,16 +192,16 @@ let stats t =
   a
 
 (* Per-domain task gauges, published from the submitting domain. *)
-let publish_stats ?registry t =
+let publish_stats t =
   let module M = Everest_telemetry.Metrics in
   Array.iteri
     (fun i n ->
       M.set
-        (M.gauge ?registry ~labels:[ ("domain", string_of_int i) ]
+        (M.gauge ~labels:[ ("domain", string_of_int i) ]
            "pool_domain_tasks")
         (float_of_int n))
     (stats t);
-  M.set (M.gauge ?registry "pool_domains") (float_of_int t.size)
+  M.set (M.gauge "pool_domains") (float_of_int t.size)
 
 (* ---- process-wide default pool -------------------------------------------------- *)
 

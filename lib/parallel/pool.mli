@@ -45,8 +45,9 @@ val parallel_reduce :
 val stats : t -> int array
 
 (** Publish {!stats} as [pool_domain_tasks{domain="i"}] gauges plus a
-    [pool_domains] gauge.  Call from the submitting domain only. *)
-val publish_stats : ?registry:Everest_telemetry.Metrics.registry -> t -> unit
+    [pool_domains] gauge into {!Everest_telemetry.Metrics.default}.  Call
+    from the submitting domain only. *)
+val publish_stats : t -> unit
 
 (** The process-wide shared pool used by callers that do not pass one,
     created on first use with {!default_domains}. *)

@@ -67,7 +67,7 @@ let transfer_time c ~(src : Node.t) ~(dst : Node.t) ~bytes =
   if src == dst then 0.0
   else Spec.transfer_time (link_between c src dst) ~bytes
 
-let run ?until c = Desim.run ?until c.sim
+let run c = Desim.run c.sim
 let elapsed c = Desim.now c.sim
 
 let total_energy c =

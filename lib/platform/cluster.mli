@@ -29,7 +29,7 @@ val link_between : t -> Node.t -> Node.t -> Spec.link
 val transfer : t -> src:Node.t -> dst:Node.t -> bytes:int -> (unit -> unit) -> unit
 
 val transfer_time : t -> src:Node.t -> dst:Node.t -> bytes:int -> float
-val run : ?until:float -> t -> unit
+val run : t -> unit
 val elapsed : t -> float
 
 (** Total energy of all nodes including idle floors over the elapsed time. *)

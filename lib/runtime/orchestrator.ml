@@ -67,8 +67,8 @@ let create ?tracer ?(registry = Metrics.default) (cluster : Cluster.t) ~host_nam
   { cluster; host; vm; vfpga_mgr; vctx; tracer; registry; kernels = [] }
 
 (* Tracer on the cluster's simulated clock, for [?tracer] at [create]. *)
-let sim_tracer ?capacity (cluster : Cluster.t) =
-  Trace.create ?capacity ~clock:(fun () -> Desim.now cluster.Cluster.sim) ()
+let sim_tracer (cluster : Cluster.t) =
+  Trace.create ~clock:(fun () -> Desim.now cluster.Cluster.sim) ()
 
 let deploy ?breaker orch ~kname ~impls ~(knowledge : Knowledge.t)
     ~(goal : Goal.t) =

@@ -61,7 +61,7 @@ val create :
   t
 
 (** A tracer driven by the cluster's simulated clock. *)
-val sim_tracer : ?capacity:int -> Cluster.t -> Everest_telemetry.Trace.t
+val sim_tracer : Cluster.t -> Everest_telemetry.Trace.t
 
 (** Snapshot the runtime layers — tuner selections and switches, breaker
     states, each kernel's SLO verdicts, vFPGA activity and the cluster —

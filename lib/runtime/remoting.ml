@@ -40,8 +40,7 @@ exception Call_failed of { attempts : int }
    exponential backoff on the simulated clock; when the budget runs out the
    continuation is abandoned and [on_give_up] fires (default: raise
    [Call_failed] from inside the simulation). *)
-let invoke ?(fail = fun ~attempt:_ -> false) ?(retries = 0)
-    ?(backoff = Everest_resilience.Policy.default_backoff) ?on_give_up sim t
+let invoke ?(fail = fun ~attempt:_ -> false) ?(retries = 0) ?on_give_up sim t
     ~calls ~bytes_per_call k =
   let c = cost t ~calls ~bytes_per_call in
   let give_up =
@@ -58,7 +57,8 @@ let invoke ?(fail = fun ~attempt:_ -> false) ?(retries = 0)
             (* keyed off the attempt number so repeat invocations draw the
                same jitter: remoted retries stay reproducible *)
             let rng = Everest_parallel.Rng.create (attempt * 7919) in
-            Everest_resilience.Policy.next_delay backoff ~rng ~prev:prev_delay
+            Everest_resilience.Policy.(next_delay default_backoff) ~rng
+              ~prev:prev_delay
           in
           Everest_platform.Desim.schedule sim delay (fun () ->
               go ~attempt:(attempt + 1) ~prev_delay:delay))

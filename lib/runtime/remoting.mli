@@ -29,13 +29,13 @@ exception Call_failed of { attempts : int }
 
     [fail ~attempt] is a deterministic fault hook evaluated when the
     crossing completes ([true] = the transport dropped the call); failed
-    attempts are retried up to [retries] times with exponential backoff on
-    the simulated clock.  When the budget runs out, [on_give_up] fires with
-    the attempt count (default: raise {!Call_failed}). *)
+    attempts are retried up to [retries] times with
+    {!Everest_resilience.Policy.default_backoff} on the simulated clock.
+    When the budget runs out, [on_give_up] fires with the attempt count
+    (default: raise {!Call_failed}). *)
 val invoke :
   ?fail:(attempt:int -> bool) ->
   ?retries:int ->
-  ?backoff:Everest_resilience.Policy.backoff ->
   ?on_give_up:(attempts:int -> unit) ->
   Everest_platform.Desim.t ->
   transport ->

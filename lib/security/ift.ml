@@ -168,7 +168,7 @@ let analyze_func ?(arg_levels = []) (f : Ir.func) : flow_violation list =
   walk f.Ir.fbody;
   List.rev !violations
 
-let analyze_module ?arg_levels (m : Ir.modul) =
+let analyze_module (m : Ir.modul) =
   List.concat_map
-    (fun f -> List.map (fun v -> (f.Ir.fname, v)) (analyze_func ?arg_levels f))
+    (fun f -> List.map (fun v -> (f.Ir.fname, v)) (analyze_func f))
     m.Ir.funcs

@@ -29,7 +29,4 @@ val join : level -> level -> level
 val analyze_func : ?arg_levels:level list -> Everest_ir.Ir.func -> flow_violation list
 
 (** Violations across the module, tagged with the containing function. *)
-val analyze_module :
-  ?arg_levels:level list ->
-  Everest_ir.Ir.modul ->
-  (string * flow_violation) list
+val analyze_module : Everest_ir.Ir.modul -> (string * flow_violation) list

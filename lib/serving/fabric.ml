@@ -1171,15 +1171,14 @@ let run ?(registry = Metrics.default) ?recovery ?watch config ~deploy ~tenants
    to completion: replay-verify the journal tail, then continue live.
    The result must be byte-identical (render_log / render_slos /
    render_summary) to the same-seed uninterrupted run. *)
-let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
-    ~tenants ~horizon =
+let resume ?(registry = Metrics.default) ~recovery config ~deploy ~tenants
+    ~horizon =
   check_horizon "Fabric.resume" horizon;
   let t0_wall = Sys.time () in
   let st =
     mk_state ~registry config ~deploy ~tenants ~horizon
-      ~recovery:(Some recovery) ~watch
+      ~recovery:(Some recovery) ~watch:None
   in
-  (match watch with Some w -> attach_watch st w | None -> ());
   let plan = Store.plan_resume recovery.rv_store in
   let corrupt why = raise (Store.Recovery_error (Store.Corrupt why)) in
   (try
@@ -1211,9 +1210,6 @@ let resume ?(registry = Metrics.default) ?watch ~recovery config ~deploy
   st.st_last_snap <- Desim.now st.st_sim;
   Desim.run st.st_sim;
   let result = finish st in
-  (match watch with
-  | Some w -> ignore (Watch.tick w ~now:(Desim.now st.st_sim))
-  | None -> ());
   let g name v = Metrics.set (Metrics.gauge ~registry name) v in
   g "recovery_restore_cpu_s" (Sys.time () -. t0_wall);
   g "recovery_resume_snapshot" (float_of_int plan.Store.r_index);

@@ -167,7 +167,6 @@ val run :
     @raise Invalid_argument unless [horizon] is finite and > 0. *)
 val resume :
   ?registry:Everest_telemetry.Metrics.registry ->
-  ?watch:Everest_watch.Watch.t ->
   recovery:recovery ->
   config ->
   deploy:(Orch.t -> unit) ->

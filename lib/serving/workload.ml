@@ -67,10 +67,10 @@ let open_tenant ?(diurnal_amplitude = 0.0) ?(diurnal_period_s = 1.0) ?burst
         { rate_rps; diurnal_amplitude; diurnal_period_s = diurnal_period_s;
           burst } }
 
-let closed_tenant ?(features = no_features) ~name ~kernel ~users ~think_s () =
+let closed_tenant ~name ~kernel ~users ~think_s () =
   if users <= 0 then invalid_arg "Workload.closed_tenant: users <= 0";
   check_positive "Workload.closed_tenant" "think_s" think_s;
-  { t_name = name; t_kernel = kernel; t_features = features;
+  { t_name = name; t_kernel = kernel; t_features = no_features;
     t_arrival = Closed { users; think_s } }
 
 type request = {

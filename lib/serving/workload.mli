@@ -54,11 +54,11 @@ val open_tenant :
   unit ->
   tenant
 
-(** A closed-loop tenant: [users] clients with mean [think_s] think time.
+(** A closed-loop tenant: [users] clients with mean [think_s] think time,
+    sending requests without data features.
     @raise Invalid_argument unless [users] > 0 and [think_s] is finite
     and > 0. *)
 val closed_tenant :
-  ?features:(int -> (string * float) list) ->
   name:string ->
   kernel:string ->
   users:int ->

@@ -11,11 +11,13 @@ type ping = {
   speed_ms : float;
 }
 
+(* Seconds between two pings of one vehicle. *)
+let report_every_s = 5.0
+
 (* Generate pings for [n_vehicles] random O/D trips departing uniformly over
    [periods] hours. *)
-let generate ?(seed = 31) ?(report_every_s = 5.0) (st : Simulator.state)
-    ~n_vehicles : ping list =
-  let rng = Rng.create seed in
+let generate (st : Simulator.state) ~n_vehicles : ping list =
+  let rng = Rng.create 31 in
   let net = st.Simulator.net in
   let pings = ref [] in
   for v = 0 to n_vehicles - 1 do

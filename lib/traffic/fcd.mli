@@ -4,10 +4,9 @@
 
 type ping = { vehicle : int; time_s : float; link : int; speed_ms : float }
 
-(** Pings for [n_vehicles] random O/D trips departing uniformly over the
-    simulated periods; speeds carry measurement noise. *)
-val generate :
-  ?seed:int -> ?report_every_s:float -> Simulator.state -> n_vehicles:int -> ping list
+(** Pings every 5 s for [n_vehicles] random O/D trips departing uniformly
+    over the simulated periods; speeds carry measurement noise. *)
+val generate : Simulator.state -> n_vehicles:int -> ping list
 
 val count : ping list -> int
 val bytes_per_ping : int

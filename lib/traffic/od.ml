@@ -17,8 +17,8 @@ let peak_factor hour =
   0.15 +. (1.0 *. bump 8.0 1.5) +. (0.9 *. bump 17.5 2.0)
 
 (* Gravity model: attraction falls with grid distance between zones. *)
-let gravity ?(seed = 13) ~n_zones ~total_trips_per_hour ~cols () =
-  let rng = Rng.create seed in
+let gravity ~n_zones ~total_trips_per_hour ~cols () =
+  let rng = Rng.create 13 in
   let weights = Array.init n_zones (fun _ -> 0.5 +. Rng.float rng) in
   let pos i = (i / cols, i mod cols) in
   let raw = Array.make (n_zones * n_zones) 0.0 in

@@ -11,7 +11,6 @@ val peak_factor : int -> float
 
 (** Gravity model: attraction falls with grid distance between zones.
     [cols] gives the zone grid width for the distance metric. *)
-val gravity :
-  ?seed:int -> n_zones:int -> total_trips_per_hour:float -> cols:int -> unit -> t
+val gravity : n_zones:int -> total_trips_per_hour:float -> cols:int -> unit -> t
 
 val demand : t -> from_zone:int -> to_zone:int -> hour:int -> float

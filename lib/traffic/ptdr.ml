@@ -44,15 +44,15 @@ let monte_carlo ?(seed = 51) (net : Roadnet.t) (prof : Profiles.t)
   summarize samples
 
 (* Route choice under reliability: among candidate routes, pick the one with
-   the best [quantile] travel time (risk-averse routing). *)
-let reliable_route ?(seed = 52) ?(n_samples = 200) ?(quantile = 0.9)
-    (net : Roadnet.t) (prof : Profiles.t) (routes : Routing.path list) ~depart
-    =
+   the best 90th-percentile travel time over 200 samples (risk-averse
+   routing). *)
+let reliable_route (net : Roadnet.t) (prof : Profiles.t) (routes : Routing.path list)
+    ~depart =
   let scored =
     List.map
       (fun r ->
-        let d = monte_carlo ~seed net prof r ~depart ~n_samples in
-        (r, Metrics.percentile d.samples quantile))
+        let d = monte_carlo ~seed:52 net prof r ~depart ~n_samples:200 in
+        (r, Metrics.percentile d.samples 0.9))
       routes
   in
   List.fold_left
@@ -63,11 +63,11 @@ let reliable_route ?(seed = 52) ?(n_samples = 200) ?(quantile = 0.9)
     None scored
 
 (* Convergence study: half-width of the mean's 95% CI versus sample count. *)
-let convergence ?(seed = 53) (net : Roadnet.t) (prof : Profiles.t)
-    (route : Routing.path) ~depart ~sample_counts =
+let convergence (net : Roadnet.t) (prof : Profiles.t) (route : Routing.path)
+    ~depart ~sample_counts =
   List.map
     (fun n ->
-      let d = monte_carlo ~seed net prof route ~depart ~n_samples:n in
+      let d = monte_carlo ~seed:53 net prof route ~depart ~n_samples:n in
       let sd = Metrics.stddev d.samples in
       (n, d.mean, 1.96 *. sd /. sqrt (float_of_int n)))
     sample_counts

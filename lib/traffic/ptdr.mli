@@ -28,11 +28,9 @@ val monte_carlo :
   n_samples:int ->
   distribution
 
-(** Among candidate routes, the one with the best [quantile] travel time. *)
+(** Among candidate routes, the one with the best 90th-percentile travel
+    time over 200 samples. *)
 val reliable_route :
-  ?seed:int ->
-  ?n_samples:int ->
-  ?quantile:float ->
   Roadnet.t ->
   Profiles.t ->
   Routing.path list ->
@@ -41,7 +39,6 @@ val reliable_route :
 
 (** (samples, mean, 95% CI half-width) per requested sample count. *)
 val convergence :
-  ?seed:int ->
   Roadnet.t ->
   Profiles.t ->
   Routing.path ->

@@ -40,7 +40,8 @@ let free_flow_time l = l.length_m /. l.free_speed_ms
 
 (* Grid city: [rows] x [cols] intersections, bidirectional streets, a faster
    "arterial" ring. *)
-let grid_city ?(rows = 8) ?(cols = 8) ?(block_m = 400.0) () =
+let grid_city ?(rows = 8) ?(cols = 8) () =
+  let block_m = 400.0 in
   let node r c = (r * cols) + c in
   let links = ref [] in
   let next = ref 0 in

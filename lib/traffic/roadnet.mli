@@ -27,9 +27,9 @@ val link : t -> int -> link
 val n_links : t -> int
 val free_flow_time : link -> float
 
-(** [rows] x [cols] intersections, bidirectional streets, a faster arterial
-    ring. *)
-val grid_city : ?rows:int -> ?cols:int -> ?block_m:float -> unit -> t
+(** [rows] x [cols] intersections 400 m apart, bidirectional streets, a
+    faster arterial ring. *)
+val grid_city : ?rows:int -> ?cols:int -> unit -> t
 
 (** BPR volume-delay: travel time rising with the volume/capacity ratio. *)
 val bpr_time : link -> volume_vph:float -> float

@@ -154,8 +154,7 @@ let layered ?(seed = 1) ~layers ~width ~flops ~bytes () =
 
 (* Fork-join: one source fans out to [width] parallel workers, joined by a
    reducer — the shape of ensemble weather processing. *)
-let fork_join ?(name = "fork-join") ~width ~worker_flops ~worker_bytes
-    ~chunk_bytes () =
+let fork_join ~width ~worker_flops ~worker_bytes ~chunk_bytes () =
   let src =
     task ~id:0 ~name:"source" ~inputs:[] ~out_bytes:(width * chunk_bytes)
       ~impls:[ Cpu { flops = 1e6; bytes = float_of_int (width * chunk_bytes); threads = 1 } ]
@@ -176,7 +175,7 @@ let fork_join ?(name = "fork-join") ~width ~worker_flops ~worker_bytes
       ~impls:[ Cpu { flops = 1e7; bytes = float_of_int (width * chunk_bytes); threads = 1 } ]
       ()
   in
-  create name ((src :: workers) @ [ join ])
+  create "fork-join" ((src :: workers) @ [ join ])
 
 (* Ensemble: [members] independent [stages]-deep chains fed by one source
    and joined by a reducer — the Estee "ensemble of simulations" family.

@@ -80,9 +80,8 @@ val layered :
   ?seed:int -> layers:int -> width:int -> flops:float -> bytes:float -> unit -> t
 
 (** One source fanning out to [width] workers joined by a reducer — the
-    shape of ensemble weather processing. *)
+    shape of ensemble weather processing.  The DAG is named ["fork-join"]. *)
 val fork_join :
-  ?name:string ->
   width:int ->
   worker_flops:float ->
   worker_bytes:float ->

@@ -27,7 +27,6 @@ module Health = Everest_resilience.Health
 module Lineage = Everest_resilience.Lineage
 module Rng = Everest_parallel.Rng
 module Observe = Everest_observe
-module Watch = Everest_watch.Watch
 
 type stats = {
   makespan : float;
@@ -200,7 +199,7 @@ let rec run_impl sim (node : Node.t) (impl : Dag.impl) k =
 
 let execute ?(faults = Faults.none) ?(policy = Policy.default)
     ?(tracer = Trace.noop) ?(registry = Metrics.default) ?(plan_lint = true)
-    ?checkpoint ?watch (c : Cluster.t) (plan : Scheduler.plan) : stats =
+    ?checkpoint (c : Cluster.t) (plan : Scheduler.plan) : stats =
   if plan_lint then Planlint.gate c plan;
   let dag = plan.Scheduler.dag in
   let sim = c.Cluster.sim in
@@ -217,9 +216,6 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
   and m_transfers = Metrics.counter ~registry ~labels "workflow_transfers_total"
   and h_task = Metrics.histogram ~registry ~labels "workflow_task_duration_s"
   and h_xfer = Metrics.histogram ~registry ~labels "workflow_transfer_s" in
-  (match watch with
-  | Some w -> Watch.add_source w (Everest_watch.Scrape.of_registry registry)
-  | None -> ());
   let trace_on = not (Trace.is_noop tracer) in
   (* one render track per node, in cluster order, with the node's constant
      span attributes precomputed alongside *)
@@ -502,15 +498,6 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
       finish.(i) <- now;
       Metrics.inc m_tasks;
       Metrics.observe h_task (now -. t_start);
-      (* read-only watch hook: task durations feed the windowed sketch,
-         completions gate the interval scrape — no events, no feedback *)
-      (match watch with
-      | Some w ->
-          Watch.observe w ~now
-            ~labels:[ ("node", tk.tk_node.Node.name) ]
-            "task_duration" (now -. t_start);
-          Watch.maybe_tick w ~now
-      | None -> ());
       Option.iter (fun s -> Trace.finish tracer ~attrs:ok_attrs s) tk.tk_span;
       (* abandon racing duplicates: the winner's output is authoritative *)
       List.iter

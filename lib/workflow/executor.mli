@@ -71,12 +71,7 @@ exception Execution_failed of { reason : string; partial : stats }
     @raise Everest_recovery.Journal.Crashed when a crash armed on the
     checkpoint store triggers.
     @raise Everest_recovery.Store.Recovery_error when replay diverges from
-    the journal or a snapshot anchor.
-
-    [watch] attaches a strictly read-only observer: the registry is
-    scraped on the watch's interval (gated on task completions), and each
-    first completion feeds its ["task_duration"] windowed sketch.
-    Watching never perturbs the simulated run. *)
+    the journal or a snapshot anchor. *)
 val execute :
   ?faults:Everest_resilience.Faults.t ->
   ?policy:Everest_resilience.Policy.t ->
@@ -84,7 +79,6 @@ val execute :
   ?registry:Everest_telemetry.Metrics.registry ->
   ?plan_lint:bool ->
   ?checkpoint:Checkpoint.t ->
-  ?watch:Everest_watch.Watch.t ->
   Everest_platform.Cluster.t ->
   Scheduler.plan ->
   stats

@@ -660,8 +660,8 @@ let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
 let check ?dag ?excluded ?slos ?deadline_s c plan =
   (analyze ?dag ?excluded ?slos ?deadline_s c plan).pl_diags
 
-let gate ?dag ?excluded ?slos ?deadline_s c plan =
-  let diags = check ?dag ?excluded ?slos ?deadline_s c plan in
+let gate c plan =
+  let diags = check c plan in
   if Lint.has_errors diags then
     raise
       (Plan_invalid

@@ -114,13 +114,7 @@ val check :
   Scheduler.plan ->
   Everest_analysis.Lint.diag list
 
-(** Pre-run gate: {!check}, then raise on errors (warnings pass).
+(** Pre-run gate: {!check} with its defaults, then raise on errors
+    (warnings pass).
     @raise Plan_invalid when any diagnostic has error severity. *)
-val gate :
-  ?dag:Dag.t ->
-  ?excluded:string list ->
-  ?slos:Everest_observe.Slo.spec list ->
-  ?deadline_s:float ->
-  Everest_platform.Cluster.t ->
-  Scheduler.plan ->
-  unit
+val gate : Everest_platform.Cluster.t -> Scheduler.plan -> unit

@@ -107,8 +107,8 @@ type delta_sample = {
   ds_delta_makespan_s : float;  (* simulated, repaired plan *)
 }
 
-let run_delta ?(seed = 17) ?(execute = true) family ~tasks ~dead =
-  let dag = make_dag ~seed family ~tasks in
+let run_delta ?(execute = true) family ~tasks ~dead =
+  let dag = make_dag family ~tasks in
   let n = Dag.size dag in
   let c = Cluster.everest_demonstrator () in
   let base = Scheduler.heft c dag in
@@ -159,11 +159,11 @@ type telemetry_sample = {
    GC pacing and scheduler noise, and min-of-N is the standard low-noise
    estimator for deterministic work (both phases replay identical events,
    so the minimum is the run with the least interference). *)
-let run_telemetry ?(seed = 17) ?(repeats = 3) ~tasks () =
+let run_telemetry ?(repeats = 3) ~tasks () =
   let min_run = ref infinity and min_report = ref infinity in
   let n_tasks = ref 0 and n_spans = ref 0 in
   for _ = 1 to max 1 repeats do
-    let dag = make_dag ~seed Layered ~tasks in
+    let dag = make_dag Layered ~tasks in
     let n = Dag.size dag in
     let c = Cluster.everest_demonstrator () in
     let tracer =

@@ -47,9 +47,9 @@ type delta_sample = {
 }
 
 (** Time [Scheduler.heft ~exclude] against [Scheduler.heft_delta] for the
-    death of node [dead], then simulate both repaired plans. *)
-val run_delta :
-  ?seed:int -> ?execute:bool -> family -> tasks:int -> dead:string -> delta_sample
+    death of node [dead] on the seed-17 DAG, then simulate both repaired
+    plans. *)
+val run_delta : ?execute:bool -> family -> tasks:int -> dead:string -> delta_sample
 
 type telemetry_sample = {
   ts_tasks : int;
@@ -63,8 +63,7 @@ type telemetry_sample = {
     drops) and force the full Observe report.  Both walls are minima over
     [repeats] identical pipelines (default 3) — min-of-N is the low-noise
     estimator for deterministic replay on a shared machine. *)
-val run_telemetry :
-  ?seed:int -> ?repeats:int -> tasks:int -> unit -> telemetry_sample
+val run_telemetry : ?repeats:int -> tasks:int -> unit -> telemetry_sample
 
 (** One-line JSON objects for the BENCH_e17.json emitter. *)
 val sample_json : sample -> string

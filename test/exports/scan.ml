@@ -1,12 +1,15 @@
 (* Export scan: which exports of the libraries under lib/ does nothing
-   call?
+   call, and which of their optional parameters does nothing pass?
 
    Run from the workspace root, it prints one sorted line per export that
    no caller references, [unreferenced <library> <Module>.<name>], or that
-   only test/ references, [test-only <library> <Module>.<name>], then the
-   totals.  test/exports/dune diffs that output against
-   exports.expected in `dune runtest`, so a new dead export fails the
-   tests; re-record with `dune runtest test/exports --auto-promote`.
+   only test/ references, [test-only <library> <Module>.<name>]; one per
+   optional parameter of an .mli [val] that no caller passes,
+   [unpassed <library> <Module>.<name> ?<label>], or that only test/
+   passes, [test-only-option ...]; then the totals.  test/exports/dune
+   diffs that output against exports.expected in `dune runtest`, so a new
+   dead export or option fails the tests; re-record with
+   `dune runtest test/exports --auto-promote`.
 
    - An export is a top-level [val] of a lib/**/*.mli, or a top-level
      [let] of a lib/ module that has no .mli.
@@ -21,6 +24,10 @@
      [let open], [M.( ... )]), and in [M]'s own .ml outside the top-level
      binding that defines it.  A module passed whole (included, applied,
      packed) counts as a reference to all of its exports.
+   - An application whose head is a reference passes the options it
+     labels, [~l] or [?l].  A reference anywhere else (an argument, a
+     partial application's result bound to a name) counts as passing all
+     of the export's options, so the scan never reports a passed one.
    - A module name two libraries define ([Rng], [Dataflow]) resolves to
      the referring file's own library and the library wrappers it opens,
      else to the libraries its dune file lists, else to both; every
@@ -118,8 +125,9 @@ let parse f path =
 type uses = {
   mutable opens : Longident.t list;
   mutable aliases : (string * Longident.t) list;
-  mutable idents : (Longident.t * bool) list;
-      (* [true]: a bare name inside the top-level binding that defines it *)
+  mutable idents : (Longident.t * bool * string list option) list;
+      (* [true]: a bare name inside the top-level binding that defines it;
+         [Some labels]: the head of an application passing [labels] *)
   mutable whole : Longident.t list;
 }
 
@@ -157,11 +165,20 @@ let uses_of str =
     | Some x, Some l -> u.aliases <- (x, l) :: u.aliases
     | _ -> it.Ast_iterator.module_expr it me
   in
+  let use txt passed =
+    let own = match txt with Longident.Lident n -> List.mem n !defining | _ -> false in
+    u.idents <- (txt, own, passed) :: u.idents
+  in
   let expr it e =
     match e.pexp_desc with
-    | Pexp_ident { txt; _ } ->
-        let own = match txt with Lident n -> List.mem n !defining | _ -> false in
-        u.idents <- (txt, own) :: u.idents
+    | Pexp_ident { txt; _ } -> use txt None
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+        let label = function
+          | Asttypes.Labelled l, _ | Asttypes.Optional l, _ -> Some l
+          | Asttypes.Nolabel, _ -> None
+        in
+        use txt (Some (List.filter_map label args));
+        List.iter (fun (_, arg) -> it.Ast_iterator.expr it arg) args
     | Pexp_letmodule (x, me, body) ->
         alias it x.txt me;
         it.expr it body
@@ -193,6 +210,13 @@ let uses_of str =
     str;
   u
 
+(* The optional parameters of a [val]'s type, in order. *)
+let rec options t =
+  match t.ptyp_desc with
+  | Ptyp_arrow (Optional l, _, rest) -> l :: options rest
+  | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> options rest
+  | _ -> []
+
 let rec components = function
   | Longident.Lident s -> Some [ s ]
   | Ldot (l, s) -> Option.map (fun c -> c @ [ s ]) (components l)
@@ -213,6 +237,12 @@ let () =
   (* (library, module, name) -> (referenced by a caller, by a test) *)
   let exports : (string * string * string, bool ref * bool ref) Hashtbl.t =
     Hashtbl.create 2048
+  in
+  (* (library, module, name) -> each optional parameter with (passed by a
+     caller, by a test) *)
+  let options_of :
+      (string * string * string, (string * bool ref * bool ref) list) Hashtbl.t =
+    Hashtbl.create 256
   in
   let defined_by : (string, string) Hashtbl.t = Hashtbl.create 256 in
   let wrappers : (string, string) Hashtbl.t = Hashtbl.create 32 in
@@ -246,7 +276,13 @@ let () =
           (List.filter_map
              (fun si ->
                match si.psig_desc with
-               | Psig_value vd -> Some vd.pval_name.txt
+               | Psig_value vd ->
+                   let n = vd.pval_name.txt in
+                   let opts = options vd.pval_type in
+                   if opts <> [] then
+                     Hashtbl.replace options_of (lib, m, n)
+                       (List.map (fun o -> (o, ref false, ref false)) opts);
+                   Some n
                | _ -> None)
              (parse Parse.interface mli))
       else add lib m (top_level_lets (parse Parse.implementation p)))
@@ -255,10 +291,17 @@ let () =
     (fun p ->
       let d = dir_of p and u = uses_of (parse Parse.implementation p) in
       let from_test = List.mem (List.hd (String.split_on_char '/' p)) tests in
-      let mark lib m n =
+      let mark ?passed lib m n =
+        let by (by_caller, by_test) = if from_test then by_test else by_caller in
         match Hashtbl.find_opt exports (lib, m, n) with
-        | Some (by_caller, by_test) ->
-            (if from_test then by_test else by_caller) := true
+        | Some refs ->
+            by refs := true;
+            List.iter
+              (fun (o, by_caller, by_test) ->
+                match passed with
+                | Some labels when not (List.mem o labels) -> ()
+                | _ -> by (by_caller, by_test) := true)
+              (Option.value ~default:[] (Hashtbl.find_opt options_of (lib, m, n)))
         | None -> ()
       in
       let paths l = Option.fold ~none:[] ~some:(expand u.aliases 0) (components l) in
@@ -304,12 +347,14 @@ let () =
         u.whole;
       let own = Option.map (fun lib -> (lib, module_name p)) d.own in
       List.iter
-        (fun (l, defining) ->
+        (fun (l, defining, passed) ->
           match l with
           | Longident.Lident n ->
-              (match own with Some (lib, m) when not defining -> mark lib m n | _ -> ());
-              List.iter (fun (lib, m) -> mark lib m n) opened
-          | Ldot (q, n) -> List.iter (fun (lib, m) -> mark lib m n) (resolve q)
+              (match own with
+              | Some (lib, m) when not defining -> mark ?passed lib m n
+              | _ -> ());
+              List.iter (fun (lib, m) -> mark ?passed lib m n) opened
+          | Ldot (q, n) -> List.iter (fun (lib, m) -> mark ?passed lib m n) (resolve q)
           | Lapply _ -> ())
         u.idents)
     (with_ext ".ml");
@@ -322,9 +367,24 @@ let () =
           Printf.sprintf "%s %s %s.%s" kind lib m n :: lines)
       exports []
   in
+  let lines =
+    Hashtbl.fold
+      (fun (lib, m, n) opts lines ->
+        List.fold_left
+          (fun lines (o, by_caller, by_test) ->
+            if !by_caller then lines
+            else
+              let kind = if !by_test then "test-only-option" else "unpassed" in
+              Printf.sprintf "%s %s %s.%s ?%s" kind lib m n o :: lines)
+          lines opts)
+      options_of lines
+  in
   let count kind =
     List.length (List.filter (String.starts_with ~prefix:(kind ^ " ")) lines)
   in
   List.iter print_endline (List.sort compare lines);
   Printf.printf "exports %d\nunreferenced %d\ntest-only %d\n" (Hashtbl.length exports)
-    (count "unreferenced") (count "test-only")
+    (count "unreferenced") (count "test-only");
+  Printf.printf "options %d\nunpassed %d\ntest-only-option %d\n"
+    (Hashtbl.fold (fun _ opts n -> n + List.length opts) options_of 0)
+    (count "unpassed") (count "test-only-option")
