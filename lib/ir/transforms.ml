@@ -171,7 +171,8 @@ module IntSet = Set.Make (Int)
 let deletable (o : op) = Dialect.is_pure o && o.regions = [] && o.results <> []
 
 let condemned dead (o : op) =
-  deletable o && List.for_all (fun (r : value) -> IntSet.mem r.vid dead) o.results
+  deletable o
+  && List.for_all (fun (r : value) -> IntSet.mem r.vid dead) o.results
 
 (* One dead-op rule for the whole function: a pure region-free op is dead
    when none of its results is used by a live op, anywhere, nested
@@ -184,7 +185,8 @@ let dead_results ops =
       fold_ops
         (fun acc o ->
           if condemned dead o then acc
-          else List.fold_left (fun acc (v : value) -> IntSet.add v.vid acc) acc o.operands)
+          else
+            List.fold_left (fun acc (v : value) -> IntSet.add v.vid acc) acc o.operands)
         IntSet.empty ops
     in
     let dead' =
@@ -193,7 +195,8 @@ let dead_results ops =
           if
             deletable o
             && List.for_all (fun (r : value) -> not (IntSet.mem r.vid used)) o.results
-          then List.fold_left (fun acc (r : value) -> IntSet.add r.vid acc) acc o.results
+          then
+            List.fold_left (fun acc (r : value) -> IntSet.add r.vid acc) acc o.results
           else acc)
         dead ops
     in
@@ -203,7 +206,8 @@ let dead_results ops =
 
 let dead_ops (f : func) =
   let dead = dead_results f.fbody in
-  List.rev (fold_ops (fun acc o -> if condemned dead o then o :: acc else acc) [] f.fbody)
+  List.rev
+    (fold_ops (fun acc o -> if condemned dead o then o :: acc else acc) [] f.fbody)
 
 let dce_ops ops =
   let dead = dead_results ops in
@@ -216,7 +220,9 @@ let dce_ops ops =
           Some
             { o with
               regions =
-                List.map (List.map (fun (b : block) -> { b with body = strip b.body })) o.regions })
+                List.map
+                  (List.map (fun (b : block) -> { b with body = strip b.body }))
+                  o.regions })
       ops
   in
   strip ops

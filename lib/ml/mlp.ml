@@ -71,7 +71,8 @@ let forward_trace net x =
 let momentum = 0.9
 
 (* One SGD step on a batch; returns batch MSE loss. *)
-let train_batch ?(lr = 0.01) (net : t) (xs : float array array) (ys : float array array) =
+let train_batch ?(lr = 0.01) (net : t) (xs : float array array)
+    (ys : float array array) =
   let n = Array.length xs in
   if n = 0 then 0.0
   else begin

@@ -46,8 +46,8 @@ let monte_carlo ?(seed = 51) (net : Roadnet.t) (prof : Profiles.t)
 (* Route choice under reliability: among candidate routes, pick the one with
    the best 90th-percentile travel time over 200 samples (risk-averse
    routing). *)
-let reliable_route (net : Roadnet.t) (prof : Profiles.t) (routes : Routing.path list)
-    ~depart =
+let reliable_route (net : Roadnet.t) (prof : Profiles.t)
+    (routes : Routing.path list) ~depart =
   let scored =
     List.map
       (fun r ->

@@ -113,7 +113,9 @@ let non_finite_cases =
          ~diurnal_amplitude:amplitude ~diurnal_period_s:period ?burst ())
   in
   let burst ?(factor = 2.0) ?(calm = 0.1) ?(hot = 0.1) () =
-    tenant ~burst:{ Workload.burst_factor = factor; mean_calm_s = calm; mean_burst_s = hot } ()
+    tenant
+      ~burst:{ Workload.burst_factor = factor; mean_calm_s = calm; mean_burst_s = hot }
+      ()
   in
   let think think_s =
     ignore (Workload.closed_tenant ~name:"x" ~kernel:"mm" ~users:1 ~think_s ())
