@@ -1119,8 +1119,8 @@ let finish st =
     f_shards = Array.to_list (Array.map shard_report shards);
     f_spawned = spawned; f_retired = retired; f_reroutes = st.st_reroutes }
 
-(* A NaN horizon would never end a closed-loop user's think cycle and an
-   infinite one would never end the run. *)
+(* A NaN horizon stops every closed-loop user after its first request,
+   and an infinite one never ends the run. *)
 let check_horizon fn horizon =
   if not (Float.is_finite horizon && horizon > 0.0) then
     invalid_arg (fn ^ ": horizon must be finite and > 0")

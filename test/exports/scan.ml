@@ -25,9 +25,9 @@
      binding that defines it.  A module passed whole (included, applied,
      packed) counts as a reference to all of its exports.
    - An application whose head is a reference passes the options it
-     labels, [~l] or [?l].  A reference anywhere else (an argument, a
-     partial application's result bound to a name) counts as passing all
-     of the export's options, so the scan never reports a passed one.
+     labels, [~l] or [?l].  A reference anywhere else (passed as an
+     argument, bound to a name) counts as passing all of the export's
+     options, so the scan never reports an option passed through it.
    - A module name two libraries define ([Rng], [Dataflow]) resolves to
      the referring file's own library and the library wrappers it opens,
      else to the libraries its dune file lists, else to both; every

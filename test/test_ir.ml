@@ -248,9 +248,10 @@ let test_dce_keeps_stores () =
   checki "only dead add removed" 5 (List.length f'.Ir.fbody)
 
 (* DCE deletes exactly the ops [Transforms.dead_ops] reports, so nothing
-   it leaves behind is dead.  Two shapes a per-block DCE missed: a loop
-   body computing a chain nothing reads, and a top-level product whose
-   only reader is dead code inside a second loop. *)
+   it leaves behind is dead.  Both shapes need uses counted across
+   nesting levels: a loop body computing a chain nothing reads, and a
+   top-level product whose only reader is dead code inside a second
+   loop. *)
 let test_dce_deletes_every_dead_op () =
   let ctx = Ir.ctx () in
   let r = Ir.result in

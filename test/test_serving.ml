@@ -104,8 +104,8 @@ let test_workload_validation () =
 
 (* Each non-finite or degenerate number a library entry point takes is
    refused with an [Invalid_argument] naming the function and the
-   parameter.  Before these checks the rate, amplitude and horizon cases
-   looped forever; the others returned a wrong result. *)
+   parameter: unchecked, a NaN or infinite rate, amplitude or horizon
+   spins the arrival loop, and the others give a wrong result. *)
 let non_finite_cases =
   let tenant ?(rate = 100.0) ?(amplitude = 0.0) ?(period = 1.0) ?burst () =
     ignore
