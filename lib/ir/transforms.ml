@@ -166,43 +166,62 @@ let cse =
 
 (* ---- DCE ------------------------------------------------------------------ *)
 
-module IntSet = Set.Make (Int)
-
 let deletable (o : op) = Dialect.is_pure o && o.regions = [] && o.results <> []
 
-let condemned dead (o : op) =
-  deletable o
-  && List.for_all (fun (r : value) -> IntSet.mem r.vid dead) o.results
+(* [dead.(vid - lo)]: value [vid] is the result of a dead op. *)
+let condemned (lo, dead) (o : op) =
+  deletable o && List.for_all (fun (r : value) -> dead.(r.vid - lo)) o.results
 
 (* One dead-op rule for the whole function: a pure region-free op is dead
    when none of its results is used by a live op, anywhere, nested
-   regions included.  Iterated until nothing changes, so a chain that
-   only feeds dead ops dies with them.  Returns the dead result ids. *)
+   regions included, so a chain that only feeds dead ops dies with them.
+   One walk counts the uses of each value; a worklist then retires the
+   deletable ops whose results have no uses, and each retired op drops
+   one use of each of its operands.  Values are indexed by id, offset by
+   the lowest id the function mentions. *)
 let dead_results ops =
-  let rec go dead =
-    (* uses, not counting operands of already-condemned ops *)
-    let used =
-      fold_ops
-        (fun acc o ->
-          if condemned dead o then acc
-          else
-            List.fold_left (fun acc (v : value) -> IntSet.add v.vid acc) acc o.operands)
-        IntSet.empty ops
-    in
-    let dead' =
-      fold_ops
-        (fun acc (o : op) ->
-          if
-            deletable o
-            && List.for_all (fun (r : value) -> not (IntSet.mem r.vid used)) o.results
-          then
-            List.fold_left (fun acc (r : value) -> IntSet.add r.vid acc) acc o.results
-          else acc)
-        dead ops
-    in
-    if IntSet.equal dead' dead then dead else go dead'
+  let lo = ref max_int and hi = ref (-1) in
+  let see (v : value) =
+    if v.vid < !lo then lo := v.vid;
+    if v.vid > !hi then hi := v.vid
   in
-  go IntSet.empty
+  iter_ops
+    (fun o ->
+      List.iter see o.operands;
+      List.iter see o.results)
+    ops;
+  let lo = !lo in
+  let n = max 0 (!hi - lo + 1) in
+  let uses = Array.make n 0 and def = Array.make n None and dead = Array.make n false in
+  iter_ops
+    (fun (o : op) ->
+      List.iter (fun (v : value) -> uses.(v.vid - lo) <- uses.(v.vid - lo) + 1) o.operands;
+      if deletable o then List.iter (fun (r : value) -> def.(r.vid - lo) <- Some o) o.results)
+    ops;
+  let work = ref [] in
+  let retire (o : op) =
+    if
+      (not dead.((List.hd o.results).vid - lo))
+      && List.for_all (fun (r : value) -> uses.(r.vid - lo) = 0) o.results
+    then (
+      List.iter (fun (r : value) -> dead.(r.vid - lo) <- true) o.results;
+      work := o :: !work)
+  in
+  iter_ops (fun o -> if deletable o then retire o) ops;
+  let rec drain () =
+    match !work with
+    | [] -> (lo, dead)
+    | o :: rest ->
+        work := rest;
+        List.iter
+          (fun (v : value) ->
+            let i = v.vid - lo in
+            uses.(i) <- uses.(i) - 1;
+            if uses.(i) = 0 then Option.iter retire def.(i))
+          o.operands;
+        drain ()
+  in
+  drain ()
 
 let dead_ops (f : func) =
   let dead = dead_results f.fbody in

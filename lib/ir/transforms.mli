@@ -19,8 +19,9 @@ val canonicalize : Pass.t
 val cse : Pass.t
 
 (** Pure region-free ops none of whose results is used by a live op,
-    anywhere in the function (iterated, so chains that only feed dead
-    ops are dead too), in program order.  Exactly the ops {!dce}
+    anywhere in the function (so chains that only feed dead ops are dead
+    too), in program order: one walk counts uses, and a worklist retires
+    ops, so a dead chain costs one pass, not one pass per link.  Exactly the ops {!dce}
     deletes, and what lint's EV010 reports. *)
 val dead_ops : Ir.func -> Ir.op list
 
