@@ -19,9 +19,7 @@ type objective =
 
 type t = { constraints : constr list; objective : objective }
 
-let constraint_ ?(priority = 1) metric cmp bound = { metric; cmp; bound; priority }
-
-let make ?(constraints = []) objective = { constraints; objective }
+let make objective = { constraints = []; objective }
 
 let satisfies (p : Knowledge.point) (c : constr) =
   match Knowledge.metric p c.metric with

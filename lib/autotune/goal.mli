@@ -18,8 +18,8 @@ type objective =
 
 type t = { constraints : constr list; objective : objective }
 
-val constraint_ : ?priority:int -> string -> cmp -> float -> constr
-val make : ?constraints:constr list -> objective -> t
+(** A goal with no constraints. *)
+val make : objective -> t
 
 (** Does the point satisfy the constraint?  Missing metrics fail. *)
 val satisfies : Knowledge.point -> constr -> bool

@@ -16,8 +16,8 @@ type t = {
   mutable switches : int;
 }
 
-let create ?(alpha = 0.3) knowledge goal =
-  { knowledge; goal; alpha; last = None; selections = 0; switches = 0 }
+let create knowledge goal =
+  { knowledge; goal; alpha = 0.3; last = None; selections = 0; switches = 0 }
 
 (* Keep the current variant unless the challenger is better by more than
    this relative margin. *)
@@ -99,27 +99,3 @@ let import (t : t) p =
        p.p_last_variant);
   t.selections <- p.p_selections;
   t.switches <- p.p_switches
-
-(* One closed-loop step: select, execute via [run], feed the measurement
-   back.  [run] returns the measured metrics of the chosen variant. *)
-let step (t : t) ~features ~run =
-  match select t ~features with
-  | None -> None
-  | Some d ->
-      let variant = d.Selector.point.Knowledge.variant in
-      let measured = run variant in
-      observe t ~variant ~features ~measured;
-      Some (variant, measured)
-
-(* Cumulative regret of the tuner's choices versus an oracle that knows the
-   true per-step cost of every variant.  [true_costs step variant] gives the
-   ground truth at that step. *)
-let regret ~steps ~variants ~true_costs ~chosen =
-  let total = ref 0.0 in
-  for s = 0 to steps - 1 do
-    let best =
-      List.fold_left (fun m v -> Float.min m (true_costs s v)) infinity variants
-    in
-    total := !total +. (true_costs s (chosen s) -. best)
-  done;
-  !total

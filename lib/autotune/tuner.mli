@@ -20,7 +20,7 @@ type t = {
   mutable switches : int;
 }
 
-val create : ?alpha:float -> Knowledge.t -> Goal.t -> t
+val create : Knowledge.t -> Goal.t -> t
 
 (** Select the variant for the current [features], applying hysteresis
     against the previous choice. *)
@@ -46,20 +46,3 @@ type persisted = {
 
 val export : t -> persisted
 val import : t -> persisted -> unit
-
-(** One closed-loop step: select, execute via [run] (returning measured
-    metrics), observe. *)
-val step :
-  t ->
-  features:(string * float) list ->
-  run:(string -> Knowledge.metrics) ->
-  (string * Knowledge.metrics) option
-
-(** Cumulative regret of [chosen] versus the per-step best variant under
-    ground-truth costs. *)
-val regret :
-  steps:int ->
-  variants:string list ->
-  true_costs:(int -> string -> float) ->
-  chosen:(int -> string) ->
-  float

@@ -26,9 +26,6 @@ let workflow name = Dsl.Dataflow.create name
 
 let compile (g : Dsl.Dataflow.graph) : app = Compiler.Pipeline.compile g
 
-(* Security audit results of the compiled IR. *)
-let security_report (app : app) = app.Compiler.Pipeline.violations
-
 (* ---- deploy & run on the distributed platform ------------------------------------- *)
 
 type run_stats = {

@@ -28,10 +28,6 @@ val workflow : string -> Dsl.Dataflow.graph
     @raise Everest_compiler.Pipeline.Compile_error on invalid inputs. *)
 val compile : Dsl.Dataflow.graph -> app
 
-(** Static information-flow audit results of the compiled IR. *)
-val security_report :
-  app -> (string * Everest_security.Ift.flow_violation) list
-
 (** {2 Deploy and run} *)
 
 type run_stats = {
@@ -73,7 +69,8 @@ type served = {
 (** Serve [n] closed-loop requests of one compiled kernel through the
     virtualized runtime with mARGOt selection.  [telemetry] records per-request spans into
     [span_log] (metrics always accumulate in
-    {!Everest_telemetry.Metrics.default}).
+    {!Everest_telemetry.Metrics.default}).  Kept for PAPER.md §1's autotune
+    row: [?goal], which the tests set to an energy goal (E2's FPGA case).
     @raise Invalid_argument on unknown kernels. *)
 val serve :
   ?n:int ->

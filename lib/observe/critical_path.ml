@@ -67,17 +67,3 @@ let to_json t =
       ("wait_s", Json.Num t.wait_s); ("makespan_s", Json.Num t.makespan_s);
       ("total_work_s", Json.Num t.total_work_s);
       ("steps", Json.Arr (List.map step_to_json t.steps)) ]
-
-let step_of_json j =
-  { st_name = Json.need_str "task" j; st_node = Json.need_str "node" j;
-    st_start_s = Json.need_num "start_s" j;
-    st_finish_s = Json.need_num "finish_s" j;
-    st_self_s = Json.need_num "self_s" j;
-    st_wait_s = Json.need_num "wait_s" j }
-
-let of_json j =
-  { duration_s = Json.need_num "duration_s" j;
-    work_s = Json.need_num "work_s" j; wait_s = Json.need_num "wait_s" j;
-    makespan_s = Json.need_num "makespan_s" j;
-    total_work_s = Json.need_num "total_work_s" j;
-    steps = List.map step_of_json (Json.to_list (Json.need "steps" j)) }

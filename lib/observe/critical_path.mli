@@ -40,5 +40,3 @@ val check : t -> bool
 
 val step_to_json : step -> Json.t
 val to_json : t -> Json.t
-val step_of_json : Json.t -> step
-val of_json : Json.t -> t

@@ -187,18 +187,6 @@ let parse_file path =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
-let to_num = function Num f -> f | _ -> invalid_arg "Json.to_num"
 let to_str = function Str s -> s | _ -> invalid_arg "Json.to_str"
-let to_bool = function Bool b -> b | _ -> invalid_arg "Json.to_bool"
-let to_list = function Arr xs -> xs | _ -> invalid_arg "Json.to_list"
 
 let str_member k v = Option.map to_str (member k v)
-
-(* Required members, for reconstructing reports written by this library. *)
-let need k v =
-  match member k v with
-  | Some x -> x
-  | None -> invalid_arg (Printf.sprintf "Json: missing member %S" k)
-
-let need_num k v = to_num (need k v)
-let need_str k v = to_str (need k v)

@@ -34,11 +34,6 @@ let make ?(name = "run") ?(policy = "") ?(tasks_done = 0) ?(tasks_total = 0)
 let pairs_to_json kvs =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs)
 
-let pairs_of_json j =
-  match j with
-  | Json.Obj kvs -> List.map (fun (k, v) -> (k, Json.to_num v)) kvs
-  | _ -> invalid_arg "Report: expected an object of numbers"
-
 let to_json t =
   Json.Obj
     [ ("name", Json.Str t.r_name); ("policy", Json.Str t.r_policy);
@@ -54,25 +49,6 @@ let to_json t =
       ("quantiles", pairs_to_json t.r_quantiles);
       ("counters", pairs_to_json t.r_counters);
       ("slos", Json.Arr (List.map Slo.result_to_json t.r_slos)) ]
-
-let of_json j =
-  { r_name = Json.need_str "name" j; r_policy = Json.need_str "policy" j;
-    r_tasks_done = int_of_float (Json.need_num "tasks_done" j);
-    r_tasks_total = int_of_float (Json.need_num "tasks_total" j);
-    r_spans = int_of_float (Json.need_num "spans" j);
-    r_dropped = int_of_float (Json.need_num "dropped" j);
-    r_makespan_s = Json.need_num "makespan_s" j;
-    r_cp =
-      (match Json.need "critical_path" j with
-      | Json.Null -> None
-      | cp -> Some (Critical_path.of_json cp));
-    r_util =
-      (match Json.need "utilization" j with
-      | Json.Null -> None
-      | u -> Some (Utilization.of_json u));
-    r_quantiles = pairs_of_json (Json.need "quantiles" j);
-    r_counters = pairs_of_json (Json.need "counters" j);
-    r_slos = List.map Slo.result_of_json (Json.to_list (Json.need "slos" j)) }
 
 (* ---- rendering ------------------------------------------------------------------ *)
 

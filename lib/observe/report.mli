@@ -39,6 +39,5 @@ val make :
   t
 
 val to_json : t -> Json.t
-val of_json : Json.t -> t
 val pp : Format.formatter -> t -> unit
 val render : t -> string

@@ -341,14 +341,6 @@ let result_to_json r =
       ("total", Json.Num (float_of_int r.total));
       ("bad", Json.Num (float_of_int r.bad)) ]
 
-let result_of_json j =
-  { res_name = Json.need_str "slo" j; res_kind = Json.need_str "kind" j;
-    attained = Json.need_num "attained" j; target = Json.need_num "target" j;
-    met = Json.to_bool (Json.need "met" j); budget = Json.need_num "budget" j;
-    budget_used = Json.need_num "budget_used" j;
-    total = int_of_float (Json.need_num "total" j);
-    bad = int_of_float (Json.need_num "bad" j) }
-
 let pp_result ppf r =
   Fmt.pf ppf "%-20s %s attained=%.4g target=%.4g budget used %.0f%% %s"
     r.res_name r.res_kind r.attained r.target (100.0 *. r.budget_used)

@@ -86,7 +86,7 @@ val firing : monitor -> bool
 (** Rising edges of the alert so far. *)
 val alerts : monitor -> int
 
-(** Outcomes observed so far. *)
+(** Kept for tests: the list-oracle property compares outcome counts. *)
 val observed : monitor -> int
 
 (** (fast, slow) burn rates — windowed bad fraction over the error
@@ -133,5 +133,4 @@ val monitor_import : monitor -> monitor_state -> unit
 (** {2 Serialization} *)
 
 val result_to_json : result -> Json.t
-val result_of_json : Json.t -> result
 val pp_result : Format.formatter -> result -> unit

@@ -65,20 +65,3 @@ let to_json t =
   Json.Obj
     [ ("horizon_s", Json.Num t.u_horizon_s);
       ("nodes", Json.Arr (List.map node_to_json t.u_nodes)) ]
-
-let node_of_json j =
-  { nu_node = Json.need_str "node" j;
-    nu_track = int_of_float (Json.need_num "track" j);
-    nu_tasks = int_of_float (Json.need_num "tasks" j);
-    nu_attempts = int_of_float (Json.need_num "attempts" j);
-    nu_busy_s = Json.need_num "busy_s" j; nu_span_s = Json.need_num "span_s" j;
-    nu_xfer_s = Json.need_num "xfer_s" j; nu_wait_s = Json.need_num "wait_s" j;
-    nu_util = Json.need_num "util" j; nu_idle_s = Json.need_num "idle_s" j;
-    nu_gaps =
-      List.map
-        (fun g -> (Json.need_num "start_s" g, Json.need_num "len_s" g))
-        (Json.to_list (Json.need "gaps" j)) }
-
-let of_json j =
-  { u_horizon_s = Json.need_num "horizon_s" j;
-    u_nodes = List.map node_of_json (Json.to_list (Json.need "nodes" j)) }

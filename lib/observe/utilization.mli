@@ -34,5 +34,3 @@ val worst_gap : t -> (string * float * float) option
 
 val node_to_json : node_util -> Json.t
 val to_json : t -> Json.t
-val node_of_json : Json.t -> node_util
-val of_json : Json.t -> t

@@ -20,8 +20,6 @@ type stats = { hits : int; misses : int; entries : int }
 let create ?(name = "cache") () =
   { name; m = Mutex.create (); tbl = Hashtbl.create 64; hits = 0; misses = 0 }
 
-let name t = t.name
-
 let add t key v =
   Mutex.lock t.m;
   if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key v;
@@ -46,11 +44,6 @@ let stats t =
   let s = { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.tbl } in
   Mutex.unlock t.m;
   s
-
-let clear t =
-  Mutex.lock t.m;
-  Hashtbl.reset t.tbl;
-  Mutex.unlock t.m
 
 (* Publish the counters as gauges labelled by cache name.  Call from a
    single domain (the metrics registry is not written concurrently). *)

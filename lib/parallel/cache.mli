@@ -13,7 +13,6 @@ type stats = { hits : int; misses : int; entries : int }
 (** [create ~name ()] — [name] labels the published telemetry gauges. *)
 val create : ?name:string -> unit -> 'a t
 
-val name : 'a t -> string
 
 (** Insert unless present (first writer wins). *)
 val add : 'a t -> string -> 'a -> unit
@@ -23,9 +22,6 @@ val add : 'a t -> string -> 'a -> unit
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
 
 val stats : 'a t -> stats
-
-(** Drop all entries, keep the counters (used for invalidation). *)
-val clear : 'a t -> unit
 
 (** Publish [cache_hits] / [cache_misses] / [cache_entries] gauges labelled
     [cache=<name>] into {!Everest_telemetry.Metrics.default}.  Call from a

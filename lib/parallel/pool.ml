@@ -29,8 +29,6 @@ type t = {
   size : int;  (* total domains including the submitter *)
 }
 
-let size t = t.size
-
 (* Pool size resolution: explicit argument, then the EVEREST_DOMAINS
    environment variable, then whatever the runtime recommends for the
    machine. *)
@@ -182,9 +180,6 @@ let parallel_map t f xs =
 
 (* Map in parallel, combine sequentially in input order: the reduction is
    deterministic for any [combine], associative or not. *)
-let parallel_reduce t ~map ~combine ~init xs =
-  List.fold_left (fun acc y -> combine acc y) init (parallel_map t map xs)
-
 let stats t =
   Mutex.lock t.m;
   let a = Array.copy t.tasks in

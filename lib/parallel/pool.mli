@@ -18,9 +18,6 @@ val default_domains : unit -> int
     the remaining one).  [domains] defaults to {!default_domains}. *)
 val create : ?domains:int -> unit -> t
 
-(** Total domains serving the pool, including the submitting one. *)
-val size : t -> int
-
 (** Stop the workers and join them.  Pending jobs are abandoned. *)
 val shutdown : t -> unit
 
@@ -34,12 +31,6 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
     in-flight chunks drain; remaining unclaimed items are not started.
     Must not be called from inside a task running on the same pool. *)
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [parallel_reduce t ~map ~combine ~init xs] maps in parallel and folds
-    the results sequentially in input order — deterministic for any
-    [combine], associative or not. *)
-val parallel_reduce :
-  t -> map:('a -> 'b) -> combine:('c -> 'b -> 'c) -> init:'c -> 'a list -> 'c
 
 (** Items executed per domain slot (slot 0 is the submitting domain). *)
 val stats : t -> int array

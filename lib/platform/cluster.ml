@@ -91,11 +91,9 @@ let publish_metrics ?registry c =
 
 (* ---- canonical EVEREST systems (Fig. 4) ----------------------------------------- *)
 
-(* POWER9 node with [n] bus-attached (OpenCAPI) FPGAs. *)
-let power9_node ?(n_fpgas = 2) name =
-  Node.create ~name ~tier:Spec.Cloud
-    ~fpgas:(List.init n_fpgas (fun _ -> Spec.bus_fpga))
-    Spec.power9
+(* POWER9 node with two bus-attached (OpenCAPI) FPGAs. *)
+let power9_node name =
+  Node.create ~name ~tier:Spec.Cloud ~fpgas:[ Spec.bus_fpga; Spec.bus_fpga ] Spec.power9
 
 (* A rack of disaggregated network-attached cloudFPGAs: each is a standalone
    node whose "CPU" is a negligible management core. *)

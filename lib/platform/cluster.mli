@@ -41,8 +41,8 @@ val publish_metrics : ?registry:Everest_telemetry.Metrics.registry -> t -> unit
 
 (** {2 Canonical EVEREST systems (Fig. 4)} *)
 
-(** POWER9 node with [n_fpgas] bus-attached (OpenCAPI) FPGAs. *)
-val power9_node : ?n_fpgas:int -> string -> Node.t
+(** POWER9 node with two bus-attached (OpenCAPI) FPGAs. *)
+val power9_node : string -> Node.t
 
 (** A disaggregated network-attached cloudFPGA as a standalone node. *)
 val cloudfpga_node : string -> Node.t

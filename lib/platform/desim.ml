@@ -144,14 +144,12 @@ let cancel sim h =
       compact sim
   end
 
-let cancelled h = h.st = Cancelled
-
 let at sim time f =
   if time < sim.now then invalid_arg "at: time in the past";
   push sim { at = time; seq = sim.next_seq; erun = f; st = Pending };
   sim.next_seq <- sim.next_seq + 1
 
-let run ?(until = infinity) sim =
+let run sim =
   let continue = ref true in
   while !continue do
     match pop sim with
@@ -161,12 +159,6 @@ let run ?(until = infinity) sim =
           (* skip without advancing the clock: a cancelled event has no
              observable behaviour left *)
           sim.cancelled_pending <- sim.cancelled_pending - 1
-        else if e.at > until then begin
-          (* push back and stop *)
-          push sim e;
-          sim.now <- until;
-          continue := false
-        end
         else begin
           sim.now <- e.at;
           e.st <- Fired;
@@ -217,15 +209,6 @@ let release sim r =
     k ()
   end
 
-(* Run [work] while holding one unit: acquire, execute for [duration]
-   simulated seconds, then release and continue with [k]. *)
-let with_resource sim r ~duration k =
-  acquire sim r (fun () ->
-      schedule sim duration (fun () ->
-          release sim r;
-          k ()))
-
-let capacity r = r.capacity
 let in_use r = r.in_use
 let queue_length r = Queue.length r.waiting
 
@@ -234,15 +217,6 @@ let queue_length r = Queue.length r.waiting
 (* Observability accessors: consumers read these, not the mutable fields, so
    the accounting representation stays free to change. *)
 
-type wait_stats = {
-  ws_name : string;
-  ws_capacity : int;
-  ws_peak : int;  (* highest concurrent occupancy seen *)
-  ws_waits : int;  (* acquisitions that had to queue *)
-  ws_total_wait_s : float;  (* summed simulated queue time *)
-  ws_mean_wait_s : float;  (* over queued acquisitions only *)
-}
-
 let total_wait_s r = r.total_wait_s
 
 let mean_wait_s r =
@@ -250,11 +224,6 @@ let mean_wait_s r =
      the granted ones *)
   let granted = r.total_wait_starts - Queue.length r.waiting in
   if granted <= 0 then 0.0 else r.total_wait_s /. float_of_int granted
-
-let wait_stats r =
-  { ws_name = r.rname; ws_capacity = r.capacity; ws_peak = r.peak;
-    ws_waits = r.total_wait_starts; ws_total_wait_s = r.total_wait_s;
-    ws_mean_wait_s = mean_wait_s r }
 
 (* Publish the engine and resource state into telemetry gauges of
    [registry] — the monitoring feed of the self-adaptive loop.  Gauges

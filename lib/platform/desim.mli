@@ -37,15 +37,12 @@ val schedule_cancellable : t -> float -> (unit -> unit) -> handle
     the event has fired or was already cancelled. *)
 val cancel : t -> handle -> unit
 
-val cancelled : handle -> bool
-
 (** [at sim time f] runs [f] at the absolute [time].
     @raise Invalid_argument for times in the past. *)
 val at : t -> float -> (unit -> unit) -> unit
 
-(** Run until the queue drains, or until the horizon [until]; ties execute
-    in insertion order. *)
-val run : ?until:float -> t -> unit
+(** Run until the queue drains; ties execute in insertion order. *)
+val run : t -> unit
 
 (** Number of events executed so far. *)
 val executed : t -> int
@@ -74,12 +71,6 @@ val acquire : t -> resource -> (unit -> unit) -> unit
     @raise Invalid_argument when nothing is held. *)
 val release : t -> resource -> unit
 
-(** Hold one unit for [duration] simulated seconds, then continue with the
-    callback. *)
-val with_resource : t -> resource -> duration:float -> (unit -> unit) -> unit
-
-val capacity : resource -> int
-
 (** Units currently held. *)
 val in_use : resource -> int
 
@@ -87,18 +78,11 @@ val queue_length : resource -> int
 
 (** {2 Contention statistics} *)
 
-type wait_stats = {
-  ws_name : string;
-  ws_capacity : int;
-  ws_peak : int;  (** highest concurrent occupancy seen *)
-  ws_waits : int;  (** acquisitions that had to queue *)
-  ws_total_wait_s : float;  (** summed simulated queue time *)
-  ws_mean_wait_s : float;  (** over queued-and-granted acquisitions *)
-}
-
+(** Summed simulated queue time. *)
 val total_wait_s : resource -> float
+
+(** Mean queue time over queued-and-granted acquisitions. *)
 val mean_wait_s : resource -> float
-val wait_stats : resource -> wait_stats
 
 (** Snapshot one resource's contention state into telemetry gauges labeled
     [resource=<name>]. *)

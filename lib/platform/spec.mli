@@ -67,6 +67,9 @@ type link = {
 }
 
 val opencapi : link
+
+(** Kept for PAPER.md §1's platform row: the PCIe link OpenCAPI is compared
+    against. *)
 val pcie3 : link
 val eth100_tcp : link
 val eth10_tcp : link

@@ -32,7 +32,7 @@ let checksum b off len =
     if c = '\n' then newline := true;
     h := Int32.mul (Int32.logxor !h (Int32.of_int (Char.code c))) 0x01000193l
   done;
-  if !newline then invalid_arg "Journal.output_record: payload contains newline";
+  if !newline then invalid_arg "Journal.output_framed: payload contains newline";
   Int32.to_int !h land 0xffffffff
 
 (* The trailer after a payload: " #", its checksum's 8 hex digits and
@@ -53,11 +53,6 @@ let output_framed oc w =
   Codec.add_char w '\n';
   output oc (Codec.buffer w) 0 (n + trailer_length);
   n + trailer_length
-
-let output_record oc payload =
-  let w = Codec.writer () in
-  Codec.add_string w payload;
-  output_framed oc w
 
 let hex_digits = "0123456789abcdef"
 

@@ -21,13 +21,6 @@ type error =
   | Version_skew of { found : int; expected : int }
   | Truncated of string
 
-let error_to_string = function
-  | Corrupt why -> Printf.sprintf "corrupt snapshot: %s" why
-  | Version_skew { found; expected } ->
-      Printf.sprintf "snapshot version skew: found v%d, expected v%d" found
-        expected
-  | Truncated why -> Printf.sprintf "truncated snapshot: %s" why
-
 (* The envelope header alone — writers that already hold the body as its
    own string can emit header and body separately instead of building the
    concatenated envelope (bodies run to hundreds of KiB). *)
@@ -36,6 +29,7 @@ let header body =
     (Digest.to_hex (Digest.string body))
     (String.length body)
 
+(** Kept for tests: the refusal tests re-seal tampered snapshot bodies. *)
 let encode body = header body ^ body
 
 exception Bad of error

@@ -96,7 +96,6 @@ let record b ~now ~ok =
   | Half_open -> if ok then transition b ~now Closed else trip b ~now
   | Open -> ()  (* late result of a call admitted before the trip *)
 
-let transitions b = List.rev b.transitions
 let opens b = b.opens
 
 (* Checkpoint/restore: the full mutable core, transitions oldest first. *)

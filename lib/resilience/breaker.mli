@@ -33,9 +33,6 @@ val allow : t -> now:float -> bool
 (** Feed back one call outcome. *)
 val record : t -> now:float -> ok:bool -> unit
 
-(** State transitions (time, new state), oldest first. *)
-val transitions : t -> (float * state) list
-
 (** Times the breaker has opened. *)
 val opens : t -> int
 

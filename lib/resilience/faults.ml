@@ -28,12 +28,12 @@ let none =
     link_factors = [] }
 
 let plan ?(seed = 1) ?(windows = []) ?(transient_prob = 0.0)
-    ?(fpga_transient_prob = 0.0) ?(link_factors = []) () =
+    ?(fpga_transient_prob = 0.0) () =
   if transient_prob < 0.0 || transient_prob >= 1.0 then
     invalid_arg "Faults.plan: transient_prob must be in [0, 1)";
   if fpga_transient_prob < 0.0 || fpga_transient_prob >= 1.0 then
     invalid_arg "Faults.plan: fpga_transient_prob must be in [0, 1)";
-  { seed; windows; transient_prob; fpga_transient_prob; link_factors }
+  { seed; windows; transient_prob; fpga_transient_prob; link_factors = [] }
 
 (* A kill list (the CLI's [--kill NODE:T]): each (node, time) pair becomes
    a permanent-death window. *)
@@ -60,18 +60,6 @@ let down_between t ~node ~t0 ~t1 =
     t.windows
 
 (* Earliest restart of [node] after [now], if it is currently down. *)
-let next_up t ~node ~now =
-  List.fold_left
-    (fun acc w ->
-      match w.w_up with
-      | Some up
-        when String.equal w.w_node node && now >= w.w_down && now < up -> (
-          match acc with
-          | Some best when best <= up -> acc
-          | _ -> Some up)
-      | _ -> acc)
-    None t.windows
-
 let link_degradation t ~src ~dst =
   let hit (a, b, _) =
     (String.equal a src && String.equal b dst)

@@ -31,7 +31,6 @@ val plan :
   ?windows:window list ->
   ?transient_prob:float ->
   ?fpga_transient_prob:float ->
-  ?link_factors:(string * string * float) list ->
   unit ->
   t
 
@@ -45,9 +44,6 @@ val node_dead : t -> node:string -> now:float -> bool
 (** Did [node] crash at any point in ([t0], [t1]]?  Outputs produced before
     a crash are lost even if the node restarted. *)
 val down_between : t -> node:string -> t0:float -> t1:float -> bool
-
-(** Earliest restart after [now] when the node is currently down. *)
-val next_up : t -> node:string -> now:float -> float option
 
 (** Transfer-time multiplier for the (src, dst) pair, >= 1. *)
 val link_degradation : t -> src:string -> dst:string -> float

@@ -59,4 +59,3 @@ let start sim ~faults ~interval ~nodes ~on_event =
   t
 
 let stop t = t.stopped <- true
-let beats t = t.beats

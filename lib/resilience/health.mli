@@ -25,6 +25,3 @@ val stop : t -> unit
 
 (** Is the node currently believed dead? *)
 val is_down : t -> string -> bool
-
-(** Beats executed so far. *)
-val beats : t -> int

@@ -35,11 +35,6 @@ let valid t ~now c =
   (not (Faults.node_dead t.faults ~node:c.c_node ~now))
   && not (Faults.down_between t.faults ~node:c.c_node ~t0:c.c_since ~t1:now)
 
-let locations t ~task ~now =
-  List.filter_map
-    (fun c -> if valid t ~now c then Some c.c_node else None)
-    (copies t ~task)
-
 (* Node to pull [task]'s output from.  The primary wins while it is valid —
    the fault-free fast path, identical to pre-lineage behaviour (always
    read from the producer).  Only when the primary is gone do replicas come
@@ -54,10 +49,6 @@ let choose t ~task ~prefer ~now =
       | Some c -> Some c.c_node
       | None -> ( match live with [] -> None | c :: _ -> Some c.c_node))
 
-(* Is the output lost (produced at least once, no valid copy anywhere)? *)
-let lost t ~task ~now =
-  copies t ~task <> [] && locations t ~task ~now = []
-
 (* Copies tracked across all tasks — the memory the pruner bounds. *)
 let total_copies t =
   Hashtbl.fold (fun _ cs acc -> acc + List.length cs) t.copies 0
@@ -66,12 +57,11 @@ let total_copies t =
 
    For every task that still has at least one valid copy, drop the
    invalidated copies (their nodes crashed — they can never satisfy a
-   pull again) and cap surviving replicas at [keep_replicas] beyond the
-   first.  Tasks with no valid copy are left untouched so [lost] keeps
-   reporting them as lost rather than never-produced.  Returns the
-   number of copies dropped. *)
-let prune ?(keep_replicas = 1) t ~now =
-  let keep_n = 1 + max 0 keep_replicas in
+   pull again) and cap surviving replicas at one beyond the first.  Tasks
+   with no valid copy are left untouched.  Returns the number of copies
+   dropped. *)
+let prune t ~now =
+  let keep_n = 2 in
   let dropped = ref 0 in
   let tasks = Hashtbl.fold (fun task _ acc -> task :: acc) t.copies [] in
   List.iter

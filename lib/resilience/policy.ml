@@ -58,8 +58,3 @@ let chaos =
     timeout = Some { timeout_factor = 8.0; timeout_min_s = 1e-3 };
     speculation = Some { spec_factor = 3.0; spec_min_s = 1e-3; max_speculative = 16 };
     heartbeat_s = Some 0.005 }
-
-let make ?(max_retries = default.max_retries) ?(backoff = default.backoff)
-    ?timeout ?speculation ?heartbeat_s () =
-  if max_retries < 0 then invalid_arg "Policy.make: max_retries < 0";
-  { max_retries; backoff; timeout; speculation; heartbeat_s }

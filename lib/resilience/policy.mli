@@ -47,13 +47,3 @@ val default : t
 (** Everything on: timeouts, speculation and a heartbeat — the policy the
     chaos CLI and bench e14 run under. *)
 val chaos : t
-
-(** @raise Invalid_argument on a negative retry budget. *)
-val make :
-  ?max_retries:int ->
-  ?backoff:backoff ->
-  ?timeout:timeout ->
-  ?speculation:speculation ->
-  ?heartbeat_s:float ->
-  unit ->
-  t

@@ -11,21 +11,28 @@ type transport = {
   batch_limit : int;
 }
 
+(** Kept for PAPER.md §1's virtualized-runtime row (Fig. 2's API remoting). *)
 val virtio_default : transport
+
+(** Kept for PAPER.md §1's virtualized-runtime row: direct assignment, the
+    baseline API remoting is priced against. *)
 val passthrough : transport
 
-(** Cost of [calls] invocations carrying [bytes_per_call] each, batched up
-    to [batch_limit] per crossing. *)
+(** Kept for PAPER.md §1's virtualized-runtime row: the cost of [calls]
+    invocations carrying [bytes_per_call] each, batched up to
+    [batch_limit] per crossing. *)
 val cost : transport -> calls:int -> bytes_per_call:int -> float
 
-(** Unbatched-to-batched cost ratio. *)
+(** Kept for PAPER.md §1's virtualized-runtime row: the unbatched-to-batched
+    cost ratio. *)
 val amortization : transport -> calls:int -> bytes_per_call:int -> float
 
 (** Raised (inside the simulation) when a remoted call fails on every
     attempt and no [on_give_up] handler was installed. *)
 exception Call_failed of { attempts : int }
 
-(** Issue a remoted invocation inside the simulation.
+(** Kept for PAPER.md §1's virtualized-runtime row: issue a remoted
+    invocation inside the simulation.
 
     [fail ~attempt] is a deterministic fault hook evaluated when the
     crossing completes ([true] = the transport dropped the call); failed

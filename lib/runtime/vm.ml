@@ -24,8 +24,7 @@ type hypervisor = {
   default_overhead : float;
 }
 
-let hypervisor ?(default_overhead = 1.05) node =
-  { hnode = node; vms = []; next_id = 0; default_overhead }
+let hypervisor node = { hnode = node; vms = []; next_id = 0; default_overhead = 1.05 }
 
 let vcpus_in_use h =
   List.fold_left (fun acc vm -> if vm.running then acc + vm.vcpus else acc) 0 h.vms
@@ -48,7 +47,6 @@ let spawn h ~name ~vcpus =
   h.vms <- vm :: h.vms;
   vm
 
-let stop vm = vm.running <- false
 
 (* Guest compute: like Node.run_cpu but paying the virtualization tax and
    capped at the VM's vCPUs. *)

@@ -24,7 +24,7 @@ type hypervisor = {
   default_overhead : float;
 }
 
-val hypervisor : ?default_overhead:float -> Node.t -> hypervisor
+val hypervisor : Node.t -> hypervisor
 val vcpus_in_use : hypervisor -> int
 
 exception Admission_failed of string
@@ -33,8 +33,6 @@ exception Admission_failed of string
     2x.
     @raise Admission_failed when the limit would be exceeded. *)
 val spawn : hypervisor -> name:string -> vcpus:int -> t
-
-val stop : t -> unit
 
 (** Guest compute: {!Node.run_cpu} paying the virtualization tax, capped at
     the VM's vCPUs.

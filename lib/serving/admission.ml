@@ -116,11 +116,6 @@ let decide t ~tenant ~now =
     Admit
   end
 
-let admitted t ~tenant = (state t tenant).ts_admitted
-
-let rejected t ~tenant =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (state t tenant).ts_rejected
-
 let note_rejection t ~tenant reason = bump (state t tenant) reason
 let rejections_by_reason t ~tenant = (state t tenant).ts_rejected
 

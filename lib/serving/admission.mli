@@ -59,9 +59,6 @@ val create :
 (** Decide one arrival at [now]; [Admit] consumes a token. *)
 val decide : t -> tenant:string -> now:float -> decision
 
-val admitted : t -> tenant:string -> int
-val rejected : t -> tenant:string -> int
-
 (** Rejections recorded by {!decide}, plus any routing-stage rejections
     reported through {!note_rejection}. *)
 val note_rejection : t -> tenant:string -> reason -> unit

@@ -45,8 +45,6 @@ let create policy ~n_shards =
   in
   { b_policy = policy; b_n = n_shards; b_cursor = 0; b_ring = ring }
 
-let n_shards t = t.b_n
-
 (* First ring index whose point is >= h (binary search, wrapping to 0). *)
 let ring_start ring h =
   let n = Array.length ring in
@@ -101,7 +99,3 @@ let route t ~tenant ~routable ~outstanding =
 let cursor t = t.b_cursor
 let set_cursor t c = t.b_cursor <- if t.b_n > 0 then ((c mod t.b_n) + t.b_n) mod t.b_n else 0
 
-let affinity_home t ~tenant =
-  match t.b_policy with
-  | Tenant_affinity _ -> ring_route t ~tenant ~routable:(fun _ -> true)
-  | _ -> None

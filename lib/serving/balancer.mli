@@ -30,7 +30,6 @@ val policy_of_string : string -> policy option
 type t
 
 val create : policy -> n_shards:int -> t
-val n_shards : t -> int
 
 (** Pick a shard for [tenant]; [routable] filters shards (healthy and
     below their queue bound), [outstanding] reports queued + in-flight
@@ -41,10 +40,6 @@ val route :
   routable:(int -> bool) ->
   outstanding:(int -> int) ->
   int option
-
-(** The shard a tenant maps to on an all-healthy ring ([Tenant_affinity]
-    only); exposed for remap analysis in tests. *)
-val affinity_home : t -> tenant:string -> int option
 
 (** {2 Checkpoint / restore} *)
 

@@ -251,7 +251,9 @@ val render_summary : result -> string
 
 (** A demo deployment for drills and tests: one kernel, [mm], with a fast
     hardware variant and a software fallback with seeded tuner knowledge,
-    mirroring the chaos/observe drill kernel. *)
+    mirroring the chaos/observe drill kernel.  Kept for the [format]
+    group's dead-shard golden: [?breaker], so the shard dies holding an
+    Open breaker whose cooldown has expired. *)
 val demo_deploy :
   ?breaker:Everest_resilience.Breaker.config ->
   unit ->

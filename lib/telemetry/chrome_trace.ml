@@ -104,9 +104,6 @@ let processes_to_string procs =
     "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"
     (String.concat ",\n" events)
 
-let to_string ?pid ?process_name t =
-  processes_to_string [ of_tracer ?pid ?process_name t ]
-
 let write_processes path procs =
   let oc = open_out path in
   Fun.protect

@@ -11,16 +11,10 @@ type t = unit -> float
 (* Host wall clock. *)
 let wall : t = Unix.gettimeofday
 
-(* Monotonic process clock (never jumps backwards with NTP adjustments);
-   suitable for durations, not absolute timestamps. *)
-let monotonic : t = Sys.time
-
-(* A manually advanced clock for deterministic tests. *)
+(** Kept for tests: [manual], [advance] and [of_manual] make a clock that
+    moves only when told, so span times are exact. *)
 type manual = { mutable now_s : float }
 
 let manual ?(start = 0.0) () = { now_s = start }
 let advance m dt = m.now_s <- m.now_s +. dt
 let of_manual m : t = fun () -> m.now_s
-
-(* Adapt any "now" accessor, e.g. [of_fn (fun () -> Desim.now sim)]. *)
-let of_fn (f : unit -> float) : t = f

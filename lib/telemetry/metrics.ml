@@ -61,8 +61,6 @@ let observe h x =
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-let hist_min h = if h.h_count = 0 then 0.0 else h.h_min
-let hist_max h = if h.h_count = 0 then 0.0 else h.h_max
 
 let hist_reset h =
   Array.fill h.counts 0 n_buckets 0;
@@ -191,8 +189,6 @@ let counter ?(registry = default) ?(labels = []) ?(help = "") name : counter =
 let inc ?(by = 1.0) (c : counter) =
   if by < 0.0 then invalid_arg "metrics: counters only go up";
   c := !c +. by
-
-let counter_value (c : counter) = !c
 
 let gauge ?(registry = default) ?(labels = []) ?(help = "") name : gauge =
   match

@@ -10,43 +10,23 @@
 
 let tracer = ref Trace.noop
 
-let enabled () = not (Trace.is_noop !tracer)
-
-(* Time source for [time_block]; swappable so tests (and simulated runs)
-   can measure against a manual clock instead of the wall. *)
-let clock = ref Clock.wall
-
-let current_clock () = !clock
-
-(* Install [c] for the duration of [f]. *)
-let with_clock c f =
-  let prev = !clock in
-  clock := c;
-  Fun.protect ~finally:(fun () -> clock := prev) f
-
 (* Install [t] for the duration of [f]. *)
 let with_tracer t f =
   let prev = !tracer in
   tracer := t;
   Fun.protect ~finally:(fun () -> tracer := prev) f
 
-(* Scoped span on the global tracer (no-op when none installed). *)
-let with_span ?attrs name f =
-  let t = !tracer in
-  if Trace.is_noop t then f ()
-  else Trace.with_span t ?attrs name (fun _ -> f ())
-
-(* Like [with_span] but also records the duration into histogram [name]
-   (suffix "_s") in the default registry — one call gives both the trace
-   entry and the aggregate timing distribution. *)
+(* Scoped span on the global tracer (no-op when none installed) that
+   also records the wall-clock duration into histogram [name] (suffix
+   "_s") in the default registry — one call gives both the trace entry
+   and the aggregate timing distribution. *)
 let time_block ?registry ?labels ?attrs name f =
   let t = !tracer in
-  let now = !clock in
-  let t0 = now () in
+  let t0 = Clock.wall () in
   let record () =
     Metrics.observe
       (Metrics.histogram ?registry ?labels (name ^ "_s"))
-      (now () -. t0)
+      (Clock.wall () -. t0)
   in
   if Trace.is_noop t then
     Fun.protect ~finally:record (fun () -> f ())

@@ -81,8 +81,6 @@ let start t ?parent ?(track = 0) ?(attrs = []) name =
   else t.dropped <- t.dropped + 1;
   s
 
-let set_attr s key v = s.attrs <- (key, v) :: List.remove_assoc key s.attrs
-
 (* Prepend rather than dedupe: [attr] reads the first binding, so late
    attributes shadow earlier ones and the hot path stays allocation-light
    (exporters dedupe on their own, cold, path). *)
@@ -143,8 +141,6 @@ let span_count t = t.n_spans
 let next_span_id t = t.next_id
 let dropped t = t.dropped
 
-let find t name = List.find_opt (fun s -> String.equal s.name name) (spans t)
-
 let attr s key = List.assoc_opt key s.attrs
 
 let attr_int s key =
@@ -177,11 +173,3 @@ let rec attr_int_from attrs key default =
       else attr_int_from rest key default
 
 let attr_int_def s key ~default = attr_int_from s.attrs key default
-
-let reset t =
-  t.pool <- [||];  (* release the pool so retained spans stay collectable *)
-  t.n_spans <- 0;
-  t.dropped <- 0;
-  t.next_id <- 0;
-  t.stack <- [];
-  t.track_names <- []

@@ -27,10 +27,7 @@ type t
 
 (** [create ()] makes a fresh tracer. Span ids are allocated monotonically
     from 0, counting every *started* span — including spans dropped once the
-    sink is full — so an id is a stable identity within one tracer
-    generation. [reset] starts a new generation: ids restart at 0 and any
-    spans retained from before the reset must not be mixed with spans
-    recorded after it. *)
+    sink is full — so an id is a stable identity within the tracer. *)
 val create : ?capacity:int -> ?clock:Clock.t -> unit -> t
 
 (** The shared disabled tracer: records nothing, costs (almost) nothing.
@@ -48,9 +45,6 @@ val named_tracks : t -> (int * string) list
 
 val start : t -> ?parent:int -> ?track:int -> ?attrs:attr list -> string -> span
 
-(** [set_attr s key v] sets [key], replacing any previous binding. *)
-val set_attr : span -> string -> attr_value -> unit
-
 (** [finish t ?attrs s] stamps the end time; [?attrs] are *prepended*, so
     late attributes shadow earlier ones ([attr] reads the first binding) and
     the hot path stays allocation-light — exporters dedupe on their own,
@@ -63,8 +57,7 @@ val finished : span -> bool
 val duration : span -> float
 
 (** Synchronous scoped span: nesting tracked on the tracer's stack. The
-    callback always receives a span it may set attributes on, even when
-    tracing is disabled. *)
+    callback always receives a span, even when tracing is disabled. *)
 val with_span : t -> ?attrs:attr list -> string -> (span -> 'a) -> 'a
 
 (** Completed+open spans in start order (copies the log). *)
@@ -79,16 +72,12 @@ val iter : t -> (span -> unit) -> unit
 
 val span_count : t -> int
 
-(** Exclusive upper bound on span ids in this tracer generation (counts
+(** Exclusive upper bound on span ids in this tracer (counts
     dropped spans too) — lets readers size dense id-indexed tables. *)
 val next_span_id : t -> int
 
 (** Spans lost to the bounded sink. *)
 val dropped : t -> int
-
-(** The earliest-started span with this name: an O(n) scan for tests and
-    one-shot queries. *)
-val find : t -> string -> span option
 
 val attr : span -> string -> attr_value option
 val attr_int : span -> string -> int option
@@ -100,8 +89,3 @@ val attr_string : span -> string -> string option
 val attr_is : span -> string -> string -> bool
 
 val attr_int_def : span -> string -> default:int -> int
-
-(** Drop every recorded span and start a new tracer generation: span ids
-    restart at 0 (see [create]), the open-scope stack, drop counter and
-    track names are cleared. The clock and capacity are kept. *)
-val reset : t -> unit

@@ -55,8 +55,6 @@ let create ?(config = default_config) ?(rules = []) () =
     w_on_tick = None }
 
 let store w = w.w_store
-let rules w = w.w_rules
-let config w = w.w_config
 let ticks w = w.w_ticks
 let samples w = w.w_samples
 let work_s w = w.w_work_s

@@ -20,8 +20,6 @@ type t
 
 val create : ?config:config -> ?rules:Rules.rule list -> unit -> t
 val store : t -> Series.Store.t
-val rules : t -> Rules.t
-val config : t -> config
 
 (** Scrape ticks performed. *)
 val ticks : t -> int

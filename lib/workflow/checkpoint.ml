@@ -51,8 +51,6 @@ let resume ~store ~every =
   { ck_store = store; ck_every = every; ck_completions = 0;
     ck_next_snap = plan.Store.r_next_snapshot_index; ck_anchor = Some anchor }
 
-let replayed t = t.ck_store.Store.replayed
-
 (* The resume anchor must equal the state re-derived at its completion
    count. *)
 let verify_anchor t got =

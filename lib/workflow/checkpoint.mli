@@ -32,9 +32,6 @@ val create : store:Everest_recovery.Store.t -> every:int -> t
     survives or the snapshot body is malformed. *)
 val resume : store:Everest_recovery.Store.t -> every:int -> t
 
-(** Journal records replay-verified so far. *)
-val replayed : t -> int
-
 (** Called by the executor before the first task launches; [state] is the
     zero-state digest.  Writes the genesis snapshot (fresh run) or
     verifies it (resumed run anchored on genesis).

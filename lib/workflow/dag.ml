@@ -108,8 +108,6 @@ let find d id = d.tasks.(id)
 
 let consumers d id = Array.to_list d.rev_adj.(id)
 let iter_consumers d id f = Array.iter f d.rev_adj.(id)
-let out_degree d id = Array.length d.rev_adj.(id)
-
 (* The historical O(n·deg) rebuild, kept as the reference the cached index
    is property-tested against (and as the quadratic baseline in e17). *)
 let consumers_naive d id =

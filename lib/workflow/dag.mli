@@ -66,7 +66,6 @@ val find : t -> int -> task
 val consumers : t -> int -> int list
 
 val iter_consumers : t -> int -> (int -> unit) -> unit
-val out_degree : t -> int -> int
 
 (** The historical O(n·deg) scan — the reference [consumers] is
     property-tested against, and the quadratic baseline of bench e17. *)

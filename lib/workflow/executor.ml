@@ -54,17 +54,7 @@ let count_status status spans =
        spans)
 
 let trace_retries spans = count_status "retried" spans
-let trace_timeouts spans = count_status "timeout" spans
-let trace_recomputed spans = count_status "recomputed" spans
 let trace_tasks_completed spans = count_status "ok" spans
-
-(* Speculative backup launches carry the attribute from birth (their final
-   status depends on who wins the race). *)
-let trace_speculative spans =
-  List.length
-    (List.filter
-       (fun s -> Trace.attr s "speculative" = Some (Trace.B true))
-       spans)
 
 let trace_bytes_moved spans =
   List.fold_left

@@ -117,15 +117,6 @@ val run_on_demonstrator :
     [status="retried"]). *)
 val trace_retries : Everest_telemetry.Trace.span list -> int
 
-(** Attempts cancelled by the per-task deadline ([status="timeout"]). *)
-val trace_timeouts : Everest_telemetry.Trace.span list -> int
-
-(** Speculative backup launches (spans born with [speculative=true]). *)
-val trace_speculative : Everest_telemetry.Trace.span list -> int
-
-(** Completed recomputations of lost outputs ([status="recomputed"]). *)
-val trace_recomputed : Everest_telemetry.Trace.span list -> int
-
 (** Total bytes carried by ["xfer:…"] spans. *)
 val trace_bytes_moved : Everest_telemetry.Trace.span list -> int
 

@@ -657,8 +657,7 @@ let analyze ?dag ?(excluded = []) ?(slos = []) ?deadline_s (c : Cluster.t)
     conclude p ~n ~edges:!edges ~slos ?deadline_s ()
   end
 
-let check ?dag ?excluded ?slos ?deadline_s c plan =
-  (analyze ?dag ?excluded ?slos ?deadline_s c plan).pl_diags
+let check ?dag ?deadline_s c plan = (analyze ?dag ?deadline_s c plan).pl_diags
 
 let gate c plan =
   let diags = check c plan in

@@ -94,7 +94,9 @@ type summary = {
     names nodes the plan must not use (dead or administratively drained);
     pins onto excluded nodes demote EV120 to a warning (the repair had no
     choice).  [slos] / [deadline_s] declare latency deadlines for the
-    EV140 feasibility check. *)
+    EV140 feasibility check.  Kept for the plan-lint tests and their
+    reference property: [?excluded] and [?slos], which lint repairs
+    around dead nodes and SLO deadlines; no program passes them yet. *)
 val analyze :
   ?dag:Dag.t ->
   ?excluded:string list ->
@@ -107,8 +109,6 @@ val analyze :
 (** [analyze] returning only the diagnostics. *)
 val check :
   ?dag:Dag.t ->
-  ?excluded:string list ->
-  ?slos:Everest_observe.Slo.spec list ->
   ?deadline_s:float ->
   Everest_platform.Cluster.t ->
   Scheduler.plan ->
