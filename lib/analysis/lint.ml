@@ -279,19 +279,8 @@ let all_rules () =
 
 (* ---- running ----------------------------------------------------------- *)
 
-let run ?only (m : Ir.modul) : diag list =
-  let rules =
-    match only with
-    | None -> all_rules ()
-    | Some codes ->
-        List.filter
-          (fun r ->
-            List.exists
-              (fun c -> String.equal c r.rule_code || String.equal c r.rule_name)
-              codes)
-          (all_rules ())
-  in
-  List.concat_map (fun r -> r.rule_check default_ctx m) rules
+let run (m : Ir.modul) : diag list =
+  List.concat_map (fun r -> r.rule_check default_ctx m) (all_rules ())
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds

@@ -59,9 +59,8 @@ val register : rule -> unit
 (** All registered rules, sorted by code. *)
 val all_rules : unit -> rule list
 
-(** Run the registered rules over a module in {!default_ctx}.  [only]
-    restricts the run to rules matching the given codes or names. *)
-val run : ?only:string list -> Ir.modul -> diag list
+(** Run the registered rules over a module in {!default_ctx}. *)
+val run : Ir.modul -> diag list
 
 val errors : diag list -> diag list
 val warnings : diag list -> diag list

@@ -17,15 +17,13 @@ let rec emit_expr buf (e : Tensor_expr.expr) =
       emit_expr buf a;
       Buffer.add_string buf
         (match op with
-        | Add -> " + " | Sub -> " - " | Mul -> " * " | Div -> " / "
-        | Max -> " /*max*/ , " | Min -> " /*min*/ , ");
+        | Add -> " + " | Sub -> " - " | Mul -> " * " | Div -> " / ");
       emit_expr buf b;
       Buffer.add_char buf ')'
   | Unop (op, a) ->
       Buffer.add_string buf
         (match op with
-        | Relu -> "sycl::max(0.0f, " | Sigmoid -> "sigmoid(" | Tanh -> "sycl::tanh("
-        | Exp -> "sycl::exp(" | Neg -> "-(" | Sqrt -> "sycl::sqrt(");
+        | Relu -> "sycl::max(0.0f, " | Sigmoid -> "sigmoid(" | Tanh -> "sycl::tanh(");
       emit_expr buf a;
       Buffer.add_char buf ')'
   | Scale (k, a) ->

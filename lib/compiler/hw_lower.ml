@@ -41,10 +41,9 @@ let dfg_of_expr ?(unroll = 1) (e : Tensor_expr.expr) : Everest_hls.Cdfg.t =
           let nx = build x in
           let cls =
             match op with
-            | Tensor_expr.Sqrt | Tensor_expr.Exp | Tensor_expr.Sigmoid
-            | Tensor_expr.Tanh ->
+            | Tensor_expr.Sigmoid | Tensor_expr.Tanh ->
                 Cdfg.Div  (* long-latency transcendental units *)
-            | _ -> Cdfg.Add
+            | Tensor_expr.Relu -> Cdfg.Add
           in
           Cdfg.add_node b cls "unop" [ nx ]
       | Tensor_expr.Scale (_, x) ->

@@ -73,9 +73,8 @@ let compile ?cache ?(lint = true)
      on the compiled app for inspection *)
   let lint_diags = if lint then lint_gate ~stage:"pre-flight" ir0 else [] in
   count_lint_warnings lint_diags;
-  (* middle-end: canonicalization pipeline.  The lint gate is pre-flight
-     only; callers who want per-pass linting can pass their own
-     [?lint_each] hook to [Pass.run_pipeline]. *)
+  (* middle-end: canonicalization pipeline; the lint gate is pre-flight
+     only *)
   let ir, pass_reports =
     Everest_ir.Pass.run_pipeline ctx Everest_ir.Transforms.standard_pipeline
       ir0

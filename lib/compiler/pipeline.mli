@@ -38,8 +38,7 @@ exception Compile_error of string
     Unless [lint] is [false], a pre-flight {!Everest_analysis.Lint} run
     checks the freshly lowered module — error-severity diagnostics abort
     the compile, warnings are counted in telemetry and kept on the
-    returned app.  Per-pass linting is available separately through the
-    [?lint_each] hook of {!Everest_ir.Pass.run_pipeline}.
+    returned app.
     @raise Compile_error on invalid graphs, IR verification failures, or
     error-severity lint diagnostics. *)
 val compile :

@@ -33,15 +33,12 @@ let lower_expr ?(fname = "kernel") ?(annots = []) ctx (e : Tensor_expr.expr) =
              | Tensor_expr.Add -> Dialect_arith.addf
              | Sub -> Dialect_arith.subf
              | Mul -> Dialect_arith.mulf
-             | Div -> Dialect_arith.divf
-             | Max -> Dialect_arith.maxf
-             | Min -> Dialect_arith.minf)
+             | Div -> Dialect_arith.divf)
                ctx va vb)
         else
           let kind =
             match op with
-            | Tensor_expr.Add -> "add" | Sub -> "sub" | Mul -> "mul"
-            | Div -> "div" | Max -> "max" | Min -> "min"
+            | Tensor_expr.Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div"
           in
           emit (Dialect_tensor.elementwise ctx kind [ va; vb ])
     | Unop (op, a) ->
@@ -49,18 +46,12 @@ let lower_expr ?(fname = "kernel") ?(annots = []) ctx (e : Tensor_expr.expr) =
         let kind =
           match op with
           | Tensor_expr.Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh"
-          | Exp -> "exp" | Neg -> "neg" | Sqrt -> "sqrt"
         in
         if e.shape = [] then (
-          match op with
-          | Tensor_expr.Exp -> emit (Dialect_arith.expf ctx va)
-          | Neg -> emit (Dialect_arith.negf ctx va)
-          | Sqrt -> emit (Dialect_arith.sqrtf ctx va)
-          | _ ->
-              (* scalar sigmoid/tanh/relu: route through a 1-element tensor *)
-              let one = emit (Dialect_tensor.fill ctx va (Types.tensor Types.F64 [ 1 ])) in
-              let r = emit (Dialect_tensor.elementwise ctx kind [ one ]) in
-              emit (Dialect_tensor.reduce ctx "add" r))
+          (* scalar sigmoid/tanh/relu: route through a 1-element tensor *)
+          let one = emit (Dialect_tensor.fill ctx va (Types.tensor Types.F64 [ 1 ])) in
+          let r = emit (Dialect_tensor.elementwise ctx kind [ one ]) in
+          emit (Dialect_tensor.reduce ctx "add" r))
         else emit (Dialect_tensor.elementwise ctx kind [ va ])
     | Scale (k, a) ->
         let va = go a in
@@ -72,12 +63,7 @@ let lower_expr ?(fname = "kernel") ?(annots = []) ctx (e : Tensor_expr.expr) =
         emit (Dialect_tensor.matmul ctx va vb)
     | Transpose a -> emit (Dialect_tensor.transpose ctx (go a))
     | Reshape a -> emit (Dialect_tensor.reshape ctx (go a) e.shape)
-    | Reduce (r, a) ->
-        let kind =
-          match r with
-          | Tensor_expr.Sum -> "add" | Prod -> "mul" | Rmax -> "max" | Rmin -> "min"
-        in
-        emit (Dialect_tensor.reduce ctx kind (go a))
+    | Reduce (Tensor_expr.Sum, a) -> emit (Dialect_tensor.reduce ctx "add" (go a))
     | Contract (spec, es) ->
         let vs = List.map go es in
         emit (Dialect_tensor.contract ctx spec vs (tensor_type e.shape))

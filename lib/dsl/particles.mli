@@ -22,6 +22,8 @@ val n_attrs : system -> int
 (** @raise Invalid_argument on unknown attributes. *)
 val attr_index : system -> string -> int
 
+(** Kept for PAPER.md §1's DSL row: [?layout], the AoS/SoA layout variants
+    of the particle system. *)
 val create : ?layout:layout -> n:int -> string list -> system
 val get : system -> int -> string -> float
 val set : system -> int -> string -> float -> unit

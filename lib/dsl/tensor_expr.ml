@@ -10,9 +10,9 @@ exception Shape_error of string
 
 let shape_err fmt = Fmt.kstr (fun s -> raise (Shape_error s)) fmt
 
-type binop = Add | Sub | Mul | Div | Max | Min
-type unop = Relu | Sigmoid | Tanh | Exp | Neg | Sqrt
-type reduction = Sum | Prod | Rmax | Rmin
+type binop = Add | Sub | Mul | Div
+type unop = Relu | Sigmoid | Tanh
+type reduction = Sum
 
 type expr = { node : node; shape : int list }
 
@@ -37,8 +37,7 @@ let const ?(shape = []) v = { node = Const v; shape }
 let binop op a b =
   if a.shape <> b.shape then
     shape_err "elementwise %s: shapes %a vs %a"
-      (match op with Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div"
-       | Max -> "max" | Min -> "min")
+      (match op with Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div")
       Fmt.(Dump.list int) a.shape Fmt.(Dump.list int) b.shape;
   { node = Binop (op, a, b); shape = a.shape }
 
@@ -80,8 +79,7 @@ let reshape new_shape a =
       (num_elems new_shape);
   { node = Reshape a; shape = new_shape }
 
-let reduce r a = { node = Reduce (r, a); shape = [] }
-let sum a = reduce Sum a
+let sum a = { node = Reduce (Sum, a); shape = [] }
 
 (* Einsum-style contraction.  The spec fixes operand ranks and output
    shape; extents are checked for consistency across operands. *)
@@ -145,15 +143,11 @@ let tensor_scalar v = { dims = []; data = [| v |] }
 
 let binop_fun = function
   | Add -> ( +. ) | Sub -> ( -. ) | Mul -> ( *. ) | Div -> ( /. )
-  | Max -> Float.max | Min -> Float.min
 
 let unop_fun = function
   | Relu -> fun x -> Float.max 0.0 x
   | Sigmoid -> fun x -> 1.0 /. (1.0 +. exp (-.x))
   | Tanh -> Float.tanh
-  | Exp -> exp
-  | Neg -> fun x -> -.x
-  | Sqrt -> sqrt
 
 let rec eval (env : (string * tensor) list) (e : expr) : tensor =
   match e.node with
@@ -210,16 +204,9 @@ let rec eval (env : (string * tensor) list) (e : expr) : tensor =
   | Reshape a ->
       let ta = eval env a in
       { dims = e.shape; data = ta.data }
-  | Reduce (r, a) ->
+  | Reduce (Sum, a) ->
       let ta = eval env a in
-      let f, init =
-        match r with
-        | Sum -> (( +. ), 0.0)
-        | Prod -> (( *. ), 1.0)
-        | Rmax -> (Float.max, neg_infinity)
-        | Rmin -> (Float.min, infinity)
-      in
-      tensor_scalar (Array.fold_left f init ta.data)
+      tensor_scalar (Array.fold_left ( +. ) 0.0 ta.data)
   | Contract (spec, operands) ->
       let ts = List.map (eval env) operands in
       let bufs =
@@ -307,16 +294,14 @@ let fingerprint e =
         Buffer.add_string buf "bin:";
         Buffer.add_string buf
           (match op with
-          | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div"
-          | Max -> "max" | Min -> "min");
+          | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div");
         go a;
         go b
     | Unop (op, a) ->
         Buffer.add_string buf "un:";
         Buffer.add_string buf
           (match op with
-          | Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh"
-          | Exp -> "exp" | Neg -> "neg" | Sqrt -> "sqrt");
+          | Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh");
         go a
     | Scale (k, a) ->
         Buffer.add_string buf (Printf.sprintf "scale:%h" k);
@@ -331,11 +316,9 @@ let fingerprint e =
     | Reshape a ->
         Buffer.add_string buf "rs:";
         go a
-    | Reduce (r, a) ->
+    | Reduce (Sum, a) ->
         Buffer.add_string buf "red:";
-        Buffer.add_string buf
-          (match r with
-          | Sum -> "sum" | Prod -> "prod" | Rmax -> "rmax" | Rmin -> "rmin");
+        Buffer.add_string buf "sum";
         go a
     | Contract (spec, es) ->
         Buffer.add_string buf "ein:";
@@ -350,11 +333,10 @@ let fingerprint e =
 (* ---- pretty-printing ---------------------------------------------------------- *)
 
 let binop_name = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Max -> "max" | Min -> "min"
+  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
 let unop_name = function
-  | Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh" | Exp -> "exp"
-  | Neg -> "neg" | Sqrt -> "sqrt"
+  | Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh"
 
 let rec pp ppf e =
   match e.node with
@@ -367,9 +349,6 @@ let rec pp ppf e =
   | Transpose a -> Fmt.pf ppf "%a^T" pp a
   | Reshape a -> Fmt.pf ppf "reshape(%a)" pp a
   | Reduce (Sum, a) -> Fmt.pf ppf "sum(%a)" pp a
-  | Reduce (Prod, a) -> Fmt.pf ppf "prod(%a)" pp a
-  | Reduce (Rmax, a) -> Fmt.pf ppf "rmax(%a)" pp a
-  | Reduce (Rmin, a) -> Fmt.pf ppf "rmin(%a)" pp a
   | Contract (spec, es) ->
       Fmt.pf ppf "einsum[%s](%a)" spec Fmt.(list ~sep:(any ", ") pp) es
 

@@ -9,9 +9,9 @@
 
 exception Shape_error of string
 
-type binop = Add | Sub | Mul | Div | Max | Min
-type unop = Relu | Sigmoid | Tanh | Exp | Neg | Sqrt
-type reduction = Sum | Prod | Rmax | Rmin
+type binop = Add | Sub | Mul | Div
+type unop = Relu | Sigmoid | Tanh
+type reduction = Sum
 
 (** An expression together with its inferred shape ([[]] = scalar). *)
 type expr = { node : node; shape : int list }
@@ -56,7 +56,6 @@ val scale : float -> expr -> expr
 val matmul : expr -> expr -> expr
 val transpose : expr -> expr
 val reshape : int list -> expr -> expr
-val reduce : reduction -> expr -> expr
 val sum : expr -> expr
 
 (** [contract spec operands] is an einsum-style contraction; extents are

@@ -8,7 +8,6 @@ type trait =
   | Pure  (* no side effects: eligible for CSE/DCE *)
   | Commutative
   | Terminator
-  | IsolatedRegion  (* regions do not capture outer SSA values *)
 
 type op_def = {
   opname : string;

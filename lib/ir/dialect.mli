@@ -7,7 +7,6 @@ type trait =
   | Pure  (** No side effects: eligible for CSE/DCE. *)
   | Commutative
   | Terminator  (** Ends a block (scf.yield, func.return, ...). *)
-  | IsolatedRegion  (** Regions do not capture outer SSA values. *)
 
 type op_def = {
   opname : string;

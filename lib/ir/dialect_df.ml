@@ -15,8 +15,7 @@ let task ?(attrs = []) ctx ~kernel inputs out_types =
 let source ?(attrs = []) ctx name ty =
   op ctx "df.source" [] [ ty ] ~attrs:(("name", Attr.str name) :: attrs)
 
-let sink ?(attrs = []) ctx name v =
-  op ctx "df.sink" [ v ] [] ~attrs:(("name", Attr.str name) :: attrs)
+let sink ctx name v = op ctx "df.sink" [ v ] [] ~attrs:[ ("name", Attr.str name) ]
 
 let graph ctx name body =
   op ctx "df.graph" [] [] ~regions:[ simple_region body ]

@@ -20,7 +20,7 @@ val task :
 val source : ?attrs:(string * Attr.t) list -> ctx -> string -> Types.t -> op
 
 (** Named workflow output. *)
-val sink : ?attrs:(string * Attr.t) list -> ctx -> string -> value -> op
+val sink : ctx -> string -> value -> op
 
 (** Graph container holding the orchestration ops in its region. *)
 val graph : ctx -> string -> op list -> op

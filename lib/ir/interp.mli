@@ -59,7 +59,8 @@ val eval_op : env -> Ir.op -> unit
 val call_func : env -> Ir.func -> rt list -> rt list
 
 (** [run_func ctx m name args] executes [@name] of [m]; returns the results
-    and the execution profile.
+    and the execution profile.  Kept for the step-budget test: [?max_steps]
+    (default 10{^8}) reaches the budget check without running 10{^8} steps.
     @raise Runtime_error on dynamic errors or step-budget exhaustion. *)
 val run_func :
   ?max_steps:int -> Ir.ctx -> Ir.modul -> string -> rt list -> rt list * profile

@@ -49,9 +49,9 @@ let bump_ctx ctx ops =
 
 let value_equal a b = a.vid = b.vid
 
-let op ?(attrs = []) ?(regions = []) ?(loc = Loc.unknown) ctx name operands
-    result_types =
-  { name; operands; results = fresh_values ctx result_types; attrs; regions; loc }
+let op ?(attrs = []) ?(regions = []) ctx name operands result_types =
+  { name; operands; results = fresh_values ctx result_types; attrs; regions;
+    loc = Loc.unknown }
 
 let result ?(n = 0) o = List.nth o.results n
 let attr key o = Attr.find key o.attrs
@@ -61,7 +61,6 @@ let with_attr key v o = { o with attrs = Attr.set key v o.attrs }
 let has_attr key o = Option.is_some (attr key o)
 
 let block ?(args = []) body = { bargs = args; body }
-let region blocks : region = blocks
 let simple_region body = [ block body ]
 
 (* Structural traversal *)

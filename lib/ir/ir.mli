@@ -40,7 +40,6 @@ val value_equal : value -> value -> bool
 val op :
   ?attrs:(string * Attr.t) list ->
   ?regions:region list ->
-  ?loc:Loc.t ->
   ctx ->
   string ->
   value list ->
@@ -61,7 +60,6 @@ val has_attr : string -> op -> bool
 (** {2 Regions} *)
 
 val block : ?args:value list -> op list -> block
-val region : block list -> region
 val simple_region : op list -> region
 
 (** {2 Traversal} — visit nested regions depth-first. *)

@@ -11,10 +11,7 @@ let pp_report ppf r =
   Fmt.pf ppf "%-24s %8.4fs  ops %d -> %d" r.name r.seconds r.ops_before
     r.ops_after
 
-(* [lint_each] receives the pass name and the module after every pass; it
-   is a callback (rather than a direct call into the lint engine) because
-   the analysis library layers above the IR.  It aborts by raising. *)
-let run_pipeline ?lint_each ctx passes m =
+let run_pipeline ctx passes m =
   let reports = ref [] in
   let m =
     List.fold_left
@@ -27,7 +24,6 @@ let run_pipeline ?lint_each ctx passes m =
           { name = p.pass_name; seconds = dt; ops_before = before;
             ops_after = Ir.module_op_count m' }
           :: !reports;
-        (match lint_each with Some f -> f p.pass_name m' | None -> ());
         m')
       m passes
   in

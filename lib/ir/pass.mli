@@ -10,10 +10,5 @@ type report = { name : string; seconds : float; ops_before : int; ops_after : in
 
 val pp_report : Format.formatter -> report -> unit
 
-(** Run the pipeline in order.  [lint_each], when given, is called after
-    every pass with the pass name and the resulting module — the
-    [everest_analysis] lint gate is wired through here; it aborts the
-    pipeline by raising. *)
-val run_pipeline :
-  ?lint_each:(string -> Ir.modul -> unit) ->
-  Ir.ctx -> t list -> Ir.modul -> Ir.modul * report list
+(** Run the pipeline in order. *)
+val run_pipeline : Ir.ctx -> t list -> Ir.modul -> Ir.modul * report list

@@ -30,8 +30,7 @@ let index = Scalar Index
 
 let tensor elt shape = Tensor { elt; shape = List.map (fun d -> Static d) shape }
 let tensor_dyn elt shape = Tensor { elt; shape }
-let memref ?(space = Host) elt shape =
-  Memref { elt; shape = List.map (fun d -> Static d) shape; space }
+let memref elt shape = Memref { elt; shape = List.map (fun d -> Static d) shape; space = Host }
 let stream t = Stream t
 let func args rets = Func { args; rets }
 let opaque s = Opaque s

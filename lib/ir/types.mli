@@ -40,8 +40,8 @@ val tensor : scalar -> int list -> t
 (** [tensor_dyn elt dims] allows dynamic dimensions. *)
 val tensor_dyn : scalar -> dim list -> t
 
-(** [memref ?space elt dims] is a static buffer type (default space {!Host}). *)
-val memref : ?space:mem_space -> scalar -> int list -> t
+(** [memref elt dims] is a static buffer type in {!Host} memory. *)
+val memref : scalar -> int list -> t
 
 val stream : t -> t
 val func : t list -> t list -> t

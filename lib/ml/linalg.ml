@@ -46,11 +46,6 @@ let matvec a (x : float array) =
       done;
       !acc)
 
-let dot x y =
-  let acc = ref 0.0 in
-  Array.iteri (fun i xi -> acc := !acc +. (xi *. y.(i))) x;
-  !acc
-
 (* Solve A x = b by Gaussian elimination with partial pivoting. *)
 let solve a0 (b0 : float array) =
   let n = a0.rows in

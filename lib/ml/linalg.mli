@@ -18,8 +18,6 @@ val matmul : mat -> mat -> mat
 
 val matvec : mat -> float array -> float array
 
-val dot : float array -> float array -> float
-
 (** Gaussian elimination with partial pivoting.
     @raise Failure on singular systems. *)
 val solve : mat -> float array -> float array

@@ -31,4 +31,7 @@ let fit (xs : float array array) (ys : float array) : t =
   let sol = Linalg.solve xtx xty in
   { weights = Array.sub sol 0 d; bias = sol.(d) }
 
-let predict (m : t) (x : float array) = Linalg.dot m.weights x +. m.bias
+let predict (m : t) (x : float array) =
+  let acc = ref 0.0 in
+  Array.iteri (fun i w -> acc := !acc +. (w *. x.(i))) m.weights;
+  !acc +. m.bias

@@ -6,10 +6,9 @@
    (df.sink, memref.store to a lower-level buffer, or an explicit
    sec.check).  [sec.encrypt] declassifies: ciphertext is Public.
 
-   Argument levels come from the positional [arg_levels] list when given;
-   remaining arguments take the function's "everest.security" attribute
-   (attached by the DSL front-end from [Annot.Security]), so annotated
-   kernels are analyzed correctly without a caller-supplied list.
+   Arguments take the function's "everest.security" attribute (attached
+   by the DSL front-end from [Annot.Security]), so annotated kernels are
+   analyzed at their declared level.
    Classification applied inside the body ([sec.classify] as the first
    ops on the arguments) works as before.
 
@@ -42,7 +41,7 @@ let pp_violation ppf v =
 let join (a : level) (b : level) = if Dialect_sec.level_leq a b then b else a
 
 (* Level of a value: max over sources flowing into it. *)
-let analyze_func ?(arg_levels = []) (f : Ir.func) : flow_violation list =
+let analyze_func (f : Ir.func) : flow_violation list =
   let levels : (int, level) Hashtbl.t = Hashtbl.create 64 in
   let level_of (v : Ir.value) =
     Option.value ~default:Dialect_sec.Public (Hashtbl.find_opt levels v.Ir.vid)
@@ -52,13 +51,9 @@ let analyze_func ?(arg_levels = []) (f : Ir.func) : flow_violation list =
       (Attr.find_str "everest.security" f.Ir.fattrs)
       Dialect_sec.level_of_name
   in
-  List.iteri
-    (fun i (v : Ir.value) ->
-      match (List.nth_opt arg_levels i, func_level) with
-      | Some l, _ -> Hashtbl.replace levels v.Ir.vid l
-      | None, Some l -> Hashtbl.replace levels v.Ir.vid l
-      | None, None -> ())
-    f.Ir.fargs;
+  Option.iter
+    (fun l -> List.iter (fun (v : Ir.value) -> Hashtbl.replace levels v.Ir.vid l) f.Ir.fargs)
+    func_level;
   let violations = ref [] in
   let violation (o : Ir.op) ~source ~sink detail =
     violations :=

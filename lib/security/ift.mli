@@ -20,13 +20,12 @@ val pp_violation : Format.formatter -> flow_violation -> unit
 (** Lattice join (maximum). *)
 val join : level -> level -> level
 
-(** Violations of one function.  [arg_levels] assigns levels to the formal
-    arguments positionally; arguments it does not cover take the
-    function's ["everest.security"] attribute when present (the DSL
-    front-end attaches it from [Annot.Security]), and Public otherwise.
+(** Violations of one function.  The formal arguments take the function's
+    ["everest.security"] attribute when present (the DSL front-end attaches
+    it from [Annot.Security]), and Public otherwise.
     Ops with regions join the levels yielded by their region terminators
     into their results. *)
-val analyze_func : ?arg_levels:level list -> Everest_ir.Ir.func -> flow_violation list
+val analyze_func : Everest_ir.Ir.func -> flow_violation list
 
 (** Violations across the module, tagged with the containing function. *)
 val analyze_module : Everest_ir.Ir.modul -> (string * flow_violation) list

@@ -60,8 +60,7 @@ type range_monitor = {
   mutable r_trained : bool;
 }
 
-let range ?(margin = 0.10) () =
-  { lo = infinity; hi = neg_infinity; margin; r_trained = false }
+let range () = { lo = infinity; hi = neg_infinity; margin = 0.10; r_trained = false }
 
 let range_train m x =
   if x < m.lo then m.lo <- x;
@@ -128,7 +127,7 @@ let access_check m addr =
 
 type size_monitor = { s_stats : stats; factor : float; mutable s_trained : bool }
 
-let size ?(factor = 3.0) () = { s_stats = stats (); factor; s_trained = false }
+let size () = { s_stats = stats (); factor = 3.0; s_trained = false }
 let size_train m b = observe m.s_stats (float_of_int b)
 let size_finalize m = m.s_trained <- true
 

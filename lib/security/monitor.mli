@@ -34,7 +34,7 @@ val timing_check : timing_monitor -> float -> verdict
 
 type range_monitor
 
-val range : ?margin:float -> unit -> range_monitor
+val range : unit -> range_monitor
 val range_train : range_monitor -> float -> unit
 val range_finalize : range_monitor -> unit
 val range_check : range_monitor -> float -> verdict
@@ -52,7 +52,7 @@ val access_check : access_monitor -> int -> verdict
 
 type size_monitor
 
-val size : ?factor:float -> unit -> size_monitor
+val size : unit -> size_monitor
 val size_train : size_monitor -> int -> unit
 val size_finalize : size_monitor -> unit
 val size_check : size_monitor -> int -> verdict
