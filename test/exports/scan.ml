@@ -1,33 +1,47 @@
-(* Export scan: which exports of the libraries under lib/ does nothing
-   call, and which of their optional parameters does nothing pass?
+(* Export scan: which exports of the libraries under lib/ do the programs
+   never reach, and which of their optional parameters do they never pass?
 
    Run from the workspace root, it prints one sorted line per export that
-   no caller references, [unreferenced <library> <Module>.<name>], or that
-   only test/ references, [test-only <library> <Module>.<name>]; one per
-   optional parameter of an .mli [val] that no caller passes,
-   [unpassed <library> <Module>.<name> ?<label>], or that only test/
-   passes, [test-only-option ...]; then the totals.  test/exports/dune
+   nothing reaches, [unreferenced <library> <Module>.<name>], or that only
+   the tests reach, [test-only <library> <Module>.<name>]; one per
+   optional parameter of an .mli [val] that nothing passes,
+   [unpassed <library> <Module>.<name> ?<label>], or that only the tests
+   pass, [test-only-option ...]; then the totals.  test/exports/dune
    diffs that output against exports.expected in `dune runtest`, so a new
    dead export or option fails the tests; re-record with
    `dune runtest test/exports --auto-promote`.
 
    - An export is a top-level [val] of a lib/**/*.mli, or a top-level
      [let] of a lib/ module that has no .mli.
-   - Callers are the .ml files under lib/, bin/, bench/, everest_bench/
+   - The programs are the .ml files under bin/, bench/, everest_bench/
      and examples/; test/ holds the tests.  Files are read with
      compiler-libs' [Parse], which lexes with the compiler's own [Lexer],
      so comments and strings never count.
+   - Reach: every top-level [let] of a lib/ .ml, exported or private, is
+     a binding, and each reference in the file belongs to the binding
+     that contains it.  A binding is reached when a program refers to it
+     or a reached binding does, to a fixpoint.  The file's other
+     top-level code ([let () =], nested modules, functor bodies,
+     [include]) is reached whenever anything in the file is.  Test reach
+     is the same fixpoint started from test/.
    - A reference is [M.name]: library-qualified ([Everest_ir.Ir.name]),
      through a module alias ([module X = ...], [let module]), or with
      [M] the last module of a dotted path ([Sdk.Runtime.Orchestrator.serve]).
-     A bare [name] also counts for every module the file opens ([open],
-     [let open], [M.( ... )]), and in [M]'s own .ml outside the top-level
-     binding that defines it.  A module passed whole (included, applied,
-     packed) counts as a reference to all of its exports.
-   - An application whose head is a reference passes the options it
-     labels, [~l] or [?l].  A reference anywhere else (passed as an
-     argument, bound to a name) counts as passing all of the export's
-     options, so the scan never reports an option passed through it.
+     A bare [name] refers to [M.name] in [M]'s own .ml and in every
+     module the file opens ([open], [let open], [M.( ... )]), unless a
+     function parameter, [let ... in], [match]/[function]/[try] case or
+     [for] index binds it locally; in [let x = x () in] the right-hand
+     side still refers to the outer [x], unless the [let] is [rec].
+     Lets inside nested modules do not bind locally, so an unclear scope
+     counts a reference and the scan never reports a used export.  A
+     module passed whole (included, applied, packed) counts as a
+     reference to all of its exports.
+   - An option is passed when an application whose head is a reference
+     labels it, [~l] or [?l], from a program or a reached binding (from
+     a test or a test-reached binding for the tests).  A reference
+     anywhere else (passed as an argument, bound to a name) counts as
+     passing all of the export's options, so the scan never reports an
+     option passed through it.
    - A module name two libraries define ([Rng], [Dataflow]) resolves to
      the referring file's own library and the library wrappers it opens,
      else to the libraries its dune file lists, else to both; every
@@ -36,7 +50,7 @@
 
 open Parsetree
 
-let callers = [ "lib"; "bin"; "bench"; "everest_bench"; "examples" ]
+let programs = [ "bin"; "bench"; "everest_bench"; "examples" ]
 let tests = [ "test" ]
 
 let rec walk dir acc =
@@ -121,15 +135,18 @@ let parse f path =
     Location.report_exception Format.err_formatter exn;
     exit 2
 
-(* What a .ml file refers to. *)
+(* What a .ml file refers to.  The owner of a reference is the top-level
+   binding containing it: each name its [let] pattern binds, or [""] for
+   the file's other top-level code. *)
 type uses = {
   mutable opens : Longident.t list;
   mutable aliases : (string * Longident.t) list;
-  mutable idents : (Longident.t * bool * string list option) list;
-      (* [true]: a bare name inside the top-level binding that defines it;
-         [Some labels]: the head of an application passing [labels] *)
-  mutable whole : Longident.t list;
+  mutable idents : (string list * Longident.t * string list option) list;
+      (* [Some labels]: the head of an application passing [labels] *)
+  mutable whole : (string list * Longident.t) list;
 }
+
+module S = Set.Make (String)
 
 let pattern_vars p =
   let vars = ref [] in
@@ -143,6 +160,8 @@ let pattern_vars p =
   it.pat it p;
   !vars
 
+let bind env p = List.fold_left (fun env v -> S.add v env) env (pattern_vars p)
+
 let top_level_lets str =
   List.concat_map
     (fun si ->
@@ -153,7 +172,7 @@ let top_level_lets str =
 
 let uses_of str =
   let u = { opens = []; aliases = []; idents = []; whole = [] } in
-  let defining = ref [] in
+  let owner = ref [ "" ] in
   let ident me =
     match me.pmod_desc with
     | Pmod_ident l | Pmod_constraint ({ pmod_desc = Pmod_ident l; _ }, _) -> Some l.txt
@@ -165,24 +184,10 @@ let uses_of str =
     | Some x, Some l -> u.aliases <- (x, l) :: u.aliases
     | _ -> it.Ast_iterator.module_expr it me
   in
-  let use txt passed =
-    let own = match txt with Longident.Lident n -> List.mem n !defining | _ -> false in
-    u.idents <- (txt, own, passed) :: u.idents
-  in
-  let expr it e =
-    match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> use txt None
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-        let label = function
-          | Asttypes.Labelled l, _ | Asttypes.Optional l, _ -> Some l
-          | Asttypes.Nolabel, _ -> None
-        in
-        use txt (Some (List.filter_map label args));
-        List.iter (fun (_, arg) -> it.Ast_iterator.expr it arg) args
-    | Pexp_letmodule (x, me, body) ->
-        alias it x.txt me;
-        it.expr it body
-    | _ -> default.expr it e
+  let use env txt passed =
+    match txt with
+    | Longident.Lident n when S.mem n env -> ()
+    | _ -> u.idents <- (!owner, txt, passed) :: u.idents
   in
   let open_declaration it od =
     match ident od.popen_expr with
@@ -192,20 +197,64 @@ let uses_of str =
   let module_binding it mb = alias it mb.pmb_name.txt mb.pmb_expr in
   let module_expr it me =
     match me.pmod_desc with
-    | Pmod_ident l -> u.whole <- l.txt :: u.whole
+    | Pmod_ident l -> u.whole <- (!owner, l.txt) :: u.whole
     | _ -> default.module_expr it me
   in
-  let it = { default with expr; open_declaration; module_binding; module_expr } in
+  (* [env]: the names bound locally around the expression. *)
+  let rec iterator env =
+    { default with expr = (fun _ e -> expr env e); open_declaration; module_binding; module_expr }
+  and expr env e =
+    let it = iterator env in
+    let case env c =
+      let env = bind env c.pc_lhs in
+      Option.iter (expr env) c.pc_guard;
+      expr env c.pc_rhs
+    in
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> use env txt None
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+        let label = function
+          | Asttypes.Labelled l, _ | Asttypes.Optional l, _ -> Some l
+          | Asttypes.Nolabel, _ -> None
+        in
+        use env txt (Some (List.filter_map label args));
+        List.iter (fun (_, arg) -> expr env arg) args
+    | Pexp_let (flag, vbs, body) ->
+        let inner = List.fold_left (fun env vb -> bind env vb.pvb_pat) env vbs in
+        let rhs = if flag = Asttypes.Recursive then inner else env in
+        List.iter (fun vb -> expr rhs vb.pvb_expr) vbs;
+        expr inner body
+    | Pexp_fun (_, init, p, body) ->
+        Option.iter (expr env) init;
+        expr (bind env p) body
+    | Pexp_function cases -> List.iter (case env) cases
+    | Pexp_match (e, cases) | Pexp_try (e, cases) ->
+        expr env e;
+        List.iter (case env) cases
+    | Pexp_for (p, lo, hi, _, body) ->
+        expr env lo;
+        expr env hi;
+        expr (bind env p) body
+    | Pexp_letop { let_; ands; body } ->
+        let ops = let_ :: ands in
+        List.iter (fun op -> expr env op.pbop_exp) ops;
+        expr (List.fold_left (fun env op -> bind env op.pbop_pat) env ops) body
+    | Pexp_letmodule (x, me, body) ->
+        alias it x.txt me;
+        expr env body
+    | _ -> default.expr it e
+  in
+  let it = iterator S.empty in
   List.iter
     (fun si ->
       match si.pstr_desc with
       | Pstr_value (_, vbs) ->
           List.iter
             (fun vb ->
-              defining := pattern_vars vb.pvb_pat;
+              owner := (match pattern_vars vb.pvb_pat with [] -> [ "" ] | vs -> vs);
               it.value_binding it vb)
             vbs;
-          defining := []
+          owner := [ "" ]
       | _ -> it.structure_item it si)
     str;
   u
@@ -233,13 +282,16 @@ let rec expand aliases depth cs =
       | ts -> List.concat_map (fun t -> expand aliases (depth + 1) (t @ rest)) ts)
   | _ -> [ cs ]
 
+type source = Program | Test | Binding of (string * string * string)
+
 let () =
-  (* (library, module, name) -> (referenced by a caller, by a test) *)
-  let exports : (string * string * string, bool ref * bool ref) Hashtbl.t =
-    Hashtbl.create 2048
-  in
+  (* (library, module, name) of every export *)
+  let exports : (string * string * string, unit) Hashtbl.t = Hashtbl.create 2048 in
+  (* every export and top-level binding of a lib/ module, and [(lib, m, "")]
+     for the rest of its file's top-level code *)
+  let nodes : (string * string * string, unit) Hashtbl.t = Hashtbl.create 4096 in
   (* (library, module, name) -> each optional parameter with (passed by a
-     caller, by a test) *)
+     program, by a test) *)
   let options_of :
       (string * string * string, (string * bool ref * bool ref) list) Hashtbl.t =
     Hashtbl.create 256
@@ -256,13 +308,14 @@ let () =
         Hashtbl.add dirs d r;
         r
   in
-  let roots = List.filter Sys.file_exists (callers @ tests) in
+  let roots = List.filter Sys.file_exists ("lib" :: programs @ tests) in
   let files = List.concat_map (fun r -> List.sort compare (walk r [])) roots in
   let with_ext e = List.filter (fun p -> Filename.extension p = e) files in
   let lib_of p = if String.starts_with ~prefix:"lib/" p then (dir_of p).own else None in
   let from_lib = List.filter (fun p -> lib_of p <> None) in
-  let add lib m =
-    List.iter (fun n -> Hashtbl.replace exports (lib, m, n) (ref false, ref false))
+  let add lib m ns =
+    Hashtbl.replace nodes (lib, m, "") ();
+    List.iter (fun n -> Hashtbl.replace nodes (lib, m, n) ()) ns
   in
   List.iter
     (fun p ->
@@ -270,39 +323,44 @@ let () =
       Hashtbl.replace wrappers (String.capitalize_ascii lib) lib;
       if not (List.mem lib (Hashtbl.find_all defined_by m)) then
         Hashtbl.add defined_by m lib;
+      let lets = top_level_lets (parse Parse.implementation p) in
       let mli = p ^ "i" in
-      if Sys.file_exists mli then
-        add lib m
-          (List.filter_map
-             (fun si ->
-               match si.psig_desc with
-               | Psig_value vd ->
-                   let n = vd.pval_name.txt in
-                   let opts = options vd.pval_type in
-                   if opts <> [] then
-                     Hashtbl.replace options_of (lib, m, n)
-                       (List.map (fun o -> (o, ref false, ref false)) opts);
-                   Some n
-               | _ -> None)
-             (parse Parse.interface mli))
-      else add lib m (top_level_lets (parse Parse.implementation p)))
+      let exported =
+        if Sys.file_exists mli then
+          List.filter_map
+            (fun si ->
+              match si.psig_desc with
+              | Psig_value vd ->
+                  let n = vd.pval_name.txt in
+                  let opts = options vd.pval_type in
+                  if opts <> [] then
+                    Hashtbl.replace options_of (lib, m, n)
+                      (List.map (fun o -> (o, ref false, ref false)) opts);
+                  Some n
+              | _ -> None)
+            (parse Parse.interface mli)
+        else lets
+      in
+      List.iter (fun n -> Hashtbl.replace exports (lib, m, n) ()) exported;
+      add lib m (exported @ lets))
     (from_lib (with_ext ".ml"));
+  (* Every reference: where it is, the node it names, the labels it passes. *)
+  let refs = ref [] in
   List.iter
     (fun p ->
       let d = dir_of p and u = uses_of (parse Parse.implementation p) in
-      let from_test = List.mem (List.hd (String.split_on_char '/' p)) tests in
-      let mark ?passed lib m n =
-        let by (by_caller, by_test) = if from_test then by_test else by_caller in
-        match Hashtbl.find_opt exports (lib, m, n) with
-        | Some refs ->
-            by refs := true;
-            List.iter
-              (fun (o, by_caller, by_test) ->
-                match passed with
-                | Some labels when not (List.mem o labels) -> ()
-                | _ -> by (by_caller, by_test) := true)
-              (Option.value ~default:[] (Hashtbl.find_opt options_of (lib, m, n)))
-        | None -> ()
+      let own = Option.map (fun lib -> (lib, module_name p)) (lib_of p) in
+      let from owners =
+        match own with
+        | Some (lib, m) -> List.map (fun n -> Binding (lib, m, n)) owners
+        | None when List.mem (List.hd (String.split_on_char '/' p)) tests -> [ Test ]
+        | None -> [ Program ]
+      in
+      let note owners passed node =
+        if Hashtbl.mem nodes node then
+          List.iter
+            (fun src -> if src <> Binding node then refs := (src, node, passed) :: !refs)
+            (from owners)
       in
       let paths l = Option.fold ~none:[] ~some:(expand u.aliases 0) (components l) in
       let opened_libs =
@@ -337,33 +395,67 @@ let () =
       let resolve l = List.concat_map modules (paths l) in
       let opened = List.concat_map resolve u.opens in
       List.iter
-        (fun l ->
+        (fun (owners, l) ->
           List.iter
             (fun (lib, m) ->
               Hashtbl.iter
-                (fun (lib', m', n) _ -> if lib = lib' && m = m' then mark lib m n)
+                (fun (lib', m', n) () ->
+                  if lib = lib' && m = m' then note owners None (lib, m, n))
                 exports)
             (resolve l))
         u.whole;
-      let own = Option.map (fun lib -> (lib, module_name p)) d.own in
       List.iter
-        (fun (l, defining, passed) ->
+        (fun (owners, l, passed) ->
+          let note (lib, m) n = note owners passed (lib, m, n) in
           match l with
           | Longident.Lident n ->
-              (match own with
-              | Some (lib, m) when not defining -> mark ?passed lib m n
-              | _ -> ());
-              List.iter (fun (lib, m) -> mark ?passed lib m n) opened
-          | Ldot (q, n) -> List.iter (fun (lib, m) -> mark ?passed lib m n) (resolve q)
+              Option.iter (fun own -> note own n) own;
+              List.iter (fun lm -> note lm n) opened
+          | Ldot (q, n) -> List.iter (fun lm -> note lm n) (resolve q)
           | Lapply _ -> ())
         u.idents)
     (with_ext ".ml");
+  (* Reach from the programs and from the tests, to a fixpoint; reaching
+     a binding reaches the rest of its file's top-level code. *)
+  let edges = Hashtbl.create 8192 in
+  List.iter
+    (function Binding src, node, _ -> Hashtbl.add edges src node | _ -> ())
+    !refs;
+  let reach root =
+    let seen = Hashtbl.create 4096 in
+    let rec visit ((lib, m, _) as node) =
+      if not (Hashtbl.mem seen node) then (
+        Hashtbl.add seen node ();
+        visit (lib, m, "");
+        List.iter visit (Hashtbl.find_all edges node))
+    in
+    List.iter (fun (src, node, _) -> if src = root then visit node) !refs;
+    seen
+  in
+  let by_program = reach Program and by_test = reach Test in
+  List.iter
+    (fun (src, node, passed) ->
+      let program, test =
+        match src with
+        | Program -> (true, false)
+        | Test -> (false, true)
+        | Binding b -> (Hashtbl.mem by_program b, Hashtbl.mem by_test b)
+      in
+      List.iter
+        (fun (o, by_p, by_t) ->
+          match passed with
+          | Some labels when not (List.mem o labels) -> ()
+          | _ ->
+              if program then by_p := true;
+              if test then by_t := true)
+        (Option.value ~default:[] (Hashtbl.find_opt options_of node)))
+    !refs;
   let lines =
     Hashtbl.fold
-      (fun (lib, m, n) (by_caller, by_test) lines ->
-        if !by_caller then lines
+      (fun ((lib, m, n) as node) () lines ->
+        if Hashtbl.mem by_program node then lines
         else
-          let kind = if !by_test then "test-only" else "unreferenced" in
+          let kind = if Hashtbl.mem by_test node then "test-only" else "unreferenced" in
           Printf.sprintf "%s %s %s.%s" kind lib m n :: lines)
       exports []
   in
@@ -371,10 +463,10 @@ let () =
     Hashtbl.fold
       (fun (lib, m, n) opts lines ->
         List.fold_left
-          (fun lines (o, by_caller, by_test) ->
-            if !by_caller then lines
+          (fun lines (o, by_p, by_t) ->
+            if !by_p then lines
             else
-              let kind = if !by_test then "test-only-option" else "unpassed" in
+              let kind = if !by_t then "test-only-option" else "unpassed" in
               Printf.sprintf "%s %s %s.%s ?%s" kind lib m n o :: lines)
           lines opts)
       options_of lines

@@ -333,13 +333,6 @@ let test_lint_deterministic () =
   let b = Lint.render_text (Lint.run m) in
   checks "two runs render identically" a b
 
-let test_lint_only_filter () =
-  let ds = Lint.run ~only:[ "EV040" ] (seeded_module ()) in
-  checkb "non-empty" true (ds <> []);
-  List.iter
-    (fun (d : Lint.diag) -> checks "only the requested rule" "EV040" d.Lint.code)
-    ds
-
 let test_lint_clean_lowered_graph () =
   let g = Dsl.Dataflow.create "clean" in
   let src = Dsl.Dataflow.source g "in" ~bytes:4096 in
@@ -358,9 +351,7 @@ let test_lint_clean_lowered_graph () =
 let test_lint_verify_bridge () =
   (* an unregistered op surfaces as an EV001 error with its location *)
   let ctx = Ir.ctx () in
-  let bogus =
-    Ir.op ~loc:(Loc.file "bogus.mlir" 3) ctx "nope.nope" [] []
-  in
+  let bogus = { (Ir.op ctx "nope.nope" [] []) with Ir.loc = Loc.file "bogus.mlir" 3 } in
   let m = Ir.modul "m" [ Ir.func "f" [] [] [ bogus; Func.return ctx [] ] ] in
   let errs = Lint.errors (Lint.run m) in
   checkb "EV001 reported" true
@@ -413,31 +404,6 @@ let test_pipeline_clean_carries_lint () =
   let app = Everest_compiler.Pipeline.compile g in
   checkb "no error diagnostics on a clean app" true
     (not (Lint.has_errors app.Everest_compiler.Pipeline.lint))
-
-let test_pass_lint_each_hook () =
-  let module Pass = Everest_ir.Pass in
-  let ctx = Ir.ctx () in
-  let c = Arith.const_i ctx 1 in
-  let f = Ir.func "main" [] [ Types.i64 ] [ c; Func.return ctx [ r c ] ] in
-  let m = Ir.modul "hooked" [ f ] in
-  let pipeline =
-    [ Pass.make "nop1" (fun _ m -> m); Pass.make "nop2" (fun _ m -> m) ]
-  in
-  let seen = ref [] in
-  let hook name _m = seen := name :: !seen in
-  ignore (Pass.run_pipeline ~lint_each:hook ctx pipeline m);
-  Alcotest.(check (list string))
-    "hook runs after every pass" [ "nop1"; "nop2" ] (List.rev !seen);
-  (* a raising hook aborts the pipeline *)
-  let ran = ref 0 in
-  let abort name _m =
-    incr ran;
-    if String.equal name "nop1" then failwith "lint gate tripped"
-  in
-  (match Pass.run_pipeline ~lint_each:abort ctx pipeline m with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "raising lint_each must abort run_pipeline");
-  checki "aborting hook fired once" 1 !ran
 
 (* ---- properties ------------------------------------------------------------ *)
 
@@ -545,12 +511,10 @@ let () =
       ( "lint",
         [ Alcotest.test_case "seeded codes" `Quick test_lint_seeded_codes;
           Alcotest.test_case "deterministic" `Quick test_lint_deterministic;
-          Alcotest.test_case "only filter" `Quick test_lint_only_filter;
           Alcotest.test_case "clean lowered graph" `Quick test_lint_clean_lowered_graph;
           Alcotest.test_case "verify bridge" `Quick test_lint_verify_bridge;
           QCheck_alcotest.to_alcotest prop_lint_deterministic ] );
       ( "pipeline-gate",
         [ Alcotest.test_case "rejects lint errors" `Quick test_pipeline_rejects_lint_errors;
-          Alcotest.test_case "clean carries lint" `Quick test_pipeline_clean_carries_lint;
-          Alcotest.test_case "lint_each hook" `Quick test_pass_lint_each_hook ] );
+          Alcotest.test_case "clean carries lint" `Quick test_pipeline_clean_carries_lint ] );
     ]

@@ -10,6 +10,13 @@ let checks = Alcotest.check Alcotest.string
 let point variant ?(features = []) metrics =
   { Knowledge.variant; features; metrics }
 
+(* A goal with constraints, as a record: nothing outside the tests builds
+   one. *)
+let constrained constraints objective = { Goal.constraints; objective }
+
+let at_most ?(priority = 1) metric bound =
+  { Goal.metric; cmp = Goal.Le; bound; priority }
+
 let base_knowledge () =
   Knowledge.create "matmul"
     [ point "sw-naive" [ ("time_s", 1.0); ("energy_j", 10.0); ("error", 0.0) ];
@@ -28,9 +35,7 @@ let test_minimize_time () =
 let test_constraint_filters () =
   let k = base_knowledge () in
   let g =
-    Goal.make
-      ~constraints:[ Goal.constraint_ "error" Goal.Le 0.01 ]
-      (Goal.Minimize "time_s")
+    constrained [ at_most "error" 0.01 ] (Goal.Minimize "time_s")
   in
   let d = Option.get (Selector.select k g ~features:[]) in
   checks "accuracy constraint excludes approx" "fpga"
@@ -43,10 +48,8 @@ let test_relaxation_order () =
      less important constraint (higher priority number) and must be
      relaxed first *)
   let g =
-    Goal.make
-      ~constraints:
-        [ Goal.constraint_ ~priority:1 "error" Goal.Le 0.01;
-          Goal.constraint_ ~priority:5 "time_s" Goal.Le 0.01 ]
+    constrained
+      [ at_most ~priority:1 "error" 0.01; at_most ~priority:5 "time_s" 0.01 ]
       (Goal.Minimize "energy_j")
   in
   let d = Option.get (Selector.select k g ~features:[]) in
@@ -100,16 +103,23 @@ let test_observation_updates () =
   Alcotest.check (Alcotest.float 1e-9) "ema applied" 0.15
     (Option.get (Knowledge.metric p "time_s"))
 
+(* One closed-loop step, as the orchestrator runs it: select, execute via
+   [run], feed the measurement back. *)
+let step t ~run =
+  match Tuner.select t ~features:[] with
+  | None -> None
+  | Some d ->
+      let variant = d.Selector.point.Knowledge.variant in
+      let measured = run variant in
+      Tuner.observe t ~variant ~features:[] ~measured;
+      Some (variant, measured)
+
 let test_adaptation_switches_variant () =
   (* the FPGA becomes contended: measured times degrade; the tuner must
      switch to the tiled software variant *)
   let k = base_knowledge () in
-  let g =
-    Goal.make
-      ~constraints:[ Goal.constraint_ "error" Goal.Le 0.01 ]
-      (Goal.Minimize "time_s")
-  in
-  let t = Tuner.create ~alpha:0.6 k g in
+  let g = constrained [ at_most "error" 0.01 ] (Goal.Minimize "time_s") in
+  let t = Tuner.create k g in
   let fpga_time = ref 0.05 in
   let run variant =
     match variant with
@@ -118,13 +128,13 @@ let test_adaptation_switches_variant () =
     | "sw-naive" -> [ ("time_s", 1.0); ("error", 0.0) ]
     | _ -> [ ("time_s", 0.02); ("error", 0.08) ]
   in
-  let first = Option.get (Tuner.step t ~features:[] ~run) in
+  let first = Option.get (step t ~run) in
   checks "starts on fpga" "fpga" (fst first);
   (* degrade the FPGA drastically *)
   fpga_time := 3.0;
   let rec loop n last =
     if n = 0 then last
-    else loop (n - 1) (Option.get (Tuner.step t ~features:[] ~run))
+    else loop (n - 1) (Option.get (step t ~run))
   in
   let final = loop 8 first in
   checks "switched to software" "sw-tiled" (fst final);
@@ -149,18 +159,28 @@ let test_tuner_writes_no_metrics () =
   checki "default registry empty" 0
     (List.length (Metrics.metrics Metrics.default))
 
-let test_regret_oracle_zero () =
-  let costs _step v = match v with "a" -> 1.0 | _ -> 2.0 in
-  let r =
-    Tuner.regret ~steps:10 ~variants:[ "a"; "b" ] ~true_costs:costs
-      ~chosen:(fun _ -> "a")
+(* Cumulative regret of the tuner's choices against an oracle that knows
+   every step's true time: when the FPGA degrades at step 5, the tuner pays
+   for one step and then moves to the best software variant. *)
+let test_tuner_regret () =
+  let goal = constrained [ at_most "error" 0.01 ] (Goal.Minimize "time_s") in
+  let t = Tuner.create (base_knowledge ()) goal in
+  let time s = function
+    | "fpga" -> if s < 5 then 0.05 else 3.0
+    | "sw-tiled" -> 0.4
+    | _ -> 1.0
   in
-  Alcotest.check (Alcotest.float 1e-12) "oracle has zero regret" 0.0 r;
-  let r2 =
-    Tuner.regret ~steps:10 ~variants:[ "a"; "b" ] ~true_costs:costs
-      ~chosen:(fun _ -> "b")
-  in
-  Alcotest.check (Alcotest.float 1e-12) "bad choice accumulates" 10.0 r2
+  let regret = ref 0.0 in
+  for s = 0 to 11 do
+    let run v = [ ("time_s", time s v); ("error", 0.0) ] in
+    let chosen, _ = Option.get (step t ~run) in
+    let best =
+      List.fold_left (fun m v -> Float.min m (time s v)) infinity
+        [ "fpga"; "sw-tiled"; "sw-naive" ]
+    in
+    regret := !regret +. (time s chosen -. best)
+  done;
+  Alcotest.check (Alcotest.float 1e-9) "one step of regret" (3.0 -. 0.4) !regret
 
 let prop_selection_satisfies_unrelaxed =
   QCheck.Test.make ~count:100
@@ -169,10 +189,8 @@ let prop_selection_satisfies_unrelaxed =
     (fun (tbound, ebound) ->
       let k = base_knowledge () in
       let g =
-        Goal.make
-          ~constraints:
-            [ Goal.constraint_ ~priority:1 "time_s" Goal.Le tbound;
-              Goal.constraint_ ~priority:2 "error" Goal.Le ebound ]
+        constrained
+          [ at_most ~priority:1 "time_s" tbound; at_most ~priority:2 "error" ebound ]
           (Goal.Minimize "energy_j")
       in
       match Selector.select k g ~features:[] with
@@ -199,7 +217,7 @@ let () =
       ( "adapt",
         [ Alcotest.test_case "ema update" `Quick test_observation_updates;
           Alcotest.test_case "switches variant" `Quick test_adaptation_switches_variant;
-          Alcotest.test_case "regret" `Quick test_regret_oracle_zero;
+          Alcotest.test_case "regret" `Quick test_tuner_regret;
           Alcotest.test_case "writes no metrics" `Quick
             test_tuner_writes_no_metrics ] );
     ]

@@ -24,7 +24,8 @@ let test_type_printing () =
   checks "tensor" "tensor<4x?x8xf32>"
     (Types.to_string (Types.tensor_dyn Types.F32 [ Static 4; Dyn; Static 8 ]));
   checks "memref" "memref<16xf64, bram>"
-    (Types.to_string (Types.memref ~space:Types.Bram Types.F64 [ 16 ]));
+    (Types.to_string
+       (Types.Memref { elt = Types.F64; shape = [ Static 16 ]; space = Types.Bram }));
   checks "stream" "stream<f32>" (Types.to_string (Types.stream Types.f32));
   checks "func" "(f64, i32) -> (f64)"
     (Types.to_string (Types.func [ Types.f64; Types.i32 ] [ Types.f64 ]))
@@ -285,6 +286,80 @@ let test_dce_deletes_every_dead_op () =
   checki "dce deletes all four" 8 (Ir.count_ops f'.Ir.fbody);
   checki "nothing left dead" 0 (List.length (Transforms.dead_ops f'));
   checki "still verifies" 0 (List.length (Verify.verify_module m'))
+
+(* A random function for the dead-op property: f64 arithmetic over the
+   values in scope, stores that keep some of them live, nested [scf.for]
+   and [scf.if] bodies (whose values stay inside their region), and a
+   return of one top-level value.  Whatever nothing live reads is dead:
+   chains through loop bodies, and products that only dead code inside a
+   region reads. *)
+let random_dce_func seed =
+  let rs = Random.State.make [| seed |] in
+  let ctx = Ir.ctx () in
+  let r = Ir.result in
+  let x = Ir.fresh_value ctx Types.f64 and cond = Ir.fresh_value ctx Types.i1 in
+  let buf = Dialect_memref.alloc ctx Types.F64 [ 4 ] in
+  let i0 = Dialect_arith.const_index ctx 0 and one = Dialect_arith.const_index ctx 1 in
+  let four = Dialect_arith.const_index ctx 4 in
+  let pick scope = List.nth scope (Random.State.int rs (List.length scope)) in
+  let rec block depth scope n =
+    if n = 0 then ([], scope)
+    else
+      let body () = fst (block (depth + 1) scope (Random.State.int rs 6)) in
+      let o, scope =
+        match Random.State.int rs (if depth < 3 then 10 else 7) with
+        | 0 | 1 | 2 ->
+            let o = Dialect_arith.addf ctx (pick scope) (pick scope) in
+            (o, r o :: scope)
+        | 3 | 4 ->
+            let o = Dialect_arith.mulf ctx (pick scope) (pick scope) in
+            (o, r o :: scope)
+        | 5 -> (Dialect_memref.store ctx (pick scope) (r buf) [ r i0 ], scope)
+        | 6 ->
+            let o = Dialect_arith.const_f ctx (float_of_int n) in
+            (o, r o :: scope)
+        | 7 | 8 ->
+            (Dialect_scf.for_ ctx (r i0) (r four) (r one) (fun _ _ _ -> (body (), [])), scope)
+        | _ -> (Dialect_scf.if_ ctx cond (fun _ -> (body (), [])) (fun _ -> (body (), [])), scope)
+      in
+      let rest, scope = block depth scope (n - 1) in
+      (o :: rest, scope)
+  in
+  let ops, scope = block 0 [ x ] (4 + Random.State.int rs 24) in
+  Ir.func "g" [ x; cond ] [ Types.f64 ]
+    ((buf :: i0 :: one :: four :: ops) @ [ Dialect_func.return ctx [ pick scope ] ])
+
+let prop_dead_ops_match_reference =
+  QCheck.Test.make ~count:500 ~name:"dead_ops = iterated reference rule"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let f = random_dce_func seed in
+      let fast = Transforms.dead_ops f and slow = Dce_reference.dead_ops f in
+      List.length fast = List.length slow && List.for_all2 ( == ) fast slow)
+
+(* A 4,000-op dead chain: each link reads only the previous one.  Dead as a
+   whole when nothing reads its end, live as a whole when the return does. *)
+let test_dce_long_chain () =
+  let ctx = Ir.ctx () in
+  let x = Ir.fresh_value ctx Types.f64 in
+  let chain =
+    List.rev
+      (List.fold_left
+         (fun acc _ ->
+           let v = match acc with o :: _ -> Ir.result o | [] -> x in
+           Dialect_arith.addf ctx v v :: acc)
+         [] (List.init 4000 Fun.id))
+  in
+  let last = Ir.result (List.nth chain 3999) in
+  let dead_end = Ir.func "dead" [ x ] [ Types.f64 ] (chain @ [ Dialect_func.return ctx [ x ] ]) in
+  let dead = Transforms.dead_ops dead_end in
+  checki "every link dead" 4000 (List.length dead);
+  checkb "in program order" true (List.for_all2 ( == ) dead chain);
+  let live_end =
+    Ir.func "live" [ x ] [ Types.f64 ] (chain @ [ Dialect_func.return ctx [ last ] ])
+  in
+  checki "nothing dead when the return reads the end" 0
+    (List.length (Transforms.dead_ops live_end))
 
 (* ---- Interpreter ------------------------------------------------------------ *)
 
@@ -590,7 +665,9 @@ let () =
           Alcotest.test_case "cse" `Quick test_cse;
           Alcotest.test_case "dce keeps stores" `Quick test_dce_keeps_stores;
           Alcotest.test_case "dce deletes every dead op" `Quick
-            test_dce_deletes_every_dead_op ] );
+            test_dce_deletes_every_dead_op;
+          Alcotest.test_case "dce long dead chain" `Quick test_dce_long_chain;
+          QCheck_alcotest.to_alcotest prop_dead_ops_match_reference ] );
       ( "interp",
         [ Alcotest.test_case "matmul" `Quick test_interp_matmul;
           Alcotest.test_case "einsum" `Quick test_interp_einsum_matches_matmul;

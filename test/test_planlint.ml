@@ -226,7 +226,9 @@ let prop_shipped_schedulers_lint_clean =
         List.for_all
           (fun dead ->
             let repair = Scheduler.heft_delta c base ~dead:[ dead ] in
-            not (Lint.has_errors (Planlint.check ~excluded:[ dead ] c repair)))
+            not
+              (Lint.has_errors
+                 (Planlint.analyze ~excluded:[ dead ] c repair).Planlint.pl_diags))
           [ "p9"; "cf0"; "edge0"; "ep0" ]
       in
       List.for_all
@@ -398,7 +400,7 @@ let test_ev120_off_pin () =
   let ds = Planlint.check c mutated in
   checkb "EV120 flagged" true (has_error_code "EV120" ds);
   (* when the pin is excluded, moving off it was the only option *)
-  let ds2 = Planlint.check ~excluded:[ "ep0" ] c mutated in
+  let ds2 = (Planlint.analyze ~excluded:[ "ep0" ] c mutated).Planlint.pl_diags in
   checkb "off excluded pin is a warning" true
     (List.exists
        (fun d ->
@@ -416,7 +418,7 @@ let test_ev121_unknown_and_excluded_nodes () =
   in
   checkb "unknown node flagged" true (has_error_code "EV121" ds);
   let victim = plan.Scheduler.assignments.(0).Scheduler.node in
-  let ds2 = Planlint.check ~excluded:[ victim ] c plan in
+  let ds2 = (Planlint.analyze ~excluded:[ victim ] c plan).Planlint.pl_diags in
   checkb "excluded node flagged" true (has_error_code "EV121" ds2)
 
 let test_ev122_ev123_capability_mismatch () =
@@ -506,13 +508,13 @@ let test_ev140_infeasible_deadline () =
         objective = Slo.Latency_quantile { q = 0.99; limit_s = 1e-6 } } ]
   in
   checkb "SLO deadline flagged" true
-    (has_error_code "EV140" (Planlint.check ~slos c plan));
+    (has_error_code "EV140" (Planlint.analyze ~slos c plan).Planlint.pl_diags);
   let loose =
     [ { Slo.slo_name = "loose";
         objective = Slo.Latency_quantile { q = 0.99; limit_s = 1e9 } } ]
   in
   checki "feasible SLO clean" 0
-    (List.length (Planlint.check ~slos:loose c plan))
+    (List.length (Planlint.analyze ~slos:loose c plan).Planlint.pl_diags)
 
 (* ---- analyzer plumbing ------------------------------------------------------ *)
 
@@ -585,7 +587,7 @@ let test_promote_warnings () =
   assignments.(0) <- { (assignments.(0)) with Scheduler.node = "cf0" };
   let mutated = { plan with Scheduler.assignments; policy = "mutated" } in
   (* off an excluded pin: warning normally, error under strict *)
-  let ds = Planlint.check ~excluded:[ "ep0" ] c mutated in
+  let ds = (Planlint.analyze ~excluded:[ "ep0" ] c mutated).Planlint.pl_diags in
   checkb "warning before" false (Lint.has_errors ds);
   checkb "error after promote" true
     (Lint.has_errors (Lint.promote_warnings ds));

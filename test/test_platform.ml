@@ -36,16 +36,6 @@ let test_nested_scheduling () =
   Desim.run sim;
   checkf 1e-12 "nested delay accumulates" 3.0 !finish
 
-let test_run_until () =
-  let sim = Desim.create () in
-  let fired = ref false in
-  Desim.schedule sim 10.0 (fun () -> fired := true);
-  Desim.run ~until:5.0 sim;
-  checkb "future event not fired" false !fired;
-  checkf 1e-12 "clock stopped at horizon" 5.0 (Desim.now sim);
-  Desim.run sim;
-  checkb "resumes past horizon" true !fired
-
 let test_cancel () =
   let sim = Desim.create () in
   let log = ref [] in
@@ -54,7 +44,6 @@ let test_cancel () =
   Desim.schedule sim 3.0 (fun () -> log := "b" :: !log);
   checki "two live + one cancellable pending" 3 (Desim.pending sim);
   Desim.cancel sim h;
-  checkb "marked cancelled" true (Desim.cancelled h);
   checki "pending excludes cancelled" 2 (Desim.pending sim);
   Desim.run sim;
   checkb "cancelled event never ran" true (List.rev !log = [ "a"; "b" ]);
@@ -70,7 +59,6 @@ let test_cancel_fired_noop () =
   let h = Desim.schedule_cancellable sim 1.0 (fun () -> incr fired) in
   Desim.run sim;
   Desim.cancel sim h;  (* already fired: must not corrupt the accounting *)
-  checkb "not reported cancelled" false (Desim.cancelled h);
   checki "fired exactly once" 1 !fired;
   checki "nothing pending" 0 (Desim.pending sim)
 
@@ -99,13 +87,19 @@ let test_cancel_compaction () =
   checkf 1e-12 "clock at last survivor" (1.0 +. 9900.0) (Desim.now sim);
   checki "drained" 0 (Desim.pending sim)
 
+(* Hold one unit for [duration], then release it and continue. *)
+let hold sim r ~duration k =
+  Desim.acquire sim r (fun () ->
+      Desim.schedule sim duration (fun () ->
+          Desim.release sim r;
+          k ()))
+
 let test_resource_serializes () =
   let sim = Desim.create () in
   let r = Desim.resource "unit" 1 in
   let ends = ref [] in
   for _ = 1 to 3 do
-    Desim.with_resource sim r ~duration:2.0 (fun () ->
-        ends := Desim.now sim :: !ends)
+    hold sim r ~duration:2.0 (fun () -> ends := Desim.now sim :: !ends)
   done;
   Desim.run sim;
   checkb "serialized completions" true (List.rev !ends = [ 2.0; 4.0; 6.0 ])
@@ -115,8 +109,7 @@ let test_resource_parallelism () =
   let r = Desim.resource "dual" 2 in
   let ends = ref [] in
   for _ = 1 to 4 do
-    Desim.with_resource sim r ~duration:2.0 (fun () ->
-        ends := Desim.now sim :: !ends)
+    hold sim r ~duration:2.0 (fun () -> ends := Desim.now sim :: !ends)
   done;
   Desim.run sim;
   checkb "two at a time" true (List.rev !ends = [ 2.0; 2.0; 4.0; 4.0 ])
@@ -168,9 +161,12 @@ let test_cpu_contention () =
   checkb "two waves" true
     (List.nth ts 3 > List.nth ts 0 *. 1.5)
 
+let p9_with_one_fpga () =
+  Node.create ~name:"p9" ~tier:Spec.Cloud ~fpgas:[ Spec.bus_fpga ] Spec.power9
+
 let test_fpga_reconfig_and_cache () =
   let sim = Desim.create () in
-  let node = Cluster.power9_node ~n_fpgas:1 "p9" in
+  let node = p9_with_one_fpga () in
   let dev = List.hd node.Node.fpgas in
   let est =
     { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
@@ -192,7 +188,7 @@ let test_fpga_reconfig_and_cache () =
 
 let test_fpga_slot_contention () =
   let sim = Desim.create () in
-  let node = Cluster.power9_node ~n_fpgas:1 "p9" in
+  let node = p9_with_one_fpga () in
   let dev = List.hd node.Node.fpgas in
   let est =
     { Everest_hls.Estimate.area = Everest_hls.Estimate.zero_area;
@@ -272,7 +268,6 @@ let () =
         [ Alcotest.test_case "ordering" `Quick test_event_ordering;
           Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
           Alcotest.test_case "nested" `Quick test_nested_scheduling;
-          Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel after fire" `Quick test_cancel_fired_noop;
           Alcotest.test_case "mass cancel compaction" `Quick test_cancel_compaction;

@@ -17,6 +17,12 @@ module Faults = Everest_resilience.Faults
 module Metrics = Everest_telemetry.Metrics
 module Executor = Everest_workflow.Executor
 module Checkpoint = Everest_workflow.Checkpoint
+
+(* One journal record line, framed as the fabric's journal writes it. *)
+let output_record oc payload =
+  let w = Codec.writer () in
+  Codec.add_string w payload;
+  Journal.output_framed oc w
 module Dag = Everest_workflow.Dag
 module Scheduler = Everest_workflow.Scheduler
 module Cluster = Everest_platform.Cluster
@@ -95,7 +101,7 @@ let test_snapshot_roundtrip () =
   let body = "state body \n with % bytes \x00\xff" in
   match Snapshot.decode (Snapshot.encode body) with
   | Ok got -> checks "body back" body got
-  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  | Error _ -> Alcotest.fail "snapshot refused"
 
 let test_snapshot_detects_bitflip () =
   let raw = Snapshot.encode "some serious state" in
@@ -105,14 +111,14 @@ let test_snapshot_detects_bitflip () =
   match Snapshot.decode (Bytes.to_string b) with
   | Error (Snapshot.Corrupt _) -> ()
   | Ok _ -> Alcotest.fail "bit-flip accepted"
-  | Error e -> Alcotest.fail ("wrong error: " ^ Snapshot.error_to_string e)
+  | Error _ -> Alcotest.fail "wrong error"
 
 let test_snapshot_detects_truncation () =
   let raw = Snapshot.encode "some serious state" in
   match Snapshot.decode (String.sub raw 0 (String.length raw - 5)) with
   | Error (Snapshot.Truncated _) -> ()
   | Ok _ -> Alcotest.fail "truncation accepted"
-  | Error e -> Alcotest.fail ("wrong error: " ^ Snapshot.error_to_string e)
+  | Error _ -> Alcotest.fail "wrong error"
 
 let test_snapshot_detects_version_skew () =
   let raw = Snapshot.encode "state" in
@@ -123,7 +129,7 @@ let test_snapshot_detects_version_skew () =
   match Snapshot.decode skewed with
   | Error (Snapshot.Version_skew { found = 9; expected = 1 }) -> ()
   | Ok _ -> Alcotest.fail "version skew accepted"
-  | Error e -> Alcotest.fail ("wrong error: " ^ Snapshot.error_to_string e)
+  | Error _ -> Alcotest.fail "wrong error"
 
 (* ---- journal -------------------------------------------------------------- *)
 
@@ -132,14 +138,14 @@ let test_journal_record_roundtrip () =
   let path = tmp_dir "record.ejrnl" in
   let oc = open_out_bin path in
   output_string oc (Journal.magic_line ^ "\n");
-  let written = Journal.output_record oc payload in
+  let written = output_record oc payload in
   close_out oc;
   checki "bytes written" (String.length payload + 11) written;
   checkb "payload back" true
     ((Journal.read_segment path).Journal.sg_records = [ payload ]);
   let oc = open_out_bin path in
   checkb "newline refused" true
-    (match Journal.output_record oc "a\nb" with
+    (match output_record oc "a\nb" with
     | exception Invalid_argument _ -> true
     | _ -> false);
   close_out oc
@@ -197,11 +203,11 @@ let test_journal_magic_without_newline () =
   checki "valid bytes" 0 seg.Journal.sg_valid_bytes
 
 (* The journal line format, pinned: one record line as
-   [Journal.output_record] frames it. *)
+   [output_record] frames it. *)
 let framed payload =
   let path = tmp_dir "framed.ejrnl" in
   let oc = open_out_bin path in
-  ignore (Journal.output_record oc payload : int);
+  ignore (output_record oc payload : int);
   close_out oc;
   read_file path
 
@@ -545,7 +551,7 @@ let test_executor_crash_resume_byte_identical () =
       checks (Printf.sprintf "crash@%d byte-identical" after) base resumed;
       checki
         (Printf.sprintf "crash@%d replayed whole prefix" after)
-        after (Checkpoint.replayed ck))
+        after store.Store.replayed)
     [ 1; 14; records - 1 ]
 
 let prop_executor_crash_point_irrelevant =
@@ -1270,7 +1276,7 @@ let test_fabric_replay_detects_divergence () =
       output_string oc (Journal.magic_line ^ "\n");
       List.iteri
         (fun i r ->
-          ignore (Journal.output_record oc (if i = k then rewritten else r) : int))
+          ignore (output_record oc (if i = k then rewritten else r) : int))
         records;
       close_out oc;
       let recovery = { Fabric.rv_store = store; rv_snapshot_every_s = 0.3 } in
@@ -1410,13 +1416,17 @@ let () =
           Alcotest.test_case "older schema refused" `Quick
             test_fabric_refuses_older_schema;
           Alcotest.test_case "snapshot size flat in the run" `Quick
-            test_fabric_snapshot_size_flat;
-          QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant ] );
+            test_fabric_snapshot_size_flat ] );
       ( "executor",
         [ Alcotest.test_case "crash/resume byte-identical" `Quick
             test_executor_crash_resume_byte_identical;
           Alcotest.test_case "replay detects divergence" `Quick
-            test_executor_replay_detects_divergence;
+            test_executor_replay_detects_divergence ] );
+      (* CI runs this group for every QCHECK_SEED from 1000 to 1100.  Its
+         name is no longer than the others, so Alcotest's group column, and
+         with it every printed test name, keeps its width. *)
+      ( "crashes",
+        [ QCheck_alcotest.to_alcotest prop_fabric_crash_point_irrelevant;
           QCheck_alcotest.to_alcotest prop_executor_crash_point_irrelevant ] );
       ( "format",
         [ Alcotest.test_case "fabric store golden" `Quick

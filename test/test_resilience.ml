@@ -5,6 +5,7 @@
 open Everest_workflow
 open Everest_platform
 open Everest_resilience
+module Trace = Everest_telemetry.Trace
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -27,9 +28,7 @@ let test_faults_windows () =
   checkb "crash inside interval" true
     (Faults.down_between f ~node:"a" ~t0:0.5 ~t1:2.5);
   checkb "no crash before" false
-    (Faults.down_between f ~node:"a" ~t0:0.0 ~t1:0.9);
-  checkb "restart time" true (Faults.next_up f ~node:"a" ~now:1.5 = Some 2.0);
-  checkb "no restart for b" true (Faults.next_up f ~node:"b" ~now:4.0 = None)
+    (Faults.down_between f ~node:"a" ~t0:0.0 ~t1:0.9)
 
 let test_faults_deterministic_draws () =
   let f = Faults.plan ~seed:9 ~transient_prob:0.4 () in
@@ -58,7 +57,7 @@ let test_faults_validation () =
   | _ -> Alcotest.fail "probability = 1 must be rejected")
 
 let test_faults_link_degradation () =
-  let f = Faults.plan ~link_factors:[ ("a", "b", 3.0) ] () in
+  let f = { (Faults.plan ()) with Faults.link_factors = [ ("a", "b", 3.0) ] } in
   checkf "declared direction" 3.0 (Faults.link_degradation f ~src:"a" ~dst:"b");
   checkf "symmetric" 3.0 (Faults.link_degradation f ~src:"b" ~dst:"a");
   checkf "other pairs clean" 1.0 (Faults.link_degradation f ~src:"a" ~dst:"c")
@@ -82,11 +81,6 @@ let test_backoff_bounds () =
   done;
   let off = { Policy.base_s = 0.0; factor = 2.0; max_s = 1.0 } in
   checkf "zero base disables" 0.0 (Policy.next_delay off ~rng ~prev:0.02)
-
-let test_policy_validation () =
-  match Policy.make ~max_retries:(-1) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative retry budget must be rejected"
 
 (* ---- circuit breaker ------------------------------------------------------- *)
 
@@ -123,7 +117,7 @@ let test_breaker_reopen_on_failed_probe () =
   checkb "failed probe re-opens" true (Breaker.state b ~now:1.6 = Breaker.Open);
   checki "opened twice" 2 (Breaker.opens b);
   checkb "success interleaves reset closed counting" true
-    (List.length (Breaker.transitions b) >= 3)
+    (List.length (Breaker.export b).Breaker.p_transitions >= 3)
 
 let test_breaker_success_resets_streak () =
   let cfg =
@@ -185,8 +179,7 @@ let test_health_detects_death_and_recovery () =
       checkb "recovery detected within a beat" true (t2 >= 0.9 && t2 <= 1.01)
   | evs ->
       Alcotest.failf "expected died+recovered, got %d events"
-        (List.length evs));
-  checkb "beats counted" true (Health.beats h >= 19)
+        (List.length evs))
 
 let test_health_requires_positive_interval () =
   let sim = Desim.create () in
@@ -222,7 +215,8 @@ let test_lineage_survivor_after_crash () =
   (* after the restart the primary's memory is gone: still the replica *)
   checkb "restart wipes the primary copy" true
     (Lineage.choose l ~task:0 ~prefer:"b" ~now:2.0 = Some "b");
-  checkb "not lost while the replica lives" false (Lineage.lost l ~task:0 ~now:2.0)
+  checkb "not lost while the replica lives" true
+    (Lineage.choose l ~task:0 ~prefer:"a" ~now:2.0 = Some "b")
 
 let test_lineage_lost () =
   let f =
@@ -231,15 +225,14 @@ let test_lineage_lost () =
   in
   let l = Lineage.create f in
   Lineage.record_primary l ~task:3 ~node:"a" ~now:0.0;
-  checkb "not lost while alive" false (Lineage.lost l ~task:3 ~now:0.5);
-  checkb "lost when the only copy dies" true (Lineage.lost l ~task:3 ~now:2.0);
-  checkb "choose finds nothing" true
+  checkb "not lost while alive" true
+    (Lineage.choose l ~task:3 ~prefer:"b" ~now:0.5 = Some "a");
+  checkb "lost when the only copy dies" true
     (Lineage.choose l ~task:3 ~prefer:"b" ~now:2.0 = None);
-  checkb "never produced is not lost" false (Lineage.lost l ~task:9 ~now:2.0)
+  checki "the lost copy is still tracked" 1 (Lineage.total_copies l)
 
 (* Pruning at snapshot points bounds lineage memory: invalidated copies and
-   excess replicas go, but tasks with no surviving copy are untouched so
-   [lost] keeps telling them apart from never-produced. *)
+   excess replicas go, but tasks with no surviving copy are untouched. *)
 let test_lineage_prune_bounds_memory () =
   let f =
     Faults.plan
@@ -262,28 +255,29 @@ let test_lineage_prune_bounds_memory () =
     (Lineage.choose l ~task:0 ~prefer:"c" ~now:2.0 = Some "a");
   checkb "kept replica serves" true
     (Lineage.choose l ~task:0 ~prefer:"b" ~now:2.0 = Some "a");
-  checkb "lost task still reported lost" true (Lineage.lost l ~task:1 ~now:2.0);
+  checkb "lost task still lost" true
+    (Lineage.choose l ~task:1 ~prefer:"a" ~now:2.0 = None);
   (* wider cap keeps more; idempotent at the same width *)
   checki "re-prune drops nothing" 0 (Lineage.prune l ~now:2.0)
 
-let test_lineage_prune_keep_replicas () =
+let test_lineage_prune_replica_cap () =
   let l = Lineage.create (Faults.plan ()) in
   Lineage.record_primary l ~task:7 ~node:"a" ~now:0.0;
   List.iteri
     (fun i n -> Lineage.record_replica l ~task:7 ~node:n ~now:(0.1 *. float_of_int i))
     [ "b"; "c"; "d"; "e" ];
   checki "five copies" 5 (Lineage.total_copies l);
-  checki "cap at 2 replicas drops 2" 2
-    (Lineage.prune ~keep_replicas:2 l ~now:1.0);
-  checki "three left" 3 (Lineage.total_copies l);
-  checki "cap at 0 leaves the primary" 2 (Lineage.prune ~keep_replicas:0 l ~now:1.0);
+  checki "cap at 1 replica drops 3" 3 (Lineage.prune l ~now:1.0);
+  checki "two left" 2 (Lineage.total_copies l);
   checkb "primary survives" true
     (Lineage.choose l ~task:7 ~prefer:"e" ~now:1.0 = Some "a")
 
 (* ---- executor: recovery ---------------------------------------------------- *)
 
+let p9_without_fpgas name = Node.create ~name ~tier:Spec.Cloud Spec.power9
+
 let two_node_cluster () =
-  Cluster.create [ Cluster.power9_node ~n_fpgas:0 "fast"; Cluster.endpoint_node "slow" ]
+  Cluster.create [ p9_without_fpgas "fast"; Cluster.endpoint_node "slow" ]
 
 let single_cpu_dag flops =
   Dag.create "one"
@@ -311,7 +305,7 @@ let test_executor_lineage_recompute () =
           () ]
   in
   let c =
-    Cluster.create [ Cluster.power9_node ~n_fpgas:0 "a"; Cluster.power9_node ~n_fpgas:0 "b" ]
+    Cluster.create [ p9_without_fpgas "a"; p9_without_fpgas "b" ]
   in
   let plan = Scheduler.min_load c d in
   let faults =
@@ -372,10 +366,10 @@ let test_executor_timeout_rescues_straggler () =
   Alcotest.check Alcotest.string "planned on fast" "fast"
     plan.Scheduler.assignments.(0).Scheduler.node;
   let policy =
-    Policy.make ~max_retries:2
-      ~backoff:{ Policy.base_s = 0.0; factor = 2.0; max_s = 0.0 }
-      ~timeout:{ Policy.timeout_factor = 1.5; timeout_min_s = 1e-4 }
-      ()
+    { Policy.default with
+      max_retries = 2;
+      backoff = { Policy.base_s = 0.0; factor = 2.0; max_s = 0.0 };
+      timeout = Some { Policy.timeout_factor = 1.5; timeout_min_s = 1e-4 } }
   in
   let faults = Faults.of_failures [ ("fast", 0.0) ] in
   let stats = Executor.execute ~faults ~policy c plan in
@@ -402,11 +396,11 @@ let test_executor_speculation_wins () =
       ()
   in
   let policy =
-    Policy.make
-      ~speculation:
-        { Policy.spec_factor = 0.0; spec_min_s = 0.5 *. est_slow;
-          max_speculative = 4 }
-      ()
+    { Policy.default with
+      speculation =
+        Some
+          { Policy.spec_factor = 0.0; spec_min_s = 0.5 *. est_slow;
+            max_speculative = 4 } }
   in
   let stats = Executor.execute ~faults ~policy c plan in
   checki "one speculative launch" 1 stats.Executor.speculative;
@@ -423,12 +417,12 @@ let test_executor_transient_faults_retry () =
   checkb "transients caused retries" true (stats.Executor.retries >= 1)
 
 let test_executor_typed_failure () =
-  let c = Cluster.create [ Cluster.power9_node ~n_fpgas:0 "only" ] in
+  let c = Cluster.create [ p9_without_fpgas "only" ] in
   let d = single_cpu_dag 1e9 in
   let plan = Scheduler.min_load c d in
   (* every attempt fails transiently often enough to exhaust a tiny budget *)
   let faults = Faults.plan ~seed:1 ~transient_prob:0.99 () in
-  let policy = Policy.make ~max_retries:1 () in
+  let policy = { Policy.default with max_retries = 1 } in
   match Executor.execute ~faults ~policy c plan with
   | exception Executor.Execution_failed { reason; partial } ->
       checkb "reason names the task" true
@@ -449,7 +443,7 @@ let test_executor_heartbeat_rescues_early () =
   let beat = 0.05 *. est_fast in
   let with_hb =
     Executor.execute ~faults
-      ~policy:(Policy.make ~heartbeat_s:beat ())
+      ~policy:{ Policy.default with heartbeat_s = Some beat }
       c plan
   in
   let without =
@@ -517,6 +511,16 @@ let qcheck_seed_determinism =
       in
       run () = run ())
 
+(* Spans whose final status is [status], and speculative backup launches,
+   which carry the attribute from birth (their final status depends on
+   who wins the race). *)
+let count_status status spans =
+  List.length (List.filter (fun sp -> Trace.attr_is sp "status" status) spans)
+
+let speculative spans =
+  List.length
+    (List.filter (fun sp -> Trace.attr sp "speculative" = Some (Trace.B true)) spans)
+
 let qcheck_trace_reconciles =
   QCheck.Test.make ~count:10 ~name:"stats reconcile with the span log"
     QCheck.(int_bound 1000)
@@ -535,11 +539,9 @@ let qcheck_trace_reconciles =
       with
       | _, s ->
           s.Executor.retries = Executor.trace_retries s.Executor.span_log
-          && s.Executor.timeouts = Executor.trace_timeouts s.Executor.span_log
-          && s.Executor.speculative
-             = Executor.trace_speculative s.Executor.span_log
-          && s.Executor.recomputed
-             = Executor.trace_recomputed s.Executor.span_log
+          && s.Executor.timeouts = count_status "timeout" s.Executor.span_log
+          && s.Executor.speculative = speculative s.Executor.span_log
+          && s.Executor.recomputed = count_status "recomputed" s.Executor.span_log
           && Dag.size d = Executor.trace_tasks_completed s.Executor.span_log
           && s.Executor.bytes_moved
              = Executor.trace_bytes_moved s.Executor.span_log
@@ -630,8 +632,7 @@ let () =
             test_faults_link_degradation;
           Alcotest.test_case "failures shim" `Quick test_faults_shim ] );
       ( "policy",
-        [ Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds;
-          Alcotest.test_case "validation" `Quick test_policy_validation ] );
+        [ Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds ] );
       ( "breaker",
         [ Alcotest.test_case "lifecycle" `Quick test_breaker_lifecycle;
           Alcotest.test_case "failed probe re-opens" `Quick
@@ -653,7 +654,7 @@ let () =
           Alcotest.test_case "prune bounds memory" `Quick
             test_lineage_prune_bounds_memory;
           Alcotest.test_case "prune replica cap" `Quick
-            test_lineage_prune_keep_replicas ] );
+            test_lineage_prune_replica_cap ] );
       ( "executor-recovery",
         [ Alcotest.test_case "lineage recompute" `Quick
             test_executor_lineage_recompute;

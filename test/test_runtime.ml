@@ -26,7 +26,7 @@ let test_vm_admission () =
 let test_vm_overhead () =
   let sim = Desim.create () in
   let node = Node.create ~name:"n" ~tier:Spec.Cloud Spec.power9 in
-  let h = Vm.hypervisor ~default_overhead:1.5 node in
+  let h = { (Vm.hypervisor node) with Vm.default_overhead = 1.5 } in
   let vm = Vm.spawn h ~name:"g" ~vcpus:4 in
   let t_guest = ref 0.0 in
   Vm.run_guest sim vm ~flops:1e10 ~bytes:1.0 ~threads:1 (fun () ->
@@ -41,7 +41,7 @@ let test_vm_stopped_rejects () =
   let node = Node.create ~name:"n" ~tier:Spec.Cloud Spec.power9 in
   let h = Vm.hypervisor node in
   let vm = Vm.spawn h ~name:"g" ~vcpus:2 in
-  Vm.stop vm;
+  vm.Vm.running <- false;
   match Vm.run_guest sim vm ~flops:1.0 ~bytes:1.0 (fun () -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "stopped VM must reject work"

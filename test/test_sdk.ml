@@ -63,7 +63,7 @@ let test_security_audit_clean () =
   let app = Sdk.compile (demo ~secure:true ()) in
   (* the kernel is marked secret but never leaks to a public sink inside the
      kernel function itself *)
-  checkb "audit report available" true (Sdk.security_report app = [])
+  checkb "audit report available" true (app.Everest_compiler.Pipeline.violations = [])
 
 let test_unknown_kernel_rejected () =
   let app = Sdk.compile (demo ()) in

@@ -132,9 +132,10 @@ let test_ift_cleared_sink () =
   let ctx = Ir.ctx () in
   let x = Ir.fresh_value ctx (Types.tensor Types.F64 [ 8 ]) in
   let cls = Sec.classify ctx x Sec.Confidential in
+  let sink = Everest_ir.Dialect_df.sink ctx "vault" (Ir.result cls) in
   let sink =
-    Everest_ir.Dialect_df.sink ctx "vault" (Ir.result cls)
-      ~attrs:[ ("everest.security", Everest_ir.Attr.str "secret") ]
+    { sink with
+      Ir.attrs = sink.Ir.attrs @ [ ("everest.security", Everest_ir.Attr.str "secret") ] }
   in
   let f = Ir.func "ok" [ x ] [] [ cls; sink; Everest_ir.Dialect_func.return ctx [] ] in
   checki "cleared sink accepts confidential" 0 (List.length (Ift.analyze_func f))
@@ -220,7 +221,7 @@ let test_ift_region_yield_join () =
 
 let test_ift_fattr_arg_levels () =
   (* arguments of a function annotated Security Secret are analyzed at
-     that level without a caller-supplied arg_levels list *)
+     that level *)
   let ctx = Ir.ctx () in
   let x = Ir.fresh_value ctx (Types.tensor Types.F64 [ 8 ]) in
   let sink = Everest_ir.Dialect_df.sink ctx "out" x in
@@ -233,10 +234,7 @@ let test_ift_fattr_arg_levels () =
   let vs = Ift.analyze_func f in
   checki "annotated arg leaks" 1 (List.length vs);
   checkb "secret from the fattr" true
-    ((List.hd vs).Ift.source_level = Sec.Secret);
-  (* positional arg_levels still wins over the attribute *)
-  checki "positional override" 0
-    (List.length (Ift.analyze_func ~arg_levels:[ Sec.Public ] f))
+    ((List.hd vs).Ift.source_level = Sec.Secret)
 
 (* ---- monitors ------------------------------------------------------------------- *)
 
@@ -252,7 +250,7 @@ let test_timing_monitor () =
     (match Monitor.timing_check m 25.0 with Monitor.Anomalous _ -> true | _ -> false)
 
 let test_range_monitor () =
-  let m = Monitor.range ~margin:0.1 () in
+  let m = Monitor.range () in
   List.iter (Monitor.range_train m) [ 0.0; 1.0; 2.0; 5.0 ];
   Monitor.range_finalize m;
   checkb "in range" true (Monitor.range_check m 4.9 = Monitor.Normal);
@@ -282,7 +280,7 @@ let test_access_monitor () =
   checkb "scanning detected" true !fired
 
 let test_size_monitor () =
-  let m = Monitor.size ~factor:3.0 () in
+  let m = Monitor.size () in
   List.iter (Monitor.size_train m) [ 100; 110; 95; 105; 98 ];
   Monitor.size_finalize m;
   checkb "typical ok" true (Monitor.size_check m 120 = Monitor.Normal);

@@ -187,8 +187,11 @@ let test_admission_token_bucket () =
     = Reject Admission.Rate_limited);
   (* 10 rps refill: one token back after 0.1 s *)
   checkb "refilled" true (Admission.decide adm ~tenant:"t" ~now:0.11 = Admit);
-  checki "admitted count" 3 (Admission.admitted adm ~tenant:"t");
-  checki "rejected count" 1 (Admission.rejected adm ~tenant:"t")
+  match Admission.export adm with
+  | [ { Admission.tp_admitted; tp_rejected; _ } ] ->
+      checki "admitted count" 3 tp_admitted;
+      checki "rejected count" 1 (List.fold_left (fun n (_, k) -> n + k) 0 tp_rejected)
+  | _ -> Alcotest.fail "one tenant expected"
 
 let test_admission_sheds_on_burned_budget () =
   (* deliberately burn the error budget: a 99% availability SLO fed
@@ -264,8 +267,6 @@ let test_balancer_affinity () =
   checkb "has a home" true (home <> None);
   checkb "sticky" true
     (List.for_all (fun _ -> route "acme" all_routable = home) [ 1; 2; 3 ]);
-  checkb "matches affinity_home" true
-    (home = Balancer.affinity_home b ~tenant:"acme");
   (* spread: 32 tenants over 4 shards should touch more than one shard *)
   let shards =
     List.sort_uniq compare

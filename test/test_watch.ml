@@ -77,8 +77,8 @@ let merge a b =
 let hist_eq a b =
   Metrics.hist_count a = Metrics.hist_count b
   && Float.abs (Metrics.hist_sum a -. Metrics.hist_sum b) < 1e-9
-  && Float.abs (Metrics.hist_min a -. Metrics.hist_min b) < 1e-12
-  && Float.abs (Metrics.hist_max a -. Metrics.hist_max b) < 1e-12
+  && Float.equal a.Metrics.h_min b.Metrics.h_min
+  && Float.equal a.Metrics.h_max b.Metrics.h_max
   && List.for_all
        (fun q -> Float.abs (Metrics.quantile a q -. Metrics.quantile b q) < 1e-12)
        [ 0.1; 0.5; 0.9; 0.99 ]
@@ -129,7 +129,7 @@ let test_windowed_rotation () =
   Sketch.observe w ~now:10.05 2.0;
   let h = Sketch.query w ~now:10.05 ~window_s:0.5 in
   checki "stale slots rotated out" 2 (Metrics.hist_count h);
-  checkf "max is recent" 2.0 (Metrics.hist_max h)
+  checkf "max is recent" 2.0 h.Metrics.h_max
 
 let test_sketch_time_backwards () =
   (* 9.0 is one full 1 s span before 10.0: it maps to the slot that holds
