@@ -1089,7 +1089,7 @@ let seeded_module () =
 let lint_cmd =
   let files =
     Arg.(
-      value & pos_all file []
+      value & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:"Textual IR module to lint.")
   in
   let examples =
@@ -1146,7 +1146,8 @@ let lint_cmd =
         let items =
           List.map
             (fun (name, ds) ->
-              Printf.sprintf "{\"module\": \"%s\", \"report\": %s}" name
+              Printf.sprintf "{\"module\": \"%s\", \"report\": %s}"
+                (Tel.Json_text.escape name)
                 (String.trim (Lint.render_json ds)))
             results
         in

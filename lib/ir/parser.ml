@@ -59,7 +59,10 @@ let int_lit st =
   if peek st = '-' then advance st;
   while (not (eof st)) && peek st >= '0' && peek st <= '9' do advance st done;
   if st.pos = start then error st "expected integer";
-  int_of_string (String.sub st.src start (st.pos - start))
+  let s = String.sub st.src start (st.pos - start) in
+  match int_of_string_opt s with
+  | Some i -> i
+  | None -> error st "bad integer %S" s
 
 let string_lit st =
   expect st '"';

@@ -168,6 +168,19 @@ let test_parse_types_attrs () =
   let f2 = Parser.parse_func_str (Ir.ctx ()) s in
   checks "roundtrip" s (Printer.func_to_string f2)
 
+(* Integer literals the parser cannot hold (a value id or a shape dimension
+   beyond int range) and a value id with no digits are parse errors, not
+   [Failure]s. *)
+let test_parse_bad_ints () =
+  List.iter
+    (fun arg ->
+      let src = Printf.sprintf "module @m {\nfunc @f(%s) -> () {\n}\n}\n" arg in
+      match Parser.parse_module (Ir.ctx ()) src with
+      | exception Parser.Parse_error _ -> ()
+      | _ -> Alcotest.failf "accepted %s" arg)
+    [ "%99999999999999999999: f64"; "%0: tensor<99999999999999999999x2xf64>";
+      "%-: f64" ]
+
 (* ---- Transformations ------------------------------------------------------- *)
 
 let test_constant_folding () =
@@ -656,7 +669,8 @@ let () =
       ( "printer-parser",
         [ Alcotest.test_case "roundtrip" `Quick test_print_parse_roundtrip;
           Alcotest.test_case "regions" `Quick test_parse_regions;
-          Alcotest.test_case "types+attrs" `Quick test_parse_types_attrs ] );
+          Alcotest.test_case "types+attrs" `Quick test_parse_types_attrs;
+          Alcotest.test_case "bad integers" `Quick test_parse_bad_ints ] );
       ( "transforms",
         [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "identities" `Quick test_algebraic_identities;
