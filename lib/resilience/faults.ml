@@ -1,7 +1,7 @@
 (* Deterministic fault plans over the simulated clock.
 
-   A plan is pure data: crash/restart windows per node, per-attempt
-   transient-failure probabilities and link degradation factors.  Every
+   A plan is pure data: crash/restart windows per node and per-attempt
+   transient-failure probabilities.  Every
    random decision is derived by hashing (seed, task, attempt, salt), never
    by consuming a shared stream, so the verdict for a given attempt does not
    depend on the order in which the executor asks — the property that makes
@@ -20,12 +20,10 @@ type t = {
   windows : window list;
   transient_prob : float;
   fpga_transient_prob : float;
-  link_factors : (string * string * float) list;
 }
 
 let none =
-  { seed = 0; windows = []; transient_prob = 0.0; fpga_transient_prob = 0.0;
-    link_factors = [] }
+  { seed = 0; windows = []; transient_prob = 0.0; fpga_transient_prob = 0.0 }
 
 let plan ?(seed = 1) ?(windows = []) ?(transient_prob = 0.0)
     ?(fpga_transient_prob = 0.0) () =
@@ -33,7 +31,7 @@ let plan ?(seed = 1) ?(windows = []) ?(transient_prob = 0.0)
     invalid_arg "Faults.plan: transient_prob must be in [0, 1)";
   if fpga_transient_prob < 0.0 || fpga_transient_prob >= 1.0 then
     invalid_arg "Faults.plan: fpga_transient_prob must be in [0, 1)";
-  { seed; windows; transient_prob; fpga_transient_prob; link_factors = [] }
+  { seed; windows; transient_prob; fpga_transient_prob }
 
 (* A kill list (the CLI's [--kill NODE:T]): each (node, time) pair becomes
    a permanent-death window. *)
@@ -58,16 +56,6 @@ let down_between t ~node ~t0 ~t1 =
     (fun w ->
       String.equal w.w_node node && w.w_down > t0 && w.w_down <= t1)
     t.windows
-
-(* Earliest restart of [node] after [now], if it is currently down. *)
-let link_degradation t ~src ~dst =
-  let hit (a, b, _) =
-    (String.equal a src && String.equal b dst)
-    || (String.equal a dst && String.equal b src)
-  in
-  match List.find_opt hit t.link_factors with
-  | Some (_, _, f) -> Float.max 1.0 f
-  | None -> 1.0
 
 (* ---- deterministic draws -------------------------------------------------------- *)
 
@@ -110,4 +98,4 @@ let random_plan ?(seed = 7) ~fault_rate ?(mean_downtime = 0.0)
         else None)
       nodes
   in
-  { seed; windows; transient_prob; fpga_transient_prob; link_factors = [] }
+  { seed; windows; transient_prob; fpga_transient_prob }

@@ -1,7 +1,7 @@
 (** Deterministic fault plans over the simulated clock.
 
-    A plan is pure data — crash/restart windows, transient-failure
-    probabilities, link degradation factors — and every random verdict is
+    A plan is pure data — crash/restart windows and transient-failure
+    probabilities — and every random verdict is
     derived by hashing the query key against the plan seed, never by
     consuming a shared stream.  The same (seed, task, attempt) always gets
     the same verdict, whatever order the executor asks in, which is what
@@ -18,8 +18,6 @@ type t = {
   windows : window list;
   transient_prob : float;  (** Per-attempt transient failure probability. *)
   fpga_transient_prob : float;  (** Extra transient probability on FPGA runs. *)
-  link_factors : (string * string * float) list;
-      (** Symmetric per-pair transfer-time multipliers (>= 1). *)
 }
 
 (** The empty plan: nothing ever fails. *)
@@ -44,9 +42,6 @@ val node_dead : t -> node:string -> now:float -> bool
 (** Did [node] crash at any point in ([t0], [t1]]?  Outputs produced before
     a crash are lost even if the node restarted. *)
 val down_between : t -> node:string -> t0:float -> t1:float -> bool
-
-(** Transfer-time multiplier for the (src, dst) pair, >= 1. *)
-val link_degradation : t -> src:string -> dst:string -> float
 
 (** Deterministic transient-failure verdict for one execution attempt. *)
 val transient : t -> task:int -> attempt:int -> bool

@@ -439,21 +439,7 @@ let execute ?(faults = Faults.none) ?(policy = Policy.default)
                     ~now:(Desim.now sim);
                   pull rest k
                 in
-                let degrade =
-                  if moved then
-                    Faults.link_degradation faults ~src:src.Node.name
-                      ~dst:dst.Node.name
-                  else 1.0
-                in
-                Cluster.transfer c ~src ~dst ~bytes (fun () ->
-                    if degrade > 1.0 then
-                      (* a degraded link stretches the transfer by the
-                         extra fraction of its healthy duration *)
-                      let base =
-                        Cluster.transfer_time c ~src ~dst ~bytes
-                      in
-                      Desim.schedule sim ((degrade -. 1.0) *. base) arrived
-                    else arrived ()))
+                Cluster.transfer c ~src ~dst ~bytes arrived)
     in
     pull t.Dag.inputs (fun () ->
         if tk.tk_cancelled then ()

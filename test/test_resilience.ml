@@ -56,12 +56,6 @@ let test_faults_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "probability = 1 must be rejected")
 
-let test_faults_link_degradation () =
-  let f = { (Faults.plan ()) with Faults.link_factors = [ ("a", "b", 3.0) ] } in
-  checkf "declared direction" 3.0 (Faults.link_degradation f ~src:"a" ~dst:"b");
-  checkf "symmetric" 3.0 (Faults.link_degradation f ~src:"b" ~dst:"a");
-  checkf "other pairs clean" 1.0 (Faults.link_degradation f ~src:"a" ~dst:"c")
-
 let test_faults_shim () =
   let f = Faults.of_failures [ ("n", 2.0) ] in
   checkb "alive before" false (Faults.node_dead f ~node:"n" ~now:1.0);
@@ -628,8 +622,6 @@ let () =
           Alcotest.test_case "deterministic draws" `Quick
             test_faults_deterministic_draws;
           Alcotest.test_case "validation" `Quick test_faults_validation;
-          Alcotest.test_case "link degradation" `Quick
-            test_faults_link_degradation;
           Alcotest.test_case "failures shim" `Quick test_faults_shim ] );
       ( "policy",
         [ Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds ] );
