@@ -40,7 +40,7 @@ let () =
 
   (* the protection layer guarding the sensor stream *)
   let layer = Prot.create () in
-  let s = Prot.register layer "sensor-stream" in
+  let s = Prot.register layer in
   for _ = 1 to 200 do
     Prot.train s ~values:[ 20.0; 30.0; 45.0 ] ~bytes:2048 ~latency_s:0.02
   done;

@@ -76,7 +76,7 @@ let () =
 
   (* 5. runtime protection: poisoned sensor stream gets quarantined *)
   let layer = Everest_runtime.Protection.create () in
-  let s = Everest_runtime.Protection.register layer "scada-stream" in
+  let s = Everest_runtime.Protection.register layer in
   for _ = 1 to 300 do
     Everest_runtime.Protection.train s ~values:[ 55.0; 61.0; 58.5 ] ~bytes:512
       ~latency_s:0.004

@@ -67,7 +67,6 @@ type decision_eval = {
   precision : float;
   recall : float;
   f1 : float;
-  hours_evaluated : int;
   flops_per_hour : float;
 }
 
@@ -92,7 +91,6 @@ let evaluate ?(hours = 96) ~cells ~resolution_km () =
     precision = Metrics.precision conf;
     recall = Metrics.recall conf;
     f1 = Metrics.f1 conf;
-    hours_evaluated = hours;
     flops_per_hour =
       Plume.field_flops ~cells ~n_sources:(List.length site.sources);
   }

@@ -33,7 +33,6 @@ type decision_eval = {
   precision : float;
   recall : float;
   f1 : float;
-  hours_evaluated : int;
   flops_per_hour : float;
 }
 

@@ -9,7 +9,7 @@
 open Everest_ir
 module SSet = Set.Make (String)
 
-type reference = { ref_from : string; ref_op : Ir.op; ref_to : string }
+type reference = { ref_from : string; ref_to : string }
 
 let op_callee (o : Ir.op) =
   match o.Ir.name with
@@ -25,7 +25,7 @@ let references (m : Ir.modul) : reference list =
         (fun o ->
           match op_callee o with
           | Some callee ->
-              out := { ref_from = f.Ir.fname; ref_op = o; ref_to = callee } :: !out
+              out := { ref_from = f.Ir.fname; ref_to = callee } :: !out
           | None -> ())
         f.Ir.fbody)
     m.Ir.funcs;

@@ -8,7 +8,7 @@
 open Everest_ir
 module SSet : Set.S with type elt = string
 
-type reference = { ref_from : string; ref_op : Ir.op; ref_to : string }
+type reference = { ref_from : string; ref_to : string }
 
 (** Symbol an op references, if any. *)
 val op_callee : Ir.op -> string option

@@ -21,7 +21,6 @@ type result = {
   explored : int;  (* candidate evaluations performed *)
   variants : Variants.variant list;  (* Pareto survivors *)
   best_time : Variants.variant option;
-  best_energy : Variants.variant option;
 }
 
 let summarize ?(strategy = "exhaustive") explored vs =
@@ -36,7 +35,6 @@ let summarize ?(strategy = "exhaustive") explored vs =
       explored;
       variants = Variants.pareto vs;
       best_time = best (fun v -> v.Variants.time_s);
-      best_energy = best (fun v -> v.Variants.energy_j);
     }
   in
   let labels = [ ("strategy", strategy) ] in

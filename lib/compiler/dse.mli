@@ -10,7 +10,6 @@ type result = {
   explored : int;  (** Candidate evaluations performed. *)
   variants : Variants.variant list;  (** Pareto survivors. *)
   best_time : Variants.variant option;
-  best_energy : Variants.variant option;
 }
 
 (** [strategy] labels the [dse_*] telemetry metrics the summary emits. *)

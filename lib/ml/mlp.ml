@@ -26,7 +26,7 @@ type layer = {
   activation : activation;
 }
 
-type t = { layers : layer list; n_in : int }
+type t = { layers : layer list }
 
 let create ?(seed = 7) ~layers:sizes ~activation () =
   match sizes with
@@ -47,7 +47,7 @@ let create ?(seed = 7) ~layers:sizes ~activation () =
             in
             layer :: build n tl
       in
-      { layers = build n_in rest; n_in }
+      { layers = build n_in rest }
 
 let forward (net : t) (x : float array) =
   List.fold_left

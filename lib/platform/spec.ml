@@ -53,7 +53,6 @@ type fpga = {
   clock_mhz : float;
   role_slots : int;  (* shell-role: concurrent partial-reconfig regions *)
   reconfig_s : float;  (* partial reconfiguration time per role *)
-  hbm_bw_gbs : float;
   idle_w : float;
   active_w : float;
 }
@@ -62,20 +61,20 @@ type fpga = {
 let bus_fpga =
   { fpga_name = "AD9V3-OpenCAPI"; attach = Bus_coherent; luts = 1_182_000;
     ffs = 2_364_000; dsps = 6_840; brams = 4_032; clock_mhz = 250.0;
-    role_slots = 2; reconfig_s = 0.120; hbm_bw_gbs = 38.0; idle_w = 25.0;
+    role_slots = 2; reconfig_s = 0.120; idle_w = 25.0;
     active_w = 60.0 }
 
 (* cloudFPGA module (Kintex-class, standalone on the DC network). *)
 let cloud_fpga =
   { fpga_name = "cloudFPGA-KU060"; attach = Network_attached; luts = 663_000;
     ffs = 1_326_000; dsps = 2_760; brams = 2_160; clock_mhz = 200.0;
-    role_slots = 2; reconfig_s = 0.080; hbm_bw_gbs = 19.0; idle_w = 15.0;
+    role_slots = 2; reconfig_s = 0.080; idle_w = 15.0;
     active_w = 35.0 }
 
 let edge_fpga =
   { fpga_name = "edge-Zynq"; attach = Bus_coherent; luts = 274_000;
     ffs = 548_000; dsps = 2_520; brams = 912; clock_mhz = 150.0;
-    role_slots = 1; reconfig_s = 0.050; hbm_bw_gbs = 4.0; idle_w = 2.0;
+    role_slots = 1; reconfig_s = 0.050; idle_w = 2.0;
     active_w = 8.0 }
 
 let fpga_budget (f : fpga) =

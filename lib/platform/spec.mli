@@ -39,7 +39,6 @@ type fpga = {
   clock_mhz : float;
   role_slots : int;  (** Shell-role: concurrent partial-reconfig regions. *)
   reconfig_s : float;  (** Partial reconfiguration time per role. *)
-  hbm_bw_gbs : float;
   idle_w : float;
   active_w : float;
 }

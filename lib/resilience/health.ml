@@ -21,7 +21,6 @@ type t = {
   on_event : node:string -> event -> unit;
   mutable down : string list;  (* nodes currently believed dead *)
   mutable stopped : bool;
-  mutable beats : int;
 }
 
 let is_down t node = List.exists (String.equal node) t.down
@@ -44,7 +43,6 @@ let check t =
 
 let rec beat t () =
   if not t.stopped then begin
-    t.beats <- t.beats + 1;
     check t;
     Desim.schedule t.sim t.interval (beat t)
   end
@@ -52,8 +50,7 @@ let rec beat t () =
 let start sim ~faults ~interval ~nodes ~on_event =
   if interval <= 0.0 then invalid_arg "Health.start: interval must be positive";
   let t =
-    { sim; faults; interval; nodes; on_event; down = []; stopped = false;
-      beats = 0 }
+    { sim; faults; interval; nodes; on_event; down = []; stopped = false }
   in
   Desim.schedule sim interval (beat t);
   t

@@ -8,7 +8,6 @@
 open Everest_security
 
 type stream_state = {
-  sname : string;
   range_mon : Monitor.range_monitor;
   size_mon : Monitor.size_monitor;
   timing_mon : Monitor.timing_monitor;
@@ -26,9 +25,9 @@ type t = {
 
 let create () = { streams = []; total_alerts = 0; dropped_batches = 0 }
 
-let register layer name =
+let register layer =
   let s =
-    { sname = name; range_mon = Monitor.range (); size_mon = Monitor.size ();
+    { range_mon = Monitor.range (); size_mon = Monitor.size ();
       timing_mon = Monitor.timing (); quarantined = false;
       force_encryption = false; hardened_variant = None; alerts = [] }
   in

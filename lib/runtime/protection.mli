@@ -8,7 +8,6 @@
 open Everest_security
 
 type stream_state = {
-  sname : string;
   range_mon : Monitor.range_monitor;
   size_mon : Monitor.size_monitor;
   timing_mon : Monitor.timing_monitor;
@@ -25,7 +24,7 @@ type t = {
 }
 
 val create : unit -> t
-val register : t -> string -> stream_state
+val register : t -> stream_state
 
 (** Feed known-good traffic into every monitor of the stream. *)
 val train : stream_state -> values:float list -> bytes:int -> latency_s:float -> unit

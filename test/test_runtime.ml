@@ -102,7 +102,7 @@ let test_vfpga_no_fpga () =
 
 let test_protection_quarantine () =
   let layer = Protection.create () in
-  let s = Protection.register layer "fcd-stream" in
+  let s = Protection.register layer in
   (* train on clean traffic *)
   for i = 0 to 99 do
     Protection.train s
@@ -128,7 +128,7 @@ let test_protection_quarantine () =
 
 let test_protection_access_burst_quarantines () =
   let layer = Protection.create () in
-  let s = Protection.register layer "sensor" in
+  let s = Protection.register layer in
   for _i = 0 to 49 do
     Protection.train s ~values:[ 1.0 ] ~bytes:100 ~latency_s:0.001
   done;
