@@ -3,7 +3,8 @@
    Software variants are emitted as SYCL-like C++ kernels ("the backend will
    generate software implementation relying on state-of-the-art programming
    models (e.g. SYCL)"); hardware variants reference the generated RTL.
-   Variant metadata is serialized for the runtime selector. *)
+   The runtime selector receives the variants as operating points
+   ([Variants.to_knowledge]). *)
 
 open Everest_dsl
 
@@ -11,7 +12,6 @@ let rec emit_expr buf (e : Tensor_expr.expr) =
   let open Tensor_expr in
   match e.node with
   | Input n -> Buffer.add_string buf n
-  | Const v -> Buffer.add_string buf (Printf.sprintf "%gf" v)
   | Binop (op, a, b) ->
       Buffer.add_char buf '(';
       emit_expr buf a;
@@ -35,15 +35,6 @@ let rec emit_expr buf (e : Tensor_expr.expr) =
       emit_expr buf a;
       Buffer.add_string buf ", ";
       emit_expr buf b;
-      Buffer.add_char buf ')'
-  | Transpose a ->
-      Buffer.add_string buf "transpose(";
-      emit_expr buf a;
-      Buffer.add_char buf ')'
-  | Reshape a -> emit_expr buf a
-  | Reduce (_, a) ->
-      Buffer.add_string buf "reduce(";
-      emit_expr buf a;
       Buffer.add_char buf ')'
   | Contract (spec, es) ->
       Buffer.add_string buf (Printf.sprintf "einsum<\"%s\">(" spec);
@@ -83,15 +74,3 @@ let emit_sycl ~kernel (e : Tensor_expr.expr) (p : Cost_model.sw_params) =
   emit_expr buf e;
   Buffer.add_string buf ";\n  });\n}\n";
   Buffer.contents buf
-
-(* Variant metadata for the runtime, as an IR attribute dictionary. *)
-let metadata (vs : Variants.variant list) : Everest_ir.Attr.t =
-  Everest_ir.Attr.list
-    (List.map
-       (fun v ->
-         Everest_ir.Attr.dict
-           [ ("name", Everest_ir.Attr.str v.Variants.vname);
-             ("time_s", Everest_ir.Attr.float v.Variants.time_s);
-             ("energy_j", Everest_ir.Attr.float v.Variants.energy_j);
-             ("area_luts", Everest_ir.Attr.int v.Variants.area_luts) ])
-       vs)

@@ -24,11 +24,9 @@ let variant_name (p : sw_params) =
 let rec has_contraction (e : Tensor_expr.expr) =
   match e.Tensor_expr.node with
   | Tensor_expr.Matmul _ | Tensor_expr.Contract _ -> true
-  | Tensor_expr.Input _ | Tensor_expr.Const _ -> false
+  | Tensor_expr.Input _ -> false
   | Tensor_expr.Binop (_, a, b) -> has_contraction a || has_contraction b
-  | Tensor_expr.Unop (_, a) | Tensor_expr.Scale (_, a) | Tensor_expr.Transpose a
-  | Tensor_expr.Reshape a | Tensor_expr.Reduce (_, a) ->
-      has_contraction a
+  | Tensor_expr.Unop (_, a) | Tensor_expr.Scale (_, a) -> has_contraction a
 
 (* Memory traffic in bytes for one evaluation under [params].
 

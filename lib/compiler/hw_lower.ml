@@ -27,7 +27,6 @@ let dfg_of_expr ?(unroll = 1) (e : Tensor_expr.expr) : Everest_hls.Cdfg.t =
           Cdfg.add_node b ~array:name
             ~index:(Cdfg.Affine { coeff = 1; offset = u })
             Cdfg.Load "load" []
-      | Tensor_expr.Const _ -> Cdfg.add_node b Cdfg.Const "const" []
       | Tensor_expr.Binop (op, x, y) ->
           let nx = build x and ny = build y in
           let cls =
@@ -54,10 +53,6 @@ let dfg_of_expr ?(unroll = 1) (e : Tensor_expr.expr) : Everest_hls.Cdfg.t =
           let nx = build x and ny = build y in
           let m = Cdfg.add_node b Cdfg.Mul "mac.mul" [ nx; ny ] in
           Cdfg.add_node b Cdfg.Add "mac.add" [ m ]
-      | Tensor_expr.Transpose x | Tensor_expr.Reshape x -> build x
-      | Tensor_expr.Reduce (_, x) ->
-          let nx = build x in
-          Cdfg.add_node b Cdfg.Add "reduce.acc" [ nx ]
       | Tensor_expr.Contract (_, es) ->
           let ns = List.map build es in
           let m =
@@ -86,10 +81,7 @@ let trips (e : Tensor_expr.expr) ~unroll =
       | Tensor_expr.Matmul (a, _) ->
           (match a.Tensor_expr.shape with [ _; k ] -> k | _ -> 1)
       | Tensor_expr.Binop (_, a, b) -> max (k_of a) (k_of b)
-      | Tensor_expr.Unop (_, a) | Tensor_expr.Scale (_, a)
-      | Tensor_expr.Transpose a | Tensor_expr.Reshape a
-      | Tensor_expr.Reduce (_, a) ->
-          k_of a
+      | Tensor_expr.Unop (_, a) | Tensor_expr.Scale (_, a) -> k_of a
       | Tensor_expr.Contract (_, es) ->
           List.fold_left (fun m x -> max m (k_of x)) 2 es
       | _ -> 1

@@ -2,8 +2,8 @@
 
    Value-semantics tensor ops become scf.for loop nests over 1-D memrefs
    (row-major linearization, computed with arith ops on indices).  This is
-   the software-lowering leg of Fig. 1: the lowered inner loop bodies are
-   exactly what the HLS flow consumes for the hardware leg, and the test
+   the software-lowering leg of Fig. 1 (the hardware leg builds its HLS
+   input from the kernel expression, [Hw_lower.dfg_of_expr]), and the test
    suite checks semantic equivalence against the tensor-level interpreter.
 
    Supported: fill, elementwise, scale, matmul, transpose, reshape, reduce.
@@ -254,32 +254,3 @@ let lower_func ctx (f : Ir.func) : Ir.func =
     fret_types = new_rets;
     fbody = List.rev e.acc;
   }
-
-(* The innermost loop body of the first (deepest) scf.for nest: what the
-   HLS flow synthesizes.  Returns the ops plus the induction variable. *)
-let innermost_body (f : Ir.func) : (Ir.op list * Ir.value) option =
-  let best = ref None in
-  let rec walk depth ops =
-    List.iter
-      (fun (o : Ir.op) ->
-        if String.equal o.Ir.name "scf.for" then
-          match o.Ir.regions with
-          | [ [ b ] ] ->
-              let has_nested =
-                List.exists (fun (q : Ir.op) -> String.equal q.Ir.name "scf.for") b.Ir.body
-              in
-              if not has_nested then begin
-                match !best with
-                | Some (d, _, _) when d >= depth -> ()
-                | _ -> best := Some (depth, b.Ir.body, List.hd b.Ir.bargs)
-              end
-              else walk (depth + 1) b.Ir.body
-          | _ -> ()
-        else
-          List.iter
-            (fun r -> List.iter (fun (b : Ir.block) -> walk depth b.Ir.body) r)
-            o.Ir.regions)
-      ops
-  in
-  walk 0 f.Ir.fbody;
-  Option.map (fun (_, body, iv) -> (body, iv)) !best

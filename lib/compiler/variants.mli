@@ -77,15 +77,13 @@ val generate :
   Everest_dsl.Tensor_expr.expr ->
   variant list
 
-(** Pareto dominance in (time, energy, area). *)
-val dominates : variant -> variant -> bool
-
 (** O(n log n) Pareto filter (lexicographic sort + staircase sweep on
     energy/area).  Survivors are returned in input order, identical to
     {!pareto_naive}. *)
 val pareto : variant list -> variant list
 
-(** O(n²) reference implementation (oracle for the property tests). *)
+(** O(n²) reference implementation.  Kept for tests: the oracle the
+    parallel DSE property compares {!pareto} against. *)
 val pareto_naive : variant list -> variant list
 
 (** Bridge to the runtime: variants as mARGOt operating points. *)

@@ -27,14 +27,6 @@ let access_name = function
   | Random -> "random"
   | Streaming -> "streaming"
 
-let access_of_name s =
-  if String.equal s "sequential" then Some Sequential
-  else if String.equal s "random" then Some Random
-  else if String.equal s "streaming" then Some Streaming
-  else
-    try Scanf.sscanf s "strided<%d>" (fun k -> Some (Strided k))
-    with Scanf.Scan_failure _ | End_of_file | Failure _ -> None
-
 (* Attribute encoding: one IR attribute per annotation. *)
 let to_attr = function
   | Access p -> ("everest.access", Attr.str (access_name p))
@@ -52,30 +44,6 @@ let to_attr = function
 
 let to_attrs anns = List.map to_attr anns
 
-let of_attr (key, (v : Attr.t)) =
-  match (key, v) with
-  | "everest.access", Attr.Str s ->
-      Option.map (fun p -> Access p) (access_of_name s)
-  | "everest.size_hint", Attr.Int b -> Some (Size_hint b)
-  | "everest.range", Attr.List [ a; b ] -> (
-      match (Attr.as_float a, Attr.as_float b) with
-      | Some lo, Some hi -> Some (Element_range (lo, hi))
-      | _ -> None)
-  | "everest.locality", Attr.Str l -> Some (Locality l)
-  | "everest.security", Attr.Str s ->
-      Option.map (fun l -> Security l) (Dialect_sec.level_of_name s)
-  | "everest.integrity", Attr.Bool true -> Some Integrity_required
-  | "everest.latency_ms", v ->
-      Option.map (fun f -> Latency_bound_ms f) (Attr.as_float v)
-  | "everest.throughput", v ->
-      Option.map (fun f -> Throughput_hint f) (Attr.as_float v)
-  | "everest.reuse", Attr.Int r -> Some (Reuse_factor r)
-  | "everest.batch", Attr.Int b -> Some (Batch b)
-  | "everest.ramp_sensitive", Attr.Bool true -> Some Ramp_sensitive
-  | _ -> None
-
-let of_attrs attrs = List.filter_map of_attr attrs
-
 let security_level anns =
   List.fold_left
     (fun acc a ->
@@ -84,9 +52,3 @@ let security_level anns =
           if Dialect_sec.level_leq acc l then l else acc
       | _ -> acc)
     Dialect_sec.Public anns
-
-let access anns =
-  List.find_map (function Access p -> Some p | _ -> None) anns
-
-let latency_bound anns =
-  List.find_map (function Latency_bound_ms f -> Some f | _ -> None) anns

@@ -3,7 +3,7 @@
     The "extra characteristics of the algorithms and data" the EVEREST DSLs
     attach to kernels and data (paper §III-A), so that compilation and
     runtime selection become data-driven.  Annotations encode to IR
-    attributes and back. *)
+    attributes. *)
 
 type access_pattern = Sequential | Strided of int | Random | Streaming
 
@@ -22,17 +22,11 @@ type t =
   | Ramp_sensitive  (** Use case A: output quality degrades on ramps. *)
 
 val access_name : access_pattern -> string
-val access_of_name : string -> access_pattern option
 
 (** One IR attribute per annotation, keyed ["everest.*"]. *)
 val to_attr : t -> string * Everest_ir.Attr.t
 
 val to_attrs : t list -> (string * Everest_ir.Attr.t) list
-val of_attr : string * Everest_ir.Attr.t -> t option
-val of_attrs : (string * Everest_ir.Attr.t) list -> t list
 
 (** Highest security level among the annotations (default [Public]). *)
 val security_level : t list -> Everest_ir.Dialect_sec.level
-
-val access : t list -> access_pattern option
-val latency_bound : t list -> float option

@@ -61,9 +61,6 @@ let sink g name node = g.sinks <- (name, node) :: g.sinks
 (* Nodes in topological (construction) order. *)
 let nodes g = List.rev g.rev_nodes
 let sinks g = List.rev g.sinks
-let size g = List.length g.rev_nodes
-
-let find g name = List.find_opt (fun n -> String.equal n.nname name) (nodes g)
 
 let kernel_flops = function
   | None -> 0
@@ -75,8 +72,6 @@ let kernel_flops = function
         | _ -> 0
       in
       pairs layers
-
-let node_flops n = kernel_flops n.kernel
 
 (* Validation: names unique, deps precede, sinks registered on graph nodes. *)
 let validate g =
@@ -99,21 +94,3 @@ let validate g =
         errs := Printf.sprintf "sink references foreign node %S" n.nname :: !errs)
     g.sinks;
   match !errs with [] -> Ok () | es -> Error (List.rev es)
-
-(* Critical path length under a per-node cost function. *)
-let critical_path g cost =
-  let memo = Hashtbl.create 16 in
-  let rec cp n =
-    match Hashtbl.find_opt memo n.nid with
-    | Some c -> c
-    | None ->
-        let c =
-          cost n +. List.fold_left (fun m d -> Float.max m (cp d)) 0.0 n.deps
-        in
-        Hashtbl.replace memo n.nid c;
-        c
-  in
-  List.fold_left (fun m n -> Float.max m (cp n)) 0.0 (nodes g)
-
-let total_flops g =
-  List.fold_left (fun acc n -> acc + node_flops n) 0 (nodes g)

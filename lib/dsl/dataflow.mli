@@ -52,15 +52,7 @@ val sink : graph -> string -> node -> unit
 val nodes : graph -> node list
 
 val sinks : graph -> (string * node) list
-val size : graph -> int
-val find : graph -> string -> node option
 val kernel_flops : kernel option -> int
-val node_flops : node -> int
 
 (** Check name uniqueness, dependency ordering and sink membership. *)
 val validate : graph -> (unit, string list) result
-
-(** Longest dependency chain under a per-node cost function. *)
-val critical_path : graph -> (node -> float) -> float
-
-val total_flops : graph -> int

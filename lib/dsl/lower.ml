@@ -20,11 +20,6 @@ let lower_expr ?(fname = "kernel") ?(annots = []) ctx (e : Tensor_expr.expr) =
   let rec go (e : Tensor_expr.expr) : Ir.value =
     match e.Tensor_expr.node with
     | Input n -> List.assoc n env
-    | Const v ->
-        if e.shape = [] then emit (Dialect_arith.const_f ctx v)
-        else
-          let s = emit (Dialect_arith.const_f ctx v) in
-          emit (Dialect_tensor.fill ctx s (tensor_type e.shape))
     | Binop (op, a, b) ->
         let va = go a and vb = go b in
         if e.shape = [] then
@@ -61,9 +56,6 @@ let lower_expr ?(fname = "kernel") ?(annots = []) ctx (e : Tensor_expr.expr) =
     | Matmul (a, b) ->
         let va = go a and vb = go b in
         emit (Dialect_tensor.matmul ctx va vb)
-    | Transpose a -> emit (Dialect_tensor.transpose ctx (go a))
-    | Reshape a -> emit (Dialect_tensor.reshape ctx (go a) e.shape)
-    | Reduce (Tensor_expr.Sum, a) -> emit (Dialect_tensor.reduce ctx "add" (go a))
     | Contract (spec, es) ->
         let vs = List.map go es in
         emit (Dialect_tensor.contract ctx spec vs (tensor_type e.shape))

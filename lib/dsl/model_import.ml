@@ -75,7 +75,7 @@ let parse_layers (src : string) : layer list =
 let apply_activation e = function
   | "relu" -> Tensor_expr.relu e
   | "sigmoid" -> Tensor_expr.sigmoid e
-  | "tanh" -> Tensor_expr.tanh_ e
+  | "tanh" -> Tensor_expr.unop Tensor_expr.Tanh e
   | "linear" -> e
   | a -> fail "unknown activation %S" a
 

@@ -26,20 +26,23 @@ type layer =
   | L_scale of float
   | L_activation of string
 
-(** Parse the textual form (comments with [#], blank lines ignored).
+(** Kept for PAPER.md §1's DSL row (the NNEF/ONNX-style model importer):
+    parse the textual form (comments with [#], blank lines ignored).
     @raise Import_error on malformed input. *)
 val parse_layers : string -> layer list
 
-(** Build the model expression.
+(** Kept for PAPER.md §1's DSL row: build the model expression.
     @raise Import_error on shape mismatches or missing input. *)
 val to_expr : layer list -> Tensor_expr.expr
 
-(** [parse_layers] followed by [to_expr]. *)
+(** Kept for PAPER.md §1's DSL row: [parse_layers] followed by
+    [to_expr]. *)
 val import : string -> Tensor_expr.expr
 
-(** Layer widths (input then per-dense outputs), for
-    {!Dataflow.Ai_model}. *)
+(** Kept for PAPER.md §1's DSL row: layer widths (input then per-dense
+    outputs), for {!Dataflow.Ai_model}. *)
 val layer_sizes : layer list -> int list
 
-(** Weight inputs (name, shape) the runtime must bind. *)
+(** Kept for PAPER.md §1's DSL row: the weight inputs (name, shape) the
+    runtime must bind. *)
 val weights : layer list -> (string * int list) list

@@ -19,30 +19,40 @@ type system = {
 
 val n_attrs : system -> int
 
-(** @raise Invalid_argument on unknown attributes. *)
+(** Kept for PAPER.md §1's DSL row: an attribute's field position.
+    @raise Invalid_argument on unknown attributes. *)
 val attr_index : system -> string -> int
 
 (** Kept for PAPER.md §1's DSL row: [?layout], the AoS/SoA layout variants
     of the particle system. *)
 val create : ?layout:layout -> n:int -> string list -> system
+
+(** Kept for PAPER.md §1's DSL row: read one particle attribute. *)
 val get : system -> int -> string -> float
+
+(** Kept for PAPER.md §1's DSL row: write one particle attribute. *)
 val set : system -> int -> string -> float -> unit
 
-(** Same logical contents in the other layout. *)
+(** Kept for PAPER.md §1's DSL row: the same logical contents in the other
+    layout. *)
 val with_layout : system -> layout -> system
 
+(** Kept for PAPER.md §1's DSL row: equal logical contents, whatever the
+    layouts. *)
 val equal_contents : system -> system -> bool
 
 (** {2 Kernels} *)
 
-(** Per-particle map: [f] receives current values in [reads] order and
-    returns new values in [writes] order. *)
+(** Kept for PAPER.md §1's DSL row: a per-particle map.  [f] receives
+    current values in [reads] order and returns new values in [writes]
+    order. *)
 val map_kernel :
   system -> reads:string list -> writes:string list ->
   (float list -> float list) -> unit
 
-(** Cutoff-limited symmetric pairwise interaction on (x, y) accumulating
-    into (fx, fy); returns the number of interacting pairs. *)
+(** Kept for PAPER.md §1's DSL row: a cutoff-limited symmetric pairwise
+    interaction on (x, y) accumulating into (fx, fy); returns the number of
+    interacting pairs. *)
 val pairwise_kernel :
   system -> cutoff:float -> (float -> float -> float -> float * float) -> int
 
@@ -60,8 +70,9 @@ val recommend_layout :
 
 (** {2 Reference simulation} *)
 
-(** One leapfrog step (dt = 0.01) of a 2-D short-range force field;
-    returns the number of interacting pairs. *)
+(** Kept for PAPER.md §1's DSL row: one leapfrog step (dt = 0.01) of a
+    2-D short-range force field; returns the number of interacting
+    pairs. *)
 val step :
   system ->
   cutoff:float ->
@@ -70,5 +81,8 @@ val step :
 
 val standard_attrs : string list
 
+(** Kept for PAPER.md §1's DSL row: [n] particles at seeded random
+    positions in a [box]-sized square, [?layout] choosing the AoS or SoA
+    variant and [?seed] the draw. *)
 val random_system :
   ?seed:int -> ?layout:layout -> n:int -> box:float -> unit -> system

@@ -12,27 +12,21 @@ let shape_err fmt = Fmt.kstr (fun s -> raise (Shape_error s)) fmt
 
 type binop = Add | Sub | Mul | Div
 type unop = Relu | Sigmoid | Tanh
-type reduction = Sum
 
 type expr = { node : node; shape : int list }
 
 and node =
   | Input of string
-  | Const of float
   | Binop of binop * expr * expr
   | Unop of unop * expr
   | Scale of float * expr
   | Matmul of expr * expr
-  | Transpose of expr
-  | Reshape of expr
-  | Reduce of reduction * expr
   | Contract of string * expr list
 
 let shape e = e.shape
 let num_elems s = List.fold_left ( * ) 1 s
 
 let input name shape = { node = Input name; shape }
-let const ?(shape = []) v = { node = Const v; shape }
 
 let binop op a b =
   if a.shape <> b.shape then
@@ -42,8 +36,6 @@ let binop op a b =
   { node = Binop (op, a, b); shape = a.shape }
 
 let add = binop Add
-let sub = binop Sub
-let mul = binop Mul
 
 (* Infix operators, in a submodule so arithmetic inside this file and in
    client code stays unambiguous unless explicitly opened. *)
@@ -57,7 +49,6 @@ end
 let unop op a = { node = Unop (op, a); shape = a.shape }
 let relu a = unop Relu a
 let sigmoid a = unop Sigmoid a
-let tanh_ a = unop Tanh a
 
 let scale k a = { node = Scale (k, a); shape = a.shape }
 
@@ -67,19 +58,6 @@ let matmul a b =
   | _ ->
       shape_err "matmul: %a x %a" Fmt.(Dump.list int) a.shape
         Fmt.(Dump.list int) b.shape
-
-let transpose a =
-  match a.shape with
-  | [ m; n ] -> { node = Transpose a; shape = [ n; m ] }
-  | _ -> shape_err "transpose: rank-2 required"
-
-let reshape new_shape a =
-  if num_elems new_shape <> num_elems a.shape then
-    shape_err "reshape: %d elements into %d" (num_elems a.shape)
-      (num_elems new_shape);
-  { node = Reshape a; shape = new_shape }
-
-let sum a = { node = Reduce (Sum, a); shape = [] }
 
 (* Einsum-style contraction.  The spec fixes operand ranks and output
    shape; extents are checked for consistency across operands. *)
@@ -123,10 +101,8 @@ let contract spec operands =
 let rec inputs_of e acc =
   match e.node with
   | Input n -> if List.mem_assoc n acc then acc else (n, e.shape) :: acc
-  | Const _ -> acc
   | Binop (_, a, b) | Matmul (a, b) -> inputs_of b (inputs_of a acc)
-  | Unop (_, a) | Scale (_, a) | Transpose a | Reshape a | Reduce (_, a) ->
-      inputs_of a acc
+  | Unop (_, a) | Scale (_, a) -> inputs_of a acc
   | Contract (_, es) -> List.fold_left (fun acc e -> inputs_of e acc) acc es
 
 let inputs e = List.rev (inputs_of e [])
@@ -159,7 +135,6 @@ let rec eval (env : (string * tensor) list) (e : expr) : tensor =
               Fmt.(Dump.list int) t.dims Fmt.(Dump.list int) e.shape;
           t
       | None -> shape_err "eval: missing input %S" n)
-  | Const v -> { dims = e.shape; data = Array.make (num_elems e.shape) v }
   | Binop (op, a, b) ->
       let ta = eval env a and tb = eval env b in
       { dims = ta.dims; data = Array.map2 (binop_fun op) ta.data tb.data }
@@ -189,24 +164,6 @@ let rec eval (env : (string * tensor) list) (e : expr) : tensor =
           done;
           { dims = [ m; n ]; data = out }
       | _ -> assert false)
-  | Transpose a -> (
-      let ta = eval env a in
-      match ta.dims with
-      | [ m; n ] ->
-          let out = Array.make Stdlib.(m * n) 0.0 in
-          for i = 0 to Stdlib.(m - 1) do
-            for j = 0 to Stdlib.(n - 1) do
-              out.(Stdlib.((j * m) + i)) <- ta.data.(Stdlib.((i * n) + j))
-            done
-          done;
-          { dims = [ n; m ]; data = out }
-      | _ -> assert false)
-  | Reshape a ->
-      let ta = eval env a in
-      { dims = e.shape; data = ta.data }
-  | Reduce (Sum, a) ->
-      let ta = eval env a in
-      tensor_scalar (Array.fold_left ( +. ) 0.0 ta.data)
   | Contract (spec, operands) ->
       let ts = List.map (eval env) operands in
       let bufs =
@@ -225,15 +182,13 @@ let rec eval (env : (string * tensor) list) (e : expr) : tensor =
 let rec flops e =
   let open Stdlib in
   match e.node with
-  | Input _ | Const _ -> 0
+  | Input _ -> 0
   | Binop (_, a, b) -> num_elems e.shape + flops a + flops b
   | Unop (_, a) | Scale (_, a) -> num_elems e.shape + flops a
   | Matmul (a, b) -> (
       match (a.shape, b.shape) with
       | [ m; k ], [ _; n ] -> (2 * m * n * k) + flops a + flops b
       | _ -> assert false)
-  | Transpose a | Reshape a -> flops a
-  | Reduce (_, a) -> num_elems a.shape + flops a
   | Contract (spec, operands) ->
       (* index-space size = product of distinct label extents *)
       let all_labels = Hashtbl.create 8 in
@@ -258,11 +213,6 @@ let bytes_moved e =
     List.fold_left (fun acc (_, s) -> acc + (8 * num_elems s)) 0 ins
   in
   in_bytes + (8 * num_elems e.shape)
-
-(* Arithmetic intensity: flops per byte (key driver of HW/SW partitioning). *)
-let intensity e =
-  let b = bytes_moved e in
-  if Stdlib.( = ) b 0 then 0.0 else float_of_int (flops e) /. float_of_int b
 
 (* ---- structural fingerprint --------------------------------------------------- *)
 
@@ -289,7 +239,6 @@ let fingerprint e =
     | Input n ->
         Buffer.add_string buf "in:";
         Buffer.add_string buf n
-    | Const v -> Buffer.add_string buf (Printf.sprintf "c:%h" v)
     | Binop (op, a, b) ->
         Buffer.add_string buf "bin:";
         Buffer.add_string buf
@@ -310,16 +259,6 @@ let fingerprint e =
         Buffer.add_string buf "mm:";
         go a;
         go b
-    | Transpose a ->
-        Buffer.add_string buf "tr:";
-        go a
-    | Reshape a ->
-        Buffer.add_string buf "rs:";
-        go a
-    | Reduce (Sum, a) ->
-        Buffer.add_string buf "red:";
-        Buffer.add_string buf "sum";
-        go a
     | Contract (spec, es) ->
         Buffer.add_string buf "ein:";
         Buffer.add_string buf spec;
@@ -329,27 +268,3 @@ let fingerprint e =
   in
   go e;
   Buffer.contents buf
-
-(* ---- pretty-printing ---------------------------------------------------------- *)
-
-let binop_name = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
-
-let unop_name = function
-  | Relu -> "relu" | Sigmoid -> "sigmoid" | Tanh -> "tanh"
-
-let rec pp ppf e =
-  match e.node with
-  | Input n -> Fmt.pf ppf "%s" n
-  | Const v -> Fmt.pf ppf "%g" v
-  | Binop (op, a, b) -> Fmt.pf ppf "(%a %s %a)" pp a (binop_name op) pp b
-  | Unop (op, a) -> Fmt.pf ppf "%s(%a)" (unop_name op) pp a
-  | Scale (k, a) -> Fmt.pf ppf "(%g . %a)" k pp a
-  | Matmul (a, b) -> Fmt.pf ppf "(%a @ %a)" pp a pp b
-  | Transpose a -> Fmt.pf ppf "%a^T" pp a
-  | Reshape a -> Fmt.pf ppf "reshape(%a)" pp a
-  | Reduce (Sum, a) -> Fmt.pf ppf "sum(%a)" pp a
-  | Contract (spec, es) ->
-      Fmt.pf ppf "einsum[%s](%a)" spec Fmt.(list ~sep:(any ", ") pp) es
-
-let to_string e = Fmt.str "%a" pp e

@@ -73,9 +73,6 @@ let bind (g : Cdfg.t) (s : Schedule.t) : binding =
   let registers = List.length (left_edge reg_intervals) in
   { fus = List.rev !fus; registers; node_fu = !node_fu }
 
-let fu_count b cls =
-  List.length (List.filter (fun f -> f.fu_class = cls) b.fus)
-
 (* No two ops bound to one FU may overlap in time. *)
 let validate (g : Cdfg.t) (s : Schedule.t) (b : binding) =
   List.for_all

@@ -16,7 +16,7 @@ type binding = {
 val left_edge : (int * int * int) list -> int list list
 
 val bind : Cdfg.t -> Schedule.t -> binding
-val fu_count : binding -> Cdfg.opclass -> int
 
-(** No two ops bound to one unit overlap in time. *)
+(** No two ops bound to one unit overlap in time.  Kept for tests: the
+    oracle the HLS tests check every binding against. *)
 val validate : Cdfg.t -> Schedule.t -> binding -> bool

@@ -1,11 +1,11 @@
-(** Data-flow graph extraction for high-level synthesis.
+(** Data-flow graphs for high-level synthesis.
 
-    The HLS flow consumes straight-line scalar code (loop bodies after the
-    compiler has lowered tensor ops to loops).  Each IR operation becomes a
-    DFG node with an operation class that determines its latency and the
-    functional unit executing it.  Loads and stores carry the array they
-    touch plus an affine view of their index expression, which the memory
-    partitioner needs. *)
+    The HLS flow consumes straight-line scalar code: the per-element body
+    of a kernel, built by the compiler ([Hw_lower.dfg_of_expr]).  Each node
+    has an operation class that determines its latency and the functional
+    unit executing it.  Loads and stores carry the array they touch plus an
+    affine view of their index expression, which the memory partitioner
+    needs. *)
 
 (** Operation classes, each served by one functional-unit kind. *)
 type opclass =
@@ -27,7 +27,7 @@ type index = Affine of { coeff : int; offset : int } | Unknown
 type node = {
   id : int;
   cls : opclass;
-  op_name : string;  (** Originating IR op, for diagnostics. *)
+  op_name : string;  (** Originating operation, for diagnostics. *)
   preds : int list;  (** Data dependencies (node ids). *)
   array : string option;  (** For Load/Store: array identifier. *)
   index : index;
@@ -61,19 +61,6 @@ val add_node :
 
 val declare_array : builder -> string -> int -> unit
 val finish : builder -> t
-
-(** {2 From IR} *)
-
-exception Unsupported of string
-
-(** Operation class of an IR op name.
-    @raise Unsupported for ops the HLS flow cannot map. *)
-val classify_ir_op : string -> opclass
-
-(** Build a DFG from straight-line IR ops.  [iv] names the loop induction
-    variable so load/store indices become affine views; affine arithmetic
-    ([iv*c + k]) is recovered through [arith.muli]/[addi] chains. *)
-val of_ir_ops : ?iv:Everest_ir.Ir.value -> Everest_ir.Ir.op list -> t
 
 (** Deterministic pseudo-random DFG with the given class mix, for
     scheduling benchmarks. *)

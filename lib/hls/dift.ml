@@ -8,7 +8,6 @@
 type check = { store_node : int; array : string option }
 
 type instrumented = {
-  base : Cdfg.t;
   checks : check list;
   shadow_area : Estimate.area;
 }
@@ -33,25 +32,4 @@ let instrument (g : Cdfg.t) : instrumented =
       ffs = n_ops + (2 * List.length checks);
       dsps = 0; brams = 0 }
   in
-  { base = g; checks; shadow_area }
-
-(* Taint simulation: which checks fire when [tainted_inputs] (node ids whose
-   results are attacker-controlled) flow through the DFG. *)
-let simulate (inst : instrumented) ~tainted_inputs =
-  let g = inst.base in
-  let n = Cdfg.size g in
-  let taint = Array.make n false in
-  List.iter (fun i -> if i >= 0 && i < n then taint.(i) <- true) tainted_inputs;
-  Array.iter
-    (fun (nd : Cdfg.node) ->
-      if not taint.(nd.Cdfg.id) then
-        taint.(nd.Cdfg.id) <- List.exists (fun p -> taint.(p)) nd.Cdfg.preds)
-    g.Cdfg.nodes;
-  List.filter (fun c -> taint.(c.store_node)) inst.checks
-
-(* Relative overhead of the shadow logic w.r.t. a base design area. *)
-let overhead inst (base_area : Estimate.area) =
-  if base_area.Estimate.luts = 0 then 0.0
-  else
-    float_of_int inst.shadow_area.Estimate.luts
-    /. float_of_int base_area.Estimate.luts
+  { checks; shadow_area }

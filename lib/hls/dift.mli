@@ -9,16 +9,8 @@
 type check = { store_node : int; array : string option }
 
 type instrumented = {
-  base : Cdfg.t;
   checks : check list;
   shadow_area : Estimate.area;
 }
 
 val instrument : Cdfg.t -> instrumented
-
-(** Which checks fire when the results of [tainted_inputs] (node ids) flow
-    through the DFG. *)
-val simulate : instrumented -> tainted_inputs:int list -> check list
-
-(** Relative LUT overhead of the shadow logic w.r.t. a base area. *)
-val overhead : instrumented -> Estimate.area -> float

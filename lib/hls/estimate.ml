@@ -37,7 +37,6 @@ type t = {
   dynamic_power_w : float;
 }
 
-let exec_time_s e = float_of_int e.cycles /. (e.clock_mhz *. 1e6)
 
 (* Dynamic power model: proportional to active logic. *)
 let power_of_area a clock_mhz =

@@ -28,8 +28,6 @@ type t = {
   dynamic_power_w : float;
 }
 
-val exec_time_s : t -> float
-
 (** Dynamic power from active logic at the given clock. *)
 val power_of_area : area -> float -> float
 

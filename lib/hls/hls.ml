@@ -69,10 +69,6 @@ let synthesize ?(c = default_constraints) ?(name = "kernel") (g : Cdfg.t) : desi
   let rtl = Rtl.generate ~name g schedule binding mem in
   { dfg = g; schedule; binding; mem; estimate; dift_info; rtl }
 
-(* Convenience: synthesize an IR loop body directly. *)
-let synthesize_ir ?c ?name ?iv ops =
-  synthesize ?c ?name (Cdfg.of_ir_ops ?iv ops)
-
 let report ppf (d : design) =
   Fmt.pf ppf "schedule: %d cycles, II=%d@." d.schedule.Schedule.makespan
     d.estimate.Estimate.ii;

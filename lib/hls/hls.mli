@@ -30,12 +30,4 @@ type design = {
 
 val synthesize : ?c:constraints -> ?name:string -> Cdfg.t -> design
 
-(** Synthesize an IR loop body directly (see {!Cdfg.of_ir_ops}). *)
-val synthesize_ir :
-  ?c:constraints ->
-  ?name:string ->
-  ?iv:Everest_ir.Ir.value ->
-  Everest_ir.Ir.op list ->
-  design
-
 val report : Format.formatter -> design -> unit

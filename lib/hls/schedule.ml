@@ -177,18 +177,6 @@ let mem_min_ii ?(res = default_resources) (g : Cdfg.t) =
       if accesses = 0 then m else max m (cdiv accesses res.mem_ports))
     1 g.Cdfg.arrays
 
-(* Resource-constrained minimum initiation interval for a pipelined loop:
-   ceil(class population / units) over all classes, and memory ports per
-   array.  (Recurrences are absent in our straight-line bodies.) *)
-let min_ii ?(res = default_resources) (g : Cdfg.t) =
-  max (fu_min_ii ~res g) (mem_min_ii ~res g)
-
-(* Pipelined execution time of [trips] iterations: fill + drain model. *)
-let pipelined_cycles ?(res = default_resources) g ~trips =
-  let ii = min_ii ~res g in
-  let depth = (list_schedule ~res g).makespan in
-  depth + (ii * (trips - 1))
-
 let validate (g : Cdfg.t) (s : t) ~res =
   let ok_deps =
     Array.for_all

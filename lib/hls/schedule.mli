@@ -43,11 +43,6 @@ val fu_min_ii : ?res:resources -> Cdfg.t -> int
 (** Memory-port-constrained II for unpartitioned (single-bank) arrays. *)
 val mem_min_ii : ?res:resources -> Cdfg.t -> int
 
-(** [max fu_min_ii mem_min_ii]. *)
-val min_ii : ?res:resources -> Cdfg.t -> int
-
-(** Fill + drain + II*(trips-1) cycles for a pipelined loop. *)
-val pipelined_cycles : ?res:resources -> Cdfg.t -> trips:int -> int
-
-(** Dependencies respected and per-cycle resource bounds honored. *)
+(** Dependencies respected and per-cycle resource bounds honored.  Kept for
+    tests: the oracle the HLS tests check every list schedule against. *)
 val validate : Cdfg.t -> t -> res:resources -> bool

@@ -23,31 +23,19 @@ val float : float -> t
 val str : string -> t
 val sym : string -> t
 val list : t list -> t
-val dict : (string * t) list -> t
 
 (** [ints l] is a list attribute of integers. *)
 val ints : int list -> t
 
-(** {2 Projections} — [None] when the attribute has a different kind.
-    [as_float] also accepts integer attributes. *)
+(** {2 Projections} — [None] when the attribute has a different kind. *)
 
-val as_bool : t -> bool option
-val as_float : t -> float option
 val as_str : t -> string option
 val as_sym : t -> string option
-val as_ints : t -> int list option
 
 (** {2 Attribute lists} — the [(key, value)] dictionaries ops carry. *)
 
 val find : string -> (string * t) list -> t option
 val find_str : string -> (string * t) list -> string option
-val find_bool : string -> (string * t) list -> bool option
-val find_float : string -> (string * t) list -> float option
 val find_sym : string -> (string * t) list -> string option
-val find_ints : string -> (string * t) list -> int list option
-
-(** [set key v attrs] replaces or adds the binding for [key]. *)
-val set : string -> t -> (string * t) list -> (string * t) list
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -13,9 +13,7 @@ let const_index ctx i = const_i ~ty:Types.index ctx i
 let binary ctx name a b = op ctx name [ a; b ] [ a.vty ]
 
 let addi ctx a b = binary ctx "arith.addi" a b
-let subi ctx a b = binary ctx "arith.subi" a b
 let muli ctx a b = binary ctx "arith.muli" a b
-let divi ctx a b = binary ctx "arith.divi" a b
 let addf ctx a b = binary ctx "arith.addf" a b
 let subf ctx a b = binary ctx "arith.subf" a b
 let mulf ctx a b = binary ctx "arith.mulf" a b
@@ -29,7 +27,6 @@ let cmp_pred_of_name = function
   | "eq" -> Some Eq | "ne" -> Some Ne | "lt" -> Some Lt
   | "le" -> Some Le | "gt" -> Some Gt | "ge" -> Some Ge | _ -> None
 
-let cast ctx v ty = op ctx "arith.cast" [ v ] [ ty ]
 let negf ctx a = op ctx "arith.negf" [ a ] [ a.vty ]
 let sqrtf ctx a = op ctx "arith.sqrtf" [ a ] [ a.vty ]
 let expf ctx a = op ctx "arith.expf" [ a ] [ a.vty ]

@@ -12,9 +12,7 @@ val const_index : ctx -> int -> op
 
 val binary : ctx -> string -> value -> value -> op
 val addi : ctx -> value -> value -> op
-val subi : ctx -> value -> value -> op
 val muli : ctx -> value -> value -> op
-val divi : ctx -> value -> value -> op
 val addf : ctx -> value -> value -> op
 val subf : ctx -> value -> value -> op
 val mulf : ctx -> value -> value -> op
@@ -30,7 +28,6 @@ val cmp_pred_of_name : string -> cmp_pred option
 
 (** {2 Unary operations} *)
 
-val cast : ctx -> value -> Types.t -> op
 val negf : ctx -> value -> op
 val sqrtf : ctx -> value -> op
 val expf : ctx -> value -> op

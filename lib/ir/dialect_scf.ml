@@ -21,16 +21,6 @@ let for_ ?(iter_args = []) ?(attrs = []) ctx lo hi step body =
     ~regions:[ [ block ~args:(iv :: bargs) body_ops ] ]
     ~attrs
 
-let if_ ?(ret_types = []) ctx cond then_body else_body =
-  let then_ops, then_vals = then_body ctx in
-  let else_ops, else_vals = else_body ctx in
-  op ctx "scf.if" [ cond ] ret_types
-    ~regions:
-      [
-        [ block (then_ops @ [ yield ctx then_vals ]) ];
-        [ block (else_ops @ [ yield ctx else_vals ]) ];
-      ]
-
 let verify_for (o : Ir.op) =
   let n_ops = List.length o.operands in
   if n_ops < 3 then Dialect.err "scf.for: needs lo/hi/step"

@@ -21,14 +21,4 @@ val for_ :
   (ctx -> value -> value list -> op list * value list) ->
   op
 
-(** Two-armed conditional with optional results; each arm returns its body
-    and yielded values. *)
-val if_ :
-  ?ret_types:Types.t list ->
-  ctx ->
-  value ->
-  (ctx -> op list * value list) ->
-  (ctx -> op list * value list) ->
-  op
-
 val register : unit -> unit

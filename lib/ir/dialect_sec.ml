@@ -33,12 +33,6 @@ let classify ctx v level =
 let encrypt ctx v key =
   op ctx "sec.encrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str "aes128-ctr") ]
 
-let decrypt ctx v key =
-  op ctx "sec.decrypt" [ v; key ] [ v.vty ] ~attrs:[ ("algo", Attr.str "aes128-ctr") ]
-
-let taint ctx v = op ctx "sec.taint" [ v ] [ v.vty ]
-let check ctx v = op ctx "sec.check" [ v ] [ v.vty ]
-
 let verify_level (o : Ir.op) =
   match Ir.attr_str "level" o with
   | Some l when Option.is_some (level_of_name l) -> Dialect.ok

@@ -24,9 +24,4 @@ val classify : ctx -> value -> level -> op
 (** AES-128-CTR under [key]. *)
 val encrypt : ctx -> value -> value -> op
 
-val decrypt : ctx -> value -> value -> op
-
-val taint : ctx -> value -> op
-val check : ctx -> value -> op
-
 val register : unit -> unit

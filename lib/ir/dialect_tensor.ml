@@ -31,15 +31,6 @@ let matmul ctx a b =
       op ctx "tensor.matmul" [ a; b ] [ Types.Tensor { elt; shape = [ m; n ] } ]
   | _ -> invalid_arg "tensor.matmul: rank-2 tensors required"
 
-let transpose ctx a =
-  match a.vty with
-  | Types.Tensor { elt; shape = [ m; n ] } ->
-      op ctx "tensor.transpose" [ a ] [ Types.Tensor { elt; shape = [ n; m ] } ]
-  | _ -> invalid_arg "tensor.transpose: rank-2 tensor required"
-
-let reshape ctx a shape =
-  op ctx "tensor.reshape" [ a ] [ Types.tensor (elt_of a) shape ]
-
 (* Reduce along all axes to a scalar. *)
 let reduce ctx kind a =
   op ctx "tensor.reduce" [ a ]

@@ -20,9 +20,6 @@ val scale : ctx -> value -> value -> op
 (** @raise Invalid_argument unless operands are compatible rank-2 tensors. *)
 val matmul : ctx -> value -> value -> op
 
-val transpose : ctx -> value -> op
-val reshape : ctx -> value -> int list -> op
-
 (** Full reduction to a scalar; [kind] in add/mul/max/min. *)
 val reduce : ctx -> string -> value -> op
 

@@ -420,7 +420,9 @@ and eval_op env (o : Ir.op) =
       let inputs = List.map (fun v -> as_buf (value env v)) o.operands in
       let out = einsum spec inputs in
       p.tensor_elems <- p.tensor_elems + Array.length out.data;
-      bind1 (RBuf out)
+      (* a full contraction (["i->"]) is typed as a scalar *)
+      if Types.is_scalar (Ir.result o).Ir.vty then bind1 (RFloat out.data.(0))
+      else bind1 (RBuf out)
   | "func.call" -> (
       let callee =
         match Ir.attr_sym "callee" o with
@@ -492,15 +494,3 @@ let run_func ?max_steps ctx m name args =
       let env = make_env ?max_steps ~modul:m ctx in
       let rets = call_func env f args in
       (rets, env.profile)
-
-let rt_equal ?(eps = 1e-9) a b =
-  match (a, b) with
-  | RInt x, RInt y -> x = y
-  | RFloat x, RFloat y -> Float.abs (x -. y) <= eps *. (1.0 +. Float.abs x)
-  | RBuf x, RBuf y ->
-      x.shape = y.shape
-      && Array.for_all2
-           (fun a b -> Float.abs (a -. b) <= eps *. (1.0 +. Float.abs a))
-           x.data y.data
-  | RToken, RToken -> true
-  | _ -> false

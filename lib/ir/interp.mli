@@ -64,6 +64,3 @@ val call_func : env -> Ir.func -> rt list -> rt list
     @raise Runtime_error on dynamic errors or step-budget exhaustion. *)
 val run_func :
   ?max_steps:int -> Ir.ctx -> Ir.modul -> string -> rt list -> rt list * profile
-
-(** Approximate equality on runtime values (relative epsilon on floats). *)
-val rt_equal : ?eps:float -> rt -> rt -> bool

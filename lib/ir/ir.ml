@@ -57,7 +57,6 @@ let result ?(n = 0) o = List.nth o.results n
 let attr key o = Attr.find key o.attrs
 let attr_str key o = Attr.find_str key o.attrs
 let attr_sym key o = Attr.find_sym key o.attrs
-let with_attr key v o = { o with attrs = Attr.set key v o.attrs }
 let has_attr key o = Option.is_some (attr key o)
 
 let block ?(args = []) body = { bargs = args; body }

@@ -54,7 +54,6 @@ val result : ?n:int -> op -> value
 val attr : string -> op -> Attr.t option
 val attr_str : string -> op -> string option
 val attr_sym : string -> op -> string option
-val with_attr : string -> Attr.t -> op -> op
 val has_attr : string -> op -> bool
 
 (** {2 Regions} *)

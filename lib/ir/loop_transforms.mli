@@ -11,7 +11,8 @@ val trip_count : lo:int -> hi:int -> step:int -> int option
 
 (** Fully unroll constant-bound [scf.for] loops with trip count <= [limit]
     (default 64); larger loops are left intact.  Iteration arguments chain
-    through the unrolled clones. *)
+    through the unrolled clones.  Kept for PAPER.md §1's IR row (full
+    unrolling), and [?limit] with it: the bound past which a loop stays. *)
 val full_unroll : ?limit:int -> Ir.ctx -> Ir.func -> Ir.func
 
 (** Unroll constant-bound loops by [factor] when the trip count divides
@@ -19,5 +20,6 @@ val full_unroll : ?limit:int -> Ir.ctx -> Ir.func -> Ir.func
 val unroll_by : Ir.ctx -> factor:int -> Ir.func -> Ir.func
 
 (** Inline every [func.call] whose callee is defined in the module and has
-    at most 1000 operations. *)
+    at most 1000 operations.  Kept for PAPER.md §1's IR row (function
+    inlining). *)
 val inline_module : Ir.ctx -> Ir.modul -> Ir.modul

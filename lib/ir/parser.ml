@@ -430,9 +430,3 @@ let parse_module ctx src =
       Ir.bump_ctx ctx [ dummy ])
     m.funcs;
   m
-
-let parse_func_str ctx src =
-  let st = { src; pos = 0; env = [] } in
-  let f = parse_func st in
-  Ir.bump_ctx ctx f.Ir.fbody;
-  f

@@ -6,6 +6,3 @@ exception Parse_error of string
     in [ctx].
     @raise Parse_error on malformed input. *)
 val parse_module : Ir.ctx -> string -> Ir.modul
-
-(** Parse a single [func @name(...) -> (...) { ... }] definition. *)
-val parse_func_str : Ir.ctx -> string -> Ir.func

@@ -61,5 +61,4 @@ let pp_module ppf (m : modul) =
   List.iter (fun f -> Fmt.pf ppf "%a@." pp_func f) m.funcs;
   Fmt.pf ppf "}@."
 
-let func_to_string f = Fmt.str "%a" pp_func f
 let module_to_string m = Fmt.str "%a" pp_module m

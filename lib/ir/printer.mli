@@ -16,5 +16,4 @@ val pp_op : int -> Format.formatter -> Ir.op -> unit
 val pp_region : int -> Format.formatter -> Ir.region -> unit
 val pp_func : Format.formatter -> Ir.func -> unit
 val pp_module : Format.formatter -> Ir.modul -> unit
-val func_to_string : Ir.func -> string
 val module_to_string : Ir.modul -> string

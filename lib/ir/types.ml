@@ -22,16 +22,13 @@ type t =
   | Opaque of string  (* dialect-specific types, e.g. "sec.key" *)
 
 let i1 = Scalar I1
-let i32 = Scalar I32
 let i64 = Scalar I64
-let f32 = Scalar F32
 let f64 = Scalar F64
 let index = Scalar Index
 
 let tensor elt shape = Tensor { elt; shape = List.map (fun d -> Static d) shape }
 let tensor_dyn elt shape = Tensor { elt; shape }
 let memref elt shape = Memref { elt; shape = List.map (fun d -> Static d) shape; space = Host }
-let stream t = Stream t
 let func args rets = Func { args; rets }
 let opaque s = Opaque s
 
@@ -43,15 +40,6 @@ let is_float_scalar = function Scalar (F32 | F64) -> true | _ -> false
 let is_int_scalar = function
   | Scalar (I1 | I8 | I16 | I32 | I64 | Index) -> true
   | _ -> false
-
-let scalar_bits = function
-  | I1 -> 1
-  | I8 -> 8
-  | I16 -> 16
-  | I32 -> 32
-  | I64 | Index -> 64
-  | F32 -> 32
-  | F64 -> 64
 
 let shape = function
   | Tensor { shape; _ } | Memref { shape; _ } -> Some shape
@@ -68,15 +56,6 @@ let num_elements t =
           | Some n, Static k -> Some (n * k)
           | _ -> None)
         (Some 1) dims
-
-let byte_size t =
-  match t with
-  | Scalar s -> Some ((scalar_bits s + 7) / 8)
-  | Tensor { elt; _ } | Memref { elt; _ } -> (
-      match num_elements t with
-      | Some n -> Some (n * ((scalar_bits elt + 7) / 8))
-      | None -> None)
-  | _ -> None
 
 let static_shape_exn t =
   match shape t with
@@ -123,8 +102,6 @@ let rec pp ppf = function
         Fmt.(list ~sep:(any ", ") pp)
         rets
   | Opaque s -> Fmt.pf ppf "!%s" s
-
-let to_string t = Fmt.str "%a" pp t
 
 let rec equal a b =
   match (a, b) with

@@ -28,9 +28,7 @@ type t =
 (** {2 Constructors} *)
 
 val i1 : t
-val i32 : t
 val i64 : t
-val f32 : t
 val f64 : t
 val index : t
 
@@ -43,7 +41,6 @@ val tensor_dyn : scalar -> dim list -> t
 (** [memref elt dims] is a static buffer type in {!Host} memory. *)
 val memref : scalar -> int list -> t
 
-val stream : t -> t
 val func : t list -> t list -> t
 val opaque : string -> t
 
@@ -55,17 +52,11 @@ val is_memref : t -> bool
 val is_float_scalar : t -> bool
 val is_int_scalar : t -> bool
 
-(** Bit width of a scalar element. *)
-val scalar_bits : scalar -> int
-
 (** Shape of a tensor/memref. *)
 val shape : t -> dim list option
 
 (** Number of elements when the shape is fully static. *)
 val num_elements : t -> int option
-
-(** Total byte size when statically known. *)
-val byte_size : t -> int option
 
 (** Static shape of a shaped type.
     @raise Invalid_argument on dynamic dims or unshaped types. *)
@@ -77,7 +68,6 @@ val scalar_name : scalar -> string
 val mem_space_name : mem_space -> string
 val pp_dim : Format.formatter -> dim -> unit
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** {2 Equality}
 

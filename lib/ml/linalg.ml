@@ -4,10 +4,6 @@ type mat = { rows : int; cols : int; data : float array }
 
 let mat rows cols = { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let of_array rows cols data =
-  if Array.length data <> rows * cols then invalid_arg "of_array: size mismatch";
-  { rows; cols; data }
-
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
@@ -19,23 +15,6 @@ let init rows cols f =
     done
   done;
   m
-
-let copy m = { m with data = Array.copy m.data }
-
-let matmul a b =
-  if a.cols <> b.rows then invalid_arg "matmul: dims";
-  let c = mat a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          c.data.((i * c.cols) + j) <-
-            c.data.((i * c.cols) + j) +. (aik *. get b k j)
-        done
-    done
-  done;
-  c
 
 let matvec a (x : float array) =
   if a.cols <> Array.length x then invalid_arg "matvec: dims";
@@ -50,7 +29,7 @@ let matvec a (x : float array) =
 let solve a0 (b0 : float array) =
   let n = a0.rows in
   if a0.cols <> n || Array.length b0 <> n then invalid_arg "solve: dims";
-  let a = copy a0 and b = Array.copy b0 in
+  let a = { a0 with data = Array.copy a0.data } and b = Array.copy b0 in
   for col = 0 to n - 1 do
     (* pivot *)
     let piv = ref col in

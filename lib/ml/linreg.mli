@@ -3,7 +3,8 @@
 
 type t = { weights : float array; bias : float }
 
-(** Ridge weight 1e-6.
+(** Kept for PAPER.md §1's ML substrate row (linear regression).  Ridge
+    weight 1e-6.
     @raise Invalid_argument on empty input. *)
 val fit : float array array -> float array -> t
 

@@ -20,17 +20,6 @@ let mae pred truth =
 
 let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let r2 pred truth =
-  check_lengths pred truth;
-  let mu = mean truth in
-  let ss_res = ref 0.0 and ss_tot = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      ss_res := !ss_res +. ((pred.(i) -. t) ** 2.0);
-      ss_tot := !ss_tot +. ((t -. mu) ** 2.0))
-    truth;
-  if !ss_tot = 0.0 then 0.0 else 1.0 -. (!ss_res /. !ss_tot)
-
 (* Asymmetric imbalance cost of energy-market forecasting: under-forecasting
    (producing more than sold) is cheaper than over-forecasting (buying
    balancing energy). *)

@@ -7,7 +7,6 @@ val mse : float array -> float array -> float
 val rmse : float array -> float array -> float
 val mae : float array -> float array -> float
 val mean : float array -> float
-val r2 : float array -> float array -> float
 
 (** Asymmetric energy-market imbalance cost: over-forecasting (buying
     balancing energy) is priced at 60 per unit, three times

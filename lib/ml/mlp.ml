@@ -164,9 +164,3 @@ let fit ?(epochs = 100) ?(lr = 0.01) ?(batch_size = 32) (net : t) xs ys =
   List.rev !losses
 
 let predict = forward
-
-(* Inference cost in flops: 2 * sum(in*out) per sample. *)
-let inference_flops net =
-  List.fold_left
-    (fun acc (l : layer) -> acc + (2 * l.w.Linalg.rows * l.w.Linalg.cols))
-    0 net.layers

@@ -30,6 +30,3 @@ val fit :
   float list
 
 val predict : t -> float array -> float array
-
-(** Inference cost in flops per sample. *)
-val inference_flops : t -> int

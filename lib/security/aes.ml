@@ -30,11 +30,6 @@ let sbox =
      0x8c; 0xa1; 0x89; 0x0d; 0xbf; 0xe6; 0x42; 0x68; 0x41; 0x99; 0x2d; 0x0f;
      0xb0; 0x54; 0xbb; 0x16 |]
 
-let inv_sbox =
-  let t = Array.make 256 0 in
-  Array.iteri (fun i v -> t.(v) <- i) sbox;
-  t
-
 let xtime b =
   let b2 = b lsl 1 in
   if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
@@ -90,21 +85,12 @@ let add_round_key state w round =
 
 (* state layout: state.(4*col + row) *)
 let sub_bytes state = Array.iteri (fun i v -> state.(i) <- sbox.(v)) state
-let inv_sub_bytes state = Array.iteri (fun i v -> state.(i) <- inv_sbox.(v)) state
 
 let shift_rows state =
   for r = 1 to 3 do
     let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
     for c = 0 to 3 do
       state.((4 * c) + r) <- row.((c + r) mod 4)
-    done
-  done
-
-let inv_shift_rows state =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.(((c - r) + 4) mod 4)
     done
   done
 
@@ -116,16 +102,6 @@ let mix_columns state =
     state.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
     state.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
     state.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1) in
-    let a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.((4 * c) + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.((4 * c) + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
   done
 
 type key = int array  (* expanded key schedule *)
@@ -146,21 +122,6 @@ let encrypt_block (w : key) (input : Bytes.t) : Bytes.t =
   sub_bytes state;
   shift_rows state;
   add_round_key state w 10;
-  Bytes.init 16 (fun i -> Char.chr state.(i))
-
-let decrypt_block (w : key) (input : Bytes.t) : Bytes.t =
-  if Bytes.length input <> 16 then invalid_arg "aes: block must be 16 bytes";
-  let state = Array.init 16 (fun i -> Char.code (Bytes.get input i)) in
-  add_round_key state w 10;
-  for round = 9 downto 1 do
-    inv_shift_rows state;
-    inv_sub_bytes state;
-    add_round_key state w round;
-    inv_mix_columns state
-  done;
-  inv_shift_rows state;
-  inv_sub_bytes state;
-  add_round_key state w 0;
   Bytes.init 16 (fun i -> Char.chr state.(i))
 
 (* CTR mode: stream cipher usable for arbitrary-length buffers; encryption

@@ -16,8 +16,6 @@ val key_of_string : string -> key
 (** @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : key -> Bytes.t -> Bytes.t
 
-val decrypt_block : key -> Bytes.t -> Bytes.t
-
 (** CTR keystream transform over arbitrary-length data: encryption and
     decryption are the same operation.
     @raise Invalid_argument unless the nonce is 8 bytes. *)
@@ -27,4 +25,7 @@ val ctr_transform : key -> nonce:Bytes.t -> Bytes.t -> Bytes.t
 val gmul : int -> int -> int
 
 val to_hex : Bytes.t -> string
+
+(** Kept for tests: the FIPS-197 and SP800-38A known-answer vectors are
+    published in hex. *)
 val of_hex : string -> Bytes.t

@@ -3,6 +3,8 @@
 
 val block_size : int
 val hmac_sha256 : key:Bytes.t -> Bytes.t -> Bytes.t
+
+(** Kept for tests: the RFC 4231 test vectors are published in hex. *)
 val hmac_hex : key:string -> string -> string
 
 (** Constant-time tag verification. *)

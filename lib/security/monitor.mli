@@ -43,9 +43,17 @@ val range_check : range_monitor -> float -> verdict
 
 type access_monitor
 
+(** Kept for PAPER.md §1's security row (the access-pattern monitor), and
+    [?burst_threshold] with it: how many never-seen strides make a burst. *)
 val access : ?burst_threshold:int -> unit -> access_monitor
+
+(** Kept for PAPER.md §1's security row: learn a stride. *)
 val access_train : access_monitor -> int -> unit
+
+(** Kept for PAPER.md §1's security row: end the training phase. *)
 val access_finalize : access_monitor -> unit
+
+(** Kept for PAPER.md §1's security row: judge a stride. *)
 val access_check : access_monitor -> int -> verdict
 
 (** {2 Size monitor} — flags messages far above the typical size. *)

@@ -12,7 +12,8 @@ val free_flow : Roadnet.t -> src:int -> dst:int -> path option
 
 (** Time-dependent Dijkstra: [period_of t] maps a clock time to a period
     index; [cost period l] gives the traversal time.  The returned cost is
-    the trip duration from [depart]. *)
+    the trip duration from [depart].  Kept for PAPER.md §1's use case C row
+    (time-dependent routing). *)
 val time_dependent :
   Roadnet.t ->
   period_of:(float -> int) ->

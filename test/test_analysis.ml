@@ -43,7 +43,7 @@ let test_constprop_div_by_zero_not_folded () =
   let ctx = Ir.ctx () in
   let c1 = Arith.const_i ctx 1 in
   let c0 = Arith.const_i ctx 0 in
-  let dv = Arith.divi ctx (r c1) (r c0) in
+  let dv = Ir_build.divi ctx (r c1) (r c0) in
   let f = Ir.func "f" [] [ Types.i64 ] [ c1; c0; dv; Func.return ctx [ r dv ] ] in
   let res = Constprop.analyze f in
   checkb "division by zero stays varying" true
@@ -55,7 +55,7 @@ let test_constprop_const_branch () =
   let ctx = Ir.ctx () in
   let ct = Arith.const_i ~ty:Types.i1 ctx 1 in
   let iff =
-    Scf.if_ ~ret_types:[ Types.i64 ] ctx (r ct)
+    Ir_build.if_ ~ret_types:[ Types.i64 ] ctx (r ct)
       (fun ctx ->
         let c7 = Arith.const_i ctx 7 in
         ([ c7 ], [ r c7 ]))
@@ -72,7 +72,7 @@ let test_constprop_varying_branch () =
   let ctx = Ir.ctx () in
   let cond = Ir.fresh_value ctx Types.i1 in
   let iff =
-    Scf.if_ ~ret_types:[ Types.i64 ] ctx cond
+    Ir_build.if_ ~ret_types:[ Types.i64 ] ctx cond
       (fun ctx ->
         let c7 = Arith.const_i ctx 7 in
         ([ c7 ], [ r c7 ]))
@@ -231,7 +231,7 @@ let test_memlife_conditional_free () =
   let buf = Memref.alloc ctx Types.F64 [ 4 ] in
   let c0 = Arith.const_index ctx 0 in
   let iff =
-    Scf.if_ ctx cond
+    Ir_build.if_ ctx cond
       (fun ctx -> ([ Memref.dealloc ctx (r buf) ], []))
       (fun _ctx -> ([], []))
   in
@@ -460,7 +460,7 @@ let prop_constprop_agrees_with_interp =
         List.map
           (fun (k, n) ->
             let o =
-              (match k with 0 -> Arith.addi | 1 -> Arith.muli | _ -> Arith.subi)
+              (match k with 0 -> Arith.addi | 1 -> Arith.muli | _ -> Ir_build.subi)
                 ctx (pick n) (pick (n + 1))
             in
             vals := !vals @ [ r o ];

@@ -137,13 +137,22 @@ let test_sycl_emission () =
   checkb "mentions tile" true (contains ~sub:"TILE = 32" code);
   checkb "mentions layout" true (contains ~sub:"layout: soa" code)
 
+(* The runtime receives the Pareto variants as operating points carrying
+   each variant's time, energy and area. *)
 let test_metadata () =
-  let e = matmul_expr 64 in
-  let r = Dse.exhaustive e in
-  match Backend.metadata r.Dse.variants with
-  | Everest_ir.Attr.List items ->
-      checki "one entry per variant" (List.length r.Dse.variants) (List.length items)
-  | _ -> Alcotest.fail "metadata must be a list"
+  let r = Dse.exhaustive (matmul_expr 64) in
+  let k = Variants.to_knowledge ~kernel:"mm" r.Dse.variants in
+  let module K = Everest_autotune.Knowledge in
+  checki "one entry per variant" (List.length r.Dse.variants)
+    (List.length k.K.points);
+  checkb "time, energy and area" true
+    (List.for_all2
+       (fun (v : Variants.variant) (p : K.point) ->
+         p.K.variant = v.Variants.vname
+         && K.metric p "time_s" = Some v.Variants.time_s
+         && K.metric p "energy_j" = Some v.Variants.energy_j
+         && K.metric p "area_luts" = Some (float_of_int v.Variants.area_luts))
+       r.Dse.variants k.K.points)
 
 (* ---- pipeline --------------------------------------------------------------------- *)
 
@@ -257,14 +266,36 @@ let test_loops_elementwise_chain () =
   let x = Tensor_expr.input "x" [ 2; 2 ] in
   let y = Tensor_expr.input "y" [ 2; 2 ] in
   check_equiv
-    (Tensor_expr.relu (Tensor_expr.sub (Tensor_expr.mul x y) (Tensor_expr.const ~shape:[ 2; 2 ] 1.0)))
-    [ ("x", t22v [| 1.; -2.; 3.; 0.5 |]); ("y", t22v [| 2.; 2.; 2.; 2. |]) ]
+    Tensor_expr.(relu O.((x * y) - input "c" [ 2; 2 ]))
+    [ ("x", t22v [| 1.; -2.; 3.; 0.5 |]); ("y", t22v [| 2.; 2.; 2.; 2. |]);
+      ("c", t22v [| 1.; 1.; 1.; 1. |]) ]
 
+(* No DSL form lowers to a transpose or a reduction, so the tensor-level
+   function comes from IR text. *)
 let test_loops_transpose_reduce () =
-  let x = Tensor_expr.input "x" [ 3; 2 ] in
-  check_equiv
-    (Tensor_expr.sum (Tensor_expr.transpose x))
-    [ ("x", Tensor_expr.tensor [ 3; 2 ] [| 1.; 2.; 3.; 4.; 5.; 6. |]) ]
+  let ctx = Ir.ctx () in
+  let src =
+    {|module @m {
+func @t(%0: tensor<3x2xf64>) -> (f64) {
+  %1 = "tensor.transpose"(%0) : (tensor<3x2xf64>) -> (tensor<2x3xf64>)
+  %2 = "tensor.reduce"(%1) {kind = "add"} : (tensor<2x3xf64>) -> (f64)
+  "func.return"(%2) : (f64) -> ()
+}
+}|}
+  in
+  let f_tensor = List.hd (Everest_ir.Parser.parse_module ctx src).Ir.funcs in
+  let f_loops = { (Loops.lower_func ctx f_tensor) with Ir.fname = "l" } in
+  (match Verify.verify_func f_loops with
+  | [] -> ()
+  | ds -> Alcotest.failf "lowered invalid: %s" (Verify.errors_to_string ds));
+  let m = Ir.modul "m" [ f_tensor; f_loops ] in
+  let data = [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  let run name shape =
+    fst (Interp.run_func ctx m name [ Interp.tensor_of_array shape data ])
+  in
+  let r_tensor = run "t" [ 3; 2 ] and r_loops = run "l" [ 6 ] in
+  checkb "same sum" true (rt_data (List.hd r_tensor) = [| 21.0 |]);
+  checkb "loops agree" true (rt_data (List.hd r_loops) = [| 21.0 |])
 
 let test_loops_sigmoid () =
   let x = Tensor_expr.input "x" [ 4 ] in
@@ -279,27 +310,30 @@ let gen_expr =
           oneof
             [ return (Tensor_expr.input "a" [ 4; 4 ]);
               return (Tensor_expr.input "b" [ 4; 4 ]);
+              (* a constant: c is all ones *)
               map
-                (fun v -> Tensor_expr.const ~shape:[ 4; 4 ] (float_of_int v))
+                (fun v ->
+                  Tensor_expr.scale (float_of_int v) (Tensor_expr.input "c" [ 4; 4 ]))
                 (int_range (-4) 4) ]
         else
           let sub = self (n / 2) in
           oneof
             [ map2 Tensor_expr.add sub sub;
-              map2 Tensor_expr.sub sub sub;
-              map2 Tensor_expr.mul sub sub;
+              map2 Tensor_expr.O.( - ) sub sub;
+              map2 Tensor_expr.O.( * ) sub sub;
               map2 Tensor_expr.matmul sub sub;
-              map Tensor_expr.transpose sub;
               map Tensor_expr.relu sub;
               map (Tensor_expr.scale 0.5) sub ]))
 
+let gen_env =
+  [ ("a", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> float_of_int (i mod 5) -. 2.0)));
+    ("b", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> 0.5 *. float_of_int (7 - i))));
+    ("c", Tensor_expr.tensor [ 4; 4 ] (Array.make 16 1.0)) ]
+
 let prop_loops_preserve_semantics =
   QCheck.Test.make ~count:40 ~name:"tensor-to-loops preserves semantics"
-    (QCheck.make ~print:Tensor_expr.to_string gen_expr) (fun e ->
-      let env =
-        [ ("a", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> float_of_int (i mod 5) -. 2.0)));
-          ("b", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> 0.5 *. float_of_int (7 - i)))) ]
-      in
+    (QCheck.make ~print:Tensor_expr.fingerprint gen_expr) (fun e ->
+      let env = gen_env in
       let a, b = run_both e env in
       let da = rt_data a and db = rt_data b in
       Array.length da = Array.length db
@@ -307,26 +341,37 @@ let prop_loops_preserve_semantics =
            (fun x y -> Float.abs (x -. y) <= 1e-6 *. (1.0 +. Float.abs x))
            da db)
 
+(* Both legs of Fig. 1 see the same per-element body: the deepest loop of
+   the software lowering and the hardware leg's DFG each load the two
+   operand elements, and that DFG synthesizes. *)
 let test_loops_feed_hls () =
-  (* the lowered inner loop body synthesizes through the real HLS flow *)
   let ctx = Ir.ctx () in
   let a = Tensor_expr.input "a" [ 8; 8 ] in
-  let f = Everest_dsl.Lower.lower_expr ctx (Tensor_expr.matmul a a) in
-  let lowered = Loops.lower_func ctx f in
-  match Loops.innermost_body lowered with
-  | None -> Alcotest.fail "no inner loop found"
-  | Some (body, iv) ->
-      let body =
-        List.filter
-          (fun (o : Ir.op) -> not (String.equal o.Ir.name "scf.yield"))
-          body
-      in
-      let dfg = Everest_hls.Cdfg.of_ir_ops ~iv body in
-      checkb "loads present" true
-        (Everest_hls.Cdfg.count_class dfg Everest_hls.Cdfg.Load = 2);
-      let d = Everest_hls.Hls.synthesize ~name:"mm_body" dfg in
-      checkb "synthesizes" true
-        (d.Everest_hls.Hls.estimate.Everest_hls.Estimate.cycles > 0)
+  let e = Tensor_expr.matmul a a in
+  let lowered = Loops.lower_func ctx (Everest_dsl.Lower.lower_expr ctx e) in
+  (* (depth, body) of the deepest scf.for body *)
+  let rec deepest depth (ops : Ir.op list) =
+    List.fold_left
+      (fun best (o : Ir.op) ->
+        match o.Ir.regions with
+        | [ [ b ] ] when String.equal o.Ir.name "scf.for" ->
+            let d, body = deepest (depth + 1) b.Ir.body in
+            if d > fst best then (d, body) else best
+        | _ -> best)
+      (depth, ops) ops
+  in
+  let _, body = deepest 0 lowered.Ir.fbody in
+  let loads =
+    List.length
+      (List.filter (fun (o : Ir.op) -> String.equal o.Ir.name "memref.load") body)
+  in
+  let dfg = Hw_lower.dfg_of_expr e in
+  checki "two loads per step" 2 loads;
+  checki "the DFG loads the same" loads
+    (Everest_hls.Cdfg.count_class dfg Everest_hls.Cdfg.Load);
+  let d = Everest_hls.Hls.synthesize ~name:"mm_body" dfg in
+  checkb "synthesizes" true
+    (d.Everest_hls.Hls.estimate.Everest_hls.Estimate.cycles > 0)
 
 (* ---- loop fusion -------------------------------------------------------------------- *)
 
@@ -398,11 +443,8 @@ let test_fusion_skips_matmul () =
 
 let prop_fusion_preserves_semantics =
   QCheck.Test.make ~count:40 ~name:"loop fusion preserves semantics"
-    (QCheck.make ~print:Tensor_expr.to_string gen_expr) (fun e ->
-      let env =
-        [ ("a", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> float_of_int (i mod 5) -. 2.0)));
-          ("b", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> 0.5 *. float_of_int (7 - i)))) ]
-      in
+    (QCheck.make ~print:Tensor_expr.fingerprint gen_expr) (fun e ->
+      let env = gen_env in
       let ctx, f = lowered_of e in
       let f' = Loop_fusion.fuse_func ctx f in
       let before = run_lowered_buf ctx f env e in
@@ -411,6 +453,11 @@ let prop_fusion_preserves_semantics =
       && Array.for_all2
            (fun x y -> Float.abs (x -. y) <= 1e-6 *. (1.0 +. Float.abs x))
            before after)
+
+(* Pareto dominance in (time, energy, area). *)
+let dominates (a : Variants.variant) (b : Variants.variant) =
+  a.time_s <= b.time_s && a.energy_j <= b.energy_j && a.area_luts <= b.area_luts
+  && (a.time_s < b.time_s || a.energy_j < b.energy_j || a.area_luts < b.area_luts)
 
 (* property: pareto front never empty and never dominated *)
 let prop_pareto_sound =
@@ -421,9 +468,7 @@ let prop_pareto_sound =
       let vs = Variants.generate e in
       let p = Variants.pareto vs in
       p <> []
-      && List.for_all
-           (fun v -> not (List.exists (fun w -> Variants.dominates w v) vs))
-           p)
+      && List.for_all (fun v -> not (List.exists (fun w -> dominates w v) vs)) p)
 
 let () =
   Alcotest.run "everest_compiler"

@@ -3,6 +3,7 @@
 
 open Everest_dsl
 module Ir = Everest_ir.Ir
+module Attr = Everest_ir.Attr
 module Interp = Everest_ir.Interp
 module Verify = Everest_ir.Verify
 
@@ -14,6 +15,12 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 
 let t22 v = Tensor_expr.tensor [ 2; 2 ] v
 
+(* Transposes and sums are contractions. *)
+let transpose e = Tensor_expr.contract "ij->ji" [ e ]
+let sum e =
+  let spec = if List.length (Tensor_expr.shape e) = 1 then "i->" else "ij->" in
+  Tensor_expr.contract spec [ e ]
+
 (* ---- shape inference -------------------------------------------------------- *)
 
 let test_shapes () =
@@ -21,11 +28,9 @@ let test_shapes () =
   let b = Tensor_expr.input "b" [ 3; 4 ] in
   let m = Tensor_expr.matmul a b in
   checkb "matmul shape" true (Tensor_expr.shape m = [ 2; 4 ]);
-  let t = Tensor_expr.transpose m in
+  let t = transpose m in
   checkb "transpose shape" true (Tensor_expr.shape t = [ 4; 2 ]);
-  let r = Tensor_expr.reshape [ 8 ] m in
-  checkb "reshape shape" true (Tensor_expr.shape r = [ 8 ]);
-  checkb "reduce scalar" true (Tensor_expr.shape (Tensor_expr.sum m) = [])
+  checkb "reduce scalar" true (Tensor_expr.shape (sum m) = [])
 
 let test_shape_errors () =
   let a = Tensor_expr.input "a" [ 2; 3 ] in
@@ -36,9 +41,9 @@ let test_shape_errors () =
   (match Tensor_expr.add a (Tensor_expr.input "c" [ 3; 2 ]) with
   | exception Tensor_expr.Shape_error _ -> ()
   | _ -> Alcotest.fail "add should reject mismatched shapes");
-  (match Tensor_expr.reshape [ 5 ] a with
+  (match Tensor_expr.contract "ij,ij->ij" [ a; Tensor_expr.input "e" [ 3; 2 ] ] with
   | exception Tensor_expr.Shape_error _ -> ()
-  | _ -> Alcotest.fail "reshape should reject element mismatch");
+  | _ -> Alcotest.fail "contract should reject inconsistent extents");
   match Tensor_expr.contract "ij,jk->iq" [ a; Tensor_expr.input "d" [ 3; 4 ] ] with
   | exception Tensor_expr.Shape_error _ -> ()
   | _ -> Alcotest.fail "contract should reject unbound output label"
@@ -49,10 +54,12 @@ let test_eval () =
   let open Tensor_expr.O in
   let a = Tensor_expr.input "a" [ 2; 2 ] in
   let b = Tensor_expr.input "b" [ 2; 2 ] in
-  let e = Tensor_expr.relu ((a * b) - Tensor_expr.const ~shape:[ 2; 2 ] 2.0) in
+  let c = Tensor_expr.input "c" [ 2; 2 ] in
+  let e = Tensor_expr.relu ((a * b) - c) in
   let r =
     Tensor_expr.eval
-      [ ("a", t22 [| 1.; 2.; 3.; 4. |]); ("b", t22 [| 2.; 2.; 2.; 0.5 |]) ]
+      [ ("a", t22 [| 1.; 2.; 3.; 4. |]); ("b", t22 [| 2.; 2.; 2.; 0.5 |]);
+        ("c", t22 [| 2.; 2.; 2.; 2. |]) ]
       e
   in
   checkb "relu((a*b)-2)" true (r.Tensor_expr.data = [| 0.; 2.; 4.; 0. |])
@@ -71,7 +78,7 @@ let test_eval_matmul_contract_agree () =
 let test_eval_reduce () =
   let a = Tensor_expr.input "a" [ 4 ] in
   let env = [ ("a", Tensor_expr.tensor [ 4 ] [| 1.; 2.; 3.; 4. |]) ] in
-  checkf "sum" 10.0 (Tensor_expr.eval env (Tensor_expr.sum a)).Tensor_expr.data.(0)
+  checkf "sum" 10.0 (Tensor_expr.eval env (sum a)).Tensor_expr.data.(0)
 
 (* ---- cost model --------------------------------------------------------------- *)
 
@@ -80,14 +87,12 @@ let test_flops () =
   let b = Tensor_expr.input "b" [ 16; 4 ] in
   checki "matmul flops" (2 * 8 * 4 * 16) (Tensor_expr.flops (Tensor_expr.matmul a b));
   checki "add flops" (8 * 16) (Tensor_expr.flops (Tensor_expr.add a a));
-  checkb "intensity positive" true
-    (Tensor_expr.intensity (Tensor_expr.matmul a b) > 0.0);
   checki "bytes" (8 * ((8 * 16) + (16 * 4) + (8 * 4)))
     (Tensor_expr.bytes_moved (Tensor_expr.matmul a b))
 
 let test_inputs_dedup () =
   let a = Tensor_expr.input "a" [ 2; 2 ] in
-  let e = Tensor_expr.add a (Tensor_expr.mul a a) in
+  let e = Tensor_expr.add a Tensor_expr.O.(a * a) in
   checki "single input" 1 (List.length (Tensor_expr.inputs e))
 
 (* ---- annotations ---------------------------------------------------------------- *)
@@ -100,12 +105,18 @@ let test_annot_roundtrip () =
       Annot.Latency_bound_ms 5.0; Annot.Reuse_factor 3; Annot.Batch 32 ]
   in
   let attrs = Annot.to_attrs anns in
-  let back = Annot.of_attrs attrs in
-  checki "all annotations survive" (List.length anns) (List.length back);
-  checkb "strided access" true (Annot.access back = Some (Annot.Strided 8));
+  checki "one attribute per annotation" (List.length anns) (List.length attrs);
+  checkb "strided access" true
+    (Attr.find_str "everest.access" attrs = Some "strided<8>");
   checkb "security" true
-    (Annot.security_level back = Everest_ir.Dialect_sec.Confidential);
-  checkb "latency" true (Annot.latency_bound back = Some 5.0)
+    (Annot.security_level anns = Everest_ir.Dialect_sec.Confidential);
+  checkb "latency" true
+    (Attr.find "everest.latency_ms" attrs = Some (Attr.Float 5.0));
+  (* the attributes a kernel carries survive the IR text *)
+  let f = Lower.lower_expr ~annots:anns (Ir.ctx ()) (Tensor_expr.input "x" [ 4 ]) in
+  let text = Everest_ir.Printer.module_to_string (Ir.modul "m" [ f ]) in
+  let f' = List.hd (Everest_ir.Parser.parse_module (Ir.ctx ()) text).Ir.funcs in
+  checkb "printed and parsed back" true (f'.Ir.fattrs = attrs)
 
 (* ---- lowering ------------------------------------------------------------------- *)
 
@@ -128,14 +139,16 @@ let test_lower_simple () =
   let open Tensor_expr.O in
   let a = Tensor_expr.input "a" [ 2; 2 ] in
   let b = Tensor_expr.input "b" [ 2; 2 ] in
+  let c = Tensor_expr.input "c" [ 2; 2 ] in
   lower_and_compare
-    (Tensor_expr.relu ((a * b) + Tensor_expr.const ~shape:[ 2; 2 ] 1.0))
-    [ ("a", t22 [| 1.; -2.; 3.; -4. |]); ("b", t22 [| 2.; 2.; 2.; 2. |]) ]
+    (Tensor_expr.relu ((a * b) + c))
+    [ ("a", t22 [| 1.; -2.; 3.; -4. |]); ("b", t22 [| 2.; 2.; 2.; 2. |]);
+      ("c", t22 [| 1.; 1.; 1.; 1. |]) ]
 
 let test_lower_matmul_chain () =
   let a = Tensor_expr.input "a" [ 2; 3 ] in
   let b = Tensor_expr.input "b" [ 3; 2 ] in
-  let e = Tensor_expr.sum (Tensor_expr.matmul a (Tensor_expr.transpose (Tensor_expr.transpose b))) in
+  let e = sum (Tensor_expr.matmul a (transpose (transpose b))) in
   lower_and_compare e
     [ ("a", Tensor_expr.tensor [ 2; 3 ] [| 1.; 2.; 3.; 4.; 5.; 6. |]);
       ("b", Tensor_expr.tensor [ 3; 2 ] [| 7.; 8.; 9.; 10.; 11.; 12. |]) ]
@@ -151,7 +164,7 @@ let test_lower_contract () =
 let test_lower_scalar_result () =
   let a = Tensor_expr.input "a" [ 4 ] in
   lower_and_compare
-    (Tensor_expr.scale 2.0 (Tensor_expr.sum a))
+    (Tensor_expr.scale 2.0 (sum a))
     [ ("a", Tensor_expr.tensor [ 4 ] [| 1.; 2.; 3.; 4. |]) ]
 
 (* property: random well-shaped expressions lower correctly *)
@@ -162,25 +175,29 @@ let gen_expr =
           oneof
             [ return (Tensor_expr.input "a" [ 4; 4 ]);
               return (Tensor_expr.input "b" [ 4; 4 ]);
-              map (fun v -> Tensor_expr.const ~shape:[ 4; 4 ] (float_of_int v))
+              (* a constant: c is all ones *)
+              map
+                (fun v ->
+                  Tensor_expr.scale (float_of_int v) (Tensor_expr.input "c" [ 4; 4 ]))
                 (int_range (-4) 4) ]
         else
           let sub = self (n / 2) in
           oneof
             [ map2 Tensor_expr.add sub sub;
-              map2 Tensor_expr.sub sub sub;
-              map2 Tensor_expr.mul sub sub;
+              map2 Tensor_expr.O.( - ) sub sub;
+              map2 Tensor_expr.O.( * ) sub sub;
               map2 Tensor_expr.matmul sub sub;
-              map Tensor_expr.transpose sub;
+              map transpose sub;
               map Tensor_expr.relu sub;
               map (Tensor_expr.scale 0.5) sub ]))
 
 let prop_lowering_preserves_semantics =
   QCheck.Test.make ~count:60 ~name:"lowering preserves DSL semantics"
-    (QCheck.make ~print:Tensor_expr.to_string gen_expr) (fun e ->
+    (QCheck.make ~print:Tensor_expr.fingerprint gen_expr) (fun e ->
       let env =
         [ ("a", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> float_of_int (i mod 5) -. 2.0)));
-          ("b", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> 0.5 *. float_of_int (7 - i)))) ]
+          ("b", Tensor_expr.tensor [ 4; 4 ] (Array.init 16 (fun i -> 0.5 *. float_of_int (7 - i))));
+          ("c", Tensor_expr.tensor [ 4; 4 ] (Array.make 16 1.0)) ]
       in
       let ctx = Ir.ctx () in
       let f = Lower.lower_expr ctx e in
@@ -338,15 +355,19 @@ let build_pipeline () =
 
 let test_graph_build () =
   let g = build_pipeline () in
-  checki "5 nodes" 5 (Dataflow.size g);
+  let nodes = Dataflow.nodes g in
+  checki "5 nodes" 5 (List.length nodes);
   (match Dataflow.validate g with
   | Ok () -> ()
   | Error es -> Alcotest.failf "validate: %s" (String.concat "; " es));
-  checkb "find" true (Dataflow.find g "train" <> None);
-  checkb "flops positive" true (Dataflow.total_flops g > 0);
-  let cp = Dataflow.critical_path g (fun n -> float_of_int (Dataflow.node_flops n)) in
-  checkb "critical path >= train cost" true
-    (cp >= float_of_int (2 * 64 * 32) +. float_of_int (2 * 32 * 1))
+  let flops name =
+    match List.find_opt (fun n -> n.Dataflow.nname = name) nodes with
+    | Some n -> Dataflow.kernel_flops n.Dataflow.kernel
+    | None -> Alcotest.failf "no node %s" name
+  in
+  checki "sources cost nothing" 0 (flops "ensemble");
+  checki "train costs its layers" ((2 * 64 * 32) + (2 * 32 * 1)) (flops "train");
+  checki "external cost as declared" 10_000 (flops "post")
 
 let test_graph_duplicate_names () =
   let g = Dataflow.create "dup" in

@@ -9,26 +9,41 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
+(* Approximate equality on interpreter values (relative epsilon on floats). *)
+let rt_equal ?(eps = 1e-9) (a : Interp.rt) (b : Interp.rt) =
+  let close x y = Float.abs (x -. y) <= eps *. (1.0 +. Float.abs x) in
+  match (a, b) with
+  | RInt x, RInt y -> x = y
+  | RFloat x, RFloat y -> close x y
+  | RBuf x, RBuf y -> x.shape = y.shape && Array.for_all2 close x.data y.data
+  | RToken, RToken -> true
+  | _ -> false
+
+let type_str t = Fmt.str "%a" Types.pp t
+
+(* A module holding [f] alone, printed. *)
+let func_text f = Printer.module_to_string (Ir.modul "m" [ f ])
+
 (* ---- Types ---------------------------------------------------------------- *)
 
 let test_type_sizes () =
-  checki "f64 bytes" 8 (Option.get (Types.byte_size Types.f64));
-  checki "tensor bytes" (4 * 6 * 8)
-    (Option.get (Types.byte_size (Types.tensor Types.F64 [ 4; 6 ])));
-  checki "i8 memref bytes" 16
-    (Option.get (Types.byte_size (Types.memref Types.I8 [ 4; 4 ])));
+  checki "tensor elements" (4 * 6)
+    (Option.get (Types.num_elements (Types.tensor Types.F64 [ 4; 6 ])));
+  checki "i8 memref elements" 16
+    (Option.get (Types.num_elements (Types.memref Types.I8 [ 4; 4 ])));
   checkb "dyn tensor has no size" true
-    (Types.byte_size (Types.tensor_dyn Types.F32 [ Types.Dyn ]) = None)
+    (Types.num_elements (Types.tensor_dyn Types.F32 [ Types.Dyn ]) = None);
+  checkb "scalar has no shape" true (Types.num_elements Types.f64 = None)
 
 let test_type_printing () =
   checks "tensor" "tensor<4x?x8xf32>"
-    (Types.to_string (Types.tensor_dyn Types.F32 [ Static 4; Dyn; Static 8 ]));
+    (type_str (Types.tensor_dyn Types.F32 [ Static 4; Dyn; Static 8 ]));
   checks "memref" "memref<16xf64, bram>"
-    (Types.to_string
+    (type_str
        (Types.Memref { elt = Types.F64; shape = [ Static 16 ]; space = Types.Bram }));
-  checks "stream" "stream<f32>" (Types.to_string (Types.stream Types.f32));
+  checks "stream" "stream<f32>" (type_str (Types.Stream (Types.Scalar F32)));
   checks "func" "(f64, i32) -> (f64)"
-    (Types.to_string (Types.func [ Types.f64; Types.i32 ] [ Types.f64 ]))
+    (type_str (Types.func [ Types.f64; Types.Scalar I32 ] [ Types.f64 ]))
 
 let test_type_compat () =
   let a = Types.tensor_dyn Types.F64 [ Static 4; Dyn ] in
@@ -42,16 +57,18 @@ let test_type_compat () =
 
 let test_attrs () =
   let attrs =
-    [ ("tile", Attr.ints [ 8; 8 ]); ("name", Attr.str "k"); ("f", Attr.float 2.5) ]
+    [ ("tile", Attr.ints [ 8; 8 ]); ("name", Attr.str "k"); ("f", Attr.float 2.5);
+      ("callee", Attr.sym "g") ]
   in
-  checkb "ints" true (Attr.find_ints "tile" attrs = Some [ 8; 8 ]);
+  checkb "ints" true (Attr.find "tile" attrs = Some (Attr.List [ Int 8; Int 8 ]));
   checkb "str" true (Attr.find_str "name" attrs = Some "k");
-  checkb "float" true (Attr.find_float "f" attrs = Some 2.5);
+  checkb "float" true (Attr.find "f" attrs = Some (Attr.Float 2.5));
+  checkb "sym" true (Attr.find_sym "callee" attrs = Some "g");
+  checkb "kind mismatch" true (Attr.find_str "callee" attrs = None);
   checkb "missing" true (Attr.find "zzz" attrs = None);
-  let attrs = Attr.set "name" (Attr.str "q") attrs in
-  checkb "set replaces" true (Attr.find_str "name" attrs = Some "q");
-  checkb "roundtrip equal" true
-    (Attr.equal (Attr.dict attrs) (Attr.dict attrs))
+  (* the first binding wins, so a prepended one replaces the old *)
+  let attrs = ("name", Attr.str "q") :: attrs in
+  checkb "set replaces" true (Attr.find_str "name" attrs = Some "q")
 
 (* ---- Construction & verification ------------------------------------------ *)
 
@@ -143,7 +160,7 @@ func @sum(%0: index) -> (f64) {
   | Error ds -> Alcotest.failf "diags: %s" (Verify.errors_to_string ds));
   let rets, _ = Interp.run_func ctx m "sum" [ Interp.RInt 5 ] in
   checkb "counted to 5" true
-    (Interp.rt_equal (List.hd rets) (Interp.RFloat 5.0));
+    (rt_equal (List.hd rets) (Interp.RFloat 5.0));
   (* parse is the inverse of print *)
   let s = Printer.module_to_string m in
   let m2 = Parser.parse_module (Ir.ctx ()) s in
@@ -152,21 +169,23 @@ func @sum(%0: index) -> (f64) {
 let test_parse_types_attrs () =
   let ctx = Ir.ctx () in
   let src =
-    {|func @g(%0: memref<4x?xf32, device<1>>, %1: stream<i8>) -> () {
+    {|module @m {
+func @g(%0: memref<4x?xf32, device<1>>, %1: stream<i8>) -> () {
   "df.sink"(%0) {name = "out", meta = {a = [1, 2], b = true, t = tensor<2x2xf64>}} : (memref<4x?xf32, device<1>>) -> ()
+}
 }|}
   in
-  let f = Parser.parse_func_str ctx src in
+  let f = List.hd (Parser.parse_module ctx src).Ir.funcs in
   checki "two args" 2 (List.length f.Ir.fargs);
   let o = List.hd f.Ir.fbody in
   (match Ir.attr "meta" o with
   | Some (Attr.Dict d) ->
-      checkb "list attr" true (Attr.find_ints "a" d = Some [ 1; 2 ]);
-      checkb "bool attr" true (Attr.find_bool "b" d = Some true)
+      checkb "list attr" true (Attr.find "a" d = Some (Attr.List [ Int 1; Int 2 ]));
+      checkb "bool attr" true (Attr.find "b" d = Some (Attr.Bool true))
   | _ -> Alcotest.fail "missing dict attr");
-  let s = Printer.func_to_string f in
-  let f2 = Parser.parse_func_str (Ir.ctx ()) s in
-  checks "roundtrip" s (Printer.func_to_string f2)
+  let s = func_text f in
+  let f2 = List.hd (Parser.parse_module (Ir.ctx ()) s).Ir.funcs in
+  checks "roundtrip" s (func_text f2)
 
 (* Integer literals the parser cannot hold (a value id or a shape dimension
    beyond int range) and a value id with no digits are parse errors, not
@@ -196,7 +215,7 @@ let test_constant_folding () =
   (* after fold + dce only the constant 5.0 and the return remain *)
   checki "two ops left" 2 (List.length f'.Ir.fbody);
   let rets, _ = Interp.run_func ctx m' "k" [] in
-  checkb "value preserved" true (Interp.rt_equal (List.hd rets) (RFloat 5.0))
+  checkb "value preserved" true (rt_equal (List.hd rets) (RFloat 5.0))
 
 let test_algebraic_identities () =
   let ctx = Ir.ctx () in
@@ -214,8 +233,8 @@ let test_algebraic_identities () =
 let test_involutions () =
   let ctx = Ir.ctx () in
   let x = Ir.fresh_value ctx (Types.tensor Types.F64 [ 3; 4 ]) in
-  let t1 = Dialect_tensor.transpose ctx x in
-  let t2 = Dialect_tensor.transpose ctx (Ir.result t1) in
+  let t1 = Ir_build.transpose ctx x in
+  let t2 = Ir_build.transpose ctx (Ir.result t1) in
   let r = Dialect_func.return ctx [ Ir.result t2 ] in
   let f = Ir.func "tt" [ x ] [ x.Ir.vty ] [ t1; t2; r ] in
   let m, _ = Pass.run_pipeline ctx Transforms.standard_pipeline (Ir.modul "m" [ f ]) in
@@ -227,7 +246,7 @@ let test_encrypt_decrypt_fold () =
   let x = Ir.fresh_value ctx (Types.tensor Types.F64 [ 8 ]) in
   let k = Ir.fresh_value ctx Types.f64 in
   let e = Dialect_sec.encrypt ctx x k in
-  let d = Dialect_sec.decrypt ctx (Ir.result e) k in
+  let d = Ir_build.decrypt ctx (Ir.result e) k in
   let r = Dialect_func.return ctx [ Ir.result d ] in
   let f = Ir.func "ed" [ x; k ] [ x.Ir.vty ] [ e; d; r ] in
   let m, _ = Pass.run_pipeline ctx Transforms.standard_pipeline (Ir.modul "m" [ f ]) in
@@ -246,7 +265,7 @@ let test_cse () =
   let f' = Option.get (Ir.find_func m "sq2") in
   checki "duplicate mul removed" 3 (List.length f'.Ir.fbody);
   let rets, _ = Interp.run_func ctx m "sq2" [ RFloat 3.0 ] in
-  checkb "semantics kept" true (Interp.rt_equal (List.hd rets) (RFloat 18.0))
+  checkb "semantics kept" true (rt_equal (List.hd rets) (RFloat 18.0))
 
 let test_dce_keeps_stores () =
   let ctx = Ir.ctx () in
@@ -333,7 +352,9 @@ let random_dce_func seed =
             (o, r o :: scope)
         | 7 | 8 ->
             (Dialect_scf.for_ ctx (r i0) (r four) (r one) (fun _ _ _ -> (body (), [])), scope)
-        | _ -> (Dialect_scf.if_ ctx cond (fun _ -> (body (), [])) (fun _ -> (body (), [])), scope)
+        | _ ->
+            let arm _ = (body (), []) in
+            (Ir_build.if_ ctx cond arm arm, scope)
       in
       let rest, scope = block depth scope (n - 1) in
       (o :: rest, scope)
@@ -388,7 +409,7 @@ let test_interp_matmul () =
   let bv = Interp.tensor_of_array [ 3; 2 ] [| 7.; 8.; 9.; 10.; 11.; 12. |] in
   let rets, profile = Interp.run_func ctx m "mm" [ av; bv ] in
   let expect = Interp.tensor_of_array [ 2; 2 ] [| 58.; 64.; 139.; 154. |] in
-  checkb "matmul result" true (Interp.rt_equal (List.hd rets) expect);
+  checkb "matmul result" true (rt_equal (List.hd rets) expect);
   checki "flop count" (2 * 2 * 2 * 3) profile.Interp.scalar_ops
 
 let test_interp_einsum_matches_matmul () =
@@ -405,7 +426,7 @@ let test_interp_einsum_matches_matmul () =
   let bv = Interp.tensor_of_array [ 3; 2 ] [| 7.; 8.; 9.; 10.; 11.; 12. |] in
   let rets, _ = Interp.run_func ctx m "ein" [ av; bv ] in
   let expect = Interp.tensor_of_array [ 2; 2 ] [| 58.; 64.; 139.; 154. |] in
-  checkb "einsum = matmul" true (Interp.rt_equal (List.hd rets) expect)
+  checkb "einsum = matmul" true (rt_equal (List.hd rets) expect)
 
 let test_interp_loop_memref () =
   (* sum of squares 0..n-1 via explicit loop and memref accumulation *)
@@ -417,7 +438,7 @@ let test_interp_loop_memref () =
   let loop =
     Dialect_scf.for_ ctx ~iter_args:[ Ir.result zero ] (Ir.result lo) n
       (Ir.result one) (fun ctx iv args ->
-        let fi = Dialect_arith.cast ctx iv Types.f64 in
+        let fi = Ir_build.cast ctx iv Types.f64 in
         let sq = Dialect_arith.mulf ctx (Ir.result fi) (Ir.result fi) in
         let acc = Dialect_arith.addf ctx (List.hd args) (Ir.result sq) in
         ([ fi; sq; acc ], [ Ir.result acc ]))
@@ -429,7 +450,7 @@ let test_interp_loop_memref () =
   | Ok () -> ()
   | Error ds -> Alcotest.failf "diags: %s" (Verify.errors_to_string ds));
   let rets, _ = Interp.run_func ctx m "ss" [ RInt 10 ] in
-  checkb "sum of squares" true (Interp.rt_equal (List.hd rets) (RFloat 285.0))
+  checkb "sum of squares" true (rt_equal (List.hd rets) (RFloat 285.0))
 
 let test_interp_call () =
   let ctx = Ir.ctx () in
@@ -440,7 +461,7 @@ let test_interp_call () =
   let g = Ir.func "g" [ a ] [ Types.f64 ] [ call; r ] in
   let m = Ir.modul "m" [ axpy; g ] in
   let rets, profile = Interp.run_func ctx m "g" [ RFloat 3.0 ] in
-  checkb "g(3) = 3*3+3" true (Interp.rt_equal (List.hd rets) (RFloat 12.0));
+  checkb "g(3) = 3*3+3" true (rt_equal (List.hd rets) (RFloat 12.0));
   checki "one call" 1 profile.Interp.calls
 
 let test_interp_step_budget () =
@@ -471,7 +492,7 @@ let build_sumsq ctx n =
   let loop =
     Dialect_scf.for_ ctx ~iter_args:[ Ir.result zero ] (Ir.result lo)
       (Ir.result hi) (Ir.result one) (fun ctx iv args ->
-        let fi = Dialect_arith.cast ctx iv Types.f64 in
+        let fi = Ir_build.cast ctx iv Types.f64 in
         let sq = Dialect_arith.mulf ctx (Ir.result fi) (Ir.result fi) in
         let acc = Dialect_arith.addf ctx (List.hd args) (Ir.result sq) in
         ([ fi; sq; acc ], [ Ir.result acc ]))
@@ -498,7 +519,7 @@ let test_full_unroll () =
   let expect = eval_f ctx f in
   let f' = Loop_transforms.full_unroll ctx f in
   checki "no loops left" 0 (count_loops f');
-  checkb "semantics preserved" true (Interp.rt_equal (eval_f ctx f') expect)
+  checkb "semantics preserved" true (rt_equal (eval_f ctx f') expect)
 
 let test_full_unroll_respects_limit () =
   let ctx = Ir.ctx () in
@@ -512,7 +533,7 @@ let test_partial_unroll () =
   let expect = eval_f ctx f in
   let f' = Loop_transforms.unroll_by ctx ~factor:4 f in
   checki "loop remains" 1 (count_loops f');
-  checkb "semantics preserved" true (Interp.rt_equal (eval_f ctx f') expect);
+  checkb "semantics preserved" true (rt_equal (eval_f ctx f') expect);
   (* body got wider: 4 multiplies instead of 1 *)
   let muls =
     Ir.fold_ops
@@ -528,7 +549,7 @@ let test_partial_unroll_skips_indivisible () =
   let f' = Loop_transforms.unroll_by ctx ~factor:3 f in
   (* 10 mod 3 <> 0: unchanged *)
   checki "loop kept" 1 (count_loops f');
-  checkb "semantics" true (Interp.rt_equal (eval_f ctx f') expect)
+  checkb "semantics" true (rt_equal (eval_f ctx f') expect)
 
 let test_inline () =
   let ctx = Ir.ctx () in
@@ -552,7 +573,7 @@ let test_inline () =
   checki "all calls inlined" 0 calls;
   let rets_after, _ = Interp.run_func ctx m' "g" [ RFloat 2.0 ] in
   checkb "semantics preserved" true
-    (Interp.rt_equal (List.hd rets_before) (List.hd rets_after))
+    (rt_equal (List.hd rets_before) (List.hd rets_after))
 
 let prop_unroll_preserves =
   QCheck.Test.make ~count:60 ~name:"unrolling preserves loop semantics"
@@ -568,8 +589,8 @@ let prop_unroll_preserves =
       let got_partial, _ =
         Interp.run_func ctx (Ir.modul "m" [ partial ]) "sumsq" []
       in
-      Interp.rt_equal (List.hd got_full) (List.hd expect)
-      && Interp.rt_equal (List.hd got_partial) (List.hd expect))
+      rt_equal (List.hd got_full) (List.hd expect)
+      && rt_equal (List.hd got_partial) (List.hd expect))
 
 (* ---- QCheck properties ------------------------------------------------------ *)
 
@@ -622,7 +643,7 @@ let prop_canonicalize_preserves_value =
       let m = Ir.modul "m" [ f ] in
       let m', _ = Pass.run_pipeline ctx Transforms.standard_pipeline m in
       let rets, _ = Interp.run_func ctx m' "e" [] in
-      Interp.rt_equal ~eps:1e-6 (List.hd rets) (RFloat (expr_value e)))
+      rt_equal ~eps:1e-6 (List.hd rets) (RFloat (expr_value e)))
 
 let prop_canonicalize_fully_folds_consts =
   QCheck.Test.make ~count:100 ~name:"constant trees fold to a single constant"
@@ -643,9 +664,9 @@ let prop_roundtrip =
       let ops, v = build_expr ctx e in
       let r = Dialect_func.return ctx [ v ] in
       let f = Ir.func "e" [] [ Types.f64 ] (ops @ [ r ]) in
-      let s = Printer.func_to_string f in
-      let f2 = Parser.parse_func_str (Ir.ctx ()) s in
-      String.equal s (Printer.func_to_string f2))
+      let s = func_text f in
+      let f2 = List.hd (Parser.parse_module (Ir.ctx ()) s).Ir.funcs in
+      String.equal s (func_text f2))
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
