@@ -83,7 +83,7 @@ val generate :
 val pareto : variant list -> variant list
 
 (** O(n²) reference implementation.  Kept for tests: the oracle the
-    parallel DSE property compares {!pareto} against. *)
+    compiler and parallel DSE properties compare {!pareto} against. *)
 val pareto_naive : variant list -> variant list
 
 (** Bridge to the runtime: variants as mARGOt operating points. *)

@@ -25,7 +25,6 @@ type design = {
   binding : Bind.binding;
   mem : (string * Mem_partition.config * int) list;
   estimate : Estimate.t;
-  dift_info : Dift.instrumented option;
   rtl : Rtl.t;
 }
 
@@ -58,16 +57,14 @@ let synthesize ?(c = default_constraints) ?(name = "kernel") (g : Cdfg.t) : desi
     Estimate.of_design ~clock_mhz:c.clock_mhz
       ~states:schedule.Schedule.makespan g binding ~cycles ~ii ~banks
   in
-  let dift_info = if c.dift then Some (Dift.instrument g) else None in
   let estimate =
-    match dift_info with
-    | Some inst ->
-        { base_est with
-          Estimate.area = Estimate.add_area base_est.Estimate.area inst.Dift.shadow_area }
-    | None -> base_est
+    if c.dift then
+      let shadow = (Dift.instrument g).Dift.shadow_area in
+      { base_est with Estimate.area = Estimate.add_area base_est.Estimate.area shadow }
+    else base_est
   in
   let rtl = Rtl.generate ~name g schedule binding mem in
-  { dfg = g; schedule; binding; mem; estimate; dift_info; rtl }
+  { dfg = g; schedule; binding; mem; estimate; rtl }
 
 let report ppf (d : design) =
   Fmt.pf ppf "schedule: %d cycles, II=%d@." d.schedule.Schedule.makespan

@@ -24,7 +24,6 @@ type design = {
   binding : Bind.binding;
   mem : (string * Mem_partition.config * int) list;
   estimate : Estimate.t;
-  dift_info : Dift.instrumented option;
   rtl : Rtl.t;
 }
 
