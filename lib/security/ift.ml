@@ -144,14 +144,18 @@ let analyze_func (f : Ir.func) : flow_violation list =
           violation o ~source:in_level ~sink:clearance
             (Option.value ~default:"?" (Ir.attr_str "name" o))
     | "memref.store" ->
-        let dst = List.nth o.Ir.operands 1 in
-        let clearance = level_of dst in
-        let data_level = level_of (List.hd o.Ir.operands) in
-        if not (Dialect_sec.level_leq data_level (join clearance Dialect_sec.Internal))
-           && clearance = Dialect_sec.Public
-        then
-          violation o ~source:data_level ~sink:clearance
-            "store to public buffer";
+        (* a store missing its operands is the verifier's finding *)
+        (match o.Ir.operands with
+        | data :: dst :: _ ->
+            let clearance = level_of dst in
+            let data_level = level_of data in
+            let allowed = join clearance Dialect_sec.Internal in
+            if (not (Dialect_sec.level_leq data_level allowed))
+               && clearance = Dialect_sec.Public
+            then
+              violation o ~source:data_level ~sink:clearance
+                "store to public buffer"
+        | _ -> ());
         List.iter
           (fun (r : Ir.value) -> Hashtbl.replace levels r.Ir.vid in_level)
           o.Ir.results
