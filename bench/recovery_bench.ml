@@ -98,10 +98,6 @@ let () =
           () }
   in
   let fp = Srv.Fabric.fingerprint config ~tenants ~horizon in
-  let render r =
-    Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
-    ^ Srv.Fabric.render_summary r
-  in
   let run ?recovery () =
     Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?recovery config
       ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
@@ -116,7 +112,7 @@ let () =
 
   (* ---- baseline reference output (also warms the process) ---- *)
   let plain_r = run () in
-  let plain = render plain_r in
+  let plain = Srv.Fabric.render plain_r in
   Printf.printf "unjournaled run: %d requests\n%!"
     (List.length plain_r.Srv.Fabric.f_log);
   let global_plain = ref infinity in
@@ -156,7 +152,7 @@ let () =
           attrs := (work_s /. Float.max 1e-9 (tj -. work_s)) :: !attrs;
           j_out :=
             Some
-              ( render r,
+              ( Srv.Fabric.render r,
                 store.Rec.Store.records_written,
                 store.Rec.Store.snapshots_written,
                 store.Rec.Store.journal_bytes,
@@ -188,7 +184,7 @@ let () =
                   ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
               in
               Rec.Store.close store;
-              (render r, rep))
+              (Srv.Fabric.render r, rep))
         in
         let identical =
           String.equal plain journaled && String.equal plain resumed

@@ -94,10 +94,6 @@ let () =
       ~config:{ W.Watch.default_config with W.Watch.wc_interval_s = interval }
       ~rules:(rules ~n_shards:shards ()) ()
   in
-  let render r =
-    Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
-    ^ Srv.Fabric.render_summary r
-  in
   let run ?watch ?(tenants = tenants) ~faults () =
     Srv.Fabric.run ~registry:(Tel.Metrics.create_registry ()) ?watch
       (config ~faults) ~deploy:(Srv.Fabric.demo_deploy ()) ~tenants ~horizon
@@ -112,7 +108,7 @@ let () =
 
   (* ---- baseline reference output (also warms the process) ---- *)
   let plain_r = run ~faults:Res.Faults.none () in
-  let plain = render plain_r in
+  let plain = Srv.Fabric.render plain_r in
   Printf.printf "unwatched run: %d requests\n%!"
     (List.length plain_r.Srv.Fabric.f_log);
 
@@ -147,7 +143,7 @@ let () =
             r_ticks = W.Watch.ticks w1;
             r_series = W.Series.Store.size (W.Watch.store w1);
             r_sketch_samples = W.Watch.samples w1;
-            r_log_identical = String.equal plain (render r1);
+            r_log_identical = String.equal plain (Srv.Fabric.render r1);
             r_dash_identical = String.equal (dash w1) (dash w2) }
         in
         Printf.printf

@@ -410,10 +410,6 @@ let recover_cmd =
             () }
     in
     let fp = Srv.Fabric.fingerprint config ~tenants ~horizon in
-    let render r =
-      Srv.Fabric.render_log r ^ "\n" ^ Srv.Fabric.render_slos r ^ "\n"
-      ^ Srv.Fabric.render_summary r
-    in
     let open_store ?fresh sub =
       Rec.Store.open_store ?fresh ~dir:(Filename.concat dir sub) ~fingerprint:fp
         ()
@@ -431,7 +427,7 @@ let recover_cmd =
     in
     (* uninterrupted journaled run: the reference report *)
     let base_store = open_store ~fresh:true "baseline" in
-    let baseline = render (fab_run base_store) in
+    let baseline = Srv.Fabric.render (fab_run base_store) in
     let records = base_store.Rec.Store.records_written in
     let snapshots = base_store.Rec.Store.snapshots_written in
     Rec.Store.close base_store;
@@ -487,7 +483,7 @@ let recover_cmd =
             let resumed, report = resume store in
             Rec.Store.close store;
             let detected = report.Srv.Fabric.rr_fallbacks >= 1 in
-            let identical = String.equal baseline (render resumed) in
+            let identical = String.equal baseline (Srv.Fabric.render resumed) in
             Printf.printf
               "recover demo: %-12s detected=%b fell back to snapshot %d, \
                report identical=%b\n"
@@ -524,7 +520,7 @@ let recover_cmd =
     let resumed_r, report = resume store in
     let recovery_s = Sys.time () -. t0 in
     Rec.Store.close store;
-    let resumed = render resumed_r in
+    let resumed = Srv.Fabric.render resumed_r in
     let fab_identical = String.equal baseline resumed in
     Option.iter (fun f -> Drill.write_file f baseline) dump_baseline;
     Option.iter (fun f -> Drill.write_file f resumed) dump_resumed;

@@ -49,16 +49,58 @@ let is_bad spec (o : outcome) =
   | Availability _ | Completion_ratio _ -> not o.o_ok
   | Latency_quantile { limit_s; _ } -> (not o.o_ok) || o.o_latency_s > limit_s
 
-(* Exact empirical quantile (nearest-rank): value at index ceil(q*n). *)
-let exact_quantile xs q =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-      let arr = Array.of_list xs in
-      Array.sort compare arr;
-      let n = Array.length arr in
-      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-      arr.(max 0 (min (n - 1) (rank - 1)))
+let swap (a : float array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+(* Exact empirical quantile (nearest-rank): the value at index ceil(q*n)
+   of the array in [compare] order, which puts NaNs first.  The NaNs are
+   swapped to the front; among the rest, Hoare's selection (Wirth's FIND,
+   with a median-of-three pivot value) moves the rank's value into place,
+   comparing unboxed floats with [<].  No sort and no allocation; the
+   array is left permuted. *)
+let exact_quantile_array (a : float array) q =
+  let n = Array.length a in
+  if n = 0 then 0.0
+  else begin
+    let k =
+      max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+    in
+    let nans = ref 0 in
+    for i = 0 to n - 1 do
+      if Float.is_nan a.(i) then begin
+        swap a i !nans;
+        incr nans
+      end
+    done;
+    (* a rank among the NaNs is already in place: skip the selection *)
+    let lo = ref !nans and hi = ref (if k < !nans then 0 else n - 1) in
+    while !lo < !hi do
+      let x = a.(!lo) and y = a.(!lo + ((!hi - !lo) / 2)) and z = a.(!hi) in
+      let p =
+        if x < y then if y < z then y else if x < z then z else x
+        else if x < z then x
+        else if y < z then z
+        else y
+      in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while a.(!i) < p do incr i done;
+        while p < a.(!j) do decr j done;
+        if !i <= !j then begin
+          swap a !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      if !j < k then lo := !i;
+      if k < !i then hi := !j
+    done;
+    a.(k)
+  end
+
+let exact_quantile xs q = exact_quantile_array (Array.of_list xs) q
 
 type result = {
   res_name : string;

@@ -28,9 +28,13 @@ val completion : string -> float -> spec
 (** One observed unit: a request (or task) that finished at [o_t_s]. *)
 type outcome = { o_t_s : float; o_ok : bool; o_latency_s : float }
 
-(** Exact empirical quantile (nearest-rank): value at index ceil(q*n);
-    0 on an empty list. *)
+(** Exact empirical quantile (nearest-rank): value at index ceil(q*n) in
+    [compare] order, where NaNs rank lowest; 0 on an empty list. *)
 val exact_quantile : float list -> float -> float
+
+(** {!exact_quantile} of an array's elements, selected in place with
+    unboxed comparisons and no allocation; the array is left permuted. *)
+val exact_quantile_array : float array -> float -> float
 
 type result = {
   res_name : string;

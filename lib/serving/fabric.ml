@@ -1227,36 +1227,59 @@ let resume ?(registry = Metrics.default) ~recovery config ~deploy ~tenants
 
 (* ---- summary accessors ---------------------------------------------------------- *)
 
+(* Served, failed and shed requests of the log, in one pass. *)
+let tally r =
+  let rec go ok bad shed = function
+    | [] -> (ok, bad, shed)
+    | x :: rest -> (
+        match x.sr_outcome with
+        | Served -> go (ok + 1) bad shed rest
+        | Failed _ -> go ok (bad + 1) shed rest
+        | Rejected _ -> go ok bad (shed + 1) rest)
+  in
+  go 0 0 0 r.f_log
+
 let served_ok r =
-  List.length (List.filter (fun x -> x.sr_outcome = Served) r.f_log)
+  let ok, _, _ = tally r in
+  ok
 
 let failed r =
-  List.length
-    (List.filter
-       (fun x -> match x.sr_outcome with Failed _ -> true | _ -> false)
-       r.f_log)
+  let _, bad, _ = tally r in
+  bad
 
 let shed r =
-  List.length
-    (List.filter
-       (fun x -> match x.sr_outcome with Rejected _ -> true | _ -> false)
-       r.f_log)
+  let _, _, shed = tally r in
+  shed
+
+let availability_of ~ok ~bad =
+  if ok + bad = 0 then 1.0 else float_of_int ok /. float_of_int (ok + bad)
 
 let availability r =
-  let ok = served_ok r and bad = failed r in
-  if ok + bad = 0 then 1.0
-  else float_of_int ok /. float_of_int (ok + bad)
+  let ok, bad, _ = tally r in
+  availability_of ~ok ~bad
 
-let throughput_rps r =
-  if r.f_horizon_s <= 0.0 then 0.0
-  else float_of_int (served_ok r) /. r.f_horizon_s
+let throughput_of r ~ok =
+  if r.f_horizon_s <= 0.0 then 0.0 else float_of_int ok /. r.f_horizon_s
 
-let latencies r =
-  List.filter_map
-    (fun x -> if x.sr_outcome = Served then Some x.sr_latency_s else None)
-    (List.sort (fun a b -> compare a.sr_done_s b.sr_done_s) r.f_log)
+let throughput_rps r = throughput_of r ~ok:(served_ok r)
 
-let latency_quantile r q = Slo.exact_quantile (latencies r) q
+(* The latencies of the log's [ok] served requests, unboxed, in log
+   order: a nearest-rank quantile does not depend on the order. *)
+let served_latencies r ~ok =
+  let a = Array.create_float ok in
+  ignore
+    (List.fold_left
+       (fun i x ->
+         match x.sr_outcome with
+         | Served ->
+             a.(i) <- x.sr_latency_s;
+             i + 1
+         | Failed _ | Rejected _ -> i)
+       0 r.f_log);
+  a
+
+let latency_quantile r q =
+  Slo.exact_quantile_array (served_latencies r ~ok:(served_ok r)) q
 
 let batched_requests r =
   List.fold_left
@@ -1265,86 +1288,169 @@ let batched_requests r =
 
 (* ---- deterministic rendering ---------------------------------------------------- *)
 
-let outcome_name = function
-  | Served -> "served"
-  | Rejected reason -> "rejected:" ^ Admission.reason_name reason
-  | Failed why -> "failed:" ^ why
+(* [n] as Printf's "%d", or "%06d" with [~width:6]: zero-padded after any
+   sign to [width] characters.  The digits go right to left into
+   [digits] (20 bytes hold [min_int]), taken from [n]'s non-positive twin
+   so that [min_int] keeps its magnitude. *)
+let add_int buf digits ~width n =
+  let len = Bytes.length digits in
+  let m = ref (if n < 0 then n else -n) and pos = ref len in
+  while !pos = len || !m <> 0 do
+    decr pos;
+    Bytes.set digits !pos (Char.chr (Char.code '0' - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then Buffer.add_char buf '-';
+  for _ = len - !pos + Bool.to_int (n < 0) to width - 1 do
+    Buffer.add_char buf '0'
+  done;
+  Buffer.add_subbytes buf digits !pos (len - !pos)
 
-let render_log r =
-  let buf = Buffer.create (64 * List.length r.f_log) in
+(* [x] as Printf's "%.9f".  For |x| < 4e6 that is [n], the exact value
+   of |x| * 10^9 rounded to an integer with ties to even, as glibc
+   rounds, printed as [n / 10^9] "." [n mod 10^9].  [a = |x| *. 1e9] is
+   below 2^52, so its ulp is at most 1/2: its fractional part and 1/2 are
+   both multiples of that ulp, and [a] lies within half of it of the
+   exact product.  A fractional part other than 1/2 therefore rounds as
+   the exact product does.  At 1/2 the sign of [a]'s error, exact from
+   [Float.fma], decides, and no error is a true tie.  NaN, the
+   infinities and |x| >= 4e6 go through Printf. *)
+let add_fixed9 buf digits x =
+  let ax = Float.abs x in
+  if not (ax < 4e6) then Printf.bprintf buf "%.9f" x
+  else begin
+    let a = ax *. 1e9 in
+    let whole = int_of_float a in
+    let frac = a -. float_of_int whole in
+    let n =
+      if frac < 0.5 then whole
+      else if frac > 0.5 then whole + 1
+      else
+        let e = Float.fma ax 1e9 (-.a) in
+        if e > 0.0 then whole + 1
+        else if e < 0.0 then whole
+        else whole + (whole land 1)
+    in
+    if Float.sign_bit x then Buffer.add_char buf '-';
+    add_int buf digits ~width:0 (n / 1_000_000_000);
+    Buffer.add_char buf '.';
+    add_int buf digits ~width:9 (n mod 1_000_000_000)
+  end
+
+(* One line per request, the bytes of Printf's
+   "#%06d t=%s k=%s shard=%d arr=%.9f done=%.9f lat=%.9f batch=%d att=%d
+   var=%s deg=%b %s\n", written field by field. *)
+let write_log buf r =
+  let digits = Bytes.create 20 in
   List.iter
     (fun x ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "#%06d t=%s k=%s shard=%d arr=%.9f done=%.9f lat=%.9f batch=%d \
-            att=%d var=%s deg=%b %s\n"
-           x.sr_id x.sr_tenant x.sr_kernel x.sr_shard x.sr_arrival_s
-           x.sr_done_s x.sr_latency_s x.sr_batch x.sr_attempts x.sr_variant
-           x.sr_degraded (outcome_name x.sr_outcome)))
-    r.f_log;
-  Buffer.contents buf
+      Buffer.add_char buf '#';
+      add_int buf digits ~width:6 x.sr_id;
+      Buffer.add_string buf " t=";
+      Buffer.add_string buf x.sr_tenant;
+      Buffer.add_string buf " k=";
+      Buffer.add_string buf x.sr_kernel;
+      Buffer.add_string buf " shard=";
+      add_int buf digits ~width:0 x.sr_shard;
+      Buffer.add_string buf " arr=";
+      add_fixed9 buf digits x.sr_arrival_s;
+      Buffer.add_string buf " done=";
+      add_fixed9 buf digits x.sr_done_s;
+      Buffer.add_string buf " lat=";
+      add_fixed9 buf digits x.sr_latency_s;
+      Buffer.add_string buf " batch=";
+      add_int buf digits ~width:0 x.sr_batch;
+      Buffer.add_string buf " att=";
+      add_int buf digits ~width:0 x.sr_attempts;
+      Buffer.add_string buf " var=";
+      Buffer.add_string buf x.sr_variant;
+      Buffer.add_string buf " deg=";
+      Buffer.add_string buf (string_of_bool x.sr_degraded);
+      (match x.sr_outcome with
+      | Served -> Buffer.add_string buf " served"
+      | Rejected reason ->
+          Buffer.add_string buf " rejected:";
+          Buffer.add_string buf (Admission.reason_name reason)
+      | Failed why ->
+          Buffer.add_string buf " failed:";
+          Buffer.add_string buf why);
+      Buffer.add_char buf '\n')
+    r.f_log
 
-let render_slos r =
-  let buf = Buffer.create 512 in
+let write_slos buf r =
   List.iter
     (fun tr ->
       List.iter
         (fun (res : Slo.result) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s kind=%s attained=%.9f target=%.9f met=%b \
-                             total=%d bad=%d\n"
-               res.Slo.res_name res.Slo.res_kind res.Slo.attained
-               res.Slo.target res.Slo.met res.Slo.total res.Slo.bad))
+          Printf.bprintf buf
+            "%s kind=%s attained=%.9f target=%.9f met=%b total=%d bad=%d\n"
+            res.Slo.res_name res.Slo.res_kind res.Slo.attained res.Slo.target
+            res.Slo.met res.Slo.total res.Slo.bad)
         tr.tr_slos;
-      Buffer.add_string buf
-        (Printf.sprintf "%s alerts=%d\n" tr.tr_tenant tr.tr_alerts))
-    r.f_tenants;
-  Buffer.contents buf
+      Printf.bprintf buf "%s alerts=%d\n" tr.tr_tenant tr.tr_alerts)
+    r.f_tenants
 
-let render_summary r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "fabric: %d shard(s), balancer=%s, horizon %.3gs, makespan %.3gs\n"
-       r.f_config.n_shards
-       (Balancer.policy_name r.f_config.balancer)
-       r.f_horizon_s r.f_makespan_s);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "requests: %d total = %d served + %d failed + %d shed | availability \
-        %.2f%% | %.0f req/s | p99 %.4gs | %d batched | %d reroutes\n"
-       (List.length r.f_log) (served_ok r) (failed r) (shed r)
-       (100.0 *. availability r)
-       (throughput_rps r)
-       (latency_quantile r 0.99)
-       (batched_requests r) r.f_reroutes);
-  Buffer.add_string buf
-    (Printf.sprintf "autoscale: %d spawned, %d retired\n" r.f_spawned
-       r.f_retired);
+let write_summary buf r =
+  let ok, bad, shed = tally r in
+  Printf.bprintf buf
+    "fabric: %d shard(s), balancer=%s, horizon %.3gs, makespan %.3gs\n"
+    r.f_config.n_shards
+    (Balancer.policy_name r.f_config.balancer)
+    r.f_horizon_s r.f_makespan_s;
+  Printf.bprintf buf
+    "requests: %d total = %d served + %d failed + %d shed | availability \
+     %.2f%% | %.0f req/s | p99 %.4gs | %d batched | %d reroutes\n"
+    (ok + bad + shed) ok bad shed
+    (100.0 *. availability_of ~ok ~bad)
+    (throughput_of r ~ok)
+    (Slo.exact_quantile_array (served_latencies r ~ok) 0.99)
+    (batched_requests r) r.f_reroutes;
+  Printf.bprintf buf "autoscale: %d spawned, %d retired\n" r.f_spawned
+    r.f_retired;
   List.iter
     (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  shard%d: served=%d failed=%d batches=%d workers=%d (peak %d)\n"
-           s.sh_id s.sh_served s.sh_failed s.sh_batches s.sh_workers
-           s.sh_peak_workers))
+      Printf.bprintf buf
+        "  shard%d: served=%d failed=%d batches=%d workers=%d (peak %d)\n"
+        s.sh_id s.sh_served s.sh_failed s.sh_batches s.sh_workers
+        s.sh_peak_workers)
     r.f_shards;
   List.iter
     (fun tr ->
       let shed_total =
         List.fold_left (fun acc (_, n) -> acc + n) 0 tr.tr_shed
       in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  %-12s requests=%d served=%d failed=%d shed=%d alerts=%d\n"
-           tr.tr_tenant tr.tr_requests tr.tr_served tr.tr_failed shed_total
-           tr.tr_alerts);
+      Printf.bprintf buf
+        "  %-12s requests=%d served=%d failed=%d shed=%d alerts=%d\n"
+        tr.tr_tenant tr.tr_requests tr.tr_served tr.tr_failed shed_total
+        tr.tr_alerts;
       List.iter
         (fun (res : Slo.result) ->
           Buffer.add_string buf (Fmt.str "    %a\n" Slo.pp_result res))
         tr.tr_slos)
-    r.f_tenants;
+    r.f_tenants
+
+(* A log line takes ~115 bytes; 128 per request spares growing the
+   buffer, which would copy it. *)
+let log_bytes r = 128 * List.length r.f_log
+
+let rendered size write r =
+  let buf = Buffer.create size in
+  write buf r;
   Buffer.contents buf
+
+let render_log r = rendered (log_bytes r) write_log r
+let render_slos r = rendered 512 write_slos r
+let render_summary r = rendered 1024 write_summary r
+
+let render r =
+  rendered (log_bytes r + 4096)
+    (fun buf r ->
+      write_log buf r;
+      Buffer.add_char buf '\n';
+      write_slos buf r;
+      Buffer.add_char buf '\n';
+      write_summary buf r)
+    r
 
 (* ---- demo deployment ------------------------------------------------------------ *)
 

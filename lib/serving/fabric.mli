@@ -228,9 +228,6 @@ val availability : result -> float
 (** Served requests per second of horizon. *)
 val throughput_rps : result -> float
 
-(** Latencies of served requests, in completion order. *)
-val latencies : result -> float list
-
 (** Exact empirical quantile (nearest rank) of served latencies. *)
 val latency_quantile : result -> float -> float
 
@@ -248,6 +245,11 @@ val render_slos : result -> string
 
 (** Human-readable run summary (CLI/bench). *)
 val render_summary : result -> string
+
+(** The run's transcript, [render_log r ^ "\n" ^ render_slos r ^ "\n" ^
+    render_summary r], written into one buffer: what the recovery drill,
+    E19, E20 and the recovery tests compare across runs. *)
+val render : result -> string
 
 (** A demo deployment for drills and tests: one kernel, [mm], with a fast
     hardware variant and a software fallback with seeded tuner knowledge,

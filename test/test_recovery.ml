@@ -359,10 +359,6 @@ let fabric_config ~seed =
     Fabric.seed;
     faults = Faults.plan ~seed:5 ~transient_prob:0.05 ~fpga_transient_prob:0.1 () }
 
-let render r =
-  Fabric.render_log r ^ "\n" ^ Fabric.render_slos r ^ "\n"
-  ^ Fabric.render_summary r
-
 let fabric_run ?recovery config =
   let registry = Metrics.create_registry () in
   Fabric.run ~registry ?recovery config ~deploy:(Fabric.demo_deploy ())
@@ -376,7 +372,7 @@ let fabric_baseline ~dir config =
   let r = fabric_run ~recovery config in
   let records = store.Store.records_written in
   Store.close store;
-  (render r, records)
+  (Fabric.render r, records)
 
 let fabric_crash_resume ~dir config ~after =
   let fp = Fabric.fingerprint config ~tenants ~horizon in
@@ -396,11 +392,11 @@ let fabric_crash_resume ~dir config ~after =
       ~tenants ~horizon
   in
   Store.close store;
-  (render r, report)
+  (Fabric.render r, report)
 
 let test_fabric_journaling_is_transparent () =
   let config = fabric_config ~seed:7 in
-  let plain = render (fabric_run config) in
+  let plain = Fabric.render (fabric_run config) in
   let journaled, records = fabric_baseline ~dir:(tmp_dir "transparent") config in
   checks "recovery on/off identical" plain journaled;
   checkb "journal non-trivial" true (records > 100)
@@ -470,7 +466,7 @@ let test_fabric_falls_back_over_corrupt_snapshot () =
           ~deploy:(Fabric.demo_deploy ()) ~tenants ~horizon
       in
       Store.close store;
-      checks (kind ^ ": still byte-identical") base (render r);
+      checks (kind ^ ": still byte-identical") base (Fabric.render r);
       checkb (kind ^ ": fell back") true (report.Fabric.rr_fallbacks >= 1);
       checkb (kind ^ ": reported why") true (report.Fabric.rr_skipped <> []))
     [ ("bit-flip", corrupt_flip); ("truncation", corrupt_truncate);
