@@ -632,6 +632,154 @@ let test_recovery_alloc_budget () =
     Alcotest.failf "journaling allocates %.0f minor words per record (budget %.0f)"
       per_record recovery_words_per_record_budget
 
+(* ---- render: the served log and summary against their Printf oracle -------- *)
+
+(* The quick-size run the render properties and budget start from: 2
+   shards, 1.6k req/s plus 4 closed-loop users for 0.3 s, with faults. *)
+let quick_result =
+  lazy
+    (Fabric.run ~registry:(Metrics.create_registry ())
+       { (Fabric.default_config ~n_shards:2) with
+         Fabric.seed = 11;
+         faults = Faults.plan ~seed:11 ~transient_prob:0.02 ~fpga_transient_prob:0.05 () }
+       ~deploy:(Fabric.demo_deploy ()) ~tenants:[ acme ~rate:1600.0 (); globex () ]
+       ~horizon:0.3)
+
+(* Floats where "%.9f" is hardest: nine-decimal ties (odd multiples of
+   2^-10, the only doubles whose value times 10^9 ends in exactly .5),
+   one to three ulps either side of a tie, zeros, subnormals, the 4e6
+   fallback boundary and beyond, NaN and the infinities, arbitrary bit
+   patterns and plain latencies, each negated half the time. *)
+let gen_render_float =
+  let open QCheck.Gen in
+  let tie =
+    map
+      (fun t -> float_of_int ((2 * t) + 1) /. 1024.0)
+      (oneof [ int_range 0 1000; int_range 0 1_999_999_999 ])
+  in
+  let rec step k x =
+    if k = 0 then x
+    else if k > 0 then step (k - 1) (Float.succ x)
+    else step (k + 1) (Float.pred x)
+  in
+  let x =
+    frequency
+      [ (3, tie);
+        (3, map2 step (oneofl [ -3; -2; -1; 1; 2; 3 ]) tie);
+        ( 2,
+          oneofl
+            [ 0.0; 0.0009765625; Float.min_float; 4e6; Float.pred 4e6;
+              Float.succ 4e6; 1e7; 1e300; Float.max_float; Float.nan;
+              Float.infinity ] );
+        (1, map (fun k -> Float.ldexp 1.0 (-1074 + k)) (int_range 0 51));
+        (2, map Int64.float_of_bits int64);
+        (3, float_range 0.0 10.0);
+        (1, float_range 4e6 1e9) ]
+  in
+  map2 (fun neg x -> if neg then -.x else x) bool x
+
+let gen_served_request =
+  let open QCheck.Gen in
+  let name =
+    oneof
+      [ oneofl [ "acme"; "globex"; "mm"; "hw"; "" ];
+        string_size ~gen:printable (int_range 0 12) ]
+  in
+  let count = oneof [ int_range 0 64; oneofl [ -1; max_int; min_int ]; int ] in
+  let outcome =
+    oneof
+      [ return Fabric.Served;
+        map (fun r -> Fabric.Rejected r) (oneofl Admission.all_reasons);
+        map
+          (fun why -> Fabric.Failed why)
+          (oneof
+             [ oneofl [ "all attempts failed"; "shard died"; "" ];
+               string_size ~gen:printable (int_range 0 20) ]) ]
+  in
+  let+ sr_id = oneof [ oneofl [ 0; 999_999; 1_000_000; max_int ]; int_range 0 2_000_000 ]
+  and+ sr_tenant = name
+  and+ sr_kernel = name
+  and+ sr_shard = oneof [ return (-1); int_range 0 15; int ]
+  and+ sr_arrival_s = gen_render_float
+  and+ sr_done_s = gen_render_float
+  and+ sr_latency_s = gen_render_float
+  and+ sr_outcome = outcome
+  and+ sr_batch = count
+  and+ sr_attempts = count
+  and+ sr_variant = name
+  and+ sr_degraded = bool in
+  { Fabric.sr_id; sr_tenant; sr_kernel; sr_shard; sr_arrival_s; sr_done_s;
+    sr_latency_s; sr_outcome; sr_batch; sr_attempts; sr_variant; sr_degraded }
+
+(* Mostly short logs, where p99 is the largest served latency, and some
+   past 100 requests, where it is not. *)
+let arb_log =
+  QCheck.make ~print:Render_reference.render_log
+    QCheck.Gen.(
+      list_size
+        (frequency [ (4, int_range 0 40); (1, int_range 100 300) ])
+        gen_served_request)
+
+let prop_render_log =
+  QCheck.Test.make ~count:300 ~name:"served log = the Printf line" arb_log
+    (fun log ->
+      let r = { (Lazy.force quick_result) with Fabric.f_log = log } in
+      String.equal (Fabric.render_log r) (Render_reference.render_log log))
+
+(* The summary with its p99 value cut out, and that value. *)
+let split_p99 s =
+  let i = Astring.String.find_sub ~sub:"| p99 " s |> Option.get in
+  let j = String.index_from s (i + 6) ' ' in
+  (String.sub s 0 i ^ String.sub s j (String.length s - j), String.sub s (i + 6) (j - i - 7))
+
+(* Equal bytes, except where the nearest rank holds zeros of both signs
+   or NaNs of both signs: the value is exact up to [compare], and the
+   oracle's heap sort and the selection may each take either, which
+   "%.4g" prints as "0" or "-0", "nan" or "-nan". *)
+let prop_render_summary =
+  QCheck.Test.make ~count:300 ~name:"summary = the filter-and-sort summary"
+    arb_log (fun log ->
+      let r = { (Lazy.force quick_result) with Fabric.f_log = log } in
+      let got = Fabric.render_summary r
+      and want = Render_reference.render_summary r in
+      String.equal got want
+      ||
+      let rest, p = split_p99 got and rest', p' = split_p99 want in
+      String.equal rest rest'
+      && Float.equal (float_of_string p) (float_of_string p')
+      && (Float.is_nan (float_of_string p) || float_of_string p = 0.0))
+
+(* Allocation of the three renders per request: the minor words
+   [render_log], [render_slos] and [render_summary] allocate on the
+   quick-size run's result with its log doubled, beyond the same result
+   with its log once, over the requests the doubling adds; the
+   per-tenant and per-shard lines cancel (4,292 words a call on this
+   run).  Measured 0.0 when this budget was set; 433.4 with one
+   [Printf.sprintf] per log line, a summary that filtered and sorted the
+   log, and a [compare] sort of boxed latencies, and 308.0 with that log
+   line alone. *)
+let render_words_per_request_budget = 4.0
+
+let test_render_alloc_budget () =
+  let r = Lazy.force quick_result in
+  let words r =
+    let render () =
+      ignore (Fabric.render_log r);
+      ignore (Fabric.render_slos r);
+      ignore (Fabric.render_summary r)
+    in
+    render ();
+    let w0 = Gc.minor_words () in
+    render ();
+    Gc.minor_words () -. w0
+  in
+  let once = words r
+  and twice = words { r with Fabric.f_log = r.Fabric.f_log @ r.Fabric.f_log } in
+  let per_request = (twice -. once) /. float_of_int (List.length r.Fabric.f_log) in
+  if per_request > render_words_per_request_budget then
+    Alcotest.failf "rendering allocates %.1f minor words per request (budget %.0f)"
+      per_request render_words_per_request_budget
+
 let () =
   Alcotest.run "everest_serving"
     [ ( "workload",
@@ -688,4 +836,9 @@ let () =
             test_orchestrator_alloc_budget;
           Alcotest.test_case "recovery allocation budget" `Quick
             test_recovery_alloc_budget;
-          QCheck_alcotest.to_alcotest prop_same_seed_identical ] ) ]
+          Alcotest.test_case "render allocation budget" `Quick
+            test_render_alloc_budget;
+          QCheck_alcotest.to_alcotest prop_same_seed_identical ] );
+      ( "render",
+        [ QCheck_alcotest.to_alcotest prop_render_log;
+          QCheck_alcotest.to_alcotest prop_render_summary ] ) ]

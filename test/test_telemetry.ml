@@ -711,6 +711,42 @@ let exact_quantile xs q =
   let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
   arr.(max 0 (min (n - 1) (rank - 1)))
 
+(* [Slo.exact_quantile] selects the nearest rank in place.  It must
+   return the reference's value and an element of the list, over lists
+   with duplicates, zeros and NaNs of both signs (NaNs rank lowest under
+   [compare]) and single elements, and 0 on the empty list.  Equal under
+   [compare] is all a rank fixes: which of two zeros, or two NaNs, of
+   different signs a sort leaves there depends on its internal order. *)
+let prop_exact_quantile_selects =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ ( 3,
+            oneofl
+              [ 0.0; -0.0; Float.nan; -.Float.nan; 1.0; -1.0; 2.5;
+                Float.infinity; Float.neg_infinity ] );
+          (2, float_range (-10.0) 10.0) ])
+  in
+  QCheck.Test.make ~count:500 ~name:"exact_quantile = sort-and-index reference"
+    QCheck.(
+      make ~print:Print.(list float)
+        Gen.(
+          list_size
+            (oneof [ return 0; return 1; int_range 2 8; int_range 9 300 ])
+            value))
+    (fun xs ->
+      List.for_all
+        (fun q ->
+          let got = Everest_observe.Slo.exact_quantile xs q in
+          if xs = [] then Float.equal got 0.0
+          else
+            Float.equal got (exact_quantile xs q)
+            && List.exists
+                 (fun x ->
+                   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float got))
+                 xs)
+        [ 0.0; 0.01; 0.5; 0.99; 1.0 ])
+
 let prop_quantile_monotone_and_tight =
   (* values >= bucket_min: inside the log-scale range the estimate must sit
      within one bucket ratio (~26%) of the exact empirical quantile, and be
@@ -794,5 +830,6 @@ let () =
           Alcotest.test_case "label value escaping" `Quick
             test_prometheus_label_escaping ] );
       ( "quantile-props",
-        [ QCheck_alcotest.to_alcotest prop_quantile_monotone_and_tight ] );
+        [ QCheck_alcotest.to_alcotest prop_quantile_monotone_and_tight;
+          QCheck_alcotest.to_alcotest prop_exact_quantile_selects ] );
     ]
