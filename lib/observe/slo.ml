@@ -54,12 +54,37 @@ let swap (a : float array) i j =
   a.(i) <- a.(j);
   a.(j) <- t
 
+(* Hoare's selection (Wirth's FIND, with a median-of-three pivot value):
+   moves the value of rank [k] among [a.(lo..)] into [a.(k)], comparing
+   unboxed floats with [<], so [a.(lo..)] must hold no NaN. *)
+let select (a : float array) lo k =
+  let lo = ref lo and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = a.(!lo) and y = a.(!lo + ((!hi - !lo) / 2)) and z = a.(!hi) in
+    let p =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while p < a.(!j) do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done
+
 (* Exact empirical quantile (nearest-rank): the value at index ceil(q*n)
    of the array in [compare] order, which puts NaNs first.  The NaNs are
-   swapped to the front; among the rest, Hoare's selection (Wirth's FIND,
-   with a median-of-three pivot value) moves the rank's value into place,
-   comparing unboxed floats with [<].  No sort and no allocation; the
-   array is left permuted. *)
+   swapped to the front, and a rank past them is selected among the rest.
+   No sort and no allocation; the array is left permuted. *)
 let exact_quantile_array (a : float array) q =
   let n = Array.length a in
   if n = 0 then 0.0
@@ -74,29 +99,7 @@ let exact_quantile_array (a : float array) q =
         incr nans
       end
     done;
-    (* a rank among the NaNs is already in place: skip the selection *)
-    let lo = ref !nans and hi = ref (if k < !nans then 0 else n - 1) in
-    while !lo < !hi do
-      let x = a.(!lo) and y = a.(!lo + ((!hi - !lo) / 2)) and z = a.(!hi) in
-      let p =
-        if x < y then if y < z then y else if x < z then z else x
-        else if x < z then x
-        else if y < z then z
-        else y
-      in
-      let i = ref !lo and j = ref !hi in
-      while !i <= !j do
-        while a.(!i) < p do incr i done;
-        while p < a.(!j) do decr j done;
-        if !i <= !j then begin
-          swap a !i !j;
-          incr i;
-          decr j
-        end
-      done;
-      if !j < k then lo := !i;
-      if k < !i then hi := !j
-    done;
+    if k >= !nans then select a !nans k;
     a.(k)
   end
 
